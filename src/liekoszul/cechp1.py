@@ -29,7 +29,7 @@ from fractions import Fraction as QQ
 
 from .complexes import DoubleComplex, betti, column_filtration, row_filtration, total
 from .exactla import ExactMatrix, qq
-from .specseq import compute_page, run
+from .specseq import check_convergence, compute_page, run
 
 Laurent = dict[int, QQ]
 
@@ -309,16 +309,24 @@ def _cech_dims(sheaf: SheafOnP1, radius: int) -> tuple[int, int]:
     return delta.cols - rk, delta.rows - rk
 
 
+def _window_stable(what: str, window: int, next_window: int, first, second):
+    """The window check: `first`, computed at window D, must equal `second`,
+    computed at window D+1; returns `first`."""
+    if next_window != window + 1:
+        raise ValueError(f"window check needs windows {window} and {window + 1}, "
+                         f"got {next_window}")
+    if first != second:
+        raise WindowError(f"window too small: {what} {first} at window {window} "
+                          f"vs {second} at window {next_window}")
+    return first
+
+
 def cech_cohomology(sheaf: SheafOnP1, window: int) -> tuple[int, int]:
     """(h0, h1) of the two-chart model, verified stable at window+1."""
     if window < 1:
         raise WindowError("window radius must be at least 1")
-    first = _cech_dims(sheaf, window)
-    second = _cech_dims(sheaf, window + 1)
-    if first != second:
-        raise WindowError(
-            f"window too small: dims {first} at {window} vs {second} at {window + 1}")
-    return first
+    return _window_stable("dims", window, window + 1,
+                          _cech_dims(sheaf, window), _cech_dims(sheaf, window + 1))
 
 
 # -- the first-order-operator bundle and its wedge duals ----------------------
@@ -442,6 +450,7 @@ class CechKoszulModel:
     untwisted: bool
     rows: dict[int, RowModel]
     double: DoubleComplex
+    betti: dict[int, int]        # of the total complex, degrees k = cech - wedge
 
 
 def _contraction_tables(v: EquivariantSection, p: int, untwisted: bool):
@@ -510,21 +519,14 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
                               if win_flat and src.window_dim
                               else ExactMatrix.zeros(dst.window_dim, src.window_dim))
     double = DoubleComplex.from_commuting(ps[0], 0, 0, 1, dims, horizontal, vertical)
-    return CechKoszulModel(algebroid, section, window, untwisted, rows, double)
+    return CechKoszulModel(algebroid, section, window, untwisted, rows, double,
+                           betti(total(double)))
 
 
-def _equivariant_dims(model: CechKoszulModel) -> dict[int, int]:
-    return betti(total(model.double))
-
-
-def equivariant_H(algebroid: AlgebroidOnP1, section: EquivariantSection,
-                  window: int, untwisted: bool = False) -> dict[int, int]:
-    """Cohomology dims of the total complex, degrees k = cech - wedge."""
-    first = _equivariant_dims(cech_koszul(algebroid, section, window, untwisted))
-    second = _equivariant_dims(cech_koszul(algebroid, section, window + 1, untwisted))
-    if first != second:
-        raise WindowError(f"window too small: H dims {first} vs {second}")
-    return first
+def equivariant_H(model: CechKoszulModel, nxt: CechKoszulModel) -> dict[int, int]:
+    """Cohomology dims of the total complex, degrees k = cech - wedge,
+    verified stable on `nxt`, the same model at window D+1."""
+    return _window_stable("H dims", model.window, nxt.window, model.betti, nxt.betti)
 
 
 @dataclass(frozen=True)
@@ -539,33 +541,19 @@ class FirstPageReport:
         return self.grid == self.engine_grid
 
 
-def first_page(algebroid: AlgebroidOnP1, window: int,
-               section: EquivariantSection | None = None,
-               untwisted: bool = False) -> FirstPageReport:
-    """Line-bundle Cech dims per wedge row, cross-checked against page 1 of
-    the wedge-degree filtration of the double complex; reports observed d_1
+def first_page(model: CechKoszulModel) -> FirstPageReport:
+    """Cech dims of each row sheaf, cross-checked against page 1 of the
+    wedge-degree filtration of the double complex; reports observed d_1
     ranks (no expectation asserted for them)."""
-    if untwisted:
-        sheaves = {-1: cotangent_sheaf(), 0: line_bundle(0)}
-    else:
-        sheaves = {p: algebroid.wedge_dual(-p) for p in (-2, -1, 0)}
     grid: dict[tuple[int, int], int] = {}
-    for p, sheaf in sheaves.items():
-        h0, h1 = cech_cohomology(sheaf, window)
-        grid[(p, 0)] = h0
-        grid[(p, 1)] = h1
-    if section is None:
-        section = zero_section(algebroid)
-    model = cech_koszul(algebroid, section, window, untwisted)
+    for p, row in model.rows.items():
+        grid[(p, 0)], grid[(p, 1)] = cech_cohomology(row.sheaf, model.window)
     page1 = compute_page(column_filtration(model.double), 1)
-    engine = {pq: dim for pq, dim in page1.dims().items() if pq in grid}
-    for pq, dim in page1.dims().items():
-        if pq not in grid and dim:
-            engine[pq] = dim
+    engine = {pq: dim for pq, dim in page1.dims().items() if pq in grid or dim}
     from .exactla import image_basis
     d1_ranks = {pq: image_basis(m).dim for pq, m in page1.differentials.items()
                 if m.rows and m.cols}
-    report = FirstPageReport(window, grid, engine, d1_ranks)
+    report = FirstPageReport(model.window, grid, engine, d1_ranks)
     if not report.consistent:
         raise WindowError(
             f"first-page grids disagree: cech {grid} vs engine {engine}")
@@ -647,19 +635,19 @@ class CorollaryReport:
         return all(self.predicted.get(k, 0) == self.computed.get(k, 0) for k in keys)
 
 
-def corollary_check(algebroid: AlgebroidOnP1, section: EquivariantSection,
-                    window: int, untwisted: bool = False) -> CorollaryReport:
-    """Fixed-point prediction against the computed equivariant cohomology.
+def corollary_check(model: CechKoszulModel, nxt: CechKoszulModel) -> CorollaryReport:
+    """Fixed-point prediction against the equivariant cohomology of `model`,
+    verified stable on `nxt`, the same model at window D+1.
 
     Each vanishing point contributes one dimension in degree 0 and, in the
     operator-bundle case, one more in degree -1 (the operators on the
     restricted bundle at a point are its endomorphisms: a line)."""
-    if not assumption_check(algebroid, section):
+    if not assumption_check(model.algebroid, model.section):
         raise GluingError("assumption fails: zeros of the vector part are not simple")
-    pts = fixed_point_set(section, untwisted)
-    predicted = {0: len(pts)} if untwisted else {0: len(pts), -1: len(pts)}
+    pts = fixed_point_set(model.section, model.untwisted)
+    predicted = {0: len(pts)} if model.untwisted else {0: len(pts), -1: len(pts)}
     predicted = {k: v for k, v in predicted.items() if v}
-    computed = equivariant_H(algebroid, section, window, untwisted)
+    computed = equivariant_H(model, nxt)
     return CorollaryReport(tuple(pts), predicted,
                            {k: v for k, v in computed.items() if v})
 
@@ -679,24 +667,19 @@ class DegenerationReport:
 
 
 def _degeneration_once(model: CechKoszulModel) -> DegenerationReport:
-    filt = row_filtration(model.double)
-    res = run(filt)
-    e2 = {pq: d for pq, d in res.pages[2].dims().items() if d}
-    einf = {pq: d for pq, d in res.infinity.dims().items() if d}
-    totals = res.infinity_totals()
-    hdims = betti(filt.complex)
-    degs = set(totals) | set(hdims)
-    convergent = all(totals.get(n, 0) == hdims.get(n, 0) for n in degs)
+    res = run(row_filtration(model.double))
+    e2 = res.pages[2].nonzero_dims()
+    einf = res.infinity.nonzero_dims()
     return DegenerationReport(model.window, res.degeneration_page, e2, einf,
-                              convergent)
+                              check_convergence(res, model.betti))
 
 
-def second_page_degeneration(algebroid: AlgebroidOnP1, section: EquivariantSection,
-                             window: int, untwisted: bool = False) -> DegenerationReport:
+def second_page_degeneration(model: CechKoszulModel,
+                             nxt: CechKoszulModel) -> DegenerationReport:
     """Run the Cech-degree filtration (contraction first, then Cech) and
-    report degeneration at page <= 2; dims are stabilized at window+1."""
-    rep = _degeneration_once(cech_koszul(algebroid, section, window, untwisted))
-    rep2 = _degeneration_once(cech_koszul(algebroid, section, window + 1, untwisted))
-    if (rep.e2_dims, rep.einf_dims) != (rep2.e2_dims, rep2.einf_dims):
-        raise WindowError("window too small: degeneration dims did not stabilize")
+    report degeneration at page <= 2; dims are verified stable on `nxt`,
+    the same model at window D+1."""
+    rep, rep2 = _degeneration_once(model), _degeneration_once(nxt)
+    _window_stable("degeneration dims (E2, Einf)", model.window, nxt.window,
+                   (rep.e2_dims, rep.einf_dims), (rep2.e2_dims, rep2.einf_dims))
     return rep

@@ -17,6 +17,7 @@ import time
 from . import cechp1, hochserre, koszul, lierinehart
 from .complexes import (
     CochainComplex,
+    ComplexError,
     DoubleComplex,
     FilteredComplex,
     betti,
@@ -240,7 +241,7 @@ def cmd_specseq(payload: dict, args) -> tuple[dict, bool, list[str]]:
         cplx = build_raw_complex(payload)
         filt = build_raw_filtration(payload, cplx)
     result = ss_run(filt)
-    convergent = check_convergence(filt)
+    convergent = check_convergence(result, betti(filt.complex))
     lines = []
     pages_out = {}
     max_page = args.max_page if args.max_page is not None else len(result.pages) - 1
@@ -271,10 +272,11 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
         raise SchemaError("koszul needs a 'section' field")
     lo, hi = _weight_range(payload, args)
     weights = range(lo, hi + 1)
+    formality = koszul.formality_check(lr, section, weights)
+    tables = {s.w: s.source_betti for s in formality.slices}
     lines = []
     slice_dims = {}
-    for w in weights:
-        dims = betti(koszul.lie_koszul(lr, section, w).complex)
+    for w, dims in tables.items():
         slice_dims[str(w)] = {str(k): v for k, v in sorted(dims.items())}
         lines.append(f"weight {w}: " +
                      " ".join(f"H^{k}={v}" for k, v in sorted(dims.items())))
@@ -287,7 +289,6 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
         except koszul.InconclusiveError:
             dim_y = None
         dim_y_source = "certified" if dim_y == 0 else "unknown"
-    formality = koszul.formality_check(lr, section, weights)
     lines.append(f"formality: {'pass' if formality.ok else 'fail'}")
     if not formality.ok:
         lines.append(f"  first failing weight: {formality.first_failure.w}")
@@ -300,10 +301,11 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
         "formality_per_weight": {str(s.w): s.ok for s in formality.slices},
     }
     if dim_y is not None:
-        vr = koszul.vanishing_check(lr, section, dim_y, weights)
+        vr = koszul.vanishing_check(tables, dim_y)
         report["vanishing"] = vr.ok
         report["vanishing_violations"] = [list(v) for v in vr.violations]
-        lines.append(f"vanishing above dim Y={dim_y}: {'pass' if vr.ok else 'fail'}")
+        lines.append(f"vanishing below degree -dim Y (dim Y={dim_y}): "
+                     f"{'pass' if vr.ok else 'fail'}")
         ok = ok and vr.ok
     return report, ok, lines
 
@@ -314,27 +316,21 @@ def cmd_hs(payload: dict, args) -> tuple[dict, bool, list[str]]:
     g, ideal, module = build_lie_algebra(payload)
     if ideal is None:
         raise SchemaError("hs needs an 'ideal' field")
-    filtered = hochserre.hs_filtered(g, ideal, module)
-    expected = hochserre.expected_e2(g, ideal, module)
-    from .specseq import compute_page
-    page2 = {pq: d for pq, d in compute_page(filtered, 2).dims().items() if d}
-    result = ss_run(filtered)
-    totals = result.infinity_totals()
-    target = betti(hochserre.ce_complex(g, module))
-    verdict = hochserre.verify(g, ideal, module)
-    lines = _format_grid({k: v for k, v in expected.items() if v}, "expected E2 grid:")
-    lines.extend(_format_grid(page2, "computed E2 grid:"))
-    lines.append("limit totals:  " + " ".join(f"H^{k}={v}" for k, v in sorted(totals.items())))
-    lines.append("direct betti:  " + " ".join(f"H^{k}={v}" for k, v in sorted(target.items())))
-    lines.append(f"verdict: {'pass' if verdict else 'fail'}")
+    hs = hochserre.verify(g, ideal, module)
+    lines = _format_grid(hs.expected_e2, "expected E2 grid:")
+    lines.extend(_format_grid(hs.computed_e2, "computed E2 grid:"))
+    lines.append("limit totals:  " +
+                 " ".join(f"H^{k}={v}" for k, v in sorted(hs.infinity_totals.items())))
+    lines.append("direct betti:  " + " ".join(f"H^{k}={v}" for k, v in sorted(hs.betti.items())))
+    lines.append(f"verdict: {'pass' if hs.ok else 'fail'}")
     report = {
-        "expected_e2": _grid_json({k: v for k, v in expected.items() if v}),
-        "computed_e2": _grid_json(page2),
-        "infinity_totals": {str(k): v for k, v in sorted(totals.items())},
-        "betti": {str(k): v for k, v in sorted(target.items())},
-        "verdict": verdict,
+        "expected_e2": _grid_json(hs.expected_e2),
+        "computed_e2": _grid_json(hs.computed_e2),
+        "infinity_totals": {str(k): v for k, v in sorted(hs.infinity_totals.items())},
+        "betti": {str(k): v for k, v in sorted(hs.betti.items())},
+        "verdict": hs.ok,
     }
-    return report, verdict, lines
+    return report, hs.ok, lines
 
 
 def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
@@ -343,14 +339,18 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
     algebroid, section, untwisted, window = build_p1(payload)
     if args.window is not None:
         window = args.window
+    if window < 1:
+        raise SchemaError(f"window must be at least 1, got {window}")
+    model = cechp1.cech_koszul(algebroid, section, window, untwisted)
+    nxt = cechp1.cech_koszul(algebroid, section, window + 1, untwisted)
     lines = [f"degree {algebroid.degree}, window {window}"
              + (", untwisted" if untwisted else "")]
-    fp = cechp1.first_page(algebroid, window, section, untwisted)
+    fp = cechp1.first_page(model)
     lines.extend(_format_grid({k: v for k, v in fp.grid.items() if v},
                               "first page (wedge p, cech q):"))
     d1 = {k: v for k, v in fp.d1_ranks.items() if v}
     lines.append(f"observed d1 ranks: {_grid_json(d1) if d1 else 'all zero'}")
-    hdims = cechp1.equivariant_H(algebroid, section, window, untwisted)
+    hdims = cechp1.equivariant_H(model, nxt)
     lines.append("equivariant cohomology: " +
                  " ".join(f"H^{k}={v}" for k, v in sorted(hdims.items())))
     assumption = cechp1.assumption_check(algebroid, section)
@@ -366,7 +366,7 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
         "assumption": assumption,
     }
     if assumption:
-        cor = cechp1.corollary_check(algebroid, section, window, untwisted)
+        cor = cechp1.corollary_check(model, nxt)
         lines.append(f"fixed points: {[str(p) for p in cor.fixed_points]}")
         lines.append(f"fixed-point prediction: "
                      + " ".join(f"H^{k}={v}" for k, v in sorted(cor.predicted.items())))
@@ -375,7 +375,7 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
         report["corollary_predicted"] = {str(k): v for k, v in sorted(cor.predicted.items())}
         report["corollary_match"] = cor.match
         ok = ok and cor.match
-    degen = cechp1.second_page_degeneration(algebroid, section, window, untwisted)
+    degen = cechp1.second_page_degeneration(model, nxt)
     lines.append(f"degeneration page: {degen.degeneration_page}; "
                  f"E2 = Einf: {degen.e2_dims == degen.einf_dims}; "
                  f"convergent: {degen.convergent}")
@@ -438,7 +438,7 @@ def main(argv=None) -> int:
 
     try:
         report_body, ok, lines = COMMANDS[args.command](payload, args)
-    except (SchemaError, KeyError, ValueError, TypeError) as exc:
+    except (SchemaError, ComplexError, KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MATH_ERRORS as exc:

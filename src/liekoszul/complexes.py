@@ -16,6 +16,7 @@ from .exactla import (
     image_basis,
     induced_map,
     kernel_basis,
+    rank,
     unit_vector,
 )
 
@@ -88,7 +89,10 @@ def cohomology(c: CochainComplex) -> dict[int, Subquotient]:
 
 
 def betti(c: CochainComplex) -> dict[int, int]:
-    return {k: h.dim for k, h in cohomology(c).items()}
+    """dim H^k = dim C^k - rank d_k - rank d_{k-1}; valid because the
+    constructor verified d.d = 0."""
+    ranks = {k: rank(c.d(k)) for k in range(c.lo, c.hi)}
+    return {k: c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()}
 
 
 class ChainMap:
@@ -127,16 +131,20 @@ class ChainMap:
         return m
 
     def induced_on_cohomology(self) -> dict[int, ExactMatrix]:
-        hs = cohomology(self.source)
-        ht = cohomology(self.target)
-        out = {}
-        for k in set(hs) | set(ht):
-            src = hs.get(k, Subquotient(Subspace.zero_space(self.source.dim(k)),
-                                        Subspace.zero_space(self.source.dim(k))))
-            dst = ht.get(k, Subquotient(Subspace.zero_space(self.target.dim(k)),
-                                        Subspace.zero_space(self.target.dim(k))))
-            out[k] = induced_map(self.component(k), src, dst)
-        return out
+        return _induced(self, cohomology(self.source), cohomology(self.target))
+
+
+def _induced(f: ChainMap, hs: dict[int, Subquotient],
+             ht: dict[int, Subquotient]) -> dict[int, ExactMatrix]:
+    """Maps induced by f between the given cohomology groups of its ends."""
+    out = {}
+    for k in set(hs) | set(ht):
+        src = hs.get(k, Subquotient(Subspace.zero_space(f.source.dim(k)),
+                                    Subspace.zero_space(f.source.dim(k))))
+        dst = ht.get(k, Subquotient(Subspace.zero_space(f.target.dim(k)),
+                                    Subspace.zero_space(f.target.dim(k))))
+        out[k] = induced_map(f.component(k), src, dst)
+    return out
 
 
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
@@ -150,12 +158,13 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
 
 def is_quasi_isomorphism(f: ChainMap) -> bool:
     """True if the induced map on every cohomology group is invertible."""
-    hs = {k: h.dim for k, h in cohomology(f.source).items()}
-    ht = {k: h.dim for k, h in cohomology(f.target).items()}
-    induced = f.induced_on_cohomology()
+    hs = cohomology(f.source)
+    ht = cohomology(f.target)
+    induced = _induced(f, hs, ht)
     for k in set(hs) | set(ht):
         m = induced.get(k)
-        a, b = hs.get(k, 0), ht.get(k, 0)
+        a = hs[k].dim if k in hs else 0
+        b = ht[k].dim if k in ht else 0
         if a != b:
             return False
         if m is not None and image_basis(m).dim != a:

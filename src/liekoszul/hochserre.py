@@ -13,6 +13,7 @@ dimensions, which is complement-independent.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction as QQ
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -26,7 +27,8 @@ from .exactla import (
     unit_vector,
     qq,
 )
-from .specseq import compute_page, run
+from .lierinehart import _wedge_insert_sign
+from .specseq import check_convergence, run
 
 
 class LieAlgebraError(Exception):
@@ -129,15 +131,6 @@ class GModule:
     @classmethod
     def trivial(cls, algebra: LieAlgebra, dim: int = 1) -> "GModule":
         return cls(algebra, dim, [ExactMatrix.zeros(dim, dim)] * algebra.dim)
-
-
-def _wedge_insert_sign(k: int, rest: tuple[int, ...]):
-    if k in rest:
-        return None
-    pos = 0
-    while pos < len(rest) and rest[pos] < k:
-        pos += 1
-    return rest[:pos] + (k,) + rest[pos:], -1 if pos % 2 else 1
 
 
 def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
@@ -322,25 +315,21 @@ def expected_e2(g: LieAlgebra, h: LieIdeal, m: GModule) -> dict[tuple[int, int],
     return grid
 
 
-def verify(g: LieAlgebra, h: LieIdeal, m: GModule) -> bool:
+@dataclass(frozen=True)
+class HSReport:
+    expected_e2: dict[tuple[int, int], int]   # nonzero H^p(g/h, H^q(h, M))
+    computed_e2: dict[tuple[int, int], int]   # nonzero page 2 of the ideal filtration
+    infinity_totals: dict[int, int]
+    betti: dict[int, int]                     # of the complex in the original basis
+    ok: bool
+
+
+def verify(g: LieAlgebra, h: LieIdeal, m: GModule) -> HSReport:
     """Page 2 of the ideal filtration matches H^p(g/h, H^q(h, M)) and the
     limit totals match the Betti numbers of the full complex."""
-    filtered = hs_filtered(g, h, m)
-    page2 = compute_page(filtered, 2)
-    expected = expected_e2(g, h, m)
-    n = g.dim
-    k = h.dim
-    for p in range(0, n - k + 1):
-        for q in range(0, k + 1):
-            if page2.entry_dim(p, q) != expected.get((p, q), 0):
-                return False
-    for (p, q), dim in page2.dims().items():
-        if dim != expected.get((p, q), 0):
-            return False
-    result = run(filtered)
-    totals = result.infinity_totals()
+    result = run(hs_filtered(g, h, m))
+    expected = {pq: d for pq, d in expected_e2(g, h, m).items() if d}
+    computed = result.pages[2].nonzero_dims()
     target = betti(ce_complex(g, m))
-    for deg in range(n + 1):
-        if totals.get(deg, 0) != target.get(deg, 0):
-            return False
-    return True
+    ok = computed == expected and check_convergence(result, target)
+    return HSReport(expected, computed, result.infinity_totals(), target, ok)

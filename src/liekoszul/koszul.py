@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as QQ
+from typing import Mapping
 
 from .complexes import ChainMap, CochainComplex, betti, is_quasi_isomorphism
 from .exactla import ExactMatrix, Subquotient, Subspace
@@ -227,27 +228,25 @@ def formality_check(lr: LieRinehartPresentation, v: SectionV,
 class VanishingReport:
     dim_y: int
     dims: dict[tuple[int, int], int]           # (degree m, weight w) -> dim H^m
-    violations: tuple[tuple[int, int, int], ...]  # (m, w, dim) with m > dim_y
+    violations: tuple[tuple[int, int, int], ...]  # (m, w, dim) with m < -dim_y
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def vanishing_check(lr: LieRinehartPresentation, v: SectionV, dim_y: int,
-                    weights) -> VanishingReport:
-    """Dims of H^m per weight slice; flags any nonzero H^m with m > dim_y.
+def vanishing_check(tables: Mapping[int, Mapping[int, int]], dim_y: int) -> VanishingReport:
+    """Flags any nonzero H^m with m < -dim_y in the slice Betti tables
+    (weight -> degree -> dim), e.g. `FormalitySliceResult.source_betti`.
 
-    The complex lives in degrees <= 0, so for dim_y >= 0 the flagged set
-    can only be empty; the full dimension table is reported so callers
-    can assert the sharper closed forms known for their examples.
+    The full dimension table is reported so callers can assert the
+    sharper closed forms known for their examples.
     """
     dims: dict[tuple[int, int], int] = {}
     violations = []
-    for w in weights:
-        ks = lie_koszul(lr, v, w)
-        for m, h in betti(ks.complex).items():
+    for w, table in tables.items():
+        for m, h in table.items():
             dims[(m, w)] = h
-            if m > dim_y and h:
+            if m < -dim_y and h:
                 violations.append((m, w, h))
     return VanishingReport(dim_y, dims, tuple(violations))

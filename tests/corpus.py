@@ -1,8 +1,10 @@
 """Shared desk-scale corpus used by the acceptance suite."""
 
-from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid, zero_section
+from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid, cech_koszul, zero_section
+from liekoszul.complexes import betti
 from liekoszul.exactla import ExactMatrix, Subspace
 from liekoszul.hochserre import GModule, LieAlgebra, LieIdeal
+from liekoszul.koszul import lie_koszul
 from liekoszul.lierinehart import (
     LieRinehartPresentation,
     SectionV,
@@ -70,3 +72,14 @@ def p1_instances():
         ("O2/euler", a2, EquivariantSection(a2, (0, 1, 0)), False),
         ("O-2/zero-section", am2, zero_section(am2), False),
     ]
+
+
+def window_pair(algebroid, section, window, untwisted=False):
+    """The Cech-Koszul models at windows D and D+1, as the window checks take them."""
+    return (cech_koszul(algebroid, section, window, untwisted),
+            cech_koszul(algebroid, section, window + 1, untwisted))
+
+
+def slice_betti(lr, section, weights):
+    """Betti tables of the Koszul slices, weight -> degree -> dim."""
+    return {w: betti(lie_koszul(lr, section, w).complex) for w in weights}

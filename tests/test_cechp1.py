@@ -28,6 +28,7 @@ from liekoszul.cechp1 import (
 from liekoszul.complexes import betti, total
 from liekoszul.exactla import ExactMatrix
 
+from corpus import window_pair
 from helpers import line_bundle_dims_by_counting
 
 
@@ -121,26 +122,26 @@ def test_cech_koszul_double_complex_valid():
 def test_equivariant_h_zero_section_matches_first_page_sum():
     for d in (-2, 0, 3):
         a = atiyah_algebroid(d)
-        hdims = equivariant_H(a, zero_section(a), 1)
-        grid = first_page(a, 1).grid
+        hdims = equivariant_H(*window_pair(a, zero_section(a), 1))
+        grid = first_page(cech_koszul(a, zero_section(a), 1)).grid
         for k in hdims:
             assert hdims[k] == sum(v for (p, q), v in grid.items() if p + q == k)
 
 
 def test_equivariant_h_examples():
     a0 = atiyah_algebroid(0)
-    assert {k: v for k, v in equivariant_H(a0, zero_section(a0), 1).items() if v} \
+    assert {k: v for k, v in equivariant_H(*window_pair(a0, zero_section(a0), 1)).items() if v} \
         == {0: 2, -1: 2}
     v = EquivariantSection(a0, (0, 1, 0))
-    assert {k: v_ for k, v_ in equivariant_H(a0, v, 1).items() if v_} == {0: 2, -1: 2}
-    assert {k: v_ for k, v_ in equivariant_H(a0, v, 1, untwisted=True).items() if v_} \
+    assert {k: v_ for k, v_ in equivariant_H(*window_pair(a0, v, 1)).items() if v_} == {0: 2, -1: 2}
+    assert {k: v_ for k, v_ in equivariant_H(*window_pair(a0, v, 1, untwisted=True)).items() if v_} \
         == {0: 2}
 
 
 def test_unit_scalar_section_is_acyclic():
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0), scalar0=["1"])
-    assert all(d == 0 for d in equivariant_H(a0, v, 1).values())
+    assert all(d == 0 for d in equivariant_H(*window_pair(a0, v, 1)).values())
 
 
 def test_euler_characteristic_invariance_over_sections():
@@ -155,7 +156,7 @@ def test_euler_characteristic_invariance_over_sections():
     ]
     chis = set()
     for s in sections:
-        h = equivariant_H(a0, s, 1)
+        h = equivariant_H(*window_pair(a0, s, 1))
         chis.add(sum((-v if k % 2 else v) for k, v in h.items()))
     assert len(chis) == 1
 
@@ -164,8 +165,8 @@ def test_euler_characteristic_invariance_other_degrees():
     for d in (1, -1, 3):
         a = atiyah_algebroid(d)
         chi = lambda h: sum((-v if k % 2 else v) for k, v in h.items())
-        base = chi(equivariant_H(a, zero_section(a), 1))
-        assert chi(equivariant_H(a, EquivariantSection(a, (0, 1, 0)), 1)) == base
+        base = chi(equivariant_H(*window_pair(a, zero_section(a), 1)))
+        assert chi(equivariant_H(*window_pair(a, EquivariantSection(a, (0, 1, 0)), 1))) == base
 
 
 def test_untwisted_matches_handbuilt_model():
@@ -215,7 +216,7 @@ def test_untwisted_matches_handbuilt_model():
 
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
-    engine = {k: v_ for k, v_ in equivariant_H(a0, v, 1, untwisted=True).items() if v_}
+    engine = {k: v_ for k, v_ in equivariant_H(*window_pair(a0, v, 1, untwisted=True)).items() if v_}
     assert hand_betti == engine == {0: 2}
 
 
@@ -248,20 +249,20 @@ def test_fixed_points_respect_scalar_part():
 def test_corollary_untwisted_and_twisted():
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
-    rep = corollary_check(a0, v, 1, untwisted=True)
+    rep = corollary_check(*window_pair(a0, v, 1, untwisted=True))
     assert rep.predicted == {0: 2} and rep.match
-    rep2 = corollary_check(a0, v, 1)
+    rep2 = corollary_check(*window_pair(a0, v, 1))
     assert rep2.predicted == {0: 2, -1: 2} and rep2.match
-    two = corollary_check(a0, EquivariantSection(a0, (-1, 0, 1)), 1, untwisted=True)
+    two = corollary_check(*window_pair(a0, EquivariantSection(a0, (-1, 0, 1)), 1, untwisted=True))
     assert len(two.fixed_points) == 2 and two.match
     with pytest.raises(GluingError):
-        corollary_check(a0, EquivariantSection(a0, (0, 0, 1)), 1)
+        corollary_check(*window_pair(a0, EquivariantSection(a0, (0, 0, 1)), 1))
 
 
 def test_corollary_scales_with_fixed_point_count():
     a0 = atiyah_algebroid(0)
     for coeffs in [(0, 1, 0), (-1, 0, 1), (0, 1, -1)]:
-        rep = corollary_check(a0, EquivariantSection(a0, coeffs), 1, untwisted=True)
+        rep = corollary_check(*window_pair(a0, EquivariantSection(a0, coeffs), 1, untwisted=True))
         assert rep.predicted == {0: len(rep.fixed_points)}
         assert rep.match
 
@@ -272,7 +273,7 @@ def test_corollary_obstructed_lift():
     for d in (2, 1, -1, 3):
         a = atiyah_algebroid(d)
         v = EquivariantSection(a, (0, 1, 0))
-        rep = corollary_check(a, v, 1)
+        rep = corollary_check(*window_pair(a, v, 1))
         assert rep.fixed_points == (QQ(0),)
         assert rep.predicted == {0: 1, -1: 1}
         assert rep.match
@@ -281,22 +282,25 @@ def test_corollary_obstructed_lift():
 def test_corollary_twisted_two_finite_fixed_points():
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (-1, 0, 1))  # zeros at +-1, none at infinity
-    rep = corollary_check(a0, v, 1)
+    rep = corollary_check(*window_pair(a0, v, 1))
     assert set(rep.fixed_points) == {QQ(1), QQ(-1)}
     assert rep.predicted == {0: 2, -1: 2} and rep.match
 
 
 def test_first_page_grids():
-    grid0 = first_page(atiyah_algebroid(0), 1).grid
+    a0 = atiyah_algebroid(0)
+    grid0 = first_page(cech_koszul(a0, zero_section(a0), 1)).grid
     assert {k: v for k, v in grid0.items() if v} == {
         (0, 0): 1, (-1, 0): 1, (-1, 1): 1, (-2, 1): 1}
     for d in (-2, 1, 3):
-        grid = first_page(atiyah_algebroid(d), 1).grid
+        a = atiyah_algebroid(d)
+        grid = first_page(cech_koszul(a, zero_section(a), 1)).grid
         assert {k: v for k, v in grid.items() if v} == {(0, 0): 1, (-2, 1): 1}
 
 
 def test_first_page_untwisted():
-    rep = first_page(atiyah_algebroid(0), 1, untwisted=True)
+    a0 = atiyah_algebroid(0)
+    rep = first_page(cech_koszul(a0, zero_section(a0), 1, untwisted=True))
     assert {k: v for k, v in rep.grid.items() if v} == {(0, 0): 1, (-1, 1): 1}
     assert rep.consistent
 
@@ -311,7 +315,7 @@ def test_window_radius_must_be_positive():
 
 def test_first_page_engine_consistency_and_d1():
     a0 = atiyah_algebroid(0)
-    rep = first_page(a0, 1, EquivariantSection(a0, (0, 1, 0)))
+    rep = first_page(cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1))
     assert rep.consistent
     assert all(r == 0 for r in rep.d1_ranks.values())
 
@@ -336,11 +340,12 @@ def test_wedge_filtration_converges_for_zero_section():
         a = atiyah_algebroid(d)
         model = cech_koszul(a, zero_section(a), 1)
         filt = column_filtration(model.double)
-        assert check_convergence(filt)
-        # and the limit totals are the zero-section cohomology of the remark
         from liekoszul.specseq import run as ss_run
-        totals = ss_run(filt).infinity_totals()
-        h = equivariant_H(a, zero_section(a), 1)
+        res = ss_run(filt)
+        assert check_convergence(res, betti(filt.complex))
+        # and the limit totals are the zero-section cohomology of the remark
+        totals = res.infinity_totals()
+        h = equivariant_H(*window_pair(a, zero_section(a), 1))
         for k, v in h.items():
             assert totals.get(k, 0) == v
 
@@ -348,16 +353,26 @@ def test_wedge_filtration_converges_for_zero_section():
 def test_second_page_degeneration_examples():
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
-    rep = second_page_degeneration(a0, v, 1)
+    rep = second_page_degeneration(*window_pair(a0, v, 1))
     assert rep.ok and rep.degeneration_page <= 2
-    rep0 = second_page_degeneration(a0, zero_section(a0), 1)
+    rep0 = second_page_degeneration(*window_pair(a0, zero_section(a0), 1))
     assert rep0.ok
-    repu = second_page_degeneration(a0, v, 1, untwisted=True)
+    repu = second_page_degeneration(*window_pair(a0, v, 1, untwisted=True))
     assert repu.ok
     # limit totals agree with the equivariant cohomology
-    h = equivariant_H(a0, v, 1)
+    h = equivariant_H(*window_pair(a0, v, 1))
     totals = {}
     for (q, k_minus_q), dim in rep.einf_dims.items():
         n = q + k_minus_q
         totals[n] = totals.get(n, 0) + dim
     assert totals == {k: v_ for k, v_ in h.items() if v_}
+
+
+def test_window_check_needs_the_next_window_model():
+    a0 = atiyah_algebroid(0)
+    v = EquivariantSection(a0, (0, 1, 0))
+    model = cech_koszul(a0, v, 1)
+    with pytest.raises(ValueError):
+        equivariant_H(model, model)
+    with pytest.raises(ValueError):
+        second_page_degeneration(model, cech_koszul(a0, v, 3))

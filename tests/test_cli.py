@@ -48,7 +48,7 @@ def test_koszul_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "formality: pass" in out
-    assert "vanishing above dim Y=0: pass" in out
+    assert "vanishing below degree -dim Y (dim Y=0): pass" in out
 
 
 def test_specseq_command(capsys):
@@ -129,3 +129,52 @@ def test_cohomology_lie_rinehart(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "weight 0: H^0=1" in out
+
+
+def test_raw_complex_with_nonzero_square_exit_2(tmp_path, capsys):
+    bad = tmp_path / "dd.json"
+    bad.write_text(json.dumps({
+        "kind": "raw_complex", "name": "dd-nonzero", "dims": [1, 1, 1],
+        "differentials": [[["1"]], [["1"]]],
+    }))
+    assert run_cli(["cohomology", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_window_zero_is_an_input_error(tmp_path, capsys):
+    payload = json.loads((CASES / "p1-euler-untwisted.json").read_text())
+    assert run_cli(["p1", CASES / "p1-euler-untwisted.json", "--window", "0"]) == 2
+    payload["window"] = 0
+    zero = tmp_path / "window0.json"
+    zero.write_text(json.dumps(payload))
+    assert run_cli(["p1", zero]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 2
+
+
+def _koszul_line_section(tmp_path, dim_y):
+    # section x d/dx on the plane: its zero locus is the line x = 0
+    payload = json.loads((CASES / "euler-n2.json").read_text())
+    payload["section"] = [{"1,0": 1}, {}]
+    payload["dim_y"] = dim_y
+    path = tmp_path / f"line-dim{dim_y}.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_koszul_vanishing_fails_below_minus_dim_y(tmp_path, capsys):
+    out_json = tmp_path / "report.json"
+    code = run_cli(["koszul", _koszul_line_section(tmp_path, 0), "--json", out_json])
+    assert code == 1
+    report = json.loads(out_json.read_text())["report"]
+    assert report["vanishing"] is False
+    assert report["vanishing_violations"] == [[-1, w, 1] for w in (1, 2, 3, 4)]
+
+
+def test_koszul_vanishing_passes_with_line_dimension(tmp_path, capsys):
+    out_json = tmp_path / "report.json"
+    code = run_cli(["koszul", _koszul_line_section(tmp_path, 1), "--json", out_json])
+    assert code == 0
+    report = json.loads(out_json.read_text())["report"]
+    assert report["vanishing"] is True and report["vanishing_violations"] == []

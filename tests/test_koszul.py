@@ -18,6 +18,8 @@ from liekoszul.lierinehart import (
 )
 from liekoszul.specseq import run
 
+from corpus import slice_betti
+
 
 RING2 = WeightedPolyRing(2, (1, 1))
 TANGENT2 = tangent_algebroid(RING2)
@@ -145,7 +147,7 @@ def test_formality_failure_reported_with_first_slice():
 
 
 def test_vanishing_euler():
-    rep = vanishing_check(TANGENT2, EULER2, 0, range(5))
+    rep = vanishing_check(slice_betti(TANGENT2, EULER2, range(5)), 0)
     assert rep.ok
     assert [rep.dims[(0, w)] for w in range(5)] == [1, 0, 0, 0, 0]
     for w in range(5):
@@ -154,13 +156,13 @@ def test_vanishing_euler():
 
 def test_vanishing_unit():
     lr, unit = unit_setup()
-    rep = vanishing_check(lr, unit, 0, range(3))
+    rep = vanishing_check(slice_betti(lr, unit, range(3)), 0)
     assert rep.ok
     assert all(d == 0 for d in rep.dims.values())
 
 
 def test_vanishing_one_variable_closed_form():
-    rep = vanishing_check(TANGENT1, XDX, 0, range(4))
+    rep = vanishing_check(slice_betti(TANGENT1, XDX, range(4)), 0)
     assert rep.ok
     assert rep.dims[(0, 0)] == 1
     for w in (1, 2, 3):
@@ -179,7 +181,7 @@ def test_weighted_ring_koszul_and_formality():
     for w in (1, 2, 3, 4):
         assert betti(lie_koszul(t, v, w).complex) == {-2: 0, -1: 0, 0: 0}
     assert formality_check(t, v, range(5)).ok
-    rep = vanishing_check(t, v, 0, range(5))
+    rep = vanishing_check(slice_betti(t, v, range(5)), 0)
     assert rep.ok and rep.dims[(0, 0)] == 1
 
 

@@ -59,7 +59,7 @@ def test_handbuilt_nonzero_d2():
     assert not d2.is_zero()
     assert res.pages[3].nonzero_dims() == {}
     assert res.degeneration_page == 3
-    assert check_convergence(f)
+    assert check_convergence(run(f), betti(f.complex))
 
 
 def test_zero_differential_degenerates_immediately():
@@ -77,7 +77,7 @@ def test_zero_differential_degenerates_immediately():
     res = run(f)
     assert res.degeneration_page <= 1
     assert res.infinity_totals() == {0: 2, 1: 2}
-    assert check_convergence(f)
+    assert check_convergence(run(f), betti(f.complex))
 
 
 def test_first_quadrant_collapse_onto_one_column():
@@ -99,7 +99,7 @@ def test_first_quadrant_collapse_onto_one_column():
     direct = betti(t)
     for n in t.degrees():
         assert res.infinity_totals().get(n, 0) == direct.get(n, 0)
-    assert check_convergence(f)
+    assert check_convergence(run(f), betti(f.complex))
 
 
 def _random_core(rng, max_total_dim=12, max_width=4):
@@ -189,7 +189,7 @@ def test_convergence_on_random_corpus():
     rng = random.Random(2024)
     for _ in range(30):
         f = random_filtered_complex(rng)
-        assert check_convergence(f)
+        assert check_convergence(run(f), betti(f.complex))
 
 
 def test_page_dims_weakly_decrease():
