@@ -11,7 +11,6 @@ from .exactla import (
     image_basis,
     induced_map,
     kernel_basis,
-    subquotient_membership,
 )
 from .complexes import (
     ChainMap,
@@ -27,10 +26,12 @@ from .complexes import (
     total,
 )
 from .specseq import (
+    Pairing,
     SpectralSequencePage,
     SpectralSequenceRun,
     check_convergence,
     compute_page,
+    pairing,
     run,
 )
 from .lierinehart import (

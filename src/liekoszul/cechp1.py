@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 
 from .complexes import DoubleComplex, betti, column_filtration, row_filtration, total
-from .exactla import ExactMatrix, qq
-from .specseq import check_convergence, compute_page, run
+from .exactla import ExactMatrix, qq, rank
+from .specseq import check_convergence, compute_page, pairing, run
 
 Laurent = dict[int, QQ]
 
@@ -304,8 +304,7 @@ def _delta_matrix(row: RowModel) -> ExactMatrix:
 def _cech_dims(sheaf: SheafOnP1, radius: int) -> tuple[int, int]:
     row = build_row(sheaf, radius, sheaf.margin())
     delta = _delta_matrix(row)
-    from .exactla import image_basis
-    rk = image_basis(delta).dim
+    rk = rank(delta)
     return delta.cols - rk, delta.rows - rk
 
 
@@ -548,12 +547,9 @@ def first_page(model: CechKoszulModel) -> FirstPageReport:
     grid: dict[tuple[int, int], int] = {}
     for p, row in model.rows.items():
         grid[(p, 0)], grid[(p, 1)] = cech_cohomology(row.sheaf, model.window)
-    page1 = compute_page(column_filtration(model.double), 1)
+    page1 = compute_page(pairing(column_filtration(model.double)), 1)
     engine = {pq: dim for pq, dim in page1.dims().items() if pq in grid or dim}
-    from .exactla import image_basis
-    d1_ranks = {pq: image_basis(m).dim for pq, m in page1.differentials.items()
-                if m.rows and m.cols}
-    report = FirstPageReport(model.window, grid, engine, d1_ranks)
+    report = FirstPageReport(model.window, grid, engine, page1.ranks)
     if not report.consistent:
         raise WindowError(
             f"first-page grids disagree: cech {grid} vs engine {engine}")

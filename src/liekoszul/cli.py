@@ -66,6 +66,12 @@ def _matrix(data, rows: int, cols: int) -> ExactMatrix:
     return ExactMatrix.from_rows(data)
 
 
+def _subspace(vectors, dim: int, what: str) -> Subspace:
+    if any(len(v) != dim for v in vectors):
+        raise SchemaError(f"{what} vectors must have length {dim}")
+    return Subspace(dim, vectors)
+
+
 # -- builders per kind ---------------------------------------------------------
 
 
@@ -74,7 +80,7 @@ def build_lie_algebra(payload: dict):
     g = hochserre.LieAlgebra(dim, payload.get("brackets", {}))
     ideal = None
     if "ideal" in payload:
-        ideal = hochserre.LieIdeal(g, Subspace(dim, payload["ideal"]))
+        ideal = hochserre.LieIdeal(g, _subspace(payload["ideal"], dim, "ideal"))
     if "module" in payload:
         mdata = payload["module"]
         mdim = int(_need(mdata, "dim"))
@@ -118,11 +124,10 @@ def build_raw_complex(payload: dict):
     dims = [int(d) for d in _need(payload, "dims")]
     lo = int(payload.get("lo", 0))
     hi = lo + len(dims) - 1
-    diffs = []
-    for i, mat in enumerate(_need(payload, "differentials")):
-        diffs.append(_matrix(mat, dims[i + 1], dims[i]))
-    if len(diffs) != len(dims) - 1:
+    mats = _need(payload, "differentials")
+    if len(mats) != len(dims) - 1:
         raise SchemaError("need one differential per adjacent pair of degrees")
+    diffs = [_matrix(mat, dims[i + 1], dims[i]) for i, mat in enumerate(mats)]
     return CochainComplex(lo, hi, dims, diffs)
 
 
@@ -158,8 +163,8 @@ def build_raw_filtration(payload: dict, cplx: CochainComplex) -> FilteredComplex
     levels = {}
     for key, vectors in _need(block, "spaces").items():
         p, n = (int(t) for t in key.split(","))
-        levels[(p, n)] = Subspace(cplx.dim(n), vectors)
-    return FilteredComplex(cplx, p_lo, p_hi, levels)
+        levels[(p, n)] = _subspace(vectors, cplx.dim(n), f"filtration space {key}")
+    return FilteredComplex.from_flag(cplx, p_lo, p_hi, levels)
 
 
 # -- command handlers -----------------------------------------------------------

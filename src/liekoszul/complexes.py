@@ -2,7 +2,8 @@
 
 All invariants (d squared zero, commuting squares, anticommutation,
 filtration monotonicity and d-stability) are checked eagerly at
-construction, so invalid objects cannot exist as values.
+construction, so invalid objects cannot exist as values.  Filtrations are
+stored as one level per vector of an adapted basis.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .exactla import (
     induced_map,
     kernel_basis,
     rank,
-    unit_vector,
+    solve_batch,
 )
 
 
@@ -181,7 +182,7 @@ class DoubleComplex:
     `from_commuting`, which twists the vertical maps on column p by (-1)^p.
     """
 
-    __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi", "_dims", "_dh", "_dv")
+    __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi", "_dims", "_dh", "_dv", "_total")
 
     def __init__(self, p_lo: int, p_hi: int, q_lo: int, q_hi: int,
                  dims: Mapping[tuple[int, int], int],
@@ -216,6 +217,7 @@ class DoubleComplex:
                 dv[(p, q)] = v
         object.__setattr__(self, "_dh", dh)
         object.__setattr__(self, "_dv", dv)
+        object.__setattr__(self, "_total", None)
         for p in range(p_lo, p_hi + 1):
             for q in range(q_lo, q_hi + 1):
                 if not (self.dh(p + 1, q) @ self.dh(p, q)).is_zero():
@@ -292,7 +294,11 @@ def total_layout(d: DoubleComplex) -> dict[int, list[tuple[int, int, int]]]:
 
 
 def total(d: DoubleComplex) -> CochainComplex:
-    """Total complex T^n = direct sum of K^{p,q} with p+q = n, d = d_h + d_v."""
+    """Total complex T^n = direct sum of K^{p,q} with p+q = n, d = d_h + d_v.
+
+    Built once per double complex, which is immutable, and then reused."""
+    if d._total is not None:
+        return d._total
     layout = total_layout(d)
     lo = d.p_lo + d.q_lo
     hi = d.p_hi + d.q_hi
@@ -314,74 +320,94 @@ def total(d: DoubleComplex) -> CochainComplex:
                         for j in range(mat.cols):
                             row[off + j] = mat.entries[base + j]
         diffs.append(ExactMatrix.from_rows(flat) if rows and cols else ExactMatrix.zeros(rows, cols))
-    return CochainComplex(lo, hi, dims, diffs)
+    object.__setattr__(d, "_total", CochainComplex(lo, hi, dims, diffs))
+    return d._total
 
 
 class FilteredComplex:
-    """Decreasing, d-stable, bounded filtration of a cochain complex.
+    """Decreasing, d-stable, bounded filtration of a cochain complex, written
+    in a basis adapted to it.
 
-    Levels run over [p_lo, p_hi + 1]; F_{p_lo} is the whole space and
-    F_{p_hi + 1} is zero in every degree.  `level(p, n)` clamps outside
-    that range.
+    `levels[n][i]` is the level of the i-th basis vector of C^n, and F_p C^n
+    is spanned by the basis vectors of level >= p.  Levels lie in
+    [p_lo, p_hi], so F_{p_lo} is the whole space and F_{p_hi + 1} is zero.
+    d-stability is a condition on matrix entries: every nonzero d[i][j] out
+    of degree n has levels[n + 1][i] >= levels[n][j].  A general flag of
+    subspaces is validated and converted to this form once, by `from_flag`.
     """
 
-    __slots__ = ("complex", "p_lo", "p_hi", "_levels")
+    __slots__ = ("complex", "p_lo", "p_hi", "levels")
 
     def __init__(self, cplx: CochainComplex, p_lo: int, p_hi: int,
-                 levels: Mapping[tuple[int, int], Subspace]):
+                 levels: Mapping[int, Sequence[int]]):
         if p_hi < p_lo:
             raise ComplexError("empty filtration range")
-        table: dict[tuple[int, int], Subspace] = {}
-        for p in range(p_lo, p_hi + 2):
-            for n in cplx.degrees():
-                s = levels.get((p, n))
-                if s is None:
-                    raise ComplexError(f"missing filtration subspace at level {p}, degree {n}")
-                if s.ambient_dim != cplx.dim(n):
-                    raise ComplexError(f"filtration subspace at ({p},{n}) has wrong ambient")
-                table[(p, n)] = s
+        table: dict[int, tuple[int, ...]] = {}
         for n in cplx.degrees():
-            if table[(p_lo, n)].dim != cplx.dim(n):
-                raise ComplexError(f"F_{p_lo} is not the whole space in degree {n}")
-            if table[(p_hi + 1, n)].dim != 0:
-                raise ComplexError(f"F_{p_hi + 1} is not zero in degree {n}")
-            for p in range(p_lo, p_hi + 1):
-                if not table[(p + 1, n)].is_subspace_of(table[(p, n)]):
-                    raise ComplexError(f"filtration not decreasing at ({p},{n})")
-        for n in cplx.degrees():
-            if n + 1 > cplx.hi:
-                continue
-            dn = cplx.d(n)
-            for p in range(p_lo, p_hi + 2):
-                tgt = table[(p, n + 1)]
-                for b in table[(p, n)].basis:
-                    if not tgt.contains(dn.apply(b)):
-                        raise ComplexError(f"differential leaves level {p} at degree {n}")
+            lv = tuple(int(x) for x in levels.get(n, ()))
+            if len(lv) != cplx.dim(n):
+                raise ComplexError(f"need one level per basis vector in degree {n}")
+            if any(not p_lo <= x <= p_hi for x in lv):
+                raise ComplexError(f"level outside [{p_lo},{p_hi}] in degree {n}")
+            table[n] = lv
+        for n in range(cplx.lo, cplx.hi):
+            d, src, dst = cplx.d(n), table[n], table[n + 1]
+            for idx, a in enumerate(d.entries):
+                if a:
+                    i, j = divmod(idx, d.cols)
+                    if dst[i] < src[j]:
+                        raise ComplexError(
+                            f"differential leaves level {src[j]} at degree {n}")
         object.__setattr__(self, "complex", cplx)
         object.__setattr__(self, "p_lo", p_lo)
         object.__setattr__(self, "p_hi", p_hi)
-        object.__setattr__(self, "_levels", table)
+        object.__setattr__(self, "levels", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("FilteredComplex is immutable")
 
     @classmethod
-    def trivial(cls, cplx: CochainComplex, level: int = 0) -> "FilteredComplex":
-        levels = {}
-        for n in cplx.degrees():
-            levels[(level, n)] = Subspace.full_space(cplx.dim(n))
-            levels[(level + 1, n)] = Subspace.zero_space(cplx.dim(n))
-        return cls(cplx, level, level, levels)
+    def from_flag(cls, cplx: CochainComplex, p_lo: int, p_hi: int,
+                  spaces: Mapping[tuple[int, int], Subspace]) -> "FilteredComplex":
+        """Filtration given by subspaces F_p C^n for p in [p_lo, p_hi + 1].
 
-    def level(self, p: int, n: int) -> Subspace:
-        if p <= self.p_lo:
-            p = self.p_lo
-        elif p > self.p_hi + 1:
-            p = self.p_hi + 1
-        s = self._levels.get((p, n))
-        if s is None:
-            return Subspace.zero_space(self.complex.dim(n))
-        return s
+        The complex is rewritten in an adapted basis: walking p down from
+        p_hi, the representatives of F_p / F_{p+1} get level p.
+        """
+        if p_hi < p_lo:
+            raise ComplexError("empty filtration range")
+        bases: dict[int, list] = {}
+        levels: dict[int, list[int]] = {}
+        for n in cplx.degrees():
+            flag = []
+            for p in range(p_lo, p_hi + 2):
+                s = spaces.get((p, n))
+                if s is None:
+                    raise ComplexError(f"missing filtration subspace at level {p}, degree {n}")
+                if s.ambient_dim != cplx.dim(n):
+                    raise ComplexError(f"filtration subspace at ({p},{n}) has wrong ambient")
+                flag.append(s)
+            if flag[0].dim != cplx.dim(n):
+                raise ComplexError(f"F_{p_lo} is not the whole space in degree {n}")
+            if flag[-1].dim != 0:
+                raise ComplexError(f"F_{p_hi + 1} is not zero in degree {n}")
+            bases[n], levels[n] = [], []
+            for p in range(p_hi, p_lo - 1, -1):
+                lower, upper = flag[p - p_lo], flag[p - p_lo + 1]
+                if not upper.is_subspace_of(lower):
+                    raise ComplexError(f"filtration not decreasing at ({p},{n})")
+                reps = Subquotient(lower, upper).representatives
+                bases[n].extend(reps)
+                levels[n].extend([p] * len(reps))
+        diffs = []
+        for n in range(cplx.lo, cplx.hi):
+            change = ExactMatrix.from_columns(cplx.dim(n + 1), bases[n + 1])
+            images = [cplx.d(n).apply(b) for b in bases[n]]
+            diffs.append(ExactMatrix.from_columns(cplx.dim(n + 1),
+                                                  solve_batch(change, images)))
+        adapted = CochainComplex(cplx.lo, cplx.hi, [cplx.dim(n) for n in cplx.degrees()],
+                                 diffs)
+        return cls(adapted, p_lo, p_hi, levels)
 
     @property
     def width(self) -> int:
@@ -393,19 +419,11 @@ class FilteredComplex:
 
 def _coordinate_filtration(d: DoubleComplex, index: Callable[[int, int], int],
                            f_lo: int, f_hi: int) -> FilteredComplex:
-    cplx = total(d)
-    layout = total_layout(d)
-    levels: dict[tuple[int, int], Subspace] = {}
-    for n in cplx.degrees():
-        dim_n = cplx.dim(n)
-        for level in range(f_lo, f_hi + 2):
-            vectors = []
-            for p, q, off in layout[n]:
-                if index(p, q) >= level:
-                    for j in range(d.cell_dim(p, q)):
-                        vectors.append(unit_vector(dim_n, off + j))
-            levels[(level, n)] = Subspace(dim_n, vectors)
-    return FilteredComplex(cplx, f_lo, f_hi, levels)
+    """Filtration of the total complex giving each vector of cell (p, q) the
+    level index(p, q); the coordinate basis is adapted to it."""
+    levels = {n: [index(p, q) for p, q, _ in cells for _ in range(d.cell_dim(p, q))]
+              for n, cells in total_layout(d).items()}
+    return FilteredComplex(total(d), f_lo, f_hi, levels)
 
 
 def column_filtration(d: DoubleComplex) -> FilteredComplex:

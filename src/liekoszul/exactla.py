@@ -327,11 +327,6 @@ class Subspace:
             vectors.append(tuple(vec))
         return Subspace(self.ambient_dim, vectors)
 
-    def image_under(self, m: ExactMatrix) -> "Subspace":
-        if m.cols != self.ambient_dim:
-            raise LinearAlgebraError("matrix does not act on this ambient space")
-        return Subspace(m.rows, [m.apply(b) for b in self.basis])
-
     def preimage_under(self, m: ExactMatrix) -> "Subspace":
         """The subspace {v : Mv in self} of the domain of M."""
         if m.rows != self.ambient_dim:
@@ -505,11 +500,6 @@ class Subquotient:
             f"Subquotient(dim {self.dim} = {self.cycles.dim}/{self.boundaries.dim}"
             f" in QQ^{self.ambient_dim})"
         )
-
-
-def subquotient_membership(s: Subquotient, v: Sequence) -> Vector:
-    """Class coordinates of v in s; raises OutsideCyclesError if v is no cycle."""
-    return s.class_coordinates(v)
 
 
 def induced_map(f: ExactMatrix, src: Subquotient, dst: Subquotient) -> ExactMatrix:

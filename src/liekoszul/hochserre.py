@@ -6,9 +6,9 @@ second page is H^p(g/h, H^q(h, M)); `verify` checks that identification
 and the convergence to H(g, M) on concrete instances.
 
 A complement to h is chosen once (the standard echelon complement), the
-whole complex is rebuilt in the adapted basis, and the filtration levels
-become coordinate subspaces.  Results are compared at the level of
-dimensions, which is complement-independent.
+whole complex is rebuilt in the adapted basis, and each basis cochain
+gets its number of complement factors as filtration level.  Results are
+compared at the level of dimensions, which is complement-independent.
 """
 
 from __future__ import annotations
@@ -209,19 +209,10 @@ def hs_filtered(g: LieAlgebra, h: LieIdeal, m: GModule) -> FilteredComplex:
     """Ideal filtration: level p keeps cochains with >= p complement factors."""
     g2, m2, k = _adapted(g, h, m)
     n = g.dim
-    cplx = ce_complex(g2, m2)
-    q_dim = n - k
-    levels: dict[tuple[int, int], Subspace] = {}
-    for deg in range(n + 1):
-        basis = [(s, v) for s in combinations(range(n), deg) for v in range(m.dim)]
-        dim_deg = len(basis)
-        for p in range(0, q_dim + 2):
-            vectors = []
-            for idx, (subset, _) in enumerate(basis):
-                if sum(1 for i in subset if i >= k) >= p:
-                    vectors.append(unit_vector(dim_deg, idx))
-            levels[(p, deg)] = Subspace(dim_deg, vectors)
-    return FilteredComplex(cplx, 0, q_dim, levels)
+    levels = {deg: [sum(1 for i in s if i >= k)
+                    for s in combinations(range(n), deg) for _ in range(m.dim)]
+              for deg in range(n + 1)}
+    return FilteredComplex(ce_complex(g2, m2), 0, n - k, levels)
 
 
 def _sub_ideal_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:

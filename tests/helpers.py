@@ -78,3 +78,8 @@ def line_bundle_dims_by_counting(d):
     matched = [e for e in range(0, d + 1)] if d >= 0 else []
     missed = [e for e in range(d + 1, 0)]
     return len(matched), len(missed)
+
+
+def level_dim(f, p, n):
+    """dim F_p C^n of a FilteredComplex, counted from its per-vector levels."""
+    return sum(1 for x in f.levels.get(n, ()) if x >= p)

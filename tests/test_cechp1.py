@@ -29,7 +29,7 @@ from liekoszul.complexes import betti, total
 from liekoszul.exactla import ExactMatrix
 
 from corpus import window_pair
-from helpers import line_bundle_dims_by_counting
+from helpers import level_dim, line_bundle_dims_by_counting
 
 
 def test_line_bundle_cech_dims_match_counting_oracle():
@@ -329,7 +329,7 @@ def test_wedge_filtration_graded_pieces_are_cells():
     for p in range(-2, 1):
         for q in (0, 1):
             n = p + q
-            got = filt.level(p, n).dim - filt.level(p + 1, n).dim
+            got = level_dim(filt, p, n) - level_dim(filt, p + 1, n)
             assert got == model.double.cell_dim(p, q)
 
 

@@ -178,3 +178,51 @@ def test_koszul_vanishing_passes_with_line_dimension(tmp_path, capsys):
     assert code == 0
     report = json.loads(out_json.read_text())["report"]
     assert report["vanishing"] is True and report["vanishing_violations"] == []
+
+
+def test_raw_filtration_not_d_stable_exit_2(tmp_path, capsys):
+    # d(e) = f with e in F_1 but f only in F_0: the flag is not d-stable
+    bad = tmp_path / "unstable.json"
+    bad.write_text(json.dumps({
+        "kind": "raw_complex", "name": "unstable", "dims": [1, 1],
+        "differentials": [[["1"]]],
+        "filtration": {"p_lo": 0, "p_hi": 1, "spaces": {
+            "0,0": [["1"]], "0,1": [["1"]],
+            "1,0": [["1"]], "1,1": [],
+            "2,0": [], "2,1": []}},
+    }))
+    assert run_cli(["specseq", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _scalar_lists(node):
+    """Every nonempty list of scalars inside a JSON value, in document order."""
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _scalar_lists(value)
+    elif isinstance(node, list):
+        if node and not any(isinstance(e, (list, dict)) for e in node):
+            yield node
+        else:
+            for value in node:
+                yield from _scalar_lists(value)
+
+
+def test_mutated_cases_exit_cleanly(tmp_path, capsys):
+    # Drop the last element of each scalar list of each case, or append "0"
+    # to it, and run every command: each run ends with exit 0, 1 or 2 and at
+    # most one line on stderr, and no exception escapes `main`.
+    path = tmp_path / "mutant.json"
+    for case in sorted(CASES.glob("*.json")):
+        original = json.loads(case.read_text())
+        for index in range(len(list(_scalar_lists(original)))):
+            for mutate in (list.pop, lambda xs: xs.append("0")):
+                payload = json.loads(case.read_text())
+                mutate(list(_scalar_lists(payload))[index])
+                path.write_text(json.dumps(payload))
+                for command in ("validate", "cohomology", "specseq", "koszul", "hs", "p1"):
+                    code = run_cli([command, path])
+                    err = capsys.readouterr().err
+                    assert code in (0, 1, 2), (case.name, index, command)
+                    assert err.count("\n") <= 1, (case.name, index, command, err)

@@ -18,7 +18,7 @@ from liekoszul.complexes import (
 )
 from liekoszul.exactla import ExactMatrix, Subspace
 
-from helpers import betti_by_minors, matrix_rows
+from helpers import betti_by_minors, level_dim, matrix_rows
 
 
 def mono_mult_complex(w):
@@ -149,11 +149,11 @@ def test_transpose_preserves_total_cohomology_dims():
 def test_column_and_row_filtrations():
     d = square_double()
     col = column_filtration(d)
-    assert col.level(0, 1).dim == 2  # everything in total degree 1
-    assert col.level(1, 1).dim == 1  # only the (1, 0) cell
-    assert col.level(2, 1).dim == 0
+    assert level_dim(col, 0, 1) == 2  # everything in total degree 1
+    assert level_dim(col, 1, 1) == 1  # only the (1, 0) cell
+    assert level_dim(col, 2, 1) == 0
     row = row_filtration(d)
-    assert row.level(1, 1).dim == 1  # only the (0, 1) cell
+    assert level_dim(row, 1, 1) == 1  # only the (0, 1) cell
 
 
 def test_filtration_quotient_dims_match_cells():
@@ -163,7 +163,7 @@ def test_filtration_quotient_dims_match_cells():
         for n in (0, 1, 2):
             q = n - p
             expected = d.cell_dim(p, q)
-            got = col.level(p, n).dim - col.level(p + 1, n).dim
+            got = level_dim(col, p, n) - level_dim(col, p + 1, n)
             assert got == expected
 
 
@@ -171,8 +171,8 @@ def test_single_cell_filtration_trivial():
     d = DoubleComplex(0, 0, 0, 0, {(0, 0): 3}, {}, {})
     f = column_filtration(d)
     assert f.width == 1
-    assert f.level(0, 0).dim == 3
-    assert f.level(1, 0).dim == 0
+    assert level_dim(f, 0, 0) == 3
+    assert level_dim(f, 1, 0) == 0
 
 
 def test_filtered_complex_validation():
@@ -183,7 +183,45 @@ def test_filtered_complex_validation():
               (1, 0): full, (1, 1): zero,
               (2, 0): zero, (2, 1): zero}
     with pytest.raises(ComplexError):
-        FilteredComplex(c, 0, 1, levels)
+        FilteredComplex.from_flag(c, 0, 1, levels)
+
+
+def test_filtered_complex_levels_must_not_drop_along_d():
+    # d(e) = f with e at level 1 and f at level 0: the entry lowers the level
+    c = CochainComplex(0, 1, [1, 1], [ExactMatrix.identity(1)])
+    with pytest.raises(ComplexError):
+        FilteredComplex(c, 0, 1, {0: [1], 1: [0]})
+    FilteredComplex(c, 0, 1, {0: [0], 1: [1]})  # raising the level is fine
+
+
+def _flag(spaces):
+    """Flag on a complex with C^0 = QQ^2 and C^1 = 0, levels 0..2."""
+    zero1 = Subspace.zero_space(0)
+    return {**{(p, 0): s for p, s in enumerate(spaces)},
+            **{(p, 1): zero1 for p in range(len(spaces))}}
+
+
+def test_filtered_complex_flag_must_decrease():
+    c = CochainComplex(0, 1, [2, 0], [ExactMatrix.zeros(0, 2)])
+    full, zero = Subspace.full_space(2), Subspace.zero_space(2)
+    x, y = Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]])
+    FilteredComplex.from_flag(c, 0, 2, _flag([full, x, x, zero]))
+    with pytest.raises(ComplexError):
+        FilteredComplex.from_flag(c, 0, 2, _flag([full, x, y, zero]))
+
+
+def test_filtered_complex_flag_must_start_at_whole_space():
+    c = CochainComplex(0, 1, [2, 0], [ExactMatrix.zeros(0, 2)])
+    x, zero = Subspace(2, [[1, 0]]), Subspace.zero_space(2)
+    with pytest.raises(ComplexError):
+        FilteredComplex.from_flag(c, 0, 2, _flag([x, x, zero, zero]))
+
+
+def test_filtered_complex_flag_must_end_at_zero():
+    c = CochainComplex(0, 1, [2, 0], [ExactMatrix.zeros(0, 2)])
+    full, x = Subspace.full_space(2), Subspace(2, [[1, 0]])
+    with pytest.raises(ComplexError):
+        FilteredComplex.from_flag(c, 0, 2, _flag([full, x, x, x]))
 
 
 def test_from_single_row_embedding():

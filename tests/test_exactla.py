@@ -13,7 +13,6 @@ from liekoszul.exactla import (
     induced_map,
     kernel_basis,
     solve,
-    subquotient_membership,
 )
 
 from helpers import rank_by_minors, matrix_rows
@@ -97,22 +96,22 @@ class TestSubquotient:
     def test_zero_class(self):
         s = self.plane_mod_line()
         assert s.dim == 1
-        assert subquotient_membership(s, [0, 0, 0]) == (QQ(0),)
+        assert s.class_coordinates([0, 0, 0]) == (QQ(0),)
 
     def test_boundary_is_zero_class(self):
         s = self.plane_mod_line()
-        assert subquotient_membership(s, [1, 1, 0]) == (QQ(0),)
-        assert subquotient_membership(s, [2, 2, 0]) == (QQ(0),)
+        assert s.class_coordinates([1, 1, 0]) == (QQ(0),)
+        assert s.class_coordinates([2, 2, 0]) == (QQ(0),)
 
     def test_off_line_class_is_nonzero(self):
         s = self.plane_mod_line()
-        coords = subquotient_membership(s, [1, 0, 0])
+        coords = s.class_coordinates([1, 0, 0])
         assert coords != (QQ(0),)
 
     def test_outside_cycles_signalled(self):
         s = self.plane_mod_line()
         with pytest.raises(OutsideCyclesError):
-            subquotient_membership(s, [0, 0, 1])
+            s.class_coordinates([0, 0, 1])
 
     def test_boundaries_must_be_contained(self):
         with pytest.raises(Exception):
