@@ -282,23 +282,22 @@ def _delta_matrix(row: RowModel) -> ExactMatrix:
     win = row.window_entries()
     win_index = {we: i for i, we in enumerate(win)}
     chart = row.chart_entries()
-    flat = [[QQ(0)] * len(chart) for _ in range(len(win))]
+    entries = []
     g = row.sheaf.transition
     for col, (side, c, j) in enumerate(chart):
         if side == "0":
             r = win_index.get((c, j))
             if r is None:
                 raise WindowError("chart-0 image leaves the overlap window")
-            flat[r][col] -= 1
+            entries.append((r, col, -1))
         else:
             for c_out in range(row.sheaf.rank):
                 for e, coeff in g[c_out][c].items():
                     r = win_index.get((c_out, e - j))
                     if r is None:
                         raise WindowError("chart-1 image leaves the overlap window")
-                    flat[r][col] += coeff
-    return (ExactMatrix.from_rows(flat) if win and chart
-            else ExactMatrix.zeros(len(win), len(chart)))
+                    entries.append((r, col, coeff))
+    return ExactMatrix.from_entries(len(win), len(chart), entries)
 
 
 def _cech_dims(sheaf: SheafOnP1, radius: int) -> tuple[int, int]:
@@ -420,9 +419,9 @@ def zero_section(algebroid: AlgebroidOnP1) -> EquivariantSection:
 # -- the Cech-Koszul double complex -------------------------------------------
 
 def _mult_block(src: list, dst_index: dict, table, dim_dst: int,
-                kind: str) -> list[list[QQ]]:
+                kind: str) -> ExactMatrix:
     """Multiplication block for one cell; raises if an image leaves the cell."""
-    flat = [[QQ(0)] * len(src) for _ in range(dim_dst)]
+    entries = []
     for col, key in enumerate(src):
         if kind == "chart":
             side, c, j = key
@@ -437,8 +436,8 @@ def _mult_block(src: list, dst_index: dict, table, dim_dst: int,
                 r = dst_index.get(tgt)
                 if r is None:
                     raise WindowError(f"contraction image {tgt} leaves the target cell")
-                flat[r][col] += sign * coeff
-    return flat
+                entries.append((r, col, sign * coeff))
+    return ExactMatrix.from_entries(dim_dst, len(src), entries)
 
 
 @dataclass
@@ -507,16 +506,10 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
         table = _contraction_tables(section, p, untwisted)
         chart_idx = {k: i for i, k in enumerate(dst.chart_entries())}
         win_idx = {k: i for i, k in enumerate(dst.window_entries())}
-        chart_flat = _mult_block(src.chart_entries(), chart_idx, table,
-                                 dst.chart_dim, "chart")
-        win_flat = _mult_block(src.window_entries(), win_idx, table,
-                               dst.window_dim, "window")
-        horizontal[(p, 0)] = (ExactMatrix.from_rows(chart_flat)
-                              if chart_flat and src.chart_dim
-                              else ExactMatrix.zeros(dst.chart_dim, src.chart_dim))
-        horizontal[(p, 1)] = (ExactMatrix.from_rows(win_flat)
-                              if win_flat and src.window_dim
-                              else ExactMatrix.zeros(dst.window_dim, src.window_dim))
+        horizontal[(p, 0)] = _mult_block(src.chart_entries(), chart_idx, table,
+                                         dst.chart_dim, "chart")
+        horizontal[(p, 1)] = _mult_block(src.window_entries(), win_idx, table,
+                                         dst.window_dim, "window")
     double = DoubleComplex.from_commuting(ps[0], 0, 0, 1, dims, horizontal, vertical)
     return CechKoszulModel(algebroid, section, window, untwisted, rows, double,
                            betti(total(double)))

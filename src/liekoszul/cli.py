@@ -60,6 +60,26 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+def _sized(payload: dict, key: str, length: int) -> list:
+    """The list field `key`, which must have `length` entries."""
+    value = _need(payload, key)
+    if not isinstance(value, list) or len(value) != length:
+        got = len(value) if isinstance(value, list) else type(value).__name__
+        raise SchemaError(f"field {key!r} must be a list of {length} entries, got {got}")
+    return value
+
+
+def _cell_key(key: str, field: str) -> tuple[int, int]:
+    """(p, q) from a key "p,q" of the mapping `field`."""
+    parts = key.split(",")
+    try:
+        if len(parts) != 2:
+            raise ValueError
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise SchemaError(f"{field} key {key!r} must be two integers 'p,q'") from None
+
+
 def _matrix(data, rows: int, cols: int) -> ExactMatrix:
     if len(data) != rows or any(len(r) != cols for r in data):
         raise SchemaError(f"matrix must be {rows}x{cols}")
@@ -110,11 +130,12 @@ def build_lie_rinehart(payload: dict):
 
 def build_p1(payload: dict):
     algebroid = cechp1.atiyah_algebroid(int(_need(payload, "degree")))
+    scalar = payload.get("scalar_part")
+    if scalar is not None and (not isinstance(scalar, list) or len(scalar) > 2):
+        raise SchemaError("field 'scalar_part' must be a list of at most 2 entries "
+                          "(alpha + beta z)")
     section = cechp1.EquivariantSection(
-        algebroid,
-        tuple(_need(payload, "vector_field")),
-        payload.get("scalar_part"),
-    )
+        algebroid, tuple(_sized(payload, "vector_field", 3)), scalar)
     untwisted = bool(payload.get("untwisted", False))
     window = int(payload.get("window", 2))
     return algebroid, section, untwisted, window
@@ -137,13 +158,12 @@ def build_raw_double(payload: dict) -> DoubleComplex:
     q_lo, q_hi = int(_need(block, "q_lo")), int(_need(block, "q_hi"))
     dims = {}
     for key, d in _need(block, "dims").items():
-        p, q = (int(t) for t in key.split(","))
-        dims[(p, q)] = int(d)
+        dims[_cell_key(key, "double.dims")] = int(d)
 
     def read_maps(field, shape):
         out = {}
         for key, mat in block.get(field, {}).items():
-            p, q = (int(t) for t in key.split(","))
+            p, q = _cell_key(key, f"double.{field}")
             rows, cols = shape(p, q)
             out[(p, q)] = _matrix(mat, rows, cols)
         return out
@@ -162,7 +182,7 @@ def build_raw_filtration(payload: dict, cplx: CochainComplex) -> FilteredComplex
     p_lo, p_hi = int(_need(block, "p_lo")), int(_need(block, "p_hi"))
     levels = {}
     for key, vectors in _need(block, "spaces").items():
-        p, n = (int(t) for t in key.split(","))
+        p, n = _cell_key(key, "filtration.spaces")
         levels[(p, n)] = _subspace(vectors, cplx.dim(n), f"filtration space {key}")
     return FilteredComplex.from_flag(cplx, p_lo, p_hi, levels)
 
@@ -225,13 +245,15 @@ def cmd_cohomology(payload: dict, args) -> tuple[dict, bool, list[str]]:
 
 
 def _weight_range(payload: dict, args) -> tuple[int, int]:
-    rng = getattr(args, "weights", None) or payload.get("weights")
-    if rng is None:
+    rng = getattr(args, "weights", None)
+    if rng is not None:
+        parts = rng.split("..")
+        if len(parts) != 2:
+            raise SchemaError(f"--weights must be a range 'a..b', got {rng!r}")
+        return int(parts[0]), int(parts[1])
+    if "weights" not in payload:
         return 0, 3
-    if isinstance(rng, str):
-        lo, hi = rng.split("..")
-        return int(lo), int(hi)
-    lo, hi = rng
+    lo, hi = _sized(payload, "weights", 2)
     return int(lo), int(hi)
 
 
@@ -400,6 +422,19 @@ COMMANDS = {
     "p1": cmd_p1,
 }
 
+# Malformed input: exit 2.  Caught before MATH_ERRORS, which holds the base
+# classes of MalformedPresentation and MalformedLieAlgebra.
+INPUT_ERRORS = (
+    SchemaError,
+    ComplexError,
+    lierinehart.MalformedPresentation,
+    hochserre.MalformedLieAlgebra,
+    KeyError,
+    ValueError,
+    TypeError,
+)
+
+# A mathematical verdict failed: exit 1.
 MATH_ERRORS = (
     lierinehart.PresentationError,
     hochserre.LieAlgebraError,
@@ -443,7 +478,7 @@ def main(argv=None) -> int:
 
     try:
         report_body, ok, lines = COMMANDS[args.command](payload, args)
-    except (SchemaError, ComplexError, KeyError, ValueError, TypeError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MATH_ERRORS as exc:

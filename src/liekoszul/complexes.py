@@ -168,7 +168,7 @@ def is_quasi_isomorphism(f: ChainMap) -> bool:
         b = ht[k].dim if k in ht else 0
         if a != b:
             return False
-        if m is not None and image_basis(m).dim != a:
+        if m is not None and rank(m) != a:
             return False
     return True
 
@@ -305,21 +305,18 @@ def total(d: DoubleComplex) -> CochainComplex:
     dims = [sum(d.cell_dim(p, q) for p, q, _ in layout[n]) for n in range(lo, hi + 1)]
     diffs = []
     for n in range(lo, hi):
-        src = layout[n]
         dst = {(p, q): off for p, q, off in layout[n + 1]}
-        rows = dims[n + 1 - lo]
-        cols = dims[n - lo]
-        flat = [[0] * cols for _ in range(rows)]
-        for p, q, off in src:
+        out: list[dict] = [{} for _ in range(dims[n + 1 - lo])]
+        for p, q, off in layout[n]:
             for mat, tgt in ((d.dh(p, q), (p + 1, q)), (d.dv(p, q), (p, q + 1))):
-                if tgt in dst and mat.rows and mat.cols:
-                    toff = dst[tgt]
-                    for i in range(mat.rows):
-                        row = flat[toff + i]
-                        base = i * mat.cols
-                        for j in range(mat.cols):
-                            row[off + j] = mat.entries[base + j]
-        diffs.append(ExactMatrix.from_rows(flat) if rows and cols else ExactMatrix.zeros(rows, cols))
+                toff = dst.get(tgt)
+                if toff is None:
+                    continue
+                for i, row in enumerate(mat.row_maps):
+                    target = out[toff + i]
+                    for j, a in row.items():
+                        target[off + j] = a
+        diffs.append(ExactMatrix(dims[n + 1 - lo], dims[n - lo], out))
     object.__setattr__(d, "_total", CochainComplex(lo, hi, dims, diffs))
     return d._total
 
@@ -352,9 +349,8 @@ class FilteredComplex:
             table[n] = lv
         for n in range(cplx.lo, cplx.hi):
             d, src, dst = cplx.d(n), table[n], table[n + 1]
-            for idx, a in enumerate(d.entries):
-                if a:
-                    i, j = divmod(idx, d.cols)
+            for i, row in enumerate(d.row_maps):
+                for j in row:
                     if dst[i] < src[j]:
                         raise ComplexError(
                             f"differential leaves level {src[j]} at degree {n}")

@@ -1,21 +1,35 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
 Kernels, images, canonical echelon bases, subquotients, and the maps a
 linear map induces on subquotients.  Every cohomology group computed by
 this package is ultimately a Subquotient produced here, so everything is
-exact: entries are `fractions.Fraction` (arbitrary precision) and bases
-are reduced row echelon form, which makes results canonical and lets
-tests compare bases instead of just dimensions.
+exact: entries are `fractions.Fraction` (arbitrary precision).
+
+Storage is sparse and canonical.  An `ExactMatrix` keeps, per row, a dict
+from column index to nonzero entry, and never stores a zero, so two equal
+matrices have equal storage whatever zeros they were built from.
+Products, sums, zero tests, equality and elimination touch nonzeros only.
+A `Subspace` keeps the rows of its reduced row echelon form (RREF) the
+same way.  The RREF of a row space is unique, so the elimination result,
+and with it every basis, is canonical whatever order the elimination
+works in; tests compare bases, not just dimensions.  Dense tuples appear
+only at the edges: vectors passed in and out (`Vector`), and the
+read-only views `entry`, `row`, `column` and `entries` kept for tests and
+`repr`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 QQ = Fraction
 
 Vector = tuple[QQ, ...]
+Row = dict[int, QQ]   # column index -> nonzero entry
+
+ZERO = QQ(0)
+ONE = QQ(1)
 
 
 class LinearAlgebraError(Exception):
@@ -51,102 +65,154 @@ def as_vector(entries: Iterable) -> Vector:
     return tuple(qq(e) for e in entries)
 
 
-def vec_is_zero(v: Vector) -> bool:
-    return all(e == 0 for e in v)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: QQ, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(QQ(1) if j == i else QQ(0) for j in range(n))
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def _sparse(v: Sequence) -> Row:
+    """The nonzero entries of a dense vector, coerced to QQ."""
+    out = {}
+    for j, e in enumerate(v):
+        x = qq(e)
+        if x:
+            out[j] = x
+    return out
+
+
+def _dense(row: Mapping[int, QQ], n: int) -> Vector:
+    v = [ZERO] * n
+    for j, x in row.items():
+        v[j] = x
+    return tuple(v)
+
+
+def _transpose(rows: Sequence[Mapping[int, QQ]], ncols: int) -> list[Row]:
+    out: list[Row] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _axpy(w: Row, f: QQ, row: Mapping[int, QQ]) -> None:
+    """w -= f * row, in place, keeping w free of zeros."""
+    for j, a in row.items():
+        y = w.get(j)
+        if y is None:
+            w[j] = -f * a
+        else:
+            y -= f * a
+            if y:
+                w[j] = y
+            else:
+                del w[j]
+
+
+def _wrap(rows: int, cols: int, row_maps: tuple) -> "ExactMatrix":
+    """An ExactMatrix over rows that are already canonical (QQ, no zeros)."""
+    m = object.__new__(ExactMatrix)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "row_maps", row_maps)
+    return m
 
 
 class ExactMatrix:
-    """Immutable rational matrix, stored row-major."""
+    """Immutable rational matrix stored as sparse rows.
 
-    __slots__ = ("rows", "cols", "entries", "_sparse")
+    `row_maps[i]` maps the column index of each nonzero entry of row i to
+    that entry.  The dicts are shared between matrices (a sum may reuse a
+    row of a summand), so they are read-only by convention.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        ent = tuple(qq(e) for e in entries)
-        if len(ent) != rows * cols:
-            raise LinearAlgebraError(
-                f"entry count {len(ent)} does not match shape {rows}x{cols}"
-            )
+    __slots__ = ("rows", "cols", "row_maps")
+
+    def __init__(self, rows: int, cols: int, row_maps: Iterable[Mapping]):
+        data = []
+        for r in row_maps:
+            out = {}
+            for j, e in r.items():
+                if not 0 <= j < cols:
+                    raise LinearAlgebraError(f"column index {j} outside a {rows}x{cols} matrix")
+                x = qq(e)
+                if x:
+                    out[j] = x
+            data.append(out)
+        if len(data) != rows:
+            raise LinearAlgebraError(f"row count {len(data)} does not match shape {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "_sparse", None)
+        object.__setattr__(self, "row_maps", tuple(data))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
+        """Matrix from dense rows (input files and tests)."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise LinearAlgebraError("ragged rows")
-            flat.extend(r)
-        return cls(nrows, ncols, flat)
+        if any(len(r) != ncols for r in rows):
+            raise LinearAlgebraError("ragged rows")
+        return _wrap(nrows, ncols, tuple(_sparse(r) for r in rows))
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int,
+                     entries: Iterable[tuple[int, int, object]]) -> "ExactMatrix":
+        """Matrix from (i, j, value) triples; values at the same (i, j) add up."""
+        data: list[dict] = [{} for _ in range(rows)]
+        for i, j, x in entries:
+            if not 0 <= i < rows:
+                raise LinearAlgebraError(f"row index {i} outside a {rows}x{cols} matrix")
+            row = data[i]
+            row[j] = row.get(j, 0) + x
+        return cls(rows, cols, data)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [QQ(0)] * (rows * cols))
+        return _wrap(rows, cols, tuple({} for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [QQ(1) if i == j else QQ(0) for i in range(n) for j in range(n)])
+        return _wrap(n, n, tuple({i: ONE} for i in range(n)))
 
     @classmethod
-    def from_columns(cls, rows: int, columns: Sequence[Vector]) -> "ExactMatrix":
-        cols = len(columns)
-        flat = [columns[j][i] for i in range(rows) for j in range(cols)]
-        return cls(rows, cols, flat)
+    def from_columns(cls, rows: int, columns: Sequence[Sequence]) -> "ExactMatrix":
+        """Matrix whose j-th column is the dense vector columns[j]."""
+        for col in columns:
+            if len(col) != rows:
+                raise LinearAlgebraError("column length does not match row count")
+        return _wrap(rows, len(columns),
+                     tuple(_transpose([_sparse(c) for c in columns], rows)))
+
+    # -- dense views, for tests and repr --------------------------------------
 
     def entry(self, i: int, j: int) -> QQ:
-        return self.entries[i * self.cols + j]
+        return self.row_maps[i].get(j, ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return _dense(self.row_maps[i], self.cols)
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(r.get(j, ZERO) for r in self.row_maps)
 
-    def row_list(self) -> list[list[QQ]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+    @property
+    def entries(self) -> Vector:
+        """All entries, row-major."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
-    def _sparse_rows(self):
-        cached = self._sparse
-        if cached is None:
-            cached = []
-            for i in range(self.rows):
-                base = i * self.cols
-                cached.append([(j, self.entries[base + j]) for j in range(self.cols)
-                               if self.entries[base + j]])
-            object.__setattr__(self, "_sparse", cached)
-        return cached
+    # -- arithmetic on nonzeros ------------------------------------------------
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise LinearAlgebraError("vector length does not match column count")
         out = []
-        for row in self._sparse_rows():
-            acc = QQ(0)
-            for j, c in row:
-                if v[j]:
-                    acc += c * v[j]
+        for row in self.row_maps:
+            acc = ZERO
+            for j, c in row.items():
+                x = v[j]
+                if x:
+                    acc += c * x
             out.append(acc)
         return tuple(out)
 
@@ -155,52 +221,58 @@ class ExactMatrix:
             raise LinearAlgebraError(
                 f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        flat = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                s = QQ(0)
-                for k in range(self.cols):
-                    a = self.entries[base + k]
-                    if a:
-                        s += a * other.entries[k * other.cols + j]
-                flat.append(s)
-        return ExactMatrix(self.rows, other.cols, flat)
+        right = other.row_maps
+        out = []
+        for row in self.row_maps:
+            acc: Row = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return _wrap(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinearAlgebraError("shape mismatch in sum")
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
+        out = []
+        for a, b in zip(self.row_maps, other.row_maps):
+            if not b or not a:
+                out.append(a or b)
+                continue
+            s = dict(a)
+            _axpy(s, -ONE, b)
+            out.append(s)
+        return _wrap(self.rows, self.cols, tuple(out))
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return _wrap(self.rows, self.cols,
+                     tuple({j: -x for j, x in r.items()} for r in self.row_maps))
 
     def scaled(self, c) -> "ExactMatrix":
         c = qq(c)
-        return ExactMatrix(self.rows, self.cols, [c * a for a in self.entries])
+        if not c:
+            return ExactMatrix.zeros(self.rows, self.cols)
+        return _wrap(self.rows, self.cols,
+                     tuple({j: c * x for j, x in r.items()} for r in self.row_maps))
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return _wrap(self.cols, self.rows, tuple(_transpose(self.row_maps, self.cols)))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.row_maps)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.row_maps == other.row_maps
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols,
+                     tuple(tuple(sorted(r.items())) for r in self.row_maps)))
 
     def __repr__(self):
         body = "; ".join(
@@ -209,144 +281,170 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: [{body}])"
 
 
-def _rref(rows: list[list[QQ]]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns.
+def _insert(echelon: dict[int, Row], r: Row) -> bool:
+    """Reduce the row r (a fresh dict, consumed) against `echelon`, which maps
+    pivot columns to rows with a 1 there and nothing left of it.  If a
+    nonzero remainder is left it is normalized and added under its leading
+    column; returns whether that happened."""
+    while r:
+        c = min(r)
+        p = echelon.get(c)
+        if p is None:
+            x = r[c]
+            if x != 1:
+                inv = ONE / x
+                r = {j: a * inv for j, a in r.items()}
+            echelon[c] = r
+            return True
+        _axpy(r, r[c], p)
+    return False
 
-    Pivot rule: first nonzero entry in column order.  The output is the
-    canonical form, so echelonization is idempotent.
+
+def _rref(rows: Sequence[Mapping[int, QQ]], reduced: bool = True
+          ) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of the span of sparse rows: its nonzero rows
+    in pivot order, and their pivot columns.
+
+    Rows are inserted one at a time into an echelon form whose pivot is
+    each row's leading column, then back substitution, right to left,
+    clears every pivot column above its pivot.  The RREF is unique, so the
+    result is canonical and echelonization is idempotent.  With
+    `reduced=False` the back substitution is skipped; the rows are then an
+    echelon form with the same pivots, which is all a rank needs.  The
+    input rows are not modified.
     """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        pv = mat[r][c]
-        if pv != 1:
-            inv = QQ(1) / pv
-            mat[r] = [a * inv for a in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    echelon: dict[int, Row] = {}
+    for row in rows:
+        if row:
+            _insert(echelon, dict(row))
+    pivots = sorted(echelon)
+    if reduced:
+        for k in range(len(pivots) - 1, -1, -1):
+            row = echelon[pivots[k]]
+            # Rows right of this pivot are already reduced, so clearing one
+            # pivot column leaves the others untouched.
+            for c in [c for c in row if c != pivots[k] and c in echelon]:
+                _axpy(row, row[c], echelon[c])
+    return [echelon[p] for p in pivots], pivots
 
 
 class Subspace:
-    """Subspace of QQ^n with a canonical reduced-row-echelon basis."""
+    """Subspace of QQ^n with a canonical reduced-row-echelon basis.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    `sparse_basis` holds the RREF rows as sparse rows and `pivots` their
+    pivot columns; `basis` is the same basis as dense vectors.
+    """
+
+    __slots__ = ("ambient_dim", "sparse_basis", "pivots", "_basis")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Sequence]):
-        vectors = [as_vector(v) for v in basis]
-        for v in vectors:
+        rows = []
+        for v in basis:
             if len(v) != ambient_dim:
                 raise LinearAlgebraError("basis vector has wrong ambient dimension")
-        rows, pivots = _rref([list(v) for v in vectors]) if vectors else ([], [])
+            rows.append(_sparse(v))
+        self._set(ambient_dim, rows)
+
+    def _set(self, ambient_dim: int, rows: Sequence[Row]) -> None:
+        echelon, pivots = _rref(rows) if rows else ([], [])
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(rows))
+        object.__setattr__(self, "sparse_basis", tuple(echelon))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_basis", None)
+
+    @classmethod
+    def _span(cls, ambient_dim: int, rows: Sequence[Row]) -> "Subspace":
+        """Span of canonical sparse rows (QQ entries, no zeros, in range)."""
+        s = object.__new__(cls)
+        s._set(ambient_dim, rows)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero_space(cls, n: int) -> "Subspace":
-        return cls(n, [])
+        return cls._span(n, [])
 
     @classmethod
     def full_space(cls, n: int) -> "Subspace":
-        return cls(n, [unit_vector(n, i) for i in range(n)])
+        return cls._span(n, [{i: ONE} for i in range(n)])
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        b = self._basis
+        if b is None:
+            b = tuple(_dense(r, self.ambient_dim) for r in self.sparse_basis)
+            object.__setattr__(self, "_basis", b)
+        return b
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Residual of v after subtracting its projection onto the basis."""
-        w = list(as_vector(v))
-        if len(w) != self.ambient_dim:
-            raise LinearAlgebraError("vector has wrong ambient dimension")
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
+    def _residual(self, v: Mapping[int, QQ]) -> Row:
+        """Sparse residual of a sparse vector after subtracting its projection.
+        The basis is fully reduced, so the pivots can be cleared in any order."""
+        w = dict(v)
+        for row, p in zip(self.sparse_basis, self.pivots):
+            c = w.get(p)
             if c:
-                for j in range(p, self.ambient_dim):
-                    w[j] -= c * row[j]
-        return tuple(w)
+                _axpy(w, c, row)
+        return w
 
     def contains(self, v: Sequence) -> bool:
-        return vec_is_zero(self.reduce(v))
-
-    def coordinates(self, v: Sequence) -> Vector:
-        """Coordinates of v in the echelon basis; raises if v is outside."""
-        v = as_vector(v)
-        if not self.contains(v):
-            raise LinearAlgebraError("vector not in subspace")
-        return tuple(v[p] for p in self.pivots)
+        if len(v) != self.ambient_dim:
+            raise LinearAlgebraError("vector has wrong ambient dimension")
+        return not self._residual(_sparse(v))
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise LinearAlgebraError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace._span(self.ambient_dim, self.sparse_basis + other.sparse_basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise LinearAlgebraError("ambient dimension mismatch")
-        if not self.basis or not other.basis:
-            return Subspace.zero_space(self.ambient_dim)
-        # Solve sum a_i u_i = sum b_j w_j; intersection vectors come from the
-        # kernel of [U^T | -W^T].
-        k, l = self.dim, other.dim
-        cols = []
-        for u in self.basis:
-            cols.append(u)
-        for w in other.basis:
-            cols.append(tuple(-a for a in w))
-        m = ExactMatrix.from_columns(self.ambient_dim, cols)
-        ker = kernel_basis(m)
+        n = self.ambient_dim
+        if not self.pivots or not other.pivots:
+            return Subspace.zero_space(n)
+        # A kernel vector (a, b) of [U^T | W^T] gives sum a_i u_i = -sum b_j w_j,
+        # a vector of the intersection, and every one arises this way.
+        k = self.dim
+        cols = self.sparse_basis + other.sparse_basis
+        ker = kernel_basis(_wrap(n, len(cols), tuple(_transpose(cols, n))))
         vectors = []
-        for sol in ker.basis:
-            coeffs = sol[:k]
-            vec = [QQ(0)] * self.ambient_dim
-            for c, u in zip(coeffs, self.basis):
-                if c:
-                    for j in range(self.ambient_dim):
-                        vec[j] += c * u[j]
-            vectors.append(tuple(vec))
-        return Subspace(self.ambient_dim, vectors)
+        for sol in ker.sparse_basis:
+            vec: Row = {}
+            for i, c in sol.items():
+                if i < k:
+                    _axpy(vec, -c, self.sparse_basis[i])
+            vectors.append(vec)
+        return Subspace._span(n, vectors)
 
     def preimage_under(self, m: ExactMatrix) -> "Subspace":
         """The subspace {v : Mv in self} of the domain of M."""
         if m.rows != self.ambient_dim:
             raise LinearAlgebraError("matrix does not map into this ambient space")
-        reduced_cols = [self.reduce(m.column(j)) for j in range(m.cols)]
-        residual = ExactMatrix.from_columns(self.ambient_dim, reduced_cols)
+        reduced_cols = [self._residual(c) for c in _transpose(m.row_maps, m.cols)]
+        residual = _wrap(m.rows, m.cols, tuple(_transpose(reduced_cols, m.rows)))
         return kernel_basis(residual)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(b) for b in self.basis)
+        if self.ambient_dim != other.ambient_dim:
+            raise LinearAlgebraError("ambient dimension mismatch")
+        return all(not other._residual(r) for r in self.sparse_basis)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.sparse_basis == other.sparse_basis
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim,
+                     tuple(tuple(sorted(r.items())) for r in self.sparse_basis)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
@@ -354,26 +452,27 @@ class Subspace:
 
 def kernel_basis(m: ExactMatrix) -> Subspace:
     """Canonical echelon basis of {v : Mv = 0}."""
-    rows, pivots = _rref(m.row_list())
+    rows, pivots = _rref(m.row_maps)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    vectors = []
-    for f in free:
-        v = [QQ(0)] * m.cols
-        v[f] = QQ(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        vectors.append(tuple(v))
-    return Subspace(m.cols, vectors)
+    # One kernel vector per free column f: 1 at f, minus column f of the
+    # RREF at the pivots.
+    free: dict[int, Row] = {f: {f: ONE} for f in range(m.cols) if f not in pivset}
+    for row, p in zip(rows, pivots):
+        for j, a in row.items():
+            v = free.get(j)
+            if v is not None:
+                v[p] = -a
+    return Subspace._span(m.cols, list(free.values()))
 
 
 def image_basis(m: ExactMatrix) -> Subspace:
     """Canonical echelon basis of the column span of M."""
-    return Subspace(m.rows, [m.column(j) for j in range(m.cols)])
+    return Subspace._span(m.rows, _transpose(m.row_maps, m.cols))
 
 
 def rank(m: ExactMatrix) -> int:
-    return image_basis(m).dim
+    """Number of pivots of an echelon form of the rows of M."""
+    return len(_rref(m.row_maps, reduced=False)[1])
 
 
 def solve(m: ExactMatrix, v: Sequence) -> Vector | None:
@@ -390,20 +489,27 @@ def solve_batch(m: ExactMatrix, vectors: Sequence[Vector]) -> list[Vector | None
     for v in vectors:
         if len(v) != m.rows:
             raise LinearAlgebraError("rhs has wrong length")
-    k = len(vectors)
-    aug = [list(m.row(i)) + [v[i] for v in vectors] for i in range(m.rows)]
+    n = m.cols
+    aug = []
+    for i, row in enumerate(m.row_maps):
+        r = dict(row)
+        for j, v in enumerate(vectors):
+            x = qq(v[i])
+            if x:
+                r[n + j] = x
+        aug.append(r)
     rows, pivots = _rref(aug)
     out: list[Vector | None] = []
-    for j in range(k):
-        x = [QQ(0)] * m.cols
+    for j, v in enumerate(vectors):
+        x = [ZERO] * n
         ok = True
         for row, p in zip(rows, pivots):
-            if p >= m.cols:
-                if p == m.cols + j and row[m.cols + j]:
+            if p >= n:
+                if p == n + j:
                     ok = False
                 continue
-            x[p] = row[m.cols + j]
-        if not ok or m.apply(x) != vectors[j]:
+            x[p] = row.get(n + j, ZERO)
+        if not ok or m.apply(x) != tuple(v):
             out.append(None)
         else:
             out.append(tuple(x))
@@ -418,7 +524,7 @@ class Subquotient:
     boundaries plus the representatives already kept.
     """
 
-    __slots__ = ("cycles", "boundaries", "representatives")
+    __slots__ = ("cycles", "boundaries", "representatives", "_rep_rows")
 
     def __init__(self, cycles: Subspace, boundaries: Subspace):
         if cycles.ambient_dim != boundaries.ambient_dim:
@@ -427,28 +533,13 @@ class Subquotient:
             raise LinearAlgebraError("boundaries are not contained in cycles")
         # Forward elimination with a pivot table selects, in order, the cycle
         # basis vectors independent of the boundaries and of each other.
-        n = cycles.ambient_dim
-        pivot_rows: dict[int, Vector] = {}
-        for row, p in zip(boundaries.basis, boundaries.pivots):
-            pivot_rows[p] = row
-        reps: list[Vector] = []
-        for b in cycles.basis:
-            w = list(b)
-            for p in sorted(pivot_rows):
-                c = w[p]
-                if c:
-                    row = pivot_rows[p]
-                    for j in range(p, n):
-                        if row[j]:
-                            w[j] -= c * row[j]
-            lead = next((j for j in range(n) if w[j]), None)
-            if lead is not None:
-                inv = QQ(1) / w[lead]
-                pivot_rows[lead] = tuple(x * inv for x in w)
-                reps.append(b)
+        echelon = dict(zip(boundaries.pivots, boundaries.sparse_basis))
+        picked = [i for i, row in enumerate(cycles.sparse_basis)
+                  if _insert(echelon, dict(row))]
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "representatives", tuple(reps))
+        object.__setattr__(self, "representatives", tuple(cycles.basis[i] for i in picked))
+        object.__setattr__(self, "_rep_rows", tuple(cycles.sparse_basis[i] for i in picked))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subquotient is immutable")
@@ -474,15 +565,16 @@ class Subquotient:
         for v in vectors:
             if not self.cycles.contains(v):
                 raise OutsideCyclesError("outside-cycles")
-        cols = list(self.representatives) + list(self.boundaries.basis)
+        cols = self._rep_rows + self.boundaries.sparse_basis
         if not cols:
             return [() for _ in vectors]
-        m = ExactMatrix.from_columns(self.ambient_dim, cols)
+        n = self.ambient_dim
+        m = _wrap(n, len(cols), tuple(_transpose(cols, n)))
         out = []
         for x in solve_batch(m, vectors):
             if x is None:  # unreachable for a valid subquotient
                 raise LinearAlgebraError("inconsistent subquotient solve")
-            out.append(x[: len(self.representatives)])
+            out.append(x[: len(self._rep_rows)])
         return out
 
     def __eq__(self, other) -> bool:

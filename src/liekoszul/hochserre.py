@@ -27,12 +27,18 @@ from .exactla import (
     unit_vector,
     qq,
 )
-from .lierinehart import _wedge_insert_sign
+from .lierinehart import _bracket_key, _wedge_insert_sign
 from .specseq import check_convergence, run
 
 
 class LieAlgebraError(Exception):
     pass
+
+
+class MalformedLieAlgebra(LieAlgebraError):
+    """Input of the wrong shape (a bracket key or coefficient vector, the
+    ambient of an ideal, the count or shape of action matrices), as
+    opposed to data of the right shape that breaks an identity."""
 
 
 class LieAlgebra:
@@ -42,17 +48,19 @@ class LieAlgebra:
         self.dim = dim
         self._c: dict[tuple[int, int], tuple[QQ, ...]] = {}
         for key, coeffs in brackets.items():
-            if isinstance(key, str):
-                i, j = (int(t) for t in key.split(","))
-            else:
-                i, j = key
+            i, j = _bracket_key(key, MalformedLieAlgebra)
             if not (0 <= i < j < dim):
-                raise LieAlgebraError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
+                raise MalformedLieAlgebra(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
             cs = tuple(qq(c) for c in coeffs)
             if len(cs) != dim:
-                raise LieAlgebraError("bracket coefficient vector has wrong length")
+                raise MalformedLieAlgebra(
+                    f"bracket {key} coefficient vector has length {len(cs)}, expected {dim}")
             if any(cs):
                 self._c[(i, j)] = cs
+        # Both orders of every nonzero bracket, so that `c` is one lookup.
+        self._zero = (QQ(0),) * dim
+        self._table = dict(self._c)
+        self._table.update({(j, i): tuple(-x for x in cs) for (i, j), cs in self._c.items()})
         for i, j, k in combinations(range(dim), 3):
             for s in range(dim):
                 total = QQ(0)
@@ -65,11 +73,7 @@ class LieAlgebra:
                         f"Jacobi identity fails on (e{i}, e{j}, e{k}) in component e{s}")
 
     def c(self, i: int, j: int) -> tuple[QQ, ...]:
-        if i == j:
-            return tuple(QQ(0) for _ in range(self.dim))
-        if i < j:
-            return self._c.get((i, j), tuple(QQ(0) for _ in range(self.dim)))
-        return tuple(-x for x in self.c(j, i))
+        return self._table.get((i, j), self._zero)
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> tuple[QQ, ...]:
         out = [QQ(0)] * self.dim
@@ -90,7 +94,7 @@ class LieIdeal:
 
     def __init__(self, owner: LieAlgebra, subspace: Subspace):
         if subspace.ambient_dim != owner.dim:
-            raise LieAlgebraError("ideal lives in the wrong space")
+            raise MalformedLieAlgebra("ideal lives in the wrong space")
         for i in range(owner.dim):
             ei = unit_vector(owner.dim, i)
             for b in subspace.basis:
@@ -110,10 +114,10 @@ class GModule:
 
     def __init__(self, algebra: LieAlgebra, dim: int, actions: Sequence[ExactMatrix]):
         if len(actions) != algebra.dim:
-            raise LieAlgebraError("need one action matrix per algebra basis vector")
+            raise MalformedLieAlgebra("need one action matrix per algebra basis vector")
         for a in actions:
             if a.rows != dim or a.cols != dim:
-                raise LieAlgebraError("action matrix has wrong shape")
+                raise MalformedLieAlgebra("action matrix has wrong shape")
         for i in range(algebra.dim):
             for j in range(i + 1, algebra.dim):
                 lhs = ExactMatrix.zeros(dim, dim)
@@ -142,11 +146,13 @@ def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
         basis = [(s, v) for s in combinations(range(n), p) for v in range(m.dim)]
         bases.append(basis)
         dims.append(len(basis))
+    # Column v of each action matrix: the image of the v-th module basis vector.
+    act_cols = [a.transpose().row_maps for a in m.actions]
     diffs = []
     for p in range(n):
         src, dst = bases[p], bases[p + 1]
         index = {b: i for i, b in enumerate(dst)}
-        flat = [[QQ(0)] * len(src) for _ in range(len(dst))]
+        entries = []
         for col, (subset, v) in enumerate(src):
             for tsub in combinations(range(n), p + 1):
                 # first sum: (-1)^i rho(e_{t_i}) applied to the module value
@@ -154,11 +160,8 @@ def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
                     if tsub[:i] + tsub[i + 1:] != subset:
                         continue
                     sign = -1 if i % 2 else 1
-                    act = m.actions[ti]
-                    for r in range(m.dim):
-                        c = act.entry(r, v)
-                        if c:
-                            flat[index[(tsub, r)]][col] += sign * c
+                    for r, c in act_cols[ti][v].items():
+                        entries.append((index[(tsub, r)], col, sign * c))
                 # second sum: (-1)^{i+j} insert [e_{t_i}, e_{t_j}]
                 for i in range(len(tsub)):
                     for j in range(i + 1, len(tsub)):
@@ -170,9 +173,8 @@ def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
                             if ins is None or ins[0] != subset:
                                 continue
                             sign = ins[1] * (-1) ** (i + j)
-                            flat[index[(tsub, v)]][col] += sign * ck
-        diffs.append(ExactMatrix.from_rows(flat) if flat and src else
-                     ExactMatrix.zeros(len(dst), len(src)))
+                            entries.append((index[(tsub, v)], col, sign * ck))
+        diffs.append(ExactMatrix.from_entries(len(dst), len(src), entries))
     return CochainComplex(0, n, dims, diffs)
 
 
@@ -187,7 +189,7 @@ def _adapted(g: LieAlgebra, h: LieIdeal, m: GModule):
     new_brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
-            br = g.bracket_vec(pmat.column(a), pmat.column(b))
+            br = g.bracket_vec(cols[a], cols[b])
             coords = solve(pmat, br)
             if coords is None:
                 raise LieAlgebraError("change of basis failed")
@@ -197,7 +199,7 @@ def _adapted(g: LieAlgebra, h: LieIdeal, m: GModule):
     actions = []
     for a in range(n):
         act = ExactMatrix.zeros(m.dim, m.dim)
-        for i, c in enumerate(pmat.column(a)):
+        for i, c in enumerate(cols[a]):
             if c:
                 act = act + m.actions[i].scaled(c)
         actions.append(act)
@@ -248,13 +250,11 @@ def _action_on_h_cochains(g2: LieAlgebra, m2: GModule, k: int, x: int, q: int) -
     (x.om)(h_1..h_q) = rho(x) om(h_1..h_q) - sum_i om(h_1.., [x, h_i], ..h_q)."""
     basis = [(s, v) for s in combinations(range(k), q) for v in range(m2.dim)]
     index = {b: i for i, b in enumerate(basis)}
-    flat = [[QQ(0)] * len(basis) for _ in range(len(basis))]
-    act = m2.actions[x]
+    entries = []
+    act_cols = m2.actions[x].transpose().row_maps
     for col, (subset, v) in enumerate(basis):
-        for r in range(m2.dim):
-            c = act.entry(r, v)
-            if c:
-                flat[index[(subset, r)]][col] += c
+        for r, c in act_cols[v].items():
+            entries.append((index[(subset, r)], col, c))
         for tsub in combinations(range(k), q):
             for i, ti in enumerate(tsub):
                 cs = g2.c(x, ti)
@@ -262,8 +262,9 @@ def _action_on_h_cochains(g2: LieAlgebra, m2: GModule, k: int, x: int, q: int) -
                     raise LieAlgebraError("bracket with ideal leaves the ideal")
                 for s, c in enumerate(cs[:k]):
                     if c:
-                        flat[index[(tsub, v)]][col] -= _eval_sign(subset, tsub, i, s) * c
-    return ExactMatrix.from_rows(flat) if basis else ExactMatrix.zeros(0, 0)
+                        entries.append((index[(tsub, v)], col,
+                                        -_eval_sign(subset, tsub, i, s) * c))
+    return ExactMatrix.from_entries(len(basis), len(basis), entries)
 
 
 def _eval_sign(subset, tsub, i, s):

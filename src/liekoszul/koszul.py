@@ -195,10 +195,9 @@ def _subset_fn_weight(lr, w, subset) -> int:
 def _reduction_matrix(lr, model: ZeroLocusModel, fs, w,
                       offsets: dict[tuple[int, ...], int], dim_target: int) -> ExactMatrix:
     ring = lr.ring
-    cols = []
+    entries = []
     quots = {s: model.quotient_slice(_subset_fn_weight(lr, w, s)) for s in offsets}
-    for subset, mono in fs.basis:
-        col = [QQ(0)] * dim_target
+    for col, (subset, mono) in enumerate(fs.basis):
         if subset in offsets:
             wf = _subset_fn_weight(lr, w, subset)
             monos = ring.monomials(wf)
@@ -206,10 +205,8 @@ def _reduction_matrix(lr, model: ZeroLocusModel, fs, w,
             vec[monos.index(mono)] = QQ(1)
             coords = quots[subset].class_coordinates(tuple(vec))
             base = offsets[subset]
-            for i, c in enumerate(coords):
-                col[base + i] = c
-        cols.append(tuple(col))
-    return ExactMatrix.from_columns(dim_target, cols)
+            entries.extend((base + i, col, c) for i, c in enumerate(coords))
+    return ExactMatrix.from_entries(dim_target, fs.dim, entries)
 
 
 def formality_check(lr: LieRinehartPresentation, v: SectionV,

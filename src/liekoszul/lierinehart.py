@@ -32,6 +32,22 @@ class PresentationError(Exception):
     pass
 
 
+class MalformedPresentation(PresentationError):
+    """Input of the wrong shape (counts, lengths, keys, monomials, variable
+    weights), as opposed to data of the right shape that breaks the
+    grading or an identity."""
+
+
+def _bracket_key(key, error: type[Exception]) -> tuple[int, int]:
+    """(i, j) from a bracket key given as "i,j" or as a pair."""
+    parts = key.split(",") if isinstance(key, str) else key
+    try:
+        i, j = (int(t) for t in parts)
+    except (TypeError, ValueError):
+        raise error(f"bracket key {key!r} must be two integers 'i,j'") from None
+    return i, j
+
+
 # -- polynomial helpers ------------------------------------------------------
 
 def poly(data, nvars: int) -> Poly:
@@ -44,7 +60,7 @@ def poly(data, nvars: int) -> Poly:
             mono = tuple(int(t) for t in mono.split(","))
         mono = tuple(int(e) for e in mono)
         if len(mono) != nvars or any(e < 0 for e in mono):
-            raise PresentationError(f"bad monomial {mono} for {nvars} variables")
+            raise MalformedPresentation(f"bad monomial {mono} for {nvars} variables")
         c = qq(coeff)
         if c:
             out[mono] = out.get(mono, QQ(0)) + c
@@ -135,9 +151,10 @@ class WeightedPolyRing:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         if len(self.weights) != self.nvars:
-            raise PresentationError("weight count does not match variable count")
+            raise MalformedPresentation("weight count does not match variable count")
         if any(w < 1 for w in self.weights):
-            raise PresentationError("variable weights must be positive")
+            raise MalformedPresentation(
+                f"variable weights must be positive, got {list(self.weights)}")
 
     def monomials(self, w: int) -> tuple[Monomial, ...]:
         return _monomials(self.weights, w)
@@ -188,11 +205,13 @@ class LieRinehartPresentation:
         self.gen_weights = tuple(int(g) for g in gen_weights)
         m = len(self.gen_weights)
         if len(anchor) != m:
-            raise PresentationError("anchor must have one row per generator")
+            raise MalformedPresentation(
+                f"anchor has {len(anchor)} rows, expected one per generator ({m})")
         self.anchor: list[list[Poly]] = []
         for i, row in enumerate(anchor):
             if len(row) != ring.nvars:
-                raise PresentationError("anchor row has wrong length")
+                raise MalformedPresentation(
+                    f"anchor row {i} has length {len(row)}, expected {ring.nvars}")
             prow = []
             for j, entry in enumerate(row):
                 a = entry if isinstance(entry, dict) else poly(entry, ring.nvars)
@@ -206,14 +225,12 @@ class LieRinehartPresentation:
             self.anchor.append(prow)
         self._brackets: dict[tuple[int, int], tuple[Poly, ...]] = {}
         for key, comps in brackets.items():
-            if isinstance(key, str):
-                i, j = (int(t) for t in key.split(","))
-            else:
-                i, j = key
+            i, j = _bracket_key(key, MalformedPresentation)
             if not (0 <= i < j < m):
-                raise PresentationError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < m")
+                raise MalformedPresentation(f"bracket key ({i},{j}) must satisfy 0 <= i < j < m")
             if len(comps) != m:
-                raise PresentationError("bracket value must have one component per generator")
+                raise MalformedPresentation(
+                    f"bracket {key} has {len(comps)} components, expected {m}")
             cs = []
             for k, entry in enumerate(comps):
                 c = entry if isinstance(entry, dict) else poly(entry, ring.nvars)
@@ -275,7 +292,8 @@ class SectionV:
             c = entry if isinstance(entry, dict) else poly(entry, ring.nvars)
             comps.append(poly(c, ring.nvars))
         if len(comps) != owner.rank:
-            raise PresentationError("section needs one component per generator")
+            raise MalformedPresentation(
+                f"section has {len(comps)} components, expected {owner.rank}")
         wt = None
         for i, c in enumerate(comps):
             wc = ring.weight_of(c)
@@ -452,8 +470,7 @@ def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:
     src = lr.form_slice(p, w)
     dst = lr.form_slice(p + 1, w)
     dst_index = dst.index()
-    rows, cols = dst.dim, src.dim
-    flat = [[QQ(0)] * cols for _ in range(rows)]
+    entries = []
     targets = list(combinations(range(lr.rank), p + 1))
     for col, (subset, mono) in enumerate(src.basis):
         f = {mono: QQ(1)}
@@ -480,8 +497,8 @@ def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:
                 r = dst_index.get((tsub, mono2))
                 if r is None:
                     raise PresentationError("differential left the weight slice")
-                flat[r][col] += coeff
-    return ExactMatrix.from_rows(flat) if rows and cols else ExactMatrix.zeros(rows, cols)
+                entries.append((r, col, coeff))
+    return ExactMatrix.from_entries(dst.dim, src.dim, entries)
 
 
 def contraction(lr: LieRinehartPresentation, v: SectionV, p: int, w: int) -> ExactMatrix:
@@ -489,8 +506,7 @@ def contraction(lr: LieRinehartPresentation, v: SectionV, p: int, w: int) -> Exa
     src = lr.form_slice(p, w)
     dst = lr.form_slice(p - 1, w + v.weight)
     dst_index = dst.index()
-    rows, cols = dst.dim, src.dim
-    flat = [[QQ(0)] * cols for _ in range(rows)]
+    entries = []
     for col, (subset, mono) in enumerate(src.basis):
         f = {mono: QQ(1)}
         for pos, i in enumerate(subset):
@@ -505,8 +521,8 @@ def contraction(lr: LieRinehartPresentation, v: SectionV, p: int, w: int) -> Exa
                 r = dst_index.get((rest, mono2))
                 if r is None:
                     raise PresentationError("contraction left the weight slice")
-                flat[r][col] += coeff
-    return ExactMatrix.from_rows(flat) if rows and cols else ExactMatrix.zeros(rows, cols)
+                entries.append((r, col, coeff))
+    return ExactMatrix.from_entries(dst.dim, src.dim, entries)
 
 
 def lie_derivative(lr: LieRinehartPresentation, v: SectionV, p: int, w: int) -> ExactMatrix:

@@ -50,9 +50,8 @@ def pairing(f: FilteredComplex) -> Pairing:
         pos = {i: k for k, i in enumerate(dst_order)}
         d = cplx.d(n)
         columns: list[dict[int, object]] = [{} for _ in range(d.cols)]
-        for idx, a in enumerate(d.entries):
-            if a:
-                i, j = divmod(idx, d.cols)
+        for i, row in enumerate(d.row_maps):
+            for j, a in row.items():
                 columns[j][pos[i]] = a
         reduced: dict[int, dict[int, object]] = {}   # low -> reduced column
         lows: set[int] = set()

@@ -1,4 +1,10 @@
-"""Reference spectral-sequence engine: every page built as explicit subquotients.
+"""Reference engines: dense elimination, and every spectral-sequence page
+built as explicit subquotients.
+
+`dense_rref` is Gauss-Jordan elimination on a dense grid of Fractions, the
+kernel the package used before it stored matrices as sparse rows; the
+sparse kernel of `exactla` is cross-checked against it in
+`tests/test_exactla.py`.
 
 Pages are computed from scratch per r from the standard cycle/boundary
 subquotients of a flag of subspaces F_p C^n,
@@ -13,8 +19,60 @@ dimensions never increase from one page to the next.  The package engine
 """
 
 from dataclasses import dataclass
+from fractions import Fraction as QQ
 
 from liekoszul.exactla import Subquotient, Subspace, induced_map, rank, unit_vector
+
+
+def dense_rref(rows):
+    """Reduced row echelon form of dense rows: (nonzero rows, pivot columns).
+
+    Pivot rule: first nonzero entry in column order."""
+    mat = [[QQ(a) for a in r] for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [a * inv for a in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def dense_kernel(rows, ncols):
+    """RREF basis of {v : Mv = 0} for the dense rows of M."""
+    red, pivots = dense_rref(rows)
+    vectors = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [QQ(0)] * ncols
+        v[f] = QQ(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        vectors.append(v)
+    return dense_rref(vectors)[0]
+
+
+def dense_solve(rows, ncols, b):
+    """The solution of Mx = b with zeros at the free columns, or None."""
+    red, pivots = dense_rref([list(r) + [QQ(x)] for r, x in zip(rows, b)])
+    if ncols in pivots:
+        return None
+    x = [QQ(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[ncols]
+    return tuple(x)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,102 @@ def test_raw_filtration_not_d_stable_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _mutated(tmp_path, case, mutate):
+    payload = json.loads((CASES / case).read_text())
+    mutate(payload)
+    path = tmp_path / f"mutated-{case}"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _exit_with_one_line(capsys, args, code, prefix):
+    assert run_cli(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+def test_bracket_vector_of_wrong_length_is_an_input_error(tmp_path, capsys):
+    path = _mutated(tmp_path, "heisenberg-center.json",
+                    lambda p: p["brackets"]["0,1"].pop())
+    err = _exit_with_one_line(capsys, ["hs", path], 2, "error:")
+    assert "bracket 0,1" in err and "expected 3" in err
+
+
+def test_missing_anchor_row_is_an_input_error(tmp_path, capsys):
+    path = _mutated(tmp_path, "euler-n2.json", lambda p: p["anchor"].pop())
+    err = _exit_with_one_line(capsys, ["validate", path], 2, "error:")
+    assert "anchor" in err
+
+
+def test_short_anchor_row_is_an_input_error(tmp_path, capsys):
+    path = _mutated(tmp_path, "euler-n2.json", lambda p: p["anchor"][1].pop())
+    err = _exit_with_one_line(capsys, ["validate", path], 2, "error:")
+    assert "anchor row 1" in err
+
+
+def test_nonpositive_variable_weight_is_an_input_error(tmp_path, capsys):
+    path = _mutated(tmp_path, "euler-n2.json",
+                    lambda p: p.update(variable_weights=[0, 1]))
+    err = _exit_with_one_line(capsys, ["validate", path], 2, "error:")
+    assert "variable weights" in err
+
+
+def test_jacobi_violation_is_a_verdict_failure(tmp_path, capsys):
+    # [e0,e1] = e2 and [e0,e2] = e0: the Jacobiator of (e0, e1, e2) is -e2
+    path = _mutated(tmp_path, "heisenberg-center.json", lambda p: p.update(
+        brackets={"0,1": ["0", "0", "1"], "0,2": ["1", "0", "0"]}))
+    err = _exit_with_one_line(capsys, ["hs", path], 1, "verdict failure:")
+    assert "Jacobi" in err
+
+
+def test_ideal_not_closed_is_a_verdict_failure(tmp_path, capsys):
+    # span(e0) is not an ideal: [e0, e1] = e2 leaves it
+    path = _mutated(tmp_path, "heisenberg-center.json",
+                    lambda p: p.update(ideal=[["1", "0", "0"]]))
+    err = _exit_with_one_line(capsys, ["hs", path], 1, "verdict failure:")
+    assert "not an ideal" in err
+
+
+def test_vector_field_of_wrong_length_names_the_field(tmp_path, capsys):
+    for mutate in (lambda p: p["vector_field"].pop(),
+                   lambda p: p["vector_field"].append("0")):
+        path = _mutated(tmp_path, "p1-euler-untwisted.json", mutate)
+        err = _exit_with_one_line(capsys, ["p1", path], 2, "error:")
+        assert "'vector_field'" in err and "3 entries" in err
+
+
+def test_long_scalar_part_names_the_field(tmp_path, capsys):
+    path = _mutated(tmp_path, "p1-euler-O0.json",
+                    lambda p: p.update(scalar_part=["0", "0", "0"]))
+    err = _exit_with_one_line(capsys, ["p1", path], 2, "error:")
+    assert "'scalar_part'" in err
+
+
+def test_weight_range_of_wrong_length_names_the_field(tmp_path, capsys):
+    path = _mutated(tmp_path, "euler-n2.json", lambda p: p["weights"].pop())
+    err = _exit_with_one_line(capsys, ["koszul", path], 2, "error:")
+    assert "'weights'" in err and "2 entries" in err
+
+
+def test_cell_key_with_wrong_part_count_names_the_field(tmp_path, capsys):
+    def rekey(block, old, new):
+        block[new] = block.pop(old)
+
+    path = _mutated(tmp_path, "square-double.json",
+                    lambda p: rekey(p["double"]["dims"], "1,1", "1,1,0"))
+    err = _exit_with_one_line(capsys, ["specseq", path], 2, "error:")
+    assert "double.dims" in err and "'1,1,0'" in err
+    path = _mutated(tmp_path, "square-double.json",
+                    lambda p: rekey(p["double"]["vertical"], "1,0", "1"))
+    err = _exit_with_one_line(capsys, ["specseq", path], 2, "error:")
+    assert "double.vertical" in err
+    path = _mutated(tmp_path, "twostep-filtered.json",
+                    lambda p: rekey(p["filtration"]["spaces"], "3,1", "3"))
+    err = _exit_with_one_line(capsys, ["specseq", path], 2, "error:")
+    assert "filtration.spaces" in err
+
+
 def _scalar_lists(node):
     """Every nonempty list of scalars inside a JSON value, in document order."""
     if isinstance(node, dict):

@@ -229,3 +229,43 @@ def test_from_single_row_embedding():
     d = DoubleComplex.from_single_row(c)
     t = total(d)
     assert betti(t) == betti(c)
+
+
+# -- construction checks fail on one bad entry --------------------------------
+# In each pair below the failing data makes the checked product nonzero in
+# exactly one entry, which is a sum of two terms; every other entry cancels.
+
+def test_dd_check_fails_on_one_entry():
+    d1 = ExactMatrix.from_rows([[1, -1]])
+    CochainComplex(0, 2, [2, 2, 1], [ExactMatrix.from_rows([[1, 1], [1, 1]]), d1])
+    bad = ExactMatrix.from_rows([[1, 1], [1, -1]])
+    assert (d1 @ bad).row_maps == ({1: QQ(2)},)
+    with pytest.raises(ComplexError, match="d.d"):
+        CochainComplex(0, 2, [2, 2, 1], [bad, d1])
+
+
+def _square(dv00):
+    # cells (0,0) of dim 2, the other three of dim 1
+    dims = {(0, 0): 2, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    horizontal = {(0, 0): ExactMatrix.from_rows([[1, 1]]),
+                  (0, 1): ExactMatrix.from_rows([[-1]])}
+    vertical = {(0, 0): ExactMatrix.from_rows([dv00]),
+                (1, 0): ExactMatrix.from_rows([[1]])}
+    return DoubleComplex(0, 1, 0, 1, dims, horizontal, vertical)
+
+
+def test_anticommutation_check_fails_on_one_entry():
+    _square([1, 1])
+    with pytest.raises(ComplexError, match="anticommute"):
+        _square([1, -1])   # d_v d_h + d_h d_v = [[0, 2]]
+
+
+def test_chain_map_square_check_fails_on_one_entry():
+    src = CochainComplex(0, 1, [2, 1], [ExactMatrix.from_rows([[1, 1]])])
+    dst = CochainComplex(0, 1, [2, 1], [ExactMatrix.from_rows([[1, -1]])])
+    f1 = ExactMatrix.identity(1)
+    ChainMap(src, dst, {0: ExactMatrix.from_rows([[1, 0], [0, -1]]), 1: f1})
+    bad = ExactMatrix.from_rows([[1, 1], [0, -1]])
+    assert (dst.d(0) @ bad).row_maps == ({0: QQ(1), 1: QQ(2)},)
+    with pytest.raises(ComplexError, match="commute"):
+        ChainMap(src, dst, {0: bad, 1: f1})   # d f0 - f1 d = [[0, 1]]

@@ -12,10 +12,13 @@ from liekoszul.exactla import (
     image_basis,
     induced_map,
     kernel_basis,
+    rank,
     solve,
+    solve_batch,
 )
 
 from helpers import rank_by_minors, matrix_rows
+from oracle import dense_kernel, dense_rref, dense_solve
 
 
 def test_kernel_zero_matrix_is_full_space():
@@ -51,8 +54,8 @@ def test_rank_nullity_on_random_matrices():
     for _ in range(25):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
-        m = ExactMatrix(rows, cols,
-                        [QQ(rng.randrange(-3, 4)) for _ in range(rows * cols)])
+        m = ExactMatrix.from_rows([[QQ(rng.randrange(-3, 4)) for _ in range(cols)]
+                                   for _ in range(rows)])
         assert kernel_basis(m).dim + image_basis(m).dim == cols
         assert image_basis(m).dim == rank_by_minors(matrix_rows(m))
 
@@ -150,9 +153,149 @@ class TestInducedMap:
     def test_composition_functorial(self):
         rng = random.Random(3)
         for _ in range(10):
-            f = ExactMatrix(3, 3, [QQ(rng.randrange(-2, 3)) for _ in range(9)])
-            g = ExactMatrix(3, 3, [QQ(rng.randrange(-2, 3)) for _ in range(9)])
+            f = ExactMatrix.from_rows([[QQ(rng.randrange(-2, 3)) for _ in range(3)]
+                                       for _ in range(3)])
+            g = ExactMatrix.from_rows([[QQ(rng.randrange(-2, 3)) for _ in range(3)]
+                                       for _ in range(3)])
             s = Subquotient(Subspace.full_space(3), Subspace.zero_space(3))
             lhs = induced_map(g @ f, s, s)
             rhs = induced_map(g, s, s) @ induced_map(f, s, s)
             assert lhs == rhs
+
+
+# -- the sparse kernel against the dense reference ----------------------------
+
+def _random_rows(rng, nrows, ncols, density):
+    entries = (-3, -2, -1, 1, 2, 3)
+    return [[QQ(rng.choice(entries), rng.choice((1, 1, 2, 3)))
+             if rng.random() < density else QQ(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _matrix(rows, ncols):
+    if not rows:
+        return ExactMatrix.zeros(0, ncols)
+    return ExactMatrix.from_rows(rows)
+
+
+def kernel_corpus(seed=20261018, count=120, max_side=5):
+    """(dense rows, column count) of seeded random matrices, sparse and dense:
+    empty shapes, zero rows and columns, and rows that are combinations of
+    others, whose entries cancel to 0 during elimination."""
+    rng = random.Random(seed)
+    out = [([], 0), ([], 4), ([[QQ(0)] * 0] * 3, 0), ([[QQ(0)] * 3] * 2, 3)]
+    for _ in range(count):
+        nrows, ncols = rng.randrange(0, max_side + 1), rng.randrange(0, max_side + 1)
+        rows = _random_rows(rng, nrows, ncols, rng.choice((0.2, 0.5, 1.0)))
+        if nrows >= 3 and rng.random() < 0.6:
+            a, b = rng.sample(range(nrows - 1), 2)
+            c = QQ(rng.choice((-2, -1, 1, 2)), rng.choice((1, 3)))
+            rows[-1] = [x + c * y for x, y in zip(rows[a], rows[b])]
+        if nrows and rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [QQ(0)] * ncols
+        if ncols and rng.random() < 0.3:
+            j = rng.randrange(ncols)
+            for row in rows:
+                row[j] = QQ(0)
+        out.append((rows, ncols))
+    return out
+
+
+def _columns(rows, ncols):
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def test_rank_kernel_image_match_dense_reference_and_minors():
+    for rows, ncols in kernel_corpus():
+        m = _matrix(rows, ncols)
+        red, _ = dense_rref(rows)
+        assert rank(m) == len(red) == rank_by_minors(rows)
+        ker = kernel_basis(m)
+        assert ker.basis == tuple(dense_kernel(rows, ncols))
+        assert all(m.apply(v) == (QQ(0),) * m.rows for v in ker.basis)
+        img = image_basis(m)
+        assert img.basis == tuple(dense_rref(_columns(rows, ncols))[0])
+        assert repr(img.basis) == repr(tuple(dense_rref(_columns(rows, ncols))[0]))
+        assert ker.dim + img.dim == ncols
+
+
+def test_larger_sparse_matrices_match_dense_reference():
+    rng = random.Random(5)
+    for _ in range(15):
+        nrows, ncols = rng.randrange(8, 16), rng.randrange(8, 16)
+        rows = _random_rows(rng, nrows, ncols, 0.15)
+        rows.append([x - y for x, y in zip(rows[0], rows[1])])
+        m = ExactMatrix.from_rows(rows)
+        assert rank(m) == len(dense_rref(rows)[0])
+        assert kernel_basis(m).basis == tuple(dense_kernel(rows, ncols))
+        assert image_basis(m).basis == tuple(dense_rref(_columns(rows, ncols))[0])
+
+
+def test_solve_batch_matches_dense_reference():
+    rng = random.Random(17)
+    for rows, ncols in kernel_corpus(seed=99, count=80):
+        m = _matrix(rows, ncols)
+        consistent = m.apply(tuple(QQ(rng.randrange(-2, 3)) for _ in range(ncols)))
+        arbitrary = tuple(QQ(rng.randrange(-2, 3)) for _ in range(m.rows))
+        zero = (QQ(0),) * m.rows
+        rhs = [consistent, arbitrary, zero]
+        sols = solve_batch(m, rhs)
+        for b, x in zip(rhs, sols):
+            assert x == dense_solve(rows, ncols, b)
+            if x is not None:
+                assert m.apply(x) == b
+        assert sols[0] is not None and sols[2] == (QQ(0),) * ncols
+
+
+def test_subspace_basis_is_the_dense_rref():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        vecs = _random_rows(rng, rng.randrange(0, 6), n, rng.choice((0.3, 1.0)))
+        s = Subspace(n, vecs)
+        assert s.basis == tuple(dense_rref(vecs)[0])
+        assert s.pivots == tuple(dense_rref(vecs)[1])
+
+
+def test_equality_and_hash_ignore_explicit_zeros():
+    a = ExactMatrix(2, 3, [{0: 1, 1: 0}, {2: QQ(0)}])
+    b = ExactMatrix(2, 3, [{0: QQ(1)}, {}])
+    c = ExactMatrix.from_rows([[1, 0, 0], [0, 0, 0]])
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert a.row_maps == ({0: QQ(1)}, {})
+    assert a != ExactMatrix.from_rows([[1, 0, 0], [0, 0, 1]])
+    assert a != ExactMatrix.zeros(2, 4)
+    assert ExactMatrix.zeros(2, 3) == ExactMatrix(2, 3, [{1: "0"}, {0: 0, 2: QQ(0)}])
+    # the same nonzeros given in another order
+    d = ExactMatrix(1, 3, [{2: 1, 0: "1/2"}])
+    assert d == ExactMatrix.from_rows([["1/2", 0, 1]])
+    assert hash(d) == hash(ExactMatrix.from_rows([["1/2", 0, 1]]))
+    assert Subspace(2, [[1, 0], [0, 0]]) == Subspace(2, [[2, 0]])
+    assert hash(Subspace(2, [[1, 0], [0, 0]])) == hash(Subspace(2, [[2, 0]]))
+
+
+def test_constructor_rejects_bad_shapes():
+    with pytest.raises(Exception):
+        ExactMatrix(2, 2, [{0: 1}])          # one row short
+    with pytest.raises(Exception):
+        ExactMatrix(1, 2, [{2: 1}])          # column index out of range
+    with pytest.raises(Exception):
+        ExactMatrix.from_rows([[1, 2], [3]])
+
+
+def test_product_with_cancelling_terms_is_zero():
+    a = ExactMatrix.from_rows([[1, 1], [2, -1]])
+    b = ExactMatrix.from_rows([[1, 0], [-1, 0]])
+    prod = ExactMatrix.from_rows([[1, 1]]) @ b
+    assert prod.is_zero() and prod == ExactMatrix.zeros(1, 2)
+    assert prod.row_maps == ({},)
+    assert not (a @ b).is_zero()
+    assert (a @ b) == ExactMatrix.from_rows([[0, 0], [3, 0]])
+    assert (a + (-a)).is_zero()
+    half = ExactMatrix.from_rows([[0, 0], [1, 2]])
+    assert a + half == half + a == ExactMatrix.from_rows([[1, 1], [3, 1]])
+    assert ExactMatrix.zeros(2, 2) + half == half + ExactMatrix.zeros(2, 2) == half
+    assert (a + a.scaled(-1)).row_maps == ({}, {})
+    assert a.transpose().transpose() == a
+    assert a.scaled(0).is_zero()
