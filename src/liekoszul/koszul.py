@@ -96,27 +96,32 @@ class ZeroLocusModel:
 
 
 def is_zero_dimensional(v: SectionV, w_max: int) -> bool:
-    """Certify that the zero scheme of V is the origin, from quotient slices.
+    """Certify that the zero scheme of V is the origin, or that it is not.
 
     For a homogeneous ideal, a full window of zero quotient slices of
     length max(variable weights) forces all higher slices to vanish, so
-    finding one below w_max is a proof.  A fully positive tail window is
-    reported as False; a mixed tail means the verdict is not yet visible
-    at this w_max and raises InconclusiveError.
+    finding one below w_max proves True.  False needs a proof as well: a
+    variable x_j none of whose pure powers x_j^e (e >= 0) occurs in any
+    component of V, so that every component vanishes on the x_j axis and
+    the zero locus contains that line.  Without either proof the verdict is
+    not visible at this w_max and InconclusiveError is raised.
     """
+    ring = v.owner.ring
+    for j in range(ring.nvars):
+        if not any(all(e == 0 for i, e in enumerate(mono) if i != j)
+                   for c in v.components for mono in c):
+            return False
     model = ZeroLocusModel(v.owner, v)
-    max_u = max(v.owner.ring.weights)
+    max_u = max(ring.weights)
     if w_max < max_u - 1:
         raise InconclusiveError(f"w_max={w_max} smaller than one weight window")
     dims = [model.quotient_dim(w) for w in range(w_max + 1)]
     for start in range(0, w_max - max_u + 2):
         if all(dims[start + k] == 0 for k in range(max_u)):
             return True
-    tail = dims[w_max - max_u + 1:]
-    if all(d > 0 for d in tail):
-        return False
     raise InconclusiveError(
-        f"quotient dims {dims} neither vanish on a full window nor stay positive")
+        f"quotient dims {dims} do not vanish on a full window, and no axis "
+        f"lies in the zero locus")
 
 
 @dataclass(frozen=True)

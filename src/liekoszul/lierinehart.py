@@ -461,43 +461,61 @@ def _wedge_insert_sign(k: int, rest: tuple[int, ...]) -> tuple[tuple[int, ...], 
     return merged, -1 if pos % 2 else 1
 
 
-def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:
-    """Matrix of the algebroid differential FormSlice(p, w) -> FormSlice(p+1, w).
+def _ce_terms(n: int, basis, brackets: Mapping, act, times):
+    """The one Chevalley-Eilenberg builder: every term of
 
-    (d om)(a_0..a_p) = sum_i (-1)^i rho(a_i) om(..hat a_i..)
-                     + sum_{i<j} (-1)^{i+j} om([a_i,a_j], ..hat a_i..hat a_j..).
+        (d om)(a_0..a_p) = sum_i (-1)^i a_i . om(..hat a_i..)
+                         + sum_{i<j} (-1)^{i+j} om([a_i,a_j], ..hat a_i..hat a_j..)
+
+    on each basis cochain om = eps_S (x) v, as (column, T, value,
+    coefficient) for coefficient * eps_T (x) value; the caller adds up terms
+    at the same target.  `brackets` maps pairs i < j to (c_ij^k)_k, and
+    act(k, v) = e_k . v and times(c, v) = c v are {value: coefficient}.
+    The action sum inserts each k outside S; the bracket sum visits each
+    nonzero c_ab^k with k in S and a, b outside S minus k.
     """
+    by_k: list[list] = [[] for _ in range(n)]
+    for (a, b), cs in brackets.items():
+        for k, c in enumerate(cs):
+            if c:
+                by_k[k].append((a, b, c))
+    for col, (subset, v) in enumerate(basis):
+        for k in range(n):
+            if k not in subset:
+                tsub, sign = _wedge_insert_sign(k, subset)
+                for value, x in act(k, v).items():
+                    yield col, tsub, value, sign * x
+        for pos, k in enumerate(subset):
+            rest = subset[:pos] + subset[pos + 1:]
+            for a, b, c in by_k[k]:
+                if a in rest or b in rest:
+                    continue
+                # (-1)^pos moves k to the front of S; inserting a, then b,
+                # gives (-1)^(i+j) for their slots i < j in T.
+                with_a, sign_a = _wedge_insert_sign(a, rest)
+                tsub, sign_b = _wedge_insert_sign(b, with_a)
+                sign = (-1 if pos % 2 else 1) * sign_a * sign_b
+                for value, x in times(c, v).items():
+                    yield col, tsub, value, sign * x
+
+
+def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:
+    """Matrix of the algebroid differential FormSlice(p, w) -> FormSlice(p+1, w)
+    from `_ce_terms`, the Chevalley-Eilenberg builder shared with
+    `hochserre.ce_complex`: the anchor acts on monomial values and the
+    bracket has polynomial structure coefficients."""
     src = lr.form_slice(p, w)
     dst = lr.form_slice(p + 1, w)
     dst_index = dst.index()
     entries = []
-    targets = list(combinations(range(lr.rank), p + 1))
-    for col, (subset, mono) in enumerate(src.basis):
-        f = {mono: QQ(1)}
-        for tsub in targets:
-            value: Poly = {}
-            for i, ti in enumerate(tsub):
-                rest = tsub[:i] + tsub[i + 1:]
-                if rest == subset:
-                    term = lr.anchor_apply(ti, f)
-                    value = p_add(value, term if i % 2 == 0 else p_scale(-1, term))
-            for i in range(len(tsub)):
-                for j in range(i + 1, len(tsub)):
-                    rest = tuple(t for idx, t in enumerate(tsub) if idx not in (i, j))
-                    cs = lr.bracket_c(tsub[i], tsub[j])
-                    for k in range(lr.rank):
-                        if not cs[k]:
-                            continue
-                        ins = _wedge_insert_sign(k, rest)
-                        if ins is None or ins[0] != subset:
-                            continue
-                        sign = ins[1] * (-1) ** (i + j)
-                        value = p_add(value, p_scale(sign, p_mul(cs[k], f)))
-            for mono2, coeff in value.items():
-                r = dst_index.get((tsub, mono2))
-                if r is None:
-                    raise PresentationError("differential left the weight slice")
-                entries.append((r, col, coeff))
+    terms = _ce_terms(lr.rank, src.basis, lr._brackets,
+                      lambda k, mono: lr.anchor_apply(k, {mono: QQ(1)}),
+                      lambda c, mono: p_mul(c, {mono: QQ(1)}))
+    for col, tsub, mono, x in terms:
+        r = dst_index.get((tsub, mono))
+        if r is None:
+            raise PresentationError("differential left the weight slice")
+        entries.append((r, col, x))
     return ExactMatrix.from_entries(dst.dim, src.dim, entries)
 
 

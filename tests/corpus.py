@@ -1,5 +1,9 @@
 """Shared desk-scale corpus used by the acceptance suite."""
 
+import json
+from pathlib import Path
+
+from liekoszul.cli import build_lie_algebra, build_lie_rinehart
 from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid, cech_koszul, zero_section
 from liekoszul.complexes import betti
 from liekoszul.exactla import ExactMatrix, Subspace
@@ -11,6 +15,18 @@ from liekoszul.lierinehart import (
     WeightedPolyRing,
     tangent_algebroid,
 )
+
+CASES = Path(__file__).resolve().parent.parent / "cases"
+
+
+def case_payloads(kind):
+    """(name, payload) of every file in cases/ of the given kind."""
+    out = []
+    for path in sorted(CASES.glob("*.json")):
+        payload = json.loads(path.read_text())
+        if payload["kind"] == kind:
+            out.append((path.stem, payload))
+    return out
 
 
 def hs_instances():
@@ -83,3 +99,64 @@ def window_pair(algebroid, section, window, untwisted=False):
 def slice_betti(lr, section, weights):
     """Betti tables of the Koszul slices, weight -> degree -> dim."""
     return {w: betti(lie_koszul(lr, section, w).complex) for w in weights}
+
+
+def heisenberg(n):
+    """The Heisenberg algebra of dimension 2n+1: [x_i, y_i] = z on (x, y, z)."""
+    dim = 2 * n + 1
+    return LieAlgebra(dim, {(i, n + i): [0] * (dim - 1) + [1] for i in range(n)})
+
+
+def sl2_standard():
+    """sl2 on the basis (h, e, f) with its two-dimensional standard module."""
+    sl2 = LieAlgebra(3, {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]})
+    return sl2, GModule(sl2, 2, [
+        ExactMatrix.from_rows([[1, 0], [0, -1]]),
+        ExactMatrix.from_rows([[0, 1], [0, 0]]),
+        ExactMatrix.from_rows([[0, 0], [1, 0]]),
+    ])
+
+
+def sl2_on_plane():
+    """The action algebroid of sl2 on k[x,y]: generators (e, f, h) of weight 0
+    with anchors x d/dy, y d/dx, x d/dx - y d/dy, and the sl2 algebra on the
+    same basis ([e,f] = h, [h,e] = 2e, [h,f] = -2f)."""
+    ring = WeightedPolyRing(2, (1, 1))
+    one = (0, 0)
+    lr = LieRinehartPresentation(
+        ring, [0, 0, 0],
+        [[{}, {(1, 0): 1}], [{(0, 1): 1}, {}], [{(1, 0): 1}, {(0, 1): -1}]],
+        {(0, 1): [{}, {}, {one: 1}], (0, 2): [{one: -2}, {}, {}],
+         (1, 2): [{}, {one: 2}, {}]})
+    sl2 = LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [-2, 0, 0], (1, 2): [0, 2, 0]})
+    return lr, sl2
+
+
+def ce_algebroids():
+    """(name, presentation) for the Chevalley-Eilenberg oracle comparison."""
+    r1 = WeightedPolyRing(1, (1,))
+    r2 = WeightedPolyRing(2, (1, 1))
+    # aff(1) on the line: (x d/dx, d/dx) with [x d/dx, d/dx] = -d/dx
+    aff1 = LieRinehartPresentation(r1, [0, -1], [[{(1,): 1}], [{(0,): 1}]],
+                                   {(0, 1): [{}, {(0,): -1}]})
+    # the Euler field beside the coordinate frame: [E, d/dx_j] = -d/dx_j
+    euler_frame = LieRinehartPresentation(
+        r2, [0, -1, -1], [[{(1, 0): 1}, {(0, 1): 1}], [{(0, 0): 1}, {}], [{}, {(0, 0): 1}]],
+        {(0, 1): [{}, {(0, 0): -1}, {}], (0, 2): [{}, {}, {(0, 0): -1}]})
+    out = [(f"tangent{list(weights)}", tangent_algebroid(WeightedPolyRing(len(weights), weights)))
+           for weights in [(1,), (1, 1), (1, 1, 1), (1, 2)]]
+    out += [("sl2-plane", sl2_on_plane()[0]), ("aff1-line", aff1),
+            ("euler-frame", euler_frame)]
+    out += [(name, build_lie_rinehart(payload)[0])
+            for name, payload in case_payloads("lie_rinehart")]
+    return out
+
+
+def ce_lie_algebras():
+    """(name, algebra, module) for the Chevalley-Eilenberg oracle comparison."""
+    out = [(name, *build_lie_algebra(payload)[::2])
+           for name, payload in case_payloads("lie_algebra")]
+    out += [(f"heisenberg{2 * n + 1}", heisenberg(n), GModule.trivial(heisenberg(n)))
+            for n in (1, 2, 3)]
+    out.append(("sl2-standard", *sl2_standard()))
+    return out

@@ -1,5 +1,6 @@
-"""Reference engines: dense elimination, and every spectral-sequence page
-built as explicit subquotients.
+"""Reference engines: dense elimination, every spectral-sequence page
+built as explicit subquotients, and the Chevalley-Eilenberg differentials
+built by scanning every target cochain.
 
 `dense_rref` is Gauss-Jordan elimination on a dense grid of Fractions, the
 kernel the package used before it stored matrices as sparse rows; the
@@ -16,12 +17,30 @@ and d_r is the matrix induced by d on class representatives.  Slow, but
 each page is checked on its own: d_r.d_r = 0 on every page, and page
 dimensions never increase from one page to the next.  The package engine
 (one persistence pairing) is cross-checked against this one.
+
+`ce_d_scan`, `ce_complex_scan` and `action_on_h_cochains_scan` are the
+builders the package used before `lierinehart._ce_terms`: for every source
+cochain they scan all target subsets and evaluate each term there, with
+signs from an inversion count (`sort_sign`) rather than the package's
+`_wedge_insert_sign`.  `tests/test_oracle.py` compares their matrices with
+`lierinehart.ce_d`, `hochserre.ce_complex` and
+`hochserre._action_on_h_cochains`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction as QQ
+from itertools import combinations
 
-from liekoszul.exactla import Subquotient, Subspace, induced_map, rank, unit_vector
+from liekoszul.complexes import CochainComplex
+from liekoszul.exactla import (
+    ExactMatrix,
+    Subquotient,
+    Subspace,
+    induced_map,
+    rank,
+    unit_vector,
+)
+from liekoszul.lierinehart import p_add, p_mul, p_scale
 
 
 def dense_rref(rows):
@@ -189,3 +208,105 @@ def oracle_run(f):
             break
         degeneration = r
     return OracleRun(pages, stable, degeneration)
+
+
+def sort_sign(seq):
+    """Sign of the permutation that sorts seq (distinct entries): (-1)^inversions."""
+    sign = 1
+    for a in range(len(seq)):
+        for b in range(a + 1, len(seq)):
+            if seq[a] > seq[b]:
+                sign = -sign
+    return sign
+
+
+def _inserted(k, rest, subset):
+    """Sign of eps_subset on (e_k, *rest), or 0 when that is not a reordering."""
+    seq = (k,) + rest
+    return sort_sign(seq) if tuple(sorted(seq)) == subset else 0
+
+
+def ce_d_scan(lr, p, w):
+    """lierinehart.ce_d by scanning every target subset per column."""
+    src = lr.form_slice(p, w)
+    dst = lr.form_slice(p + 1, w)
+    dst_index = dst.index()
+    entries = []
+    targets = list(combinations(range(lr.rank), p + 1))
+    for col, (subset, mono) in enumerate(src.basis):
+        f = {mono: QQ(1)}
+        for tsub in targets:
+            value = {}
+            for i, ti in enumerate(tsub):
+                rest = tsub[:i] + tsub[i + 1:]
+                if rest == subset:
+                    term = lr.anchor_apply(ti, f)
+                    value = p_add(value, term if i % 2 == 0 else p_scale(-1, term))
+            for i in range(len(tsub)):
+                for j in range(i + 1, len(tsub)):
+                    rest = tuple(t for idx, t in enumerate(tsub) if idx not in (i, j))
+                    cs = lr.bracket_c(tsub[i], tsub[j])
+                    for k in range(lr.rank):
+                        sign = _inserted(k, rest, subset) if cs[k] else 0
+                        if sign:
+                            sign *= (-1) ** (i + j)
+                            value = p_add(value, p_scale(sign, p_mul(cs[k], f)))
+            for mono2, coeff in value.items():
+                entries.append((dst_index[(tsub, mono2)], col, coeff))
+    return ExactMatrix.from_entries(dst.dim, src.dim, entries)
+
+
+def ce_complex_scan(g, m):
+    """hochserre.ce_complex by scanning every target subset per column."""
+    n = g.dim
+    bases = [[(s, v) for s in combinations(range(n), p) for v in range(m.dim)]
+             for p in range(n + 1)]
+    act_cols = [a.transpose().row_maps for a in m.actions]
+    diffs = []
+    for p in range(n):
+        src, dst = bases[p], bases[p + 1]
+        index = {b: i for i, b in enumerate(dst)}
+        entries = []
+        for col, (subset, v) in enumerate(src):
+            for tsub in combinations(range(n), p + 1):
+                for i, ti in enumerate(tsub):
+                    if tsub[:i] + tsub[i + 1:] != subset:
+                        continue
+                    sign = -1 if i % 2 else 1
+                    for r, c in act_cols[ti][v].items():
+                        entries.append((index[(tsub, r)], col, sign * c))
+                for i in range(len(tsub)):
+                    for j in range(i + 1, len(tsub)):
+                        rest = tuple(t for idx, t in enumerate(tsub) if idx not in (i, j))
+                        for k, ck in enumerate(g.c(tsub[i], tsub[j])):
+                            sign = _inserted(k, rest, subset) if ck else 0
+                            if sign:
+                                entries.append((index[(tsub, v)], col,
+                                                sign * (-1) ** (i + j) * ck))
+        diffs.append(ExactMatrix.from_entries(len(dst), len(src), entries))
+    return CochainComplex(0, n, [len(b) for b in bases], diffs)
+
+
+def eval_sign(subset, tsub, i, s):
+    """Sign of eps_subset evaluated on (t_1, .., e_s at slot i, .., t_q)."""
+    seq = list(tsub)
+    seq[i] = s
+    return sort_sign(seq) if tuple(sorted(seq)) == subset else 0
+
+
+def action_on_h_cochains_scan(g2, m2, k, x, q):
+    """hochserre._action_on_h_cochains by scanning every argument list."""
+    basis = [(s, v) for s in combinations(range(k), q) for v in range(m2.dim)]
+    index = {b: i for i, b in enumerate(basis)}
+    entries = []
+    act_cols = m2.actions[x].transpose().row_maps
+    for col, (subset, v) in enumerate(basis):
+        for r, c in act_cols[v].items():
+            entries.append((index[(subset, r)], col, c))
+        for tsub in combinations(range(k), q):
+            for i, ti in enumerate(tsub):
+                for s, c in enumerate(g2.c(x, ti)[:k]):
+                    if c:
+                        entries.append((index[(tsub, v)], col,
+                                        -eval_sign(subset, tsub, i, s) * c))
+    return ExactMatrix.from_entries(len(basis), len(basis), entries)

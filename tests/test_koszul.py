@@ -108,6 +108,23 @@ def test_is_zero_dimensional_inconclusive():
     assert is_zero_dimensional(v, 3) is True
 
 
+def test_is_zero_dimensional_false_needs_an_axis():
+    # x^5 d/dx on the line: the zero scheme is the origin, but the quotient
+    # slices only vanish from weight 5 on, so weights up to 4 prove nothing.
+    ring = WeightedPolyRing(1, (1,))
+    t1 = tangent_algebroid(ring)
+    x5 = SectionV(t1, [{(5,): 1}])
+    for w_max in (2, 3, 4):
+        with pytest.raises(InconclusiveError):
+            is_zero_dimensional(x5, w_max)
+    assert is_zero_dimensional(x5, 5) is True
+    # x d/dx on the plane: the y axis lies in the zero locus
+    assert is_zero_dimensional(SectionV(TANGENT2, [{(1, 0): 1}, {}]), 1) is False
+    # x^2 + y^2 has pure powers of both variables: no axis certificate
+    with pytest.raises(InconclusiveError):
+        is_zero_dimensional(SectionV(TANGENT2, [{(2, 0): 1, (0, 2): 1}, {}]), 4)
+
+
 def test_formality_euler_fields():
     assert formality_check(TANGENT2, EULER2, range(6)).ok
     ring3 = WeightedPolyRing(3, (1, 1, 1))

@@ -4,6 +4,7 @@ import pytest
 
 from liekoszul.complexes import betti
 from liekoszul.exactla import ExactMatrix
+from liekoszul.hochserre import GModule, ce_complex
 from liekoszul.lierinehart import (
     LieRinehartPresentation,
     PresentationError,
@@ -17,6 +18,7 @@ from liekoszul.lierinehart import (
     validate,
 )
 
+from corpus import sl2_on_plane
 from helpers import count_monomials
 
 
@@ -185,3 +187,25 @@ def test_omega_slice_complex():
     t1 = tangent_algebroid(WeightedPolyRing(1, (1,)))
     c1 = omega_slice_complex(t1, 1)
     assert betti(c1) == {0: 0, 1: 0}
+
+
+def test_ce_d_bracket_term_sl2_on_plane():
+    # The action algebroid of sl2 on k[x,y] has constant nonzero brackets, so
+    # ce_d's bracket sum runs.  Its weight-w slice is the Lie-algebra complex
+    # of sl2 with coefficients in the weight-w monomials R_w, which is the
+    # irreducible module of dimension w+1: by Whitehead's lemma only w = 0
+    # has cohomology, H^0 = H^3 = k.
+    lr, sl2 = sl2_on_plane()
+    assert validate(lr, 2).ok
+    for w in range(5):
+        monos = lr.ring.monomials(w)
+        index = {mono: i for i, mono in enumerate(monos)}
+        actions = [ExactMatrix.from_entries(
+            len(monos), len(monos),
+            [(index[m2], v, c) for v, mono in enumerate(monos)
+             for m2, c in lr.anchor_apply(k, {mono: QQ(1)}).items()]) for k in range(3)]
+        cplx = ce_complex(sl2, GModule(sl2, len(monos), actions))
+        for p in range(3):
+            assert ce_d(lr, p, w) == cplx.d(p), f"p={p}, w={w}"
+        nonzero = {k: v for k, v in betti(omega_slice_complex(lr, w)).items() if v}
+        assert nonzero == ({0: 1, 3: 1} if w == 0 else {})
