@@ -10,6 +10,7 @@ no timings); wall-clock timings go to stdout only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -445,7 +446,8 @@ MATH_ERRORS = (
 )
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liekoszul",
         description="Exact homological computations from structured example files.")
@@ -462,7 +464,11 @@ def main(argv=None) -> int:
             p.add_argument("--weights", default=None, help="weight range a..b")
         if name == "p1":
             p.add_argument("--window", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     started = time.monotonic()
     try:

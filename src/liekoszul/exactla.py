@@ -470,6 +470,22 @@ def image_basis(m: ExactMatrix) -> Subspace:
     return Subspace._span(m.rows, _transpose(m.row_maps, m.cols))
 
 
+def normal_forms(s: Subspace) -> list[Row]:
+    """The class of each unit vector e_j in QQ^n / s, in coordinates of the
+    quotient basis: the e_i not in s + span(e_0..e_{i-1}), as picked by
+    `Subquotient(Subspace.full_space(n), s)`.  They are the non-pivots of the
+    RREF of s with each row's pivot at its last nonzero column, and a pivot
+    e_p is minus the rest of its row."""
+    n = s.ambient_dim
+    rows, pivots = _rref([{n - 1 - j: a for j, a in r.items()} for r in s.sparse_basis])
+    pivset = {n - 1 - p for p in pivots}
+    index = {j: i for i, j in enumerate(j for j in range(n) if j not in pivset)}
+    forms: list[Row] = [{index[j]: ONE} if j in index else {} for j in range(n)]
+    for row, p in zip(rows, pivots):
+        forms[n - 1 - p] = {index[n - 1 - c]: -a for c, a in row.items() if c != p}
+    return forms
+
+
 def rank(m: ExactMatrix) -> int:
     """Number of pivots of an echelon form of the rows of M."""
     return len(_rref(m.row_maps, reduced=False)[1])

@@ -13,6 +13,11 @@ zero differential (the exterior directions consumed by V do not survive
 restriction to the zero locus).  The reduction map onto it is checked to
 be a chain map and a quasi-isomorphism slice by slice; a quasi-iso
 failure signals that the zero locus does not behave regularly.
+
+Normal forms come from one RREF of each ideal slice I_w with each row's
+pivot at its last nonzero monomial (Lazard, EUROCAL 1983): the quotient
+basis is the monomials e_i not in I_w + span(e_0..e_{i-1}), the non-pivots,
+and a pivot monomial reduces to minus the rest of its row.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction as QQ
 from typing import Mapping
 
 from .complexes import ChainMap, CochainComplex, betti, is_quasi_isomorphism
-from .exactla import ExactMatrix, Subquotient, Subspace
+from .exactla import ExactMatrix, Subspace, normal_forms
 from .lierinehart import (
     LieRinehartPresentation,
     SectionV,
@@ -70,26 +75,13 @@ class ZeroLocusModel:
         self._slices: dict[int, Subspace] = {}
 
     def ideal_slice(self, w: int) -> Subspace:
-        cached = self._slices.get(w)
-        if cached is not None:
-            return cached
-        monos = self.ring.monomials(w)
-        index = {m: i for i, m in enumerate(monos)}
-        vectors = []
-        for gen, gw in zip(self.generators, self.gen_weights):
-            for mult in self.ring.monomials(w - gw):
-                prod = p_mul({mult: QQ(1)}, gen)
-                vec = [QQ(0)] * len(monos)
-                for mono, coeff in prod.items():
-                    vec[index[mono]] = coeff
-                vectors.append(tuple(vec))
-        s = Subspace(len(monos), vectors)
-        self._slices[w] = s
-        return s
-
-    def quotient_slice(self, w: int) -> Subquotient:
-        n = self.ring.slice_dim(w)
-        return Subquotient(Subspace.full_space(n), self.ideal_slice(w))
+        if w not in self._slices:
+            index = {m: i for i, m in enumerate(self.ring.monomials(w))}
+            rows = [{index[mono]: c for mono, c in p_mul({mult: QQ(1)}, gen).items()}
+                    for gen, gw in zip(self.generators, self.gen_weights)
+                    for mult in self.ring.monomials(w - gw)]
+            self._slices[w] = Subspace._span(len(index), rows)
+        return self._slices[w]
 
     def quotient_dim(self, w: int) -> int:
         return self.ring.slice_dim(w) - self.ideal_slice(w).dim
@@ -115,9 +107,10 @@ def is_zero_dimensional(v: SectionV, w_max: int) -> bool:
     max_u = max(ring.weights)
     if w_max < max_u - 1:
         raise InconclusiveError(f"w_max={w_max} smaller than one weight window")
-    dims = [model.quotient_dim(w) for w in range(w_max + 1)]
-    for start in range(0, w_max - max_u + 2):
-        if all(dims[start + k] == 0 for k in range(max_u)):
+    dims = []
+    for w in range(w_max + 1):
+        dims.append(model.quotient_dim(w))
+        if len(dims) >= max_u and not any(dims[-max_u:]):
             return True
     raise InconclusiveError(
         f"quotient dims {dims} do not vanish on a full window, and no axis "
@@ -199,18 +192,15 @@ def _subset_fn_weight(lr, w, subset) -> int:
 
 def _reduction_matrix(lr, model: ZeroLocusModel, fs, w,
                       offsets: dict[tuple[int, ...], int], dim_target: int) -> ExactMatrix:
-    ring = lr.ring
+    forms = {}  # subset -> monomial -> its normal form
+    for s in offsets:
+        wf = _subset_fn_weight(lr, w, s)
+        forms[s] = dict(zip(lr.ring.monomials(wf), normal_forms(model.ideal_slice(wf))))
     entries = []
-    quots = {s: model.quotient_slice(_subset_fn_weight(lr, w, s)) for s in offsets}
     for col, (subset, mono) in enumerate(fs.basis):
         if subset in offsets:
-            wf = _subset_fn_weight(lr, w, subset)
-            monos = ring.monomials(wf)
-            vec = [QQ(0)] * len(monos)
-            vec[monos.index(mono)] = QQ(1)
-            coords = quots[subset].class_coordinates(tuple(vec))
             base = offsets[subset]
-            entries.extend((base + i, col, c) for i, c in enumerate(coords))
+            entries.extend((base + i, col, c) for i, c in forms[subset][mono].items())
     return ExactMatrix.from_entries(dim_target, fs.dim, entries)
 
 

@@ -74,6 +74,24 @@ def lie_rinehart_instances():
     ]
 
 
+def formality_instances():
+    """(name, presentation, section) for the formality oracles: the certified
+    corpus, x d/dx on euler-n2 (its zero locus is the y axis), and two
+    sections whose ideals are not monomial, so that normal forms have
+    entries off their own monomial and the quotient basis depends on the
+    pivot rule."""
+    out = [(name, lr, v) for name, lr, v, _ in lie_rinehart_instances()]
+    euler = build_lie_rinehart(dict(case_payloads("lie_rinehart"))["euler-n2"])[0]
+    t3 = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
+    out += [
+        ("euler-n2/x-dx", euler, SectionV(euler, [{(1, 0): 1}, {}])),
+        ("euler-n2/(x+y)-dx", euler, SectionV(euler, [{(1, 0): 1, (0, 1): 1}, {}])),
+        ("tangent-n3/binomial", t3, SectionV(t3, [{(1, 0, 0): 1, (0, 1, 0): 1},
+                                                  {(0, 1, 0): 1, (0, 0, 1): -2}, {}])),
+    ]
+    return out
+
+
 def p1_instances():
     """(name, algebroid, section, untwisted) for the projective-line corpus."""
     a0 = atiyah_algebroid(0)

@@ -25,13 +25,20 @@ signs from an inversion count (`sort_sign`) rather than the package's
 `_wedge_insert_sign`.  `tests/test_oracle.py` compares their matrices with
 `lierinehart.ce_d`, `hochserre.ce_complex` and
 `hochserre._action_on_h_cochains`.
+
+`qi_by_induced_maps` is the quasi-isomorphism test the package used before
+the mapping-cone rank identity: both cohomologies as subquotients, the
+induced maps on class representatives, and a dimension and rank check.
+`reduction_matrix_by_solve` is the reduction matrix of `koszul` built the
+old way, one class-coordinate solve per monomial in the subquotient
+R_w / I_w; it pins the quotient basis that `exactla.normal_forms` reads off.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction as QQ
 from itertools import combinations
 
-from liekoszul.complexes import CochainComplex
+from liekoszul.complexes import CochainComplex, _induced, cohomology
 from liekoszul.exactla import (
     ExactMatrix,
     Subquotient,
@@ -40,6 +47,7 @@ from liekoszul.exactla import (
     rank,
     unit_vector,
 )
+from liekoszul.koszul import _subset_fn_weight
 from liekoszul.lierinehart import p_add, p_mul, p_scale
 
 
@@ -310,3 +318,28 @@ def action_on_h_cochains_scan(g2, m2, k, x, q):
                         entries.append((index[(tsub, v)], col,
                                         -eval_sign(subset, tsub, i, s) * c))
     return ExactMatrix.from_entries(len(basis), len(basis), entries)
+
+
+def qi_by_induced_maps(f):
+    """complexes.is_quasi_isomorphism through the induced maps on cohomology."""
+    hs, ht = cohomology(f.source), cohomology(f.target)
+    induced = _induced(f, hs, ht)
+    for k in set(hs) | set(ht):
+        a = hs[k].dim if k in hs else 0
+        b = ht[k].dim if k in ht else 0
+        if a != b or rank(induced[k]) != a:
+            return False
+    return True
+
+
+def reduction_matrix_by_solve(lr, model, fs, w, offsets, dim_target):
+    """koszul._reduction_matrix with one class-coordinate solve per monomial."""
+    entries = []
+    for col, (subset, mono) in enumerate(fs.basis):
+        if subset in offsets:
+            wf = _subset_fn_weight(lr, w, subset)
+            monos = lr.ring.monomials(wf)
+            quot = Subquotient(Subspace.full_space(len(monos)), model.ideal_slice(wf))
+            coords = quot.class_coordinates(unit_vector(len(monos), monos.index(mono)))
+            entries.extend((offsets[subset] + i, col, c) for i, c in enumerate(coords))
+    return ExactMatrix.from_entries(dim_target, fs.dim, entries)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from liekoszul.cli import main
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -101,6 +103,29 @@ def test_json_report_deterministic(tmp_path):
     assert run_cli(["hs", CASES / "aff1-nilradical.json", "--json", a]) == 0
     assert run_cli(["hs", CASES / "aff1-nilradical.json", "--json", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_reuse_keeps_reports_and_exit_codes(tmp_path, capsys):
+    # One process runs koszul with and without --weights, then p1; each
+    # report must equal the one a fresh process writes.
+    runs = [["koszul", CASES / "euler-n2.json", "--weights", "2..2"],
+            ["koszul", CASES / "euler-n2.json"],
+            ["p1", CASES / "p1-euler-O0.json"]]
+    for i, args in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        assert run_cli(args + ["--json", here]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "liekoszul.cli", *map(str, args), "--json", str(fresh)],
+            capture_output=True, text=True, env={**os.environ})
+        assert proc.returncode == 0
+        assert here.read_bytes() == fresh.read_bytes()
+    for bad in (["koszul"], ["nope", CASES / "euler-n2.json"],
+                ["p1", CASES / "p1-euler-O0.json", "--window", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(["koszul", CASES / "euler-n2.json", "--weights", "1..1"]) == 0
 
 
 def test_console_entry_point():

@@ -209,3 +209,16 @@ def test_slice_through_row_filtration_degenerates():
         d = DoubleComplex.from_single_row(ks.complex)
         res = run(row_filtration(d))
         assert res.degeneration_page <= 2
+
+
+def test_zero_dimensional_stops_at_the_first_full_window(monkeypatch):
+    built = []
+    real = ZeroLocusModel.ideal_slice
+
+    def counting(self, w):
+        built.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(ZeroLocusModel, "ideal_slice", counting)
+    assert is_zero_dimensional(EULER2, 50) is True
+    assert built and max(built) == 1  # (x, y) vanishes from weight 1 on

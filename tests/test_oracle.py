@@ -3,17 +3,29 @@
 The spectral-sequence engine (one persistence pairing) against the
 subquotient engine: every page's dims, every d_r rank, and the stable and
 degeneration pages must agree.  The Chevalley-Eilenberg builders against
-the scanning builders: the matrices must be equal, not just their ranks."""
+the scanning builders: the matrices must be equal, not just their ranks.
+The mapping-cone quasi-isomorphism test against the induced maps on
+cohomology, and the reduction matrix read off normal forms against one
+class-coordinate solve per monomial."""
 
 import random
 
 import pytest
 
 import corpus
+from liekoszul import koszul
 from liekoszul.cechp1 import cech_koszul
-from liekoszul.complexes import FilteredComplex, column_filtration, row_filtration
+from liekoszul.complexes import (
+    ChainMap,
+    CochainComplex,
+    FilteredComplex,
+    betti,
+    column_filtration,
+    is_quasi_isomorphism,
+    row_filtration,
+)
 from liekoszul.cli import build_lie_algebra
-from liekoszul.exactla import Subspace
+from liekoszul.exactla import ExactMatrix, Subspace, normal_forms, rank, unit_vector
 from liekoszul.hochserre import (
     GModule,
     LieIdeal,
@@ -31,6 +43,8 @@ from oracle import (
     ce_d_scan,
     flag_of,
     oracle_run,
+    qi_by_induced_maps,
+    reduction_matrix_by_solve,
 )
 from test_specseq import random_flag
 
@@ -108,3 +122,134 @@ def test_action_on_h_cochains_matches_scanning_builder():
             for q in range(k + 1):
                 assert (_action_on_h_cochains(g2, m2, k, x, q)
                         == action_on_h_cochains_scan(g2, m2, k, x, q)), (x, q)
+
+
+FORMALITY = [pytest.param(lr, v, id=name) for name, lr, v in corpus.formality_instances()]
+
+
+@pytest.mark.parametrize("lr,v", FORMALITY)
+def test_formality_slices_match_oracles(lr, v, monkeypatch):
+    built = []
+
+    def checked(*args):
+        m = real(*args)
+        assert m == reduction_matrix_by_solve(*args)
+        built.append(m)
+        return m
+
+    real = koszul._reduction_matrix
+    monkeypatch.setattr(koszul, "_reduction_matrix", checked)
+    for w in range(7):
+        _, _, chain = koszul.reduction_map(lr, v, w)
+        assert is_quasi_isomorphism(chain) == qi_by_induced_maps(chain), f"w={w}"
+    assert built
+
+
+@pytest.mark.parametrize("lr,v", FORMALITY)
+def test_normal_forms_differ_from_their_monomial_by_the_ideal(lr, v):
+    model = koszul.ZeroLocusModel(lr, v)
+    for w in range(7):
+        ideal = model.ideal_slice(w)
+        n = ideal.ambient_dim
+        units = [unit_vector(n, i) for i in range(n)]
+        # e_i is a quotient basis vector iff e_i is not in I + span(e_0..e_{i-1}).
+        kept = [i for i in range(n) if not ideal.add(Subspace(n, units[:i])).contains(units[i])]
+        assert len(kept) == model.quotient_dim(w)
+        for j, form in enumerate(normal_forms(ideal)):
+            diff = [-x for x in units[j]]
+            for i, c in form.items():
+                diff[kept[i]] += c
+            assert ideal.contains(diff), f"w={w}, e_{j}"
+
+
+def _random_matrix(rng, rows, cols, density):
+    return ExactMatrix.from_entries(rows, cols, [
+        (i, j, rng.choice([-2, -1, 1, 2]))
+        for i in range(rows) for j in range(cols) if rng.random() < density])
+
+
+def _basis_change(rng, n):
+    """A random invertible n x n matrix and its inverse, as products of
+    elementary matrices I + a e_ij."""
+    q = qinv = ExactMatrix.identity(n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        a = rng.choice([-2, -1, 1, 2])
+        ones = [(k, k, 1) for k in range(n)]
+        q = ExactMatrix.from_entries(n, n, ones + [(i, j, a)]) @ q
+        qinv = qinv @ ExactMatrix.from_entries(n, n, ones + [(i, j, -a)])
+    return q, qinv
+
+
+def _standard_complex(rng, lo, hi, h):
+    """A complex in a random basis whose degree k is H^k (h[k] vectors) plus
+    pairs e -> e' of a contractible part, with the H^k block first in the
+    standard basis; returns it and the basis changes (Q_k, Q_k^-1)."""
+    b = {k: rng.randint(0, 2) for k in range(lo, hi)}
+    dims = [h.get(k, 0) + b.get(k, 0) + b.get(k - 1, 0) for k in range(lo, hi + 1)]
+    changes = {k: _basis_change(rng, dims[k - lo]) for k in range(lo, hi + 1)}
+    diffs = []
+    for k in range(lo, hi):
+        src = h.get(k, 0)                      # out-going pair ends in degree k
+        dst = h.get(k + 1, 0) + b.get(k + 1, 0)  # in-coming pair ends in degree k+1
+        d = ExactMatrix.from_entries(dims[k + 1 - lo], dims[k - lo],
+                                     [(dst + i, src + i, 1) for i in range(b[k])])
+        diffs.append(changes[k + 1][0] @ d @ changes[k][1])
+    return CochainComplex(lo, hi, dims, diffs), changes
+
+
+def _random_chain_map(rng):
+    """A chain map A + d h + h d between standard complexes in random bases,
+    where A maps H_C^k to H_D^k, and the quasi-isomorphism verdict that
+    follows from A alone."""
+    lo_c, hi_c = rng.choice([(0, 1), (0, 2), (-1, 2)])
+    lo_d, hi_d = rng.choice([(lo_c, hi_c), (lo_c, hi_c), (lo_c - 1, hi_c), (lo_c, hi_c + 1)])
+    hc = {k: rng.randint(0, 2) for k in range(lo_c, hi_c + 1)}
+    hd = {k: hc.get(k, 0) if rng.random() < 0.9 else rng.randint(0, 2)
+          for k in range(lo_d, hi_d + 1)}
+    c, qc = _standard_complex(rng, lo_c, hi_c, hc)
+    d, qd = _standard_complex(rng, lo_d, hi_d, hd)
+    lo, hi = min(lo_c, lo_d), max(hi_c, hi_d)
+    homotopy = {k: _random_matrix(rng, d.dim(k - 1), c.dim(k), 0.3) for k in range(lo, hi + 2)}
+    expected = True
+    maps = {}
+    for k in range(lo, hi + 1):
+        a = _random_matrix(rng, hd.get(k, 0), hc.get(k, 0), 0.7)
+        expected &= a.rows == a.cols == rank(a)
+        core = ExactMatrix.from_entries(d.dim(k), c.dim(k), [
+            (i, j, x) for i, row in enumerate(a.row_maps) for j, x in row.items()])
+        if k in qc and k in qd:
+            core = qd[k][0] @ core @ qc[k][1]
+        maps[k] = core + d.d(k - 1) @ homotopy[k] + homotopy[k + 1] @ c.d(k)
+    return ChainMap(c, d, maps), expected
+
+
+def _nonzero_betti(c):
+    return {k: h for k, h in betti(c).items() if h}
+
+
+def test_random_chain_maps_match_oracle():
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(200):
+        f, expected = _random_chain_map(rng)
+        assert is_quasi_isomorphism(f) == qi_by_induced_maps(f) == expected
+        verdicts.append((expected, _nonzero_betti(f.source) == _nonzero_betti(f.target)))
+    assert sum(e for e, _ in verdicts) >= 40
+    # failures a dims-only comparison would pass
+    assert sum(1 for e, same in verdicts if not e and same) >= 40
+
+
+def test_maps_between_equal_betti_numbers_can_fail():
+    flat = CochainComplex(0, 1, [1, 1], [ExactMatrix.zeros(1, 1)])
+    half = ChainMap(flat, flat, {0: ExactMatrix.identity(1)})  # zero on H^1
+    # d e_0 = e_0': H^0 = <e_1>, H^1 = <e_1'>; the map sends e_1' to the boundary e_0'
+    c = CochainComplex(0, 1, [2, 2], [ExactMatrix.from_rows([[1, 0], [0, 0]])])
+    kill = ChainMap(c, c, {0: ExactMatrix.identity(2),
+                           1: ExactMatrix.from_rows([[1, 1], [0, 0]])})
+    for f in (half, kill):
+        assert betti(f.source) == betti(f.target)
+        assert not is_quasi_isomorphism(f)
+        assert not qi_by_induced_maps(f)
+    identity = ChainMap(flat, flat, {0: ExactMatrix.identity(1), 1: ExactMatrix.identity(1)})
+    assert is_quasi_isomorphism(identity) and qi_by_induced_maps(identity)
