@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 
 from .complexes import DoubleComplex, betti, column_filtration, row_filtration, total
-from .exactla import ExactMatrix, qq, rank
+from .exactla import ExactMatrix, qq, quotient, rank
 from .specseq import check_convergence, compute_page, pairing, run
 
 Laurent = dict[int, QQ]
@@ -66,7 +66,7 @@ def lp_monomial(e: int, c=1) -> Laurent:
 def lp_add(a: Laurent, b: Laurent) -> Laurent:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, QQ(0)) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -84,7 +84,7 @@ def lp_mul(a: Laurent, b: Laurent) -> Laurent:
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            s = out.get(e, QQ(0)) + ca * cb
+            s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
             else:
@@ -99,14 +99,14 @@ def lp_flip(a: Laurent) -> Laurent:
 
 def lp_eval(a: Laurent, x: QQ) -> QQ:
     x = qq(x)
-    total_ = QQ(0)
+    total_ = 0
     for e, c in a.items():
         if e >= 0:
             total_ += c * x ** e
         else:
             if x == 0:
                 raise ZeroDivisionError("negative exponent at zero")
-            total_ += c / x ** (-e)
+            total_ += quotient(c, x ** (-e))
     return total_
 
 
@@ -158,12 +158,10 @@ def lmat_inverse(a: LMatrix) -> LMatrix:
     if len(det) != 1:
         raise ValueError("transition determinant is not a unit monomial")
     (e, c), = det.items()
-    inv_det = lp_monomial(-e, QQ(1) / c)
-    n = len(a)
-    if n == 1:
-        return ((inv_det,),)
-    adj = ((a[1][1], lp_scale(-1, a[0][1])), (lp_scale(-1, a[1][0]), a[0][0]))
-    return tuple(tuple(lp_mul(inv_det, adj[i][j]) for j in range(2)) for i in range(2))
+    adj = ((lp(1),),) if len(a) == 1 else (
+        (a[1][1], lp_scale(-1, a[0][1])), (lp_scale(-1, a[1][0]), a[0][0]))
+    return tuple(tuple({k - e: quotient(x, c) for k, x in entry.items()}  # adj / (c z^e)
+                       for entry in row) for row in adj)
 
 
 def lmat_transpose(a: LMatrix) -> LMatrix:
@@ -389,13 +387,13 @@ class EquivariantSection:
         self.v0 = lp_coeffs_poly([a, b, c])
         forced = -d * c
         if scalar0 is None:
-            alpha = QQ(0)
+            alpha = 0
         else:
             coeffs = [qq(x) for x in scalar0]
             if len(coeffs) > 2 or (len(coeffs) == 2 and coeffs[1] != forced):
                 raise GluingError(
                     f"scalar part must be alpha + ({forced})*z to glue, got {coeffs}")
-            alpha = coeffs[0] if coeffs else QQ(0)
+            alpha = coeffs[0] if coeffs else 0
         self.alpha = alpha
         self.f0 = lp_coeffs_poly([alpha, forced])
         self.w1 = lp_coeffs_poly([-c, -b, -a])
@@ -574,13 +572,13 @@ def vector_field_zeros(section: EquivariantSection) -> list[tuple[object, int]]:
         if disc != 0 and root is None:
             raise IrrationalZeroError(f"irrational zero: discriminant {disc}")
         if disc == 0:
-            zeros.append((-b / (2 * c), 2))
+            zeros.append((quotient(-b, 2 * c), 2))
         else:
-            zeros.append(((-b + root) / (2 * c), 1))
-            zeros.append(((-b - root) / (2 * c), 1))
+            zeros.append((quotient(-b + root, 2 * c), 1))
+            zeros.append((quotient(-b - root, 2 * c), 1))
         deg = 2
     elif b != 0:
-        zeros.append((-a / b, 1))
+        zeros.append((quotient(-a, b), 1))
         deg = 1
     else:
         deg = 0
@@ -604,7 +602,7 @@ def fixed_point_set(section: EquivariantSection, untwisted: bool) -> list[object
     pts = []
     for loc, _m in vector_field_zeros(section):
         if loc == "infinity":
-            if untwisted or lp_eval(section.f1, QQ(0)) == 0:
+            if untwisted or lp_eval(section.f1, 0) == 0:
                 pts.append(loc)
         else:
             if untwisted or lp_eval(section.f0, loc) == 0:

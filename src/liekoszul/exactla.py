@@ -3,19 +3,22 @@
 Kernels, images, canonical echelon bases, subquotients, and the maps a
 linear map induces on subquotients.  Every cohomology group computed by
 this package is ultimately a Subquotient produced here, so everything is
-exact: entries are `fractions.Fraction` (arbitrary precision).
+exact.  An integral entry is stored as an `int`, any other as a
+`fractions.Fraction` (`qq` and `quotient` keep this rule); the dense
+views return `Fraction`s.
 
 Storage is sparse and canonical.  An `ExactMatrix` keeps, per row, a dict
-from column index to nonzero entry, and never stores a zero, so two equal
-matrices have equal storage whatever zeros they were built from.
+from column index to nonzero entry, and never stores a zero or an integral
+`Fraction`, so two equal matrices have equal storage whatever they were
+built from.
 Products, sums, zero tests, equality and elimination touch nonzeros only.
 A `Subspace` keeps the rows of its reduced row echelon form (RREF) the
 same way.  The RREF of a row space is unique, so the elimination result,
 and with it every basis, is canonical whatever order the elimination
-works in; tests compare bases, not just dimensions.  Dense tuples appear
-only at the edges: vectors passed in and out (`Vector`), and the
-read-only views `entry`, `row`, `column` and `entries` kept for tests and
-`repr`.
+works in; tests compare bases, not just dimensions.  Dense tuples of
+`Fraction`s appear only at the edges: vectors passed out (`Vector`), and
+the read-only views `entry`, `row`, `column` and `entries` kept for tests
+and `repr`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 QQ = Fraction
 
 Vector = tuple[QQ, ...]
-Row = dict[int, QQ]   # column index -> nonzero entry
+Row = dict[int, "int | QQ"]   # column index -> nonzero entry, an int if integral
 
 ZERO = QQ(0)
 ONE = QQ(1)
@@ -44,15 +47,26 @@ class NotFiltrationCompatibleError(LinearAlgebraError):
     """Raised when a map does not respect cycles/boundaries of subquotients."""
 
 
-def qq(x) -> QQ:
-    """Coerce an int, string like "3/4", or Fraction to an exact rational."""
-    if isinstance(x, QQ):
+def qq(x) -> "int | QQ":
+    """Coerce an int, a string like "3/4" or a Fraction to an exact rational,
+    an int if it is integral; a bool or a bad string such as "1/0" raises."""
+    if x.__class__ is int:
         return x
-    if isinstance(x, int):
-        return QQ(x)
     if isinstance(x, str):
-        return QQ(x.strip())
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+        try:
+            x = QQ(x.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"cannot interpret {x!r} as a rational") from None
+    elif isinstance(x, bool) or not isinstance(x, (int, QQ)):
+        raise TypeError(f"cannot interpret {x!r} as a rational")
+    return _integral(x)
+
+
+def quotient(a, b) -> "int | QQ":
+    """a / b exactly (`int / int` would be a float), an int if it is integral."""
+    if a.__class__ is int and b.__class__ is int and not a % b:
+        return a // b
+    return _integral(QQ(a, b))
 
 
 def format_rational(x: QQ) -> str:
@@ -69,8 +83,13 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def _integral(x):
+    """x, with an integral Fraction turned into its int."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
 def _sparse(v: Sequence) -> Row:
-    """The nonzero entries of a dense vector, coerced to QQ."""
+    """The nonzero entries of a dense vector, coerced by `qq`."""
     out = {}
     for j, e in enumerate(v):
         x = qq(e)
@@ -82,7 +101,7 @@ def _sparse(v: Sequence) -> Row:
 def _dense(row: Mapping[int, QQ], n: int) -> Vector:
     v = [ZERO] * n
     for j, x in row.items():
-        v[j] = x
+        v[j] = QQ(x)
     return tuple(v)
 
 
@@ -95,21 +114,21 @@ def _transpose(rows: Sequence[Mapping[int, QQ]], ncols: int) -> list[Row]:
 
 
 def _axpy(w: Row, f: QQ, row: Mapping[int, QQ]) -> None:
-    """w -= f * row, in place, keeping w free of zeros."""
+    """w -= f * row, in place, keeping w canonical."""
     for j, a in row.items():
         y = w.get(j)
         if y is None:
-            w[j] = -f * a
+            y = -f * a
         else:
             y -= f * a
-            if y:
-                w[j] = y
-            else:
+            if not y:
                 del w[j]
+                continue
+        w[j] = y if y.__class__ is int or y.denominator != 1 else y.numerator
 
 
 def _wrap(rows: int, cols: int, row_maps: tuple) -> "ExactMatrix":
-    """An ExactMatrix over rows that are already canonical (QQ, no zeros)."""
+    """An ExactMatrix over rows that are already canonical."""
     m = object.__new__(ExactMatrix)
     object.__setattr__(m, "rows", rows)
     object.__setattr__(m, "cols", cols)
@@ -134,7 +153,7 @@ class ExactMatrix:
             for j, e in r.items():
                 if not 0 <= j < cols:
                     raise LinearAlgebraError(f"column index {j} outside a {rows}x{cols} matrix")
-                x = qq(e)
+                x = e if e.__class__ is int else qq(e)
                 if x:
                     out[j] = x
             data.append(out)
@@ -174,7 +193,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return _wrap(n, n, tuple({i: ONE} for i in range(n)))
+        return _wrap(n, n, tuple({i: 1} for i in range(n)))
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Sequence]) -> "ExactMatrix":
@@ -188,13 +207,13 @@ class ExactMatrix:
     # -- dense views, for tests and repr --------------------------------------
 
     def entry(self, i: int, j: int) -> QQ:
-        return self.row_maps[i].get(j, ZERO)
+        return QQ(self.row_maps[i].get(j, 0))
 
     def row(self, i: int) -> Vector:
         return _dense(self.row_maps[i], self.cols)
 
     def column(self, j: int) -> Vector:
-        return tuple(r.get(j, ZERO) for r in self.row_maps)
+        return tuple(QQ(r.get(j, 0)) for r in self.row_maps)
 
     @property
     def entries(self) -> Vector:
@@ -208,12 +227,12 @@ class ExactMatrix:
             raise LinearAlgebraError("vector length does not match column count")
         out = []
         for row in self.row_maps:
-            acc = ZERO
+            acc = 0
             for j, c in row.items():
                 x = v[j]
                 if x:
                     acc += c * x
-            out.append(acc)
+            out.append(QQ(acc))
         return tuple(out)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -229,7 +248,7 @@ class ExactMatrix:
                 for j, b in right[k].items():
                     x = acc.get(j)
                     acc[j] = a * b if x is None else x + a * b
-            out.append({j: x for j, x in acc.items() if x})
+            out.append({j: _integral(x) for j, x in acc.items() if x})
         return _wrap(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -241,7 +260,7 @@ class ExactMatrix:
                 out.append(a or b)
                 continue
             s = dict(a)
-            _axpy(s, -ONE, b)
+            _axpy(s, -1, b)
             out.append(s)
         return _wrap(self.rows, self.cols, tuple(out))
 
@@ -254,7 +273,7 @@ class ExactMatrix:
         if not c:
             return ExactMatrix.zeros(self.rows, self.cols)
         return _wrap(self.rows, self.cols,
-                     tuple({j: c * x for j, x in r.items()} for r in self.row_maps))
+                     tuple({j: _integral(c * x) for j, x in r.items()} for r in self.row_maps))
 
     def transpose(self) -> "ExactMatrix":
         return _wrap(self.cols, self.rows, tuple(_transpose(self.row_maps, self.cols)))
@@ -284,16 +303,18 @@ class ExactMatrix:
 def _insert(echelon: dict[int, Row], r: Row) -> bool:
     """Reduce the row r (a fresh dict, consumed) against `echelon`, which maps
     pivot columns to rows with a 1 there and nothing left of it.  If a
-    nonzero remainder is left it is normalized and added under its leading
-    column; returns whether that happened."""
+    nonzero remainder is left it is divided by its leading entry (a pivot
+    of 1 or -1 builds no Fraction) and added under its leading column;
+    returns whether that happened."""
     while r:
         c = min(r)
         p = echelon.get(c)
         if p is None:
             x = r[c]
-            if x != 1:
-                inv = ONE / x
-                r = {j: a * inv for j, a in r.items()}
+            if x == -1:
+                r = {j: -a for j, a in r.items()}
+            elif x != 1:
+                r = {j: quotient(a, x) for j, a in r.items()}
             echelon[c] = r
             return True
         _axpy(r, r[c], p)
@@ -354,7 +375,7 @@ class Subspace:
 
     @classmethod
     def _span(cls, ambient_dim: int, rows: Sequence[Row]) -> "Subspace":
-        """Span of canonical sparse rows (QQ entries, no zeros, in range)."""
+        """Span of canonical sparse rows (no zeros, ints where integral, in range)."""
         s = object.__new__(cls)
         s._set(ambient_dim, rows)
         return s
@@ -368,7 +389,7 @@ class Subspace:
 
     @classmethod
     def full_space(cls, n: int) -> "Subspace":
-        return cls._span(n, [{i: ONE} for i in range(n)])
+        return cls._span(n, [{i: 1} for i in range(n)])
 
     @property
     def basis(self) -> tuple[Vector, ...]:
@@ -456,7 +477,7 @@ def kernel_basis(m: ExactMatrix) -> Subspace:
     pivset = set(pivots)
     # One kernel vector per free column f: 1 at f, minus column f of the
     # RREF at the pivots.
-    free: dict[int, Row] = {f: {f: ONE} for f in range(m.cols) if f not in pivset}
+    free: dict[int, Row] = {f: {f: 1} for f in range(m.cols) if f not in pivset}
     for row, p in zip(rows, pivots):
         for j, a in row.items():
             v = free.get(j)
@@ -480,7 +501,7 @@ def normal_forms(s: Subspace) -> list[Row]:
     rows, pivots = _rref([{n - 1 - j: a for j, a in r.items()} for r in s.sparse_basis])
     pivset = {n - 1 - p for p in pivots}
     index = {j: i for i, j in enumerate(j for j in range(n) if j not in pivset)}
-    forms: list[Row] = [{index[j]: ONE} if j in index else {} for j in range(n)]
+    forms: list[Row] = [{index[j]: 1} if j in index else {} for j in range(n)]
     for row, p in zip(rows, pivots):
         forms[n - 1 - p] = {index[n - 1 - c]: -a for c, a in row.items() if c != p}
     return forms
@@ -524,7 +545,7 @@ def solve_batch(m: ExactMatrix, vectors: Sequence[Vector]) -> list[Vector | None
                 if p == n + j:
                     ok = False
                 continue
-            x[p] = row.get(n + j, ZERO)
+            x[p] = QQ(row.get(n + j, 0))
         if not ok or m.apply(x) != tuple(v):
             out.append(None)
         else:

@@ -58,12 +58,12 @@ class LieAlgebra:
             if any(cs):
                 self._c[(i, j)] = cs
         # Both orders of every nonzero bracket, so that `c` is one lookup.
-        self._zero = (QQ(0),) * dim
+        self._zero = (0,) * dim
         self._table = dict(self._c)
         self._table.update({(j, i): tuple(-x for x in cs) for (i, j), cs in self._c.items()})
         for i, j, k in combinations(range(dim), 3):
             for s in range(dim):
-                total = QQ(0)
+                total = 0
                 for l in range(dim):
                     total += self.c(i, j)[l] * self.c(l, k)[s]
                     total += self.c(j, k)[l] * self.c(l, i)[s]
@@ -76,7 +76,7 @@ class LieAlgebra:
         return self._table.get((i, j), self._zero)
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> tuple[QQ, ...]:
-        out = [QQ(0)] * self.dim
+        out = [0] * self.dim
         for i, ui in enumerate(u):
             if not ui:
                 continue

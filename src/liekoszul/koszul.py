@@ -23,7 +23,6 @@ and a pivot monomial reduces to minus the rest of its row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as QQ
 from typing import Mapping
 
 from .complexes import ChainMap, CochainComplex, betti, is_quasi_isomorphism
@@ -32,7 +31,6 @@ from .lierinehart import (
     LieRinehartPresentation,
     SectionV,
     contraction,
-    p_mul,
 )
 
 
@@ -77,7 +75,8 @@ class ZeroLocusModel:
     def ideal_slice(self, w: int) -> Subspace:
         if w not in self._slices:
             index = {m: i for i, m in enumerate(self.ring.monomials(w))}
-            rows = [{index[mono]: c for mono, c in p_mul({mult: QQ(1)}, gen).items()}
+            rows = [{index[tuple(a + b for a, b in zip(mono, mult))]: c
+                     for mono, c in gen.items()}
                     for gen, gw in zip(self.generators, self.gen_weights)
                     for mult in self.ring.monomials(w - gw)]
             self._slices[w] = Subspace._span(len(index), rows)

@@ -63,14 +63,14 @@ def poly(data, nvars: int) -> Poly:
             raise MalformedPresentation(f"bad monomial {mono} for {nvars} variables")
         c = qq(coeff)
         if c:
-            out[mono] = out.get(mono, QQ(0)) + c
+            out[mono] = out.get(mono, 0) + c
     return {m: c for m, c in out.items() if c}
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, QQ(0)) + c
+        s = out.get(m, 0) + c
         if s:
             out[m] = s
         else:
@@ -94,7 +94,7 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(m, QQ(0)) + ca * cb
+            s = out.get(m, 0) + ca * cb
             if s:
                 out[m] = s
             else:
@@ -177,7 +177,7 @@ class WeightedPolyRing:
     def variable(self, j: int) -> Poly:
         m = [0] * self.nvars
         m[j] = 1
-        return {tuple(m): QQ(1)}
+        return {tuple(m): 1}
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ Element = tuple[Poly, ...]
 
 
 def elem_basis(lr: LieRinehartPresentation, i: int, f: Poly | None = None) -> Element:
-    one = {(0,) * lr.ring.nvars: QQ(1)} if f is None else f
+    one = {(0,) * lr.ring.nvars: 1} if f is None else f
     return tuple(dict(one) if k == i else {} for k in range(lr.rank))
 
 
@@ -411,7 +411,7 @@ def validate(lr: LieRinehartPresentation, w_max: int = 2) -> ValidationReport:
         monos.extend(ring.monomials(w))
     for i in range(m):
         for mono in monos:
-            f = {mono: QQ(1)}
+            f = {mono: 1}
             name = f"{p_str(f)}*{gens[i]}" if mono != (0,) * ring.nvars else gens[i]
             decorated.append((name, elem_basis(lr, i, f)))
 
@@ -431,7 +431,7 @@ def validate(lr: LieRinehartPresentation, w_max: int = 2) -> ValidationReport:
                         f"({na}, {nb}, {nc}): component e{bad} residue {p_str(jac[bad])}"))
 
     # anchor morphism on decorated pairs, against a probe monomial per weight
-    probes = [{mono: QQ(1)} for mono in ring.monomials(1)] or [{(0,) * ring.nvars: QQ(1)}]
+    probes = [{mono: 1} for mono in ring.monomials(1)] or [{(0,) * ring.nvars: 1}]
     for a in range(len(decorated)):
         for b in range(a + 1, len(decorated)):
             (na, ua), (nb, ub) = decorated[a], decorated[b]
@@ -509,8 +509,8 @@ def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:
     dst_index = dst.index()
     entries = []
     terms = _ce_terms(lr.rank, src.basis, lr._brackets,
-                      lambda k, mono: lr.anchor_apply(k, {mono: QQ(1)}),
-                      lambda c, mono: p_mul(c, {mono: QQ(1)}))
+                      lambda k, mono: lr.anchor_apply(k, {mono: 1}),
+                      lambda c, mono: p_mul(c, {mono: 1}))
     for col, tsub, mono, x in terms:
         r = dst_index.get((tsub, mono))
         if r is None:
@@ -526,20 +526,13 @@ def contraction(lr: LieRinehartPresentation, v: SectionV, p: int, w: int) -> Exa
     dst_index = dst.index()
     entries = []
     for col, (subset, mono) in enumerate(src.basis):
-        f = {mono: QQ(1)}
         for pos, i in enumerate(subset):
-            vi = v.components[i]
-            if not vi:
-                continue
             rest = subset[:pos] + subset[pos + 1:]
-            term = p_mul(vi, f)
-            if pos % 2:
-                term = p_scale(-1, term)
-            for mono2, coeff in term.items():
-                r = dst_index.get((rest, mono2))
+            for m, c in v.components[i].items():
+                r = dst_index.get((rest, tuple(a + b for a, b in zip(m, mono))))
                 if r is None:
                     raise PresentationError("contraction left the weight slice")
-                entries.append((r, col, coeff))
+                entries.append((r, col, -c if pos % 2 else c))
     return ExactMatrix.from_entries(dst.dim, src.dim, entries)
 
 
@@ -560,5 +553,5 @@ def omega_slice_complex(lr: LieRinehartPresentation, w: int) -> CochainComplex:
 def tangent_algebroid(ring: WeightedPolyRing) -> LieRinehartPresentation:
     """Free module on the coordinate frame d/dx_j with the identity anchor."""
     n = ring.nvars
-    anchor = [[{(0,) * n: QQ(1)} if i == j else {} for j in range(n)] for i in range(n)]
+    anchor = [[{(0,) * n: 1} if i == j else {} for j in range(n)] for i in range(n)]
     return LieRinehartPresentation(ring, [-u for u in ring.weights], anchor, {})

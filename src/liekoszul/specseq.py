@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import FilteredComplex
+from .exactla import _axpy, quotient
 
 
 class SpectralSequenceError(Exception):
@@ -69,13 +70,7 @@ def pairing(f: FilteredComplex) -> Pairing:
                     lows.add(i)
                     pairs[(p, n - p, dst_levels[i] - p)] += 1
                     break
-                c = col[low] / other[low]
-                for k, v in other.items():
-                    x = col.get(k, 0) - c * v
-                    if x:
-                        col[k] = x
-                    else:
-                        del col[k]
+                _axpy(col, quotient(col[low], other[low]), other)
             else:
                 unpaired[(p, n - p)] += 1
         cleared = lows

@@ -32,6 +32,11 @@ induced maps on class representatives, and a dimension and rank check.
 `reduction_matrix_by_solve` is the reduction matrix of `koszul` built the
 old way, one class-coordinate solve per monomial in the subquotient
 R_w / I_w; it pins the quotient basis that `exactla.normal_forms` reads off.
+
+`contraction_by_products` and `ideal_rows_by_products` build the
+contraction matrix and the ideal-slice rows the way the package did before
+it shifted monomials directly: each entry is a polynomial product with the
+monomial (`p_mul`), signed with `p_scale`.
 """
 
 from dataclasses import dataclass
@@ -343,3 +348,31 @@ def reduction_matrix_by_solve(lr, model, fs, w, offsets, dim_target):
             coords = quot.class_coordinates(unit_vector(len(monos), monos.index(mono)))
             entries.extend((offsets[subset] + i, col, c) for i, c in enumerate(coords))
     return ExactMatrix.from_entries(dim_target, fs.dim, entries)
+
+
+def contraction_by_products(lr, v, p, w):
+    """lierinehart.contraction with each term a p_mul product, signed by p_scale."""
+    src = lr.form_slice(p, w)
+    dst = lr.form_slice(p - 1, w + v.weight)
+    dst_index = dst.index()
+    entries = []
+    for col, (subset, mono) in enumerate(src.basis):
+        for pos, i in enumerate(subset):
+            term = p_mul(v.components[i], {mono: 1})
+            if pos % 2:
+                term = p_scale(-1, term)
+            rest = subset[:pos] + subset[pos + 1:]
+            entries.extend((dst_index[(rest, m)], col, c) for m, c in term.items())
+    return ExactMatrix.from_entries(dst.dim, src.dim, entries)
+
+
+def ideal_rows_by_products(model, w):
+    """The dense spanning rows of koszul.ZeroLocusModel.ideal_slice(w): every
+    generator times every monomial of the complementary weight, by p_mul."""
+    monos = model.ring.monomials(w)
+    rows = []
+    for gen, gw in zip(model.generators, model.gen_weights):
+        for mult in model.ring.monomials(w - gw):
+            prod = p_mul({mult: 1}, gen)
+            rows.append([prod.get(m, 0) for m in monos])
+    return rows

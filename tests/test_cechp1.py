@@ -18,9 +18,12 @@ from liekoszul.cechp1 import (
     first_page,
     fixed_point_set,
     line_bundle,
+    lmat,
     lmat_flip,
     lmat_identity,
+    lmat_inverse,
     lmat_mul,
+    lp_eval,
     second_page_degeneration,
     vector_field_zeros,
     zero_section,
@@ -231,6 +234,33 @@ def test_vector_field_zeros_and_assumption():
     assert not assumption_check(a0, zero_section(a0))
     with pytest.raises(IrrationalZeroError):
         vector_field_zeros(EquivariantSection(a0, (-2, 0, 1)))  # roots sqrt(2)
+
+
+def _exact(x):
+    """x is an int, or a Fraction that is not integral: never a float."""
+    return type(x) is int or (type(x) is QQ and x.denominator != 1)
+
+
+def test_vector_field_zeros_are_exact_fractions():
+    # Integer coefficients with non-integral zeros: int / int would be a float.
+    a0 = atiyah_algebroid(0)
+    zeros = vector_field_zeros(EquivariantSection(a0, (1, 2, 0)))        # 2z + 1
+    assert zeros == [(QQ(-1, 2), 1), ("infinity", 1)]
+    assert type(zeros[0][0]) is QQ
+    zeros = vector_field_zeros(EquivariantSection(a0, (1, -3, 2)))       # (2z - 1)(z - 1)
+    assert zeros == [(1, 1), (QQ(1, 2), 1)]
+    assert all(_exact(loc) for loc, _ in zeros)
+    zeros = vector_field_zeros(EquivariantSection(a0, (1, 4, 4)))        # (2z + 1)^2
+    assert zeros == [(QQ(-1, 2), 2)] and type(zeros[0][0]) is QQ
+
+
+def test_lmat_inverse_is_exact_for_determinant_two():
+    a = lmat([[{1: 1}, {0: 1}], [{}, {-1: 2}]])     # det = 2
+    inv = lmat_inverse(a)
+    assert inv == (({-1: 1}, {0: QQ(-1, 2)}), ({}, {1: QQ(1, 2)}))
+    assert all(_exact(c) for row in inv for entry in row for c in entry.values())
+    assert lmat_mul(a, inv) == lmat_identity(2)
+    assert lp_eval({-1: 1, 0: 1}, 2) == QQ(3, 2) and type(lp_eval({-1: 1}, 2)) is QQ
 
 
 def test_fixed_points_respect_scalar_part():

@@ -317,6 +317,35 @@ def test_cell_key_with_wrong_part_count_names_the_field(tmp_path, capsys):
     assert "filtration.spaces" in err
 
 
+# A JSON `true` is not a rational, and neither is a zero denominator: each
+# exits 2 with one line naming the value, in every place a rational is read.
+BAD_RATIONALS = [True, "1/0"]
+
+
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_bad_raw_complex_entry_is_an_input_error(tmp_path, capsys, bad):
+    path = _mutated(tmp_path, "twostep-filtered.json",
+                    lambda p: p.update(differentials=[[[bad]]]))
+    err = _exit_with_one_line(capsys, ["cohomology", path], 2, "error:")
+    assert repr(bad) in err
+
+
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_bad_anchor_coefficient_is_an_input_error(tmp_path, capsys, bad):
+    path = _mutated(tmp_path, "euler-n2.json",
+                    lambda p: p["anchor"][0][0].update({"0,0": bad}))
+    err = _exit_with_one_line(capsys, ["validate", path], 2, "error:")
+    assert repr(bad) in err
+
+
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_bad_section_coefficient_is_an_input_error(tmp_path, capsys, bad):
+    path = _mutated(tmp_path, "euler-n2.json",
+                    lambda p: p["section"][0].update({"1,0": bad}))
+    err = _exit_with_one_line(capsys, ["koszul", path], 2, "error:")
+    assert repr(bad) in err
+
+
 def _scalar_lists(node):
     """Every nonempty list of scalars inside a JSON value, in document order."""
     if isinstance(node, dict):

@@ -201,12 +201,29 @@ def kernel_corpus(seed=20261018, count=120, max_side=5):
     return out
 
 
+def dense_corpus(seed=20261019, count=40, max_side=5):
+    """(dense rows, column count) of seeded matrices with no zero entry and
+    denominators up to 97; some last rows are combinations of others."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nrows, ncols = rng.randrange(1, max_side + 1), rng.randrange(1, max_side + 1)
+        rows = [[QQ(rng.choice((-1, 1)) * rng.randrange(1, 100), rng.randrange(1, 98))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 3 and rng.random() < 0.5:
+            a, b = rng.sample(range(nrows - 1), 2)
+            c = QQ(rng.randrange(1, 10), rng.randrange(1, 98))
+            rows[-1] = [x + c * y for x, y in zip(rows[a], rows[b])]
+        out.append((rows, ncols))
+    return out
+
+
 def _columns(rows, ncols):
     return [[row[j] for row in rows] for j in range(ncols)]
 
 
 def test_rank_kernel_image_match_dense_reference_and_minors():
-    for rows, ncols in kernel_corpus():
+    for rows, ncols in kernel_corpus() + dense_corpus():
         m = _matrix(rows, ncols)
         red, _ = dense_rref(rows)
         assert rank(m) == len(red) == rank_by_minors(rows)
@@ -217,6 +234,30 @@ def test_rank_kernel_image_match_dense_reference_and_minors():
         assert img.basis == tuple(dense_rref(_columns(rows, ncols))[0])
         assert repr(img.basis) == repr(tuple(dense_rref(_columns(rows, ncols))[0]))
         assert ker.dim + img.dim == ncols
+
+
+def _fractions(values):
+    return all(type(x) is QQ for x in values)
+
+
+def test_dense_views_return_fractions():
+    # Entries are stored as int where integral; every dense view converts them.
+    rng = random.Random(31)
+    for rows, ncols in kernel_corpus():
+        m = _matrix(rows, ncols)
+        assert all(_fractions(m.row(i)) for i in range(m.rows))
+        assert all(_fractions(m.column(j)) for j in range(m.cols))
+        assert _fractions(m.entry(i, j) for i in range(m.rows) for j in range(m.cols))
+        assert _fractions(m.entries)
+        b = m.apply(tuple(rng.randrange(-2, 3) for _ in range(ncols)))
+        assert _fractions(b)
+        assert _fractions(solve(m, b))
+        assert all(_fractions(x) for x in solve_batch(m, [b, (0,) * m.rows]))
+        ker = kernel_basis(m)
+        assert all(_fractions(v) for s in (ker, image_basis(m)) for v in s.basis)
+        sq = Subquotient(Subspace.full_space(ncols), ker)
+        assert all(_fractions(v) for v in sq.representatives)
+        assert _fractions(sq.class_coordinates([rng.randrange(-2, 3) for _ in range(ncols)]))
 
 
 def test_larger_sparse_matrices_match_dense_reference():

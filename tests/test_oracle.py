@@ -6,9 +6,11 @@ degeneration pages must agree.  The Chevalley-Eilenberg builders against
 the scanning builders: the matrices must be equal, not just their ranks.
 The mapping-cone quasi-isomorphism test against the induced maps on
 cohomology, and the reduction matrix read off normal forms against one
-class-coordinate solve per monomial."""
+class-coordinate solve per monomial.  The contraction matrix and the
+ideal-slice rows against the same entries built as polynomial products."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,14 +36,16 @@ from liekoszul.hochserre import (
     ce_complex,
     hs_filtered,
 )
-from liekoszul.lierinehart import ce_d
+from liekoszul.lierinehart import SectionV, ce_d, contraction
 from liekoszul.specseq import run
 from oracle import (
     Flag,
     action_on_h_cochains_scan,
     ce_complex_scan,
     ce_d_scan,
+    contraction_by_products,
     flag_of,
+    ideal_rows_by_products,
     oracle_run,
     qi_by_induced_maps,
     reduction_matrix_by_solve,
@@ -67,6 +71,22 @@ def test_random_flags_match_oracle():
         cplx, p_lo, p_hi, spaces = random_flag(rng)
         f = FilteredComplex.from_flag(cplx, p_lo, p_hi, spaces)
         assert_matches_oracle(f, Flag(cplx, p_lo, p_hi, spaces))
+
+
+def test_integer_complexes_with_non_unit_pivots_match_oracle():
+    # d = A B with entries of A and B in {2, 3, -2, -3}: integer columns whose
+    # lows are not units, and many columns that reduce to zero only if each
+    # quotient col[low] / other[low] is exact (a float one mis-pairs them).
+    rng = random.Random(20261018)
+    for n in (3, 4, 5) * 20:
+        a = [[rng.choice((2, 3, -2, -3)) for _ in range(2)] for _ in range(n)]
+        b = [[rng.choice((2, 3, -2, -3)) for _ in range(n)] for _ in range(2)]
+        d = ExactMatrix.from_rows([[a[i][0] * b[0][j] + a[i][1] * b[1][j]
+                                    for j in range(n)] for i in range(n)])
+        levels = {0: [rng.randrange(2) for _ in range(n)],
+                  1: [rng.randrange(1, 3) for _ in range(n)]}
+        f = FilteredComplex(CochainComplex(0, 1, [n, n], [d]), 0, 2, levels)
+        assert_matches_oracle(f, flag_of(f))
 
 
 @pytest.mark.parametrize("g,h,m", [pytest.param(*x[1:], id=x[0])
@@ -143,6 +163,27 @@ def test_formality_slices_match_oracles(lr, v, monkeypatch):
         _, _, chain = koszul.reduction_map(lr, v, w)
         assert is_quasi_isomorphism(chain) == qi_by_induced_maps(chain), f"w={w}"
     assert built
+
+
+def _scaled(lr, v):
+    """v with its components multiplied by non-integral and non-unit rationals:
+    every corpus section has unit coefficients, which hide a dropped or
+    misplaced coefficient."""
+    scales = (Fraction(2, 3), -5, Fraction(-7, 2))
+    return SectionV(lr, [{m: c * scales[i % 3] for m, c in comp.items()}
+                         for i, comp in enumerate(v.components)])
+
+
+@pytest.mark.parametrize("lr,v", FORMALITY)
+def test_contraction_and_ideal_rows_match_products(lr, v):
+    for section in (v, _scaled(lr, v)):
+        model = koszul.ZeroLocusModel(lr, section)
+        for w in range(-2, 7):
+            for p in range(1, lr.rank + 1):
+                assert (contraction(lr, section, p, w)
+                        == contraction_by_products(lr, section, p, w)), f"p={p}, w={w}"
+            ideal = model.ideal_slice(w)
+            assert ideal == Subspace(ideal.ambient_dim, ideal_rows_by_products(model, w)), w
 
 
 @pytest.mark.parametrize("lr,v", FORMALITY)
