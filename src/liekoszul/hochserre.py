@@ -27,7 +27,7 @@ from .exactla import (
     unit_vector,
     qq,
 )
-from .lierinehart import _bracket_key, _ce_terms, _wedge_insert_sign
+from .lierinehart import _bracket_entries, _ce_terms, _wedge_insert_sign
 from .specseq import check_convergence, run
 
 
@@ -42,50 +42,50 @@ class MalformedLieAlgebra(LieAlgebraError):
 
 
 class LieAlgebra:
-    """Structure constants c_ij^k with antisymmetry and Jacobi checked exactly."""
+    """Structure constants c_ij^k, stored as {(i, j): {k: c}} with i < j and
+    nonzero c only, with Jacobi checked exactly."""
 
     def __init__(self, dim: int, brackets: Mapping):
         self.dim = dim
-        self._c: dict[tuple[int, int], tuple[QQ, ...]] = {}
-        for key, coeffs in brackets.items():
-            i, j = _bracket_key(key, MalformedLieAlgebra)
-            if not (0 <= i < j < dim):
-                raise MalformedLieAlgebra(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
+        self.brackets: dict[tuple[int, int], dict[int, QQ]] = {}
+        for key, i, j, coeffs in _bracket_entries(brackets, dim, MalformedLieAlgebra):
             cs = tuple(qq(c) for c in coeffs)
             if len(cs) != dim:
                 raise MalformedLieAlgebra(
                     f"bracket {key} coefficient vector has length {len(cs)}, expected {dim}")
-            if any(cs):
-                self._c[(i, j)] = cs
-        # Both orders of every nonzero bracket, so that `c` is one lookup.
-        self._zero = (0,) * dim
-        self._table = dict(self._c)
-        self._table.update({(j, i): tuple(-x for x in cs) for (i, j), cs in self._c.items()})
-        for i, j, k in combinations(range(dim), 3):
-            for s in range(dim):
-                total = 0
-                for l in range(dim):
-                    total += self.c(i, j)[l] * self.c(l, k)[s]
-                    total += self.c(j, k)[l] * self.c(l, i)[s]
-                    total += self.c(k, i)[l] * self.c(l, j)[s]
-                if total:
-                    raise LieAlgebraError(
-                        f"Jacobi identity fails on (e{i}, e{j}, e{k}) in component e{s}")
-
-    def c(self, i: int, j: int) -> tuple[QQ, ...]:
-        return self._table.get((i, j), self._zero)
+            nonzero = {k: c for k, c in enumerate(cs) if c}
+            if nonzero:
+                self.brackets[(i, j)] = nonzero
+        # Jac(e_i, e_j, e_k), i < j < k, sums [[e_a, e_b], e_t] over the
+        # nonzero products c_ab^l c_lt^s; of its three cyclic terms, the one
+        # with a < t < b is -[[e_i, e_k], e_j].
+        by_first: dict[int, list] = {}
+        for (a, b), cs in self.brackets.items():
+            by_first.setdefault(a, []).append((b, cs))
+            by_first.setdefault(b, []).append((a, {k: -c for k, c in cs.items()}))
+        jac: dict[tuple[int, int, int], dict[int, QQ]] = {}
+        for (a, b), cs in self.brackets.items():
+            for l, x in cs.items():
+                for t, ct in by_first.get(l, ()):
+                    if t == a or t == b:
+                        continue
+                    sign = -1 if a < t < b else 1
+                    acc = jac.setdefault(tuple(sorted((a, b, t))), {})
+                    for s, y in ct.items():
+                        acc[s] = acc.get(s, 0) + sign * x * y
+        bad = [(ijk, s) for ijk, acc in jac.items() for s, v in acc.items() if v]
+        if bad:
+            (i, j, k), s = min(bad)
+            raise LieAlgebraError(
+                f"Jacobi identity fails on (e{i}, e{j}, e{k}) in component e{s}")
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> tuple[QQ, ...]:
         out = [0] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                for k, ck in enumerate(self.c(i, j)):
-                    if ck:
-                        out[k] += ui * vj * ck
+        for (i, j), cs in self.brackets.items():
+            x = u[i] * v[j] - u[j] * v[i]
+            if x:
+                for k, c in cs.items():
+                    out[k] += x * c
         return tuple(out)
 
 
@@ -118,16 +118,14 @@ class GModule:
         for a in actions:
             if a.rows != dim or a.cols != dim:
                 raise MalformedLieAlgebra("action matrix has wrong shape")
-        for i in range(algebra.dim):
-            for j in range(i + 1, algebra.dim):
-                lhs = ExactMatrix.zeros(dim, dim)
-                for k, ck in enumerate(algebra.c(i, j)):
-                    if ck:
-                        lhs = lhs + actions[k].scaled(ck)
-                rhs = actions[i] @ actions[j] + (-(actions[j] @ actions[i]))
-                if lhs != rhs:
-                    raise LieAlgebraError(
-                        f"action does not respect the bracket on (e{i}, e{j})")
+        for i, j in combinations(range(algebra.dim), 2):
+            lhs = ExactMatrix.zeros(dim, dim)
+            for k, ck in algebra.brackets.get((i, j), {}).items():
+                lhs = lhs + actions[k].scaled(ck)
+            rhs = actions[i] @ actions[j] + (-(actions[j] @ actions[i]))
+            if lhs != rhs:
+                raise LieAlgebraError(
+                    f"action does not respect the bracket on (e{i}, e{j})")
         self.algebra = algebra
         self.dim = dim
         self.actions = tuple(actions)
@@ -151,7 +149,7 @@ def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
     for p in range(n):
         src, dst = bases[p], bases[p + 1]
         index = {b: i for i, b in enumerate(dst)}
-        terms = _ce_terms(n, src, g._c, lambda k, v: act_cols[k][v], lambda c, v: {v: c})
+        terms = _ce_terms(n, src, g.brackets, lambda k, v: act_cols[k][v], lambda c, v: {v: c})
         entries = [(index[(tsub, r)], col, x) for col, tsub, r, x in terms]
         diffs.append(ExactMatrix.from_entries(len(dst), len(src), entries))
     return CochainComplex(0, n, [len(b) for b in bases], diffs)
@@ -201,24 +199,20 @@ def _filtered(g2: LieAlgebra, m2: GModule, k: int) -> FilteredComplex:
 
 def _sub_ideal_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
     brackets = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            cs = g2.c(i, j)
-            if any(cs[k:]):
+    for (i, j), cs in g2.brackets.items():
+        if j < k:
+            if max(cs) >= k:
                 raise LieAlgebraError("ideal brackets leave the ideal in adapted basis")
-            if any(cs[:k]):
-                brackets[(i, j)] = cs[:k]
+            brackets[(i, j)] = [cs.get(s, 0) for s in range(k)]
     return LieAlgebra(k, brackets)
 
 
 def _quotient_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
     n = g2.dim
     brackets = {}
-    for a in range(k, n):
-        for b in range(a + 1, n):
-            cs = g2.c(a, b)[k:]
-            if any(cs):
-                brackets[(a - k, b - k)] = cs
+    for (a, b), cs in g2.brackets.items():
+        if a >= k and max(cs) >= k:
+            brackets[(a - k, b - k)] = [cs.get(s, 0) for s in range(k, n)]
     return LieAlgebra(n - k, brackets)
 
 
@@ -227,8 +221,13 @@ def _action_on_h_cochains(g2: LieAlgebra, m2: GModule, k: int, x: int, q: int) -
     (x.om)(h_1..h_q) = rho(x) om(h_1..h_q) - sum_i om(h_1.., [x, h_i], ..h_q).
     On om = eps_S (x) v the sum visits each s in S and each e_t with a
     nonzero e_s component in [x, e_t]."""
-    if any(any(g2.c(x, t)[k:]) for t in range(k)):
-        raise LieAlgebraError("bracket with ideal leaves the ideal")
+    # into[s]: (t, c) with c the nonzero e_s component of [e_x, e_t] = -[e_t, e_x]
+    into: dict[int, list] = {}
+    for t in range(k):
+        for s, c in g2.brackets.get((t, x), {}).items():
+            if s >= k:
+                raise LieAlgebraError("bracket with ideal leaves the ideal")
+            into.setdefault(s, []).append((t, -c))
     basis = [(s, v) for s in combinations(range(k), q) for v in range(m2.dim)]
     index = {b: i for i, b in enumerate(basis)}
     entries = []
@@ -238,9 +237,8 @@ def _action_on_h_cochains(g2: LieAlgebra, m2: GModule, k: int, x: int, q: int) -
             entries.append((index[(subset, r)], col, c))
         for pos, s in enumerate(subset):
             rest = subset[:pos] + subset[pos + 1:]
-            for t in range(k):
-                c = g2.c(x, t)[s]
-                if c and t not in rest:
+            for t, c in into.get(s, ()):
+                if t not in rest:
                     # eps_S on (.., e_s in the slot of t, ..): (-1)^pos moves s
                     # to the front of S, the insertion sign is that of t's slot.
                     tsub, sign = _wedge_insert_sign(t, rest)

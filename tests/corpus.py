@@ -161,10 +161,17 @@ def ce_algebroids():
     euler_frame = LieRinehartPresentation(
         r2, [0, -1, -1], [[{(1, 0): 1}, {(0, 1): 1}], [{(0, 0): 1}, {}], [{}, {(0, 0): 1}]],
         {(0, 1): [{}, {(0, 0): -1}, {}], (0, 2): [{}, {}, {(0, 0): -1}]})
+    # sl2 by vector fields on the line: (d/dx, x d/dx, x^2 d/dx), with
+    # [d/dx, x^2 d/dx] = 2x d/dx written as 2x e_0, so that Jacobi holds only
+    # with the anchor acting on the structure coefficient
+    sl2_line = LieRinehartPresentation(
+        r1, [-1, 0, 1], [[{(0,): 1}], [{(1,): 1}], [{(2,): 1}]],
+        {(0, 1): [{(0,): 1}, {}, {}], (0, 2): [{(1,): 2}, {}, {}],
+         (1, 2): [{}, {}, {(0,): 1}]})
     out = [(f"tangent{list(weights)}", tangent_algebroid(WeightedPolyRing(len(weights), weights)))
            for weights in [(1,), (1, 1), (1, 1, 1), (1, 2)]]
     out += [("sl2-plane", sl2_on_plane()[0]), ("aff1-line", aff1),
-            ("euler-frame", euler_frame)]
+            ("euler-frame", euler_frame), ("sl2-line", sl2_line)]
     out += [(name, build_lie_rinehart(payload)[0])
             for name, payload in case_payloads("lie_rinehart")]
     return out

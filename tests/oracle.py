@@ -37,6 +37,19 @@ R_w / I_w; it pins the quotient basis that `exactla.normal_forms` reads off.
 contraction matrix and the ideal-slice rows the way the package did before
 it shifted monomials directly: each entry is a polynomial product with the
 monomial (`p_mul`), signed with `p_scale`.
+
+`validate_by_sweep` is the Lie-Rinehart check the package made before it
+proved the identities on generators: Jacobi and the anchor identity on
+every triple and pair of decorated elements f e_i with deg f <= w_max,
+through the Leibniz-extended bracket `elem_bracket`.  `jacobi_dense` is the
+Jacobi check `LieAlgebra` made before it stored sparse structure
+constants: every triple and component over a dense table.
+
+The oracle shares no polynomial arithmetic with the package: `p_add`,
+`p_mul`, `p_scale` and `p_diff` are its own, the anchor acts by the product
+rule (`anchor_apply`), and `lr_bracket` and `la_bracket` are its own dense,
+antisymmetric views of the sparse tables `brackets` of a presentation and
+of a Lie algebra.
 """
 
 from dataclasses import dataclass
@@ -53,7 +66,75 @@ from liekoszul.exactla import (
     unit_vector,
 )
 from liekoszul.koszul import _subset_fn_weight
-from liekoszul.lierinehart import p_add, p_mul, p_scale
+from liekoszul.lierinehart import Failure, ValidationReport, p_str
+
+
+def p_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def p_scale(c, a):
+    return {m: c * v for m, v in a.items()} if c else {}
+
+
+def p_sub(a, b):
+    return p_add(a, p_scale(-1, b))
+
+
+def p_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            s = out.get(m, 0) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def p_diff(a, j):
+    out = {}
+    for m, c in a.items():
+        if m[j]:
+            mm = list(m)
+            mm[j] -= 1
+            out[tuple(mm)] = c * m[j]
+    return out
+
+
+def anchor_apply(lr, i, f):
+    """rho(e_i) on a polynomial by the product rule: sum_j a_ij * df/dx_j."""
+    out = {}
+    for j in range(lr.ring.nvars):
+        a = lr.anchor[i][j]
+        if a:
+            out = p_add(out, p_mul(a, p_diff(f, j)))
+    return out
+
+
+def lr_bracket(lr, i, j):
+    """(c_ij^k)_k of a presentation, dense and antisymmetric in (i, j)."""
+    if i > j:
+        return tuple(p_scale(-1, c) for c in lr_bracket(lr, j, i))
+    cs = lr.brackets.get((i, j), {})
+    return tuple(cs.get(k, {}) for k in range(lr.rank))
+
+
+def la_bracket(g, i, j):
+    """(c_ij^k)_k of a Lie algebra, dense and antisymmetric in (i, j)."""
+    if i > j:
+        return tuple(-c for c in la_bracket(g, j, i))
+    cs = g.brackets.get((i, j), {})
+    return tuple(cs.get(k, 0) for k in range(g.dim))
 
 
 def dense_rref(rows):
@@ -253,12 +334,12 @@ def ce_d_scan(lr, p, w):
             for i, ti in enumerate(tsub):
                 rest = tsub[:i] + tsub[i + 1:]
                 if rest == subset:
-                    term = lr.anchor_apply(ti, f)
+                    term = anchor_apply(lr, ti, f)
                     value = p_add(value, term if i % 2 == 0 else p_scale(-1, term))
             for i in range(len(tsub)):
                 for j in range(i + 1, len(tsub)):
                     rest = tuple(t for idx, t in enumerate(tsub) if idx not in (i, j))
-                    cs = lr.bracket_c(tsub[i], tsub[j])
+                    cs = lr_bracket(lr, tsub[i], tsub[j])
                     for k in range(lr.rank):
                         sign = _inserted(k, rest, subset) if cs[k] else 0
                         if sign:
@@ -291,7 +372,7 @@ def ce_complex_scan(g, m):
                 for i in range(len(tsub)):
                     for j in range(i + 1, len(tsub)):
                         rest = tuple(t for idx, t in enumerate(tsub) if idx not in (i, j))
-                        for k, ck in enumerate(g.c(tsub[i], tsub[j])):
+                        for k, ck in enumerate(la_bracket(g, tsub[i], tsub[j])):
                             sign = _inserted(k, rest, subset) if ck else 0
                             if sign:
                                 entries.append((index[(tsub, v)], col,
@@ -318,7 +399,7 @@ def action_on_h_cochains_scan(g2, m2, k, x, q):
             entries.append((index[(subset, r)], col, c))
         for tsub in combinations(range(k), q):
             for i, ti in enumerate(tsub):
-                for s, c in enumerate(g2.c(x, ti)[:k]):
+                for s, c in enumerate(la_bracket(g2, x, ti)[:k]):
                     if c:
                         entries.append((index[(tsub, v)], col,
                                         -eval_sign(subset, tsub, i, s) * c))
@@ -376,3 +457,146 @@ def ideal_rows_by_products(model, w):
             prod = p_mul({mult: 1}, gen)
             rows.append([prod.get(m, 0) for m in monos])
     return rows
+
+
+def elem_basis(lr, i, f=None):
+    one = {(0,) * lr.ring.nvars: 1} if f is None else f
+    return tuple(dict(one) if k == i else {} for k in range(lr.rank))
+
+
+def elem_anchor_apply(lr, u, f):
+    out = {}
+    for i, ui in enumerate(u):
+        if ui:
+            out = p_add(out, p_mul(ui, anchor_apply(lr, i, f)))
+    return out
+
+
+def elem_bracket(lr, u, v):
+    """Bracket extended by the Leibniz rule:
+    [f e_i, g e_j] = fg [e_i,e_j] + f rho(e_i)(g) e_j - g rho(e_j)(f) e_i."""
+    out = [dict() for _ in range(lr.rank)]
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            fg = p_mul(ui, vj)
+            cs = lr_bracket(lr, i, j)
+            for k in range(lr.rank):
+                if cs[k]:
+                    out[k] = p_add(out[k], p_mul(fg, cs[k]))
+            out[j] = p_add(out[j], p_mul(ui, anchor_apply(lr, i, vj)))
+            out[i] = p_sub(out[i], p_mul(vj, anchor_apply(lr, j, ui)))
+    return tuple(out)
+
+
+def _elem_is_zero(u):
+    return all(not c for c in u)
+
+
+def validate_by_sweep(lr, w_max):
+    """lierinehart.validate as a sweep: antisymmetry and the anchor identity
+    on generators, then Jacobi on every triple and the anchor identity on
+    every pair of decorated elements f e_i with f a monomial of weight
+    <= w_max (the pair against a probe monomial per variable)."""
+    failures = []
+    m = lr.rank
+    ring = lr.ring
+    gens = [f"e{i}" for i in range(m)]
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            lhs = lr_bracket(lr, i, j)
+            rhs = tuple(p_scale(-1, c) for c in lr_bracket(lr, j, i))
+            if lhs != rhs:
+                failures.append(Failure("antisymmetry", f"[{gens[i]},{gens[j]}]"))
+
+    # anchor morphism on generator pairs: rho([e_i,e_j]) = [rho(e_i), rho(e_j)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            cs = lr_bracket(lr, i, j)
+            for l in range(ring.nvars):
+                lhs = {}
+                for k in range(m):
+                    if cs[k]:
+                        lhs = p_add(lhs, p_mul(cs[k], lr.anchor[k][l]))
+                rhs = {}
+                for t in range(ring.nvars):
+                    rhs = p_add(rhs, p_mul(lr.anchor[i][t], p_diff(lr.anchor[j][l], t)))
+                    rhs = p_sub(rhs, p_mul(lr.anchor[j][t], p_diff(lr.anchor[i][l], t)))
+                diff = p_sub(lhs, rhs)
+                if diff:
+                    failures.append(Failure(
+                        "anchor-morphism",
+                        f"rho([{gens[i]},{gens[j]}]) component d/dx{l}: residue {p_str(diff)}"))
+
+    decorated = []
+    monos = []
+    for w in range(w_max + 1):
+        monos.extend(ring.monomials(w))
+    for i in range(m):
+        for mono in monos:
+            f = {mono: 1}
+            name = f"{p_str(f)}*{gens[i]}" if mono != (0,) * ring.nvars else gens[i]
+            decorated.append((name, elem_basis(lr, i, f)))
+
+    for a in range(len(decorated)):
+        for b in range(a + 1, len(decorated)):
+            for c in range(b + 1, len(decorated)):
+                (na, ua), (nb, ub), (nc, uc) = decorated[a], decorated[b], decorated[c]
+                jac = elem_bracket(lr, elem_bracket(lr, ua, ub), uc)
+                jac = tuple(p_add(x, y) for x, y in
+                            zip(jac, elem_bracket(lr, elem_bracket(lr, ub, uc), ua)))
+                jac = tuple(p_add(x, y) for x, y in
+                            zip(jac, elem_bracket(lr, elem_bracket(lr, uc, ua), ub)))
+                if not _elem_is_zero(jac):
+                    bad = next(k for k in range(m) if jac[k])
+                    failures.append(Failure(
+                        "jacobi",
+                        f"({na}, {nb}, {nc}): component e{bad} residue {p_str(jac[bad])}"))
+
+    # anchor morphism on decorated pairs, against a probe monomial per weight
+    probes = [{mono: 1} for mono in ring.monomials(1)] or [{(0,) * ring.nvars: 1}]
+    for a in range(len(decorated)):
+        for b in range(a + 1, len(decorated)):
+            (na, ua), (nb, ub) = decorated[a], decorated[b]
+            br = elem_bracket(lr, ua, ub)
+            for probe in probes:
+                lhs = elem_anchor_apply(lr, br, probe)
+                rhs = p_sub(elem_anchor_apply(lr, ua, elem_anchor_apply(lr, ub, probe)),
+                            elem_anchor_apply(lr, ub, elem_anchor_apply(lr, ua, probe)))
+                diff = p_sub(lhs, rhs)
+                if diff:
+                    failures.append(Failure(
+                        "anchor-morphism",
+                        f"({na}, {nb}) on {p_str(probe)}: residue {p_str(diff)}"))
+                    break
+
+    return ValidationReport(not failures, tuple(failures))
+
+
+def jacobi_dense(dim, brackets):
+    """The message of the first Jacobi failure of the structure constants
+    {(i, j): vector}, i < j, or None: every triple i < j < k and component
+    s in order, each a sum over a dense table of both orders."""
+    zero = (QQ(0),) * dim
+    table = {}
+    for (i, j), cs in brackets.items():
+        table[(i, j)] = tuple(QQ(c) for c in cs)
+        table[(j, i)] = tuple(-QQ(c) for c in cs)
+
+    def c(i, j):
+        return table.get((i, j), zero)
+
+    for i, j, k in combinations(range(dim), 3):
+        for s in range(dim):
+            total = 0
+            for l in range(dim):
+                total += c(i, j)[l] * c(l, k)[s]
+                total += c(j, k)[l] * c(l, i)[s]
+                total += c(k, i)[l] * c(l, j)[s]
+            if total:
+                return f"Jacobi identity fails on (e{i}, e{j}, e{k}) in component e{s}"
+    return None

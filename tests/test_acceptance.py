@@ -22,7 +22,14 @@ from liekoszul.cechp1 import (
 from liekoszul.complexes import DoubleComplex, betti, row_filtration, total
 from liekoszul.hochserre import ce_complex, hs_filtered, verify
 from liekoszul.koszul import formality_check, lie_koszul, vanishing_check
-from liekoszul.lierinehart import ce_d, contraction, lie_derivative, validate
+from liekoszul.lierinehart import (
+    WeightedPolyRing,
+    ce_d,
+    contraction,
+    lie_derivative,
+    tangent_algebroid,
+    validate,
+)
 from liekoszul.specseq import check_convergence, run
 
 import corpus
@@ -146,7 +153,7 @@ def test_criterion_8_structural_identities():
     started = time.monotonic()
     ok = True
     for name, lr, section, _ in corpus.lie_rinehart_instances():
-        ok = ok and validate(lr, 1).ok
+        ok = ok and validate(lr).ok
         for w in range(0, 3):
             for p in range(0, lr.rank):
                 ok = ok and (ce_d(lr, p + 1, w) @ ce_d(lr, p, w)).is_zero()
@@ -189,3 +196,11 @@ def test_criterion_9_euler_characteristic_invariance():
     ok = len(set(chis)) == 1
     report("9 Euler characteristic independent of the section (= zero-section "
            "value)", ok, started, "20 s")
+
+
+def test_criterion_10_identities_proved_on_generators():
+    started = time.monotonic()
+    tangent5 = tangent_algebroid(WeightedPolyRing(5, (1,) * 5))
+    ok = validate(tangent5).ok and validate(corpus.sl2_on_plane()[0]).ok
+    report("10 Lie-Rinehart identities on all of L, checked on generators: "
+           "tangent algebroid in 5 variables, sl2 on the plane", ok, started, "0.5 s")

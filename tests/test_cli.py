@@ -346,6 +346,26 @@ def test_bad_section_coefficient_is_an_input_error(tmp_path, capsys, bad):
     assert repr(bad) in err
 
 
+# A value that must be a JSON object but is not: exit 2 with one line.
+NOT_OBJECTS = {
+    "anchor-entry-list": ("euler-n2.json", lambda p: p["anchor"][0].__setitem__(0, [1])),
+    "anchor-entry-number": ("euler-n2.json", lambda p: p["anchor"][0].__setitem__(0, 1)),
+    "bracket-component": ("euler-n2.json",
+                          lambda p: p["brackets"]["0,1"].__setitem__(0, 1)),
+    "section-component": ("euler-n2.json", lambda p: p["section"].__setitem__(0, [1])),
+    "lie-rinehart-brackets": ("euler-n2.json", lambda p: p.update(brackets=[[{}, {}]])),
+    "lie-algebra-brackets": ("heisenberg-center.json",
+                             lambda p: p.update(brackets=[["0", "0", "1"]])),
+}
+
+
+@pytest.mark.parametrize("case,mutate", NOT_OBJECTS.values(), ids=NOT_OBJECTS.keys())
+def test_value_that_is_not_an_object_is_an_input_error(tmp_path, capsys, case, mutate):
+    path = _mutated(tmp_path, case, mutate)
+    err = _exit_with_one_line(capsys, ["validate", path], 2, "error:")
+    assert "must be an object" in err
+
+
 def _scalar_lists(node):
     """Every nonempty list of scalars inside a JSON value, in document order."""
     if isinstance(node, dict):

@@ -48,14 +48,14 @@ def test_form_slice_dimension_counts():
 
 
 def test_validate_tangent_algebroid():
-    assert validate(TANGENT2, 2).ok
+    assert validate(TANGENT2).ok
 
 
 def test_validate_abelian_weight_zero():
     ring = WeightedPolyRing(1, (1,))
     lr = LieRinehartPresentation(ring, [0, 0],
                                  [[{}], [{}]], {(0, 1): [{}, {}]})
-    assert validate(lr, 0).ok
+    assert validate(lr).ok
 
 
 def test_validate_detects_jacobi_failure():
@@ -64,7 +64,7 @@ def test_validate_detects_jacobi_failure():
         [[{} for _ in range(3)] for _ in range(3)],
         {(0, 1): [{}, {}, {(0, 0, 0): 1}], (0, 2): [{(0, 0, 0): 1}, {}, {}]},
     )
-    report = validate(bad, 0)
+    report = validate(bad)
     assert not report.ok
     assert any(f.identity == "jacobi" for f in report.failures)
     witness = next(f for f in report.failures if f.identity == "jacobi")
@@ -79,7 +79,7 @@ def test_validate_detects_anchor_failure():
         [[{(1, 0): 1}, {}], [{}, {(1, 0): "1"}]],
         {(0, 1): [{}, {}]},
     )
-    report = validate(bad, 1)
+    report = validate(bad)
     assert not report.ok
     assert any(f.identity == "anchor-morphism" for f in report.failures)
 
@@ -196,7 +196,7 @@ def test_ce_d_bracket_term_sl2_on_plane():
     # irreducible module of dimension w+1: by Whitehead's lemma only w = 0
     # has cohomology, H^0 = H^3 = k.
     lr, sl2 = sl2_on_plane()
-    assert validate(lr, 2).ok
+    assert validate(lr).ok
     for w in range(5):
         monos = lr.ring.monomials(w)
         index = {mono: i for i, mono in enumerate(monos)}

@@ -7,10 +7,16 @@ the scanning builders: the matrices must be equal, not just their ranks.
 The mapping-cone quasi-isomorphism test against the induced maps on
 cohomology, and the reduction matrix read off normal forms against one
 class-coordinate solve per monomial.  The contraction matrix and the
-ideal-slice rows against the same entries built as polynomial products."""
+ideal-slice rows against the same entries built as polynomial products.
+
+The Lie-Rinehart check on generators against the sweep over decorated
+elements, with the two Leibniz identities that make the generator check a
+proof tested on presentations where neither side vanishes; the sparse
+Jacobi check of `LieAlgebra` against the dense one."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -30,13 +36,22 @@ from liekoszul.cli import build_lie_algebra
 from liekoszul.exactla import ExactMatrix, Subspace, normal_forms, rank, unit_vector
 from liekoszul.hochserre import (
     GModule,
+    LieAlgebra,
+    LieAlgebraError,
     LieIdeal,
     _action_on_h_cochains,
     _adapted,
     ce_complex,
     hs_filtered,
 )
-from liekoszul.lierinehart import SectionV, ce_d, contraction
+from liekoszul.lierinehart import (
+    LieRinehartPresentation,
+    SectionV,
+    WeightedPolyRing,
+    ce_d,
+    contraction,
+    validate,
+)
 from liekoszul.specseq import run
 from oracle import (
     Flag,
@@ -44,11 +59,20 @@ from oracle import (
     ce_complex_scan,
     ce_d_scan,
     contraction_by_products,
+    elem_anchor_apply,
+    elem_bracket,
     flag_of,
     ideal_rows_by_products,
+    jacobi_dense,
+    la_bracket,
+    lr_bracket,
     oracle_run,
+    p_add,
+    p_mul,
+    p_sub,
     qi_by_induced_maps,
     reduction_matrix_by_solve,
+    validate_by_sweep,
 )
 from test_specseq import random_flag
 
@@ -294,3 +318,118 @@ def test_maps_between_equal_betti_numbers_can_fail():
         assert not qi_by_induced_maps(f)
     identity = ChainMap(flat, flat, {0: ExactMatrix.identity(1), 1: ExactMatrix.identity(1)})
     assert is_quasi_isomorphism(identity) and qi_by_induced_maps(identity)
+
+
+def _random_poly(rng, monos):
+    return {m: rng.choice((-2, -1, 1, 2, Fraction(1, 2))) for m in monos
+            if rng.random() < 0.5}
+
+
+def _random_presentation(rng):
+    """Three generators of weight -1, 0 or 1 over k[x, y], with every anchor
+    entry and structure coefficient a random homogeneous polynomial of the
+    weight it must have: almost never a Lie-Rinehart algebra."""
+    ring = WeightedPolyRing(2, (1, 1))
+    g = [rng.choice((-1, 0, 1)) for _ in range(3)]
+    anchor = [[_random_poly(rng, ring.monomials(g[i] + 1)) for _ in range(2)]
+              for i in range(3)]
+    brackets = {(i, j): [_random_poly(rng, ring.monomials(g[i] + g[j] - g[k]))
+                         for k in range(3)]
+                for i, j in combinations(range(3), 2)}
+    return LieRinehartPresentation(ring, g, anchor, brackets)
+
+
+def _jacobiator(lr, x, y, z):
+    terms = (elem_bracket(lr, elem_bracket(lr, x, y), z),
+             elem_bracket(lr, elem_bracket(lr, y, z), x),
+             elem_bracket(lr, elem_bracket(lr, z, x), y))
+    return tuple(p_add(p_add(a, b), c) for a, b, c in zip(*terms))
+
+
+def _anchor_defect(lr, y, z, f):
+    """D(y, z)(f) = rho[y, z](f) - [rho y, rho z](f)."""
+    return p_sub(elem_anchor_apply(lr, elem_bracket(lr, y, z), f),
+                 p_sub(elem_anchor_apply(lr, y, elem_anchor_apply(lr, z, f)),
+                       elem_anchor_apply(lr, z, elem_anchor_apply(lr, y, f))))
+
+
+def test_leibniz_identities_behind_the_generator_check():
+    # Jac(f x, y, z) = f Jac(x, y, z) + D(y, z)(f) x and D(f y, z) = f D(y, z):
+    # with both, Jac and D vanish on all of L once they vanish on generators.
+    rng = random.Random(20261018)
+    ring = WeightedPolyRing(2, (1, 1))
+    low = [m for w in range(3) for m in ring.monomials(w)]
+    probes = [ring.variable(0), ring.variable(1)]
+    seen_jac = seen_defect = 0
+    for _ in range(12):
+        lr = _random_presentation(rng)
+        x, y, z = (tuple(_random_poly(rng, low[:3]) for _ in range(3)) for _ in range(3))
+        f = _random_poly(rng, low) or {(1, 0): 1}
+        jac = _jacobiator(lr, x, y, z)
+        fx = tuple(p_mul(f, c) for c in x)
+        defect_f = _anchor_defect(lr, y, z, f)
+        assert _jacobiator(lr, fx, y, z) == tuple(
+            p_add(p_mul(f, a), p_mul(defect_f, b)) for a, b in zip(jac, x))
+        fy = tuple(p_mul(f, c) for c in y)
+        for probe in probes + [f]:
+            defect = _anchor_defect(lr, y, z, probe)
+            assert _anchor_defect(lr, fy, z, probe) == p_mul(f, defect)
+            seen_defect += bool(defect)
+        seen_jac += any(jac)
+    assert seen_jac >= 6 and seen_defect >= 6
+
+
+def _mutant(lr, rng):
+    """lr with one anchor entry or one structure coefficient changed by a
+    multiple of a monomial of the weight that entry must have."""
+    ring, g, m = lr.ring, lr.gen_weights, lr.rank
+    anchor = [list(row) for row in lr.anchor]
+    brackets = {(i, j): list(lr_bracket(lr, i, j)) for i, j in combinations(range(m), 2)}
+    slots = [(anchor[i], j, g[i] + ring.weights[j]) for i in range(m) for j in range(ring.nvars)]
+    slots += [(brackets[pair], k, g[pair[0]] + g[pair[1]] - g[k])
+              for pair in brackets for k in range(m)]
+    row, index, w = rng.choice([s for s in slots if ring.monomials(s[2])])
+    row[index] = p_add(row[index], {rng.choice(ring.monomials(w)): rng.choice((-1, 1, 2))})
+    return LieRinehartPresentation(ring, g, anchor, brackets)
+
+
+def test_generator_check_matches_sweep_over_decorated_elements():
+    # Same verdict as the weight-2 sweep, and every failure found on
+    # generators is one the sweep reports with the same witness.
+    rng = random.Random(20261019)
+    algebroids = dict(corpus.ce_algebroids())
+    cheap = [algebroids[name] for name in ("aff1-line", "sl2-line", "tangent[1, 2]")]
+    costly = [algebroids[name] for name in ("sl2-plane", "euler-frame")]
+    mutants = [_mutant(rng.choice(cheap), rng) for _ in range(50)]
+    mutants += [_mutant(rng.choice(costly), rng) for _ in range(6)]
+    given = [lr for _, lr, _, _ in corpus.lie_rinehart_instances()]
+    given += [corpus.sl2_on_plane()[0], algebroids["sl2-line"]]
+    failed = 0
+    for lr in given + mutants:
+        fast, sweep = validate(lr), validate_by_sweep(lr, 2)
+        assert fast.ok == sweep.ok
+        assert set(fast.failures) <= set(sweep.failures)
+        failed += not fast.ok
+    assert failed >= len(mutants) // 3
+
+
+def test_sparse_jacobi_check_matches_dense_loop():
+    rng = random.Random(20261020)
+    algebras = [g for _, g, _, _ in corpus.hs_instances()]
+    algebras += [corpus.heisenberg(2), corpus.sl2_standard()[0]]
+    failed = 0
+    for _ in range(150):
+        g = rng.choice(algebras)
+        table = {(i, j): list(la_bracket(g, i, j)) for i, j in combinations(range(g.dim), 2)}
+        for _ in range(rng.choice((1, 2))):
+            pair = rng.choice(sorted(table))
+            table[pair][rng.randrange(g.dim)] = rng.choice((-2, -1, 0, 1, Fraction(1, 2)))
+        expected = jacobi_dense(g.dim, table)
+        if expected is None:
+            LieAlgebra(g.dim, table)
+            continue
+        with pytest.raises(LieAlgebraError) as exc:
+            LieAlgebra(g.dim, table)
+        assert str(exc.value) == expected
+        failed += 1
+    assert 40 <= failed <= 110
