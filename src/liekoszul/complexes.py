@@ -14,11 +14,11 @@ from .exactla import (
     ExactMatrix,
     Subquotient,
     Subspace,
+    coordinates,
     image_basis,
     induced_map,
     kernel_basis,
     rank,
-    solve_batch,
 )
 
 
@@ -366,7 +366,10 @@ class FilteredComplex:
         """Filtration given by subspaces F_p C^n for p in [p_lo, p_hi + 1].
 
         The complex is rewritten in an adapted basis: walking p down from
-        p_hi, the representatives of F_p / F_{p+1} get level p.
+        p_hi, the representatives of F_p / F_{p+1}, as sparse rows, get
+        level p.  Each adapted differential holds the coordinates of d
+        applied to the adapted basis of C^n in that of C^{n+1}, from one
+        checked `coordinates` solve per degree.
         """
         if p_hi < p_lo:
             raise ComplexError("empty filtration range")
@@ -390,15 +393,11 @@ class FilteredComplex:
                 lower, upper = flag[p - p_lo], flag[p - p_lo + 1]
                 if not upper.is_subspace_of(lower):
                     raise ComplexError(f"filtration not decreasing at ({p},{n})")
-                reps = Subquotient(lower, upper).representatives
+                reps = Subquotient(lower, upper)._rep_rows
                 bases[n].extend(reps)
                 levels[n].extend([p] * len(reps))
-        diffs = []
-        for n in range(cplx.lo, cplx.hi):
-            change = ExactMatrix.from_columns(cplx.dim(n + 1), bases[n + 1])
-            images = [cplx.d(n).apply(b) for b in bases[n]]
-            diffs.append(ExactMatrix.from_columns(cplx.dim(n + 1),
-                                                  solve_batch(change, images)))
+        diffs = [coordinates(bases[n + 1], cplx.dim(n + 1), cplx.d(n).images(bases[n]))
+                 for n in range(cplx.lo, cplx.hi)]
         adapted = CochainComplex(cplx.lo, cplx.hi, [cplx.dim(n) for n in cplx.degrees()],
                                  diffs)
         return cls(adapted, p_lo, p_hi, levels)

@@ -4,8 +4,7 @@ Kernels, images, canonical echelon bases, subquotients, and the maps a
 linear map induces on subquotients.  Every cohomology group computed by
 this package is ultimately a Subquotient produced here, so everything is
 exact.  An integral entry is stored as an `int`, any other as a
-`fractions.Fraction` (`qq` and `quotient` keep this rule); the dense
-views return `Fraction`s.
+`fractions.Fraction` (`qq` and `quotient` keep this rule).
 
 Storage is sparse and canonical.  An `ExactMatrix` keeps, per row, a dict
 from column index to nonzero entry, and never stores a zero or an integral
@@ -15,10 +14,19 @@ Products, sums, zero tests, equality and elimination touch nonzeros only.
 A `Subspace` keeps the rows of its reduced row echelon form (RREF) the
 same way.  The RREF of a row space is unique, so the elimination result,
 and with it every basis, is canonical whatever order the elimination
-works in; tests compare bases, not just dimensions.  Dense tuples of
-`Fraction`s appear only at the edges: vectors passed out (`Vector`), and
-the read-only views `entry`, `row`, `column` and `entries` kept for tests
-and `repr`.
+works in; tests compare bases, not just dimensions.
+
+Every change of basis is one call of `coordinates`: the coordinates of
+sparse target rows in an independent sparse basis, from one RREF of
+[basis | targets], checked by the sparse product B X = T.
+
+Dense tuples of `Fraction`s (`Vector`) are test and `repr` edges only:
+`Subspace.basis` and `contains`, `Subquotient.representatives` and
+`class_coordinates(_batch)`, `ExactMatrix.entry`, `row`, `column`,
+`entries`, `apply` and `from_columns`, and `solve`, `solve_batch`,
+`as_vector` and `unit_vector`.  The package's drivers stay on sparse rows
+from input to verdict; the golden tests run every report with these views
+made to raise.
 """
 
 from __future__ import annotations
@@ -49,15 +57,23 @@ class NotFiltrationCompatibleError(LinearAlgebraError):
 
 def qq(x) -> "int | QQ":
     """Coerce an int, a string like "3/4" or a Fraction to an exact rational,
-    an int if it is integral; a bool or a bad string such as "1/0" raises."""
+    an int if it is integral; a bool or a bad string such as "1/0" raises.
+
+    A string -?digits or -?digits/digits (decimal digits, by
+    `str.isdecimal`) is read with `int`; any other goes to `Fraction`, so
+    the accepted strings and the errors are those of `Fraction`."""
     if x.__class__ is int:
         return x
     if isinstance(x, str):
         try:
-            x = QQ(x.strip())
+            num, slash, den = x.partition("/")
+            if ((num[1:] if num[:1] == "-" else num).isdecimal()
+                    and (den.isdecimal() or not slash)):
+                return quotient(int(num), int(den)) if slash else int(num)
+            return _integral(QQ(x.strip()))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot interpret {x!r} as a rational") from None
-    elif isinstance(x, bool) or not isinstance(x, (int, QQ)):
+    if isinstance(x, bool) or not isinstance(x, (int, QQ)):
         raise TypeError(f"cannot interpret {x!r} as a rational")
     return _integral(x)
 
@@ -197,7 +213,7 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Sequence]) -> "ExactMatrix":
-        """Matrix whose j-th column is the dense vector columns[j]."""
+        """Matrix whose j-th column is the dense vector columns[j] (a test edge)."""
         for col in columns:
             if len(col) != rows:
                 raise LinearAlgebraError("column length does not match row count")
@@ -220,9 +236,8 @@ class ExactMatrix:
         """All entries, row-major."""
         return tuple(x for i in range(self.rows) for x in self.row(i))
 
-    # -- arithmetic on nonzeros ------------------------------------------------
-
     def apply(self, v: Sequence) -> Vector:
+        """M v for a dense vector; the drivers use `images`."""
         if len(v) != self.cols:
             raise LinearAlgebraError("vector length does not match column count")
         out = []
@@ -234,6 +249,19 @@ class ExactMatrix:
                     acc += c * x
             out.append(QQ(acc))
         return tuple(out)
+
+    # -- arithmetic on nonzeros ------------------------------------------------
+
+    def images(self, vectors: Iterable[Mapping[int, QQ]]) -> list[Row]:
+        """M v for each sparse vector v, as a sparse row."""
+        cols = _transpose(self.row_maps, self.cols)
+        out = []
+        for v in vectors:
+            w: Row = {}
+            for j, c in v.items():
+                _axpy(w, -c, cols[j])
+            out.append(w)
+        return out
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -353,7 +381,8 @@ class Subspace:
     """Subspace of QQ^n with a canonical reduced-row-echelon basis.
 
     `sparse_basis` holds the RREF rows as sparse rows and `pivots` their
-    pivot columns; `basis` is the same basis as dense vectors.
+    pivot columns; `basis` is the same basis as dense vectors, built on
+    first use.
     """
 
     __slots__ = ("ambient_dim", "sparse_basis", "pivots", "_basis")
@@ -512,8 +541,34 @@ def rank(m: ExactMatrix) -> int:
     return len(_rref(m.row_maps, reduced=False)[1])
 
 
+def coordinates(basis: Sequence[Mapping[int, QQ]], n: int,
+                targets: Sequence[Mapping[int, QQ]]) -> ExactMatrix:
+    """The k x m matrix X whose column j holds the coordinates of targets[j]
+    in `basis`, so that sum_i X[i][j] basis[i] = targets[j], for k
+    independent canonical sparse rows of QQ^n and m in their span.
+
+    One `_rref` of the n x (k + m) matrix [B | T], whose columns are the
+    basis and the target rows, must have the pivots 0..k-1 and no other: a
+    missing one is a dependent basis, one in a target column a target
+    outside the span.  X is then the target block of its rows, and the
+    sparse product B X is checked against T.  A failure raises
+    LinearAlgebraError."""
+    k = len(basis)
+    rows, pivots = _rref(_transpose([*basis, *targets], n))
+    if pivots != list(range(k)):
+        raise LinearAlgebraError("targets outside the span of an independent basis")
+    x = tuple({j - k: a for j, a in row.items() if j >= k} for row in rows)
+    residual = [dict(t) for t in targets]
+    for b, row in zip(basis, x):
+        for j, c in row.items():
+            _axpy(residual[j], c, b)
+    if any(residual):
+        raise LinearAlgebraError("coordinate check B X = T failed")
+    return _wrap(k, len(targets), x)
+
+
 def solve(m: ExactMatrix, v: Sequence) -> Vector | None:
-    """One solution x of Mx = v, or None if inconsistent.
+    """One solution x of Mx = v, or None if inconsistent (a test edge).
 
     When the columns of M are independent the solution is unique.
     """
@@ -522,7 +577,8 @@ def solve(m: ExactMatrix, v: Sequence) -> Vector | None:
 
 
 def solve_batch(m: ExactMatrix, vectors: Sequence[Vector]) -> list[Vector | None]:
-    """Solve Mx = v for several right-hand sides with one elimination."""
+    """Solve Mx = v for several dense right-hand sides with one elimination
+    (a test edge; the drivers use `coordinates`)."""
     for v in vectors:
         if len(v) != m.rows:
             raise LinearAlgebraError("rhs has wrong length")
@@ -558,10 +614,12 @@ class Subquotient:
 
     Representatives are chosen deterministically: walk the echelon basis
     of the cycle space and keep each vector that is independent of the
-    boundaries plus the representatives already kept.
+    boundaries plus the representatives already kept.  `_rep_rows` holds
+    them as sparse rows; `representatives` is the same list as dense
+    vectors, built on first use.
     """
 
-    __slots__ = ("cycles", "boundaries", "representatives", "_rep_rows")
+    __slots__ = ("cycles", "boundaries", "_rep_rows", "_representatives")
 
     def __init__(self, cycles: Subspace, boundaries: Subspace):
         if cycles.ambient_dim != boundaries.ambient_dim:
@@ -571,15 +629,22 @@ class Subquotient:
         # Forward elimination with a pivot table selects, in order, the cycle
         # basis vectors independent of the boundaries and of each other.
         echelon = dict(zip(boundaries.pivots, boundaries.sparse_basis))
-        picked = [i for i, row in enumerate(cycles.sparse_basis)
-                  if _insert(echelon, dict(row))]
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "representatives", tuple(cycles.basis[i] for i in picked))
-        object.__setattr__(self, "_rep_rows", tuple(cycles.sparse_basis[i] for i in picked))
+        object.__setattr__(self, "_rep_rows", tuple(row for row in cycles.sparse_basis
+                                                    if _insert(echelon, dict(row))))
+        object.__setattr__(self, "_representatives", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subquotient is immutable")
+
+    @property
+    def representatives(self) -> tuple[Vector, ...]:
+        reps = self._representatives
+        if reps is None:
+            reps = tuple(_dense(r, self.ambient_dim) for r in self._rep_rows)
+            object.__setattr__(self, "_representatives", reps)
+        return reps
 
     @property
     def ambient_dim(self) -> int:
@@ -594,25 +659,21 @@ class Subquotient:
 
         Raises OutsideCyclesError when v is not a cycle.
         """
-        return self.class_coordinates_batch([as_vector(v)])[0]
+        return self.class_coordinates_batch([v])[0]
 
-    def class_coordinates_batch(self, vectors: Sequence[Vector]) -> list[Vector]:
-        """Class coordinates for several vectors with one elimination."""
-        vectors = [as_vector(v) for v in vectors]
+    def class_coordinates_batch(self, vectors: Sequence[Sequence]) -> list[Vector]:
+        """Class coordinates of several dense vectors, from one `coordinates`
+        solve in the representatives followed by the boundary basis."""
+        rows = []
         for v in vectors:
-            if not self.cycles.contains(v):
+            if len(v) != self.ambient_dim:
+                raise LinearAlgebraError("vector has wrong ambient dimension")
+            row = _sparse(v)
+            if self.cycles._residual(row):
                 raise OutsideCyclesError("outside-cycles")
-        cols = self._rep_rows + self.boundaries.sparse_basis
-        if not cols:
-            return [() for _ in vectors]
-        n = self.ambient_dim
-        m = _wrap(n, len(cols), tuple(_transpose(cols, n)))
-        out = []
-        for x in solve_batch(m, vectors):
-            if x is None:  # unreachable for a valid subquotient
-                raise LinearAlgebraError("inconsistent subquotient solve")
-            out.append(x[: len(self._rep_rows)])
-        return out
+            rows.append(row)
+        x = coordinates(self._rep_rows + self.boundaries.sparse_basis, self.ambient_dim, rows)
+        return [_dense(c, self.dim) for c in _transpose(x.row_maps[: self.dim], len(rows))]
 
     def __eq__(self, other) -> bool:
         return (
@@ -634,16 +695,21 @@ class Subquotient:
 def induced_map(f: ExactMatrix, src: Subquotient, dst: Subquotient) -> ExactMatrix:
     """Matrix of the map src -> dst induced by f on class representatives.
 
-    Requires f(cycles) within cycles and f(boundaries) within boundaries;
-    anything else raises NotFiltrationCompatibleError.
+    Requires f(cycles) within cycles and f(boundaries) within boundaries,
+    checked on the sparse image of every basis row; anything else raises
+    NotFiltrationCompatibleError.  Column j holds the class of f applied to
+    representative j of src: its first dst.dim coordinates in dst's
+    representatives followed by dst's boundary basis, from one
+    `coordinates` solve.
     """
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise LinearAlgebraError("matrix shape does not match subquotients")
-    for b in src.cycles.basis:
-        if not dst.cycles.contains(f.apply(b)):
-            raise NotFiltrationCompatibleError("not filtration-compatible: cycles escape")
-    for b in src.boundaries.basis:
-        if not dst.boundaries.contains(f.apply(b)):
-            raise NotFiltrationCompatibleError("not filtration-compatible: boundaries escape")
-    cols = dst.class_coordinates_batch([f.apply(r) for r in src.representatives])
-    return ExactMatrix.from_columns(dst.dim, cols)
+    c, b = src.cycles.dim, src.boundaries.dim
+    images = f.images(src.cycles.sparse_basis + src.boundaries.sparse_basis + src._rep_rows)
+    if any(dst.cycles._residual(v) for v in images[:c]):
+        raise NotFiltrationCompatibleError("not filtration-compatible: cycles escape")
+    if any(dst.boundaries._residual(v) for v in images[c:c + b]):
+        raise NotFiltrationCompatibleError("not filtration-compatible: boundaries escape")
+    x = coordinates(dst._rep_rows + dst.boundaries.sparse_basis, dst.ambient_dim,
+                    images[c + b:])
+    return _wrap(dst.dim, src.dim, x.row_maps[: dst.dim])

@@ -19,14 +19,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .complexes import CochainComplex, FilteredComplex, betti, cohomology
-from .exactla import (
-    ExactMatrix,
-    Subspace,
-    induced_map,
-    solve,
-    unit_vector,
-    qq,
-)
+from .exactla import ExactMatrix, Subspace, _axpy, coordinates, induced_map, qq
 from .lierinehart import _bracket_entries, _ce_terms, _wedge_insert_sign
 from .specseq import check_convergence, run
 
@@ -79,14 +72,20 @@ class LieAlgebra:
             raise LieAlgebraError(
                 f"Jacobi identity fails on (e{i}, e{j}, e{k}) in component e{s}")
 
-    def bracket_vec(self, u: Sequence, v: Sequence) -> tuple[QQ, ...]:
-        out = [0] * self.dim
-        for (i, j), cs in self.brackets.items():
-            x = u[i] * v[j] - u[j] * v[i]
-            if x:
-                for k, c in cs.items():
-                    out[k] += x * c
-        return tuple(out)
+    def bracket(self, u: Mapping[int, QQ], v: Mapping[int, QQ]) -> dict[int, QQ]:
+        """[u, v] of sparse vectors {i: u_i}, as a sparse vector."""
+        out: dict[int, QQ] = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                if i < j:
+                    cs, x = self.brackets.get((i, j)), a * b
+                elif j < i:
+                    cs, x = self.brackets.get((j, i)), -a * b
+                else:
+                    continue
+                if cs:
+                    _axpy(out, -x, cs)
+        return out
 
 
 class LieIdeal:
@@ -96,9 +95,8 @@ class LieIdeal:
         if subspace.ambient_dim != owner.dim:
             raise MalformedLieAlgebra("ideal lives in the wrong space")
         for i in range(owner.dim):
-            ei = unit_vector(owner.dim, i)
-            for b in subspace.basis:
-                if not subspace.contains(owner.bracket_vec(ei, b)):
+            for b in subspace.sparse_basis:
+                if subspace._residual(owner.bracket({i: 1}, b)):
                     raise LieAlgebraError(
                         f"not an ideal: [e{i}, h-basis vector] leaves the subspace")
         self.owner = owner
@@ -156,32 +154,25 @@ def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
 
 
 def _adapted(g: LieAlgebra, h: LieIdeal, m: GModule):
-    """Rebuild (g, m) in a basis listing h first, then the echelon complement."""
+    """Rebuild (g, m) in a basis listing h first, then the echelon complement;
+    the brackets of all basis pairs get their coordinates from one
+    `coordinates` solve."""
     n = g.dim
-    k = h.dim
-    cols = list(h.subspace.basis)
     pivots = set(h.subspace.pivots)
-    cols.extend(unit_vector(n, i) for i in range(n) if i not in pivots)
-    pmat = ExactMatrix.from_columns(n, cols)
-    new_brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            br = g.bracket_vec(cols[a], cols[b])
-            coords = solve(pmat, br)
-            if coords is None:
-                raise LieAlgebraError("change of basis failed")
-            if any(coords):
-                new_brackets[(a, b)] = coords
+    basis = list(h.subspace.sparse_basis) + [{i: 1} for i in range(n) if i not in pivots]
+    pairs = list(combinations(range(n), 2))
+    coords = coordinates(basis, n, [g.bracket(basis[a], basis[b]) for a, b in pairs])
+    new_brackets = {pair: [col.get(s, 0) for s in range(n)]
+                    for pair, col in zip(pairs, coords.transpose().row_maps) if col}
     g2 = LieAlgebra(n, new_brackets)
     actions = []
-    for a in range(n):
+    for row in basis:
         act = ExactMatrix.zeros(m.dim, m.dim)
-        for i, c in enumerate(cols[a]):
-            if c:
-                act = act + m.actions[i].scaled(c)
+        for i, c in row.items():
+            act = act + m.actions[i].scaled(c)
         actions.append(act)
     m2 = GModule(g2, m.dim, actions)
-    return g2, m2, k
+    return g2, m2, h.dim
 
 
 def hs_filtered(g: LieAlgebra, h: LieIdeal, m: GModule) -> FilteredComplex:

@@ -399,9 +399,11 @@ def _ce_terms(n: int, basis, brackets: Mapping, act, times):
     for col, (subset, v) in enumerate(basis):
         for k in range(n):
             if k not in subset:
-                tsub, sign = _wedge_insert_sign(k, subset)
-                for value, x in act(k, v).items():
-                    yield col, tsub, value, sign * x
+                terms = act(k, v)
+                if terms:
+                    tsub, sign = _wedge_insert_sign(k, subset)
+                    for value, x in terms.items():
+                        yield col, tsub, value, sign * x
         for pos, k in enumerate(subset):
             rest = subset[:pos] + subset[pos + 1:]
             for a, b, c in by_k[k]:

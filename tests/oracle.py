@@ -13,10 +13,19 @@ subquotients of a flag of subspaces F_p C^n,
     Z_r^{p,q} = {x in F_p C^{p+q} : dx in F_{p+r} C^{p+q+1}}
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2})
 
-and d_r is the matrix induced by d on class representatives.  Slow, but
-each page is checked on its own: d_r.d_r = 0 on every page, and page
-dimensions never increase from one page to the next.  The package engine
-(one persistence pairing) is cross-checked against this one.
+and d_r is the matrix induced by d on class representatives, by
+`induced_map_dense`: dense images and one dense `solve_batch`, the induced
+map the package computed before it stayed on sparse rows.  Slow, but each page is checked on its own: d_r.d_r = 0 on every
+page, and page dimensions never increase from one page to the next.  The
+package engine (one persistence pairing) is cross-checked against this
+one, and `exactla.induced_map` against `induced_map_dense` on every page
+entry.
+
+`from_flag_dense` and `adapted_by_solves` are the changes of basis the
+package made before `exactla.coordinates`: `FilteredComplex.from_flag`
+with dense representatives and a dense `solve_batch` per degree, and
+`hochserre._adapted` with one dense `solve` per bracket pair, on dense
+brackets (`la_bracket_vec`).
 
 `ce_d_scan`, `ce_complex_scan` and `action_on_h_cochains_scan` are the
 builders the package used before `lierinehart._ce_terms`: for every source
@@ -56,15 +65,18 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 from itertools import combinations
 
-from liekoszul.complexes import CochainComplex, _induced, cohomology
+from liekoszul.complexes import CochainComplex, FilteredComplex, _induced, cohomology
 from liekoszul.exactla import (
     ExactMatrix,
+    NotFiltrationCompatibleError,
     Subquotient,
     Subspace,
-    induced_map,
     rank,
+    solve,
+    solve_batch,
     unit_vector,
 )
+from liekoszul.hochserre import GModule, LieAlgebra, LieAlgebraError
 from liekoszul.koszul import _subset_fn_weight
 from liekoszul.lierinehart import Failure, ValidationReport, p_str
 
@@ -137,6 +149,17 @@ def la_bracket(g, i, j):
     return tuple(cs.get(k, 0) for k in range(g.dim))
 
 
+def la_bracket_vec(g, u, v):
+    """[u, v] of dense vectors, summed over every pair of basis vectors."""
+    out = [QQ(0)] * g.dim
+    for i in range(g.dim):
+        for j in range(g.dim):
+            x = u[i] * v[j]
+            if x:
+                out = [o + x * c for o, c in zip(out, la_bracket(g, i, j))]
+    return tuple(out)
+
+
 def dense_rref(rows):
     """Reduced row echelon form of dense rows: (nonzero rows, pivot columns).
 
@@ -186,6 +209,70 @@ def dense_solve(rows, ncols, b):
     for row, p in zip(red, pivots):
         x[p] = row[ncols]
     return tuple(x)
+
+
+def induced_map_dense(f, src, dst):
+    """exactla.induced_map on dense vectors: the containment checks on
+    dense images, then each class by a dense solve in the representatives
+    of dst followed by its boundary basis."""
+    if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
+        raise ValueError("matrix shape does not match subquotients")
+    for b in src.cycles.basis:
+        if not dst.cycles.contains(f.apply(b)):
+            raise NotFiltrationCompatibleError("not filtration-compatible: cycles escape")
+    for b in src.boundaries.basis:
+        if not dst.boundaries.contains(f.apply(b)):
+            raise NotFiltrationCompatibleError("not filtration-compatible: boundaries escape")
+    basis = ExactMatrix.from_columns(dst.ambient_dim,
+                                     dst.representatives + dst.boundaries.basis)
+    classes = solve_batch(basis, [f.apply(r) for r in src.representatives])
+    assert None not in classes, "a cycle has no class"
+    return ExactMatrix.from_columns(dst.dim, [x[: dst.dim] for x in classes])
+
+
+def from_flag_dense(cplx, p_lo, p_hi, spaces):
+    """FilteredComplex.from_flag through dense representatives, dense images
+    and one dense solve_batch per degree (valid flags only)."""
+    bases, levels = {}, {}
+    for n in cplx.degrees():
+        bases[n], levels[n] = [], []
+        for p in range(p_hi, p_lo - 1, -1):
+            reps = Subquotient(spaces[(p, n)], spaces[(p + 1, n)]).representatives
+            bases[n].extend(reps)
+            levels[n].extend([p] * len(reps))
+    diffs = []
+    for n in range(cplx.lo, cplx.hi):
+        change = ExactMatrix.from_columns(cplx.dim(n + 1), bases[n + 1])
+        images = [cplx.d(n).apply(b) for b in bases[n]]
+        diffs.append(ExactMatrix.from_columns(cplx.dim(n + 1), solve_batch(change, images)))
+    adapted = CochainComplex(cplx.lo, cplx.hi, [cplx.dim(n) for n in cplx.degrees()], diffs)
+    return FilteredComplex(adapted, p_lo, p_hi, levels)
+
+
+def adapted_by_solves(g, h, m):
+    """hochserre._adapted with one dense solve per bracket pair."""
+    n = g.dim
+    cols = list(h.subspace.basis)
+    pivots = set(h.subspace.pivots)
+    cols.extend(unit_vector(n, i) for i in range(n) if i not in pivots)
+    pmat = ExactMatrix.from_columns(n, cols)
+    new_brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            coords = solve(pmat, la_bracket_vec(g, cols[a], cols[b]))
+            if coords is None:
+                raise LieAlgebraError("change of basis failed")
+            if any(coords):
+                new_brackets[(a, b)] = coords
+    g2 = LieAlgebra(n, new_brackets)
+    actions = []
+    for a in range(n):
+        act = ExactMatrix.zeros(m.dim, m.dim)
+        for i, c in enumerate(cols[a]):
+            if c:
+                act = act + m.actions[i].scaled(c)
+        actions.append(act)
+    return g2, GModule(g2, m.dim, actions), h.dim
 
 
 @dataclass(frozen=True)
@@ -242,6 +329,7 @@ class OraclePage:
     r: int
     entries: dict        # (p, q) -> Subquotient
     differentials: dict  # (p, q) -> ExactMatrix of d_r out of (p, q)
+    targets: dict        # (p, q) -> the Subquotient d_r out of (p, q) maps into
 
     def dims(self):
         return {pq: e.dim for pq, e in self.entries.items()}
@@ -258,21 +346,22 @@ def oracle_page(f, r, cache):
         for n in cplx.degrees():
             entries[(p, n - p)] = Subquotient(_z(f, p, n, r, cache),
                                               _boundary_part(f, p, n, r, cache))
-    differentials = {}
+    differentials, targets = {}, {}
     for (p, q), src in entries.items():
         n = p + q
         dst = entries.get((p + r, q - r + 1))
         if dst is None:
             # Outside the stored support the entry is zero; the containment
-            # checks in induced_map still certify that d lands there.
+            # checks in induced_map_dense still certify that d lands there.
             m = cplx.dim(n + 1)
             dst = Subquotient(Subspace.zero_space(m), Subspace.zero_space(m))
-        differentials[(p, q)] = induced_map(cplx.d(n), src, dst)
+        differentials[(p, q)] = induced_map_dense(cplx.d(n), src, dst)
+        targets[(p, q)] = dst
     for (p, q), m in differentials.items():
         nxt = differentials.get((p + r, q - r + 1))
         if nxt is not None and m.rows and m.cols:
             assert (nxt @ m).is_zero(), f"d_r.d_r != 0 at {(p, q)} on page {r}"
-    return OraclePage(r, entries, differentials)
+    return OraclePage(r, entries, differentials, targets)
 
 
 @dataclass(frozen=True)

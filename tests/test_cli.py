@@ -346,6 +346,22 @@ def test_bad_section_coefficient_is_an_input_error(tmp_path, capsys, bad):
     assert repr(bad) in err
 
 
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_bad_filtration_vector_entry_is_an_input_error(tmp_path, capsys, bad):
+    path = _mutated(tmp_path, "twostep-filtered.json",
+                    lambda p: p["filtration"]["spaces"]["1,1"][0].__setitem__(0, bad))
+    err = _exit_with_one_line(capsys, ["specseq", path], 2, "error:")
+    assert repr(bad) in err
+
+
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
+def test_bad_lie_bracket_coefficient_is_an_input_error(tmp_path, capsys, bad):
+    path = _mutated(tmp_path, "heisenberg-center.json",
+                    lambda p: p["brackets"]["0,1"].__setitem__(2, bad))
+    err = _exit_with_one_line(capsys, ["hs", path], 2, "error:")
+    assert repr(bad) in err
+
+
 # A value that must be a JSON object but is not: exit 2 with one line.
 NOT_OBJECTS = {
     "anchor-entry-list": ("euler-n2.json", lambda p: p["anchor"][0].__setitem__(0, [1])),

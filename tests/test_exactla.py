@@ -1,17 +1,22 @@
 import random
+import re
 from fractions import Fraction as QQ
 
 import pytest
 
+from liekoszul import exactla
 from liekoszul.exactla import (
     ExactMatrix,
+    LinearAlgebraError,
     NotFiltrationCompatibleError,
     OutsideCyclesError,
     Subquotient,
     Subspace,
     image_basis,
     induced_map,
+    coordinates,
     kernel_basis,
+    qq,
     rank,
     solve,
     solve_batch,
@@ -340,3 +345,82 @@ def test_product_with_cancelling_terms_is_zero():
     assert (a + a.scaled(-1)).row_maps == ({}, {})
     assert a.transpose().transpose() == a
     assert a.scaled(0).is_zero()
+
+
+# -- parsing rationals --------------------------------------------------------
+
+PARSER_CORPUS = ["0", "-0", "+3", " 3 ", "6/3", "0/7", "-3/4", "1/0", "-1/00", "3/-4",
+                 "--3", "-", "/3", "3/", "1_0", "\u0661\u0662", "\u00b2", "1.5", "1e3"]
+
+
+def seeded_ratios(seed=20261022, count=500):
+    """'a/b' strings: signed numerators up to 12 digits, denominators 0..40."""
+    rng = random.Random(seed)
+    return [f"{rng.choice(('', '-'))}{rng.randrange(10 ** rng.randint(1, 12))}"
+            f"/{rng.randrange(41)}" for _ in range(count)]
+
+
+def test_qq_parses_strings_as_fraction_does():
+    # qq(s) == Fraction(s.strip()), an int when integral; where Fraction
+    # raises (ValueError, or ZeroDivisionError for a zero denominator) qq
+    # raises ValueError naming the string.
+    refused = 0
+    for s in PARSER_CORPUS + seeded_ratios():
+        try:
+            expected = QQ(s.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError, match=re.escape(repr(s))) as exc:
+                qq(s)
+            assert type(exc.value) is ValueError
+            refused += 1
+            continue
+        got = qq(s)
+        assert got == expected, s
+        assert type(got) is (int if expected.denominator == 1 else QQ), s
+    assert refused >= 15
+
+
+# -- coordinates in a sparse basis --------------------------------------------
+
+def test_coordinates_solve_and_check():
+    # basis (1, 2, 0), (0, 1, 1) of a plane in QQ^3; X column j = coords of target j
+    basis = [{0: 1, 1: 2}, {1: 1, 2: 1}]
+    x = coordinates(basis, 3, [{0: 2, 1: 5, 2: 1}, {}, {1: QQ(1, 2), 2: QQ(1, 2)}])
+    assert x == ExactMatrix.from_rows([[2, 0, 0], [1, 0, QQ(1, 2)]])
+    assert coordinates([], 0, []) == ExactMatrix.zeros(0, 0)
+    with pytest.raises(LinearAlgebraError):
+        coordinates(basis, 3, [{2: 1}])                   # outside the span
+    with pytest.raises(LinearAlgebraError):
+        coordinates(basis + [{0: 1, 1: 3, 2: 1}], 3, [])  # dependent basis
+
+
+def test_coordinates_check_their_product(monkeypatch):
+    # An elimination that returns a wrong target block must not go unnoticed.
+    real = exactla._rref
+
+    def off_by_one(rows, reduced=True):
+        out, pivots = real(rows, reduced)
+        out[0] = {**out[0], 2: out[0].get(2, 0) + 1}
+        return out, pivots
+
+    basis = [{0: 1}, {1: 1}]
+    assert coordinates(basis, 2, [{0: 1}]) == ExactMatrix.from_rows([[1], [0]])
+    monkeypatch.setattr(exactla, "_rref", off_by_one)
+    with pytest.raises(LinearAlgebraError, match="B X = T"):
+        coordinates(basis, 2, [{0: 1}])
+
+
+def test_coordinates_match_dense_solve():
+    rng = random.Random(29)
+    for rows, ncols in kernel_corpus(seed=41, count=80):
+        basis = Subspace(ncols, rows)
+        if not basis.dim:
+            continue
+        m = ExactMatrix.from_columns(ncols, basis.basis)
+        targets = [m.apply([QQ(rng.randrange(-2, 3), rng.choice((1, 2))) for _ in range(basis.dim)])
+                   for _ in range(3)]
+        x = coordinates(basis.sparse_basis, ncols,
+                        [{i: qq(c) for i, c in enumerate(t) if c} for t in targets])
+        for j, t in enumerate(targets):
+            ref = dense_solve([m.row(i) for i in range(m.rows)], m.cols, t)
+            assert x.column(j) == ref

@@ -1,5 +1,6 @@
 """Golden `--json` reports: every (case, command) pair must reproduce the
-report stored in tests/golden/ byte for byte.
+report stored in tests/golden/ byte for byte, also with every dense view of
+`exactla` made to raise, so that the drivers stay on sparse rows.
 
 A pair the CLI rejects as an input error (exit 2) writes no report and has
 no golden file.  To regenerate the reports from the repository root:
@@ -7,11 +8,14 @@ no golden file.  To regenerate the reports from the repository root:
     rm -f tests/golden/*.json; for f in cases/*.json; do for c in validate cohomology specseq koszul hs p1; do PYTHONPATH=src python3 -m liekoszul.cli $c $f --json tests/golden/${c}__$(basename $f) >/dev/null 2>&1; done; done
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
+from liekoszul import exactla
 from liekoszul.cli import COMMANDS, main
+from liekoszul.exactla import ExactMatrix, Subquotient, Subspace
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = sorted((ROOT / "cases").glob("*.json"))
@@ -35,3 +39,36 @@ def test_report_matches_golden(case, command, tmp_path, capsys):
     expected = golden.read_bytes() if golden.exists() else None
     assert code in (0, 1, 2)
     assert written == expected
+
+
+class DenseViewUsed(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise DenseViewUsed
+
+
+def test_reports_use_no_dense_view(tmp_path, capsys, monkeypatch):
+    for cls, names in ((Subspace, ("basis", "contains")),
+                       (Subquotient, ("representatives", "class_coordinates_batch")),
+                       (ExactMatrix, ("apply", "from_columns", "entry", "row", "column",
+                                      "entries"))):
+        for name in names:
+            view = property(_refuse) if isinstance(cls.__dict__[name], property) else _refuse
+            monkeypatch.setattr(cls, name, view)
+    for name in ("solve", "solve_batch", "as_vector", "unit_vector"):
+        original = getattr(exactla, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "liekoszul":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, _refuse)
+    goldens = sorted(GOLDEN.glob("*.json"))
+    assert goldens
+    for golden in goldens:
+        command, case = golden.name.split("__", 1)
+        out = tmp_path / golden.name
+        main([command, str(ROOT / "cases" / case), "--json", str(out)])
+        capsys.readouterr()
+        assert out.read_bytes() == golden.read_bytes(), golden.name

@@ -2,7 +2,10 @@
 
 The spectral-sequence engine (one persistence pairing) against the
 subquotient engine: every page's dims, every d_r rank, and the stable and
-degeneration pages must agree.  The Chevalley-Eilenberg builders against
+degeneration pages must agree, and the sparse induced map equals the dense
+one on every page entry.  The sparse changes of basis (`from_flag`,
+`_adapted`, `induced_map`) against the dense solves they replaced, on
+must-fail maps as well.  The Chevalley-Eilenberg builders against
 the scanning builders: the matrices must be equal, not just their ranks.
 The mapping-cone quasi-isomorphism test against the induced maps on
 cohomology, and the reduction matrix read off normal forms against one
@@ -33,7 +36,16 @@ from liekoszul.complexes import (
     row_filtration,
 )
 from liekoszul.cli import build_lie_algebra
-from liekoszul.exactla import ExactMatrix, Subspace, normal_forms, rank, unit_vector
+from liekoszul.exactla import (
+    ExactMatrix,
+    NotFiltrationCompatibleError,
+    Subquotient,
+    Subspace,
+    induced_map,
+    normal_forms,
+    rank,
+    unit_vector,
+)
 from liekoszul.hochserre import (
     GModule,
     LieAlgebra,
@@ -56,13 +68,16 @@ from liekoszul.specseq import run
 from oracle import (
     Flag,
     action_on_h_cochains_scan,
+    adapted_by_solves,
     ce_complex_scan,
     ce_d_scan,
     contraction_by_products,
     elem_anchor_apply,
     elem_bracket,
     flag_of,
+    from_flag_dense,
     ideal_rows_by_products,
+    induced_map_dense,
     jacobi_dense,
     la_bracket,
     lr_bracket,
@@ -83,8 +98,18 @@ def assert_matches_oracle(f, flag):
     for page, ref_page in zip(res.pages, ref.pages):
         assert page.dims() == ref_page.dims(), f"dims differ on page {page.r}"
         assert page.ranks == ref_page.ranks(), f"d_r ranks differ on page {page.r}"
+        for (p, q), src in ref_page.entries.items():
+            d = flag.complex.d(p + q)
+            assert (induced_map(d, src, ref_page.targets[(p, q)])
+                    == ref_page.differentials[(p, q)]), f"d_r differs at {(p, q)}"
     assert res.stable_page == ref.stable_page
     assert res.degeneration_page == ref.degeneration_page
+
+
+def assert_same_adapted(f, ref):
+    assert f.levels == ref.levels
+    for n in f.complex.degrees():
+        assert f.complex.d(n) == ref.complex.d(n), f"adapted d differs at degree {n}"
 
 
 def test_random_flags_match_oracle():
@@ -94,6 +119,7 @@ def test_random_flags_match_oracle():
     for _ in range(300):
         cplx, p_lo, p_hi, spaces = random_flag(rng)
         f = FilteredComplex.from_flag(cplx, p_lo, p_hi, spaces)
+        assert_same_adapted(f, from_flag_dense(cplx, p_lo, p_hi, spaces))
         assert_matches_oracle(f, Flag(cplx, p_lo, p_hi, spaces))
 
 
@@ -110,7 +136,10 @@ def test_integer_complexes_with_non_unit_pivots_match_oracle():
         levels = {0: [rng.randrange(2) for _ in range(n)],
                   1: [rng.randrange(1, 3) for _ in range(n)]}
         f = FilteredComplex(CochainComplex(0, 1, [n, n], [d]), 0, 2, levels)
-        assert_matches_oracle(f, flag_of(f))
+        flag = flag_of(f)
+        assert_same_adapted(FilteredComplex.from_flag(f.complex, 0, 2, flag.spaces),
+                            from_flag_dense(f.complex, 0, 2, flag.spaces))
+        assert_matches_oracle(f, flag)
 
 
 @pytest.mark.parametrize("g,h,m", [pytest.param(*x[1:], id=x[0])
@@ -159,6 +188,15 @@ def _hs_action_instances():
     return out
 
 
+def test_adapted_basis_matches_per_pair_solves():
+    for g, h, m in _hs_action_instances():
+        g2, m2, k = _adapted(g, h, m)
+        ref_g2, ref_m2, ref_k = adapted_by_solves(g, h, m)
+        assert k == ref_k
+        assert g2.brackets == ref_g2.brackets
+        assert m2.actions == ref_m2.actions
+
+
 def test_action_on_h_cochains_matches_scanning_builder():
     for g, h, m in _hs_action_instances():
         g2, m2, k = _adapted(g, h, m)
@@ -166,6 +204,69 @@ def test_action_on_h_cochains_matches_scanning_builder():
             for q in range(k + 1):
                 assert (_action_on_h_cochains(g2, m2, k, x, q)
                         == action_on_h_cochains_scan(g2, m2, k, x, q)), (x, q)
+
+
+def _induced_outcome(fn, f, src, dst):
+    try:
+        return fn(f, src, dst)
+    except NotFiltrationCompatibleError as exc:
+        return str(exc)
+
+
+def test_induced_map_must_fail_where_cycles_or_boundaries_escape():
+    plane, line = Subspace.full_space(2), Subspace(2, [[1, 0]])
+    zero = Subspace.zero_space(2)
+    cases = [
+        # the cycle e_1 maps outside the target cycles <e_0>
+        (ExactMatrix.identity(2), Subquotient(plane, zero), Subquotient(line, zero),
+         "cycles escape"),
+        # every cycle lands in the target cycles, but the boundary e_0 is not
+        # a target boundary
+        (ExactMatrix.identity(2), Subquotient(plane, line), Subquotient(plane, zero),
+         "boundaries escape"),
+    ]
+    for f, src, dst, what in cases:
+        for fn in (induced_map, induced_map_dense):
+            with pytest.raises(NotFiltrationCompatibleError, match=what):
+                fn(f, src, dst)
+
+
+def _random_vectors(rng, n, count):
+    return [[rng.choice((-2, -1, 0, 0, 1, 2, Fraction(1, 2))) for _ in range(n)]
+            for _ in range(count)]
+
+
+def _combination(rng, vectors, n):
+    cs = [rng.choice((-1, 1, 2, Fraction(1, 3))) for _ in vectors]
+    return [sum(c * v[i] for c, v in zip(cs, vectors)) for i in range(n)]
+
+
+def test_induced_map_matches_dense_on_random_and_must_fail_maps():
+    # dst is built from f(Z), f(B) and extra vectors.  With f(B) left out of
+    # its boundaries only boundaries escape (or nothing, when f(B) lands in
+    # the extra line); with cycles = boundaries = f(B) the cycles escape
+    # unless f(Z) = f(B).
+    rng = random.Random(20261021)
+    outcomes = {"map": 0, "not filtration-compatible: cycles escape": 0,
+                "not filtration-compatible: boundaries escape": 0}
+    for _ in range(300):
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        mode = rng.choice(("map", "cycles", "boundaries"))
+        f = ExactMatrix.from_rows(_random_vectors(rng, a, b))
+        cycles = Subspace(a, _random_vectors(rng, a, rng.randint(1, a)))
+        boundaries = Subspace(a, [_combination(rng, cycles.basis, a)
+                                  for _ in range(rng.randint(mode == "boundaries", 2))])
+        src = Subquotient(cycles, boundaries)
+        images = [f.apply(v) for v in cycles.basis]
+        extra = _random_vectors(rng, b, {"map": rng.randint(0, 2), "cycles": 0}.get(mode, 1))
+        dst_bound = Subspace(b, extra if mode == "boundaries"
+                             else [f.apply(v) for v in boundaries.basis] + extra)
+        dst_cyc = dst_bound if mode == "cycles" else Subspace(b, images + extra)
+        dst = Subquotient(dst_cyc, dst_bound)
+        got = _induced_outcome(induced_map, f, src, dst)
+        assert got == _induced_outcome(induced_map_dense, f, src, dst)
+        outcomes["map" if isinstance(got, ExactMatrix) else got] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 FORMALITY = [pytest.param(lr, v, id=name) for name, lr, v in corpus.formality_instances()]
