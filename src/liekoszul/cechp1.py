@@ -14,6 +14,11 @@ raises).  Cohomology of such a model can still be wrong when the window
 is too small to see a stable answer, so every reported dimension is
 recomputed at window D+1 and a mismatch raises WindowError.
 
+Every block of the Cech-Koszul double complex is one Laurent matrix per
+open set (`_laurent_block`): the Cech differential is -I on chart 0 and
+the transition, with j -> -j, on chart 1, and the contraction i_V is a
+matrix in the section's scalar and vector parts on each open set.
+
 The first-order-operator bundle of the degree-d line bundle is derived
 by transforming f + v d/dz under the trivialization change: its
 chart-1-to-chart-0 matrix is [[1, d z], [0, -z^2]], acting on (scalar
@@ -212,7 +217,8 @@ def cotangent_sheaf() -> SheafOnP1:
 
 @dataclass
 class RowModel:
-    """Finite section spaces of one sheaf: chart cells and overlap window."""
+    """Finite section spaces of one sheaf: chart cells and overlap window.
+    Basis vectors z^e e_c are keyed (open set, c, e), open set "0", "1" or "01"."""
 
     sheaf: SheafOnP1
     radius: int
@@ -227,25 +233,22 @@ class RowModel:
                    for e in range(0, self.chart1_hi[c] + 1))
         return out
 
-    def window_entries(self) -> list[tuple[int, int]]:
-        return [(c, e) for c in range(self.sheaf.rank)
+    def window_entries(self) -> list[tuple[str, int, int]]:
+        return [("01", c, e) for c in range(self.sheaf.rank)
                 for e in range(self.window[c][0], self.window[c][1] + 1)]
 
-    @property
-    def chart_dim(self) -> int:
-        return len(self.chart_entries())
 
-    @property
-    def window_dim(self) -> int:
-        return len(self.window_entries())
+# Contraction by a section raises exponents by at most 2: every component
+# of a section (f0, v0, f1, w1) has degree <= 2 in its chart coordinate.
+_SHIFT = 2
 
 
 def build_row(sheaf: SheafOnP1, radius: int, margin: int,
-              prev: RowModel | None = None, shift: int = 2) -> RowModel:
+              prev: RowModel | None = None) -> RowModel:
     """Section model at the given radius.
 
     `prev` is the model one level below under a multiplication map that
-    raises exponents by at most `shift`; its bounds force closure here.
+    raises exponents by at most `_SHIFT`; its bounds force closure here.
     """
     g = sheaf.transition
     chart0_hi = radius + margin
@@ -253,9 +256,9 @@ def build_row(sheaf: SheafOnP1, radius: int, margin: int,
     for c in range(sheaf.rank):
         chart1_hi.append(radius + sheaf.col_min_exp(c) + margin)
     if prev is not None:
-        chart0_hi = max(chart0_hi, prev.chart0_hi + shift)
+        chart0_hi = max(chart0_hi, prev.chart0_hi + _SHIFT)
         need = max((j for j in prev.chart1_hi), default=-1)
-        chart1_hi = [max(j, need + shift) if j >= 0 or need >= 0 else j
+        chart1_hi = [max(j, need + _SHIFT) if j >= 0 or need >= 0 else j
                      for j in chart1_hi]
     window = []
     for c in range(sheaf.rank):
@@ -270,32 +273,40 @@ def build_row(sheaf: SheafOnP1, radius: int, margin: int,
             plo = min(w[0] for w in prev.window)
             phi = max(w[1] for w in prev.window)
             lo = min(lo, plo)
-            hi = max(hi, phi + shift)
+            hi = max(hi, phi + _SHIFT)
         window.append((lo, hi))
     return RowModel(sheaf, radius, chart0_hi, tuple(chart1_hi), tuple(window))
 
 
-def _delta_matrix(row: RowModel) -> ExactMatrix:
-    """Cech differential C^0 -> C^1: (s0, s1) -> iota1(s1) - iota0(s0)."""
-    win = row.window_entries()
-    win_index = {we: i for i, we in enumerate(win)}
-    chart = row.chart_entries()
+def _laurent_block(src: list, dst: list, maps: dict) -> ExactMatrix:
+    """Matrix of the map sending the basis vector z^j e_c at source key
+    (side, c, j) to sum_r m[r][c] z^(flip j) e_r in the open set `out`,
+    where (m, flip, out) = maps[side] and m is a Laurent matrix; raises
+    WindowError if an image leaves the target cell `dst`."""
+    index = {key: i for i, key in enumerate(dst)}
+    # per open set, the terms (r, e, coefficient) of each column c of its matrix
+    terms = {side: (flip, out, [[(r, e, x) for r, row in enumerate(m) for e, x in row[c].items()]
+                                for c in range(len(m[0]))])
+             for side, (m, flip, out) in maps.items()}
     entries = []
-    g = row.sheaf.transition
-    for col, (side, c, j) in enumerate(chart):
-        if side == "0":
-            r = win_index.get((c, j))
-            if r is None:
-                raise WindowError("chart-0 image leaves the overlap window")
-            entries.append((r, col, -1))
-        else:
-            for c_out in range(row.sheaf.rank):
-                for e, coeff in g[c_out][c].items():
-                    r = win_index.get((c_out, e - j))
-                    if r is None:
-                        raise WindowError("chart-1 image leaves the overlap window")
-                    entries.append((r, col, coeff))
-    return ExactMatrix.from_entries(len(win), len(chart), entries)
+    for col, (side, c, j) in enumerate(src):
+        flip, out, column = terms[side]
+        j *= flip
+        for r, e, coeff in column[c]:
+            i = index.get((out, r, e + j))
+            if i is None:
+                raise WindowError(f"image {(out, r, e + j)} leaves the target cell")
+            entries.append((i, col, coeff))
+    return ExactMatrix.from_entries(len(dst), len(src), entries)
+
+
+def _delta_matrix(row: RowModel) -> ExactMatrix:
+    """Cech differential C^0 -> C^1: (s0, s1) -> iota1(s1) - iota0(s0), a chart-1
+    section in 1/z written in z (j -> -j) and moved to chart 0 by the transition."""
+    n = row.sheaf.rank
+    minus_one = tuple(tuple({0: -1} if r == c else {} for c in range(n)) for r in range(n))
+    return _laurent_block(row.chart_entries(), row.window_entries(),
+                          {"0": (minus_one, 1, "01"), "1": (row.sheaf.transition, -1, "01")})
 
 
 def _cech_dims(sheaf: SheafOnP1, radius: int) -> tuple[int, int]:
@@ -416,28 +427,6 @@ def zero_section(algebroid: AlgebroidOnP1) -> EquivariantSection:
 
 # -- the Cech-Koszul double complex -------------------------------------------
 
-def _mult_block(src: list, dst_index: dict, table, dim_dst: int,
-                kind: str) -> ExactMatrix:
-    """Multiplication block for one cell; raises if an image leaves the cell."""
-    entries = []
-    for col, key in enumerate(src):
-        if kind == "chart":
-            side, c, j = key
-        else:
-            c, j = key
-            side = None
-        for (c_src, c_dst, coeff_poly, sign) in table(side):
-            if c_src != c:
-                continue
-            for e, coeff in coeff_poly.items():
-                tgt = (side, c_dst, j + e) if kind == "chart" else (c_dst, j + e)
-                r = dst_index.get(tgt)
-                if r is None:
-                    raise WindowError(f"contraction image {tgt} leaves the target cell")
-                entries.append((r, col, sign * coeff))
-    return ExactMatrix.from_entries(dim_dst, len(src), entries)
-
-
 @dataclass
 class CechKoszulModel:
     algebroid: AlgebroidOnP1
@@ -449,27 +438,14 @@ class CechKoszulModel:
     betti: dict[int, int]        # of the total complex, degrees k = cech - wedge
 
 
-def _contraction_tables(v: EquivariantSection, p: int, untwisted: bool):
-    """Per-chart coefficient tables (src_comp, dst_comp, poly, sign) for i_V
-    out of wedge row p (components ordered: Lambda^1 D* = (eps_sc, eps_vf))."""
-    f0, v0, f1, w1 = v.f0, v.v0, v.f1, v.w1
+def _contraction_matrix(v: EquivariantSection, side: str, p: int, untwisted: bool) -> LMatrix:
+    """Laurent matrix of i_V out of wedge row p on the open set `side`, where
+    V is f + v d/dz: (f1, w1) on chart 1, (f0, v0) on chart 0 and the overlap
+    (components ordered: Lambda^1 D* = (eps_sc, eps_vf))."""
+    f, vf = (v.f1, v.w1) if side == "1" else (v.f0, v.v0)
     if untwisted:
-        # single row map Omega^1 -> O by the vector part
-        def table(side):
-            vv = w1 if side == "1" else v0
-            return [(0, 0, vv, 1)]
-        return table
-    if p == -2:
-        def table(side):
-            ff, vv = (f1, w1) if side == "1" else (f0, v0)
-            return [(0, 0, vv, -1), (0, 1, ff, 1)]
-        return table
-    if p == -1:
-        def table(side):
-            ff, vv = (f1, w1) if side == "1" else (f0, v0)
-            return [(0, 0, ff, 1), (1, 0, vv, 1)]
-        return table
-    raise ValueError("no contraction out of this row")
+        return ((vf,),)       # Omega^1 -> O by the vector part
+    return ((lp_scale(-1, vf),), (f,)) if p == -2 else ((f, vf),)
 
 
 def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
@@ -495,19 +471,14 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     vertical = {}
     horizontal = {}
     for p in ps:
-        row = rows[p]
-        dims[(p, 0)] = row.chart_dim
-        dims[(p, 1)] = row.window_dim
-        vertical[(p, 0)] = _delta_matrix(row)
+        delta = vertical[(p, 0)] = _delta_matrix(rows[p])
+        dims[(p, 0)], dims[(p, 1)] = delta.cols, delta.rows
     for p in ps[:-1]:
         src, dst = rows[p], rows[p + 1]
-        table = _contraction_tables(section, p, untwisted)
-        chart_idx = {k: i for i, k in enumerate(dst.chart_entries())}
-        win_idx = {k: i for i, k in enumerate(dst.window_entries())}
-        horizontal[(p, 0)] = _mult_block(src.chart_entries(), chart_idx, table,
-                                         dst.chart_dim, "chart")
-        horizontal[(p, 1)] = _mult_block(src.window_entries(), win_idx, table,
-                                         dst.window_dim, "window")
+        i_v = {side: (_contraction_matrix(section, side, p, untwisted), 1, side)
+               for side in ("0", "1", "01")}
+        horizontal[(p, 0)] = _laurent_block(src.chart_entries(), dst.chart_entries(), i_v)
+        horizontal[(p, 1)] = _laurent_block(src.window_entries(), dst.window_entries(), i_v)
     double = DoubleComplex.from_commuting(ps[0], 0, 0, 1, dims, horizontal, vertical)
     return CechKoszulModel(algebroid, section, window, untwisted, rows, double,
                            betti(total(double)))

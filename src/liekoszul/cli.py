@@ -70,6 +70,21 @@ def _sized(payload: dict, key: str, length: int) -> list:
     return value
 
 
+def _integer(value, field: str) -> int:
+    """The value of the integer field `field`, a JSON number with no
+    fractional part; `int` would read true as 1 and truncate 2.5."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise SchemaError(f"field {field!r} must be an integer, got {value!r}")
+
+
+def _boolean(value, field: str) -> bool:
+    """The value of the boolean field `field`, a JSON true or false."""
+    if type(value) is bool:
+        return value
+    raise SchemaError(f"field {field!r} must be true or false, got {value!r}")
+
+
 def _cell_key(key: str, field: str) -> tuple[int, int]:
     """(p, q) from a key "p,q" of the mapping `field`."""
     parts = key.split(",")
@@ -97,14 +112,14 @@ def _subspace(vectors, dim: int, what: str) -> Subspace:
 
 
 def build_lie_algebra(payload: dict):
-    dim = int(_need(payload, "dim"))
+    dim = _integer(_need(payload, "dim"), "dim")
     g = hochserre.LieAlgebra(dim, payload.get("brackets", {}))
     ideal = None
     if "ideal" in payload:
         ideal = hochserre.LieIdeal(g, _subspace(payload["ideal"], dim, "ideal"))
     if "module" in payload:
         mdata = payload["module"]
-        mdim = int(_need(mdata, "dim"))
+        mdim = _integer(_need(mdata, "dim"), "module.dim")
         actions = [_matrix(a, mdim, mdim) for a in _need(mdata, "actions")]
         if len(actions) != dim:
             raise SchemaError("module needs one action matrix per generator")
@@ -115,11 +130,11 @@ def build_lie_algebra(payload: dict):
 
 
 def build_lie_rinehart(payload: dict):
-    weights = _need(payload, "variable_weights")
-    ring = lierinehart.WeightedPolyRing(len(weights), tuple(int(w) for w in weights))
+    weights = tuple(_integer(w, "variable_weights") for w in _need(payload, "variable_weights"))
+    ring = lierinehart.WeightedPolyRing(len(weights), weights)
     lr = lierinehart.LieRinehartPresentation(
         ring,
-        _need(payload, "generator_weights"),
+        [_integer(w, "generator_weights") for w in _need(payload, "generator_weights")],
         _need(payload, "anchor"),
         payload.get("brackets", {}),
     )
@@ -130,21 +145,21 @@ def build_lie_rinehart(payload: dict):
 
 
 def build_p1(payload: dict):
-    algebroid = cechp1.atiyah_algebroid(int(_need(payload, "degree")))
+    algebroid = cechp1.atiyah_algebroid(_integer(_need(payload, "degree"), "degree"))
     scalar = payload.get("scalar_part")
     if scalar is not None and (not isinstance(scalar, list) or len(scalar) > 2):
         raise SchemaError("field 'scalar_part' must be a list of at most 2 entries "
                           "(alpha + beta z)")
     section = cechp1.EquivariantSection(
         algebroid, tuple(_sized(payload, "vector_field", 3)), scalar)
-    untwisted = bool(payload.get("untwisted", False))
-    window = int(payload.get("window", 2))
+    untwisted = _boolean(payload.get("untwisted", False), "untwisted")
+    window = _integer(payload.get("window", 2), "window")
     return algebroid, section, untwisted, window
 
 
 def build_raw_complex(payload: dict):
-    dims = [int(d) for d in _need(payload, "dims")]
-    lo = int(payload.get("lo", 0))
+    dims = [_integer(d, "dims") for d in _need(payload, "dims")]
+    lo = _integer(payload.get("lo", 0), "lo")
     hi = lo + len(dims) - 1
     mats = _need(payload, "differentials")
     if len(mats) != len(dims) - 1:
@@ -155,11 +170,11 @@ def build_raw_complex(payload: dict):
 
 def build_raw_double(payload: dict) -> DoubleComplex:
     block = _need(payload, "double")
-    p_lo, p_hi = int(_need(block, "p_lo")), int(_need(block, "p_hi"))
-    q_lo, q_hi = int(_need(block, "q_lo")), int(_need(block, "q_hi"))
+    p_lo, p_hi, q_lo, q_hi = (_integer(_need(block, key), f"double.{key}")
+                              for key in ("p_lo", "p_hi", "q_lo", "q_hi"))
     dims = {}
     for key, d in _need(block, "dims").items():
-        dims[_cell_key(key, "double.dims")] = int(d)
+        dims[_cell_key(key, "double.dims")] = _integer(d, "double.dims")
 
     def read_maps(field, shape):
         out = {}
@@ -173,14 +188,14 @@ def build_raw_double(payload: dict) -> DoubleComplex:
                       lambda p, q: (dims.get((p + 1, q), 0), dims.get((p, q), 0)))
     vert = read_maps("vertical",
                      lambda p, q: (dims.get((p, q + 1), 0), dims.get((p, q), 0)))
-    if block.get("commuting", False):
+    if _boolean(block.get("commuting", False), "double.commuting"):
         return DoubleComplex.from_commuting(p_lo, p_hi, q_lo, q_hi, dims, horiz, vert)
     return DoubleComplex(p_lo, p_hi, q_lo, q_hi, dims, horiz, vert)
 
 
 def build_raw_filtration(payload: dict, cplx: CochainComplex) -> FilteredComplex:
     block = _need(payload, "filtration")
-    p_lo, p_hi = int(_need(block, "p_lo")), int(_need(block, "p_hi"))
+    p_lo, p_hi = (_integer(_need(block, key), f"filtration.{key}") for key in ("p_lo", "p_hi"))
     levels = {}
     for key, vectors in _need(block, "spaces").items():
         p, n = _cell_key(key, "filtration.spaces")
@@ -202,7 +217,7 @@ def cmd_validate(payload: dict, args) -> tuple[dict, bool, list[str]]:
         lr, _ = build_lie_rinehart(payload)
         # Still read so that a malformed value is an input error; the check
         # on generators proves the identities at every weight.
-        int(payload.get("validate_weight", 0))
+        _integer(payload.get("validate_weight", 0), "validate_weight")
         report = lierinehart.validate(lr)
         if report.ok:
             lines.append("all identities hold on all of L (checked on generators)")
@@ -257,7 +272,7 @@ def _weight_range(payload: dict, args) -> tuple[int, int]:
     if "weights" not in payload:
         return 0, 3
     lo, hi = _sized(payload, "weights", 2)
-    return int(lo), int(hi)
+    return _integer(lo, "weights"), _integer(hi, "weights")
 
 
 def cmd_specseq(payload: dict, args) -> tuple[dict, bool, list[str]]:
@@ -311,7 +326,7 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
         lines.append(f"weight {w}: " +
                      " ".join(f"H^{k}={v}" for k, v in sorted(dims.items())))
     if "dim_y" in payload:
-        dim_y = int(payload["dim_y"])
+        dim_y = _integer(payload["dim_y"], "dim_y")
         dim_y_source = "asserted"
     else:
         try:

@@ -7,8 +7,10 @@ and the convergence to H(g, M) on concrete instances.
 
 A complement to h is chosen once (the standard echelon complement), the
 whole complex is rebuilt in the adapted basis, and each basis cochain
-gets its number of complement factors as filtration level.  Results are
-compared at the level of dimensions, which is complement-independent.
+gets its number of complement factors as filtration level.  C(h, M) and
+the action of g on it are blocks of that same complex (`_h_blocks`).
+Results are compared at the level of dimensions, which is
+complement-independent.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .complexes import CochainComplex, FilteredComplex, betti, cohomology
 from .exactla import ExactMatrix, Subspace, _axpy, coordinates, induced_map, qq
-from .lierinehart import _bracket_entries, _ce_terms, _wedge_insert_sign
+from .lierinehart import _bracket_entries, _ce_terms
 from .specseq import check_convergence, run
 
 
@@ -133,21 +135,28 @@ class GModule:
         return cls(algebra, dim, [ExactMatrix.zeros(dim, dim)] * algebra.dim)
 
 
+def _cochain_basis(n: int, dim_m: int, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """Basis eps_S (x) v of p-cochains on an n-dimensional algebra with values
+    in a dim_m-dimensional module: S in lexicographic order, then v."""
+    return [(s, v) for s in combinations(range(n), p) for v in range(dim_m)]
+
+
 def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
     """Exterior cochain complex Lambda^. g* tensor M, its differential from
     `lierinehart._ce_terms`, the Chevalley-Eilenberg builder shared with
     `lierinehart.ce_d`: g acts on module basis indices by the columns of
     the action matrices, and the structure constants are scalars."""
     n = g.dim
-    bases = [[(s, v) for s in combinations(range(n), p) for v in range(m.dim)]
-             for p in range(n + 1)]
+    bases = [_cochain_basis(n, m.dim, p) for p in range(n + 1)]
     # Column v of each action matrix: the image of the v-th module basis vector.
     act_cols = [a.transpose().row_maps for a in m.actions]
+    acting = [k for k, a in enumerate(m.actions) if not a.is_zero()]
     diffs = []
     for p in range(n):
         src, dst = bases[p], bases[p + 1]
         index = {b: i for i, b in enumerate(dst)}
-        terms = _ce_terms(n, src, g.brackets, lambda k, v: act_cols[k][v], lambda c, v: {v: c})
+        terms = _ce_terms(n, src, g.brackets, acting,
+                          lambda k, v: act_cols[k][v], lambda c, v: {v: c})
         entries = [(index[(tsub, r)], col, x) for col, tsub, r, x in terms]
         diffs.append(ExactMatrix.from_entries(len(dst), len(src), entries))
     return CochainComplex(0, n, [len(b) for b in bases], diffs)
@@ -177,25 +186,15 @@ def _adapted(g: LieAlgebra, h: LieIdeal, m: GModule):
 
 def hs_filtered(g: LieAlgebra, h: LieIdeal, m: GModule) -> FilteredComplex:
     """Ideal filtration: level p keeps cochains with >= p complement factors."""
-    return _filtered(*_adapted(g, h, m))
+    g2, m2, k = _adapted(g, h, m)
+    return _filtered(ce_complex(g2, m2), m2.dim, k)
 
 
-def _filtered(g2: LieAlgebra, m2: GModule, k: int) -> FilteredComplex:
-    n = g2.dim
-    levels = {deg: [sum(1 for i in s if i >= k)
-                    for s in combinations(range(n), deg) for _ in range(m2.dim)]
+def _filtered(cplx: CochainComplex, dim_m: int, k: int) -> FilteredComplex:
+    n = cplx.hi
+    levels = {deg: [sum(1 for i in s if i >= k) for s, _ in _cochain_basis(n, dim_m, deg)]
               for deg in range(n + 1)}
-    return FilteredComplex(ce_complex(g2, m2), 0, n - k, levels)
-
-
-def _sub_ideal_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
-    brackets = {}
-    for (i, j), cs in g2.brackets.items():
-        if j < k:
-            if max(cs) >= k:
-                raise LieAlgebraError("ideal brackets leave the ideal in adapted basis")
-            brackets[(i, j)] = [cs.get(s, 0) for s in range(k)]
-    return LieAlgebra(k, brackets)
+    return FilteredComplex(cplx, 0, n - k, levels)
 
 
 def _quotient_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
@@ -207,56 +206,59 @@ def _quotient_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
     return LieAlgebra(n - k, brackets)
 
 
-def _action_on_h_cochains(g2: LieAlgebra, m2: GModule, k: int, x: int, q: int) -> ExactMatrix:
-    """Matrix of e_x acting on C^q(h, M):
-    (x.om)(h_1..h_q) = rho(x) om(h_1..h_q) - sum_i om(h_1.., [x, h_i], ..h_q).
-    On om = eps_S (x) v the sum visits each s in S and each e_t with a
-    nonzero e_s component in [x, e_t]."""
-    # into[s]: (t, c) with c the nonzero e_s component of [e_x, e_t] = -[e_t, e_x]
-    into: dict[int, list] = {}
-    for t in range(k):
-        for s, c in g2.brackets.get((t, x), {}).items():
-            if s >= k:
-                raise LieAlgebraError("bracket with ideal leaves the ideal")
-            into.setdefault(s, []).append((t, -c))
-    basis = [(s, v) for s in combinations(range(k), q) for v in range(m2.dim)]
-    index = {b: i for i, b in enumerate(basis)}
-    entries = []
-    act_cols = m2.actions[x].transpose().row_maps
-    for col, (subset, v) in enumerate(basis):
-        for r, c in act_cols[v].items():
-            entries.append((index[(subset, r)], col, c))
-        for pos, s in enumerate(subset):
-            rest = subset[:pos] + subset[pos + 1:]
-            for t, c in into.get(s, ()):
-                if t not in rest:
-                    # eps_S on (.., e_s in the slot of t, ..): (-1)^pos moves s
-                    # to the front of S, the insertion sign is that of t's slot.
-                    tsub, sign = _wedge_insert_sign(t, rest)
-                    entries.append((index[(tsub, v)], col, -sign * (-1 if pos % 2 else 1) * c))
-    return ExactMatrix.from_entries(len(basis), len(basis), entries)
+def _block(d: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> ExactMatrix:
+    """The submatrix of d on the given rows and columns, in those orders."""
+    pos = {c: j for j, c in enumerate(cols)}
+    return ExactMatrix(len(rows), len(cols), [{pos[c]: x for c, x in d.row_maps[r].items()
+                                               if c in pos} for r in rows])
+
+
+def _h_blocks(g2: LieAlgebra, cplx: CochainComplex, dim_m: int, k: int):
+    """C(h, M) and, per q, the matrices of e_x (x = k..n-1) on C^q(h, M),
+    read off the adapted complex `cplx` of (g2, M).
+
+    The cochains eps_S (x) v with S in {0..k-1} are level 0 of the ideal
+    filtration, so d among them is the differential of C(h, M) = F^0/F^1,
+    in the order `ce_complex` of h lists them.  For om on h and x >= k,
+    every term of (d om)(e_x, h_1..h_q) with e_x left as an argument of om
+    vanishes, so
+        (d om)(e_x, h_1..h_q) = e_x . om(h_1..h_q) - sum_i om(h_1..[e_x, h_i]..h_q)
+                              = (e_x . om)(h_1..h_q).
+    As x sorts last in T u {x}, the eps_{T u {x}} (x) w coefficient of d om
+    is (-1)^q times the eps_T (x) w coefficient of e_x . om.
+    """
+    if any(a < k and max(cs) >= k for (a, _), cs in g2.brackets.items()):
+        raise LieAlgebraError("ideal brackets leave the ideal in adapted basis")
+    n = g2.dim
+    index = [{b: i for i, b in enumerate(_cochain_basis(n, dim_m, p))}
+             for p in range(min(k + 1, n) + 1)]
+    bases = [_cochain_basis(k, dim_m, q) for q in range(k + 1)]
+    cols = [[index[q][b] for b in basis] for q, basis in enumerate(bases)]
+    hcomplex = CochainComplex(0, k, [len(c) for c in cols],
+                              [_block(cplx.d(q), cols[q + 1], cols[q]) for q in range(k)])
+    actions = [[_block(cplx.d(q), [index[q + 1][(s + (x,), v)] for s, v in bases[q]],
+                       cols[q]).scaled(-1 if q % 2 else 1)
+                for x in range(k, n)]
+               for q in range(k + 1)]
+    return hcomplex, actions
 
 
 def expected_e2(g: LieAlgebra, h: LieIdeal, m: GModule) -> dict[tuple[int, int], int]:
-    """Dimension grid H^p(g/h, H^q(h, M)), computed by two small CE runs."""
-    return _e2_grid(*_adapted(g, h, m))
+    """Dimension grid H^p(g/h, H^q(h, M)): C(h, M) and the g-action on it are
+    blocks of the adapted complex, and each H^p(g/h, H^q) is one small CE run."""
+    g2, m2, k = _adapted(g, h, m)
+    return _e2_grid(g2, ce_complex(g2, m2), m2.dim, k)
 
 
-def _e2_grid(g2: LieAlgebra, m2: GModule, k: int) -> dict[tuple[int, int], int]:
-    n = g2.dim
-    hal = _sub_ideal_algebra(g2, k)
-    hm = GModule(hal, m2.dim, m2.actions[:k])
-    hcomplex = ce_complex(hal, hm)
+def _e2_grid(g2: LieAlgebra, cplx: CochainComplex, dim_m: int,
+             k: int) -> dict[tuple[int, int], int]:
+    hcomplex, actions = _h_blocks(g2, cplx, dim_m, k)
     hcoh = cohomology(hcomplex)
     quot = _quotient_algebra(g2, k)
     grid: dict[tuple[int, int], int] = {}
     for q in range(k + 1):
         hq = hcoh[q]
-        induced_actions = []
-        for a in range(k, n):
-            raw = _action_on_h_cochains(g2, m2, k, a, q)
-            induced_actions.append(induced_map(raw, hq, hq))
-        module = GModule(quot, hq.dim, induced_actions)
+        module = GModule(quot, hq.dim, [induced_map(a, hq, hq) for a in actions[q]])
         for p, dim in betti(ce_complex(quot, module)).items():
             grid[(p, q)] = dim
     return grid
@@ -274,10 +276,11 @@ class HSReport:
 def verify(g: LieAlgebra, h: LieIdeal, m: GModule) -> HSReport:
     """Page 2 of the ideal filtration matches H^p(g/h, H^q(h, M)) and the
     limit totals match the Betti numbers of the full complex.  Both sides
-    share one adapted basis."""
-    adapted = _adapted(g, h, m)
-    result = run(_filtered(*adapted))
-    expected = {pq: d for pq, d in _e2_grid(*adapted).items() if d}
+    read one adapted complex."""
+    g2, m2, k = _adapted(g, h, m)
+    cplx = ce_complex(g2, m2)
+    result = run(_filtered(cplx, m2.dim, k))
+    expected = {pq: d for pq, d in _e2_grid(g2, cplx, m2.dim, k).items() if d}
     computed = result.pages[2].nonzero_dims()
     target = betti(ce_complex(g, m))
     ok = computed == expected and check_convergence(result, target)

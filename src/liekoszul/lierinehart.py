@@ -378,7 +378,7 @@ def _wedge_insert_sign(k: int, rest: tuple[int, ...]) -> tuple[tuple[int, ...], 
     return merged, -1 if pos % 2 else 1
 
 
-def _ce_terms(n: int, basis, brackets: Mapping, act, times):
+def _ce_terms(n: int, basis, brackets: Mapping, acting: Sequence[int], act, times):
     """The one Chevalley-Eilenberg builder: every term of
 
         (d om)(a_0..a_p) = sum_i (-1)^i a_i . om(..hat a_i..)
@@ -388,16 +388,17 @@ def _ce_terms(n: int, basis, brackets: Mapping, act, times):
     coefficient) for coefficient * eps_T (x) value; the caller adds up terms
     at the same target.  `brackets` maps pairs i < j to {k: c_ij^k} with
     nonzero c only, and act(k, v) = e_k . v and times(c, v) = c v are
-    {value: coefficient}.
-    The action sum inserts each k outside S; the bracket sum visits each
-    nonzero c_ab^k with k in S and a, b outside S minus k.
+    {value: coefficient}; `acting` lists, in increasing order, the k for
+    which e_k may act by a nonzero map.
+    The action sum inserts each acting k outside S; the bracket sum visits
+    each nonzero c_ab^k with k in S and a, b outside S minus k.
     """
     by_k: list[list] = [[] for _ in range(n)]
     for (a, b), cs in brackets.items():
         for k, c in cs.items():
             by_k[k].append((a, b, c))
     for col, (subset, v) in enumerate(basis):
-        for k in range(n):
+        for k in acting:
             if k not in subset:
                 terms = act(k, v)
                 if terms:
@@ -427,7 +428,8 @@ def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:
     dst = lr.form_slice(p + 1, w)
     dst_index = dst.index()
     entries = []
-    terms = _ce_terms(lr.rank, src.basis, lr.brackets,
+    acting = [k for k, row in enumerate(lr.anchor) if any(row)]
+    terms = _ce_terms(lr.rank, src.basis, lr.brackets, acting,
                       lambda k, mono: lr.anchor_apply(k, {mono: 1}),
                       lambda c, mono: {tuple(a + b for a, b in zip(m, mono)): x
                                        for m, x in c.items()})

@@ -32,8 +32,9 @@ builders the package used before `lierinehart._ce_terms`: for every source
 cochain they scan all target subsets and evaluate each term there, with
 signs from an inversion count (`sort_sign`) rather than the package's
 `_wedge_insert_sign`.  `tests/test_oracle.py` compares their matrices with
-`lierinehart.ce_d`, `hochserre.ce_complex` and
-`hochserre._action_on_h_cochains`.
+`lierinehart.ce_d`, `hochserre.ce_complex` and the blocks of the adapted
+complex that `hochserre._h_blocks` reads as C(h, M) and the action of g on
+it.
 
 `qi_by_induced_maps` is the quasi-isomorphism test the package used before
 the mapping-cone rank identity: both cohomologies as subquotients, the
@@ -478,7 +479,7 @@ def eval_sign(subset, tsub, i, s):
 
 
 def action_on_h_cochains_scan(g2, m2, k, x, q):
-    """hochserre._action_on_h_cochains by scanning every argument list."""
+    """Matrix of e_x acting on C^q(h, M), by scanning every argument list."""
     basis = [(s, v) for s in combinations(range(k), q) for v in range(m2.dim)]
     index = {b: i for i, b in enumerate(basis)}
     entries = []

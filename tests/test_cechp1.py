@@ -11,6 +11,7 @@ from liekoszul.cechp1 import (
     _delta_matrix,
     assumption_check,
     atiyah_algebroid,
+    build_row,
     cech_cohomology,
     cech_koszul,
     corollary_check,
@@ -51,6 +52,19 @@ def test_window_guard_raises_on_truncated_image():
     bad = RowModel(sheaf, 1, chart0_hi=1, chart1_hi=(1,), window=((-1, 1),))
     with pytest.raises(WindowError):
         _delta_matrix(bad)
+
+
+def test_delta_vanishes_on_glued_sections():
+    # on O(d), s0 = z^a and s1 = (1/z)^(d-a) glue: iota1(s1) = z^d z^(a-d) = z^a,
+    # so delta = iota1(s1) - iota0(s0) sends (s0, s1) to zero
+    for d in range(4):
+        row = build_row(line_bundle(d), 2, line_bundle(d).margin())
+        delta = _delta_matrix(row)
+        index = {key: i for i, key in enumerate(row.chart_entries())}
+        for a in range(d + 1):
+            v = [0] * delta.cols
+            v[index[("0", 0, a)]] = v[index[("1", 0, d - a)]] = 1
+            assert not any(delta.apply(v)), (d, a)
 
 
 def test_random_rank_two_euler_characteristics():

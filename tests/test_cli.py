@@ -412,3 +412,52 @@ def test_mutated_cases_exit_cleanly(tmp_path, capsys):
                     err = capsys.readouterr().err
                     assert code in (0, 1, 2), (case.name, index, command)
                     assert err.count("\n") <= 1, (case.name, index, command, err)
+
+
+# Integer and boolean fields: a JSON true or false in an integer field, a
+# number with a fractional part, or a non-boolean in a boolean field exits 2
+# with one line naming the field, instead of running as 1, 0 or a truncation.
+INTEGER_FIELDS = {
+    "dim": ("aff1-module.json", "hs", lambda p, x: p.update(dim=x)),
+    "module.dim": ("aff1-module.json", "hs", lambda p, x: p["module"].update(dim=x)),
+    "degree": ("p1-euler-O0.json", "p1", lambda p, x: p.update(degree=x)),
+    "window": ("p1-euler-O0.json", "p1", lambda p, x: p.update(window=x)),
+    "lo": ("twostep-filtered.json", "specseq", lambda p, x: p.update(lo=x)),
+    "dims": ("twostep-filtered.json", "specseq", lambda p, x: p["dims"].__setitem__(1, x)),
+    "variable_weights": ("euler-n2.json", "validate",
+                         lambda p, x: p["variable_weights"].__setitem__(0, x)),
+    "generator_weights": ("euler-n2.json", "validate",
+                          lambda p, x: p["generator_weights"].__setitem__(0, x)),
+    "weights": ("euler-n2.json", "koszul", lambda p, x: p["weights"].__setitem__(1, x)),
+    "dim_y": ("euler-n2.json", "koszul", lambda p, x: p.update(dim_y=x)),
+    "validate_weight": ("euler-n2.json", "validate", lambda p, x: p.update(validate_weight=x)),
+    "double.p_hi": ("square-double.json", "specseq", lambda p, x: p["double"].update(p_hi=x)),
+    "double.q_lo": ("square-double.json", "specseq", lambda p, x: p["double"].update(q_lo=x)),
+    "double.dims": ("square-double.json", "specseq",
+                    lambda p, x: p["double"]["dims"].update({"1,1": x})),
+    "filtration.p_hi": ("twostep-filtered.json", "specseq",
+                        lambda p, x: p["filtration"].update(p_hi=x)),
+}
+BOOLEAN_FIELDS = {
+    "untwisted": ("p1-euler-O0.json", "p1", lambda p, x: p.update(untwisted=x)),
+    "double.commuting": ("square-double.json", "specseq",
+                         lambda p, x: p["double"].update(commuting=x)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_field_that_is_not_an_integer_names_the_field(tmp_path, capsys, field, bad):
+    case, command, mutate = INTEGER_FIELDS[field]
+    path = _mutated(tmp_path, case, lambda p: mutate(p, bad))
+    err = _exit_with_one_line(capsys, [command, path], 2, "error:")
+    assert f"field {field!r} must be an integer" in err
+
+
+@pytest.mark.parametrize("bad", ["false", 1])
+@pytest.mark.parametrize("field", BOOLEAN_FIELDS)
+def test_boolean_field_that_is_not_a_boolean_names_the_field(tmp_path, capsys, field, bad):
+    case, command, mutate = BOOLEAN_FIELDS[field]
+    path = _mutated(tmp_path, case, lambda p: mutate(p, bad))
+    err = _exit_with_one_line(capsys, [command, path], 2, "error:")
+    assert f"field {field!r} must be true or false" in err

@@ -1,5 +1,6 @@
 import pytest
 
+from liekoszul import hochserre
 from liekoszul.complexes import betti
 from liekoszul.exactla import ExactMatrix, Subspace
 from liekoszul.hochserre import (
@@ -111,6 +112,24 @@ def test_hs_whole_algebra_ideal():
     for n in range(0, 4):
         assert page0.entry_dim(0, n) == comb(3, n)
     assert verify(HEIS, h, m).ok
+
+
+@pytest.mark.parametrize("vectors", [[], [[0, 0, 1]], [[0, 1, 0], [0, 0, 1]],
+                                     [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+def test_verify_builds_each_complex_once(monkeypatch, vectors):
+    # the adapted complex, one complex of g/h per q = 0..k and the original:
+    # C(h, M) is a block of the adapted complex, never built on its own
+    real, dims = hochserre.ce_complex, []
+
+    def counting(g, m):
+        dims.append(g.dim)
+        return real(g, m)
+
+    monkeypatch.setattr(hochserre, "ce_complex", counting)
+    h = ideal(HEIS, vectors)
+    assert verify(HEIS, h, GModule.trivial(HEIS)).ok
+    k = h.dim
+    assert dims == [3] + [3 - k] * (k + 1) + [3]
 
 
 def test_heisenberg_center_grid_and_limit():

@@ -51,8 +51,8 @@ from liekoszul.hochserre import (
     LieAlgebra,
     LieAlgebraError,
     LieIdeal,
-    _action_on_h_cochains,
     _adapted,
+    _h_blocks,
     ce_complex,
     hs_filtered,
 )
@@ -198,12 +198,18 @@ def test_adapted_basis_matches_per_pair_solves():
 
 
 def test_action_on_h_cochains_matches_scanning_builder():
+    # C(h, M) and the action of each e_x on it, read off the adapted
+    # complex, against the scanning builders run on h and on e_x.
     for g, h, m in _hs_action_instances():
         g2, m2, k = _adapted(g, h, m)
+        hcomplex, actions = _h_blocks(g2, ce_complex(g2, m2), m2.dim, k)
+        hal = LieAlgebra(k, {(i, j): [cs.get(s, 0) for s in range(k)]
+                             for (i, j), cs in g2.brackets.items() if j < k})
+        ref = ce_complex_scan(hal, GModule(hal, m2.dim, m2.actions[:k]))
+        assert [hcomplex.d(q) for q in range(k)] == [ref.d(q) for q in range(k)]
         for x in range(k, g.dim):
             for q in range(k + 1):
-                assert (_action_on_h_cochains(g2, m2, k, x, q)
-                        == action_on_h_cochains_scan(g2, m2, k, x, q)), (x, q)
+                assert actions[q][x - k] == action_on_h_cochains_scan(g2, m2, k, x, q), (x, q)
 
 
 def _induced_outcome(fn, f, src, dst):

@@ -13,7 +13,7 @@ from liekoszul import complexes, koszul
 from liekoszul.cechp1 import cech_koszul
 from liekoszul.complexes import is_quasi_isomorphism, total
 from liekoszul.exactla import ExactMatrix, Subspace, image_basis, kernel_basis, qq
-from liekoszul.hochserre import _action_on_h_cochains, _adapted, ce_complex
+from liekoszul.hochserre import _adapted, _h_blocks, ce_complex
 from liekoszul.lierinehart import (
     SectionV,
     WeightedPolyRing,
@@ -54,11 +54,15 @@ def test_lie_algebra_builders_store_canonical_entries():
             assert_canonical(d, name)
     for name, g, h, m in corpus.hs_instances():
         g2, m2, k = _adapted(g, h, m)
-        for d in _differentials(ce_complex(g2, m2)):
+        cplx = ce_complex(g2, m2)
+        for d in _differentials(cplx):
             assert_canonical(d, name)
-        for x in range(k, g.dim):
-            for q in range(k + 1):
-                assert_canonical(_action_on_h_cochains(g2, m2, k, x, q), (name, x, q))
+        hcomplex, actions = _h_blocks(g2, cplx, m2.dim, k)
+        for d in _differentials(hcomplex):
+            assert_canonical(d, name)
+        for q, per_x in enumerate(actions):
+            for x, a in enumerate(per_x, start=k):
+                assert_canonical(a, (name, x, q))
 
 
 @pytest.mark.parametrize("window", [1, 2])
