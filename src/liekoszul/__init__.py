@@ -75,7 +75,6 @@ from .cechp1 import (
     first_page,
     line_bundle,
     second_page_degeneration,
-    wedge_dual,
     zero_section,
 )
 

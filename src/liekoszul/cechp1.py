@@ -376,11 +376,6 @@ def atiyah_algebroid(d: int) -> AlgebroidOnP1:
     return AlgebroidOnP1(d)
 
 
-def wedge_dual(algebroid: AlgebroidOnP1, p: int) -> SheafOnP1:
-    """Lambda^p of the dual of the operator bundle."""
-    return algebroid.wedge_dual(p)
-
-
 class EquivariantSection:
     """Global operator section: vector field a + bz + cz^2 plus a scalar part.
 

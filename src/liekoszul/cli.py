@@ -268,11 +268,15 @@ def _weight_range(payload: dict, args) -> tuple[int, int]:
         parts = rng.split("..")
         if len(parts) != 2:
             raise SchemaError(f"--weights must be a range 'a..b', got {rng!r}")
-        return int(parts[0]), int(parts[1])
-    if "weights" not in payload:
+        lo, hi, field = int(parts[0]), int(parts[1]), "--weights"
+    elif "weights" not in payload:
         return 0, 3
-    lo, hi = _sized(payload, "weights", 2)
-    return _integer(lo, "weights"), _integer(hi, "weights")
+    else:
+        lo, hi = _sized(payload, "weights", 2)
+        lo, hi, field = _integer(lo, "weights"), _integer(hi, "weights"), "'weights'"
+    if lo > hi:
+        raise SchemaError(f"{field} range {lo}..{hi} is empty")
+    return lo, hi
 
 
 def cmd_specseq(payload: dict, args) -> tuple[dict, bool, list[str]]:

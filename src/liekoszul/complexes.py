@@ -2,8 +2,11 @@
 
 All invariants (d squared zero, commuting squares, anticommutation,
 filtration monotonicity and d-stability) are checked eagerly at
-construction, so invalid objects cannot exist as values.  Filtrations are
-stored as one level per vector of an adapted basis.
+construction, so invalid objects cannot exist as values.  A double
+complex is checked once, by the d.d check of its total complex: the blocks
+of D^2 are d_h^2, d_v^2 and d_h d_v + d_v d_h (Weibel 1994, 1.2), and the
+cells are searched only to name a failure.  Filtrations are stored as one
+level per vector of an adapted basis.
 """
 
 from __future__ import annotations
@@ -178,6 +181,8 @@ class DoubleComplex:
     d_v: (p,q) -> (p,q+1) satisfying d_h^2 = d_v^2 = d_h d_v + d_v d_h = 0.
     Builders starting from commuting data must bake signs in; see
     `from_commuting`, which twists the vertical maps on column p by (-1)^p.
+    Only the given maps are stored (`dh`, `dv` are zero elsewhere).  The
+    constructor builds the total complex, and with it the one check.
     """
 
     __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi", "_dims", "_dh", "_dv", "_total")
@@ -188,43 +193,38 @@ class DoubleComplex:
                  vertical: Mapping[tuple[int, int], ExactMatrix]):
         if p_hi < p_lo or q_hi < q_lo:
             raise ComplexError("empty rectangle")
-        dimtab = {}
-        for p in range(p_lo, p_hi + 1):
-            for q in range(q_lo, q_hi + 1):
-                dimtab[(p, q)] = int(dims.get((p, q), 0))
+        cells = [(p, q) for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)]
         object.__setattr__(self, "p_lo", p_lo)
         object.__setattr__(self, "p_hi", p_hi)
         object.__setattr__(self, "q_lo", q_lo)
         object.__setattr__(self, "q_hi", q_hi)
-        object.__setattr__(self, "_dims", dimtab)
-        dh = {}
-        dv = {}
-        for p in range(p_lo, p_hi + 1):
-            for q in range(q_lo, q_hi + 1):
-                h = horizontal.get((p, q))
-                if h is None:
-                    h = ExactMatrix.zeros(self.cell_dim(p + 1, q), self.cell_dim(p, q))
-                if h.rows != self.cell_dim(p + 1, q) or h.cols != self.cell_dim(p, q):
-                    raise ComplexError(f"horizontal map at {(p, q)} has wrong shape")
-                v = vertical.get((p, q))
-                if v is None:
-                    v = ExactMatrix.zeros(self.cell_dim(p, q + 1), self.cell_dim(p, q))
-                if v.rows != self.cell_dim(p, q + 1) or v.cols != self.cell_dim(p, q):
-                    raise ComplexError(f"vertical map at {(p, q)} has wrong shape")
-                dh[(p, q)] = h
-                dv[(p, q)] = v
+        object.__setattr__(self, "_dims", {pq: int(dims.get(pq, 0)) for pq in cells})
+        dh, dv = {}, {}
+        for p, q in cells:
+            for given, kept, target, name in ((horizontal, dh, (p + 1, q), "horizontal"),
+                                              (vertical, dv, (p, q + 1), "vertical")):
+                m = given.get((p, q))
+                if m is None:
+                    continue
+                if m.rows != self.cell_dim(*target) or m.cols != self.cell_dim(p, q):
+                    raise ComplexError(f"{name} map at {(p, q)} has wrong shape")
+                kept[(p, q)] = m
         object.__setattr__(self, "_dh", dh)
         object.__setattr__(self, "_dv", dv)
-        object.__setattr__(self, "_total", None)
-        for p in range(p_lo, p_hi + 1):
-            for q in range(q_lo, q_hi + 1):
+        try:
+            object.__setattr__(self, "_total", _assemble_total(self))
+        except ComplexError:
+            # D^2 = 0 failed: name the first cell, in rectangle order, where
+            # one of its three blocks is nonzero.
+            for p, q in cells:
                 if not (self.dh(p + 1, q) @ self.dh(p, q)).is_zero():
-                    raise ComplexError(f"d_h.d_h != 0 at {(p, q)}")
+                    raise ComplexError(f"d_h.d_h != 0 at {(p, q)}") from None
                 if not (self.dv(p, q + 1) @ self.dv(p, q)).is_zero():
-                    raise ComplexError(f"d_v.d_v != 0 at {(p, q)}")
+                    raise ComplexError(f"d_v.d_v != 0 at {(p, q)}") from None
                 anti = self.dv(p + 1, q) @ self.dh(p, q) + self.dh(p, q + 1) @ self.dv(p, q)
                 if not anti.is_zero():
-                    raise ComplexError(f"d_h and d_v do not anticommute at {(p, q)}")
+                    raise ComplexError(f"d_h and d_v do not anticommute at {(p, q)}") from None
+            raise
 
     def __setattr__(self, name, value):
         raise AttributeError("DoubleComplex is immutable")
@@ -292,11 +292,12 @@ def total_layout(d: DoubleComplex) -> dict[int, list[tuple[int, int, int]]]:
 
 
 def total(d: DoubleComplex) -> CochainComplex:
-    """Total complex T^n = direct sum of K^{p,q} with p+q = n, d = d_h + d_v.
+    """Total complex T^n = direct sum of K^{p,q} with p+q = n, d = d_h + d_v,
+    built and checked once, by the DoubleComplex constructor."""
+    return d._total
 
-    Built once per double complex, which is immutable, and then reused."""
-    if d._total is not None:
-        return d._total
+
+def _assemble_total(d: DoubleComplex) -> CochainComplex:
     layout = total_layout(d)
     lo = d.p_lo + d.q_lo
     hi = d.p_hi + d.q_hi
@@ -306,17 +307,16 @@ def total(d: DoubleComplex) -> CochainComplex:
         dst = {(p, q): off for p, q, off in layout[n + 1]}
         out: list[dict] = [{} for _ in range(dims[n + 1 - lo])]
         for p, q, off in layout[n]:
-            for mat, tgt in ((d.dh(p, q), (p + 1, q)), (d.dv(p, q), (p, q + 1))):
-                toff = dst.get(tgt)
-                if toff is None:
+            for maps, tgt in ((d._dh, (p + 1, q)), (d._dv, (p, q + 1))):
+                mat, toff = maps.get((p, q)), dst.get(tgt)
+                if mat is None or toff is None:
                     continue
                 for i, row in enumerate(mat.row_maps):
                     target = out[toff + i]
                     for j, a in row.items():
                         target[off + j] = a
         diffs.append(ExactMatrix(dims[n + 1 - lo], dims[n - lo], out))
-    object.__setattr__(d, "_total", CochainComplex(lo, hi, dims, diffs))
-    return d._total
+    return CochainComplex(lo, hi, dims, diffs)
 
 
 class FilteredComplex:

@@ -16,6 +16,9 @@ same way.  The RREF of a row space is unique, so the elimination result,
 and with it every basis, is canonical whatever order the elimination
 works in; tests compare bases, not just dimensions.
 
+`_insert` is the one elimination kernel, shared by `_rref` (every kernel,
+image, rank and solve), `Subquotient` representatives and `specseq.pairing`.
+
 Every change of basis is one call of `coordinates`: the coordinates of
 sparse target rows in an independent sparse basis, from one RREF of
 [basis | targets], checked by the sparse product B X = T.
@@ -328,12 +331,12 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: [{body}])"
 
 
-def _insert(echelon: dict[int, Row], r: Row) -> bool:
+def _insert(echelon: dict[int, Row], r: Row) -> int | None:
     """Reduce the row r (a fresh dict, consumed) against `echelon`, which maps
     pivot columns to rows with a 1 there and nothing left of it.  If a
     nonzero remainder is left it is divided by its leading entry (a pivot
-    of 1 or -1 builds no Fraction) and added under its leading column;
-    returns whether that happened."""
+    of 1 or -1 builds no Fraction) and added under its leading column,
+    which is returned; None means r reduced to zero."""
     while r:
         c = min(r)
         p = echelon.get(c)
@@ -344,9 +347,9 @@ def _insert(echelon: dict[int, Row], r: Row) -> bool:
             elif x != 1:
                 r = {j: quotient(a, x) for j, a in r.items()}
             echelon[c] = r
-            return True
+            return c
         _axpy(r, r[c], p)
-    return False
+    return None
 
 
 def _rref(rows: Sequence[Mapping[int, QQ]], reduced: bool = True
@@ -632,7 +635,7 @@ class Subquotient:
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "boundaries", boundaries)
         object.__setattr__(self, "_rep_rows", tuple(row for row in cycles.sparse_basis
-                                                    if _insert(echelon, dict(row))))
+                                                    if _insert(echelon, dict(row)) is not None))
         object.__setattr__(self, "_representatives", None)
 
     def __setattr__(self, name, value):

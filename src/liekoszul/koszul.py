@@ -120,7 +120,6 @@ def is_zero_dimensional(v: SectionV, w_max: int) -> bool:
 class FormalitySliceResult:
     w: int
     ok: bool
-    chain_map: ChainMap
     source_betti: dict[int, int]
     target_betti: dict[int, int]
 
@@ -210,8 +209,7 @@ def formality_check(lr: LieRinehartPresentation, v: SectionV,
     for w in weights:
         ks, target, chain = reduction_map(lr, v, w)
         ok = is_quasi_isomorphism(chain)
-        results.append(FormalitySliceResult(
-            w, ok, chain, betti(ks.complex), betti(target)))
+        results.append(FormalitySliceResult(w, ok, betti(ks.complex), betti(target)))
     return FormalityResult(all(r.ok for r in results), tuple(results))
 
 

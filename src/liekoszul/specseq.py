@@ -6,7 +6,8 @@ comes from one persistence pairing (Edelsbrunner, Letscher & Zomorodian
 `FilteredComplex`, which gives each basis vector v a level l(v).  In the
 order (level descending, degree descending) every prefix is a subcomplex,
 so one low-pivot column reduction of d pairs vectors (i, j), dj hitting i,
-with gap l(i) - l(j) >= 0.  Then dim E_r^{p,q} is the number of unpaired
+with gap l(i) - l(j) >= 0; it runs on `exactla._insert`, the package's one
+elimination kernel.  Then dim E_r^{p,q} is the number of unpaired
 vectors at (p, q) plus the paired ones there of gap >= r, and the rank of
 d_r out of (p, q) is the number of pairs of gap exactly r starting there.
 The stable and degeneration pages are both max gap + 1 (0 with no pairs).
@@ -19,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import FilteredComplex
-from .exactla import _axpy, quotient
+from .exactla import _insert
 
 
 class SpectralSequenceError(Exception):
@@ -37,17 +38,18 @@ class Pairing:
 
 
 def pairing(f: FilteredComplex) -> Pairing:
-    """One low-pivot column reduction of d in the flag order.  A vector that
-    is the low of a column has a column that reduces to zero, so it is
-    skipped (clearing, Chen & Kerber 2011)."""
+    """One low-pivot column reduction of d in the flag order, by `_insert`:
+    targets are numbered from the end of the flag order, so a column's low
+    is its leading entry.  A vector that is the low of a column has a
+    column that reduces to zero, so it is skipped (clearing, Chen & Kerber 2011)."""
     cplx = f.complex
     unpaired: Counter = Counter()
     pairs: Counter = Counter()
     cleared: set[int] = set()   # vectors of degree n that are lows of d(n-1)
     for n in cplx.degrees():
         src_levels, dst_levels = f.levels[n], f.levels.get(n + 1, ())
-        # Position of each target vector in the flag order of degree n + 1.
-        dst_order = sorted(range(len(dst_levels)), key=lambda i: (-dst_levels[i], i))
+        # Target vectors of degree n + 1, last in the flag order first.
+        dst_order = sorted(range(len(dst_levels)), key=lambda i: (dst_levels[i], -i))
         pos = {i: k for k, i in enumerate(dst_order)}
         d = cplx.d(n)
         columns: list[dict[int, object]] = [{} for _ in range(d.cols)]
@@ -60,19 +62,13 @@ def pairing(f: FilteredComplex) -> Pairing:
             if j in cleared:
                 continue
             p = src_levels[j]
-            col = columns[j]
-            while col:
-                low = max(col)
-                other = reduced.get(low)
-                if other is None:
-                    reduced[low] = col
-                    i = dst_order[low]
-                    lows.add(i)
-                    pairs[(p, n - p, dst_levels[i] - p)] += 1
-                    break
-                _axpy(col, quotient(col[low], other[low]), other)
-            else:
+            low = _insert(reduced, columns[j])
+            if low is None:
                 unpaired[(p, n - p)] += 1
+                continue
+            i = dst_order[low]
+            lows.add(i)
+            pairs[(p, n - p, dst_levels[i] - p)] += 1
         cleared = lows
     return Pairing((f.p_lo, f.p_hi), (cplx.lo, cplx.hi), unpaired, pairs)
 

@@ -299,6 +299,26 @@ def test_weight_range_of_wrong_length_names_the_field(tmp_path, capsys):
     assert "'weights'" in err and "2 entries" in err
 
 
+def test_empty_weight_range_option_is_an_input_error(capsys):
+    err = _exit_with_one_line(capsys, ["koszul", CASES / "euler-n2.json", "--weights", "3..1"],
+                              2, "error:")
+    assert "--weights" in err
+
+
+@pytest.mark.parametrize("command", ["koszul", "cohomology"])
+def test_empty_weight_range_field_is_an_input_error(tmp_path, capsys, command):
+    path = _mutated(tmp_path, "euler-n2.json", lambda p: p.update(weights=[4, 0]))
+    err = _exit_with_one_line(capsys, [command, path], 2, "error:")
+    assert "'weights'" in err
+
+
+def test_anticommuting_square_given_as_commuting_names_the_first_cell(tmp_path, capsys):
+    path = _mutated(tmp_path, "square-double.json",
+                    lambda p: p["double"].update(commuting=False))
+    err = _exit_with_one_line(capsys, ["specseq", path], 2, "error:")
+    assert "d_h and d_v do not anticommute at (0, 0)" in err
+
+
 def test_cell_key_with_wrong_part_count_names_the_field(tmp_path, capsys):
     def rekey(block, old, new):
         block[new] = block.pop(old)

@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction as QQ
 
 import pytest
 
+from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid, cech_koszul
 from liekoszul.complexes import (
     ChainMap,
     CochainComplex,
@@ -258,6 +260,45 @@ def test_anticommutation_check_fails_on_one_entry():
     _square([1, 1])
     with pytest.raises(ComplexError, match="anticommute"):
         _square([1, -1])   # d_v d_h + d_h d_v = [[0, 2]]
+
+
+def _line(d0, vertical):
+    # three cells of dims 2, 2, 1 along one axis; d_1 d_0 = [1 -1] d_0
+    dims = {(0, 0): 2, (1, 0): 2, (2, 0): 1}
+    maps = {(0, 0): ExactMatrix.from_rows(d0), (1, 0): ExactMatrix.from_rows([[1, -1]])}
+    if not vertical:
+        return DoubleComplex(0, 2, 0, 0, dims, maps, {})
+    flip = lambda cells: {(q, p): x for (p, q), x in cells.items()}
+    return DoubleComplex(0, 0, 0, 2, flip(dims), {}, flip(maps))
+
+
+def test_horizontal_square_check_fails_on_one_entry():
+    _line([[1, 1], [1, 1]], vertical=False)
+    with pytest.raises(ComplexError, match=re.escape("d_h.d_h != 0 at (0, 0)")):
+        _line([[1, 1], [1, -1]], vertical=False)   # d_h d_h = [[0, 2]]
+
+
+def test_vertical_square_check_fails_on_one_entry():
+    _line([[1, 1], [1, 1]], vertical=True)
+    with pytest.raises(ComplexError, match=re.escape("d_v.d_v != 0 at (0, 0)")):
+        _line([[1, 1], [1, -1]], vertical=True)   # d_v d_v = [[0, 2]]
+
+
+def test_valid_double_complex_is_checked_by_the_products_of_its_total(monkeypatch):
+    a = atiyah_algebroid(0)
+    model = cech_koszul(a, EquivariantSection(a, (0, 1, 0)), 2).double
+    cells = [(p, q) for p in range(model.p_lo, model.p_hi + 1)
+             for q in range(model.q_lo, model.q_hi + 1)]
+    args = (model.p_lo, model.p_hi, model.q_lo, model.q_hi,
+            {c: model.cell_dim(*c) for c in cells},
+            {c: model.dh(*c) for c in cells}, {c: model.dv(*c) for c in cells})
+    calls = []
+    matmul = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__", lambda x, y: calls.append(1) or matmul(x, y))
+    rebuilt = DoubleComplex(*args)
+    t = total(rebuilt)
+    assert len(calls) == t.hi - t.lo - 1
+    assert betti(t) == betti(total(model))
 
 
 def test_chain_map_square_check_fails_on_one_entry():
