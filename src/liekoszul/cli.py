@@ -262,13 +262,21 @@ def cmd_cohomology(payload: dict, args) -> tuple[dict, bool, list[str]]:
     raise SchemaError(f"cohomology does not apply to kind {kind!r}")
 
 
+def _bound(text: str, rng: str) -> int:
+    """One bound of `--weights a..b`, read as `int` reads it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(f"--weights bound {text!r} in {rng!r} is not an integer") from None
+
+
 def _weight_range(payload: dict, args) -> tuple[int, int]:
     rng = getattr(args, "weights", None)
     if rng is not None:
         parts = rng.split("..")
         if len(parts) != 2:
             raise SchemaError(f"--weights must be a range 'a..b', got {rng!r}")
-        lo, hi, field = int(parts[0]), int(parts[1]), "--weights"
+        lo, hi, field = _bound(parts[0], rng), _bound(parts[1], rng), "--weights"
     elif "weights" not in payload:
         return 0, 3
     else:

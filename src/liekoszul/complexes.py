@@ -17,6 +17,8 @@ from .exactla import (
     ExactMatrix,
     Subquotient,
     Subspace,
+    _insert,
+    _rref,
     coordinates,
     image_basis,
     induced_map,
@@ -95,7 +97,11 @@ def cohomology(c: CochainComplex) -> dict[int, Subquotient]:
 def betti(c: CochainComplex) -> dict[int, int]:
     """dim H^k = dim C^k - rank d_k - rank d_{k-1}; valid because the
     constructor verified d.d = 0."""
-    ranks = {k: rank(c.d(k)) for k in range(c.lo, c.hi)}
+    return _betti(c, {k: rank(c.d(k)) for k in range(c.lo, c.hi)})
+
+
+def _betti(c: CochainComplex, ranks: Mapping[int, int]) -> dict[int, int]:
+    """The Betti numbers of c from the ranks of its differentials."""
     return {k: c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()}
 
 
@@ -160,18 +166,43 @@ def is_quasi_isomorphism(f: ChainMap) -> bool:
     """True if f: C -> D induces isomorphisms on cohomology, i.e. iff its
     mapping cone, cone^k = C^{k+1} + D^k with d(c, e) = (-d_C c, f c + d_D e),
     is acyclic (Weibel, An Introduction to Homological Algebra, 1994,
-    Cor. 1.5.4): dim cone^k = rank d^k + rank d^{k-1} for every k."""
+    Cor. 1.5.4): dim cone^k = rank d^k + rank d^{k-1} for every k.  The
+    ranks come from `_cone_ranks`, one elimination per cone degree, which
+    also yields the ranks of d_C."""
+    return _cone_is_acyclic(f, _cone_ranks(f)[1])
+
+
+def _cone_ranks(f: ChainMap) -> tuple[dict[int, int], dict[int, int]]:
+    """rank d_C^k for every differential of the source C, and the rank of
+    the mapping cone's differential out of every cone degree k.
+
+    The rows of the cone differential out of degree k are -d_C^{k+1} on
+    top of [f^{k+1} | d_D^k].  The top block spans what d_C^{k+1} spans, so
+    it is eliminated first, as d_C^{k+1}, and its pivot count is
+    rank d_C^{k+1}; the other rows are then inserted into that echelon.
+    Every source differential is the top block of one cone degree, so d_C
+    is eliminated once, and `betti` of the source is `_betti` of the first
+    table."""
     c, t = f.source, f.target
-    lo, hi = min(c.lo - 1, t.lo), max(c.hi - 1, t.hi)
-    ranks = {}
-    for k in range(lo, hi):
+    source: dict[int, int] = {}
+    cone: dict[int, int] = {}
+    for k in range(min(c.lo - 1, t.lo), max(c.hi - 1, t.hi)):
         n = c.dim(k + 1)
-        rows = [{j: -x for j, x in r.items()} for r in c.d(k + 1).row_maps]
-        rows += ({**a, **{n + j: x for j, x in b.items()}}
-                 for a, b in zip(f.component(k + 1).row_maps, t.d(k).row_maps))
-        ranks[k] = rank(ExactMatrix(len(rows), n + t.dim(k), rows))
+        rows, pivots = _rref(c.d(k + 1).row_maps, reduced=False)
+        source[k + 1] = len(pivots)
+        echelon = dict(zip(pivots, rows))
+        for a, b in zip(f.component(k + 1).row_maps, t.d(k).row_maps):
+            _insert(echelon, {**a, **{n + j: x for j, x in b.items()}})
+        cone[k] = len(echelon)
+    return source, cone
+
+
+def _cone_is_acyclic(f: ChainMap, ranks: Mapping[int, int]) -> bool:
+    """dim cone^k = rank d^k + rank d^{k-1} in every cone degree k, given the
+    ranks of the cone differentials from `_cone_ranks`."""
+    c, t = f.source, f.target
     return all(c.dim(k + 1) + t.dim(k) == ranks.get(k, 0) + ranks.get(k - 1, 0)
-               for k in range(lo, hi + 1))
+               for k in range(min(c.lo - 1, t.lo), max(c.hi - 1, t.hi) + 1))
 
 
 class DoubleComplex:

@@ -76,10 +76,13 @@ def lie_rinehart_instances():
 
 def formality_instances():
     """(name, presentation, section) for the formality oracles: the certified
-    corpus, x d/dx on euler-n2 (its zero locus is the y axis), and two
+    corpus, x d/dx on euler-n2 (its zero locus is the y axis), two
     sections whose ideals are not monomial, so that normal forms have
     entries off their own monomial and the quotient basis depends on the
-    pivot rule."""
+    pivot rule, and (x^2 - 3/2 xy, 2/3 xy - y^2) = (2x - 3y)(x/2, y/3),
+    whose components share a factor only while the ratio of each one's
+    two coefficients is kept (a line with an embedded point: formality
+    fails at weight 3)."""
     out = [(name, lr, v) for name, lr, v, _ in lie_rinehart_instances()]
     euler = build_lie_rinehart(dict(case_payloads("lie_rinehart"))["euler-n2"])[0]
     t3 = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
@@ -88,6 +91,8 @@ def formality_instances():
         ("euler-n2/(x+y)-dx", euler, SectionV(euler, [{(1, 0): 1, (0, 1): 1}, {}])),
         ("tangent-n3/binomial", t3, SectionV(t3, [{(1, 0, 0): 1, (0, 1, 0): 1},
                                                   {(0, 1, 0): 1, (0, 0, 1): -2}, {}])),
+        ("euler-n2/shared-factor", euler,
+         SectionV(euler, [{(2, 0): 1, (1, 1): "-3/2"}, {(0, 2): -1, (1, 1): "2/3"}])),
     ]
     return out
 

@@ -43,6 +43,11 @@ induced maps on class representatives, and a dimension and rank check.
 old way, one class-coordinate solve per monomial in the subquotient
 R_w / I_w; it pins the quotient basis that `exactla.normal_forms` reads off.
 
+`formality_check_unnormalized` is `koszul.formality_check` as it was
+before it rescaled the section to its primitive integral form: the slices
+of V exactly as given, the verdict from `is_quasi_isomorphism` and the
+source Betti numbers from a second elimination of d_C, by `betti`.
+
 `contraction_by_products` and `ideal_rows_by_products` build the
 contraction matrix and the ideal-slice rows the way the package did before
 it shifted monomials directly: each entry is a polynomial product with the
@@ -66,7 +71,14 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 from itertools import combinations
 
-from liekoszul.complexes import CochainComplex, FilteredComplex, _induced, cohomology
+from liekoszul.complexes import (
+    CochainComplex,
+    FilteredComplex,
+    _induced,
+    betti,
+    cohomology,
+    is_quasi_isomorphism,
+)
 from liekoszul.exactla import (
     ExactMatrix,
     NotFiltrationCompatibleError,
@@ -78,7 +90,12 @@ from liekoszul.exactla import (
     unit_vector,
 )
 from liekoszul.hochserre import GModule, LieAlgebra, LieAlgebraError
-from liekoszul.koszul import _subset_fn_weight
+from liekoszul.koszul import (
+    FormalityResult,
+    FormalitySliceResult,
+    _subset_fn_weight,
+    reduction_map,
+)
 from liekoszul.lierinehart import Failure, ValidationReport, p_str
 
 
@@ -519,6 +536,16 @@ def reduction_matrix_by_solve(lr, model, fs, w, offsets, dim_target):
             coords = quot.class_coordinates(unit_vector(len(monos), monos.index(mono)))
             entries.extend((offsets[subset] + i, col, c) for i, c in enumerate(coords))
     return ExactMatrix.from_entries(dim_target, fs.dim, entries)
+
+
+def formality_check_unnormalized(lr, v, weights):
+    """koszul.formality_check on v as given, eliminating each d_C twice."""
+    results = []
+    for w in weights:
+        ks, target, chain = reduction_map(lr, v, w)
+        results.append(FormalitySliceResult(w, is_quasi_isomorphism(chain),
+                                            betti(ks.complex), betti(target)))
+    return FormalityResult(all(r.ok for r in results), tuple(results))
 
 
 def contraction_by_products(lr, v, p, w):

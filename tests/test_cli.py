@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from liekoszul.cli import main
+from liekoszul import koszul, lierinehart
+from liekoszul.cli import build_lie_rinehart, main
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args):
@@ -305,6 +308,14 @@ def test_empty_weight_range_option_is_an_input_error(capsys):
     assert "--weights" in err
 
 
+@pytest.mark.parametrize("rng,bound", [("x..3", "'x'"), ("1..2.5", "'2.5'"), ("..3", "''"),
+                                       ("0..y", "'y'")])
+def test_non_integer_weight_bound_names_the_option(capsys, rng, bound):
+    err = _exit_with_one_line(capsys, ["koszul", CASES / "euler-n2.json", "--weights", rng],
+                              2, "error:")
+    assert "--weights" in err and f"bound {bound}" in err
+
+
 @pytest.mark.parametrize("command", ["koszul", "cohomology"])
 def test_empty_weight_range_field_is_an_input_error(tmp_path, capsys, command):
     path = _mutated(tmp_path, "euler-n2.json", lambda p: p.update(weights=[4, 0]))
@@ -481,3 +492,55 @@ def test_boolean_field_that_is_not_a_boolean_names_the_field(tmp_path, capsys, f
     path = _mutated(tmp_path, case, lambda p: mutate(p, bad))
     err = _exit_with_one_line(capsys, [command, path], 2, "error:")
     assert f"field {field!r} must be true or false" in err
+
+
+def _rescaled_euler(tmp_path):
+    """cases/euler-n2.json, same name, with the section (2/3 x, -7/2 y)."""
+    return _mutated(tmp_path, "euler-n2.json",
+                    lambda p: p.update(section=[{"1,0": "2/3"}, {"0,1": "-7/2"}]))
+
+
+def test_koszul_report_does_not_see_a_rescaled_section(tmp_path, capsys, monkeypatch):
+    sections = []
+    real = koszul.reduction_map
+
+    def reduction_map(lr, v, w):
+        sections.append(v.components)
+        return real(lr, v, w)
+
+    monkeypatch.setattr(koszul, "reduction_map", reduction_map)
+    reports = []
+    for path in (CASES / "euler-n2.json", _rescaled_euler(tmp_path)):
+        out = tmp_path / "report.json"
+        assert run_cli(["koszul", path, "--json", out]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    # the driver builds every slice on the primitive integral section
+    weights = len(sections) // 2
+    assert sections == ([({(1, 0): 1}, {(0, 1): 1})] * weights
+                        + [({(1, 0): 1}, {(0, 1): -1})] * weights)
+
+
+def test_validate_checks_a_rescaled_presentation_as_given(tmp_path, capsys, monkeypatch):
+    checked = []
+    real = lierinehart.validate
+
+    def validate(lr):
+        checked.append(lr)
+        return real(lr)
+
+    def no_rescaling(*args):
+        raise AssertionError("validate rescaled the section")
+
+    monkeypatch.setattr(lierinehart, "validate", validate)
+    monkeypatch.setattr(koszul, "_primitive_section", no_rescaling)
+    path = _rescaled_euler(tmp_path)
+    out = tmp_path / "report.json"
+    assert run_cli(["validate", path, "--json", out]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "validate__euler-n2.json").read_bytes()
+    payload = json.loads(path.read_text())
+    lr, section = build_lie_rinehart(payload)
+    assert [c.anchor for c in checked] == [lr.anchor]
+    assert section.components == ({(1, 0): Fraction(2, 3)}, {(0, 1): Fraction(-7, 2)})

@@ -1,9 +1,21 @@
+from fractions import Fraction
+
 import pytest
 
-from liekoszul.complexes import DoubleComplex, betti, row_filtration
+import corpus
+from liekoszul import complexes, exactla, koszul
+from liekoszul.complexes import (
+    DoubleComplex,
+    _betti,
+    _cone_ranks,
+    betti,
+    is_quasi_isomorphism,
+    row_filtration,
+)
 from liekoszul.koszul import (
     InconclusiveError,
     ZeroLocusModel,
+    _primitive_section,
     formality_check,
     is_zero_dimensional,
     lie_koszul,
@@ -222,3 +234,72 @@ def test_zero_dimensional_stops_at_the_first_full_window(monkeypatch):
     monkeypatch.setattr(ZeroLocusModel, "ideal_slice", counting)
     assert is_zero_dimensional(EULER2, 50) is True
     assert built and max(built) == 1  # (x, y) vanishes from weight 1 on
+
+
+def test_primitive_section_is_coprime_integral_with_the_same_ideal():
+    t3 = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
+    given = SectionV(t3, [{(1, 0, 0): "1/2", (0, 1, 0): "-1/3"},
+                          {(0, 1, 0): -4, (0, 0, 1): 6}, {}])
+    v = _primitive_section(t3, given)
+    assert v.components == ({(1, 0, 0): 3, (0, 1, 0): -2},
+                            {(0, 1, 0): -2, (0, 0, 1): 3}, {})
+    assert all(type(c) is int for comp in v.components for c in comp.values())
+    assert v.weight == given.weight
+    assert given.components[0] == {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(-1, 3)}
+    a, b = ZeroLocusModel(t3, given), ZeroLocusModel(t3, v)
+    for w in range(5):
+        assert a.ideal_slice(w) == b.ideal_slice(w)
+
+
+def _slices_with_chains():
+    """(name, w, slice, chain) over the formality corpus and V = (x^2, xy)."""
+    cases = corpus.formality_instances()
+    cases.append(("plane/(x^2, xy)", TANGENT2,
+                  SectionV(TANGENT2, [{(2, 0): 1}, {(1, 1): 1}])))
+    for name, lr, v in cases:
+        for w in range(6):
+            ks, _, chain = koszul.reduction_map(lr, v, w)
+            yield name, w, ks, chain
+
+
+def test_cone_elimination_gives_the_source_betti_numbers():
+    verdicts = set()
+    for name, w, ks, chain in _slices_with_chains():
+        source_ranks, _ = _cone_ranks(chain)
+        assert _betti(ks.complex, source_ranks) == betti(ks.complex), (name, w)
+        ok = is_quasi_isomorphism(chain)
+        assert type(ok) is bool
+        verdicts.add((name, w, ok))
+    assert ("plane/(x^2, xy)", 3, False) in verdicts
+    assert sum(ok for *_, ok in verdicts) > len(verdicts) // 2
+
+
+def test_formality_check_eliminates_each_contraction_once(monkeypatch):
+    # Every elimination goes through exactla._rref; the rows of each nonzero
+    # contraction matrix of a slice must be handed to it exactly once.
+    eliminated = []
+    real = exactla._rref
+
+    def spy(rows, reduced=True):
+        eliminated.append(rows)
+        return real(rows, reduced)
+
+    built = []
+    real_map = koszul.reduction_map
+
+    def reduction_map(*args):
+        built.append(real_map(*args))
+        return built[-1]
+
+    for module in (exactla, complexes):
+        monkeypatch.setattr(module, "_rref", spy)
+    monkeypatch.setattr(koszul, "reduction_map", reduction_map)
+    virr = SectionV(TANGENT2, [{(2, 0): 1}, {(1, 1): 1}])
+    res = formality_check(TANGENT2, virr, range(5))
+    assert not res.ok and res.first_failure.w == 3
+    contractions = [ks.complex.d(k) for ks, _, _ in built
+                    for k in range(ks.complex.lo, ks.complex.hi)]
+    assert any(not d.is_zero() for d in contractions)
+    for d in contractions:
+        if not d.is_zero():
+            assert sum(rows is d.row_maps for rows in eliminated) == 1, d

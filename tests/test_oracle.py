@@ -75,6 +75,7 @@ from oracle import (
     elem_anchor_apply,
     elem_bracket,
     flag_of,
+    formality_check_unnormalized,
     from_flag_dense,
     ideal_rows_by_products,
     induced_map_dense,
@@ -303,6 +304,26 @@ def _scaled(lr, v):
     scales = (Fraction(2, 3), -5, Fraction(-7, 2))
     return SectionV(lr, [{m: c * scales[i % 3] for m, c in comp.items()}
                          for i, comp in enumerate(v.components)])
+
+
+def _times(lr, v, scale):
+    """v with every coefficient multiplied by one scalar."""
+    return SectionV(lr, [{m: c * scale for m, c in comp.items()} for comp in v.components])
+
+
+@pytest.mark.parametrize("lr,v", FORMALITY)
+def test_formality_check_matches_unnormalized_oracle(lr, v):
+    # formality_check rescales each component to its primitive integral
+    # form; the chain isomorphism between the two Koszul complexes must
+    # leave every verdict and both Betti tables of every slice as they are
+    # for the section as given, and as they are for v itself.
+    weights = range(6)
+    expected = formality_check_unnormalized(lr, v, weights)
+    sections = [v, _scaled(lr, v)] + [_times(lr, v, s)
+                                      for s in (Fraction(2, 3), -5, Fraction(-7, 2))]
+    for section in sections:
+        assert koszul.formality_check(lr, section, weights) == expected
+        assert formality_check_unnormalized(lr, section, weights) == expected
 
 
 @pytest.mark.parametrize("lr,v", FORMALITY)

@@ -84,13 +84,14 @@ def test_reduction_matrices_and_cones_store_canonical_entries(monkeypatch):
         built.append(real_reduction_matrix(*args))
         return built[-1]
 
-    def rank(m):   # inside is_quasi_isomorphism: the rows of a mapping cone
-        built.append(m)
-        return real_rank(m)
+    def insert(echelon, row):   # inside is_quasi_isomorphism: the rows [f | d_D] of a cone
+        cone_rows.append(dict(row))
+        return real_insert(echelon, row)
 
-    real_reduction_matrix, real_rank = koszul._reduction_matrix, complexes.rank
+    cone_rows = []
+    real_reduction_matrix, real_insert = koszul._reduction_matrix, complexes._insert
     monkeypatch.setattr(koszul, "_reduction_matrix", reduction_matrix)
-    monkeypatch.setattr(complexes, "rank", rank)
+    monkeypatch.setattr(complexes, "_insert", insert)
     # (2x + z, 3y + 2z, 0): non-unit pivots in the ideal slices, so some normal
     # forms have entries that are not integral
     t3 = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
@@ -99,9 +100,10 @@ def test_reduction_matrices_and_cones_store_canonical_entries(monkeypatch):
         for w in range(5):
             _, _, chain = koszul.reduction_map(lr, v, w)
             is_quasi_isomorphism(chain)
-    assert built
+    assert built and cone_rows
     for m in built:
         assert_canonical(m, repr(m))
+    assert_canonical_rows(cone_rows, "cone rows")
     assert any(type(x) is QQ for m in built for row in m.row_maps for x in row.values())
 
 
