@@ -41,6 +41,16 @@ def _grid_json(grid: dict) -> dict:
     return {_grid_key(k): v for k, v in sorted(grid.items())}
 
 
+def _degree_json(dims: dict) -> dict:
+    """A degree -> dim table for the JSON report: string keys, in degree order."""
+    return {str(k): v for k, v in sorted(dims.items())}
+
+
+def _h_line(dims: dict) -> str:
+    """A degree -> dim table for the text report: "H^k=v ...", in degree order."""
+    return " ".join(f"H^{k}={v}" for k, v in sorted(dims.items()))
+
+
 def _format_grid(grid: dict, title: str) -> list[str]:
     lines = [title]
     if not grid:
@@ -240,24 +250,21 @@ def cmd_cohomology(payload: dict, args) -> tuple[dict, bool, list[str]]:
     if kind == "raw_complex":
         cplx = build_raw_complex(payload)
         dims = betti(cplx)
-        lines.append("cohomology dims: " +
-                     " ".join(f"H^{k}={v}" for k, v in sorted(dims.items())))
-        return {"betti": {str(k): v for k, v in sorted(dims.items())}}, True, lines
+        lines.append("cohomology dims: " + _h_line(dims))
+        return {"betti": _degree_json(dims)}, True, lines
     if kind == "lie_algebra":
         g, _, module = build_lie_algebra(payload)
         dims = betti(hochserre.ce_complex(g, module))
-        lines.append("cohomology dims: " +
-                     " ".join(f"H^{k}={v}" for k, v in sorted(dims.items())))
-        return {"betti": {str(k): v for k, v in sorted(dims.items())}}, True, lines
+        lines.append("cohomology dims: " + _h_line(dims))
+        return {"betti": _degree_json(dims)}, True, lines
     if kind == "lie_rinehart":
         lr, _ = build_lie_rinehart(payload)
         lo, hi = _weight_range(payload, args)
         table = {}
         for w in range(lo, hi + 1):
             dims = betti(lierinehart.omega_slice_complex(lr, w))
-            table[str(w)] = {str(k): v for k, v in sorted(dims.items())}
-            lines.append(f"weight {w}: " +
-                         " ".join(f"H^{k}={v}" for k, v in sorted(dims.items())))
+            table[str(w)] = _degree_json(dims)
+            lines.append(f"weight {w}: " + _h_line(dims))
         return {"betti_per_weight": table}, True, lines
     raise SchemaError(f"cohomology does not apply to kind {kind!r}")
 
@@ -316,7 +323,7 @@ def cmd_specseq(payload: dict, args) -> tuple[dict, bool, list[str]]:
         "stable_page": result.stable_page,
         "degeneration_page": result.degeneration_page,
         "convergent": convergent,
-        "infinity_totals": {str(k): v for k, v in sorted(result.infinity_totals().items())},
+        "infinity_totals": _degree_json(result.infinity_totals()),
     }
     return report, convergent, lines
 
@@ -334,9 +341,8 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
     lines = []
     slice_dims = {}
     for w, dims in tables.items():
-        slice_dims[str(w)] = {str(k): v for k, v in sorted(dims.items())}
-        lines.append(f"weight {w}: " +
-                     " ".join(f"H^{k}={v}" for k, v in sorted(dims.items())))
+        slice_dims[str(w)] = _degree_json(dims)
+        lines.append(f"weight {w}: " + _h_line(dims))
     if "dim_y" in payload:
         dim_y = _integer(payload["dim_y"], "dim_y")
         dim_y_source = "asserted"
@@ -376,15 +382,14 @@ def cmd_hs(payload: dict, args) -> tuple[dict, bool, list[str]]:
     hs = hochserre.verify(g, ideal, module)
     lines = _format_grid(hs.expected_e2, "expected E2 grid:")
     lines.extend(_format_grid(hs.computed_e2, "computed E2 grid:"))
-    lines.append("limit totals:  " +
-                 " ".join(f"H^{k}={v}" for k, v in sorted(hs.infinity_totals.items())))
-    lines.append("direct betti:  " + " ".join(f"H^{k}={v}" for k, v in sorted(hs.betti.items())))
+    lines.append("limit totals:  " + _h_line(hs.infinity_totals))
+    lines.append("direct betti:  " + _h_line(hs.betti))
     lines.append(f"verdict: {'pass' if hs.ok else 'fail'}")
     report = {
         "expected_e2": _grid_json(hs.expected_e2),
         "computed_e2": _grid_json(hs.computed_e2),
-        "infinity_totals": {str(k): v for k, v in sorted(hs.infinity_totals.items())},
-        "betti": {str(k): v for k, v in sorted(hs.betti.items())},
+        "infinity_totals": _degree_json(hs.infinity_totals),
+        "betti": _degree_json(hs.betti),
         "verdict": hs.ok,
     }
     return report, hs.ok, lines
@@ -402,14 +407,13 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
     nxt = cechp1.cech_koszul(algebroid, section, window + 1, untwisted)
     lines = [f"degree {algebroid.degree}, window {window}"
              + (", untwisted" if untwisted else "")]
-    fp = cechp1.first_page(model)
+    fp = cechp1.first_page(model, nxt)
     lines.extend(_format_grid({k: v for k, v in fp.grid.items() if v},
                               "first page (wedge p, cech q):"))
     d1 = {k: v for k, v in fp.d1_ranks.items() if v}
     lines.append(f"observed d1 ranks: {_grid_json(d1) if d1 else 'all zero'}")
     hdims = cechp1.equivariant_H(model, nxt)
-    lines.append("equivariant cohomology: " +
-                 " ".join(f"H^{k}={v}" for k, v in sorted(hdims.items())))
+    lines.append("equivariant cohomology: " + _h_line(hdims))
     assumption = cechp1.assumption_check(algebroid, section)
     lines.append(f"assumption (simple zeros): {assumption}")
     ok = fp.consistent
@@ -419,17 +423,16 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
         "window": window,
         "first_page": _grid_json(fp.grid),
         "d1_ranks": _grid_json(fp.d1_ranks),
-        "equivariant_h": {str(k): v for k, v in sorted(hdims.items())},
+        "equivariant_h": _degree_json(hdims),
         "assumption": assumption,
     }
     if assumption:
         cor = cechp1.corollary_check(model, nxt)
         lines.append(f"fixed points: {[str(p) for p in cor.fixed_points]}")
-        lines.append(f"fixed-point prediction: "
-                     + " ".join(f"H^{k}={v}" for k, v in sorted(cor.predicted.items())))
+        lines.append("fixed-point prediction: " + _h_line(cor.predicted))
         lines.append(f"corollary match: {cor.match}")
         report["fixed_points"] = [str(p) for p in cor.fixed_points]
-        report["corollary_predicted"] = {str(k): v for k, v in sorted(cor.predicted.items())}
+        report["corollary_predicted"] = _degree_json(cor.predicted)
         report["corollary_match"] = cor.match
         ok = ok and cor.match
     degen = cechp1.second_page_degeneration(model, nxt)

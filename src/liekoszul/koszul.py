@@ -226,13 +226,17 @@ def _primitive_section(lr: LieRinehartPresentation, v: SectionV) -> SectionV:
     """V with each nonzero component c_i replaced by lambda_i c_i, its
     primitive integral multiple: lambda_i > 0 is the lcm of the
     denominators of c_i divided by the gcd of the numerators that gives.
-    The ideal (c_i) is unchanged, and so is the zero-locus model."""
+    The ideal (c_i) is unchanged, and so is the zero-locus model.  A
+    section that is already primitive (every lambda_i = 1) is returned
+    as it is."""
     comps = []
     for c in v.components:
         scale = lcm(*(x.denominator for x in c.values()))
         ints = {m: x.numerator * (scale // x.denominator) for m, x in c.items()}
         g = gcd(*ints.values())
         comps.append({m: x // g for m, x in ints.items()})
+    if all(new == c for new, c in zip(comps, v.components)):
+        return v
     return SectionV(lr, comps)
 
 

@@ -8,6 +8,8 @@ enumeration.  Slow, but exact and independent of the code under test.
 from fractions import Fraction as QQ
 from itertools import combinations
 
+from liekoszul.cechp1 import lp, lp_add, lp_mul
+
 
 def det_expansion(rows):
     """Determinant by Laplace expansion along the first row."""
@@ -83,3 +85,32 @@ def line_bundle_dims_by_counting(d):
 def level_dim(f, p, n):
     """dim F_p C^n of a FilteredComplex, counted from its per-vector levels."""
     return sum(1 for x in f.levels.get(n, ()) if x >= p)
+
+
+# -- Laurent matrices on the projective line: the gluing identities ----------
+
+def lp_flip(a):
+    """Substitute z -> 1/z."""
+    return {-e: c for e, c in a.items()}
+
+
+def lmat_mul(a, b):
+    n, mid, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = {}
+            for k in range(mid):
+                acc = lp_add(acc, lp_mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def lmat_flip(a):
+    return tuple(tuple(lp_flip(e) for e in row) for row in a)
+
+
+def lmat_identity(n):
+    return tuple(tuple(lp(1 if i == j else 0) for j in range(n)) for i in range(n))

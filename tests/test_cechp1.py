@@ -1,7 +1,9 @@
 from fractions import Fraction as QQ
+from itertools import product
 
 import pytest
 
+from liekoszul import cechp1, cli
 from liekoszul.cechp1 import (
     EquivariantSection,
     GluingError,
@@ -14,16 +16,15 @@ from liekoszul.cechp1 import (
     build_row,
     cech_cohomology,
     cech_koszul,
+    cotangent_sheaf,
     corollary_check,
     equivariant_H,
     first_page,
     fixed_point_set,
     line_bundle,
     lmat,
-    lmat_flip,
-    lmat_identity,
     lmat_inverse,
-    lmat_mul,
+    lp_coeffs_poly,
     lp_eval,
     second_page_degeneration,
     vector_field_zeros,
@@ -32,8 +33,16 @@ from liekoszul.cechp1 import (
 from liekoszul.complexes import betti, total
 from liekoszul.exactla import ExactMatrix
 
+import corpus
 from corpus import window_pair
-from helpers import level_dim, line_bundle_dims_by_counting
+from helpers import (
+    level_dim,
+    line_bundle_dims_by_counting,
+    lmat_flip,
+    lmat_identity,
+    lmat_mul,
+    lp_flip,
+)
 
 
 def test_line_bundle_cech_dims_match_counting_oracle():
@@ -88,12 +97,27 @@ def test_random_rank_two_euler_characteristics():
 
 
 def test_operator_bundle_cocycle_and_symbol():
-    for d in range(-3, 4):
-        a = atiyah_algebroid(d)  # constructor verifies both identities
+    # T(z) T(1/z) = I, and the symbol row (0, -z^2) is the tangent transition
+    for d in range(-6, 7):
+        a = atiyah_algebroid(d)
         assert lmat_mul(a.transition, lmat_flip(a.transition)) == lmat_identity(2)
         assert a.transition[1][0] == {} and a.transition[1][1] == {2: QQ(-1)}
         if d == 0:
             assert a.transition[0][1] == {}  # block diagonal: O + tangent
+
+
+def test_section_glues_on_the_overlap():
+    # T(z) (f1, w1)(1/z) = (f0, v0)(z): the solved chart-1 data pulls back to
+    # the chart-0 data for every vector field, degree and admissible alpha
+    for d in range(-3, 4):
+        a = atiyah_algebroid(d)
+        for (x, y, z), alpha in product(product(range(-2, 3), repeat=3),
+                                        (0, 1, QQ(-5, 2))):
+            v = EquivariantSection(a, (x, y, z), scalar0=[alpha, -d * z])
+            chart1 = ((lp_flip(v.f1),), (lp_flip(v.w1),))
+            assert lmat_mul(a.transition, chart1) == ((v.f0,), (v.v0,)), (d, x, y, z, alpha)
+            assert v.v0 == lp_coeffs_poly([x, y, z])
+            assert v.f0 == lp_coeffs_poly([alpha, -d * z])
 
 
 def test_wedge_dual_dims():
@@ -139,8 +163,9 @@ def test_cech_koszul_double_complex_valid():
 def test_equivariant_h_zero_section_matches_first_page_sum():
     for d in (-2, 0, 3):
         a = atiyah_algebroid(d)
-        hdims = equivariant_H(*window_pair(a, zero_section(a), 1))
-        grid = first_page(cech_koszul(a, zero_section(a), 1)).grid
+        pair = window_pair(a, zero_section(a), 1)
+        hdims = equivariant_H(*pair)
+        grid = first_page(*pair).grid
         for k in hdims:
             assert hdims[k] == sum(v for (p, q), v in grid.items() if p + q == k)
 
@@ -333,18 +358,18 @@ def test_corollary_twisted_two_finite_fixed_points():
 
 def test_first_page_grids():
     a0 = atiyah_algebroid(0)
-    grid0 = first_page(cech_koszul(a0, zero_section(a0), 1)).grid
+    grid0 = first_page(*window_pair(a0, zero_section(a0), 1)).grid
     assert {k: v for k, v in grid0.items() if v} == {
         (0, 0): 1, (-1, 0): 1, (-1, 1): 1, (-2, 1): 1}
     for d in (-2, 1, 3):
         a = atiyah_algebroid(d)
-        grid = first_page(cech_koszul(a, zero_section(a), 1)).grid
+        grid = first_page(*window_pair(a, zero_section(a), 1)).grid
         assert {k: v for k, v in grid.items() if v} == {(0, 0): 1, (-2, 1): 1}
 
 
 def test_first_page_untwisted():
     a0 = atiyah_algebroid(0)
-    rep = first_page(cech_koszul(a0, zero_section(a0), 1, untwisted=True))
+    rep = first_page(*window_pair(a0, zero_section(a0), 1, untwisted=True))
     assert {k: v for k, v in rep.grid.items() if v} == {(0, 0): 1, (-1, 1): 1}
     assert rep.consistent
 
@@ -357,9 +382,49 @@ def test_window_radius_must_be_positive():
         cech_koszul(a0, zero_section(a0), 0)
 
 
+def _row_sheaves(algebroid, untwisted):
+    if untwisted:
+        return {-1: cotangent_sheaf(), 0: line_bundle(0)}
+    return {p: algebroid.wedge_dual(-p) for p in (-2, -1, 0)}
+
+
+def test_first_page_is_the_cech_cohomology_of_each_row_sheaf():
+    for name, algebroid, section, untwisted in corpus.p1_instances():
+        for window in range(1, 5):
+            grid = first_page(*window_pair(algebroid, section, window, untwisted)).grid
+            expected = {}
+            for p, sheaf in _row_sheaves(algebroid, untwisted).items():
+                expected[(p, 0)], expected[(p, 1)] = cech_cohomology(sheaf, window)
+            assert grid == expected, (name, window)
+
+
+def test_first_page_window_check_can_fail():
+    # the rows of O(0) and O(1) have different cohomology, so a pair that
+    # is not one model at windows D and D+1 must be refused
+    a0, a1 = atiyah_algebroid(0), atiyah_algebroid(1)
+    with pytest.raises(WindowError, match="window too small: dims"):
+        first_page(cech_koszul(a0, zero_section(a0), 2), cech_koszul(a1, zero_section(a1), 3))
+
+
+@pytest.mark.parametrize("case, rows", [("p1-euler-O0", 3), ("p1-euler-untwisted", 2)])
+def test_p1_builds_one_model_per_window(monkeypatch, capsys, case, rows):
+    built = []
+    original = cechp1.build_row
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cechp1, "build_row", counting)
+    code = cli.main(["p1", str(corpus.CASES / f"{case}.json"), "--window", "1"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(built) == 2 * rows  # one row model per row, at windows 1 and 2
+
+
 def test_first_page_engine_consistency_and_d1():
     a0 = atiyah_algebroid(0)
-    rep = first_page(cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1))
+    rep = first_page(*window_pair(a0, EquivariantSection(a0, (0, 1, 0)), 1))
     assert rep.consistent
     assert all(r == 0 for r in rep.d1_ranks.values())
 

@@ -4,6 +4,7 @@ import pytest
 
 import corpus
 from liekoszul import complexes, exactla, koszul
+from liekoszul.cli import build_lie_rinehart
 from liekoszul.complexes import (
     DoubleComplex,
     _betti,
@@ -249,6 +250,12 @@ def test_primitive_section_is_coprime_integral_with_the_same_ideal():
     a, b = ZeroLocusModel(t3, given), ZeroLocusModel(t3, v)
     for w in range(5):
         assert a.ideal_slice(w) == b.ideal_slice(w)
+
+
+def test_primitive_section_is_returned_unchanged():
+    for name in ("xline-n1", "euler-n2"):
+        lr, v = build_lie_rinehart(dict(corpus.case_payloads("lie_rinehart"))[name])
+        assert _primitive_section(lr, v) is v, name
 
 
 def _slices_with_chains():
