@@ -311,17 +311,15 @@ class AlgebroidOnP1:
         self.degree = int(degree)
         self.transition = lmat([[lp(1), lp_monomial(1, self.degree)],
                                 [lp(0), lp_monomial(2, -1)]])
+        inv_t = lmat_transpose(lmat_inverse(self.transition))
+        self._duals = (line_bundle(0), SheafOnP1(2, inv_t, name=f"D*({self.degree})"),
+                       SheafOnP1(1, [[lmat_det(inv_t)]], name=f"det D*({self.degree})"))
 
     def wedge_dual(self, p: int) -> SheafOnP1:
         """Lambda^p of the dual bundle (p in {0, 1, 2})."""
-        if p == 0:
-            return line_bundle(0)
-        inv_t = lmat_transpose(lmat_inverse(self.transition))
-        if p == 1:
-            return SheafOnP1(2, inv_t, name=f"D*({self.degree})")
-        if p == 2:
-            return SheafOnP1(1, [[lmat_det(inv_t)]], name=f"det D*({self.degree})")
-        raise ValueError("wedge power must be 0, 1 or 2")
+        if p not in (0, 1, 2):
+            raise ValueError("wedge power must be 0, 1 or 2")
+        return self._duals[p]
 
 
 def atiyah_algebroid(d: int) -> AlgebroidOnP1:

@@ -88,6 +88,13 @@ def _integer(value, field: str) -> int:
     raise SchemaError(f"field {field!r} must be an integer, got {value!r}")
 
 
+def _count(value, field: str) -> int:
+    """The value of the count field `field`, an integer that is not negative."""
+    if _integer(value, field) < 0:
+        raise SchemaError(f"field {field!r} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _boolean(value, field: str) -> bool:
     """The value of the boolean field `field`, a JSON true or false."""
     if type(value) is bool:
@@ -122,17 +129,15 @@ def _subspace(vectors, dim: int, what: str) -> Subspace:
 
 
 def build_lie_algebra(payload: dict):
-    dim = _integer(_need(payload, "dim"), "dim")
+    dim = _count(_need(payload, "dim"), "dim")
     g = hochserre.LieAlgebra(dim, payload.get("brackets", {}))
     ideal = None
     if "ideal" in payload:
         ideal = hochserre.LieIdeal(g, _subspace(payload["ideal"], dim, "ideal"))
     if "module" in payload:
         mdata = payload["module"]
-        mdim = _integer(_need(mdata, "dim"), "module.dim")
+        mdim = _count(_need(mdata, "dim"), "module.dim")
         actions = [_matrix(a, mdim, mdim) for a in _need(mdata, "actions")]
-        if len(actions) != dim:
-            raise SchemaError("module needs one action matrix per generator")
         module = hochserre.GModule(g, mdim, actions)
     else:
         module = hochserre.GModule.trivial(g)
@@ -168,7 +173,7 @@ def build_p1(payload: dict):
 
 
 def build_raw_complex(payload: dict):
-    dims = [_integer(d, "dims") for d in _need(payload, "dims")]
+    dims = [_count(d, "dims") for d in _need(payload, "dims")]
     lo = _integer(payload.get("lo", 0), "lo")
     hi = lo + len(dims) - 1
     mats = _need(payload, "differentials")
@@ -184,7 +189,7 @@ def build_raw_double(payload: dict) -> DoubleComplex:
                               for key in ("p_lo", "p_hi", "q_lo", "q_hi"))
     dims = {}
     for key, d in _need(block, "dims").items():
-        dims[_cell_key(key, "double.dims")] = _integer(d, "double.dims")
+        dims[_cell_key(key, "double.dims")] = _count(d, "double.dims")
 
     def read_maps(field, shape):
         out = {}
@@ -344,7 +349,7 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
         slice_dims[str(w)] = _degree_json(dims)
         lines.append(f"weight {w}: " + _h_line(dims))
     if "dim_y" in payload:
-        dim_y = _integer(payload["dim_y"], "dim_y")
+        dim_y = _count(payload["dim_y"], "dim_y")
         dim_y_source = "asserted"
     else:
         try:

@@ -396,11 +396,12 @@ class FilteredComplex:
                   spaces: Mapping[tuple[int, int], Subspace]) -> "FilteredComplex":
         """Filtration given by subspaces F_p C^n for p in [p_lo, p_hi + 1].
 
-        The complex is rewritten in an adapted basis: walking p down from
-        p_hi, the representatives of F_p / F_{p+1}, as sparse rows, get
-        level p.  Each adapted differential holds the coordinates of d
-        applied to the adapted basis of C^n in that of C^{n+1}, from one
-        checked `coordinates` solve per degree.
+        The complex is rewritten in an adapted basis from one echelon per
+        degree: walking p down from p_hi, the rows of F_p that add a pivot
+        to it (it spans F_{p+1}) get level p, and F_{p+1} lies in F_p iff it
+        then holds dim F_p rows.  Each adapted differential holds the
+        coordinates of d applied to the adapted basis of C^n in that of
+        C^{n+1}, from one checked `coordinates` solve per degree.
         """
         if p_hi < p_lo:
             raise ComplexError("empty filtration range")
@@ -419,12 +420,12 @@ class FilteredComplex:
                 raise ComplexError(f"F_{p_lo} is not the whole space in degree {n}")
             if flag[-1].dim != 0:
                 raise ComplexError(f"F_{p_hi + 1} is not zero in degree {n}")
-            bases[n], levels[n] = [], []
+            bases[n], levels[n], echelon = [], [], {}
             for p in range(p_hi, p_lo - 1, -1):
-                lower, upper = flag[p - p_lo], flag[p - p_lo + 1]
-                if not upper.is_subspace_of(lower):
+                space = flag[p - p_lo]
+                reps = [r for r in space.sparse_basis if _insert(echelon, dict(r)) is not None]
+                if len(echelon) != space.dim:
                     raise ComplexError(f"filtration not decreasing at ({p},{n})")
-                reps = Subquotient(lower, upper)._rep_rows
                 bases[n].extend(reps)
                 levels[n].extend([p] * len(reps))
         diffs = [coordinates(bases[n + 1], cplx.dim(n + 1), cplx.d(n).images(bases[n]))

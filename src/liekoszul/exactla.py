@@ -17,7 +17,7 @@ and with it every basis, is canonical whatever order the elimination
 works in; tests compare bases, not just dimensions.
 
 `_insert` is the one elimination kernel, shared by `_rref` (every kernel,
-image, rank and solve), `Subquotient` representatives and `specseq.pairing`.
+image, rank and solve), `Subquotient`, `from_flag` and `specseq.pairing`.
 
 Every change of basis is one call of `coordinates`: the coordinates of
 sparse target rows in an independent sparse basis, from one RREF of
@@ -483,11 +483,6 @@ class Subspace:
         residual = _wrap(m.rows, m.cols, tuple(_transpose(reduced_cols, m.rows)))
         return kernel_basis(residual)
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise LinearAlgebraError("ambient dimension mismatch")
-        return all(not other._residual(r) for r in self.sparse_basis)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -617,7 +612,8 @@ class Subquotient:
 
     Representatives are chosen deterministically: walk the echelon basis
     of the cycle space and keep each vector that is independent of the
-    boundaries plus the representatives already kept.  `_rep_rows` holds
+    boundaries plus the representatives already kept, dim(C + B) - dim B
+    of them, so B lies in C iff that is dim C - dim B.  `_rep_rows` holds
     them as sparse rows; `representatives` is the same list as dense
     vectors, built on first use.
     """
@@ -627,15 +623,13 @@ class Subquotient:
     def __init__(self, cycles: Subspace, boundaries: Subspace):
         if cycles.ambient_dim != boundaries.ambient_dim:
             raise LinearAlgebraError("cycles and boundaries live in different spaces")
-        if not boundaries.is_subspace_of(cycles):
-            raise LinearAlgebraError("boundaries are not contained in cycles")
-        # Forward elimination with a pivot table selects, in order, the cycle
-        # basis vectors independent of the boundaries and of each other.
         echelon = dict(zip(boundaries.pivots, boundaries.sparse_basis))
+        reps = tuple(row for row in cycles.sparse_basis if _insert(echelon, dict(row)) is not None)
+        if len(reps) != cycles.dim - boundaries.dim:
+            raise LinearAlgebraError("boundaries are not contained in cycles")
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "_rep_rows", tuple(row for row in cycles.sparse_basis
-                                                    if _insert(echelon, dict(row)) is not None))
+        object.__setattr__(self, "_rep_rows", reps)
         object.__setattr__(self, "_representatives", None)
 
     def __setattr__(self, name, value):

@@ -430,7 +430,7 @@ def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:
     entries = []
     acting = [k for k, row in enumerate(lr.anchor) if any(row)]
     terms = _ce_terms(lr.rank, src.basis, lr.brackets, acting,
-                      lambda k, mono: lr.anchor_apply(k, {mono: 1}),
+                      lru_cache(maxsize=None)(lambda k, mono: lr.anchor_apply(k, {mono: 1})),
                       lambda c, mono: {tuple(a + b for a, b in zip(m, mono)): x
                                        for m, x in c.items()})
     for col, tsub, mono, x in terms:

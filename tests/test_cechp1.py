@@ -485,3 +485,15 @@ def test_window_check_needs_the_next_window_model():
         equivariant_H(model, model)
     with pytest.raises(ValueError):
         second_page_degeneration(model, cech_koszul(a0, v, 3))
+
+
+def test_twisted_p1_run_inverts_the_transition_once(monkeypatch, capsys):
+    real, calls = cechp1.lmat_inverse, []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(cechp1, "lmat_inverse", counting)
+    assert cli.main(["p1", str(corpus.CASES / "p1-euler-O0.json")]) == 0
+    assert len(calls) == 1

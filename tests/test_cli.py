@@ -485,6 +485,27 @@ def test_integer_field_that_is_not_an_integer_names_the_field(tmp_path, capsys, 
     assert f"field {field!r} must be an integer" in err
 
 
+# Count fields: a negative dimension exits 2 with one line naming the field,
+# instead of a Betti number of -3, a failed verdict or a message about
+# matrix shapes.
+NEGATIVE_COUNTS = [
+    *(pytest.param(field, *INTEGER_FIELDS[field], id=field)
+      for field in ("dim", "module.dim", "dims", "double.dims", "dim_y")),
+    pytest.param("dims", None, "cohomology", None, id="raw-complex-dims"),
+]
+
+
+@pytest.mark.parametrize("field,case,command,mutate", NEGATIVE_COUNTS)
+def test_negative_count_names_the_field(tmp_path, capsys, field, case, command, mutate):
+    if case is None:
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"kind": "raw_complex", "dims": [-3], "differentials": []}))
+    else:
+        path = _mutated(tmp_path, case, lambda p: mutate(p, -1))
+    err = _exit_with_one_line(capsys, [command, path], 2, "error:")
+    assert f"field {field!r} must be a nonnegative integer, got -" in err
+
+
 @pytest.mark.parametrize("bad", ["false", 1])
 @pytest.mark.parametrize("field", BOOLEAN_FIELDS)
 def test_boolean_field_that_is_not_a_boolean_names_the_field(tmp_path, capsys, field, bad):

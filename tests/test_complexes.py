@@ -3,6 +3,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
+from liekoszul import exactla
 from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid, cech_koszul
 from liekoszul.complexes import (
     ChainMap,
@@ -197,7 +198,7 @@ def test_filtered_complex_levels_must_not_drop_along_d():
 
 
 def _flag(spaces):
-    """Flag on a complex with C^0 = QQ^2 and C^1 = 0, levels 0..2."""
+    """Flag on a complex with C^1 = 0, levels 0..len(spaces) - 1 of C^0."""
     zero1 = Subspace.zero_space(0)
     return {**{(p, 0): s for p, s in enumerate(spaces)},
             **{(p, 1): zero1 for p in range(len(spaces))}}
@@ -208,8 +209,29 @@ def test_filtered_complex_flag_must_decrease():
     full, zero = Subspace.full_space(2), Subspace.zero_space(2)
     x, y = Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]])
     FilteredComplex.from_flag(c, 0, 2, _flag([full, x, x, zero]))
-    with pytest.raises(ComplexError):
+    with pytest.raises(ComplexError, match=re.escape("(1,0)")):
         FilteredComplex.from_flag(c, 0, 2, _flag([full, x, y, zero]))
+    # F_2 = <e2> is not inside F_1 = <e0, e1> in QQ^3
+    c3 = CochainComplex(0, 1, [3, 0], [ExactMatrix.zeros(0, 3)])
+    plane, line = Subspace(3, [[1, 0, 0], [0, 1, 0]]), Subspace(3, [[0, 0, 1]])
+    flag = _flag([Subspace.full_space(3), plane, line, Subspace.zero_space(3)])
+    with pytest.raises(ComplexError, match=re.escape("not decreasing at (1,0)")):
+        FilteredComplex.from_flag(c3, 0, 2, flag)
+
+
+def test_from_flag_builds_no_subquotient(monkeypatch):
+    real, built = exactla.Subquotient.__init__, []
+
+    def counting(self, cycles, boundaries):
+        built.append(cycles.dim)
+        real(self, cycles, boundaries)
+
+    monkeypatch.setattr(exactla.Subquotient, "__init__", counting)
+    c3 = CochainComplex(0, 1, [3, 0], [ExactMatrix.zeros(0, 3)])
+    plane, line = Subspace(3, [[1, 0, 0], [0, 1, 0]]), Subspace(3, [[1, 0, 0]])
+    f = FilteredComplex.from_flag(c3, 0, 2, _flag([Subspace.full_space(3), plane, line,
+                                                   Subspace.zero_space(3)]))
+    assert f.levels[0] == (2, 1, 0) and built == []
 
 
 def test_filtered_complex_flag_must_start_at_whole_space():

@@ -122,8 +122,15 @@ class TestSubquotient:
             s.class_coordinates([0, 0, 1])
 
     def test_boundaries_must_be_contained(self):
-        with pytest.raises(Exception):
-            Subquotient(Subspace(2, [[1, 0]]), Subspace(2, [[0, 1]]))
+        for cycles, boundaries in [
+            ([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]),             # dim B < dim C
+            ([[1, 0, 0]], [[0, 1, 0]]),                        # dim B = dim C
+            ([[1, 0, 0]], [[0, 1, 0], [0, 0, 1]]),             # dim B > dim C
+            ([[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 1, 1]]),  # B meets C in a line
+        ]:
+            with pytest.raises(LinearAlgebraError,
+                               match="boundaries are not contained in cycles"):
+                Subquotient(Subspace(3, cycles), Subspace(3, boundaries))
 
 
 class TestInducedMap:

@@ -8,6 +8,7 @@ from liekoszul.hochserre import (
     LieAlgebra,
     LieAlgebraError,
     LieIdeal,
+    _adapted,
     ce_complex,
     expected_e2,
     hs_filtered,
@@ -15,6 +16,7 @@ from liekoszul.hochserre import (
 )
 from liekoszul.specseq import compute_page, pairing, run
 
+import corpus
 from helpers import betti_by_minors, level_dim, matrix_rows
 
 
@@ -117,8 +119,8 @@ def test_hs_whole_algebra_ideal():
 @pytest.mark.parametrize("vectors", [[], [[0, 0, 1]], [[0, 1, 0], [0, 0, 1]],
                                      [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
 def test_verify_builds_each_complex_once(monkeypatch, vectors):
-    # the adapted complex, one complex of g/h per q = 0..k and the original:
-    # C(h, M) is a block of the adapted complex, never built on its own
+    # the adapted complex and one complex of g/h per q = 0..k: C(h, M) is a
+    # block of the adapted complex, and the Betti numbers are read off it
     real, dims = hochserre.ce_complex, []
 
     def counting(g, m):
@@ -129,7 +131,21 @@ def test_verify_builds_each_complex_once(monkeypatch, vectors):
     h = ideal(HEIS, vectors)
     assert verify(HEIS, h, GModule.trivial(HEIS)).ok
     k = h.dim
-    assert dims == [3] + [3 - k] * (k + 1) + [3]
+    assert dims == [3] + [3 - k] * (k + 1)
+
+
+@pytest.mark.parametrize("g,h,m", [pytest.param(*x[1:], id=x[0])
+                                   for x in corpus.hs_instances()])
+def test_verify_betti_is_that_of_the_original_complex(g, h, m):
+    # the complex in the original basis is the oracle for the adapted one
+    assert verify(g, h, m).betti == betti(ce_complex(g, m))
+
+
+@pytest.mark.parametrize("g,h,m", [pytest.param(*x[1:], id=x[0])
+                                   for x in corpus.hs_instances()])
+def test_adapted_brackets_of_the_ideal_stay_in_the_ideal(g, h, m):
+    g2, _, k = _adapted(g, h, m)
+    assert all(max(cs) < k for (a, _), cs in g2.brackets.items() if a < k)
 
 
 def test_heisenberg_center_grid_and_limit():

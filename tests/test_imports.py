@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+definition of the package is named outside itself.
 
-`__init__.py` is left out: its imports are the package's re-exports.
+`__init__.py` is left out of the import scan: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -8,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liekoszul"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liekoszul"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +40,80 @@ def test_scan_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "from .exactla import _axpy, quotient\nquotient(1, 2)\n")
     assert unused_imports(source) == ["_axpy (line 2)"]
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of each top-level function and class and
+    of each method that is not a dunder."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, kinds[:2])
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def _references(tree: ast.Module):
+    """(name, line) of each name a module reads, imports, or writes as a
+    string that is an identifier (as in `monkeypatch.setattr(mod, "f", ...)`)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1], node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
+
+
+def dead_definitions(package: dict[str, str], others: dict[str, str],
+                     entry_points=()) -> list[str]:
+    """Definitions of the `package` sources (path -> text) that no source of
+    `package` or `others` names outside the definition's own lines, and no
+    traced entry point ("f" or "Class.method") names."""
+    trees = {path: ast.parse(text) for path, text in {**package, **others}.items()}
+    refs: dict[str, list] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+    traced = {part for entry in entry_points for part in entry.split(".")}
+    dead = []
+    for path in package:
+        for name, first, last in _definitions(trees[path]):
+            if name in traced:
+                continue
+            if not any(p != path or not first <= line <= last for p, line in refs.get(name, ())):
+                dead.append(f"{Path(path).name}:{first} {name}")
+    return dead
+
+
+def _entry_points() -> list[str]:
+    """The names in `ENTRY_POINTS` of the benchmark's tracer, read without
+    running it."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ENTRY_POINTS":
+            return [e for entries in ast.literal_eval(node.value).values() for e in entries]
+    raise AssertionError("no ENTRY_POINTS in the tracer")
+
+
+def test_every_definition_is_named_outside_itself():
+    package = {str(p): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = {str(p): p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert dead_definitions(package, others, _entry_points()) == []
+
+
+def test_scan_finds_a_dead_definition():
+    package = {"m.py": ("def used():\n    return 1\n\n"
+                        "def recursive(n):\n    return recursive(n - 1)\n\n"
+                        "class K:\n    def method(self):\n        return self.method\n"
+                        "    def __len__(self):\n        return 0\n"
+                        "    def traced(self):\n        return 0\n")}
+    others = {"t.py": "from m import used, K\nused()\n"}
+    assert dead_definitions(package, others, ["K.traced"]) == ["m.py:4 recursive",
+                                                              "m.py:8 method"]

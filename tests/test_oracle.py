@@ -62,6 +62,7 @@ from liekoszul.lierinehart import (
     WeightedPolyRing,
     ce_d,
     contraction,
+    tangent_algebroid,
     validate,
 )
 from liekoszul.specseq import run
@@ -165,6 +166,26 @@ def test_ce_d_matches_scanning_builder(lr):
     for w in range(-2, 7):
         for p in range(-1, lr.rank + 1):
             assert ce_d(lr, p, w) == ce_d_scan(lr, p, w), f"p={p}, w={w}"
+
+
+def test_ce_d_applies_the_anchor_once_per_generator_and_monomial(monkeypatch):
+    lr = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
+    real, calls, total = LieRinehartPresentation.anchor_apply, [], 0
+
+    def counting(self, k, f):
+        calls.append((k, *f))
+        return real(self, k, f)
+
+    for p in range(lr.rank):
+        for w in range(4):
+            monkeypatch.setattr(LieRinehartPresentation, "anchor_apply", counting)
+            calls.clear()
+            d = ce_d(lr, p, w)
+            monkeypatch.undo()
+            assert len(calls) == len(set(calls)), f"p={p}, w={w}"
+            assert d == ce_d_scan(lr, p, w), f"p={p}, w={w}"
+            total += len(calls)
+    assert total
 
 
 @pytest.mark.parametrize("g,m", [pytest.param(g, m, id=name)
