@@ -340,23 +340,21 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
     if section is None:
         raise SchemaError("koszul needs a 'section' field")
     lo, hi = _weight_range(payload, args)
-    weights = range(lo, hi + 1)
-    formality = koszul.formality_check(lr, section, weights)
+    asserted = "dim_y" in payload
+    dim_y = _count(payload["dim_y"], "dim_y") if asserted else None
+    formality = koszul.formality_check(lr, section, range(lo, hi + 1))
     tables = {s.w: s.source_betti for s in formality.slices}
     lines = []
     slice_dims = {}
     for w, dims in tables.items():
         slice_dims[str(w)] = _degree_json(dims)
         lines.append(f"weight {w}: " + _h_line(dims))
-    if "dim_y" in payload:
-        dim_y = _count(payload["dim_y"], "dim_y")
-        dim_y_source = "asserted"
-    else:
+    if not asserted:
         try:
             dim_y = 0 if koszul.is_zero_dimensional(section, hi + 2) else None
         except koszul.InconclusiveError:
-            dim_y = None
-        dim_y_source = "certified" if dim_y == 0 else "unknown"
+            pass
+    dim_y_source = "asserted" if asserted else "certified" if dim_y == 0 else "unknown"
     lines.append(f"formality: {'pass' if formality.ok else 'fail'}")
     if not formality.ok:
         lines.append(f"  first failing weight: {formality.first_failure.w}")
@@ -419,7 +417,7 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
     lines.append(f"observed d1 ranks: {_grid_json(d1) if d1 else 'all zero'}")
     hdims = cechp1.equivariant_H(model, nxt)
     lines.append("equivariant cohomology: " + _h_line(hdims))
-    assumption = cechp1.assumption_check(algebroid, section)
+    assumption = cechp1.assumption_check(section)
     lines.append(f"assumption (simple zeros): {assumption}")
     ok = fp.consistent
     report = {

@@ -10,7 +10,10 @@ whole complex is rebuilt in the adapted basis, and each basis cochain
 gets its number of complement factors as filtration level.  C(h, M), the
 action of g on it (`_h_blocks`) and the Betti numbers of H(g, M) are all
 read off that one complex.  Results are compared at the level of
-dimensions, which is complement-independent.
+dimensions, which is complement-independent.  Jacobi and the module
+identity are proved once, on input: the adapted algebra and module, g/h and
+each H^q(h, M) inherit them (Hochschild-Serre 1953), so `_derived` builds
+them unchecked.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .complexes import CochainComplex, FilteredComplex, betti, cohomology
 from .exactla import ExactMatrix, Subspace, _axpy, coordinates, induced_map, qq
-from .lierinehart import _bracket_entries, _ce_terms
+from .lierinehart import _bracket_entries, _ce_terms, _jacobi
 from .specseq import check_convergence, run
 
 
@@ -36,9 +39,17 @@ class MalformedLieAlgebra(LieAlgebraError):
     opposed to data of the right shape that breaks an identity."""
 
 
+def _derived(cls, **fields):
+    """An instance of `cls` over data derived from checked input, unchecked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class LieAlgebra:
     """Structure constants c_ij^k, stored as {(i, j): {k: c}} with i < j and
-    nonzero c only, with Jacobi checked exactly."""
+    nonzero c only; Jacobi is checked exactly by `lierinehart._jacobi`, the
+    check `validate` runs, which visits only the nonzero products."""
 
     def __init__(self, dim: int, brackets: Mapping):
         self.dim = dim
@@ -51,28 +62,11 @@ class LieAlgebra:
             nonzero = {k: c for k, c in enumerate(cs) if c}
             if nonzero:
                 self.brackets[(i, j)] = nonzero
-        # Jac(e_i, e_j, e_k), i < j < k, sums [[e_a, e_b], e_t] over the
-        # nonzero products c_ab^l c_lt^s; of its three cyclic terms, the one
-        # with a < t < b is -[[e_i, e_k], e_j].
-        by_first: dict[int, list] = {}
-        for (a, b), cs in self.brackets.items():
-            by_first.setdefault(a, []).append((b, cs))
-            by_first.setdefault(b, []).append((a, {k: -c for k, c in cs.items()}))
-        jac: dict[tuple[int, int, int], dict[int, QQ]] = {}
-        for (a, b), cs in self.brackets.items():
-            for l, x in cs.items():
-                for t, ct in by_first.get(l, ()):
-                    if t == a or t == b:
-                        continue
-                    sign = -1 if a < t < b else 1
-                    acc = jac.setdefault(tuple(sorted((a, b, t))), {})
-                    for s, y in ct.items():
-                        acc[s] = acc.get(s, 0) + sign * x * y
-        bad = [(ijk, s) for ijk, acc in jac.items() for s, v in acc.items() if v]
-        if bad:
-            (i, j, k), s = min(bad)
+        constants = {pair: {s: {(): c} for s, c in cs.items()}
+                     for pair, cs in self.brackets.items()}
+        for (i, j, k), comps in _jacobi(constants, None, ()).items():
             raise LieAlgebraError(
-                f"Jacobi identity fails on (e{i}, e{j}, e{k}) in component e{s}")
+                f"Jacobi identity fails on (e{i}, e{j}, e{k}) in component e{min(comps)}")
 
     def bracket(self, u: Mapping[int, QQ], v: Mapping[int, QQ]) -> dict[int, QQ]:
         """[u, v] of sparse vectors {i: u_i}, as a sparse vector."""
@@ -101,7 +95,6 @@ class LieIdeal:
                 if subspace._residual(owner.bracket({i: 1}, b)):
                     raise LieAlgebraError(
                         f"not an ideal: [e{i}, h-basis vector] leaves the subspace")
-        self.owner = owner
         self.subspace = subspace
 
     @property
@@ -110,7 +103,9 @@ class LieIdeal:
 
 
 class GModule:
-    """Finite-dimensional module given by one action matrix per basis vector."""
+    """Finite-dimensional module given by one action matrix per basis vector,
+    with rho[e_i, e_j] = [rho e_i, rho e_j] checked on the pairs where it can
+    fail: a nonzero bracket, or two nonzero actions (elsewhere 0 = 0)."""
 
     def __init__(self, algebra: LieAlgebra, dim: int, actions: Sequence[ExactMatrix]):
         if len(actions) != algebra.dim:
@@ -118,21 +113,22 @@ class GModule:
         for a in actions:
             if a.rows != dim or a.cols != dim:
                 raise MalformedLieAlgebra("action matrix has wrong shape")
-        for i, j in combinations(range(algebra.dim), 2):
-            lhs = ExactMatrix.zeros(dim, dim)
-            for k, ck in algebra.brackets.get((i, j), {}).items():
-                lhs = lhs + actions[k].scaled(ck)
-            rhs = actions[i] @ actions[j] + (-(actions[j] @ actions[i]))
+        zero = ExactMatrix.zeros(dim, dim)
+        acting = [k for k, a in enumerate(actions) if not a.is_zero()]
+        for i, j in sorted(set(algebra.brackets) | set(combinations(acting, 2))):
+            lhs = sum((actions[k].scaled(c) for k, c in algebra.brackets.get((i, j), {}).items()),
+                      zero)
+            rhs = (actions[i] @ actions[j] + (-(actions[j] @ actions[i]))
+                   if i in acting and j in acting else zero)
             if lhs != rhs:
                 raise LieAlgebraError(
                     f"action does not respect the bracket on (e{i}, e{j})")
-        self.algebra = algebra
         self.dim = dim
         self.actions = tuple(actions)
 
     @classmethod
-    def trivial(cls, algebra: LieAlgebra, dim: int = 1) -> "GModule":
-        return cls(algebra, dim, [ExactMatrix.zeros(dim, dim)] * algebra.dim)
+    def trivial(cls, algebra: LieAlgebra) -> "GModule":
+        return cls(algebra, 1, [ExactMatrix.zeros(1, 1)] * algebra.dim)
 
 
 def _cochain_basis(n: int, dim_m: int, p: int) -> list[tuple[tuple[int, ...], int]]:
@@ -171,16 +167,11 @@ def _adapted(g: LieAlgebra, h: LieIdeal, m: GModule):
     basis = list(h.subspace.sparse_basis) + [{i: 1} for i in range(n) if i not in pivots]
     pairs = list(combinations(range(n), 2))
     coords = coordinates(basis, n, [g.bracket(basis[a], basis[b]) for a, b in pairs])
-    new_brackets = {pair: [col.get(s, 0) for s in range(n)]
-                    for pair, col in zip(pairs, coords.transpose().row_maps) if col}
-    g2 = LieAlgebra(n, new_brackets)
-    actions = []
-    for row in basis:
-        act = ExactMatrix.zeros(m.dim, m.dim)
-        for i, c in row.items():
-            act = act + m.actions[i].scaled(c)
-        actions.append(act)
-    m2 = GModule(g2, m.dim, actions)
+    g2 = _derived(LieAlgebra, dim=n, brackets={
+        pair: col for pair, col in zip(pairs, coords.transpose().row_maps) if col})
+    zero = ExactMatrix.zeros(m.dim, m.dim)
+    m2 = _derived(GModule, dim=m.dim, actions=tuple(
+        sum((m.actions[i].scaled(c) for i, c in row.items()), zero) for row in basis))
     return g2, m2, h.dim
 
 
@@ -198,12 +189,9 @@ def _filtered(cplx: CochainComplex, dim_m: int, k: int) -> FilteredComplex:
 
 
 def _quotient_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
-    n = g2.dim
-    brackets = {}
-    for (a, b), cs in g2.brackets.items():
-        if a >= k and max(cs) >= k:
-            brackets[(a - k, b - k)] = [cs.get(s, 0) for s in range(k, n)]
-    return LieAlgebra(n - k, brackets)
+    return _derived(LieAlgebra, dim=g2.dim - k, brackets={
+        (a - k, b - k): {s - k: c for s, c in cs.items() if s >= k}
+        for (a, b), cs in g2.brackets.items() if a >= k and max(cs) >= k})
 
 
 def _block(d: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> ExactMatrix:
@@ -251,12 +239,11 @@ def expected_e2(g: LieAlgebra, h: LieIdeal, m: GModule) -> dict[tuple[int, int],
 def _e2_grid(g2: LieAlgebra, cplx: CochainComplex, dim_m: int,
              k: int) -> dict[tuple[int, int], int]:
     hcomplex, actions = _h_blocks(g2, cplx, dim_m, k)
-    hcoh = cohomology(hcomplex)
     quot = _quotient_algebra(g2, k)
     grid: dict[tuple[int, int], int] = {}
-    for q in range(k + 1):
-        hq = hcoh[q]
-        module = GModule(quot, hq.dim, [induced_map(a, hq, hq) for a in actions[q]])
+    for q, hq in cohomology(hcomplex).items():
+        module = _derived(GModule, dim=hq.dim,
+                          actions=tuple(induced_map(a, hq, hq) for a in actions[q]))
         for p, dim in betti(ce_complex(quot, module)).items():
             grid[(p, q)] = dim
     return grid

@@ -219,6 +219,7 @@ class LieRinehartPresentation:
                         f"anchor a[{i}][{j}] has weight {wt}, expected {expected}")
                 prow.append(a)
             self.anchor.append(prow)
+        self.acting = tuple(k for k, row in enumerate(self.anchor) if any(row))
         # [e_i, e_j] for i < j as {k: c_ij^k}, nonzero components only.
         self.brackets: dict[tuple[int, int], dict[int, Poly]] = {}
         for key, i, j, comps in _bracket_entries(brackets, m, MalformedPresentation):
@@ -315,9 +316,40 @@ class ValidationReport:
     failures: tuple[Failure, ...]
 
 
+def _jacobi(brackets: Mapping, anchor_apply, acting: Sequence[int]) -> dict:
+    """The one Jacobi check: the nonzero components {s: residue} of each
+    Jac(e_i, e_j, e_k), keyed (i, j, k) with i < j < k, all in increasing order.
+    `brackets` maps pairs a < b to {l: c_ab^l} (nonzero polynomials only);
+    anchor_apply(t, f) = rho(e_t)(f) is called for the t in `acting` only.
+    A pair a < b and a third t give the term -[[e_a, e_b], e_t] of Jac on
+    sorted(a, b, t) if a < t < b, else +[[e_a, e_b], e_t], where
+        [[e_a, e_b], e_t] = sum_l c_ab^l [e_l, e_t] - rho(e_t)(c_ab^l) e_l."""
+    by_first: dict[int, list] = {}
+    for (a, b), cs in brackets.items():
+        by_first.setdefault(a, []).append((b, cs))
+        by_first.setdefault(b, []).append((a, {k: p_scale(-1, c) for k, c in cs.items()}))
+    jac: dict[tuple[int, int, int], dict[int, Poly]] = {}
+
+    def add(a, b, t, s, value):
+        acc = jac.setdefault(tuple(sorted((a, b, t))), {})
+        acc[s] = p_add(acc.get(s, {}), p_scale(-1, value) if a < t < b else value)
+
+    for (a, b), cs in brackets.items():
+        for l, x in cs.items():
+            for t, ct in by_first.get(l, ()):
+                if t != a and t != b:
+                    for s, y in ct.items():
+                        add(a, b, t, s, p_mul(x, y))
+            for t in acting:
+                if t != a and t != b:
+                    add(a, b, t, l, p_scale(-1, anchor_apply(t, x)))
+    return {ijk: comps for ijk, acc in sorted(jac.items())
+            if (comps := {s: v for s, v in sorted(acc.items()) if v})}
+
+
 def validate(lr: LieRinehartPresentation) -> ValidationReport:
     """Exact check of the anchor-morphism identity on generator pairs and of
-    Jacobi on generator triples, each coefficientwise.
+    Jacobi on generator triples (`_jacobi`, as in `hochserre.LieAlgebra`).
 
     These prove the axioms on all of L.  With D(y, z) = rho[y, z] -
     [rho y, rho z], the Leibniz extension gives (Rinehart 1963)
@@ -329,40 +361,22 @@ def validate(lr: LieRinehartPresentation) -> ValidationReport:
     [e_i, e_j] with i < j is stored.
     """
     failures: list[Failure] = []
-    # [e_a, e_b] in both orders, so that [[e_a, e_b], e_c] is one lookup per l.
-    table = dict(lr.brackets)
-    table.update({(j, i): {k: p_scale(-1, c) for k, c in cs.items()}
-                  for (i, j), cs in lr.brackets.items()})
-
     # rho([e_i, e_j]) = [rho(e_i), rho(e_j)], component d/dx_l
     for i, j in combinations(range(lr.rank), 2):
         cs = lr.brackets.get((i, j), {})
         for l in range(lr.ring.nvars):
-            lhs: Poly = {}
+            diff = p_sub(lr.anchor_apply(j, lr.anchor[i][l]), lr.anchor_apply(i, lr.anchor[j][l]))
             for k, c in cs.items():
-                lhs = p_add(lhs, p_mul(c, lr.anchor[k][l]))
-            rhs = p_sub(lr.anchor_apply(i, lr.anchor[j][l]),
-                        lr.anchor_apply(j, lr.anchor[i][l]))
-            diff = p_sub(lhs, rhs)
+                diff = p_add(diff, p_mul(c, lr.anchor[k][l]))
             if diff:
                 failures.append(Failure(
                     "anchor-morphism",
                     f"rho([e{i},e{j}]) component d/dx{l}: residue {p_str(diff)}"))
 
-    # Jacobi: sum over cyclic orders of [[e_a, e_b], e_c], where
-    # [c_ab^l e_l, e_c] = c_ab^l [e_l, e_c] - rho(e_c)(c_ab^l) e_l.
-    for i, j, k in combinations(range(lr.rank), 3):
-        jac: dict[int, Poly] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, x in table.get((a, b), {}).items():
-                for s, y in table.get((l, c), {}).items():
-                    jac[s] = p_add(jac.get(s, {}), p_mul(x, y))
-                jac[l] = p_sub(jac.get(l, {}), lr.anchor_apply(c, x))
-        bad = [s for s in sorted(jac) if jac[s]]
-        if bad:
-            failures.append(Failure(
-                "jacobi",
-                f"(e{i}, e{j}, e{k}): component e{bad[0]} residue {p_str(jac[bad[0]])}"))
+    for (i, j, k), comps in _jacobi(lr.brackets, lr.anchor_apply, lr.acting).items():
+        s, residue = next(iter(comps.items()))
+        failures.append(Failure(
+            "jacobi", f"(e{i}, e{j}, e{k}): component e{s} residue {p_str(residue)}"))
 
     return ValidationReport(not failures, tuple(failures))
 
@@ -428,8 +442,7 @@ def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:
     dst = lr.form_slice(p + 1, w)
     dst_index = dst.index()
     entries = []
-    acting = [k for k, row in enumerate(lr.anchor) if any(row)]
-    terms = _ce_terms(lr.rank, src.basis, lr.brackets, acting,
+    terms = _ce_terms(lr.rank, src.basis, lr.brackets, lr.acting,
                       lru_cache(maxsize=None)(lambda k, mono: lr.anchor_apply(k, {mono: 1})),
                       lambda c, mono: {tuple(a + b for a, b in zip(m, mono)): x
                                        for m, x in c.items()})

@@ -266,11 +266,11 @@ def test_vector_field_zeros_and_assumption():
     a0 = atiyah_algebroid(0)
     assert vector_field_zeros(EquivariantSection(a0, (0, 1, 0))) == [
         (QQ(0), 1), ("infinity", 1)]
-    assert assumption_check(a0, EquivariantSection(a0, (0, 1, 0)))
-    assert not assumption_check(a0, EquivariantSection(a0, (0, 0, 1)))  # double zero
-    assert assumption_check(a0, EquivariantSection(a0, (-1, 0, 1)))     # +-1 simple
-    assert not assumption_check(a0, EquivariantSection(a0, (1, 0, 0)))  # double at inf
-    assert not assumption_check(a0, zero_section(a0))
+    assert assumption_check(EquivariantSection(a0, (0, 1, 0)))
+    assert not assumption_check(EquivariantSection(a0, (0, 0, 1)))  # double zero
+    assert assumption_check(EquivariantSection(a0, (-1, 0, 1)))     # +-1 simple
+    assert not assumption_check(EquivariantSection(a0, (1, 0, 0)))  # double at inf
+    assert not assumption_check(zero_section(a0))
     with pytest.raises(IrrationalZeroError):
         vector_field_zeros(EquivariantSection(a0, (-2, 0, 1)))  # roots sqrt(2)
 

@@ -506,6 +506,16 @@ def test_negative_count_names_the_field(tmp_path, capsys, field, case, command, 
     assert f"field {field!r} must be a nonnegative integer, got -" in err
 
 
+@pytest.mark.parametrize("bad", [-1, True, 2.5])
+def test_bad_dim_y_exits_before_any_slice_is_built(tmp_path, capsys, monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(koszul, "formality_check", lambda *a: calls.append(a))
+    path = _mutated(tmp_path, "euler-n2.json", lambda p: p.update(dim_y=bad))
+    err = _exit_with_one_line(capsys, ["koszul", path, "--weights", "0..9"], 2, "error:")
+    assert "field 'dim_y' must be" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("bad", ["false", 1])
 @pytest.mark.parametrize("field", BOOLEAN_FIELDS)
 def test_boolean_field_that_is_not_a_boolean_names_the_field(tmp_path, capsys, field, bad):

@@ -1,14 +1,16 @@
 import pytest
 
 from liekoszul import hochserre
-from liekoszul.complexes import betti
-from liekoszul.exactla import ExactMatrix, Subspace
+from liekoszul.complexes import betti, cohomology
+from liekoszul.exactla import ExactMatrix, Subspace, induced_map
 from liekoszul.hochserre import (
     GModule,
     LieAlgebra,
     LieAlgebraError,
     LieIdeal,
     _adapted,
+    _h_blocks,
+    _quotient_algebra,
     ce_complex,
     expected_e2,
     hs_filtered,
@@ -46,6 +48,24 @@ def test_module_validation():
                           ExactMatrix.from_rows([[1]])])
     GModule(AFF1, 1, [ExactMatrix.from_rows([[1]]),
                       ExactMatrix.from_rows([[0]])])
+    # the pairs checked are those that can fail: [e0, e1] = 0 with two
+    # actions that do not commute
+    with pytest.raises(LieAlgebraError, match=r"on \(e0, e1\)"):
+        GModule(LieAlgebra(2, {}), 2, [ExactMatrix.from_rows([[0, 1], [0, 0]]),
+                                       ExactMatrix.from_rows([[0, 0], [1, 0]])])
+    # a bracket pair where only one side acts: rho[e0, e1] = rho(e1) != 0
+    with pytest.raises(LieAlgebraError, match=r"on \(e0, e1\)"):
+        GModule(AFF1, 1, [ExactMatrix.from_rows([[0]]), ExactMatrix.from_rows([[1]])])
+
+
+def test_trivial_module_multiplies_no_matrices(monkeypatch):
+    def no_product(a, b):
+        raise AssertionError("GModule.trivial multiplied matrices")
+
+    algebras = [HEIS, AFF1, FILIFORM4, corpus.sl2_standard()[0], corpus.heisenberg(3)]
+    monkeypatch.setattr(ExactMatrix, "__matmul__", no_product)
+    for g in algebras:
+        assert GModule.trivial(g).actions == (ExactMatrix.zeros(1, 1),) * g.dim
 
 
 def test_ce_complex_abelian():
@@ -146,6 +166,59 @@ def test_verify_betti_is_that_of_the_original_complex(g, h, m):
 def test_adapted_brackets_of_the_ideal_stay_in_the_ideal(g, h, m):
     g2, _, k = _adapted(g, h, m)
     assert all(max(cs) < k for (a, _), cs in g2.brackets.items() if a < k)
+
+
+def _checked(g):
+    """g rebuilt through the checked constructor, from dense coefficient lists."""
+    return LieAlgebra(g.dim, {pair: [cs.get(s, 0) for s in range(g.dim)]
+                              for pair, cs in g.brackets.items()})
+
+
+def _adjoint(g):
+    """The adjoint module: e_i acts by [e_i, -], column j holding [e_i, e_j]."""
+    def ad(i):
+        cols = [g.bracket({i: 1}, {j: 1}) for j in range(g.dim)]
+        return ExactMatrix.from_columns(g.dim, [[c.get(s, 0) for s in range(g.dim)]
+                                                for c in cols])
+    return GModule(g, g.dim, [ad(i) for i in range(g.dim)])
+
+
+def _derived_instances():
+    out = [pytest.param(*x[1:], id=x[0]) for x in corpus.hs_instances()]
+    for name, g, vectors in [("heisenberg/center", HEIS, [[0, 0, 1]]),
+                             ("aff1/nilradical", AFF1, [[0, 1]]),
+                             ("filiform4/derived", FILIFORM4, [[0, 0, 1, 0], [0, 0, 0, 1]])]:
+        out.append(pytest.param(g, ideal(g, vectors), _adjoint(g), id=f"{name}-adjoint"))
+    return out
+
+
+@pytest.mark.parametrize("g,h,m", _derived_instances())
+def test_derived_algebras_and_modules_pass_the_checks(g, h, m):
+    # hs does not re-prove these: the adapted algebra and module, g/h and
+    # each H^q(h, M) satisfy Jacobi and the module identity because g and M do
+    g2, m2, k = _adapted(g, h, m)
+    assert _checked(g2).brackets == g2.brackets
+    GModule(_checked(g2), m2.dim, m2.actions)
+    quot = _checked(_quotient_algebra(g2, k))
+    hcomplex, actions = _h_blocks(g2, ce_complex(g2, m2), m2.dim, k)
+    for q, hq in cohomology(hcomplex).items():
+        GModule(quot, hq.dim, [induced_map(a, hq, hq) for a in actions[q]])
+    assert verify(g, h, m).ok
+
+
+@pytest.mark.parametrize("driver", [verify, expected_e2, hs_filtered])
+def test_hs_drivers_check_no_algebra_or_module_again(monkeypatch, driver):
+    instances = [x[1:] for x in corpus.hs_instances()]
+    checked = []
+    for cls in (LieAlgebra, GModule):
+        def spy(self, *args, real=cls.__init__, name=cls.__name__):
+            checked.append(name)
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    for g, h, m in instances:
+        driver(g, h, m)
+    assert checked == []
 
 
 def test_heisenberg_center_grid_and_limit():

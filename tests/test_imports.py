@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-definition of the package is named outside itself.
+"""Every name a package module imports is used in that module, every
+definition of the package is named outside itself, and every parameter of
+a package function is read in its body.
 
 `__init__.py` is left out of the import scan: its imports are the
 package's re-exports.
@@ -117,3 +118,49 @@ def test_scan_finds_a_dead_definition():
     others = {"t.py": "from m import used, K\nused()\n"}
     assert dead_definitions(package, others, ["K.traced"]) == ["m.py:4 recursive",
                                                               "m.py:8 method"]
+
+
+def _handlers(tree: ast.Module) -> set[str]:
+    """Names of the functions a module-level `COMMANDS` dict maps to."""
+    return {value.id for node in tree.body if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "COMMANDS"
+            for value in node.value.values if isinstance(value, ast.Name)}
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of each function (`def`, not lambda) that no Name node of
+    its body reads.  Exempt: `self` and `cls`; `name` and `value` of
+    `__setattr__`, the immutability guards; `payload` and `args` of the
+    `COMMANDS` handlers, which share one signature."""
+    tree = ast.parse(source)
+    handlers = _handlers(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        exempt = {"self", "cls"}
+        if node.name == "__setattr__":
+            exempt |= {"name", "value"}
+        if node.name in handlers:
+            exempt |= {"payload", "args"}
+        a = node.args
+        params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if x is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        unused += [(node.lineno, f"{node.name} (line {node.lineno}): {q}") for q in params
+                   if q not in exempt and q not in read]
+    return [text for _, text in sorted(unused)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_scan_finds_an_unused_parameter():
+    source = ("class K:\n    def __setattr__(self, name, value):\n        raise TypeError\n"
+              "    @classmethod\n    def make(cls, n, *rest, tag=None):\n        return n, tag\n\n"
+              "def handler(payload, args):\n    return {}\n\n"
+              "def helper(payload, args):\n    return args\n\n"
+              "COMMANDS = {'h': handler}\n")
+    assert unused_parameters(source) == ["make (line 5): rest", "helper (line 11): payload"]
