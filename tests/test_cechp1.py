@@ -442,6 +442,15 @@ def test_wedge_filtration_graded_pieces_are_cells():
             assert got == model.double.cell_dim(p, q)
 
 
+@pytest.mark.parametrize("window", [1, 2])
+@pytest.mark.parametrize("algebroid,section,untwisted",
+                         [pytest.param(*x[1:], id=x[0]) for x in corpus.p1_instances()])
+def test_cech_run_totals_are_the_betti_numbers(algebroid, section, untwisted, window):
+    # the E_inf totals the model stores against the rank path of `betti`
+    model = cech_koszul(algebroid, section, window, untwisted)
+    assert model.cech.infinity_totals() == betti(total(model.double))
+
+
 def test_wedge_filtration_converges_for_zero_section():
     from liekoszul.complexes import column_filtration
     from liekoszul.specseq import check_convergence

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from liekoszul import koszul, lierinehart
+from liekoszul import cechp1, complexes, exactla, koszul, lierinehart, specseq
 from liekoszul.cli import build_lie_rinehart, main
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -168,6 +168,70 @@ def test_raw_complex_with_nonzero_square_exit_2(tmp_path, capsys):
     assert run_cli(["cohomology", bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["twostep-filtered.json", "square-double.json"])
+def test_negative_max_page_is_an_input_error(capsys, case):
+    # as for `p1 --window 0`: exit 2 with one line, instead of printing no page
+    err = _exit_with_one_line(capsys, ["specseq", CASES / case, "--max-page", "-1"], 2, "error:")
+    assert "--max-page" in err
+
+
+def _report(tmp_path, args):
+    out = tmp_path / "report.json"
+    assert run_cli([*args, "--json", out]) == 0
+    return json.loads(out.read_text())["report"]
+
+
+@pytest.mark.parametrize("case,filtrations", [("twostep-filtered.json", [[]]),
+                                              ("square-double.json",
+                                               [["--filtration", "row"],
+                                                ["--filtration", "column"]])])
+def test_cohomology_and_specseq_read_one_raw_complex(tmp_path, capsys, case, filtrations):
+    # a raw file with a `double` block is its total complex for both commands
+    betti = _report(tmp_path, ["cohomology", CASES / case])["betti"]
+    for extra in filtrations:
+        assert _report(tmp_path, ["specseq", CASES / case, *extra])["infinity_totals"] == betti
+    capsys.readouterr()
+
+
+PAIRED_RUNS = {
+    "hs-heisenberg": ["hs", CASES / "heisenberg-center.json"],
+    "hs-module": ["hs", CASES / "aff1-module.json"],
+    "specseq-flag": ["specseq", CASES / "twostep-filtered.json"],
+    "specseq-double-row": ["specseq", CASES / "square-double.json", "--filtration", "row"],
+    "specseq-double-column": ["specseq", CASES / "square-double.json"],
+    "p1-twisted": ["p1", CASES / "p1-euler-O0.json"],
+    "p1-untwisted": ["p1", CASES / "p1-euler-untwisted.json"],
+}
+
+
+@pytest.mark.parametrize("args", PAIRED_RUNS.values(), ids=PAIRED_RUNS.keys())
+def test_paired_differentials_are_eliminated_only_by_the_pairing(monkeypatch, capsys, args):
+    # Every elimination goes through exactla._rref and every spectral sequence
+    # through specseq.pairing; no differential of a paired complex may reach
+    # _rref, since the pairing's ranks give its Betti numbers.
+    eliminated, paired = [], []
+    real_rref, real_pairing = exactla._rref, specseq.pairing
+
+    def rref(rows, reduced=True):
+        eliminated.append(rows)
+        return real_rref(rows, reduced)
+
+    def pairing(f):
+        paired.append(f.complex)
+        return real_pairing(f)
+
+    for module in (exactla, complexes):
+        monkeypatch.setattr(module, "_rref", rref)
+    for module in (specseq, cechp1):
+        monkeypatch.setattr(module, "pairing", pairing)
+    assert run_cli(args) == 0
+    capsys.readouterr()
+    diffs = [c.d(n) for c in paired for n in range(c.lo, c.hi)]
+    assert any(not d.is_zero() for d in diffs)
+    for d in diffs:
+        assert not any(rows is d.row_maps for rows in eliminated), d
 
 
 def test_window_zero_is_an_input_error(tmp_path, capsys):
@@ -404,6 +468,26 @@ NOT_OBJECTS = {
     "lie-algebra-brackets": ("heisenberg-center.json",
                              lambda p: p.update(brackets=[["0", "0", "1"]])),
 }
+
+
+# A value of the wrong shape that would otherwise be iterated or counted:
+# exit 2 with one line naming the field.
+WRONG_SHAPES = {
+    "module-actions": ("aff1-module.json", "hs",
+                       lambda p: p["module"].update(actions=1), "'module.actions'"),
+    "lie-bracket-vector": ("heisenberg-center.json", "hs",
+                           lambda p: p["brackets"].update({"0,1": 1}), "bracket 0,1"),
+    "empty-dims": ("twostep-filtered.json", "cohomology", lambda p: p.update(dims=[]), "'dims'"),
+    "dims-number": ("twostep-filtered.json", "specseq", lambda p: p.update(dims=2), "'dims'"),
+}
+
+
+@pytest.mark.parametrize("case,command,mutate,field", WRONG_SHAPES.values(),
+                         ids=WRONG_SHAPES.keys())
+def test_value_of_wrong_shape_names_the_field(tmp_path, capsys, case, command, mutate, field):
+    path = _mutated(tmp_path, case, mutate)
+    err = _exit_with_one_line(capsys, [command, path], 2, "error:")
+    assert field in err
 
 
 @pytest.mark.parametrize("case,mutate", NOT_OBJECTS.values(), ids=NOT_OBJECTS.keys())

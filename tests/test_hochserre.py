@@ -157,8 +157,9 @@ def test_verify_builds_each_complex_once(monkeypatch, vectors):
 @pytest.mark.parametrize("g,h,m", [pytest.param(*x[1:], id=x[0])
                                    for x in corpus.hs_instances()])
 def test_verify_betti_is_that_of_the_original_complex(g, h, m):
-    # the complex in the original basis is the oracle for the adapted one
-    assert verify(g, h, m).betti == betti(ce_complex(g, m))
+    # the E_inf totals of the adapted complex's pairing against the rank path
+    # of `betti` on the complex in the original basis
+    assert verify(g, h, m).infinity_totals == betti(ce_complex(g, m))
 
 
 @pytest.mark.parametrize("g,h,m", [pytest.param(*x[1:], id=x[0])
