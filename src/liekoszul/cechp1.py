@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as QQ
 
-from .complexes import DoubleComplex, column_filtration, row_filtration
+from .complexes import DoubleComplex, _twisted, column_filtration, row_filtration
 from .exactla import ExactMatrix, qq, quotient, rank
 from .specseq import SpectralSequenceRun, compute_page, pairing, run
 
@@ -388,7 +388,13 @@ def _contraction_matrix(v: EquivariantSection, side: str, p: int, untwisted: boo
 def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
                 window: int, untwisted: bool = False) -> CechKoszulModel:
     """Double complex with first index the wedge degree p (differential i_V)
-    and second index the Cech degree q (differential delta), anticommuting."""
+    and second index the Cech degree q (differential delta), anticommuting.
+    Its D^2 = 0 holds by construction: i_V^2 = 0 on each open set, and i_V
+    commutes with delta because the section and the transitions glue; the
+    (-1)^p twist of `DoubleComplex.from_commuting` makes the squares
+    anticommute.  So the double complex is built unchecked, and the tests
+    prove D^2 = 0 on the P^1 corpus and the gluing identities for every
+    degree."""
     if window < 1:
         raise WindowError("window radius must be at least 1")
     if untwisted:
@@ -414,7 +420,7 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
                for side in ("0", "1", "01")}
         horizontal[(p, 0)] = _laurent_block(src.chart_entries(), dst.chart_entries(), i_v)
         horizontal[(p, 1)] = _laurent_block(src.window_entries(), dst.window_entries(), i_v)
-    double = DoubleComplex.from_commuting(ps[0], 0, 0, 1, dims, horizontal, vertical)
+    double = DoubleComplex._built(ps[0], 0, 0, 1, dims, horizontal, _twisted(vertical))
     return CechKoszulModel(algebroid, section, window, untwisted, double,
                            run(row_filtration(double)))
 
@@ -433,10 +439,6 @@ class FirstPageReport:
     engine_grid: dict[tuple[int, int], int]
     d1_ranks: dict[tuple[int, int], int]
 
-    @property
-    def consistent(self) -> bool:
-        return self.grid == self.engine_grid
-
 
 def _row_dims(model: CechKoszulModel) -> dict[tuple[int, int], int]:
     """(p, q) -> h^q of wedge row p, read off the row's Cech block."""
@@ -454,11 +456,10 @@ def first_page(model: CechKoszulModel, nxt: CechKoszulModel) -> FirstPageReport:
     grid = _window_stable("dims", model.window, nxt.window, _row_dims(model), _row_dims(nxt))
     page1 = compute_page(pairing(column_filtration(model.double)), 1)
     engine = {pq: dim for pq, dim in page1.dims().items() if pq in grid or dim}
-    report = FirstPageReport(model.window, grid, engine, page1.ranks)
-    if not report.consistent:
+    if grid != engine:
         raise WindowError(
             f"first-page grids disagree: cech {grid} vs engine {engine}")
-    return report
+    return FirstPageReport(model.window, grid, engine, page1.ranks)
 
 
 # -- fixed points, assumption, corollary --------------------------------------

@@ -89,6 +89,14 @@ def _list(payload: dict, key: str, field: str) -> list:
     return value
 
 
+def _object(payload: dict, key: str, field: str) -> dict:
+    """The object field `key` of `payload`, named `field` in messages."""
+    value = _need(payload, key)
+    if not isinstance(value, dict):
+        raise SchemaError(f"field {field!r} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _integer(value, field: str) -> int:
     """The value of the integer field `field`, a JSON number with no
     fractional part; `int` would read true as 1 and truncate 2.5."""
@@ -122,15 +130,19 @@ def _cell_key(key: str, field: str) -> tuple[int, int]:
         raise SchemaError(f"{field} key {key!r} must be two integers 'p,q'") from None
 
 
-def _matrix(data, rows: int, cols: int) -> ExactMatrix:
-    if len(data) != rows or any(len(r) != cols for r in data):
-        raise SchemaError(f"matrix must be {rows}x{cols}")
+def _matrix(data, rows: int, cols: int, field: str) -> ExactMatrix:
+    """The matrix field `field`: a list of `rows` lists of `cols` entries."""
+    if (not isinstance(data, list) or len(data) != rows
+            or any(not isinstance(r, list) or len(r) != cols for r in data)):
+        raise SchemaError(f"field {field!r} must be a {rows}x{cols} matrix, a list of rows")
     return ExactMatrix.from_rows(data)
 
 
-def _subspace(vectors, dim: int, what: str) -> Subspace:
-    if any(len(v) != dim for v in vectors):
-        raise SchemaError(f"{what} vectors must have length {dim}")
+def _subspace(vectors, dim: int, field: str) -> Subspace:
+    """The span of the field `field`: a list of vectors of length `dim`."""
+    if not isinstance(vectors, list) or any(not isinstance(v, list) or len(v) != dim
+                                            for v in vectors):
+        raise SchemaError(f"field {field!r} must be a list of vectors of length {dim}")
     return Subspace(dim, vectors)
 
 
@@ -144,9 +156,10 @@ def build_lie_algebra(payload: dict):
     if "ideal" in payload:
         ideal = hochserre.LieIdeal(g, _subspace(payload["ideal"], dim, "ideal"))
     if "module" in payload:
-        mdata = payload["module"]
+        mdata = _object(payload, "module", "module")
         mdim = _count(_need(mdata, "dim"), "module.dim")
-        actions = [_matrix(a, mdim, mdim) for a in _list(mdata, "actions", "module.actions")]
+        actions = [_matrix(a, mdim, mdim, f"module.actions[{i}]")
+                   for i, a in enumerate(_list(mdata, "actions", "module.actions"))]
         module = hochserre.GModule(g, mdim, actions)
     else:
         module = hochserre.GModule.trivial(g)
@@ -154,17 +167,19 @@ def build_lie_algebra(payload: dict):
 
 
 def build_lie_rinehart(payload: dict):
-    weights = tuple(_integer(w, "variable_weights") for w in _need(payload, "variable_weights"))
+    weights = tuple(_integer(w, "variable_weights")
+                    for w in _list(payload, "variable_weights", "variable_weights"))
     ring = lierinehart.WeightedPolyRing(len(weights), weights)
     lr = lierinehart.LieRinehartPresentation(
         ring,
-        [_integer(w, "generator_weights") for w in _need(payload, "generator_weights")],
-        _need(payload, "anchor"),
+        [_integer(w, "generator_weights")
+         for w in _list(payload, "generator_weights", "generator_weights")],
+        _list(payload, "anchor", "anchor"),
         payload.get("brackets", {}),
     )
     section = None
     if "section" in payload:
-        section = lierinehart.SectionV(lr, payload["section"])
+        section = lierinehart.SectionV(lr, _list(payload, "section", "section"))
     return lr, section
 
 
@@ -187,27 +202,29 @@ def build_raw_complex(payload: dict):
         raise SchemaError("field 'dims' must list at least one degree")
     lo = _integer(payload.get("lo", 0), "lo")
     hi = lo + len(dims) - 1
-    mats = _need(payload, "differentials")
+    mats = _list(payload, "differentials", "differentials")
     if len(mats) != len(dims) - 1:
         raise SchemaError("need one differential per adjacent pair of degrees")
-    diffs = [_matrix(mat, dims[i + 1], dims[i]) for i, mat in enumerate(mats)]
+    diffs = [_matrix(mat, dims[i + 1], dims[i], f"differentials[{i}]")
+             for i, mat in enumerate(mats)]
     return CochainComplex(lo, hi, dims, diffs)
 
 
 def build_raw_double(payload: dict) -> DoubleComplex:
-    block = _need(payload, "double")
+    block = _object(payload, "double", "double")
     p_lo, p_hi, q_lo, q_hi = (_integer(_need(block, key), f"double.{key}")
                               for key in ("p_lo", "p_hi", "q_lo", "q_hi"))
     dims = {}
-    for key, d in _need(block, "dims").items():
+    for key, d in _object(block, "dims", "double.dims").items():
         dims[_cell_key(key, "double.dims")] = _count(d, "double.dims")
 
     def read_maps(field, shape):
         out = {}
-        for key, mat in block.get(field, {}).items():
+        maps = _object(block, field, f"double.{field}") if field in block else {}
+        for key, mat in maps.items():
             p, q = _cell_key(key, f"double.{field}")
             rows, cols = shape(p, q)
-            out[(p, q)] = _matrix(mat, rows, cols)
+            out[(p, q)] = _matrix(mat, rows, cols, f"double.{field}[{key}]")
         return out
 
     horiz = read_maps("horizontal",
@@ -229,12 +246,12 @@ def _read_raw(payload: dict) -> tuple[CochainComplex, DoubleComplex | None]:
 
 
 def build_raw_filtration(payload: dict, cplx: CochainComplex) -> FilteredComplex:
-    block = _need(payload, "filtration")
+    block = _object(payload, "filtration", "filtration")
     p_lo, p_hi = (_integer(_need(block, key), f"filtration.{key}") for key in ("p_lo", "p_hi"))
     levels = {}
-    for key, vectors in _need(block, "spaces").items():
+    for key, vectors in _object(block, "spaces", "filtration.spaces").items():
         p, n = _cell_key(key, "filtration.spaces")
-        levels[(p, n)] = _subspace(vectors, cplx.dim(n), f"filtration space {key}")
+        levels[(p, n)] = _subspace(vectors, cplx.dim(n), f"filtration.spaces[{key}]")
     return FilteredComplex.from_flag(cplx, p_lo, p_hi, levels)
 
 
@@ -441,7 +458,7 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
     lines.append("equivariant cohomology: " + _h_line(hdims))
     assumption = cechp1.assumption_check(section)
     lines.append(f"assumption (simple zeros): {assumption}")
-    ok = fp.consistent
+    match = True
     report = {
         "degree": algebroid.degree,
         "untwisted": untwisted,
@@ -459,15 +476,15 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
         report["fixed_points"] = [str(p) for p in cor.fixed_points]
         report["corollary_predicted"] = _degree_json(cor.predicted)
         report["corollary_match"] = cor.match
-        ok = ok and cor.match
+        match = cor.match
     degen = cechp1.second_page_degeneration(model, nxt)
-    lines.append(f"degeneration page: {degen.degeneration_page}; "
-                 f"E2 = Einf: {degen.e2_dims == degen.einf_dims}; {_CONVERGENT}")
+    lines.append(f"degeneration page (Cech degree): {degen.degeneration_page}; "
+                 f"E2 = Einf: {degen.e2_dims == degen.einf_dims}; "
+                 f"both by dimension (two Cech levels); {_CONVERGENT}")
     report["degeneration_page"] = degen.degeneration_page
     report["degeneration_ok"] = degen.ok
     report["e2"] = _grid_json(degen.e2_dims)
-    ok = ok and degen.ok
-    return report, ok, lines
+    return report, match and degen.ok, lines
 
 
 COMMANDS = {

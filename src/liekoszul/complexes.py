@@ -1,12 +1,15 @@
 """Bounded cochain complexes, double complexes, filtered complexes.
 
-All invariants (d squared zero, commuting squares, anticommutation,
-filtration monotonicity and d-stability) are checked eagerly at
-construction, so invalid objects cannot exist as values.  A double
-complex is checked once, by the d.d check of its total complex: the blocks
-of D^2 are d_h^2, d_v^2 and d_h d_v + d_v d_h (Weibel 1994, 1.2), and the
-cells are searched only to name a failure.  Filtrations are stored as one
-level per vector of an adapted basis.
+Every public constructor checks its invariants eagerly (d squared zero,
+commuting squares, anticommutation, filtration range and d-stability), so
+raw input cannot become an invalid value.  A double complex is checked
+cell by cell: d_h^2, d_v^2 and d_h d_v + d_v d_h in rectangle order, so the
+first failing cell is named.  The package's builders construct through the
+private `_built` of each class instead, which sets the same fields through
+the same code and runs no product or scan: their invariants hold by
+construction once their input is valid, and the tests prove them on the
+corpora (`tests/test_builders.py`).  Filtrations are stored as one level
+per vector of an adapted basis.
 """
 
 from __future__ import annotations
@@ -37,6 +40,14 @@ class CochainComplex:
     __slots__ = ("lo", "hi", "_dims", "_diffs")
 
     def __init__(self, lo: int, hi: int, dims: Sequence[int], differentials: Sequence[ExactMatrix]):
+        self._set(lo, hi, dims, differentials)
+        diffs = self._diffs
+        for i in range(len(diffs) - 1):
+            if not (diffs[i + 1] @ diffs[i]).is_zero():
+                raise ComplexError(f"d.d != 0 at degree {lo + i}")
+
+    def _set(self, lo: int, hi: int, dims: Sequence[int],
+             differentials: Sequence[ExactMatrix]) -> None:
         if hi < lo:
             raise ComplexError("empty degree range")
         if len(dims) != hi - lo + 1:
@@ -51,13 +62,18 @@ class CochainComplex:
                     f"differential at degree {lo + i} has shape {d.rows}x{d.cols}, "
                     f"expected {dims[i + 1]}x{dims[i]}"
                 )
-        for i in range(len(diffs) - 1):
-            if not (diffs[i + 1] @ diffs[i]).is_zero():
-                raise ComplexError(f"d.d != 0 at degree {lo + i}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "_dims", dims)
         object.__setattr__(self, "_diffs", diffs)
+
+    @classmethod
+    def _built(cls, *args) -> "CochainComplex":
+        """A builder's complex, whose d.d = 0 holds by construction: the
+        `__init__` fields and shape checks, with no product."""
+        c = object.__new__(cls)
+        c._set(*args)
+        return c
 
     def __setattr__(self, name, value):
         raise AttributeError("CochainComplex is immutable")
@@ -95,8 +111,7 @@ def cohomology(c: CochainComplex) -> dict[int, Subquotient]:
 
 
 def betti(c: CochainComplex) -> dict[int, int]:
-    """dim H^k = dim C^k - rank d_k - rank d_{k-1}; valid because the
-    constructor verified d.d = 0."""
+    """dim H^k = dim C^k - rank d_k - rank d_{k-1}; valid because d.d = 0."""
     return _betti(c, {k: rank(c.d(k)) for k in range(c.lo, c.hi)})
 
 
@@ -112,24 +127,32 @@ class ChainMap:
 
     def __init__(self, source: CochainComplex, target: CochainComplex,
                  maps: Mapping[int, ExactMatrix]):
-        lo = min(source.lo, target.lo)
-        hi = max(source.hi, target.hi)
+        self._set(source, target, maps)
+        for k in range(min(source.lo, target.lo), max(source.hi, target.hi) + 1):
+            if self.component(k + 1) @ source.d(k) != target.d(k) @ self.component(k):
+                raise ComplexError(f"square at degree {k} does not commute")
+
+    def _set(self, source: CochainComplex, target: CochainComplex,
+             maps: Mapping[int, ExactMatrix]) -> None:
         comps: dict[int, ExactMatrix] = {}
-        for k in range(lo, hi + 1):
+        for k in range(min(source.lo, target.lo), max(source.hi, target.hi) + 1):
             m = maps.get(k)
             if m is None:
                 m = ExactMatrix.zeros(target.dim(k), source.dim(k))
             if m.rows != target.dim(k) or m.cols != source.dim(k):
                 raise ComplexError(f"component at degree {k} has wrong shape")
             comps[k] = m
-        for k in range(lo, hi + 1):
-            lhs = comps.get(k + 1, ExactMatrix.zeros(target.dim(k + 1), source.dim(k + 1))) @ source.d(k)
-            rhs = target.d(k) @ comps[k]
-            if lhs != rhs:
-                raise ComplexError(f"square at degree {k} does not commute")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_maps", comps)
+
+    @classmethod
+    def _built(cls, *args) -> "ChainMap":
+        """A builder's chain map, whose squares commute by construction: the
+        `__init__` fields and shape checks, with no product."""
+        f = object.__new__(cls)
+        f._set(*args)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainMap is immutable")
@@ -213,7 +236,8 @@ class DoubleComplex:
     Builders starting from commuting data must bake signs in; see
     `from_commuting`, which twists the vertical maps on column p by (-1)^p.
     Only the given maps are stored (`dh`, `dv` are zero elsewhere).  The
-    constructor builds the total complex, and with it the one check.
+    total complex is assembled once, with the fields; its d.d = 0 is the
+    three cell identities (Weibel 1994, 1.2), which the constructor checks.
     """
 
     __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi", "_dims", "_dh", "_dv", "_total")
@@ -222,6 +246,20 @@ class DoubleComplex:
                  dims: Mapping[tuple[int, int], int],
                  horizontal: Mapping[tuple[int, int], ExactMatrix],
                  vertical: Mapping[tuple[int, int], ExactMatrix]):
+        self._set(p_lo, p_hi, q_lo, q_hi, dims, horizontal, vertical)
+        for p, q in self._dims:
+            if not (self.dh(p + 1, q) @ self.dh(p, q)).is_zero():
+                raise ComplexError(f"d_h.d_h != 0 at {(p, q)}")
+            if not (self.dv(p, q + 1) @ self.dv(p, q)).is_zero():
+                raise ComplexError(f"d_v.d_v != 0 at {(p, q)}")
+            anti = self.dv(p + 1, q) @ self.dh(p, q) + self.dh(p, q + 1) @ self.dv(p, q)
+            if not anti.is_zero():
+                raise ComplexError(f"d_h and d_v do not anticommute at {(p, q)}")
+
+    def _set(self, p_lo: int, p_hi: int, q_lo: int, q_hi: int,
+             dims: Mapping[tuple[int, int], int],
+             horizontal: Mapping[tuple[int, int], ExactMatrix],
+             vertical: Mapping[tuple[int, int], ExactMatrix]) -> None:
         if p_hi < p_lo or q_hi < q_lo:
             raise ComplexError("empty rectangle")
         cells = [(p, q) for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)]
@@ -242,20 +280,15 @@ class DoubleComplex:
                 kept[(p, q)] = m
         object.__setattr__(self, "_dh", dh)
         object.__setattr__(self, "_dv", dv)
-        try:
-            object.__setattr__(self, "_total", _assemble_total(self))
-        except ComplexError:
-            # D^2 = 0 failed: name the first cell, in rectangle order, where
-            # one of its three blocks is nonzero.
-            for p, q in cells:
-                if not (self.dh(p + 1, q) @ self.dh(p, q)).is_zero():
-                    raise ComplexError(f"d_h.d_h != 0 at {(p, q)}") from None
-                if not (self.dv(p, q + 1) @ self.dv(p, q)).is_zero():
-                    raise ComplexError(f"d_v.d_v != 0 at {(p, q)}") from None
-                anti = self.dv(p + 1, q) @ self.dh(p, q) + self.dh(p, q + 1) @ self.dv(p, q)
-                if not anti.is_zero():
-                    raise ComplexError(f"d_h and d_v do not anticommute at {(p, q)}") from None
-            raise
+        object.__setattr__(self, "_total", _assemble_total(self))
+
+    @classmethod
+    def _built(cls, *args) -> "DoubleComplex":
+        """A builder's double complex, anticommuting by construction: the
+        `__init__` fields and shape checks, with no product."""
+        d = object.__new__(cls)
+        d._set(*args)
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("DoubleComplex is immutable")
@@ -266,10 +299,7 @@ class DoubleComplex:
                        horizontal: Mapping[tuple[int, int], ExactMatrix],
                        vertical: Mapping[tuple[int, int], ExactMatrix]) -> "DoubleComplex":
         """Build from commuting squares: d_v on column p is twisted by (-1)^p."""
-        twisted = {}
-        for (p, q), m in vertical.items():
-            twisted[(p, q)] = m if p % 2 == 0 else -m
-        return cls(p_lo, p_hi, q_lo, q_hi, dims, horizontal, twisted)
+        return cls(p_lo, p_hi, q_lo, q_hi, dims, horizontal, _twisted(vertical))
 
     @classmethod
     def from_single_row(cls, c: CochainComplex, q: int = 0) -> "DoubleComplex":
@@ -307,6 +337,12 @@ class DoubleComplex:
                 f"q in [{self.q_lo},{self.q_hi}])")
 
 
+def _twisted(vertical: Mapping[tuple[int, int], ExactMatrix]) -> dict[tuple[int, int], ExactMatrix]:
+    """The vertical maps of commuting squares with column p twisted by
+    (-1)^p, which makes the squares anticommute."""
+    return {(p, q): m if p % 2 == 0 else -m for (p, q), m in vertical.items()}
+
+
 def total_layout(d: DoubleComplex) -> dict[int, list[tuple[int, int, int]]]:
     """Cells of each total degree as (p, q, offset), ordered by ascending p."""
     layout: dict[int, list[tuple[int, int, int]]] = {}
@@ -324,7 +360,7 @@ def total_layout(d: DoubleComplex) -> dict[int, list[tuple[int, int, int]]]:
 
 def total(d: DoubleComplex) -> CochainComplex:
     """Total complex T^n = direct sum of K^{p,q} with p+q = n, d = d_h + d_v,
-    built and checked once, by the DoubleComplex constructor."""
+    assembled once, with the double complex."""
     return d._total
 
 
@@ -347,7 +383,7 @@ def _assemble_total(d: DoubleComplex) -> CochainComplex:
                     for j, a in row.items():
                         target[off + j] = a
         diffs.append(ExactMatrix(dims[n + 1 - lo], dims[n - lo], out))
-    return CochainComplex(lo, hi, dims, diffs)
+    return CochainComplex._built(lo, hi, dims, diffs)
 
 
 class FilteredComplex:
@@ -359,13 +395,25 @@ class FilteredComplex:
     [p_lo, p_hi], so F_{p_lo} is the whole space and F_{p_hi + 1} is zero.
     d-stability is a condition on matrix entries: every nonzero d[i][j] out
     of degree n has levels[n + 1][i] >= levels[n][j].  A general flag of
-    subspaces is validated and converted to this form once, by `from_flag`.
+    subspaces is validated and converted to this form once, by `from_flag`,
+    whose adapted complex is a change of basis that `coordinates` checks.
     """
 
     __slots__ = ("complex", "p_lo", "p_hi", "levels")
 
     def __init__(self, cplx: CochainComplex, p_lo: int, p_hi: int,
                  levels: Mapping[int, Sequence[int]]):
+        self._set(cplx, p_lo, p_hi, levels)
+        for n in range(cplx.lo, cplx.hi):
+            d, src, dst = cplx.d(n), self.levels[n], self.levels[n + 1]
+            for i, row in enumerate(d.row_maps):
+                for j in row:
+                    if dst[i] < src[j]:
+                        raise ComplexError(
+                            f"differential leaves level {src[j]} at degree {n}")
+
+    def _set(self, cplx: CochainComplex, p_lo: int, p_hi: int,
+             levels: Mapping[int, Sequence[int]]) -> None:
         if p_hi < p_lo:
             raise ComplexError("empty filtration range")
         table: dict[int, tuple[int, ...]] = {}
@@ -376,17 +424,18 @@ class FilteredComplex:
             if any(not p_lo <= x <= p_hi for x in lv):
                 raise ComplexError(f"level outside [{p_lo},{p_hi}] in degree {n}")
             table[n] = lv
-        for n in range(cplx.lo, cplx.hi):
-            d, src, dst = cplx.d(n), table[n], table[n + 1]
-            for i, row in enumerate(d.row_maps):
-                for j in row:
-                    if dst[i] < src[j]:
-                        raise ComplexError(
-                            f"differential leaves level {src[j]} at degree {n}")
         object.__setattr__(self, "complex", cplx)
         object.__setattr__(self, "p_lo", p_lo)
         object.__setattr__(self, "p_hi", p_hi)
         object.__setattr__(self, "levels", table)
+
+    @classmethod
+    def _built(cls, *args) -> "FilteredComplex":
+        """A builder's filtration, d-stable by construction: the `__init__`
+        fields and level-range checks, with no scan of the differentials."""
+        f = object.__new__(cls)
+        f._set(*args)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("FilteredComplex is immutable")
@@ -430,8 +479,9 @@ class FilteredComplex:
                 levels[n].extend([p] * len(reps))
         diffs = [coordinates(bases[n + 1], cplx.dim(n + 1), cplx.d(n).images(bases[n]))
                  for n in range(cplx.lo, cplx.hi)]
-        adapted = CochainComplex(cplx.lo, cplx.hi, [cplx.dim(n) for n in cplx.degrees()],
-                                 diffs)
+        # A change of basis of a complex: d.d = 0 carries over.
+        adapted = CochainComplex._built(cplx.lo, cplx.hi,
+                                        [cplx.dim(n) for n in cplx.degrees()], diffs)
         return cls(adapted, p_lo, p_hi, levels)
 
     @property
@@ -445,10 +495,12 @@ class FilteredComplex:
 def _coordinate_filtration(d: DoubleComplex, index: Callable[[int, int], int],
                            f_lo: int, f_hi: int) -> FilteredComplex:
     """Filtration of the total complex giving each vector of cell (p, q) the
-    level index(p, q); the coordinate basis is adapted to it."""
+    level index(p, q); the coordinate basis is adapted to it.  d_h raises p
+    by one and keeps q, d_v the other way round, so both coordinate
+    filtrations are d-stable."""
     levels = {n: [index(p, q) for p, q, _ in cells for _ in range(d.cell_dim(p, q))]
               for n, cells in total_layout(d).items()}
-    return FilteredComplex(total(d), f_lo, f_hi, levels)
+    return FilteredComplex._built(total(d), f_lo, f_hi, levels)
 
 
 def column_filtration(d: DoubleComplex) -> FilteredComplex:

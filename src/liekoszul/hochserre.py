@@ -13,7 +13,10 @@ Betti numbers of H(g, M) off its one pairing.  Results are compared as
 dimensions, which are complement-independent.  Jacobi and the module
 identity are proved once, on input: the adapted algebra and module, g/h and
 each H^q(h, M) inherit them (Hochschild-Serre 1953), so `_derived` builds
-them unchecked.
+them unchecked.  The complexes built here are unchecked too: d^2 = 0 of a
+Chevalley-Eilenberg complex follows from Jacobi and the module identity
+(Weibel 1994, 7.7), C(h, M) is a block of it, and the ideal filtration is
+d-stable because [g, h] lies in h.  The tests prove all three on the corpora.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
                           lambda k, v: act_cols[k][v], lambda c, v: {v: c})
         entries = [(index[(tsub, r)], col, x) for col, tsub, r, x in terms]
         diffs.append(ExactMatrix.from_entries(len(dst), len(src), entries))
-    return CochainComplex(0, n, [len(b) for b in bases], diffs)
+    return CochainComplex._built(0, n, [len(b) for b in bases], diffs)
 
 
 def _adapted(g: LieAlgebra, h: LieIdeal, m: GModule):
@@ -181,10 +184,13 @@ def hs_filtered(g: LieAlgebra, h: LieIdeal, m: GModule) -> FilteredComplex:
 
 
 def _filtered(cplx: CochainComplex, dim_m: int, k: int) -> FilteredComplex:
+    """The ideal filtration of the adapted complex `cplx`, whose first k
+    basis vectors span h: each cochain's level is its number of complement
+    factors."""
     n = cplx.hi
     levels = {deg: [sum(1 for i in s if i >= k) for s, _ in _cochain_basis(n, dim_m, deg)]
               for deg in range(n + 1)}
-    return FilteredComplex(cplx, 0, n - k, levels)
+    return FilteredComplex._built(cplx, 0, n - k, levels)
 
 
 def _quotient_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
@@ -219,8 +225,8 @@ def _h_blocks(g2: LieAlgebra, cplx: CochainComplex, dim_m: int, k: int):
              for p in range(min(k + 1, n) + 1)]
     bases = [_cochain_basis(k, dim_m, q) for q in range(k + 1)]
     cols = [[index[q][b] for b in basis] for q, basis in enumerate(bases)]
-    hcomplex = CochainComplex(0, k, [len(c) for c in cols],
-                              [_block(cplx.d(q), cols[q + 1], cols[q]) for q in range(k)])
+    hcomplex = CochainComplex._built(0, k, [len(c) for c in cols],
+                                     [_block(cplx.d(q), cols[q + 1], cols[q]) for q in range(k)])
     actions = [[_block(cplx.d(q), [index[q + 1][(s + (x,), v)] for s, v in bases[q]],
                        cols[q]).scaled(-1 if q % 2 else 1)
                 for x in range(k, n)]

@@ -16,6 +16,7 @@ from liekoszul.cechp1 import (
     second_page_degeneration,
     zero_section,
 )
+from liekoszul.cli import build_p1
 from liekoszul.complexes import DoubleComplex, betti, row_filtration, total
 from liekoszul.hochserre import ce_complex, hs_filtered, verify
 from liekoszul.koszul import formality_check, lie_koszul, vanishing_check
@@ -169,12 +170,20 @@ def test_criterion_8_structural_identities():
     for d in range(-2, 4):
         a = atiyah_algebroid(d)
         ok = ok and lmat_mul(a.transition, lmat_flip(a.transition)) == lmat_identity(2)
+    # D^2 = 0 on the Cech-Koszul total of every P^1 case, which the builder
+    # does not check
+    for _, payload in corpus.case_payloads("p1_bundle"):
+        algebroid, section, untwisted, _ = build_p1(payload)
+        for window in (1, 2, 3):
+            t = total(cech_koszul(algebroid, section, window, untwisted).double)
+            for n in range(t.lo, t.hi - 1):
+                ok = ok and (t.d(n + 1) @ t.d(n)).is_zero()
     # window stabilization: every model's dims are reproduced at window + 1
     for name, algebroid, section, untwisted in corpus.p1_instances():
         one = betti(total(cech_koszul(algebroid, section, 1, untwisted).double))
         two = betti(total(cech_koszul(algebroid, section, 2, untwisted).double))
         ok = ok and one == two
-    report("8 structural identities: d^2, i_V^2, Cartan, cocycles, windows",
+    report("8 structural identities: d^2, i_V^2, Cartan, cocycles, D^2 on P^1, windows",
            ok, started, "30 s")
 
 

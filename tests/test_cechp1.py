@@ -153,7 +153,9 @@ def test_cech_koszul_zero_section_has_zero_contractions():
 
 
 def test_cech_koszul_double_complex_valid():
-    # construction verifies delta^2 = 0, i_V^2 = 0 and anticommutation
+    # the builder does not check delta^2 = 0, i_V^2 = 0 or anticommutation:
+    # test_builders.py::test_p1_models_and_their_filtrations_pass_the_checks
+    # and acceptance criterion 8 prove them on every P^1 model
     a0 = atiyah_algebroid(0)
     model = cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1)
     assert model.double.p_lo == -2 and model.double.q_hi == 1
@@ -371,7 +373,7 @@ def test_first_page_untwisted():
     a0 = atiyah_algebroid(0)
     rep = first_page(*window_pair(a0, zero_section(a0), 1, untwisted=True))
     assert {k: v for k, v in rep.grid.items() if v} == {(0, 0): 1, (-1, 1): 1}
-    assert rep.consistent
+    assert rep.grid == rep.engine_grid
 
 
 def test_window_radius_must_be_positive():
@@ -425,7 +427,7 @@ def test_p1_builds_one_model_per_window(monkeypatch, capsys, case, rows):
 def test_first_page_engine_consistency_and_d1():
     a0 = atiyah_algebroid(0)
     rep = first_page(*window_pair(a0, EquivariantSection(a0, (0, 1, 0)), 1))
-    assert rep.consistent
+    assert rep.grid == rep.engine_grid
     assert all(r == 0 for r in rep.d1_ranks.values())
 
 

@@ -170,6 +170,20 @@ def test_raw_complex_with_nonzero_square_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_form_complex_of_an_anchor_that_is_no_morphism_exit_2(tmp_path, capsys):
+    # rho[e0, e1] = rho(e0) = x0 d/dx0, but [rho e0, rho e1] = [x0 d/dx0, x1 d/dx1] = 0:
+    # `cohomology` runs no `validate`, so the form complex keeps its d.d check
+    bad = tmp_path / "anchor.json"
+    bad.write_text(json.dumps({
+        "kind": "lie_rinehart", "name": "anchor-not-a-morphism",
+        "variable_weights": [1, 1], "generator_weights": [0, 0],
+        "anchor": [[{"1,0": "1"}, {}], [{}, {"0,1": "1"}]],
+        "brackets": {"0,1": [{"0,0": "1"}, {}]},
+    }))
+    err = _exit_with_one_line(capsys, ["cohomology", bad], 2, "error:")
+    assert err == "error: d.d != 0 at degree 0\n"
+
+
 @pytest.mark.parametrize("case", ["twostep-filtered.json", "square-double.json"])
 def test_negative_max_page_is_an_input_error(capsys, case):
     # as for `p1 --window 0`: exit 2 with one line, instead of printing no page
@@ -479,6 +493,39 @@ WRONG_SHAPES = {
                            lambda p: p["brackets"].update({"0,1": 1}), "bracket 0,1"),
     "empty-dims": ("twostep-filtered.json", "cohomology", lambda p: p.update(dims=[]), "'dims'"),
     "dims-number": ("twostep-filtered.json", "specseq", lambda p: p.update(dims=2), "'dims'"),
+    "double-dims": ("square-double.json", "specseq",
+                    lambda p: p["double"].update(dims=5), "'double.dims'"),
+    "double-horizontal": ("square-double.json", "specseq",
+                          lambda p: p["double"].update(horizontal=[1]), "'double.horizontal'"),
+    "double-vertical": ("square-double.json", "cohomology",
+                        lambda p: p["double"].update(vertical=[1]), "'double.vertical'"),
+    "double-map": ("square-double.json", "specseq",
+                   lambda p: p["double"]["vertical"].update({"0,0": 5}),
+                   "'double.vertical[0,0]'"),
+    "filtration-spaces": ("twostep-filtered.json", "specseq",
+                          lambda p: p["filtration"].update(spaces=5), "'filtration.spaces'"),
+    "filtration-space": ("twostep-filtered.json", "specseq",
+                         lambda p: p["filtration"]["spaces"].update({"1,1": 5}),
+                         "'filtration.spaces[1,1]'"),
+    "module-action": ("aff1-module.json", "hs",
+                      lambda p: p["module"]["actions"].__setitem__(0, 1), "'module.actions[0]'"),
+    "module-action-row": ("aff1-module.json", "hs",
+                          lambda p: p["module"]["actions"][1].__setitem__(0, 0),
+                          "'module.actions[1]'"),
+    "module-number": ("aff1-module.json", "hs", lambda p: p.update(module=5), "'module'"),
+    "ideal-number": ("heisenberg-center.json", "hs", lambda p: p.update(ideal=5), "'ideal'"),
+    "ideal-vector-number": ("heisenberg-center.json", "hs",
+                            lambda p: p["ideal"].__setitem__(0, 5), "'ideal'"),
+    "differential-number": ("twostep-filtered.json", "cohomology",
+                            lambda p: p["differentials"].__setitem__(0, 5), "'differentials[0]'"),
+    "differentials-number": ("twostep-filtered.json", "cohomology",
+                             lambda p: p.update(differentials=5), "'differentials'"),
+    "anchor-number": ("euler-n2.json", "validate", lambda p: p.update(anchor=5), "'anchor'"),
+    "section-number": ("euler-n2.json", "koszul", lambda p: p.update(section=5), "'section'"),
+    "variable-weights-number": ("euler-n2.json", "validate",
+                                lambda p: p.update(variable_weights=5), "'variable_weights'"),
+    "generator-weights-number": ("euler-n2.json", "validate",
+                                 lambda p: p.update(generator_weights=5), "'generator_weights'"),
 }
 
 
@@ -527,6 +574,50 @@ def test_mutated_cases_exit_cleanly(tmp_path, capsys):
                     err = capsys.readouterr().err
                     assert code in (0, 1, 2), (case.name, index, command)
                     assert err.count("\n") <= 1, (case.name, index, command, err)
+
+
+def _containers(node, path=()):
+    """The path of each object and each list inside a JSON value, the value
+    itself first, in document order."""
+    if isinstance(node, (dict, list)):
+        yield path
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _containers(value, (*path, key))
+
+
+# The commands that apply to each kind of case.
+KIND_COMMANDS = {
+    "lie_algebra": ("validate", "cohomology", "hs"),
+    "lie_rinehart": ("validate", "cohomology", "koszul"),
+    "raw_complex": ("cohomology", "specseq"),
+    "p1_bundle": ("p1",),
+}
+
+
+def test_type_mutated_cases_exit_cleanly(tmp_path, capsys):
+    # Replace each object and each list of each case, one at a time, by the
+    # number 5, and run the commands that apply to the case's kind: each run
+    # ends with exit 0, 1 or 2 and at most one line on stderr, and no
+    # exception escapes `main`.
+    path = tmp_path / "mutant.json"
+    for case in sorted(CASES.glob("*.json")):
+        original = json.loads(case.read_text())
+        for where in _containers(original):
+            payload = json.loads(case.read_text())
+            if where:
+                parent = payload
+                for key in where[:-1]:
+                    parent = parent[key]
+                parent[where[-1]] = 5
+            else:
+                payload = 5
+            path.write_text(json.dumps(payload))
+            for command in KIND_COMMANDS[original["kind"]]:
+                code = run_cli([command, path])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (case.name, where, command)
+                assert err.count("\n") <= 1, (case.name, where, command, err)
 
 
 # Integer and boolean fields: a JSON true or false in an integer field, a

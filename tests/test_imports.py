@@ -164,3 +164,66 @@ def test_scan_finds_an_unused_parameter():
               "def helper(payload, args):\n    return args\n\n"
               "COMMANDS = {'h': handler}\n")
     assert unused_parameters(source) == ["make (line 5): rest", "helper (line 11): payload"]
+
+
+CHECKED = {"CochainComplex", "DoubleComplex", "FilteredComplex", "ChainMap"}
+
+# Where the package may call a checking constructor: the readers of raw
+# input, and library helpers whose input a caller passes in.  The builders
+# construct through `_built`, and the tests prove their output.
+RAW_INPUT_READERS = [
+    "cli.build_raw_complex",
+    "cli.build_raw_double",
+    "complexes.DoubleComplex.from_commuting",
+    "complexes.FilteredComplex.from_flag",
+    "lierinehart.omega_slice_complex",
+]
+LIBRARY_HELPERS = [
+    "complexes.DoubleComplex.from_single_row",
+    "complexes.DoubleComplex.transpose",
+    "complexes.compose",
+]
+
+
+def checked_constructions(source: str, module: str) -> list[str]:
+    """The qualified name of the function around each call of a public
+    constructor of the checked classes (`CochainComplex(`, `mod.ChainMap(`,
+    ..., and `cls(` in a method of one of them), one entry per call."""
+    sites = []
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name], owner)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in CHECKED or (name == "cls" and isinstance(f, ast.Name)
+                                       and owner in CHECKED):
+                    sites.append(".".join([module, *scope]))
+            visit(child, scope, owner)
+
+    visit(ast.parse(source), [], None)
+    return sorted(sites)
+
+
+def test_only_raw_input_and_library_helpers_construct_checked():
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in checked_constructions(path.read_text(), path.stem)]
+    assert sites == sorted(RAW_INPUT_READERS + LIBRARY_HELPERS)
+
+
+def test_scan_finds_a_checked_construction():
+    source = ("from .complexes import CochainComplex\nfrom . import complexes\n\n"
+              "def builder():\n    return CochainComplex(0, 0, [1], [])\n\n"
+              "def fast():\n    return CochainComplex._built(0, 0, [1], [])\n\n"
+              "def qualified():\n    return [complexes.ChainMap(a, b, {}) for a, b in ()]\n\n"
+              "class FilteredComplex:\n    @classmethod\n    def make(cls):\n"
+              "        return cls()\n\n"
+              "class Other:\n    @classmethod\n    def make(cls):\n        return cls()\n")
+    assert checked_constructions(source, "m") == ["m.FilteredComplex.make", "m.builder",
+                                                  "m.qualified"]
