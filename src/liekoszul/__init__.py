@@ -28,10 +28,8 @@ from .complexes import (
 from .specseq import (
     Pairing,
     SpectralSequencePage,
-    SpectralSequenceRun,
     check_convergence,
     compute_page,
-    pairing,
     run,
 )
 from .lierinehart import (

@@ -37,9 +37,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as QQ
 
-from .complexes import DoubleComplex, _twisted, column_filtration, row_filtration
+from .complexes import DoubleComplex, _built, _twisted, column_filtration, row_filtration
 from .exactla import ExactMatrix, qq, quotient, rank
-from .specseq import SpectralSequenceRun, compute_page, pairing, run
+from .lierinehart import p_scale, p_sub
+from .specseq import Pairing, compute_page, run
 
 Laurent = dict[int, QQ]
 
@@ -71,22 +72,6 @@ def lp(data) -> Laurent:
 def lp_monomial(e: int, c=1) -> Laurent:
     c = qq(c)
     return {e: c} if c else {}
-
-
-def lp_add(a: Laurent, b: Laurent) -> Laurent:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def lp_scale(c, a: Laurent) -> Laurent:
-    c = qq(c)
-    return {e: c * v for e, v in a.items()} if c else {}
 
 
 def lp_mul(a: Laurent, b: Laurent) -> Laurent:
@@ -132,7 +117,7 @@ def lmat_det(a: LMatrix) -> Laurent:
     if n == 1:
         return a[0][0]
     if n == 2:
-        return lp_add(lp_mul(a[0][0], a[1][1]), lp_scale(-1, lp_mul(a[0][1], a[1][0])))
+        return p_sub(lp_mul(a[0][0], a[1][1]), lp_mul(a[0][1], a[1][0]))
     raise ValueError("determinants implemented for ranks 1 and 2 only")
 
 
@@ -142,7 +127,7 @@ def lmat_inverse(a: LMatrix) -> LMatrix:
         raise ValueError("transition determinant is not a unit monomial")
     (e, c), = det.items()
     adj = ((lp(1),),) if len(a) == 1 else (
-        (a[1][1], lp_scale(-1, a[0][1])), (lp_scale(-1, a[1][0]), a[0][0]))
+        (a[1][1], p_scale(-1, a[0][1])), (p_scale(-1, a[1][0]), a[0][0]))
     return tuple(tuple({k - e: quotient(x, c) for k, x in entry.items()}  # adj / (c z^e)
                        for entry in row) for row in adj)
 
@@ -372,7 +357,7 @@ class CechKoszulModel:
     window: int
     untwisted: bool
     double: DoubleComplex
-    cech: SpectralSequenceRun    # of the Cech-degree filtration; its E_inf totals are H
+    cech: Pairing    # of the Cech-degree filtration; its E_inf totals are H
 
 
 def _contraction_matrix(v: EquivariantSection, side: str, p: int, untwisted: bool) -> LMatrix:
@@ -382,7 +367,7 @@ def _contraction_matrix(v: EquivariantSection, side: str, p: int, untwisted: boo
     f, vf = (v.f1, v.w1) if side == "1" else (v.f0, v.v0)
     if untwisted:
         return ((vf,),)       # Omega^1 -> O by the vector part
-    return ((lp_scale(-1, vf),), (f,)) if p == -2 else ((f, vf),)
+    return ((p_scale(-1, vf),), (f,)) if p == -2 else ((f, vf),)
 
 
 def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
@@ -420,7 +405,7 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
                for side in ("0", "1", "01")}
         horizontal[(p, 0)] = _laurent_block(src.chart_entries(), dst.chart_entries(), i_v)
         horizontal[(p, 1)] = _laurent_block(src.window_entries(), dst.window_entries(), i_v)
-    double = DoubleComplex._built(ps[0], 0, 0, 1, dims, horizontal, _twisted(vertical))
+    double = _built(DoubleComplex, ps[0], 0, 0, 1, dims, horizontal, _twisted(vertical))
     return CechKoszulModel(algebroid, section, window, untwisted, double,
                            run(row_filtration(double)))
 
@@ -454,7 +439,7 @@ def first_page(model: CechKoszulModel, nxt: CechKoszulModel) -> FirstPageReport:
     against page 1 of the wedge-degree filtration of the double complex.
     Reports observed d_1 ranks (no expectation asserted for them)."""
     grid = _window_stable("dims", model.window, nxt.window, _row_dims(model), _row_dims(nxt))
-    page1 = compute_page(pairing(column_filtration(model.double)), 1)
+    page1 = compute_page(run(column_filtration(model.double)), 1)
     engine = {pq: dim for pq, dim in page1.dims().items() if pq in grid or dim}
     if grid != engine:
         raise WindowError(
@@ -567,9 +552,11 @@ class DegenerationReport:
 
 
 def _degeneration_once(model: CechKoszulModel) -> DegenerationReport:
+    """Page 2 of the Cech-degree run, the one page built; E_inf is its
+    unpaired vectors."""
     res = model.cech
     return DegenerationReport(model.window, res.degeneration_page,
-                              res.pages[2].nonzero_dims(), res.infinity.nonzero_dims())
+                              compute_page(res, 2).nonzero_dims(), dict(res.unpaired))
 
 
 def second_page_degeneration(model: CechKoszulModel,
@@ -577,8 +564,9 @@ def second_page_degeneration(model: CechKoszulModel,
     """Degeneration at page <= 2 of the model's Cech-degree run (contraction
     first, then Cech), dims verified stable on `nxt`, the same model at window
     D+1.  With two levels (Cech degrees 0 and 1) every pairing gap is 0 or 1,
-    so `degeneration_page <= 2` and E2 = Einf hold by dimension, and E_inf is
-    H by the pairing: only the window check can fail (WindowError)."""
+    so `degeneration_page <= 2` and E2 = Einf hold by dimension, and E_inf,
+    the unpaired vectors, is H by the pairing: only the window check can
+    fail (WindowError)."""
     rep, rep2 = _degeneration_once(model), _degeneration_once(nxt)
     _window_stable("degeneration dims (E2, Einf)", model.window, nxt.window,
                    (rep.e2_dims, rep.einf_dims), (rep2.e2_dims, rep2.einf_dims))

@@ -27,7 +27,7 @@ from .complexes import (
     total,
 )
 from .exactla import ExactMatrix, Subspace
-from .specseq import run as ss_run
+from .specseq import compute_page, run as ss_run
 
 
 class SchemaError(Exception):
@@ -352,21 +352,20 @@ def cmd_specseq(payload: dict, args) -> tuple[dict, bool, list[str]]:
         filt = (column_filtration(double) if args.filtration == "column"
                 else row_filtration(double))
     result = ss_run(filt)
+    last = filt.width + 1 if args.max_page is None else min(args.max_page, filt.width + 1)
     lines = []
     pages_out = {}
-    max_page = args.max_page if args.max_page is not None else len(result.pages) - 1
-    for page in result.pages:
-        if page.r > max_page:
-            break
-        grid = page.nonzero_dims()
-        pages_out[str(page.r)] = _grid_json(grid)
-        lines.extend(_format_grid(grid, f"page r={page.r}:"))
-    lines.append(f"stable page: {result.stable_page}; "
-                 f"degeneration page: {result.degeneration_page}; {_CONVERGENT}")
+    for r in range(last + 1):
+        grid = compute_page(result, r).nonzero_dims()
+        pages_out[str(r)] = _grid_json(grid)
+        lines.extend(_format_grid(grid, f"page r={r}:"))
+    degeneration = result.degeneration_page
+    lines.append(f"stable page: {degeneration}; degeneration page: {degeneration}; "
+                 f"{_CONVERGENT}")
     report = {
         "pages": pages_out,
-        "stable_page": result.stable_page,
-        "degeneration_page": result.degeneration_page,
+        "stable_page": degeneration,
+        "degeneration_page": degeneration,
         "convergent": True,
         "infinity_totals": _degree_json(result.infinity_totals()),
     }

@@ -5,10 +5,10 @@ commuting squares, anticommutation, filtration range and d-stability), so
 raw input cannot become an invalid value.  A double complex is checked
 cell by cell: d_h^2, d_v^2 and d_h d_v + d_v d_h in rectangle order, so the
 first failing cell is named.  The package's builders construct through the
-private `_built` of each class instead, which sets the same fields through
-the same code and runs no product or scan: their invariants hold by
-construction once their input is valid, and the tests prove them on the
-corpora (`tests/test_builders.py`).  Filtrations are stored as one level
+private `_built(cls, *args)` instead, which sets the same fields through
+the same `_set` of each class and runs no product or scan: their
+invariants hold by construction once their input is valid, and the tests
+prove them on the corpora (`tests/test_builders.py`).  Filtrations are stored as one level
 per vector of an adapted basis.
 """
 
@@ -32,6 +32,15 @@ from .exactla import (
 
 class ComplexError(Exception):
     pass
+
+
+def _built(cls, *args):
+    """A builder's `cls` value, whose invariant holds by construction: the
+    fields and shape or level-range checks of `cls._set`, with no product
+    or scan."""
+    obj = object.__new__(cls)
+    obj._set(*args)
+    return obj
 
 
 class CochainComplex:
@@ -66,14 +75,6 @@ class CochainComplex:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "_dims", dims)
         object.__setattr__(self, "_diffs", diffs)
-
-    @classmethod
-    def _built(cls, *args) -> "CochainComplex":
-        """A builder's complex, whose d.d = 0 holds by construction: the
-        `__init__` fields and shape checks, with no product."""
-        c = object.__new__(cls)
-        c._set(*args)
-        return c
 
     def __setattr__(self, name, value):
         raise AttributeError("CochainComplex is immutable")
@@ -145,14 +146,6 @@ class ChainMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_maps", comps)
-
-    @classmethod
-    def _built(cls, *args) -> "ChainMap":
-        """A builder's chain map, whose squares commute by construction: the
-        `__init__` fields and shape checks, with no product."""
-        f = object.__new__(cls)
-        f._set(*args)
-        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainMap is immutable")
@@ -282,14 +275,6 @@ class DoubleComplex:
         object.__setattr__(self, "_dv", dv)
         object.__setattr__(self, "_total", _assemble_total(self))
 
-    @classmethod
-    def _built(cls, *args) -> "DoubleComplex":
-        """A builder's double complex, anticommuting by construction: the
-        `__init__` fields and shape checks, with no product."""
-        d = object.__new__(cls)
-        d._set(*args)
-        return d
-
     def __setattr__(self, name, value):
         raise AttributeError("DoubleComplex is immutable")
 
@@ -383,7 +368,7 @@ def _assemble_total(d: DoubleComplex) -> CochainComplex:
                     for j, a in row.items():
                         target[off + j] = a
         diffs.append(ExactMatrix(dims[n + 1 - lo], dims[n - lo], out))
-    return CochainComplex._built(lo, hi, dims, diffs)
+    return _built(CochainComplex, lo, hi, dims, diffs)
 
 
 class FilteredComplex:
@@ -429,14 +414,6 @@ class FilteredComplex:
         object.__setattr__(self, "p_hi", p_hi)
         object.__setattr__(self, "levels", table)
 
-    @classmethod
-    def _built(cls, *args) -> "FilteredComplex":
-        """A builder's filtration, d-stable by construction: the `__init__`
-        fields and level-range checks, with no scan of the differentials."""
-        f = object.__new__(cls)
-        f._set(*args)
-        return f
-
     def __setattr__(self, name, value):
         raise AttributeError("FilteredComplex is immutable")
 
@@ -480,8 +457,8 @@ class FilteredComplex:
         diffs = [coordinates(bases[n + 1], cplx.dim(n + 1), cplx.d(n).images(bases[n]))
                  for n in range(cplx.lo, cplx.hi)]
         # A change of basis of a complex: d.d = 0 carries over.
-        adapted = CochainComplex._built(cplx.lo, cplx.hi,
-                                        [cplx.dim(n) for n in cplx.degrees()], diffs)
+        adapted = _built(CochainComplex, cplx.lo, cplx.hi,
+                         [cplx.dim(n) for n in cplx.degrees()], diffs)
         return cls(adapted, p_lo, p_hi, levels)
 
     @property
@@ -500,7 +477,7 @@ def _coordinate_filtration(d: DoubleComplex, index: Callable[[int, int], int],
     filtrations are d-stable."""
     levels = {n: [index(p, q) for p, q, _ in cells for _ in range(d.cell_dim(p, q))]
               for n, cells in total_layout(d).items()}
-    return FilteredComplex._built(total(d), f_lo, f_hi, levels)
+    return _built(FilteredComplex, total(d), f_lo, f_hi, levels)
 
 
 def column_filtration(d: DoubleComplex) -> FilteredComplex:

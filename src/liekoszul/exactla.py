@@ -17,7 +17,7 @@ and with it every basis, is canonical whatever order the elimination
 works in; tests compare bases, not just dimensions.
 
 `_insert` is the one elimination kernel, shared by `_rref` (every kernel,
-image, rank and solve), `Subquotient`, `from_flag` and `specseq.pairing`.
+image, rank and solve), `Subquotient`, `from_flag` and `specseq.run`.
 
 Every change of basis is one call of `coordinates`: the coordinates of
 sparse target rows in an independent sparse basis, from one RREF of

@@ -26,10 +26,10 @@ from fractions import Fraction as QQ
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .complexes import CochainComplex, FilteredComplex, betti, cohomology
+from .complexes import CochainComplex, FilteredComplex, _built, betti, cohomology
 from .exactla import ExactMatrix, Subspace, _axpy, coordinates, induced_map, qq
 from .lierinehart import _bracket_entries, _ce_terms, _jacobi
-from .specseq import run
+from .specseq import compute_page, run
 
 
 class LieAlgebraError(Exception):
@@ -157,7 +157,7 @@ def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
                           lambda k, v: act_cols[k][v], lambda c, v: {v: c})
         entries = [(index[(tsub, r)], col, x) for col, tsub, r, x in terms]
         diffs.append(ExactMatrix.from_entries(len(dst), len(src), entries))
-    return CochainComplex._built(0, n, [len(b) for b in bases], diffs)
+    return _built(CochainComplex, 0, n, [len(b) for b in bases], diffs)
 
 
 def _adapted(g: LieAlgebra, h: LieIdeal, m: GModule):
@@ -190,7 +190,7 @@ def _filtered(cplx: CochainComplex, dim_m: int, k: int) -> FilteredComplex:
     n = cplx.hi
     levels = {deg: [sum(1 for i in s if i >= k) for s, _ in _cochain_basis(n, dim_m, deg)]
               for deg in range(n + 1)}
-    return FilteredComplex._built(cplx, 0, n - k, levels)
+    return _built(FilteredComplex, cplx, 0, n - k, levels)
 
 
 def _quotient_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
@@ -225,8 +225,8 @@ def _h_blocks(g2: LieAlgebra, cplx: CochainComplex, dim_m: int, k: int):
              for p in range(min(k + 1, n) + 1)]
     bases = [_cochain_basis(k, dim_m, q) for q in range(k + 1)]
     cols = [[index[q][b] for b in basis] for q, basis in enumerate(bases)]
-    hcomplex = CochainComplex._built(0, k, [len(c) for c in cols],
-                                     [_block(cplx.d(q), cols[q + 1], cols[q]) for q in range(k)])
+    hcomplex = _built(CochainComplex, 0, k, [len(c) for c in cols],
+                      [_block(cplx.d(q), cols[q + 1], cols[q]) for q in range(k)])
     actions = [[_block(cplx.d(q), [index[q + 1][(s + (x,), v)] for s, v in bases[q]],
                        cols[q]).scaled(-1 if q % 2 else 1)
                 for x in range(k, n)]
@@ -265,11 +265,12 @@ class HSReport:
 def verify(g: LieAlgebra, h: LieIdeal, m: GModule) -> HSReport:
     """Page 2 of the ideal filtration matches H^p(g/h, H^q(h, M)).  Both
     sides read one adapted complex, which `coordinates` proved isomorphic
-    to the complex in the original basis; its one pairing also gives the
-    limit totals, which are the Betti numbers of H(g, M)."""
+    to the complex in the original basis.  Its one pairing gives page 2, the
+    only page built, and the limit totals, which are the Betti numbers of
+    H(g, M)."""
     g2, m2, k = _adapted(g, h, m)
     cplx = ce_complex(g2, m2)
-    result = run(_filtered(cplx, m2.dim, k))
+    reduction = run(_filtered(cplx, m2.dim, k))
     expected = {pq: d for pq, d in _e2_grid(g2, cplx, m2.dim, k).items() if d}
-    computed = result.pages[2].nonzero_dims()
-    return HSReport(expected, computed, result.infinity_totals(), computed == expected)
+    computed = compute_page(reduction, 2).nonzero_dims()
+    return HSReport(expected, computed, reduction.infinity_totals(), computed == expected)

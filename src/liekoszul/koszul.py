@@ -43,6 +43,7 @@ from .complexes import (
     ChainMap,
     CochainComplex,
     _betti,
+    _built,
     _cone_is_acyclic,
     _cone_ranks,
     betti,
@@ -81,7 +82,7 @@ def lie_koszul(lr: LieRinehartPresentation, v: SectionV, w: int) -> LieKoszulSli
     m = lr.rank
     dims = [lr.form_slice(-p, w + p * v.weight).dim for p in range(-m, 1)]
     diffs = [contraction(lr, v, -p, w + p * v.weight) for p in range(-m, 0)]
-    cplx = CochainComplex._built(-m, 0, dims, diffs)
+    cplx = _built(CochainComplex, -m, 0, dims, diffs)
     return LieKoszulSlice(lr, v, w, cplx)
 
 
@@ -194,9 +195,9 @@ def reduction_map(lr: LieRinehartPresentation, v: SectionV, w: int
             off += model.quotient_dim(_subset_fn_weight(lr, ks.term_weight(p), s))
         dims.append(off)
         maps[p] = _reduction_matrix(lr, model, fs, ks.term_weight(p), offsets, off)
-    target = CochainComplex._built(-m, 0, dims,
-                                   [ExactMatrix.zeros(dims[i + 1], dims[i]) for i in range(m)])
-    chain = ChainMap._built(ks.complex, target, maps)
+    target = _built(CochainComplex, -m, 0, dims,
+                    [ExactMatrix.zeros(dims[i + 1], dims[i]) for i in range(m)])
+    chain = _built(ChainMap, ks.complex, target, maps)
     return ks, target, chain
 
 

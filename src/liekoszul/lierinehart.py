@@ -206,6 +206,9 @@ class LieRinehartPresentation:
                 f"anchor has {len(anchor)} rows, expected one per generator ({m})")
         self.anchor: list[list[Poly]] = []
         for i, row in enumerate(anchor):
+            if not isinstance(row, (list, tuple)):
+                raise MalformedPresentation(
+                    f"anchor row {i} is {row!r}, expected a list of {ring.nvars} polynomials")
             if len(row) != ring.nvars:
                 raise MalformedPresentation(
                     f"anchor row {i} has length {len(row)}, expected {ring.nvars}")
@@ -223,6 +226,9 @@ class LieRinehartPresentation:
         # [e_i, e_j] for i < j as {k: c_ij^k}, nonzero components only.
         self.brackets: dict[tuple[int, int], dict[int, Poly]] = {}
         for key, i, j, comps in _bracket_entries(brackets, m, MalformedPresentation):
+            if not isinstance(comps, (list, tuple)):
+                raise MalformedPresentation(
+                    f"bracket {key} is {comps!r}, expected a list of {m} polynomials")
             if len(comps) != m:
                 raise MalformedPresentation(
                     f"bracket {key} has {len(comps)} components, expected {m}")

@@ -7,15 +7,17 @@ comes from one persistence pairing (Edelsbrunner, Letscher & Zomorodian
 order (level descending, degree descending) every prefix is a subcomplex,
 so one low-pivot column reduction of d pairs vectors (i, j), dj hitting i,
 with gap l(i) - l(j) >= 0; it runs on `exactla._insert`, the package's one
-elimination kernel.  Then dim E_r^{p,q} is the number of unpaired
-vectors at (p, q) plus the paired ones there of gap >= r, and the rank of
-d_r out of (p, q) is the number of pairs of gap exactly r starting there.
-The stable and degeneration pages are both max gap + 1 (0 with no pairs).
-Rank d^n is the number of pairs whose lower end has degree n, so the
-E_infinity totals are the Betti numbers: no driver eliminates d again.
-Explicit d_r matrices exist only in the test suite's reference engine.
+elimination kernel.  `run` is that reduction and returns the `Pairing`;
+`compute_page` builds a page from it only when a caller reads that page.
+dim E_r^{p,q} is the number of unpaired vectors at (p, q) plus the paired
+ones there of gap >= r, and the rank of d_r out of (p, q) is the number of
+pairs of gap exactly r starting there.  The stable and degeneration pages
+are both max gap + 1 (0 with no pairs).  E_infinity is the unpaired
+vectors, and rank d^n is the number of pairs whose lower end has degree n,
+so the E_infinity totals are the Betti numbers: no driver eliminates d
+again.  Explicit d_r matrices exist only in the test suite's reference
+engine.
 """
-
 from __future__ import annotations
 
 from collections import Counter
@@ -38,9 +40,22 @@ class Pairing:
     unpaired: Counter
     pairs: Counter
 
+    @property
+    def degeneration_page(self) -> int:
+        """First page from which every d_r is zero: max gap + 1, 0 with no pairs."""
+        return max((gap + 1 for _, _, gap in self.pairs), default=0)
 
-def pairing(f: FilteredComplex) -> Pairing:
-    """One low-pivot column reduction of d in the flag order, by `_insert`:
+    def infinity_totals(self) -> dict[int, int]:
+        """dim of E_infinity along each antidiagonal, for every degree of
+        `n_range`: the unpaired vectors of that degree."""
+        totals = dict.fromkeys(range(self.n_range[0], self.n_range[1] + 1), 0)
+        for (p, q), count in self.unpaired.items():
+            totals[p + q] += count
+        return totals
+
+
+def run(f: FilteredComplex) -> Pairing:
+    """The pairing of `f`: one low-pivot column reduction of d in the flag order, by `_insert`:
     targets are numbered from the end of the flag order, so a column's low
     is its leading entry.  A vector that is the low of a column has a
     column that reduces to zero, so it is skipped (clearing, Chen & Kerber 2011)."""
@@ -112,35 +127,10 @@ def compute_page(reduction: Pairing, r: int) -> SpectralSequencePage:
     return SpectralSequencePage(r, dims, ranks)
 
 
-@dataclass(frozen=True)
-class SpectralSequenceRun:
-    pages: tuple[SpectralSequencePage, ...]
-    stable_page: int
-    degeneration_page: int
-
-    @property
-    def infinity(self) -> SpectralSequencePage:
-        return self.pages[-1]
-
-    def infinity_totals(self) -> dict[int, int]:
-        totals: dict[int, int] = {}
-        for (p, q), dim in self.infinity.dims().items():
-            totals[p + q] = totals.get(p + q, 0) + dim
-        return totals
-
-
-def run(f: FilteredComplex) -> SpectralSequenceRun:
-    """Pages 0..width+1; past that every page of a bounded filtration agrees."""
-    reduction = pairing(f)
-    pages = tuple(compute_page(reduction, r) for r in range(f.width + 2))
-    last = max((gap + 1 for _, _, gap in reduction.pairs), default=0)
-    return SpectralSequenceRun(pages, last, last)
-
-
-def check_convergence(result: SpectralSequenceRun, betti: dict[int, int]) -> bool:
+def check_convergence(result: Pairing, betti: dict[int, int]) -> bool:
     """Sum of E_infinity dims along each antidiagonal equals dim H^n.
 
-    An identity of the pairing, so no driver calls it; the tests pass it
-    `complexes.betti`, and `perfbench/tracing.ENTRY_POINTS` names it."""
+    An identity of the pairing, so no driver calls it; the tests pass it a
+    `run` and `complexes.betti`, and `perfbench/tracing.ENTRY_POINTS` names it."""
     totals = result.infinity_totals()
     return all(totals.get(n, 0) == betti.get(n, 0) for n in set(totals) | set(betti))

@@ -8,7 +8,8 @@ enumeration.  Slow, but exact and independent of the code under test.
 from fractions import Fraction as QQ
 from itertools import combinations
 
-from liekoszul.cechp1 import lp, lp_add, lp_mul
+from liekoszul.cechp1 import lp, lp_mul
+from liekoszul.lierinehart import p_add
 
 
 def det_expansion(rows):
@@ -102,7 +103,7 @@ def lmat_mul(a, b):
         for j in range(m):
             acc = {}
             for k in range(mid):
-                acc = lp_add(acc, lp_mul(a[i][k], b[k][j]))
+                acc = p_add(acc, lp_mul(a[i][k], b[k][j]))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)

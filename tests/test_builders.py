@@ -1,8 +1,9 @@
 """Builder output is proved here, not on every run.
 
-The package's builders construct through the private `_built` of each
-complex class, which checks shapes only.  Each invariant they leave out
-holds by construction once the builder's input is valid:
+The package's builders construct through the private `complexes._built`,
+which runs a complex class's shape and level-range checks only.  Each
+invariant they leave out holds by construction once the builder's input is
+valid:
 
 - i_V^2 = 0 on a Koszul slice, by the antisymmetry of contraction on an
   exterior algebra, and the reduction map is a chain map for every section

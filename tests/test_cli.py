@@ -220,32 +220,100 @@ PAIRED_RUNS = {
 }
 
 
+def _spied(monkeypatch, fn):
+    """Every call of `fn` made through the package, as (args, result).  Each
+    binding of `fn` in the liekoszul.* namespaces is found by identity, as
+    `perfbench/tracing.install` finds it: `cli` holds `specseq.run` as `ss_run`."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    bindings = [(module, attr) for name, module in list(sys.modules.items())
+                if name == "liekoszul" or name.startswith("liekoszul.")
+                for attr, value in list(vars(module).items()) if value is fn]
+    assert bindings
+    for module, attr in bindings:
+        monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
 @pytest.mark.parametrize("args", PAIRED_RUNS.values(), ids=PAIRED_RUNS.keys())
 def test_paired_differentials_are_eliminated_only_by_the_pairing(monkeypatch, capsys, args):
     # Every elimination goes through exactla._rref and every spectral sequence
-    # through specseq.pairing; no differential of a paired complex may reach
+    # through specseq.run; no differential of a paired complex may reach
     # _rref, since the pairing's ranks give its Betti numbers.
-    eliminated, paired = [], []
-    real_rref, real_pairing = exactla._rref, specseq.pairing
-
-    def rref(rows, reduced=True):
-        eliminated.append(rows)
-        return real_rref(rows, reduced)
-
-    def pairing(f):
-        paired.append(f.complex)
-        return real_pairing(f)
-
-    for module in (exactla, complexes):
-        monkeypatch.setattr(module, "_rref", rref)
-    for module in (specseq, cechp1):
-        monkeypatch.setattr(module, "pairing", pairing)
+    eliminated = _spied(monkeypatch, exactla._rref)
+    paired = _spied(monkeypatch, specseq.run)
     assert run_cli(args) == 0
     capsys.readouterr()
-    diffs = [c.d(n) for c in paired for n in range(c.lo, c.hi)]
+    diffs = [f.complex.d(n) for (f,), _ in paired for n in range(f.complex.lo, f.complex.hi)]
     assert any(not d.is_zero() for d in diffs)
     for d in diffs:
-        assert not any(rows is d.row_maps for rows in eliminated), d
+        assert not any(rows is d.row_maps for (rows, *_), _ in eliminated), d
+
+
+def _page_runs():
+    """(id, argv) of every p1 and hs job on the corpus, and of specseq on each
+    raw case, filtration and a few --max-page values."""
+    runs = {}
+    for golden in sorted(GOLDEN.glob("*.json")):
+        command, case = golden.name.split("__", 1)
+        if command in ("p1", "hs"):
+            runs[f"{command}-{Path(case).stem}"] = [command, CASES / case]
+    for case, filtrations in (("twostep-filtered.json", [[]]),
+                              ("square-double.json", [["--filtration", "row"],
+                                                      ["--filtration", "column"]])):
+        for extra in filtrations:
+            for max_page in (None, 0, 1, 2, 9):
+                flag = [] if max_page is None else ["--max-page", str(max_page)]
+                name = "-".join([Path(case).stem, *extra[1:], *flag[1:]])
+                runs[f"specseq-{name}"] = ["specseq", CASES / case, *extra, *flag]
+    return runs
+
+
+PAGE_RUNS = _page_runs()
+
+
+@pytest.mark.parametrize("args", PAGE_RUNS.values(), ids=PAGE_RUNS.keys())
+def test_each_command_builds_only_the_pages_it_reads(monkeypatch, capsys, args):
+    # p1 reads page 2 of each window's Cech-degree run and page 1 of the
+    # wedge-degree run; hs reads page 2; specseq prints pages
+    # 0..min(--max-page, width + 1).  E_inf is read off the pairing.
+    runs = _spied(monkeypatch, specseq.run)
+    pages = _spied(monkeypatch, specseq.compute_page)
+    assert run_cli(args) in (0, 1)
+    capsys.readouterr()
+    built = sorted(r for (_, r), _ in pages)
+    if args[0] == "p1":
+        assert built == [1, 2, 2]
+    elif args[0] == "hs":
+        assert built == [2]
+    else:
+        (_, reduction), = runs
+        p_lo, p_hi = reduction.p_range
+        last = p_hi - p_lo + 2
+        if "--max-page" in args:
+            last = min(last, int(args[args.index("--max-page") + 1]))
+        assert built == list(range(last + 1))
+
+
+@pytest.mark.parametrize("case,extra", [("twostep-filtered.json", []),
+                                        ("square-double.json", ["--filtration", "row"]),
+                                        ("square-double.json", ["--filtration", "column"])])
+def test_max_page_restricts_the_pages_only(tmp_path, capsys, case, extra):
+    # without --max-page the report prints pages 0..width+1
+    full = _report(tmp_path, ["specseq", CASES / case, *extra])
+    width = len(full["pages"]) - 2
+    assert list(full["pages"]) == [str(r) for r in range(width + 2)]
+    for max_page in (0, 1, width + 1, width + 3):
+        cut = _report(tmp_path, ["specseq", CASES / case, *extra, "--max-page", str(max_page)])
+        assert cut["pages"] == {r: g for r, g in full["pages"].items() if int(r) <= max_page}
+        assert {k: v for k, v in cut.items() if k != "pages"} == \
+            {k: v for k, v in full.items() if k != "pages"}
+    capsys.readouterr()
 
 
 def test_window_zero_is_an_input_error(tmp_path, capsys):
@@ -521,6 +589,10 @@ WRONG_SHAPES = {
     "differentials-number": ("twostep-filtered.json", "cohomology",
                              lambda p: p.update(differentials=5), "'differentials'"),
     "anchor-number": ("euler-n2.json", "validate", lambda p: p.update(anchor=5), "'anchor'"),
+    "anchor-row-number": ("euler-n2.json", "validate",
+                          lambda p: p["anchor"].__setitem__(0, 5), "anchor row 0"),
+    "lr-bracket-number": ("euler-n2.json", "koszul",
+                          lambda p: p["brackets"].update({"0,1": 5}), "bracket 0,1"),
     "section-number": ("euler-n2.json", "koszul", lambda p: p.update(section=5), "'section'"),
     "variable-weights-number": ("euler-n2.json", "validate",
                                 lambda p: p.update(variable_weights=5), "'variable_weights'"),

@@ -16,7 +16,7 @@ from liekoszul.hochserre import (
     hs_filtered,
     verify,
 )
-from liekoszul.specseq import compute_page, pairing, run
+from liekoszul.specseq import compute_page, run
 
 import corpus
 from helpers import betti_by_minors, level_dim, matrix_rows
@@ -129,7 +129,7 @@ def test_hs_whole_algebra_ideal():
     m = GModule.trivial(HEIS)
     h = ideal(HEIS, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     f = hs_filtered(HEIS, h, m)
-    page0 = compute_page(pairing(f), 0)
+    page0 = compute_page(run(f), 0)
     from math import comb
     for n in range(0, 4):
         assert page0.entry_dim(0, n) == comb(3, n)
@@ -234,7 +234,7 @@ def test_heisenberg_center_grid_and_limit():
     totals = run(hs_filtered(HEIS, h, m)).infinity_totals()
     assert {k: v for k, v in totals.items() if v} == {0: 1, 1: 2, 2: 2, 3: 1}
     # the transgression d_2 is nonzero here: page 2 differs from the limit
-    page2 = compute_page(pairing(hs_filtered(HEIS, h, m)), 2)
+    page2 = compute_page(run(hs_filtered(HEIS, h, m)), 2)
     assert sum(page2.dims().values()) > sum(totals.values())
 
 

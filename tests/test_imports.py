@@ -220,7 +220,7 @@ def test_only_raw_input_and_library_helpers_construct_checked():
 def test_scan_finds_a_checked_construction():
     source = ("from .complexes import CochainComplex\nfrom . import complexes\n\n"
               "def builder():\n    return CochainComplex(0, 0, [1], [])\n\n"
-              "def fast():\n    return CochainComplex._built(0, 0, [1], [])\n\n"
+              "def fast():\n    return _built(CochainComplex, 0, 0, [1], [])\n\n"
               "def qualified():\n    return [complexes.ChainMap(a, b, {}) for a, b in ()]\n\n"
               "class FilteredComplex:\n    @classmethod\n    def make(cls):\n"
               "        return cls()\n\n"

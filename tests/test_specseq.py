@@ -11,8 +11,14 @@ from liekoszul.complexes import (
     total,
 )
 from liekoszul.exactla import ExactMatrix, Subspace, unit_vector
-from liekoszul.specseq import check_convergence, compute_page, pairing, run
+from liekoszul.specseq import check_convergence, compute_page, run
 
+
+def pages(f):
+    """Pages 0..width+1 of `f`; past width+1 every page of a bounded
+    filtration agrees."""
+    reduction = run(f)
+    return [compute_page(reduction, r) for r in range(f.width + 2)]
 
 
 def trivial_filtration(c):
@@ -22,12 +28,12 @@ def trivial_filtration(c):
 def test_trivial_filtration_page_one_is_cohomology():
     c = CochainComplex(0, 1, [2, 1], [ExactMatrix.from_rows([[1, 0]])])
     f = trivial_filtration(c)
-    p1 = compute_page(pairing(f), 1)
+    p1 = compute_page(run(f), 1)
     h = betti(c)
     for (p, q), dim in p1.dims().items():
         assert dim == (h.get(p + q, 0) if p == 0 else 0)
     # all later pages equal
-    p2 = compute_page(pairing(f), 2)
+    p2 = compute_page(run(f), 2)
     assert p2.dims() == p1.dims()
 
 
@@ -37,7 +43,7 @@ def test_column_filtration_page_one_is_column_cohomology():
     vert = {(0, 0): ExactMatrix.identity(1)}
     d = DoubleComplex.from_commuting(0, 1, 0, 1, dims, {}, vert)
     f = column_filtration(d)
-    p1 = compute_page(pairing(f), 1)
+    p1 = compute_page(run(f), 1)
     assert p1.entry_dim(0, 0) == 0 and p1.entry_dim(0, 1) == 0
     assert p1.entry_dim(1, 0) == 1 and p1.entry_dim(1, 1) == 1
 
@@ -53,12 +59,13 @@ def test_handbuilt_nonzero_d2():
         levels[(p, 1)] = full if p <= 2 else zero
     f = FilteredComplex.from_flag(c, 0, 2, levels)
     res = run(f)
-    assert res.pages[2].dims() != res.pages[3].dims()
-    assert any(res.pages[2].ranks.values())
-    assert res.pages[2].ranks[(0, 0)] == 1
-    assert res.pages[3].nonzero_dims() == {}
+    page2, page3 = compute_page(res, 2), compute_page(res, 3)
+    assert page2.dims() != page3.dims()
+    assert any(page2.ranks.values())
+    assert page2.ranks[(0, 0)] == 1
+    assert page3.nonzero_dims() == {}
     assert res.degeneration_page == 3
-    assert check_convergence(run(f), betti(f.complex))
+    assert check_convergence(res, betti(f.complex))
 
 
 def test_zero_differential_degenerates_immediately():
@@ -76,7 +83,7 @@ def test_zero_differential_degenerates_immediately():
     res = run(f)
     assert res.degeneration_page <= 1
     assert res.infinity_totals() == {0: 2, 1: 2}
-    assert check_convergence(run(f), betti(f.complex))
+    assert check_convergence(res, betti(f.complex))
 
 
 def test_first_quadrant_collapse_onto_one_column():
@@ -89,7 +96,7 @@ def test_first_quadrant_collapse_onto_one_column():
                                      {(0, 0): dh, (0, 1): dh},
                                      {(0, 0): dv0})
     f = row_filtration(d)
-    p1 = compute_page(pairing(f), 1)
+    p1 = compute_page(run(f), 1)
     for (q, rest), dim in p1.dims().items():
         if rest:  # horizontal position > 0: the row cohomology vanished there
             assert dim == 0
@@ -98,7 +105,7 @@ def test_first_quadrant_collapse_onto_one_column():
     direct = betti(t)
     for n in t.degrees():
         assert res.infinity_totals().get(n, 0) == direct.get(n, 0)
-    assert check_convergence(run(f), betti(f.complex))
+    assert check_convergence(res, betti(f.complex))
 
 
 def _random_core(rng, max_total_dim=12, max_width=4):
@@ -205,8 +212,8 @@ def test_page_dims_weakly_decrease():
     rng = random.Random(99)
     for _ in range(10):
         f = random_filtered_complex(rng)
-        res = run(f)
-        for a, b in zip(res.pages, res.pages[1:]):
+        res = pages(f)
+        for a, b in zip(res, res[1:]):
             for pq, dim in b.dims().items():
                 assert dim <= a.dims().get(pq, 0)
 
@@ -215,8 +222,7 @@ def test_stable_page_bounded_by_width():
     rng = random.Random(5)
     for _ in range(10):
         f = random_filtered_complex(rng)
-        res = run(f)
-        assert res.stable_page <= f.width + 1
+        assert run(f).degeneration_page <= f.width + 1
 
 
 def test_functoriality_of_pages_under_filtered_iso():
@@ -227,7 +233,22 @@ def test_functoriality_of_pages_under_filtered_iso():
         identity_mats = [ExactMatrix.identity(d) for d in core[0]]
         plain = _build_filtered(core, identity_mats)
         twisted = _build_filtered(core, _random_change_of_basis(rng, core[0], core[1]))
-        res1, res2 = run(plain), run(twisted)
-        for a, b in zip(res1.pages, res2.pages):
+        for a, b in zip(pages(plain), pages(twisted)):
             assert a.dims() == b.dims()
-        assert res1.infinity_totals() == res2.infinity_totals()
+        assert run(plain).infinity_totals() == run(twisted).infinity_totals()
+
+
+def test_infinity_is_read_off_the_unpaired_vectors():
+    # E_inf is page width+1, and its totals list every degree, zeros included
+    rng = random.Random(7)
+    for _ in range(20):
+        f = random_filtered_complex(rng)
+        res = run(f)
+        last = compute_page(res, f.width + 1)
+        assert dict(res.unpaired) == last.nonzero_dims()
+        totals = res.infinity_totals()
+        assert list(totals) == list(f.complex.degrees())
+        for n in f.complex.degrees():
+            assert totals[n] == sum(dim for (p, q), dim in last.dims().items() if p + q == n)
+        assert all(not any(compute_page(res, r).ranks.values())
+                   for r in range(res.degeneration_page, f.width + 2))
