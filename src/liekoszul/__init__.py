@@ -73,6 +73,7 @@ from .cechp1 import (
     first_page,
     line_bundle,
     second_page_degeneration,
+    window_checked,
     zero_section,
 )
 

@@ -14,9 +14,11 @@ the row before it, so the contraction, which raises exponents by at most
 2, lands inside its target; every block is written by `_laurent_block`,
 which raises WindowError on an image that leaves its cell, so no map is
 ever silently truncated.  Cohomology of such a model can still be wrong
-when the window is too small to see a stable answer, so every reported
-dimension is compared with the same model at window D+1 and a mismatch
-raises WindowError.
+when the window is too small to see a stable answer, so a `p1` run builds
+its model at windows D and D+1 and compares them once, in
+`window_checked`: the row grid and the E_inf grid of the Cech-degree run
+must agree, or WindowError is raised.  Those two grids determine every
+reported dimension, so the verdict readers take the one checked model.
 
 Every block of the Cech-Koszul double complex is one Laurent matrix per
 open set (`_laurent_block`): the Cech differential is -I on chart 0 and
@@ -263,15 +265,12 @@ def _cech_dims(sheaf: SheafOnP1, radius: int) -> tuple[int, int]:
     return _delta_dims(_delta_matrix(build_row(sheaf, radius, sheaf.margin())))
 
 
-def _window_stable(what: str, window: int, next_window: int, first, second):
+def _window_stable(what: str, window: int, first, second):
     """The window check: `first`, computed at window D, must equal `second`,
     computed at window D+1; returns `first`."""
-    if next_window != window + 1:
-        raise ValueError(f"window check needs windows {window} and {window + 1}, "
-                         f"got {next_window}")
     if first != second:
         raise WindowError(f"window too small: {what} {first} at window {window} "
-                          f"vs {second} at window {next_window}")
+                          f"vs {second} at window {window + 1}")
     return first
 
 
@@ -279,8 +278,8 @@ def cech_cohomology(sheaf: SheafOnP1, window: int) -> tuple[int, int]:
     """(h0, h1) of the two-chart model, verified stable at window+1."""
     if window < 1:
         raise WindowError("window radius must be at least 1")
-    return _window_stable("dims", window, window + 1,
-                          _cech_dims(sheaf, window), _cech_dims(sheaf, window + 1))
+    return _window_stable("dims", window, _cech_dims(sheaf, window),
+                          _cech_dims(sheaf, window + 1))
 
 
 # -- the first-order-operator bundle and its wedge duals ----------------------
@@ -357,6 +356,7 @@ class CechKoszulModel:
     window: int
     untwisted: bool
     double: DoubleComplex
+    rows: dict[tuple[int, int], int]   # (p, q) -> h^q(X, Lambda^{-p} D*), off the Cech blocks
     cech: Pairing    # of the Cech-degree filtration; its E_inf totals are H
 
 
@@ -379,7 +379,8 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     (-1)^p twist of `DoubleComplex.from_commuting` makes the squares
     anticommute.  So the double complex is built unchecked, and the tests
     prove D^2 = 0 on the P^1 corpus and the gluing identities for every
-    degree."""
+    degree.  One window's model: `window_checked` decides whether the
+    window is large enough."""
     if window < 1:
         raise WindowError("window radius must be at least 1")
     if untwisted:
@@ -393,12 +394,13 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     # chart coordinate, so i_V raises exponents by at most 2: each row's
     # radius is 2 more than the row it receives from.
     rows = {p: build_row(sheaves[p], window + 2 * (p - ps[0]), margin) for p in ps}
-    dims = {}
+    dims, h = {}, {}
     vertical = {}
     horizontal = {}
     for p in ps:
         delta = vertical[(p, 0)] = _delta_matrix(rows[p])
         dims[(p, 0)], dims[(p, 1)] = delta.cols, delta.rows
+        h[(p, 0)], h[(p, 1)] = _delta_dims(delta)
     for p in ps[:-1]:
         src, dst = rows[p], rows[p + 1]
         i_v = {side: (_contraction_matrix(section, side, p, untwisted), 1, side)
@@ -406,45 +408,44 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
         horizontal[(p, 0)] = _laurent_block(src.chart_entries(), dst.chart_entries(), i_v)
         horizontal[(p, 1)] = _laurent_block(src.window_entries(), dst.window_entries(), i_v)
     double = _built(DoubleComplex, ps[0], 0, 0, 1, dims, horizontal, _twisted(vertical))
-    return CechKoszulModel(algebroid, section, window, untwisted, double,
+    return CechKoszulModel(algebroid, section, window, untwisted, double, h,
                            run(row_filtration(double)))
 
 
-def equivariant_H(model: CechKoszulModel, nxt: CechKoszulModel) -> dict[int, int]:
+def window_checked(algebroid: AlgebroidOnP1, section: EquivariantSection,
+                   window: int, untwisted: bool = False) -> CechKoszulModel:
+    """The window check of a `p1` run: the model at window D, once it agrees
+    with the same model at window D+1 on its row grid and on the E_inf grid
+    of its Cech-degree run (WindowError otherwise).  Those two grids
+    determine every reported dimension: H is the antidiagonal totals of
+    E_inf, and E2 = E_inf by dimension (two Cech levels)."""
+    model = cech_koszul(algebroid, section, window, untwisted)
+    nxt = cech_koszul(algebroid, section, window + 1, untwisted)
+    _window_stable("dims (rows, E_inf)", window, (model.rows, dict(model.cech.unpaired)),
+                   (nxt.rows, dict(nxt.cech.unpaired)))
+    return model
+
+
+def equivariant_H(model: CechKoszulModel) -> dict[int, int]:
     """H of the total complex (degrees k = cech - wedge), the E_inf totals of
-    the Cech-degree run, verified stable on `nxt`, the same model at window D+1."""
-    return _window_stable("H dims", model.window, nxt.window,
-                          model.cech.infinity_totals(), nxt.cech.infinity_totals())
+    the Cech-degree run."""
+    return model.cech.infinity_totals()
 
 
 @dataclass(frozen=True)
 class FirstPageReport:
     window: int
     grid: dict[tuple[int, int], int]       # (p, q) -> h^q(X, Lambda^{-p} D*)
-    engine_grid: dict[tuple[int, int], int]
     d1_ranks: dict[tuple[int, int], int]
 
 
-def _row_dims(model: CechKoszulModel) -> dict[tuple[int, int], int]:
-    """(p, q) -> h^q of wedge row p, read off the row's Cech block."""
-    grid: dict[tuple[int, int], int] = {}
-    for p in range(model.double.p_lo, model.double.p_hi + 1):
-        grid[(p, 0)], grid[(p, 1)] = _delta_dims(model.double.dv(p, 0))
-    return grid
-
-
-def first_page(model: CechKoszulModel, nxt: CechKoszulModel) -> FirstPageReport:
-    """Cech dims of each row sheaf, read off the model's own Cech blocks and
-    verified stable on `nxt`, the same model at window D+1; cross-checked
-    against page 1 of the wedge-degree filtration of the double complex.
-    Reports observed d_1 ranks (no expectation asserted for them)."""
-    grid = _window_stable("dims", model.window, nxt.window, _row_dims(model), _row_dims(nxt))
+def first_page(model: CechKoszulModel) -> FirstPageReport:
+    """Cech dims of each row sheaf, read off the model's own Cech blocks,
+    and the observed d_1 ranks of page 1 of the wedge-degree filtration (no
+    expectation asserted for them).  That page's E1 is the row grid; the
+    tests prove it on the P^1 corpus."""
     page1 = compute_page(run(column_filtration(model.double)), 1)
-    engine = {pq: dim for pq, dim in page1.dims().items() if pq in grid or dim}
-    if grid != engine:
-        raise WindowError(
-            f"first-page grids disagree: cech {grid} vs engine {engine}")
-    return FirstPageReport(model.window, grid, engine, page1.ranks)
+    return FirstPageReport(model.window, model.rows, page1.ranks)
 
 
 # -- fixed points, assumption, corollary --------------------------------------
@@ -522,9 +523,8 @@ class CorollaryReport:
         return all(self.predicted.get(k, 0) == self.computed.get(k, 0) for k in keys)
 
 
-def corollary_check(model: CechKoszulModel, nxt: CechKoszulModel) -> CorollaryReport:
-    """Fixed-point prediction against the equivariant cohomology of `model`,
-    verified stable on `nxt`, the same model at window D+1.
+def corollary_check(model: CechKoszulModel) -> CorollaryReport:
+    """Fixed-point prediction against the equivariant cohomology of `model`.
 
     Each vanishing point contributes one dimension in degree 0 and, in the
     operator-bundle case, one more in degree -1 (the operators on the
@@ -534,7 +534,7 @@ def corollary_check(model: CechKoszulModel, nxt: CechKoszulModel) -> CorollaryRe
     pts = fixed_point_set(model.section, model.untwisted)
     predicted = {0: len(pts)} if model.untwisted else {0: len(pts), -1: len(pts)}
     predicted = {k: v for k, v in predicted.items() if v}
-    computed = equivariant_H(model, nxt)
+    computed = equivariant_H(model)
     return CorollaryReport(tuple(pts), predicted,
                            {k: v for k, v in computed.items() if v})
 
@@ -544,30 +544,17 @@ class DegenerationReport:
     window: int
     degeneration_page: int
     e2_dims: dict[tuple[int, int], int]
-    einf_dims: dict[tuple[int, int], int]
 
     @property
     def ok(self) -> bool:
-        return self.degeneration_page <= 2 and self.e2_dims == self.einf_dims
+        return self.degeneration_page <= 2
 
 
-def _degeneration_once(model: CechKoszulModel) -> DegenerationReport:
-    """Page 2 of the Cech-degree run, the one page built; E_inf is its
-    unpaired vectors."""
-    res = model.cech
-    return DegenerationReport(model.window, res.degeneration_page,
-                              compute_page(res, 2).nonzero_dims(), dict(res.unpaired))
-
-
-def second_page_degeneration(model: CechKoszulModel,
-                             nxt: CechKoszulModel) -> DegenerationReport:
+def second_page_degeneration(model: CechKoszulModel) -> DegenerationReport:
     """Degeneration at page <= 2 of the model's Cech-degree run (contraction
-    first, then Cech), dims verified stable on `nxt`, the same model at window
-    D+1.  With two levels (Cech degrees 0 and 1) every pairing gap is 0 or 1,
-    so `degeneration_page <= 2` and E2 = Einf hold by dimension, and E_inf,
-    the unpaired vectors, is H by the pairing: only the window check can
-    fail (WindowError)."""
-    rep, rep2 = _degeneration_once(model), _degeneration_once(nxt)
-    _window_stable("degeneration dims (E2, Einf)", model.window, nxt.window,
-                   (rep.e2_dims, rep.einf_dims), (rep2.e2_dims, rep2.einf_dims))
-    return rep
+    first, then Cech).  With two levels (Cech degrees 0 and 1) every pairing
+    gap is 0 or 1, so `degeneration_page <= 2` and E2 = E_inf hold by
+    dimension: `ok` cannot fail, and E2 is the unpaired vectors, read with
+    no page built.  Only the window check of `window_checked` can fail."""
+    res = model.cech
+    return DegenerationReport(model.window, res.degeneration_page, dict(res.unpaired))

@@ -248,9 +248,14 @@ def _read_raw(payload: dict) -> tuple[CochainComplex, DoubleComplex | None]:
 def build_raw_filtration(payload: dict, cplx: CochainComplex) -> FilteredComplex:
     block = _object(payload, "filtration", "filtration")
     p_lo, p_hi = (_integer(_need(block, key), f"filtration.{key}") for key in ("p_lo", "p_hi"))
+    if p_hi < p_lo:
+        raise SchemaError(f"empty filtration range: filtration.p_hi {p_hi} < p_lo {p_lo}")
     levels = {}
     for key, vectors in _object(block, "spaces", "filtration.spaces").items():
         p, n = _cell_key(key, "filtration.spaces")
+        if not (p_lo <= p <= p_hi + 1 and cplx.lo <= n <= cplx.hi):
+            raise SchemaError(f"filtration.spaces key {key!r} is outside levels "
+                              f"{p_lo}..{p_hi + 1} and degrees {cplx.lo}..{cplx.hi}")
         levels[(p, n)] = _subspace(vectors, cplx.dim(n), f"filtration.spaces[{key}]")
     return FilteredComplex.from_flag(cplx, p_lo, p_hi, levels)
 
@@ -444,16 +449,15 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
         window = args.window
     if window < 1:
         raise SchemaError(f"window must be at least 1, got {window}")
-    model = cechp1.cech_koszul(algebroid, section, window, untwisted)
-    nxt = cechp1.cech_koszul(algebroid, section, window + 1, untwisted)
+    model = cechp1.window_checked(algebroid, section, window, untwisted)
     lines = [f"degree {algebroid.degree}, window {window}"
              + (", untwisted" if untwisted else "")]
-    fp = cechp1.first_page(model, nxt)
+    fp = cechp1.first_page(model)
     lines.extend(_format_grid({k: v for k, v in fp.grid.items() if v},
                               "first page (wedge p, cech q):"))
     d1 = {k: v for k, v in fp.d1_ranks.items() if v}
     lines.append(f"observed d1 ranks: {_grid_json(d1) if d1 else 'all zero'}")
-    hdims = cechp1.equivariant_H(model, nxt)
+    hdims = cechp1.equivariant_H(model)
     lines.append("equivariant cohomology: " + _h_line(hdims))
     assumption = cechp1.assumption_check(section)
     lines.append(f"assumption (simple zeros): {assumption}")
@@ -468,7 +472,7 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
         "assumption": assumption,
     }
     if assumption:
-        cor = cechp1.corollary_check(model, nxt)
+        cor = cechp1.corollary_check(model)
         lines.append(f"fixed points: {[str(p) for p in cor.fixed_points]}")
         lines.append("fixed-point prediction: " + _h_line(cor.predicted))
         lines.append(f"corollary match: {cor.match}")
@@ -476,10 +480,9 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
         report["corollary_predicted"] = _degree_json(cor.predicted)
         report["corollary_match"] = cor.match
         match = cor.match
-    degen = cechp1.second_page_degeneration(model, nxt)
+    degen = cechp1.second_page_degeneration(model)
     lines.append(f"degeneration page (Cech degree): {degen.degeneration_page}; "
-                 f"E2 = Einf: {degen.e2_dims == degen.einf_dims}; "
-                 f"both by dimension (two Cech levels); {_CONVERGENT}")
+                 f"E2 = Einf; both by dimension (two Cech levels); {_CONVERGENT}")
     report["degeneration_page"] = degen.degeneration_page
     report["degeneration_ok"] = degen.ok
     report["e2"] = _grid_json(degen.e2_dims)

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from liekoszul.cli import build_lie_algebra, build_lie_rinehart
-from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid, cech_koszul, zero_section
+from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid, zero_section
 from liekoszul.complexes import betti
 from liekoszul.exactla import ExactMatrix, Subspace
 from liekoszul.hochserre import GModule, LieAlgebra, LieIdeal
@@ -111,12 +111,6 @@ def p1_instances():
         ("O2/euler", a2, EquivariantSection(a2, (0, 1, 0)), False),
         ("O-2/zero-section", am2, zero_section(am2), False),
     ]
-
-
-def window_pair(algebroid, section, window, untwisted=False):
-    """The Cech-Koszul models at windows D and D+1, as the window checks take them."""
-    return (cech_koszul(algebroid, section, window, untwisted),
-            cech_koszul(algebroid, section, window + 1, untwisted))
 
 
 def slice_betti(lr, section, weights):

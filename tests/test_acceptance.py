@@ -14,6 +14,7 @@ from liekoszul.cechp1 import (
     equivariant_H,
     first_page,
     second_page_degeneration,
+    window_checked,
     zero_section,
 )
 from liekoszul.cli import build_p1
@@ -28,10 +29,10 @@ from liekoszul.lierinehart import (
     tangent_algebroid,
     validate,
 )
-from liekoszul.specseq import check_convergence, run
+from liekoszul.specseq import check_convergence, compute_page, run
 
 import corpus
-from corpus import slice_betti, window_pair
+from corpus import slice_betti
 from helpers import betti_by_minors, lmat_flip, lmat_identity, lmat_mul, matrix_rows
 from test_specseq import random_filtered_complex
 
@@ -79,10 +80,12 @@ def test_criterion_3_second_page_degeneration():
     started = time.monotonic()
     ok = True
     for name, algebroid, section, untwisted in corpus.p1_instances():
-        model, nxt = window_pair(algebroid, section, 1, untwisted)
-        rep = second_page_degeneration(model, nxt)
-        # E_inf totals of the pairing against the rank path of `betti`
-        ok = ok and rep.degeneration_page <= 2 and rep.e2_dims == rep.einf_dims \
+        model = window_checked(algebroid, section, 1, untwisted)
+        rep = second_page_degeneration(model)
+        # E2 against the engine's page 2, and the E_inf totals of the pairing
+        # against the rank path of `betti`
+        ok = ok and rep.degeneration_page <= 2 \
+            and rep.e2_dims == compute_page(model.cech, 2).nonzero_dims() \
             and check_convergence(model.cech, betti(total(model.double)))
     for name, lr, section, _ in corpus.lie_rinehart_instances():
         for w in range(0, 4):
@@ -129,9 +132,9 @@ def test_criterion_6_zero_section_remark():
     ok = True
     for d in range(-2, 4):
         a = atiyah_algebroid(d)
-        pair = window_pair(a, zero_section(a), 1)
-        hdims = equivariant_H(*pair)
-        grid = first_page(*pair).grid
+        model = window_checked(a, zero_section(a), 1)
+        hdims = equivariant_H(model)
+        grid = first_page(model).grid
         for k, v in hdims.items():
             ok = ok and v == sum(val for (p, q), val in grid.items() if p + q == k)
     report("6 zero-section cohomology equals the first-page direct sum, "
@@ -142,8 +145,8 @@ def test_criterion_7_corollary_instance():
     started = time.monotonic()
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
-    twisted = corollary_check(*window_pair(a0, v, 1))
-    untwisted = corollary_check(*window_pair(a0, v, 1, untwisted=True))
+    twisted = corollary_check(window_checked(a0, v, 1))
+    untwisted = corollary_check(window_checked(a0, v, 1, untwisted=True))
     ok = (twisted.predicted == {0: 2, -1: 2} and twisted.match
           and untwisted.predicted == {0: 2} and untwisted.match)
     report("7 fixed-point decomposition for z d/dz on O(0), both code paths",
@@ -200,7 +203,7 @@ def test_criterion_9_euler_characteristic_invariance():
     ]
     chis = []
     for s in sections:
-        h = equivariant_H(*window_pair(a0, s, 1))
+        h = equivariant_H(cech_koszul(a0, s, 1))
         chis.append(sum((-v if k % 2 else v) for k, v in h.items()))
     ok = len(set(chis)) == 1
     report("9 Euler characteristic independent of the section (= zero-section "

@@ -28,13 +28,15 @@ from liekoszul.cechp1 import (
     lp_eval,
     second_page_degeneration,
     vector_field_zeros,
+    window_checked,
     zero_section,
 )
-from liekoszul.complexes import betti, total
+from liekoszul.cli import build_p1
+from liekoszul.complexes import betti, column_filtration, total
 from liekoszul.exactla import ExactMatrix
+from liekoszul.specseq import check_convergence, compute_page, run
 
 import corpus
-from corpus import window_pair
 from helpers import (
     level_dim,
     line_bundle_dims_by_counting,
@@ -165,27 +167,27 @@ def test_cech_koszul_double_complex_valid():
 def test_equivariant_h_zero_section_matches_first_page_sum():
     for d in (-2, 0, 3):
         a = atiyah_algebroid(d)
-        pair = window_pair(a, zero_section(a), 1)
-        hdims = equivariant_H(*pair)
-        grid = first_page(*pair).grid
+        model = cech_koszul(a, zero_section(a), 1)
+        hdims = equivariant_H(model)
+        grid = first_page(model).grid
         for k in hdims:
             assert hdims[k] == sum(v for (p, q), v in grid.items() if p + q == k)
 
 
 def test_equivariant_h_examples():
     a0 = atiyah_algebroid(0)
-    assert {k: v for k, v in equivariant_H(*window_pair(a0, zero_section(a0), 1)).items() if v} \
+    assert {k: v for k, v in equivariant_H(cech_koszul(a0, zero_section(a0), 1)).items() if v} \
         == {0: 2, -1: 2}
     v = EquivariantSection(a0, (0, 1, 0))
-    assert {k: v_ for k, v_ in equivariant_H(*window_pair(a0, v, 1)).items() if v_} == {0: 2, -1: 2}
-    assert {k: v_ for k, v_ in equivariant_H(*window_pair(a0, v, 1, untwisted=True)).items() if v_} \
+    assert {k: v_ for k, v_ in equivariant_H(cech_koszul(a0, v, 1)).items() if v_} == {0: 2, -1: 2}
+    assert {k: v_ for k, v_ in equivariant_H(cech_koszul(a0, v, 1, untwisted=True)).items() if v_} \
         == {0: 2}
 
 
 def test_unit_scalar_section_is_acyclic():
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0), scalar0=["1"])
-    assert all(d == 0 for d in equivariant_H(*window_pair(a0, v, 1)).values())
+    assert all(d == 0 for d in equivariant_H(cech_koszul(a0, v, 1)).values())
 
 
 def test_euler_characteristic_invariance_over_sections():
@@ -200,7 +202,7 @@ def test_euler_characteristic_invariance_over_sections():
     ]
     chis = set()
     for s in sections:
-        h = equivariant_H(*window_pair(a0, s, 1))
+        h = equivariant_H(cech_koszul(a0, s, 1))
         chis.add(sum((-v if k % 2 else v) for k, v in h.items()))
     assert len(chis) == 1
 
@@ -209,8 +211,8 @@ def test_euler_characteristic_invariance_other_degrees():
     for d in (1, -1, 3):
         a = atiyah_algebroid(d)
         chi = lambda h: sum((-v if k % 2 else v) for k, v in h.items())
-        base = chi(equivariant_H(*window_pair(a, zero_section(a), 1)))
-        assert chi(equivariant_H(*window_pair(a, EquivariantSection(a, (0, 1, 0)), 1))) == base
+        base = chi(equivariant_H(cech_koszul(a, zero_section(a), 1)))
+        assert chi(equivariant_H(cech_koszul(a, EquivariantSection(a, (0, 1, 0)), 1))) == base
 
 
 def test_untwisted_matches_handbuilt_model():
@@ -260,7 +262,7 @@ def test_untwisted_matches_handbuilt_model():
 
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
-    engine = {k: v_ for k, v_ in equivariant_H(*window_pair(a0, v, 1, untwisted=True)).items() if v_}
+    engine = {k: v_ for k, v_ in equivariant_H(cech_koszul(a0, v, 1, untwisted=True)).items() if v_}
     assert hand_betti == engine == {0: 2}
 
 
@@ -320,20 +322,20 @@ def test_fixed_points_respect_scalar_part():
 def test_corollary_untwisted_and_twisted():
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
-    rep = corollary_check(*window_pair(a0, v, 1, untwisted=True))
+    rep = corollary_check(cech_koszul(a0, v, 1, untwisted=True))
     assert rep.predicted == {0: 2} and rep.match
-    rep2 = corollary_check(*window_pair(a0, v, 1))
+    rep2 = corollary_check(cech_koszul(a0, v, 1))
     assert rep2.predicted == {0: 2, -1: 2} and rep2.match
-    two = corollary_check(*window_pair(a0, EquivariantSection(a0, (-1, 0, 1)), 1, untwisted=True))
+    two = corollary_check(cech_koszul(a0, EquivariantSection(a0, (-1, 0, 1)), 1, untwisted=True))
     assert len(two.fixed_points) == 2 and two.match
     with pytest.raises(GluingError):
-        corollary_check(*window_pair(a0, EquivariantSection(a0, (0, 0, 1)), 1))
+        corollary_check(cech_koszul(a0, EquivariantSection(a0, (0, 0, 1)), 1))
 
 
 def test_corollary_scales_with_fixed_point_count():
     a0 = atiyah_algebroid(0)
     for coeffs in [(0, 1, 0), (-1, 0, 1), (0, 1, -1)]:
-        rep = corollary_check(*window_pair(a0, EquivariantSection(a0, coeffs), 1, untwisted=True))
+        rep = corollary_check(cech_koszul(a0, EquivariantSection(a0, coeffs), 1, untwisted=True))
         assert rep.predicted == {0: len(rep.fixed_points)}
         assert rep.match
 
@@ -344,7 +346,7 @@ def test_corollary_obstructed_lift():
     for d in (2, 1, -1, 3):
         a = atiyah_algebroid(d)
         v = EquivariantSection(a, (0, 1, 0))
-        rep = corollary_check(*window_pair(a, v, 1))
+        rep = corollary_check(cech_koszul(a, v, 1))
         assert rep.fixed_points == (QQ(0),)
         assert rep.predicted == {0: 1, -1: 1}
         assert rep.match
@@ -353,27 +355,28 @@ def test_corollary_obstructed_lift():
 def test_corollary_twisted_two_finite_fixed_points():
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (-1, 0, 1))  # zeros at +-1, none at infinity
-    rep = corollary_check(*window_pair(a0, v, 1))
+    rep = corollary_check(cech_koszul(a0, v, 1))
     assert set(rep.fixed_points) == {QQ(1), QQ(-1)}
     assert rep.predicted == {0: 2, -1: 2} and rep.match
 
 
 def test_first_page_grids():
     a0 = atiyah_algebroid(0)
-    grid0 = first_page(*window_pair(a0, zero_section(a0), 1)).grid
+    grid0 = first_page(cech_koszul(a0, zero_section(a0), 1)).grid
     assert {k: v for k, v in grid0.items() if v} == {
         (0, 0): 1, (-1, 0): 1, (-1, 1): 1, (-2, 1): 1}
     for d in (-2, 1, 3):
         a = atiyah_algebroid(d)
-        grid = first_page(*window_pair(a, zero_section(a), 1)).grid
+        grid = first_page(cech_koszul(a, zero_section(a), 1)).grid
         assert {k: v for k, v in grid.items() if v} == {(0, 0): 1, (-2, 1): 1}
 
 
 def test_first_page_untwisted():
     a0 = atiyah_algebroid(0)
-    rep = first_page(*window_pair(a0, zero_section(a0), 1, untwisted=True))
+    model = cech_koszul(a0, zero_section(a0), 1, untwisted=True)
+    rep = first_page(model)
     assert {k: v for k, v in rep.grid.items() if v} == {(0, 0): 1, (-1, 1): 1}
-    assert rep.grid == rep.engine_grid
+    assert rep.grid == _page1_grid(model)
 
 
 def test_window_radius_must_be_positive():
@@ -393,19 +396,44 @@ def _row_sheaves(algebroid, untwisted):
 def test_first_page_is_the_cech_cohomology_of_each_row_sheaf():
     for name, algebroid, section, untwisted in corpus.p1_instances():
         for window in range(1, 5):
-            grid = first_page(*window_pair(algebroid, section, window, untwisted)).grid
+            grid = first_page(window_checked(algebroid, section, window, untwisted)).grid
             expected = {}
             for p, sheaf in _row_sheaves(algebroid, untwisted).items():
                 expected[(p, 0)], expected[(p, 1)] = cech_cohomology(sheaf, window)
             assert grid == expected, (name, window)
 
 
-def test_first_page_window_check_can_fail():
-    # the rows of O(0) and O(1) have different cohomology, so a pair that
-    # is not one model at windows D and D+1 must be refused
+def test_first_page_window_check_can_fail(monkeypatch):
+    # the window check refuses a window-D+1 model that differs from the
+    # window-D one: O(1) has other row cohomology than O(0), and the unit
+    # lift of z d/dz has the rows of the zero section but E_inf = 0
     a0, a1 = atiyah_algebroid(0), atiyah_algebroid(1)
-    with pytest.raises(WindowError, match="window too small: dims"):
-        first_page(cech_koszul(a0, zero_section(a0), 2), cech_koszul(a1, zero_section(a1), 3))
+    real = cechp1.cech_koszul
+    for swapped in ((a1, zero_section(a1)),
+                    (a0, EquivariantSection(a0, (0, 1, 0), scalar0=["1"]))):
+        def other_at_next_window(algebroid, section, window, untwisted=False):
+            if window == 3:
+                algebroid, section = swapped
+            return real(algebroid, section, window, untwisted)
+
+        monkeypatch.setattr(cechp1, "cech_koszul", other_at_next_window)
+        with pytest.raises(WindowError, match="window too small: dims"):
+            window_checked(a0, zero_section(a0), 2)
+
+
+@pytest.mark.parametrize("case", sorted(p.stem for p in corpus.CASES.glob("p1-*.json")))
+def test_p1_run_checks_the_window_once(monkeypatch, capsys, case):
+    calls = []
+    real = cechp1._window_stable
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cechp1, "_window_stable", counting)
+    assert cli.main(["p1", str(corpus.CASES / f"{case}.json")]) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("case, rows", [("p1-euler-O0", 3), ("p1-euler-untwisted", 2)])
@@ -426,16 +454,45 @@ def test_p1_builds_one_model_per_window(monkeypatch, capsys, case, rows):
 
 def test_first_page_engine_consistency_and_d1():
     a0 = atiyah_algebroid(0)
-    rep = first_page(*window_pair(a0, EquivariantSection(a0, (0, 1, 0)), 1))
-    assert rep.grid == rep.engine_grid
+    model = cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1)
+    rep = first_page(model)
+    assert rep.grid == _page1_grid(model)
     assert all(r == 0 for r in rep.d1_ranks.values())
+
+
+def _page1_grid(model):
+    """The model's E1 grid from the engine: page 1 of the wedge-degree run,
+    on the cells of the row grid and wherever it is nonzero."""
+    page1 = compute_page(run(column_filtration(model.double)), 1)
+    return {pq: dim for pq, dim in page1.dims().items() if pq in model.rows or dim}
+
+
+def _p1_models(windows):
+    """(name, model) for every cases/p1-* file and P^1 corpus instance."""
+    inputs = [(name, *build_p1(payload)[:3]) for name, payload in corpus.case_payloads("p1_bundle")]
+    inputs += corpus.p1_instances()
+    return [(f"{name}@{w}", cech_koszul(algebroid, section, w, untwisted))
+            for name, algebroid, section, untwisted in inputs for w in windows]
+
+
+def test_row_grid_is_the_first_page_of_the_wedge_degree_run():
+    # the identity `first_page` once checked on every run: the row grid read
+    # off the Cech blocks is E1 of the wedge-degree filtration
+    for name, model in _p1_models((1, 2, 3)):
+        assert model.rows == _page1_grid(model), name
+
+
+def test_cech_run_second_page_is_its_unpaired_grid():
+    # E2 = E_inf of the Cech-degree run, which `second_page_degeneration`
+    # reads off the unpaired vectors with no page built
+    for name, model in _p1_models((1, 2, 3)):
+        assert compute_page(model.cech, 2).nonzero_dims() == dict(model.cech.unpaired), name
 
 
 def test_wedge_filtration_graded_pieces_are_cells():
     # quotients F_p / F_{p+1} in total degree p+q have the (p, q) cell dims
     a0 = atiyah_algebroid(0)
     model = cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1)
-    from liekoszul.complexes import column_filtration
     filt = column_filtration(model.double)
     for p in range(-2, 1):
         for q in (0, 1):
@@ -454,18 +511,15 @@ def test_cech_run_totals_are_the_betti_numbers(algebroid, section, untwisted, wi
 
 
 def test_wedge_filtration_converges_for_zero_section():
-    from liekoszul.complexes import column_filtration
-    from liekoszul.specseq import check_convergence
     for d in (-2, 0, 2):
         a = atiyah_algebroid(d)
         model = cech_koszul(a, zero_section(a), 1)
         filt = column_filtration(model.double)
-        from liekoszul.specseq import run as ss_run
-        res = ss_run(filt)
+        res = run(filt)
         assert check_convergence(res, betti(filt.complex))
         # and the limit totals are the zero-section cohomology of the remark
         totals = res.infinity_totals()
-        h = equivariant_H(*window_pair(a, zero_section(a), 1))
+        h = equivariant_H(model)
         for k, v in h.items():
             assert totals.get(k, 0) == v
 
@@ -473,29 +527,19 @@ def test_wedge_filtration_converges_for_zero_section():
 def test_second_page_degeneration_examples():
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
-    rep = second_page_degeneration(*window_pair(a0, v, 1))
+    rep = second_page_degeneration(cech_koszul(a0, v, 1))
     assert rep.ok and rep.degeneration_page <= 2
-    rep0 = second_page_degeneration(*window_pair(a0, zero_section(a0), 1))
+    rep0 = second_page_degeneration(cech_koszul(a0, zero_section(a0), 1))
     assert rep0.ok
-    repu = second_page_degeneration(*window_pair(a0, v, 1, untwisted=True))
+    repu = second_page_degeneration(cech_koszul(a0, v, 1, untwisted=True))
     assert repu.ok
     # limit totals agree with the equivariant cohomology
-    h = equivariant_H(*window_pair(a0, v, 1))
+    h = equivariant_H(cech_koszul(a0, v, 1))
     totals = {}
-    for (q, k_minus_q), dim in rep.einf_dims.items():
+    for (q, k_minus_q), dim in rep.e2_dims.items():
         n = q + k_minus_q
         totals[n] = totals.get(n, 0) + dim
     assert totals == {k: v_ for k, v_ in h.items() if v_}
-
-
-def test_window_check_needs_the_next_window_model():
-    a0 = atiyah_algebroid(0)
-    v = EquivariantSection(a0, (0, 1, 0))
-    model = cech_koszul(a0, v, 1)
-    with pytest.raises(ValueError):
-        equivariant_H(model, model)
-    with pytest.raises(ValueError):
-        second_page_degeneration(model, cech_koszul(a0, v, 3))
 
 
 def test_twisted_p1_run_inverts_the_transition_once(monkeypatch, capsys):

@@ -279,8 +279,8 @@ PAGE_RUNS = _page_runs()
 
 @pytest.mark.parametrize("args", PAGE_RUNS.values(), ids=PAGE_RUNS.keys())
 def test_each_command_builds_only_the_pages_it_reads(monkeypatch, capsys, args):
-    # p1 reads page 2 of each window's Cech-degree run and page 1 of the
-    # wedge-degree run; hs reads page 2; specseq prints pages
+    # p1 reads page 1 of the wedge-degree run (its E2 = E_inf is the Cech-degree
+    # run's unpaired vectors); hs reads page 2; specseq prints pages
     # 0..min(--max-page, width + 1).  E_inf is read off the pairing.
     runs = _spied(monkeypatch, specseq.run)
     pages = _spied(monkeypatch, specseq.compute_page)
@@ -288,7 +288,7 @@ def test_each_command_builds_only_the_pages_it_reads(monkeypatch, capsys, args):
     capsys.readouterr()
     built = sorted(r for (_, r), _ in pages)
     if args[0] == "p1":
-        assert built == [1, 2, 2]
+        assert built == [1]
     elif args[0] == "hs":
         assert built == [2]
     else:
@@ -575,6 +575,25 @@ WRONG_SHAPES = {
     "filtration-space": ("twostep-filtered.json", "specseq",
                          lambda p: p["filtration"]["spaces"].update({"1,1": 5}),
                          "'filtration.spaces[1,1]'"),
+    # twostep-filtered has levels 0..3 (p_lo..p_hi + 1) and degrees 0..1
+    "filtration-level-above": ("twostep-filtered.json", "specseq",
+                               lambda p: p["filtration"]["spaces"].update({"4,0": []}),
+                               "key '4,0' is outside levels 0..3 and degrees 0..1"),
+    "filtration-level-below": ("twostep-filtered.json", "specseq",
+                               lambda p: p["filtration"]["spaces"].update({"-1,1": []}),
+                               "key '-1,1'"),
+    "filtration-degree-above": ("twostep-filtered.json", "specseq",
+                                lambda p: p["filtration"]["spaces"].update({"0,2": []}),
+                                "key '0,2'"),
+    "filtration-degree-below": ("twostep-filtered.json", "specseq",
+                                lambda p: p["filtration"]["spaces"].update({"0,-1": []}),
+                                "key '0,-1'"),
+    "filtration-degree-vectors": ("twostep-filtered.json", "specseq",
+                                  lambda p: p["filtration"]["spaces"].update({"0,5": [[1]]}),
+                                  "key '0,5'"),
+    "filtration-empty-range": ("twostep-filtered.json", "specseq",
+                               lambda p: p["filtration"].update(p_lo=3, p_hi=1),
+                               "empty filtration range"),
     "module-action": ("aff1-module.json", "hs",
                       lambda p: p["module"]["actions"].__setitem__(0, 1), "'module.actions[0]'"),
     "module-action-row": ("aff1-module.json", "hs",
