@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .complexes import CochainComplex, FilteredComplex, _built, betti, cohomology
 from .exactla import ExactMatrix, Subspace, _axpy, coordinates, induced_map, qq
-from .lierinehart import _bracket_entries, _ce_terms, _jacobi
+from .lierinehart import _assemble, _bracket_entries, _ce_terms, _jacobi
 from .specseq import compute_page, run
 
 
@@ -140,24 +140,32 @@ def _cochain_basis(n: int, dim_m: int, p: int) -> list[tuple[tuple[int, ...], in
 
 
 def ce_complex(g: LieAlgebra, m: GModule) -> CochainComplex:
-    """Exterior cochain complex Lambda^. g* tensor M, its differential from
-    `lierinehart._ce_terms`, the Chevalley-Eilenberg builder shared with
-    `lierinehart.ce_d`: g acts on module basis indices by the columns of
-    the action matrices, and the structure constants are scalars."""
-    n = g.dim
-    bases = [_cochain_basis(n, m.dim, p) for p in range(n + 1)]
-    # Column v of each action matrix: the image of the v-th module basis vector.
-    act_cols = [a.transpose().row_maps for a in m.actions]
-    acting = [k for k, a in enumerate(m.actions) if not a.is_zero()]
+    """Exterior cochain complex Lambda^. g* tensor M, assembled block by block
+    from `lierinehart._ce_terms`, the Chevalley-Eilenberg enumerator shared
+    with `lierinehart.ce_d`.  The block of eps_S is eps_S (x) M, at offset
+    (index of S) * dim M in the order of `_cochain_basis`; e_k acts on it by
+    its action matrix, and a structure constant c by c times the identity."""
+    n, dim_m = g.dim, m.dim
+    subsets = [list(combinations(range(n), p)) for p in range(n + 1)]
+    act = [[(r, v, x) for r, row in enumerate(a.row_maps) for v, x in row.items()]
+           for a in m.actions]
+    acting = [k for k, block in enumerate(act) if block]
+    scalar: dict = {}   # c -> c times the identity of M
     diffs = []
     for p in range(n):
-        src, dst = bases[p], bases[p + 1]
-        index = {b: i for i, b in enumerate(dst)}
-        terms = _ce_terms(n, src, g.brackets, acting,
-                          lambda k, v: act_cols[k][v], lambda c, v: {v: c})
-        entries = [(index[(tsub, r)], col, x) for col, tsub, r, x in terms]
-        diffs.append(ExactMatrix.from_entries(len(dst), len(src), entries))
-    return _built(CochainComplex, 0, n, [len(b) for b in bases], diffs)
+        src = {s: i * dim_m for i, s in enumerate(subsets[p])}
+        dst = {t: i * dim_m for i, t in enumerate(subsets[p + 1])}
+        placed = []
+        for s, t, sign, k, c in _ce_terms(n, src, g.brackets, acting):
+            if c is None:
+                block = act[k]
+            else:
+                block = scalar.get(c)
+                if block is None:
+                    block = scalar[c] = [(v, v, c) for v in range(dim_m)]
+            placed.append((dst[t], src[s], sign, block))
+        diffs.append(_assemble(len(dst) * dim_m, len(src) * dim_m, placed))
+    return _built(CochainComplex, 0, n, [len(s) * dim_m for s in subsets], diffs)
 
 
 def _adapted(g: LieAlgebra, h: LieIdeal, m: GModule):

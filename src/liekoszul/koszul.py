@@ -97,13 +97,17 @@ class ZeroLocusModel:
         self._slices: dict[int, Subspace] = {}
 
     def ideal_slice(self, w: int) -> Subspace:
+        """I_w, spanned by each generator times each monomial of the
+        complementary weight: the columns of the presentation's
+        multiplication blocks, which `contraction` shares."""
         if w not in self._slices:
-            index = {m: i for i, m in enumerate(self.ring.monomials(w))}
-            rows = [{index[tuple(a + b for a, b in zip(mono, mult))]: c
-                     for mono, c in gen.items()}
-                    for gen, gw in zip(self.generators, self.gen_weights)
-                    for mult in self.ring.monomials(w - gw)]
-            self._slices[w] = Subspace._span(len(index), rows)
+            rows: list[dict] = []
+            for gen, gw in zip(self.generators, self.gen_weights):
+                start = len(rows)
+                rows += [{} for _ in self.ring.monomials(w - gw)]
+                for r, col, x in self.lr.times_block(gen, w - gw):
+                    rows[start + col][r] = x
+            self._slices[w] = Subspace._span(self.ring.slice_dim(w), rows)
         return self._slices[w]
 
     def quotient_dim(self, w: int) -> int:
@@ -127,7 +131,7 @@ def is_zero_dimensional(v: SectionV, w_max: int) -> bool:
                    for c in v.components for mono in c):
             return False
     model = ZeroLocusModel(v.owner, v)
-    max_u = max(ring.weights)
+    max_u = max(ring.weights, default=1)
     if w_max < max_u - 1:
         raise InconclusiveError(f"w_max={w_max} smaller than one weight window")
     dims = []
@@ -187,43 +191,29 @@ def reduction_map(lr: LieRinehartPresentation, v: SectionV, w: int
     maps: dict[int, ExactMatrix] = {}
     for p in range(-m, 1):
         fs = lr.form_slice(-p, ks.term_weight(p))
-        subsets = [s for s in _subsets_in_order(fs) if set(s) <= keep]
         offsets = {}
         off = 0
-        for s in subsets:
-            offsets[s] = off
-            off += model.quotient_dim(_subset_fn_weight(lr, ks.term_weight(p), s))
+        for s, (_, wf) in fs.blocks.items():
+            if set(s) <= keep:
+                offsets[s] = off
+                off += model.quotient_dim(wf)
         dims.append(off)
-        maps[p] = _reduction_matrix(lr, model, fs, ks.term_weight(p), offsets, off)
+        maps[p] = _reduction_matrix(model, fs, offsets, off)
     target = _built(CochainComplex, -m, 0, dims,
                     [ExactMatrix.zeros(dims[i + 1], dims[i]) for i in range(m)])
     chain = _built(ChainMap, ks.complex, target, maps)
     return ks, target, chain
 
 
-def _subsets_in_order(fs) -> list[tuple[int, ...]]:
-    out = []
-    for subset, _ in fs.basis:
-        if not out or out[-1] != subset:
-            out.append(subset)
-    return out
-
-
-def _subset_fn_weight(lr, w, subset) -> int:
-    return w + sum(lr.gen_weights[i] for i in subset)
-
-
-def _reduction_matrix(lr, model: ZeroLocusModel, fs, w,
-                      offsets: dict[tuple[int, ...], int], dim_target: int) -> ExactMatrix:
-    forms = {}  # subset -> monomial -> its normal form
-    for s in offsets:
-        wf = _subset_fn_weight(lr, w, s)
-        forms[s] = dict(zip(lr.ring.monomials(wf), normal_forms(model.ideal_slice(wf))))
+def _reduction_matrix(model: ZeroLocusModel, fs, offsets: dict[tuple[int, ...], int],
+                      dim_target: int) -> ExactMatrix:
+    """The reduction map on FormSlice `fs`: the block of each subset S in
+    `offsets` goes to its normal forms, at row offsets[S] of the target."""
     entries = []
-    for col, (subset, mono) in enumerate(fs.basis):
-        if subset in offsets:
-            base = offsets[subset]
-            entries.extend((base + i, col, c) for i, c in forms[subset][mono].items())
+    for s, base in offsets.items():
+        col0, wf = fs.blocks[s]
+        for col, form in enumerate(normal_forms(model.ideal_slice(wf)), start=col0):
+            entries.extend((base + i, col, c) for i, c in form.items())
     return ExactMatrix.from_entries(dim_target, fs.dim, entries)
 
 

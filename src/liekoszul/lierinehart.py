@@ -6,6 +6,16 @@ and a homogeneous bracket [e_i, e_j] = sum_k c_ij^k e_k.  Everything in
 sight is graded, so the exterior-form complexes split into finite weight
 slices and all cohomology is computed exactly, slice by slice.
 
+A slice of p-forms of weight w is the direct sum of the blocks
+eps_S (x) R_{w + weight(S)} over the p-subsets S of generators
+(`FormSlice.blocks`), and every operator built here maps block S to block
+T by a sign times one coefficient operator that depends on a generator or
+a polynomial and on the source weight, never on S: rho(e_k), or
+multiplication by c_ab^k or by a component V_i.  Each such block is built
+once per presentation (`anchor_block`, `times_block`) and placed at the
+offsets of (T, S) (`_assemble`); `_ce_terms` names the blocks of the
+differential, and `hochserre.ce_complex` assembles its complex from it too.
+
 Conventions: the generator dual basis eps_1..eps_m pairs as
 <eps_i, e_j> = delta_ij, wedge monomials are ordered lexicographically
 by index, a variable x_j has weight u_j >= 1, the symbol d/dx_j carries
@@ -17,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as QQ
-from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Mapping, Sequence
 
 from .complexes import CochainComplex
-from .exactla import ExactMatrix, format_rational, qq
+from .exactla import ExactMatrix, _integral, _wrap, format_rational, qq
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, QQ]
@@ -64,7 +74,8 @@ def poly(data, nvars: int) -> Poly:
     out: Poly = {}
     for mono, coeff in data.items():
         if isinstance(mono, str):
-            mono = tuple(int(t) for t in mono.split(","))
+            # "" is the empty monomial, the only one over no variables
+            mono = tuple(int(t) for t in mono.split(",")) if mono else ()
         mono = tuple(int(e) for e in mono)
         if len(mono) != nvars or any(e < 0 for e in mono):
             raise MalformedPresentation(f"bad monomial {mono} for {nvars} variables")
@@ -124,18 +135,16 @@ def p_str(a: Poly, names: Sequence[str] | None = None) -> str:
     return " + ".join(terms)
 
 
-@lru_cache(maxsize=None)
-def _monomials(weights: tuple[int, ...], w: int) -> tuple[Monomial, ...]:
-    if w < 0:
-        return ()
-    if not weights:
-        return ((),) if w == 0 else ()
-    out = []
-    head = weights[0]
-    for e in range(w // head + 1):
-        for rest in _monomials(weights[1:], w - e * head):
-            out.append((e,) + rest)
-    return tuple(sorted(out))
+def _exponents(weights: tuple[int, ...], w: int) -> list[Monomial]:
+    """Exponent vectors of weight w, in lexicographic order: every prefix
+    with its remaining weight, and the last exponent where it divides."""
+    if w < 0 or not weights:
+        return [()] if w == 0 else []
+    parts = [((), w)]
+    for u in weights[:-1]:
+        parts = [(pre + (e,), r - e * u) for pre, r in parts for e in range(r // u + 1)]
+    last = weights[-1]
+    return [pre + (r // last,) for pre, r in parts if not r % last]
 
 
 @dataclass(frozen=True)
@@ -152,9 +161,23 @@ class WeightedPolyRing:
         if any(w < 1 for w in self.weights):
             raise MalformedPresentation(
                 f"variable weights must be positive, got {list(self.weights)}")
+        # Per ring, so that nothing computed for one input is reused by another.
+        object.__setattr__(self, "_monomials", {})
+        object.__setattr__(self, "_indices", {})
 
     def monomials(self, w: int) -> tuple[Monomial, ...]:
-        return _monomials(self.weights, w)
+        """The monomials of weight w, in lexicographic order."""
+        monos = self._monomials.get(w)
+        if monos is None:
+            monos = self._monomials[w] = tuple(_exponents(self.weights, w))
+        return monos
+
+    def monomial_index(self, w: int) -> dict[Monomial, int]:
+        """Position of each monomial of weight w in `monomials(w)`."""
+        index = self._indices.get(w)
+        if index is None:
+            index = self._indices[w] = {m: i for i, m in enumerate(self.monomials(w))}
+        return index
 
     def slice_dim(self, w: int) -> int:
         return len(self.monomials(w))
@@ -179,18 +202,15 @@ class WeightedPolyRing:
 
 @dataclass(frozen=True)
 class FormSlice:
-    """Ordered basis of p-forms of total weight w: pairs (subset, monomial)."""
+    """The p-forms of total weight w as a direct sum of blocks eps_S (x) R_wf,
+    wf = w + sum of the generator weights in S.  `blocks` maps each subset S
+    with a nonzero block, in lexicographic order, to (offset, wf): the basis
+    vector eps_S (x) m sits at offset + the position of m in monomials(wf)."""
 
     p: int
     w: int
-    basis: tuple[tuple[tuple[int, ...], Monomial], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def index(self) -> dict[tuple[tuple[int, ...], Monomial], int]:
-        return {b: i for i, b in enumerate(self.basis)}
+    blocks: dict[tuple[int, ...], tuple[int, int]]
+    dim: int
 
 
 class LieRinehartPresentation:
@@ -245,6 +265,8 @@ class LieRinehartPresentation:
             if cs:
                 self.brackets[(i, j)] = cs
         self._slices: dict[tuple[int, int], FormSlice] = {}
+        # Coefficient blocks by ("anchor", k, wf) or ("times", polynomial, wf).
+        self._blocks: dict[tuple, list[tuple[int, int, object]]] = {}
 
     @property
     def rank(self) -> int:
@@ -271,15 +293,44 @@ class LieRinehartPresentation:
         cached = self._slices.get(key)
         if cached is not None:
             return cached
-        basis: list[tuple[tuple[int, ...], Monomial]] = []
+        blocks = {}
+        dim = 0
         if 0 <= p <= self.rank:
             for subset in combinations(range(self.rank), p):
                 wf = w + sum(self.gen_weights[i] for i in subset)
-                for mono in self.ring.monomials(wf):
-                    basis.append((subset, mono))
-        fs = FormSlice(p, w, tuple(basis))
+                size = len(self.ring.monomials(wf))
+                if size:
+                    blocks[subset] = (dim, wf)
+                    dim += size
+        fs = FormSlice(p, w, blocks, dim)
         self._slices[key] = fs
         return fs
+
+    def anchor_block(self, k: int, wf: int) -> list[tuple[int, int, object]]:
+        """rho(e_k): R_wf -> R_{wf + weight(e_k)} as (row, col, value), built
+        once per presentation."""
+        key = ("anchor", k, wf)
+        block = self._blocks.get(key)
+        if block is None:
+            index = self.ring.monomial_index(wf + self.gen_weights[k])
+            block = self._blocks[key] = [
+                (index[m], col, _integral(x))
+                for col, mono in enumerate(self.ring.monomials(wf))
+                for m, x in self.anchor_apply(k, {mono: 1}).items()]
+        return block
+
+    def times_block(self, c: Poly, wf: int) -> list[tuple[int, int, object]]:
+        """Multiplication by the nonzero homogeneous polynomial c on R_wf as
+        (row, col, value), built once per presentation."""
+        key = ("times", tuple(c.items()), wf)
+        block = self._blocks.get(key)
+        if block is None:
+            index = self.ring.monomial_index(wf + self.ring.monomial_weight(next(iter(c))))
+            block = self._blocks[key] = [
+                (index[tuple(map(add, m, mono))], col, x)
+                for col, mono in enumerate(self.ring.monomials(wf))
+                for m, x in c.items()]
+        return block
 
 
 class SectionV:
@@ -387,29 +438,29 @@ def validate(lr: LieRinehartPresentation) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
-def _wedge_insert_sign(k: int, rest: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Sort (k, *rest) with rest strictly increasing; None if k collides."""
-    if k in rest:
-        return None
+def _wedge_insert_sign(k: int, rest: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Sort (k, *rest), rest strictly increasing and without k: the merged
+    subset and the sign of the sort."""
     pos = 0
     while pos < len(rest) and rest[pos] < k:
         pos += 1
-    merged = rest[:pos] + (k,) + rest[pos:]
-    return merged, -1 if pos % 2 else 1
+    return rest[:pos] + (k,) + rest[pos:], -1 if pos % 2 else 1
 
 
-def _ce_terms(n: int, basis, brackets: Mapping, acting: Sequence[int], act, times):
-    """The one Chevalley-Eilenberg builder: every term of
+def _ce_terms(n: int, subsets, brackets: Mapping, acting: Sequence[int]):
+    """The one Chevalley-Eilenberg enumerator: every term of
 
         (d om)(a_0..a_p) = sum_i (-1)^i a_i . om(..hat a_i..)
                          + sum_{i<j} (-1)^{i+j} om([a_i,a_j], ..hat a_i..hat a_j..)
 
-    on each basis cochain om = eps_S (x) v, as (column, T, value,
-    coefficient) for coefficient * eps_T (x) value; the caller adds up terms
-    at the same target.  `brackets` maps pairs i < j to {k: c_ij^k} with
-    nonzero c only, and act(k, v) = e_k . v and times(c, v) = c v are
-    {value: coefficient}; `acting` lists, in increasing order, the k for
-    which e_k may act by a nonzero map.
+    on the cochains eps_S (x) v of each S in `subsets`, as one (S, T, sign,
+    k, c) per block: eps_S (x) v contributes sign * eps_T (x) (e_k . v) for
+    an action term (c is None) and sign * eps_T (x) (c v) for a bracket term
+    (k is None).  The operator on v depends on k or c only, never on S, so
+    the caller builds it once and places it at every (T, S) it is named for;
+    two terms may name the same (T, S), and their blocks add.  `brackets` maps pairs i < j to {k: c_ij^k} with
+    nonzero c only, and `acting` lists, in increasing order, the k for which
+    e_k may act by a nonzero map.
     The action sum inserts each acting k outside S; the bracket sum visits
     each nonzero c_ab^k with k in S and a, b outside S minus k.
     """
@@ -417,14 +468,11 @@ def _ce_terms(n: int, basis, brackets: Mapping, acting: Sequence[int], act, time
     for (a, b), cs in brackets.items():
         for k, c in cs.items():
             by_k[k].append((a, b, c))
-    for col, (subset, v) in enumerate(basis):
+    for subset in subsets:
         for k in acting:
             if k not in subset:
-                terms = act(k, v)
-                if terms:
-                    tsub, sign = _wedge_insert_sign(k, subset)
-                    for value, x in terms.items():
-                        yield col, tsub, value, sign * x
+                tsub, sign = _wedge_insert_sign(k, subset)
+                yield subset, tsub, sign, k, None
         for pos, k in enumerate(subset):
             rest = subset[:pos] + subset[pos + 1:]
             for a, b, c in by_k[k]:
@@ -434,47 +482,69 @@ def _ce_terms(n: int, basis, brackets: Mapping, acting: Sequence[int], act, time
                 # gives (-1)^(i+j) for their slots i < j in T.
                 with_a, sign_a = _wedge_insert_sign(a, rest)
                 tsub, sign_b = _wedge_insert_sign(b, with_a)
-                sign = (-1 if pos % 2 else 1) * sign_a * sign_b
-                for value, x in times(c, v).items():
-                    yield col, tsub, value, sign * x
+                yield subset, tsub, (-1 if pos % 2 else 1) * sign_a * sign_b, None, c
+
+
+def _assemble(rows: int, cols: int, placed) -> ExactMatrix:
+    """The matrix that is the sum of the blocks in `placed`, each given as
+    (row offset, column offset, sign, block) with block a list of (row,
+    col, value) of distinct positions and canonical values.  Blocks at
+    different offsets never overlap; the blocks at one offset are summed
+    first, dropping zeros and storing an integral sum as an int."""
+    at: dict[tuple[int, int], list] = {}
+    for r0, c0, sign, block in placed:
+        if block:
+            at.setdefault((r0, c0), []).append((sign, block))
+    data: list[dict] = [{} for _ in range(rows)]
+    for (r0, c0), blocks in at.items():
+        if len(blocks) > 1:
+            acc: dict[tuple[int, int], object] = {}
+            for sign, block in blocks:
+                for r, c, x in block:
+                    acc[(r, c)] = acc.get((r, c), 0) + sign * x
+            blocks = [(1, [(r, c, _integral(x)) for (r, c), x in acc.items() if x])]
+        for sign, block in blocks:
+            if sign > 0:
+                for r, c, x in block:
+                    data[r0 + r][c0 + c] = x
+            else:
+                for r, c, x in block:
+                    data[r0 + r][c0 + c] = -x
+    return _wrap(rows, cols, tuple(data))
 
 
 def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:
-    """Matrix of the algebroid differential FormSlice(p, w) -> FormSlice(p+1, w)
-    from `_ce_terms`, the Chevalley-Eilenberg builder shared with
-    `hochserre.ce_complex`: the anchor acts on monomial values, and each
-    polynomial structure coefficient is shifted by the monomial value."""
+    """Matrix of the algebroid differential FormSlice(p, w) -> FormSlice(p+1, w),
+    assembled from the blocks `_ce_terms` names, the enumerator shared with
+    `hochserre.ce_complex`: the anchor block of e_k and the multiplication
+    block of each structure coefficient c_ab^k, on the source block's
+    monomials.  A term whose target block is empty carries an empty block."""
     src = lr.form_slice(p, w)
     dst = lr.form_slice(p + 1, w)
-    dst_index = dst.index()
-    entries = []
-    terms = _ce_terms(lr.rank, src.basis, lr.brackets, lr.acting,
-                      lru_cache(maxsize=None)(lambda k, mono: lr.anchor_apply(k, {mono: 1})),
-                      lambda c, mono: {tuple(a + b for a, b in zip(m, mono)): x
-                                       for m, x in c.items()})
-    for col, tsub, mono, x in terms:
-        r = dst_index.get((tsub, mono))
-        if r is None:
-            raise PresentationError("differential left the weight slice")
-        entries.append((r, col, x))
-    return ExactMatrix.from_entries(dst.dim, src.dim, entries)
+    placed = []
+    for s, t, sign, k, c in _ce_terms(lr.rank, src.blocks, lr.brackets, lr.acting):
+        target = dst.blocks.get(t)
+        if target is not None:
+            offset, wf = src.blocks[s]
+            block = lr.anchor_block(k, wf) if c is None else lr.times_block(c, wf)
+            placed.append((target[0], offset, sign, block))
+    return _assemble(dst.dim, src.dim, placed)
 
 
 def contraction(lr: LieRinehartPresentation, v: SectionV, p: int, w: int) -> ExactMatrix:
-    """Matrix of i_V: FormSlice(p, w) -> FormSlice(p-1, w + weight(V))."""
+    """Matrix of i_V: FormSlice(p, w) -> FormSlice(p-1, w + weight(V)):
+    i_V(eps_S (x) f) = sum over positions i of S of (-1)^i eps_{S - s_i} (x) V_{s_i} f,
+    placed block by block from the multiplication blocks of the components."""
     src = lr.form_slice(p, w)
     dst = lr.form_slice(p - 1, w + v.weight)
-    dst_index = dst.index()
-    entries = []
-    for col, (subset, mono) in enumerate(src.basis):
+    placed = []
+    for subset, (offset, wf) in src.blocks.items():
         for pos, i in enumerate(subset):
-            rest = subset[:pos] + subset[pos + 1:]
-            for m, c in v.components[i].items():
-                r = dst_index.get((rest, tuple(a + b for a, b in zip(m, mono))))
-                if r is None:
-                    raise PresentationError("contraction left the weight slice")
-                entries.append((r, col, -c if pos % 2 else c))
-    return ExactMatrix.from_entries(dst.dim, src.dim, entries)
+            c = v.components[i]
+            target = dst.blocks.get(subset[:pos] + subset[pos + 1:]) if c else None
+            if target is not None:
+                placed.append((target[0], offset, -1 if pos % 2 else 1, lr.times_block(c, wf)))
+    return _assemble(dst.dim, src.dim, placed)
 
 
 def lie_derivative(lr: LieRinehartPresentation, v: SectionV, p: int, w: int) -> ExactMatrix:

@@ -149,6 +149,16 @@ def sl2_on_plane():
     return lr, sl2
 
 
+def collision_line():
+    """(x/2 d/dx, x^2 d/dx) on the line, [e_0, e_1] = 1/2 e_1: the anchor
+    block of e_0 and the bracket block of c_01^1 land on the same entries of
+    ce_d(1, w), which read (x/2 d/dx - 1/2) x^(w+1) = w/2 x^(w+1).  They
+    cancel to 0 at w = 0, and at w = 2 two Fractions sum to the int 1."""
+    return LieRinehartPresentation(
+        WeightedPolyRing(1, (1,)), [0, 1], [[{(1,): "1/2"}], [{(2,): 1}]],
+        {(0, 1): [{}, {(0,): "1/2"}]})
+
+
 def ce_algebroids():
     """(name, presentation) for the Chevalley-Eilenberg oracle comparison."""
     r1 = WeightedPolyRing(1, (1,))
@@ -170,7 +180,8 @@ def ce_algebroids():
     out = [(f"tangent{list(weights)}", tangent_algebroid(WeightedPolyRing(len(weights), weights)))
            for weights in [(1,), (1, 1), (1, 1, 1), (1, 2)]]
     out += [("sl2-plane", sl2_on_plane()[0]), ("aff1-line", aff1),
-            ("euler-frame", euler_frame), ("sl2-line", sl2_line)]
+            ("euler-frame", euler_frame), ("sl2-line", sl2_line),
+            ("collision-line", collision_line())]
     out += [(name, build_lie_rinehart(payload)[0])
             for name, payload in case_payloads("lie_rinehart")]
     return out

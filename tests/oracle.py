@@ -28,13 +28,17 @@ with dense representatives and a dense `solve_batch` per degree, and
 brackets (`la_bracket_vec`).
 
 `ce_d_scan`, `ce_complex_scan` and `action_on_h_cochains_scan` are the
-builders the package used before `lierinehart._ce_terms`: for every source
-cochain they scan all target subsets and evaluate each term there, with
-signs from an inversion count (`sort_sign`) rather than the package's
-`_wedge_insert_sign`.  `tests/test_oracle.py` compares their matrices with
-`lierinehart.ce_d`, `hochserre.ce_complex` and the blocks of the adapted
-complex that `hochserre._h_blocks` reads as C(h, M) and the action of g on
-it.
+builders the package used before it enumerated Chevalley-Eilenberg terms
+(`lierinehart._ce_terms`) and placed coefficient blocks at subset offsets:
+for every source cochain they scan all target subsets and evaluate each
+term there, one basis element at a time, with signs from an inversion
+count (`sort_sign`) rather than the package's insertion sign.  They index
+their own flat bases of (subset, monomial) or (subset, module index)
+pairs, built from `combinations` and `ring.monomials` (`flat_basis`), not
+from the package's block layout (`FormSlice.blocks`).
+`tests/test_oracle.py` compares their matrices with `lierinehart.ce_d`,
+`hochserre.ce_complex` and the blocks of the adapted complex that
+`hochserre._h_blocks` reads as C(h, M) and the action of g on it.
 
 `qi_by_induced_maps` is the quasi-isomorphism test the package used before
 the mapping-cone rank identity: both cohomologies as subquotients, the
@@ -90,12 +94,7 @@ from liekoszul.exactla import (
     unit_vector,
 )
 from liekoszul.hochserre import GModule, LieAlgebra, LieAlgebraError
-from liekoszul.koszul import (
-    FormalityResult,
-    FormalitySliceResult,
-    _subset_fn_weight,
-    reduction_map,
-)
+from liekoszul.koszul import FormalityResult, FormalitySliceResult, reduction_map
 from liekoszul.lierinehart import Failure, ValidationReport, p_str
 
 
@@ -427,14 +426,24 @@ def _inserted(k, rest, subset):
     return sort_sign(seq) if tuple(sorted(seq)) == subset else 0
 
 
+def flat_basis(lr, p, w):
+    """The basis eps_S (x) m of the p-forms of total weight w, as (S, m)
+    pairs: S in lexicographic order, then m in the order of
+    `ring.monomials`, with m of weight w + the generator weights in S."""
+    if not 0 <= p <= lr.rank:
+        return []
+    return [(s, m) for s in combinations(range(lr.rank), p)
+            for m in lr.ring.monomials(w + sum(lr.gen_weights[i] for i in s))]
+
+
 def ce_d_scan(lr, p, w):
     """lierinehart.ce_d by scanning every target subset per column."""
-    src = lr.form_slice(p, w)
-    dst = lr.form_slice(p + 1, w)
-    dst_index = dst.index()
+    src = flat_basis(lr, p, w)
+    dst = flat_basis(lr, p + 1, w)
+    dst_index = {b: i for i, b in enumerate(dst)}
     entries = []
     targets = list(combinations(range(lr.rank), p + 1))
-    for col, (subset, mono) in enumerate(src.basis):
+    for col, (subset, mono) in enumerate(src):
         f = {mono: QQ(1)}
         for tsub in targets:
             value = {}
@@ -454,7 +463,7 @@ def ce_d_scan(lr, p, w):
                             value = p_add(value, p_scale(sign, p_mul(cs[k], f)))
             for mono2, coeff in value.items():
                 entries.append((dst_index[(tsub, mono2)], col, coeff))
-    return ExactMatrix.from_entries(dst.dim, src.dim, entries)
+    return ExactMatrix.from_entries(len(dst), len(src), entries)
 
 
 def ce_complex_scan(g, m):
@@ -525,12 +534,13 @@ def qi_by_induced_maps(f):
     return True
 
 
-def reduction_matrix_by_solve(lr, model, fs, w, offsets, dim_target):
+def reduction_matrix_by_solve(model, fs, offsets, dim_target):
     """koszul._reduction_matrix with one class-coordinate solve per monomial."""
+    lr = model.lr
     entries = []
-    for col, (subset, mono) in enumerate(fs.basis):
+    for col, (subset, mono) in enumerate(flat_basis(lr, fs.p, fs.w)):
         if subset in offsets:
-            wf = _subset_fn_weight(lr, w, subset)
+            wf = fs.w + sum(lr.gen_weights[i] for i in subset)
             monos = lr.ring.monomials(wf)
             quot = Subquotient(Subspace.full_space(len(monos)), model.ideal_slice(wf))
             coords = quot.class_coordinates(unit_vector(len(monos), monos.index(mono)))
@@ -550,18 +560,18 @@ def formality_check_unnormalized(lr, v, weights):
 
 def contraction_by_products(lr, v, p, w):
     """lierinehart.contraction with each term a p_mul product, signed by p_scale."""
-    src = lr.form_slice(p, w)
-    dst = lr.form_slice(p - 1, w + v.weight)
-    dst_index = dst.index()
+    src = flat_basis(lr, p, w)
+    dst = flat_basis(lr, p - 1, w + v.weight)
+    dst_index = {b: i for i, b in enumerate(dst)}
     entries = []
-    for col, (subset, mono) in enumerate(src.basis):
+    for col, (subset, mono) in enumerate(src):
         for pos, i in enumerate(subset):
             term = p_mul(v.components[i], {mono: 1})
             if pos % 2:
                 term = p_scale(-1, term)
             rest = subset[:pos] + subset[pos + 1:]
             entries.extend((dst_index[(rest, m)], col, c) for m, c in term.items())
-    return ExactMatrix.from_entries(dst.dim, src.dim, entries)
+    return ExactMatrix.from_entries(len(dst), len(src), entries)
 
 
 def ideal_rows_by_products(model, w):

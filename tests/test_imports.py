@@ -227,3 +227,60 @@ def test_scan_finds_a_checked_construction():
               "class Other:\n    @classmethod\n    def make(cls):\n        return cls()\n")
     assert checked_constructions(source, "m") == ["m.FilteredComplex.make", "m.builder",
                                                   "m.qualified"]
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+EMPTY_CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+
+
+def module_level_caches(source: str) -> list[str]:
+    """Places where state keyed on input could outlive one input: a function
+    with parameters under `functools.lru_cache` or `functools.cache`,
+    anywhere, and a name bound to an empty container at module level or in
+    a class body.  Every job of the
+    benchmark runs in one process, so such a cache would time reuse between
+    inputs that a command-line run never gets; the package caches on the
+    objects one command builds instead."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.args.args or node.args.posonlyargs or node.args.kwonlyargs
+                or node.args.vararg or node.args.kwarg):
+            for d in node.decorator_list:
+                f = d.func if isinstance(d, ast.Call) else d
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in CACHE_DECORATORS:
+                    found.append(f"{node.name} (line {node.lineno}): decorated cache")
+    scopes = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+                continue
+            v = node.value
+            empty = ((isinstance(v, (ast.Dict, ast.List, ast.Set)) and not getattr(
+                          v, "keys", getattr(v, "elts", None)))
+                     or (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
+                         and v.func.id in EMPTY_CONTAINERS and not v.args[1:]))
+            if empty:
+                found.append(f"line {node.lineno}: empty container at module or class level")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_cache(path):
+    assert module_level_caches(path.read_text()) == []
+
+
+def test_scan_finds_a_module_level_cache():
+    source = ("from functools import lru_cache, cache\nimport functools\n\n"
+              "_seen = {}\nTABLE = {'a': 1}\nNAMES: list = []\n\n"
+              "@lru_cache(maxsize=None)\ndef a(x):\n    return x\n\n"
+              "@functools.cache\ndef b(x):\n    local = {}\n    return local\n\n"
+              "@functools.cache\ndef parser():\n    return object()\n\n"
+              "class K:\n    shared = set()\n    kinds = ('x',)\n\n"
+              "    def __init__(self):\n        self.own = {}\n")
+    assert module_level_caches(source) == [
+        "a (line 9): decorated cache", "b (line 13): decorated cache",
+        "line 4: empty container at module or class level",
+        "line 6: empty container at module or class level",
+        "line 22: empty container at module or class level"]

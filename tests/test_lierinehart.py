@@ -1,12 +1,16 @@
+import json
 from fractions import Fraction as QQ
 
 import pytest
 
+from liekoszul import lierinehart
+from liekoszul.cli import main
 from liekoszul.complexes import betti
 from liekoszul.exactla import ExactMatrix
 from liekoszul.hochserre import GModule, ce_complex
 from liekoszul.lierinehart import (
     LieRinehartPresentation,
+    _ce_terms,
     PresentationError,
     SectionV,
     WeightedPolyRing,
@@ -18,8 +22,10 @@ from liekoszul.lierinehart import (
     validate,
 )
 
-from corpus import sl2_on_plane
+from corpus import case_payloads, collision_line, sl2_on_plane
 from helpers import count_monomials
+from oracle import ce_d_scan
+from test_storage import assert_canonical
 
 
 RING2 = WeightedPolyRing(2, (1, 1))
@@ -134,11 +140,10 @@ def test_contraction_examples():
     fs1 = TANGENT2.form_slice(1, 1)
     fs0 = TANGENT2.form_slice(0, 1)
     assert fs1.dim == 2 and fs0.dim == 2
-    # basis of fs1: ((0,), ()) = dx and ((1,), ()) = dy; targets x, y
-    x_idx = fs0.basis.index(((), (1, 0)))
-    y_idx = fs0.basis.index(((), (0, 1)))
-    dx_idx = fs1.basis.index(((0,), (0, 0)))
-    dy_idx = fs1.basis.index(((1,), (0, 0)))
+    # blocks of fs1: dx and dy, each times the constants; targets x, y
+    assert fs1.blocks == {(0,): (0, 0), (1,): (1, 0)} and fs0.blocks == {(): (0, 1)}
+    x_idx, y_idx = (RING2.monomials(1).index(m) for m in ((1, 0), (0, 1)))
+    dx_idx, dy_idx = 0, 1
     assert m.entry(x_idx, dx_idx) == 1 and m.entry(y_idx, dx_idx) == 0
     assert m.entry(y_idx, dy_idx) == 1 and m.entry(x_idx, dy_idx) == 0
 
@@ -209,3 +214,92 @@ def test_ce_d_bracket_term_sl2_on_plane():
             assert ce_d(lr, p, w) == cplx.d(p), f"p={p}, w={w}"
         nonzero = {k: v for k, v in betti(omega_slice_complex(lr, w)).items() if v}
         assert nonzero == ({0: 1, 3: 1} if w == 0 else {})
+
+
+def test_fresh_presentation_and_ring_start_with_empty_caches():
+    ring = WeightedPolyRing(2, (1, 1))
+    lr = tangent_algebroid(ring)
+    assert not lr._blocks and not lr._slices and not ring._monomials
+    ce_d(lr, 0, 2)
+    contraction(lr, SectionV(lr, [{(1, 0): 1}, {(0, 1): 1}]), 1, 2)
+    assert lr._blocks and ring._monomials
+    other = tangent_algebroid(WeightedPolyRing(2, (1, 1)))
+    assert not other._blocks and not other.ring._monomials
+
+
+def test_wedge_sign_runs_once_per_block_not_per_entry(monkeypatch):
+    # sl2 on the plane: every generator has weight 0, so every block of
+    # every slice is nonzero from w = 0 on, and a larger w only makes the
+    # blocks larger.  The sign rule is called the same number of times at
+    # every w, fewer times than there are entries at the larger w.
+    lr = sl2_on_plane()[0]
+    real, calls = lierinehart._wedge_insert_sign, []
+
+    def counting(k, rest):
+        calls.append((k, rest))
+        return real(k, rest)
+
+    monkeypatch.setattr(lierinehart, "_wedge_insert_sign", counting)
+    for p in range(lr.rank):
+        per_w = {}
+        for w in (1, 6):
+            calls.clear()
+            d = ce_d(lr, p, w)
+            per_w[w] = len(calls), sum(map(len, d.row_maps))
+        assert per_w[1][0] == per_w[6][0] > 0, p
+        assert per_w[6][1] > per_w[6][0], p
+
+
+def test_colliding_blocks_sum_to_canonical_entries():
+    # c_01^1 with 1 in {0, 1}: the anchor block of e_0 and the bracket block
+    # of c_01^1 share their (T, S) = ({0, 1}, {1}); see corpus.collision_line.
+    lr = collision_line()
+    assert validate(lr).ok
+    shared = [(s, t) for s, t, *_ in _ce_terms(lr.rank, [(1,)], lr.brackets, lr.acting)]
+    assert shared == [((1,), (0, 1))] * 2
+    for w in range(-1, 5):
+        d = ce_d(lr, 1, w)
+        assert d == ce_d_scan(lr, 1, w), w
+        assert_canonical(d, w)
+    col = lr.form_slice(1, 0).blocks[(1,)][0]
+    assert col not in ce_d(lr, 1, 0).row_maps[0]            # 1/2 - 1/2 cancels
+    entry = ce_d(lr, 1, 2).row_maps[0][lr.form_slice(1, 2).blocks[(1,)][0]]
+    assert entry == 1 and type(entry) is int                # 3/2 - 1/2
+
+
+def _over_k(dim, brackets):
+    """A Lie algebra given as a lie_rinehart file over the ground field:
+    no variables, generators of weight 0, empty anchor rows, and each
+    structure constant a constant polynomial keyed by the empty monomial."""
+    return {"kind": "lie_rinehart", "name": "over-k", "variable_weights": [],
+            "generator_weights": [0] * dim, "anchor": [[] for _ in range(dim)],
+            "brackets": {key: [{"": c} if c not in (0, "0") else {} for c in coeffs]
+                         for key, coeffs in brackets.items()}}
+
+
+def _cohomology(tmp_path, payload, name):
+    path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out.json"
+    path.write_text(json.dumps(payload))
+    assert main(["cohomology", str(path), "--json", str(out)]) == 0
+    return json.loads(out.read_text())["report"]
+
+
+def test_lie_algebra_over_k_has_the_same_cohomology_both_ways(tmp_path):
+    # Both callers of `_ce_terms` end to end: `ce_d` over a ring with no
+    # variables, and `hochserre.ce_complex` on the same structure constants.
+    heis = {"0,1": ["0", "0", "1"]}
+    algebras = [("heisenberg", 3, heis)]
+    algebras += [(name, p["dim"], p.get("brackets", {}))
+                 for name, p in case_payloads("lie_algebra") if "module" not in p]
+    algebras.append(("heisenberg5", 5, {"0,2": [0, 0, 0, 0, 1], "1,3": [0, 0, 0, 0, 1]}))
+    seen = []
+    for name, dim, brackets in algebras:
+        expected = _cohomology(tmp_path, {"kind": "lie_algebra", "name": name, "dim": dim,
+                                          "brackets": brackets}, name)["betti"]
+        table = _cohomology(tmp_path, _over_k(dim, brackets), name + "-k")["betti_per_weight"]
+        assert table["0"] == expected, name
+        seen.append((name, expected))
+        assert all(not any(table[w].values()) for w in ("1", "2", "3")), name
+    assert seen[0] == ("heisenberg", {"0": 1, "1": 2, "2": 2, "3": 1})
+    assert len(seen) == len(algebras) > 3
+    assert main(["validate", str(tmp_path / "heisenberg-k.json")]) == 0

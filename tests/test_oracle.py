@@ -169,23 +169,28 @@ def test_ce_d_matches_scanning_builder(lr):
 
 
 def test_ce_d_applies_the_anchor_once_per_generator_and_monomial(monkeypatch):
-    lr = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
-    real, calls, total = LieRinehartPresentation.anchor_apply, [], 0
+    # The anchor blocks live on the presentation, so the bound holds over
+    # every (p, w) of it, not only within one call; a second presentation
+    # shares none of them and applies the anchor as often again.
+    real, calls = LieRinehartPresentation.anchor_apply, []
 
     def counting(self, k, f):
         calls.append((k, *f))
         return real(self, k, f)
 
-    for p in range(lr.rank):
-        for w in range(4):
-            monkeypatch.setattr(LieRinehartPresentation, "anchor_apply", counting)
-            calls.clear()
-            d = ce_d(lr, p, w)
-            monkeypatch.undo()
-            assert len(calls) == len(set(calls)), f"p={p}, w={w}"
+    per_presentation = []
+    for _ in range(2):
+        lr = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
+        assert not lr._blocks
+        calls.clear()
+        monkeypatch.setattr(LieRinehartPresentation, "anchor_apply", counting)
+        built = {(p, w): ce_d(lr, p, w) for p in range(lr.rank) for w in range(-3, 4)}
+        monkeypatch.undo()
+        assert calls and len(calls) == len(set(calls))
+        for (p, w), d in built.items():
             assert d == ce_d_scan(lr, p, w), f"p={p}, w={w}"
-            total += len(calls)
-    assert total
+        per_presentation.append(len(calls))
+    assert per_presentation[0] == per_presentation[1]
 
 
 @pytest.mark.parametrize("g,m", [pytest.param(g, m, id=name)
