@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 
 from .complexes import DoubleComplex, _built, _twisted, column_filtration, row_filtration
-from .exactla import ExactMatrix, qq, quotient, rank
+from .exactla import ExactMatrix, _wrap, qq, quotient, rank
 from .lierinehart import p_scale, p_sub
 from .specseq import Pairing, compute_page, run
 
@@ -228,13 +228,14 @@ def _laurent_block(src: list, dst: list, maps: dict) -> ExactMatrix:
     """Matrix of the map sending the basis vector z^j e_c at source key
     (side, c, j) to sum_r m[r][c] z^(flip j) e_r in the open set `out`,
     where (m, flip, out) = maps[side] and m is a Laurent matrix; raises
-    WindowError if an image leaves the target cell `dst`."""
+    WindowError if an image leaves the target cell `dst`.  Images are
+    distinct and coefficients canonical, so the rows are wrapped as built."""
     index = {key: i for i, key in enumerate(dst)}
     # per open set, the terms (r, e, coefficient) of each column c of its matrix
     terms = {side: (flip, out, [[(r, e, x) for r, row in enumerate(m) for e, x in row[c].items()]
                                 for c in range(len(m[0]))])
              for side, (m, flip, out) in maps.items()}
-    entries = []
+    rows: list[dict] = [{} for _ in dst]
     for col, (side, c, j) in enumerate(src):
         flip, out, column = terms[side]
         j *= flip
@@ -242,8 +243,8 @@ def _laurent_block(src: list, dst: list, maps: dict) -> ExactMatrix:
             i = index.get((out, r, e + j))
             if i is None:
                 raise WindowError(f"image {(out, r, e + j)} leaves the target cell")
-            entries.append((i, col, coeff))
-    return ExactMatrix.from_entries(len(dst), len(src), entries)
+            rows[i][col] = coeff
+    return _wrap(len(dst), len(src), tuple(rows))
 
 
 def _delta_matrix(row: RowModel) -> ExactMatrix:

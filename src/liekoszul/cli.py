@@ -214,15 +214,26 @@ def build_raw_double(payload: dict) -> DoubleComplex:
     block = _object(payload, "double", "double")
     p_lo, p_hi, q_lo, q_hi = (_integer(_need(block, key), f"double.{key}")
                               for key in ("p_lo", "p_hi", "q_lo", "q_hi"))
+    for axis, lo, hi in (("p", p_lo, p_hi), ("q", q_lo, q_hi)):
+        if hi < lo:
+            raise SchemaError(f"empty rectangle: double.{axis}_hi {hi} < double.{axis}_lo {lo}")
+
+    def cell(key, field):
+        p, q = _cell_key(key, field)
+        if not (p_lo <= p <= p_hi and q_lo <= q <= q_hi):
+            raise SchemaError(f"{field} key {key!r} is outside the rectangle "
+                              f"p {p_lo}..{p_hi}, q {q_lo}..{q_hi}")
+        return p, q
+
     dims = {}
     for key, d in _object(block, "dims", "double.dims").items():
-        dims[_cell_key(key, "double.dims")] = _count(d, "double.dims")
+        dims[cell(key, "double.dims")] = _count(d, "double.dims")
 
     def read_maps(field, shape):
         out = {}
         maps = _object(block, field, f"double.{field}") if field in block else {}
         for key, mat in maps.items():
-            p, q = _cell_key(key, f"double.{field}")
+            p, q = cell(key, f"double.{field}")
             rows, cols = shape(p, q)
             out[(p, q)] = _matrix(mat, rows, cols, f"double.{field}[{key}]")
         return out

@@ -6,10 +6,12 @@ raw input cannot become an invalid value.  A double complex is checked
 cell by cell: d_h^2, d_v^2 and d_h d_v + d_v d_h in rectangle order, so the
 first failing cell is named.  The package's builders construct through the
 private `_built(cls, *args)` instead, which sets the same fields through
-the same `_set` of each class and runs no product or scan: their
-invariants hold by construction once their input is valid, and the tests
-prove them on the corpora (`tests/test_builders.py`).  Filtrations are stored as one level
-per vector of an adapted basis.
+the same `_set` of each class and checks shapes only: their matrices are
+canonical rows wrapped by `exactla._wrap`, their filtrations keep the level
+tuples they build, and their invariants hold by construction once their
+input is valid; the tests prove them on the corpora
+(`tests/test_builders.py`).  Filtrations are stored as one level per
+vector of an adapted basis.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .exactla import (
     Subspace,
     _insert,
     _rref,
+    _wrap,
     coordinates,
     image_basis,
     induced_map,
@@ -36,8 +39,7 @@ class ComplexError(Exception):
 
 def _built(cls, *args):
     """A builder's `cls` value, whose invariant holds by construction: the
-    fields and shape or level-range checks of `cls._set`, with no product
-    or scan."""
+    fields and shape checks of `cls._set`, with no product or scan."""
     obj = object.__new__(cls)
     obj._set(*args)
     return obj
@@ -367,7 +369,7 @@ def _assemble_total(d: DoubleComplex) -> CochainComplex:
                     target = out[toff + i]
                     for j, a in row.items():
                         target[off + j] = a
-        diffs.append(ExactMatrix(dims[n + 1 - lo], dims[n - lo], out))
+        diffs.append(_wrap(dims[n + 1 - lo], dims[n - lo], tuple(out)))
     return _built(CochainComplex, lo, hi, dims, diffs)
 
 
@@ -388,7 +390,11 @@ class FilteredComplex:
 
     def __init__(self, cplx: CochainComplex, p_lo: int, p_hi: int,
                  levels: Mapping[int, Sequence[int]]):
-        self._set(cplx, p_lo, p_hi, levels)
+        self._set(cplx, p_lo, p_hi,
+                  {n: tuple(int(x) for x in levels.get(n, ())) for n in cplx.degrees()})
+        for n, lv in self.levels.items():
+            if any(not p_lo <= x <= p_hi for x in lv):
+                raise ComplexError(f"level outside [{p_lo},{p_hi}] in degree {n}")
         for n in range(cplx.lo, cplx.hi):
             d, src, dst = cplx.d(n), self.levels[n], self.levels[n + 1]
             for i, row in enumerate(d.row_maps):
@@ -401,18 +407,13 @@ class FilteredComplex:
              levels: Mapping[int, Sequence[int]]) -> None:
         if p_hi < p_lo:
             raise ComplexError("empty filtration range")
-        table: dict[int, tuple[int, ...]] = {}
         for n in cplx.degrees():
-            lv = tuple(int(x) for x in levels.get(n, ()))
-            if len(lv) != cplx.dim(n):
+            if len(levels[n]) != cplx.dim(n):
                 raise ComplexError(f"need one level per basis vector in degree {n}")
-            if any(not p_lo <= x <= p_hi for x in lv):
-                raise ComplexError(f"level outside [{p_lo},{p_hi}] in degree {n}")
-            table[n] = lv
         object.__setattr__(self, "complex", cplx)
         object.__setattr__(self, "p_lo", p_lo)
         object.__setattr__(self, "p_hi", p_hi)
-        object.__setattr__(self, "levels", table)
+        object.__setattr__(self, "levels", levels)
 
     def __setattr__(self, name, value):
         raise AttributeError("FilteredComplex is immutable")
@@ -475,7 +476,7 @@ def _coordinate_filtration(d: DoubleComplex, index: Callable[[int, int], int],
     level index(p, q); the coordinate basis is adapted to it.  d_h raises p
     by one and keeps q, d_v the other way round, so both coordinate
     filtrations are d-stable."""
-    levels = {n: [index(p, q) for p, q, _ in cells for _ in range(d.cell_dim(p, q))]
+    levels = {n: tuple(index(p, q) for p, q, _ in cells for _ in range(d.cell_dim(p, q)))
               for n, cells in total_layout(d).items()}
     return _built(FilteredComplex, total(d), f_lo, f_hi, levels)
 

@@ -9,7 +9,8 @@ exact.  An integral entry is stored as an `int`, any other as a
 Storage is sparse and canonical.  An `ExactMatrix` keeps, per row, a dict
 from column index to nonzero entry, and never stores a zero or an integral
 `Fraction`, so two equal matrices have equal storage whatever they were
-built from.
+built from.  Builders write canonical rows and wrap them (`_wrap`); the
+checking constructors serve raw input and the tests.
 Products, sums, zero tests, equality and elimination touch nonzeros only.
 A `Subspace` keeps the rows of its reduced row echelon form (RREF) the
 same way.  The RREF of a row space is unique, so the elimination result,

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .complexes import CochainComplex, FilteredComplex, _built, betti, cohomology
-from .exactla import ExactMatrix, Subspace, _axpy, coordinates, induced_map, qq
+from .exactla import ExactMatrix, Subspace, _axpy, _wrap, coordinates, induced_map, qq
 from .lierinehart import _assemble, _bracket_entries, _ce_terms, _jacobi
 from .specseq import compute_page, run
 
@@ -111,7 +111,8 @@ class GModule:
 
     def __init__(self, algebra: LieAlgebra, dim: int, actions: Sequence[ExactMatrix]):
         if len(actions) != algebra.dim:
-            raise MalformedLieAlgebra("need one action matrix per algebra basis vector")
+            raise MalformedLieAlgebra(f"module.actions has {len(actions)} matrices for an algebra "
+                                      f"of dimension {algebra.dim}: need one per basis vector")
         for a in actions:
             if a.rows != dim or a.cols != dim:
                 raise MalformedLieAlgebra("action matrix has wrong shape")
@@ -196,7 +197,7 @@ def _filtered(cplx: CochainComplex, dim_m: int, k: int) -> FilteredComplex:
     basis vectors span h: each cochain's level is its number of complement
     factors."""
     n = cplx.hi
-    levels = {deg: [sum(1 for i in s if i >= k) for s, _ in _cochain_basis(n, dim_m, deg)]
+    levels = {deg: tuple(sum(1 for i in s if i >= k) for s, _ in _cochain_basis(n, dim_m, deg))
               for deg in range(n + 1)}
     return _built(FilteredComplex, cplx, 0, n - k, levels)
 
@@ -210,8 +211,8 @@ def _quotient_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
 def _block(d: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> ExactMatrix:
     """The submatrix of d on the given rows and columns, in those orders."""
     pos = {c: j for j, c in enumerate(cols)}
-    return ExactMatrix(len(rows), len(cols), [{pos[c]: x for c, x in d.row_maps[r].items()
-                                               if c in pos} for r in rows])
+    return _wrap(len(rows), len(cols), tuple({pos[c]: x for c, x in d.row_maps[r].items()
+                                             if c in pos} for r in rows))
 
 
 def _h_blocks(g2: LieAlgebra, cplx: CochainComplex, dim_m: int, k: int):

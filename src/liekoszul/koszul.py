@@ -30,7 +30,9 @@ differential, and the source Betti numbers are read off those pivots.
 Normal forms come from one RREF of each ideal slice I_w with each row's
 pivot at its last nonzero monomial (Lazard, EUROCAL 1983): the quotient
 basis is the monomials e_i not in I_w + span(e_0..e_{i-1}), the non-pivots,
-and a pivot monomial reduces to minus the rest of its row.
+and a pivot monomial reduces to minus the rest of its row.  Each section
+keeps its one model (`zero_locus_model`), so every slice and its normal
+forms are built once per section, whatever the weights asked for.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .complexes import (
     _cone_ranks,
     betti,
 )
-from .exactla import ExactMatrix, Subspace, normal_forms
+from .exactla import ExactMatrix, Subspace, _transpose, _wrap, normal_forms
 from .lierinehart import (
     LieRinehartPresentation,
     SectionV,
@@ -95,6 +97,7 @@ class ZeroLocusModel:
         self.generators = [c for c in v.components if c]
         self.gen_weights = [self.ring.weight_of(c) for c in self.generators]
         self._slices: dict[int, Subspace] = {}
+        self._forms: dict[int, list[dict]] = {}
 
     def ideal_slice(self, w: int) -> Subspace:
         """I_w, spanned by each generator times each monomial of the
@@ -110,8 +113,23 @@ class ZeroLocusModel:
             self._slices[w] = Subspace._span(self.ring.slice_dim(w), rows)
         return self._slices[w]
 
+    def quotient_forms(self, w: int) -> list[dict]:
+        """`normal_forms` of I_w: the class of each weight-w monomial in (R/I)_w."""
+        if w not in self._forms:
+            self._forms[w] = normal_forms(self.ideal_slice(w))
+        return self._forms[w]
+
     def quotient_dim(self, w: int) -> int:
         return self.ring.slice_dim(w) - self.ideal_slice(w).dim
+
+
+def zero_locus_model(v: SectionV) -> ZeroLocusModel:
+    """The zero-locus model of v, built on first use and kept on v, so that
+    a command builds one model, and one set of normal forms per weight, for
+    each section it builds."""
+    if v._zero_locus is None:
+        v._zero_locus = ZeroLocusModel(v.owner, v)
+    return v._zero_locus
 
 
 def is_zero_dimensional(v: SectionV, w_max: int) -> bool:
@@ -130,7 +148,7 @@ def is_zero_dimensional(v: SectionV, w_max: int) -> bool:
         if not any(all(e == 0 for i, e in enumerate(mono) if i != j)
                    for c in v.components for mono in c):
             return False
-    model = ZeroLocusModel(v.owner, v)
+    model = zero_locus_model(v)
     max_u = max(ring.weights, default=1)
     if w_max < max_u - 1:
         raise InconclusiveError(f"w_max={w_max} smaller than one weight window")
@@ -181,10 +199,11 @@ def reduction_map(lr: LieRinehartPresentation, v: SectionV, w: int
     quotient: their contraction terms are ideal multiples, which is what
     makes the reduction a chain map.)  That chain condition holds for every
     section, so the target and the map are built unchecked; the tests prove
-    it on the Lie-Rinehart corpus and on seeded sections.
+    it on the Lie-Rinehart corpus and on seeded sections.  The quotient
+    comes from v's own `zero_locus_model`, which every weight shares.
     """
     ks = lie_koszul(lr, v, w)
-    model = ZeroLocusModel(lr, v)
+    model = zero_locus_model(v)
     keep = set(untouched_generators(v))
     m = lr.rank
     dims = []
@@ -208,13 +227,14 @@ def reduction_map(lr: LieRinehartPresentation, v: SectionV, w: int
 def _reduction_matrix(model: ZeroLocusModel, fs, offsets: dict[tuple[int, ...], int],
                       dim_target: int) -> ExactMatrix:
     """The reduction map on FormSlice `fs`: the block of each subset S in
-    `offsets` goes to its normal forms, at row offsets[S] of the target."""
-    entries = []
+    `offsets` goes to its normal forms, at row offsets[S] of the target.
+    Blocks are disjoint and normal forms canonical: the rows are wrapped."""
+    cols: list[dict] = [{} for _ in range(fs.dim)]
     for s, base in offsets.items():
         col0, wf = fs.blocks[s]
-        for col, form in enumerate(normal_forms(model.ideal_slice(wf)), start=col0):
-            entries.extend((base + i, col, c) for i, c in form.items())
-    return ExactMatrix.from_entries(dim_target, fs.dim, entries)
+        for col, form in enumerate(model.quotient_forms(wf), start=col0):
+            cols[col] = {base + i: c for i, c in form.items()}
+    return _wrap(dim_target, fs.dim, tuple(_transpose(cols, dim_target)))
 
 
 def _primitive_section(lr: LieRinehartPresentation, v: SectionV) -> SectionV:

@@ -73,10 +73,14 @@ def poly(data, nvars: int) -> Poly:
             f"polynomial {data!r} must be an object {{exponents: coefficient}}")
     out: Poly = {}
     for mono, coeff in data.items():
-        if isinstance(mono, str):
-            # "" is the empty monomial, the only one over no variables
-            mono = tuple(int(t) for t in mono.split(",")) if mono else ()
-        mono = tuple(int(e) for e in mono)
+        try:
+            if isinstance(mono, str):
+                # "" is the empty monomial, the only one over no variables
+                mono = tuple(int(t) for t in mono.split(",")) if mono else ()
+            mono = tuple(int(e) for e in mono)
+        except (TypeError, ValueError):
+            raise MalformedPresentation(
+                f"monomial key {mono!r} must be {nvars} integers 'e1,...,en'") from None
         if len(mono) != nvars or any(e < 0 for e in mono):
             raise MalformedPresentation(f"bad monomial {mono} for {nvars} variables")
         c = qq(coeff)
@@ -356,6 +360,7 @@ class SectionV:
                     f"section components have mixed total weights {wt} and {total}")
         self.components = tuple(comps)
         self.weight = 0 if wt is None else wt
+        self._zero_locus = None   # its koszul.ZeroLocusModel, built on first use
 
     def is_zero(self) -> bool:
         return all(not c for c in self.components)

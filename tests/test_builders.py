@@ -1,9 +1,9 @@
 """Builder output is proved here, not on every run.
 
 The package's builders construct through the private `complexes._built`,
-which runs a complex class's shape and level-range checks only.  Each
-invariant they leave out holds by construction once the builder's input is
-valid:
+which runs a complex class's shape checks only, and wrap their matrices
+without a check (`tests/test_storage.py` proves those).  Each invariant
+they leave out holds by construction once the builder's input is valid:
 
 - i_V^2 = 0 on a Koszul slice, by the antisymmetry of contraction on an
   exterior algebra, and the reduction map is a chain map for every section
@@ -18,9 +18,10 @@ valid:
   adapted complex of `from_flag` is a change of basis of a complex.
 
 Each test below passes builder output through the public, checking
-constructor (`checked`), on the corpora and on seeded random input, and a
-spy shows that valid input to `koszul`, `p1` and `hs` makes no matrix
-product and calls no public constructor.
+constructor (`checked`), on the corpora and on seeded random input; a
+builder filtration must also store the levels that constructor would, as
+int tuples in range.  A spy shows that valid input to `koszul`, `p1` and
+`hs` makes no matrix product and calls no public constructor.
 """
 
 import json
@@ -66,7 +67,11 @@ def checked(x):
                              {c: x.cell_dim(*c) for c in cells},
                              {c: x.dh(*c) for c in cells}, {c: x.dv(*c) for c in cells})
     if isinstance(x, FilteredComplex):
-        return FilteredComplex(checked(x.complex), x.p_lo, x.p_hi, x.levels)
+        out = FilteredComplex(checked(x.complex), x.p_lo, x.p_hi, x.levels)
+        assert out.levels == x.levels
+        assert all(type(lv) is tuple and all(type(p) is int for p in lv)
+                   for lv in x.levels.values())
+        return out
     raise TypeError(type(x).__name__)
 
 

@@ -617,6 +617,27 @@ WRONG_SHAPES = {
                                 lambda p: p.update(variable_weights=5), "'variable_weights'"),
     "generator-weights-number": ("euler-n2.json", "validate",
                                  lambda p: p.update(generator_weights=5), "'generator_weights'"),
+    # square-double's rectangle is p 0..1, q 0..1: a key outside it was
+    # ignored, or read as a map into a cell of dimension 0
+    "double-dims-outside": ("square-double.json", "specseq",
+                            lambda p: p["double"]["dims"].update({"9,9": 3}),
+                            "double.dims key '9,9' is outside the rectangle p 0..1, q 0..1"),
+    "double-horizontal-outside": ("square-double.json", "specseq",
+                                  lambda p: p["double"]["horizontal"].update({"9,9": []}),
+                                  "double.horizontal key '9,9' is outside the rectangle"),
+    "double-vertical-outside": ("square-double.json", "cohomology",
+                                lambda p: p["double"]["vertical"].update({"5,5": [[1]]}),
+                                "double.vertical key '5,5' is outside the rectangle"),
+    "double-empty-rectangle": ("square-double.json", "specseq",
+                               lambda p: p["double"].update(p_lo=1, p_hi=0),
+                               "double.p_hi 0 < double.p_lo 1"),
+    "section-monomial-key": ("euler-n2.json", "koszul",
+                             lambda p: p["section"][0].update({"a,0": 1}), "monomial key 'a,0'"),
+    "anchor-monomial-key": ("euler-n2.json", "validate",
+                            lambda p: p["anchor"][0][0].update({"1.5,0": 1}),
+                            "monomial key '1.5,0'"),
+    "module-actions-count": ("aff1-module.json", "hs", lambda p: p["module"]["actions"].pop(),
+                             "module.actions has 1 matrices for an algebra of dimension 2"),
 }
 
 

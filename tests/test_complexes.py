@@ -197,6 +197,20 @@ def test_filtered_complex_levels_must_not_drop_along_d():
     FilteredComplex(c, 0, 1, {0: [0], 1: [1]})  # raising the level is fine
 
 
+def test_filtered_complex_checks_and_coerces_raw_levels():
+    # The public constructor keeps the level checks that builder output
+    # skips: every level in [p_lo, p_hi], and an integral float read as int.
+    c = CochainComplex(0, 1, [1, 1], [ExactMatrix.identity(1)])
+    for levels, degree in (({0: [0], 1: [2]}, 1), ({0: [-1], 1: [0]}, 0)):
+        with pytest.raises(ComplexError, match=re.escape(f"level outside [0,1] in degree {degree}")):
+            FilteredComplex(c, 0, 1, levels)
+    f = FilteredComplex(c, 0, 1, {0: [0.0], 1: (1.0,)})
+    assert f.levels == {0: (0,), 1: (1,)}
+    assert all(type(x) is int for lv in f.levels.values() for x in lv)
+    with pytest.raises(ComplexError, match="one level per basis vector in degree 1"):
+        FilteredComplex(c, 0, 1, {0: [0]})
+
+
 def _flag(spaces):
     """Flag on a complex with C^1 = 0, levels 0..len(spaces) - 1 of C^0."""
     zero1 = Subspace.zero_space(0)

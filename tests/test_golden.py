@@ -15,6 +15,7 @@ import pytest
 
 from liekoszul import exactla
 from liekoszul.cli import COMMANDS, main
+from liekoszul.complexes import FilteredComplex
 from liekoszul.exactla import ExactMatrix, Subquotient, Subspace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,11 +65,35 @@ def test_reports_use_no_dense_view(tmp_path, capsys, monkeypatch):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, _refuse)
+    for _ in _run_goldens(tmp_path, capsys):
+        pass
+
+
+def _run_goldens(tmp_path, capsys):
+    """Run every golden pair, checking its report byte for byte, and yield
+    each pair's golden file name before its run."""
     goldens = sorted(GOLDEN.glob("*.json"))
     assert goldens
     for golden in goldens:
+        yield golden.name
         command, case = golden.name.split("__", 1)
         out = tmp_path / golden.name
         main([command, str(ROOT / "cases" / case), "--json", str(out)])
         capsys.readouterr()
         assert out.read_bytes() == golden.read_bytes(), golden.name
+
+
+def test_reports_call_checking_constructors_on_raw_input_only(tmp_path, capsys, monkeypatch):
+    # Builders wrap canonical rows and store the filtration levels they
+    # build; a checking constructor runs only on a raw flag, in `from_flag`.
+    calls = []
+    pair = None
+    for cls in (ExactMatrix, FilteredComplex):
+        def spy(self, *args, init=cls.__init__, name=cls.__name__):
+            calls.append((name, pair))
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    for pair in _run_goldens(tmp_path, capsys):
+        pass
+    assert calls == [("FilteredComplex", "specseq__twostep-filtered.json")]

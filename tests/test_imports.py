@@ -229,6 +229,40 @@ def test_scan_finds_a_checked_construction():
                                                   "m.qualified"]
 
 
+def checked_matrix_calls(source: str) -> list[str]:
+    """Each call of a checking `ExactMatrix` constructor, `ExactMatrix(...)`
+    (also `mod.ExactMatrix(...)`) or `.from_entries(...)`, as "name (line
+    n)".  `from_rows`, `zeros` and `identity` wrap their rows and are not
+    counted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("ExactMatrix", "from_entries"):
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "exactla"],
+                         ids=lambda p: p.name)
+def test_only_exactla_calls_a_checking_matrix_constructor(path):
+    # Builders write canonical rows and wrap them with `exactla._wrap`; the
+    # checking constructors serve raw input in `exactla` and the tests.
+    assert checked_matrix_calls(path.read_text()) == []
+
+
+def test_scan_finds_a_checking_matrix_constructor():
+    source = ("from .exactla import ExactMatrix, _wrap\nfrom . import exactla\n\n"
+              "def a():\n    return ExactMatrix(1, 1, [{0: 1}])\n\n"
+              "def b():\n    return exactla.ExactMatrix.from_entries(1, 1, [])\n\n"
+              "def c():\n    return [ExactMatrix.from_rows([[1]]), ExactMatrix.zeros(1, 1),\n"
+              "            ExactMatrix.identity(2), _wrap(1, 1, ({},))]\n\n"
+              "def d(m: ExactMatrix) -> ExactMatrix:\n    return exactla.ExactMatrix(0, 0, [])\n")
+    assert checked_matrix_calls(source) == ["ExactMatrix (line 5)", "from_entries (line 8)",
+                                            "ExactMatrix (line 15)"]
+
+
 CACHE_DECORATORS = {"lru_cache", "cache"}
 EMPTY_CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 

@@ -237,6 +237,29 @@ def test_zero_dimensional_stops_at_the_first_full_window(monkeypatch):
     assert built and max(built) == 1  # (x, y) vanishes from weight 1 on
 
 
+def test_a_section_builds_one_model_and_one_set_of_normal_forms_per_weight(monkeypatch):
+    slices, eliminations = [], []
+    real_slice, real_forms = ZeroLocusModel.ideal_slice, koszul.normal_forms
+
+    def ideal_slice(self, w):
+        if w not in self._slices:
+            slices.append(w)
+        return real_slice(self, w)
+
+    monkeypatch.setattr(ZeroLocusModel, "ideal_slice", ideal_slice)
+    monkeypatch.setattr(koszul, "normal_forms",
+                        lambda s: eliminations.append(s) or real_forms(s))
+    t3 = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
+    v = SectionV(t3, [{(1, 0, 0): 1}, {}, {}])    # x d/dx
+    assert v._zero_locus is None
+    assert formality_check(t3, v, range(8)).ok
+    model = v._zero_locus
+    # one model for the 8 weights: weight w reads the slices w, w-1, w-2
+    assert sorted(slices) == list(range(8)) and len(eliminations) == 8
+    assert reduction_map(t3, v, 3) and v._zero_locus is model and len(slices) == 8
+    assert SectionV(t3, v.components)._zero_locus is None
+
+
 def test_primitive_section_is_coprime_integral_with_the_same_ideal():
     t3 = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
     given = SectionV(t3, [{(1, 0, 0): "1/2", (0, 1, 0): "-1/3"},

@@ -2,7 +2,9 @@
 
 An integral value is stored as an int and only a value that is not
 integral as a Fraction: no float, no bool and no integral Fraction in any
-row of any builder's ExactMatrix."""
+row of any builder's ExactMatrix.  The builders wrap their rows without a
+check, so each matrix must also come back unchanged from the checking
+constructor `ExactMatrix(rows, cols, row_maps)`."""
 
 from fractions import Fraction as QQ
 
@@ -30,7 +32,10 @@ def assert_canonical_rows(rows, what):
 
 
 def assert_canonical(m, what):
+    """Canonical entries, and a matrix the checking constructor rebuilds
+    unchanged: the row count, every column index in range, no stored zero."""
     assert_canonical_rows(m.row_maps, what)
+    assert ExactMatrix(m.rows, m.cols, m.row_maps) == m, what
 
 
 def _differentials(cplx):
