@@ -30,7 +30,10 @@ by transforming f + v d/dz under the trivialization change: its
 chart-1-to-chart-0 matrix is [[1, d z], [0, -z^2]], acting on (scalar
 part, vector part) columns.  Its cocycle identity T(z) T(1/z) = I and its
 symbol row (0, -z^2), the tangent transition, hold for every degree d, so
-they are proved once by the tests rather than on every run.
+they are proved once by the tests rather than on every run, as are the
+closed forms of the dual bundle D*(d) and of det D*(d) = Omega^1.  "All
+zeros simple" is a discriminant test; a run locates the zeros once, in
+`corollary_check`.
 """
 
 from __future__ import annotations
@@ -121,21 +124,6 @@ def lmat_det(a: LMatrix) -> Laurent:
     if n == 2:
         return p_sub(lp_mul(a[0][0], a[1][1]), lp_mul(a[0][1], a[1][0]))
     raise ValueError("determinants implemented for ranks 1 and 2 only")
-
-
-def lmat_inverse(a: LMatrix) -> LMatrix:
-    det = lmat_det(a)
-    if len(det) != 1:
-        raise ValueError("transition determinant is not a unit monomial")
-    (e, c), = det.items()
-    adj = ((lp(1),),) if len(a) == 1 else (
-        (a[1][1], p_scale(-1, a[0][1])), (p_scale(-1, a[1][0]), a[0][0]))
-    return tuple(tuple({k - e: quotient(x, c) for k, x in entry.items()}  # adj / (c z^e)
-                       for entry in row) for row in adj)
-
-
-def lmat_transpose(a: LMatrix) -> LMatrix:
-    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
 
 
 # -- sheaves ------------------------------------------------------------------
@@ -289,16 +277,15 @@ class AlgebroidOnP1:
     """Operators f + v d/dz on the degree-d line bundle, two-chart data.
 
     Chart columns are (scalar part, vector part).  The chart-1-to-chart-0
-    matrix [[1, d z], [0, -z^2]] is derived from the transformation law.
+    matrix T = [[1, d z], [0, -z^2]] is derived from the transformation law;
+    D*(d) has its inverse transpose [[1, 0], [d z^-1, -z^-2]], with det -z^-2.
     """
 
     def __init__(self, degree: int):
-        self.degree = int(degree)
-        self.transition = lmat([[lp(1), lp_monomial(1, self.degree)],
-                                [lp(0), lp_monomial(2, -1)]])
-        inv_t = lmat_transpose(lmat_inverse(self.transition))
-        self._duals = (line_bundle(0), SheafOnP1(2, inv_t, name=f"D*({self.degree})"),
-                       SheafOnP1(1, [[lmat_det(inv_t)]], name=f"det D*({self.degree})"))
+        d = self.degree = int(degree)
+        self.transition = lmat([[1, lp_monomial(1, d)], [0, lp_monomial(2, -1)]])
+        dual = lmat([[1, 0], [lp_monomial(-1, d), lp_monomial(-2, -1)]])
+        self._duals = (line_bundle(0), SheafOnP1(2, dual, name=f"D*({d})"), cotangent_sheaf())
 
     def wedge_dual(self, p: int) -> SheafOnP1:
         """Lambda^p of the dual bundle (p in {0, 1, 2})."""
@@ -339,9 +326,6 @@ class EquivariantSection:
         self.f0 = lp_coeffs_poly([alpha, forced])
         self.w1 = lp_coeffs_poly([-c, -b, -a])
         self.f1 = lp_coeffs_poly([alpha + d * b, d * a])
-
-    def is_zero(self) -> bool:
-        return not self.v0 and not self.f0
 
 
 def zero_section(algebroid: AlgebroidOnP1) -> EquivariantSection:
@@ -490,12 +474,11 @@ def vector_field_zeros(section: EquivariantSection) -> list[tuple[object, int]]:
 
 
 def assumption_check(section: EquivariantSection) -> bool:
-    """All zeros of the symbol vector field are simple (nonzero linearization)."""
-    try:
-        zeros = vector_field_zeros(section)
-    except GluingError:
-        return False
-    return all(mult == 1 for _, mult in zeros)
+    """All zeros of the symbol vector field a + b z + c z^2 are simple: a
+    nonzero discriminant if c != 0, else b != 0 (infinity is then a zero of
+    order 2 - degree).  No root is located."""
+    a, b, c = section.vf_coeffs
+    return b * b != 4 * a * c if c else b != 0
 
 
 def fixed_point_set(section: EquivariantSection, untwisted: bool) -> list[object]:
@@ -525,7 +508,8 @@ class CorollaryReport:
 
 
 def corollary_check(model: CechKoszulModel) -> CorollaryReport:
-    """Fixed-point prediction against the equivariant cohomology of `model`.
+    """Fixed-point prediction against the equivariant cohomology of `model`;
+    the zeros are located here, once (IrrationalZeroError comes from here).
 
     Each vanishing point contributes one dimension in degree 0 and, in the
     operator-bundle case, one more in degree -1 (the operators on the

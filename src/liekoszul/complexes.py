@@ -1,7 +1,8 @@
 """Bounded cochain complexes, double complexes, filtered complexes.
 
 Every public constructor checks its invariants eagerly (d squared zero,
-commuting squares, anticommutation, filtration range and d-stability), so
+commuting squares, anticommutation, filtration range and d-stability,
+integral dims and levels, double-complex keys inside the rectangle), so
 raw input cannot become an invalid value.  A double complex is checked
 cell by cell: d_h^2, d_v^2 and d_h d_v + d_v d_h in rectangle order, so the
 first failing cell is named.  The package's builders construct through the
@@ -37,6 +38,15 @@ class ComplexError(Exception):
     pass
 
 
+def _integer(x, what: str) -> int:
+    """x as an int, where `int` would truncate a non-integral value: 2.0
+    is 2, while 2.5 raises ComplexError naming it."""
+    n = int(x)
+    if n != x:
+        raise ComplexError(f"{what} must be an integer, got {x!r}")
+    return n
+
+
 def _built(cls, *args):
     """A builder's `cls` value, whose invariant holds by construction: the
     fields and shape checks of `cls._set`, with no product or scan."""
@@ -51,7 +61,7 @@ class CochainComplex:
     __slots__ = ("lo", "hi", "_dims", "_diffs")
 
     def __init__(self, lo: int, hi: int, dims: Sequence[int], differentials: Sequence[ExactMatrix]):
-        self._set(lo, hi, dims, differentials)
+        self._set(lo, hi, [_integer(d, "dim") for d in dims], differentials)
         diffs = self._diffs
         for i in range(len(diffs) - 1):
             if not (diffs[i + 1] @ diffs[i]).is_zero():
@@ -65,7 +75,7 @@ class CochainComplex:
             raise ComplexError("dims length does not match degree range")
         if len(differentials) != hi - lo:
             raise ComplexError("differential count does not match degree range")
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(dims)
         diffs = tuple(differentials)
         for i, d in enumerate(diffs):
             if d.cols != dims[i] or d.rows != dims[i + 1]:
@@ -241,6 +251,12 @@ class DoubleComplex:
                  dims: Mapping[tuple[int, int], int],
                  horizontal: Mapping[tuple[int, int], ExactMatrix],
                  vertical: Mapping[tuple[int, int], ExactMatrix]):
+        for name, given in (("dims", dims), ("horizontal", horizontal), ("vertical", vertical)):
+            for p, q in given:
+                if not (p_lo <= p <= p_hi and q_lo <= q <= q_hi):
+                    raise ComplexError(f"{name} key {(p, q)} outside the rectangle "
+                                       f"p {p_lo}..{p_hi}, q {q_lo}..{q_hi}")
+        dims = {pq: _integer(x, f"dim at {pq}") for pq, x in dims.items()}
         self._set(p_lo, p_hi, q_lo, q_hi, dims, horizontal, vertical)
         for p, q in self._dims:
             if not (self.dh(p + 1, q) @ self.dh(p, q)).is_zero():
@@ -262,7 +278,7 @@ class DoubleComplex:
         object.__setattr__(self, "p_hi", p_hi)
         object.__setattr__(self, "q_lo", q_lo)
         object.__setattr__(self, "q_hi", q_hi)
-        object.__setattr__(self, "_dims", {pq: int(dims.get(pq, 0)) for pq in cells})
+        object.__setattr__(self, "_dims", {pq: dims.get(pq, 0) for pq in cells})
         dh, dv = {}, {}
         for p, q in cells:
             for given, kept, target, name in ((horizontal, dh, (p + 1, q), "horizontal"),
@@ -390,8 +406,9 @@ class FilteredComplex:
 
     def __init__(self, cplx: CochainComplex, p_lo: int, p_hi: int,
                  levels: Mapping[int, Sequence[int]]):
-        self._set(cplx, p_lo, p_hi,
-                  {n: tuple(int(x) for x in levels.get(n, ())) for n in cplx.degrees()})
+        self._set(cplx, p_lo, p_hi, {n: tuple(_integer(x, f"level in degree {n}")
+                                              for x in levels.get(n, ()))
+                                     for n in cplx.degrees()})
         for n, lv in self.levels.items():
             if any(not p_lo <= x <= p_hi for x in lv):
                 raise ComplexError(f"level outside [{p_lo},{p_hi}] in degree {n}")

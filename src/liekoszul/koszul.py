@@ -31,8 +31,9 @@ Normal forms come from one RREF of each ideal slice I_w with each row's
 pivot at its last nonzero monomial (Lazard, EUROCAL 1983): the quotient
 basis is the monomials e_i not in I_w + span(e_0..e_{i-1}), the non-pivots,
 and a pivot monomial reduces to minus the rest of its row.  Each section
-keeps its one model (`zero_locus_model`), so every slice and its normal
-forms are built once per section, whatever the weights asked for.
+keeps its one model (`zero_locus_model`), built from the primitive
+components and shared with its primitive form, so every slice and its
+normal forms are built once per command, whatever the weights asked for.
 """
 
 from __future__ import annotations
@@ -89,12 +90,13 @@ def lie_koszul(lr: LieRinehartPresentation, v: SectionV, w: int) -> LieKoszulSli
 
 
 class ZeroLocusModel:
-    """Quotient slices of the ring by the ideal of the components of V."""
+    """Quotient slices of the ring by the ideal of the components of V,
+    generated by their primitive integral multiples (the same ideal)."""
 
     def __init__(self, lr: LieRinehartPresentation, v: SectionV):
         self.lr = lr
         self.ring = lr.ring
-        self.generators = [c for c in v.components if c]
+        self.generators = [c for c in map(_primitive, v.components) if c]
         self.gen_weights = [self.ring.weight_of(c) for c in self.generators]
         self._slices: dict[int, Subspace] = {}
         self._forms: dict[int, list[dict]] = {}
@@ -237,22 +239,27 @@ def _reduction_matrix(model: ZeroLocusModel, fs, offsets: dict[tuple[int, ...], 
     return _wrap(dim_target, fs.dim, tuple(_transpose(cols, dim_target)))
 
 
+def _primitive(c: dict) -> dict:
+    """lambda c for the lambda > 0 that makes the coefficients of c coprime
+    integers: the lcm of the denominators of c divided by the gcd of the
+    numerators that gives."""
+    scale = lcm(*(x.denominator for x in c.values()))
+    ints = {m: x.numerator * (scale // x.denominator) for m, x in c.items()}
+    g = gcd(*ints.values())
+    return {m: x // g for m, x in ints.items()}
+
+
 def _primitive_section(lr: LieRinehartPresentation, v: SectionV) -> SectionV:
-    """V with each nonzero component c_i replaced by lambda_i c_i, its
-    primitive integral multiple: lambda_i > 0 is the lcm of the
-    denominators of c_i divided by the gcd of the numerators that gives.
-    The ideal (c_i) is unchanged, and so is the zero-locus model.  A
-    section that is already primitive (every lambda_i = 1) is returned
-    as it is."""
-    comps = []
-    for c in v.components:
-        scale = lcm(*(x.denominator for x in c.values()))
-        ints = {m: x.numerator * (scale // x.denominator) for m, x in c.items()}
-        g = gcd(*ints.values())
-        comps.append({m: x // g for m, x in ints.items()})
+    """V with each nonzero component c_i replaced by `_primitive(c_i)`.  The
+    ideal (c_i) is unchanged, so the new section shares v's zero-locus
+    model, which is built from those components.  A section that is
+    already primitive (every lambda_i = 1) is returned as it is."""
+    comps = [_primitive(c) for c in v.components]
     if all(new == c for new, c in zip(comps, v.components)):
         return v
-    return SectionV(lr, comps)
+    primitive = SectionV(lr, comps)
+    primitive._zero_locus = zero_locus_model(v)
+    return primitive
 
 
 def formality_check(lr: LieRinehartPresentation, v: SectionV,

@@ -77,7 +77,10 @@ def poly(data, nvars: int) -> Poly:
             if isinstance(mono, str):
                 # "" is the empty monomial, the only one over no variables
                 mono = tuple(int(t) for t in mono.split(",")) if mono else ()
-            mono = tuple(int(e) for e in mono)
+            exps = tuple(int(e) for e in mono)
+            if exps != tuple(mono):
+                raise ValueError    # int would truncate an exponent 1.5 to 1
+            mono = exps
         except (TypeError, ValueError):
             raise MalformedPresentation(
                 f"monomial key {mono!r} must be {nvars} integers 'e1,...,en'") from None
@@ -361,9 +364,6 @@ class SectionV:
         self.components = tuple(comps)
         self.weight = 0 if wt is None else wt
         self._zero_locus = None   # its koszul.ZeroLocusModel, built on first use
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.components)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from liekoszul.cechp1 import (
     first_page,
     fixed_point_set,
     line_bundle,
-    lmat,
-    lmat_inverse,
+    lmat_det,
     lp_coeffs_poly,
     lp_eval,
     second_page_degeneration,
@@ -120,6 +119,20 @@ def test_section_glues_on_the_overlap():
             assert lmat_mul(a.transition, chart1) == ((v.f0,), (v.v0,)), (d, x, y, z, alpha)
             assert v.v0 == lp_coeffs_poly([x, y, z])
             assert v.f0 == lp_coeffs_poly([alpha, -d * z])
+
+
+def _transpose(a):
+    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
+
+
+def test_dual_bundle_is_the_inverse_transpose_in_closed_form():
+    # D*(d) = [[1, 0], [d z^-1, -z^-2]]: T^T D*(d) = I, det D*(d) = -z^-2
+    for d in range(-6, 7):
+        a = atiyah_algebroid(d)
+        dual, det = a.wedge_dual(1).transition, a.wedge_dual(2).transition
+        assert lmat_mul(_transpose(a.transition), dual) == lmat_identity(2), d
+        assert lmat_det(dual) == {-2: -1}, d
+        assert det == (({-2: -1},),) == cotangent_sheaf().transition, d
 
 
 def test_wedge_dual_dims():
@@ -297,16 +310,29 @@ def test_vector_field_zeros_are_exact_fractions():
     assert zeros == [(QQ(-1, 2), 2)] and type(zeros[0][0]) is QQ
 
 
-def test_lmat_inverse_is_exact_for_determinant_two():
-    a = lmat([[{1: 1}, {0: 1}], [{}, {-1: 2}]])     # det = 2
-    inv = lmat_inverse(a)
-    assert inv == (({-1: 1}, {0: QQ(-1, 2)}), ({}, {1: QQ(1, 2)}))
-    assert all(_exact(c) for row in inv for entry in row for c in entry.values())
-    assert lmat_mul(a, inv) == lmat_identity(2)
-    assert lp_eval({-1: 1, 0: 1}, 2) == QQ(3, 2) and type(lp_eval({-1: 1}, 2)) is QQ
+def test_assumption_is_the_discriminant_test():
+    # every field a + b z + c z^2 with small coefficients: where the zeros
+    # are rational, "all simple" is every multiplicity 1; where they are
+    # irrational they are simple, and the discriminant test says so
+    a0 = atiyah_algebroid(0)
+    irrational = 0
+    for coeffs in product(range(-3, 4), repeat=3):
+        v = EquivariantSection(a0, coeffs)
+        try:
+            zeros = vector_field_zeros(v)
+        except IrrationalZeroError:
+            irrational += 1
+            assert assumption_check(v), coeffs
+            continue
+        except GluingError:
+            assert coeffs == (0, 0, 0) and not assumption_check(v)
+            continue
+        assert assumption_check(v) == all(m == 1 for _, m in zeros), coeffs
+    assert irrational
 
 
 def test_fixed_points_respect_scalar_part():
+    assert lp_eval({-1: 1, 0: 1}, 2) == QQ(3, 2) and type(lp_eval({-1: 1}, 2)) is QQ
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
     assert fixed_point_set(v, untwisted=False) == [QQ(0), "infinity"]
@@ -542,13 +568,21 @@ def test_second_page_degeneration_examples():
     assert totals == {k: v_ for k, v_ in h.items() if v_}
 
 
-def test_twisted_p1_run_inverts_the_transition_once(monkeypatch, capsys):
-    real, calls = cechp1.lmat_inverse, []
+def test_a_p1_run_locates_the_zeros_at_most_once(monkeypatch, capsys):
+    real, calls = cechp1.vector_field_zeros, []
 
-    def counting(a):
-        calls.append(a)
-        return real(a)
+    def counting(section):
+        calls.append(section)
+        return real(section)
 
-    monkeypatch.setattr(cechp1, "lmat_inverse", counting)
-    assert cli.main(["p1", str(corpus.CASES / "p1-euler-O0.json")]) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(cechp1, "vector_field_zeros", counting)
+    paths = sorted(corpus.CASES.glob("p1-*.json"))
+    assert len(paths) == 5
+    counts = []
+    for path in paths:
+        calls.clear()
+        assert cli.main(["p1", str(path)]) == 0
+        counts.append(len(calls))
+    assert max(counts) == 1, counts
+    # no dual bundle is inverted: the closed forms are all there is
+    assert not hasattr(cechp1, "lmat_inverse") and not hasattr(cechp1, "lmat_transpose")

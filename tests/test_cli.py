@@ -442,6 +442,16 @@ def test_long_scalar_part_names_the_field(tmp_path, capsys):
     assert "'scalar_part'" in err
 
 
+@pytest.mark.parametrize("case,degree,field,disc", [
+    ("p1-euler-untwisted.json", 0, ["1", "0", "1"], -4),
+    ("p1-O2-euler.json", 1, ["-2", "0", "1"], 8),
+], ids=["untwisted-1+z^2", "twisted-O1--2+z^2"])
+def test_p1_irrational_zeros_are_a_verdict_failure(tmp_path, capsys, case, degree, field, disc):
+    path = _mutated(tmp_path, case, lambda p: p.update(degree=degree, vector_field=field))
+    err = _exit_with_one_line(capsys, ["p1", path], 1, "verdict failure:")
+    assert err == f"verdict failure: irrational zero: discriminant {disc}\n"
+
+
 def test_weight_range_of_wrong_length_names_the_field(tmp_path, capsys):
     path = _mutated(tmp_path, "euler-n2.json", lambda p: p["weights"].pop())
     err = _exit_with_one_line(capsys, ["koszul", path], 2, "error:")
@@ -838,6 +848,32 @@ def test_koszul_report_does_not_see_a_rescaled_section(tmp_path, capsys, monkeyp
     weights = len(sections) // 2
     assert sections == ([({(1, 0): 1}, {(0, 1): 1})] * weights
                         + [({(1, 0): 1}, {(0, 1): -1})] * weights)
+
+
+def test_a_koszul_run_builds_one_zero_locus_model(tmp_path, capsys, monkeypatch):
+    # the rescaled section and its primitive form share one model, so the
+    # run builds the slices of the integral section, once each
+    models, slices = [], []
+    real_init, real_slice = koszul.ZeroLocusModel.__init__, koszul.ZeroLocusModel.ideal_slice
+
+    def init(self, lr, v):
+        models.append(v)
+        real_init(self, lr, v)
+
+    def ideal_slice(self, w):
+        if w not in self._slices:
+            slices.append(w)
+        return real_slice(self, w)
+
+    monkeypatch.setattr(koszul.ZeroLocusModel, "__init__", init)
+    monkeypatch.setattr(koszul.ZeroLocusModel, "ideal_slice", ideal_slice)
+    for section in ([{"1,0": "1"}, {"0,1": "1"}], [{"1,0": "2/3"}, {"0,1": "-7/2"}]):
+        path = _mutated(tmp_path, "euler-n2.json",
+                        lambda p: p.update(section=section) or p.pop("dim_y"))
+        models.clear(), slices.clear()
+        assert run_cli(["koszul", path, "--weights", "0..4"]) == 0
+        assert len(models) == 1 and sorted(slices) == [0, 1, 2, 3, 4], section
+    capsys.readouterr()
 
 
 def test_validate_checks_a_rescaled_presentation_as_given(tmp_path, capsys, monkeypatch):

@@ -211,6 +211,31 @@ def test_filtered_complex_checks_and_coerces_raw_levels():
         FilteredComplex(c, 0, 1, {0: [0]})
 
 
+def test_filtered_complex_rejects_a_fractional_level():
+    c = CochainComplex(0, 1, [1, 1], [ExactMatrix.zeros(1, 1)])
+    with pytest.raises(ComplexError, match="level in degree 0 must be an integer, got 0.5"):
+        FilteredComplex(c, 0, 1, {0: [0.5], 1: [1.9]})
+
+
+def test_cochain_complex_rejects_a_fractional_dim():
+    with pytest.raises(ComplexError, match="dim must be an integer, got 2.5"):
+        CochainComplex(0, 0, [2.5], [])
+    assert CochainComplex(0, 0, [2.0], []).dim(0) == 2
+
+
+def test_double_complex_rejects_keys_outside_its_rectangle():
+    i2 = ExactMatrix.identity(2)
+    for dims, horizontal, vertical, key in (
+            ({(0, 0): 1, (5, 5): 3}, {}, {}, "dims key (5, 5)"),
+            ({(0, 0): 1}, {(7, 7): i2}, {}, "horizontal key (7, 7)"),
+            ({(0, 0): 1}, {}, {(0, -1): i2}, "vertical key (0, -1)")):
+        with pytest.raises(ComplexError, match=re.escape(f"{key} outside the rectangle "
+                                                         "p 0..0, q 0..0")):
+            DoubleComplex(0, 0, 0, 0, dims, horizontal, vertical)
+    with pytest.raises(ComplexError, match=re.escape("dim at (0, 0) must be an integer")):
+        DoubleComplex(0, 0, 0, 0, {(0, 0): 1.5}, {}, {})
+
+
 def _flag(spaces):
     """Flag on a complex with C^1 = 0, levels 0..len(spaces) - 1 of C^0."""
     zero1 = Subspace.zero_space(0)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from liekoszul.complexes import (
     is_quasi_isomorphism,
     row_filtration,
 )
+from liekoszul.exactla import Subspace
 from liekoszul.koszul import (
     InconclusiveError,
     ZeroLocusModel,
@@ -22,6 +24,7 @@ from liekoszul.koszul import (
     lie_koszul,
     reduction_map,
     vanishing_check,
+    zero_locus_model,
 )
 from liekoszul.lierinehart import (
     LieRinehartPresentation,
@@ -32,6 +35,7 @@ from liekoszul.lierinehart import (
 from liekoszul.specseq import run
 
 from corpus import slice_betti
+from oracle import ideal_rows_by_products
 
 
 RING2 = WeightedPolyRing(2, (1, 1))
@@ -270,9 +274,16 @@ def test_primitive_section_is_coprime_integral_with_the_same_ideal():
     assert all(type(c) is int for comp in v.components for c in comp.values())
     assert v.weight == given.weight
     assert given.components[0] == {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(-1, 3)}
+    # the model of either section is built from the primitive components,
+    # and its slices span the ideal of the components as given
     a, b = ZeroLocusModel(t3, given), ZeroLocusModel(t3, v)
+    assert a.generators == b.generators == [c for c in v.components if c]
+    as_given = SimpleNamespace(ring=t3.ring, generators=[c for c in given.components if c],
+                               gen_weights=a.gen_weights)
     for w in range(5):
-        assert a.ideal_slice(w) == b.ideal_slice(w)
+        rows = ideal_rows_by_products(as_given, w)
+        assert a.ideal_slice(w) == b.ideal_slice(w) == Subspace(t3.ring.slice_dim(w), rows)
+    assert _primitive_section(t3, given)._zero_locus is zero_locus_model(given)
 
 
 def test_primitive_section_is_returned_unchanged():

@@ -100,6 +100,12 @@ def test_inhomogeneous_input_rejected():
         SectionV(TANGENT2, [{(1, 0): 1, (2, 0): 1}, {}])
 
 
+def test_poly_rejects_a_fractional_exponent():
+    with pytest.raises(lierinehart.MalformedPresentation, match=r"monomial key \(1\.5, 0\)"):
+        lierinehart.poly({(1.5, 0): 1}, 2)
+    assert lierinehart.poly({(1.0, 0): 1, "0,1": 2}, 2) == {(1, 0): 1, (0, 1): 2}
+
+
 def test_ce_d_one_variable_function():
     ring = WeightedPolyRing(1, (1,))
     t1 = tangent_algebroid(ring)
