@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 
 from .complexes import DoubleComplex, _built, _twisted, column_filtration, row_filtration
-from .exactla import ExactMatrix, _wrap, qq, quotient, rank
+from .exactla import ExactMatrix, _wrap, integer, qq, quotient, rank
 from .lierinehart import p_scale, p_sub
 from .specseq import Pairing, compute_page, run
 
@@ -66,8 +66,8 @@ class IrrationalZeroError(Exception):
 
 def lp(data) -> Laurent:
     if isinstance(data, dict):
-        out = {int(e): qq(c) for e, c in data.items() if qq(c)}
-        return out
+        return {integer(e, "Laurent exponent", ValueError): c
+                for e, x in data.items() if (c := qq(x))}
     if isinstance(data, (int, str, QQ)):
         c = qq(data)
         return {0: c} if c else {}
@@ -282,7 +282,7 @@ class AlgebroidOnP1:
     """
 
     def __init__(self, degree: int):
-        d = self.degree = int(degree)
+        d = self.degree = integer(degree, "degree", ValueError)
         self.transition = lmat([[1, lp_monomial(1, d)], [0, lp_monomial(2, -1)]])
         dual = lmat([[1, 0], [lp_monomial(-1, d), lp_monomial(-2, -1)]])
         self._duals = (line_bundle(0), SheafOnP1(2, dual, name=f"D*({d})"), cotangent_sheaf())

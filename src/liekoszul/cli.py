@@ -26,7 +26,7 @@ from .complexes import (
     row_filtration,
     total,
 )
-from .exactla import ExactMatrix, Subspace
+from .exactla import ExactMatrix, Subspace, integer, integers, qq, sized
 from .specseq import compute_page, run as ss_run
 
 
@@ -74,11 +74,7 @@ def _need(payload: dict, key: str):
 
 def _sized(payload: dict, key: str, length: int) -> list:
     """The list field `key`, which must have `length` entries."""
-    value = _need(payload, key)
-    if not isinstance(value, list) or len(value) != length:
-        got = len(value) if isinstance(value, list) else type(value).__name__
-        raise SchemaError(f"field {key!r} must be a list of {length} entries, got {got}")
-    return value
+    return sized(_need(payload, key), length, f"field {key!r}", SchemaError)
 
 
 def _list(payload: dict, key: str, field: str) -> list:
@@ -99,17 +95,16 @@ def _object(payload: dict, key: str, field: str) -> dict:
 
 def _integer(value, field: str) -> int:
     """The value of the integer field `field`, a JSON number with no
-    fractional part; `int` would read true as 1 and truncate 2.5."""
-    if type(value) is int or type(value) is float and value.is_integer():
-        return int(value)
-    raise SchemaError(f"field {field!r} must be an integer, got {value!r}")
+    fractional part."""
+    return integer(value, f"field {field!r}", SchemaError)
 
 
 def _count(value, field: str) -> int:
     """The value of the count field `field`, an integer that is not negative."""
-    if _integer(value, field) < 0:
+    n = _integer(value, field)
+    if n < 0:
         raise SchemaError(f"field {field!r} must be a nonnegative integer, got {value!r}")
-    return int(value)
+    return n
 
 
 def _boolean(value, field: str) -> bool:
@@ -119,15 +114,13 @@ def _boolean(value, field: str) -> bool:
     raise SchemaError(f"field {field!r} must be true or false, got {value!r}")
 
 
-def _cell_key(key: str, field: str) -> tuple[int, int]:
-    """(p, q) from a key "p,q" of the mapping `field`."""
-    parts = key.split(",")
+def _rationals(field: str, read, *args):
+    """read(*args), with an entry that `qq` cannot read named as in the
+    field `field`; `read` may be `list` over a lazy `map(qq, ...)`."""
     try:
-        if len(parts) != 2:
-            raise ValueError
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise SchemaError(f"{field} key {key!r} must be two integers 'p,q'") from None
+        return read(*args)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"field {field!r}: {exc}") from None
 
 
 def _matrix(data, rows: int, cols: int, field: str) -> ExactMatrix:
@@ -135,7 +128,7 @@ def _matrix(data, rows: int, cols: int, field: str) -> ExactMatrix:
     if (not isinstance(data, list) or len(data) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in data)):
         raise SchemaError(f"field {field!r} must be a {rows}x{cols} matrix, a list of rows")
-    return ExactMatrix.from_rows(data)
+    return _rationals(field, ExactMatrix.from_rows, data)
 
 
 def _subspace(vectors, dim: int, field: str) -> Subspace:
@@ -143,7 +136,7 @@ def _subspace(vectors, dim: int, field: str) -> Subspace:
     if not isinstance(vectors, list) or any(not isinstance(v, list) or len(v) != dim
                                             for v in vectors):
         raise SchemaError(f"field {field!r} must be a list of vectors of length {dim}")
-    return Subspace(dim, vectors)
+    return _rationals(field, Subspace, dim, vectors)
 
 
 # -- builders per kind ---------------------------------------------------------
@@ -186,11 +179,14 @@ def build_lie_rinehart(payload: dict):
 def build_p1(payload: dict):
     algebroid = cechp1.atiyah_algebroid(_integer(_need(payload, "degree"), "degree"))
     scalar = payload.get("scalar_part")
-    if scalar is not None and (not isinstance(scalar, list) or len(scalar) > 2):
-        raise SchemaError("field 'scalar_part' must be a list of at most 2 entries "
-                          "(alpha + beta z)")
+    if scalar is not None:
+        if not isinstance(scalar, list) or len(scalar) > 2:
+            raise SchemaError("field 'scalar_part' must be a list of at most 2 entries "
+                              "(alpha + beta z)")
+        scalar = _rationals("scalar_part", list, map(qq, scalar))
     section = cechp1.EquivariantSection(
-        algebroid, tuple(_sized(payload, "vector_field", 3)), scalar)
+        algebroid, _rationals("vector_field", list, map(qq, _sized(payload, "vector_field", 3))),
+        scalar)
     untwisted = _boolean(payload.get("untwisted", False), "untwisted")
     window = _integer(payload.get("window", 2), "window")
     return algebroid, section, untwisted, window
@@ -219,7 +215,7 @@ def build_raw_double(payload: dict) -> DoubleComplex:
             raise SchemaError(f"empty rectangle: double.{axis}_hi {hi} < double.{axis}_lo {lo}")
 
     def cell(key, field):
-        p, q = _cell_key(key, field)
+        p, q = integers(key, 2, f"{field} key", SchemaError)
         if not (p_lo <= p <= p_hi and q_lo <= q <= q_hi):
             raise SchemaError(f"{field} key {key!r} is outside the rectangle "
                               f"p {p_lo}..{p_hi}, q {q_lo}..{q_hi}")
@@ -263,7 +259,7 @@ def build_raw_filtration(payload: dict, cplx: CochainComplex) -> FilteredComplex
         raise SchemaError(f"empty filtration range: filtration.p_hi {p_hi} < p_lo {p_lo}")
     levels = {}
     for key, vectors in _object(block, "spaces", "filtration.spaces").items():
-        p, n = _cell_key(key, "filtration.spaces")
+        p, n = integers(key, 2, "filtration.spaces key", SchemaError)
         if not (p_lo <= p <= p_hi + 1 and cplx.lo <= n <= cplx.hi):
             raise SchemaError(f"filtration.spaces key {key!r} is outside levels "
                               f"{p_lo}..{p_hi + 1} and degrees {cplx.lo}..{cplx.hi}")
@@ -283,9 +279,6 @@ def cmd_validate(payload: dict, args) -> tuple[dict, bool, list[str]]:
         return {"verdict": "pass"}, True, lines
     if kind == "lie_rinehart":
         lr, _ = build_lie_rinehart(payload)
-        # Still read so that a malformed value is an input error; the check
-        # on generators proves the identities at every weight.
-        _integer(payload.get("validate_weight", 0), "validate_weight")
         report = lierinehart.validate(lr)
         if report.ok:
             lines.append("all identities hold on all of L (checked on generators)")
@@ -316,6 +309,12 @@ def cmd_cohomology(payload: dict, args) -> tuple[dict, bool, list[str]]:
         return {"betti": _degree_json(dims)}, True, lines
     if kind == "lie_rinehart":
         lr, _ = build_lie_rinehart(payload)
+        failures = lierinehart.validate(lr).failures
+        if failures:
+            # A broken identity is a verdict failure, as in `validate`, not
+            # the d.d != 0 of a form complex that is no complex.
+            raise lierinehart.PresentationError(
+                f"{failures[0].identity} fails: {failures[0].witness}")
         lo, hi = _weight_range(payload, args)
         table = {}
         for w in range(lo, hi + 1):

@@ -29,6 +29,7 @@ from .exactla import (
     coordinates,
     image_basis,
     induced_map,
+    integer,
     kernel_basis,
     rank,
 )
@@ -36,15 +37,6 @@ from .exactla import (
 
 class ComplexError(Exception):
     pass
-
-
-def _integer(x, what: str) -> int:
-    """x as an int, where `int` would truncate a non-integral value: 2.0
-    is 2, while 2.5 raises ComplexError naming it."""
-    n = int(x)
-    if n != x:
-        raise ComplexError(f"{what} must be an integer, got {x!r}")
-    return n
 
 
 def _built(cls, *args):
@@ -61,7 +53,7 @@ class CochainComplex:
     __slots__ = ("lo", "hi", "_dims", "_diffs")
 
     def __init__(self, lo: int, hi: int, dims: Sequence[int], differentials: Sequence[ExactMatrix]):
-        self._set(lo, hi, [_integer(d, "dim") for d in dims], differentials)
+        self._set(lo, hi, [integer(d, "dim", ComplexError) for d in dims], differentials)
         diffs = self._diffs
         for i in range(len(diffs) - 1):
             if not (diffs[i + 1] @ diffs[i]).is_zero():
@@ -256,7 +248,7 @@ class DoubleComplex:
                 if not (p_lo <= p <= p_hi and q_lo <= q <= q_hi):
                     raise ComplexError(f"{name} key {(p, q)} outside the rectangle "
                                        f"p {p_lo}..{p_hi}, q {q_lo}..{q_hi}")
-        dims = {pq: _integer(x, f"dim at {pq}") for pq, x in dims.items()}
+        dims = {pq: integer(x, f"dim at {pq}", ComplexError) for pq, x in dims.items()}
         self._set(p_lo, p_hi, q_lo, q_hi, dims, horizontal, vertical)
         for p, q in self._dims:
             if not (self.dh(p + 1, q) @ self.dh(p, q)).is_zero():
@@ -406,9 +398,9 @@ class FilteredComplex:
 
     def __init__(self, cplx: CochainComplex, p_lo: int, p_hi: int,
                  levels: Mapping[int, Sequence[int]]):
-        self._set(cplx, p_lo, p_hi, {n: tuple(_integer(x, f"level in degree {n}")
-                                              for x in levels.get(n, ()))
-                                     for n in cplx.degrees()})
+        self._set(cplx, p_lo, p_hi,
+                  {n: tuple(integer(x, f"level in degree {n}", ComplexError)
+                            for x in levels.get(n, ())) for n in cplx.degrees()})
         for n, lv in self.levels.items():
             if any(not p_lo <= x <= p_hi for x in lv):
                 raise ComplexError(f"level outside [{p_lo},{p_hi}] in degree {n}")

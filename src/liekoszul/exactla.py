@@ -6,6 +6,12 @@ this package is ultimately a Subquotient produced here, so everything is
 exact.  An integral entry is stored as an `int`, any other as a
 `fractions.Fraction` (`qq` and `quotient` keep this rule).
 
+Input is read here once per format, by `qq` (a rational) and three
+readers beside it: `integer` (an integer, never truncated), `integers`
+(the integers of a key "a,b,...") and `sized` (a list of n entries).
+Every layer reads through them with its own error class, which names
+the field.
+
 Storage is sparse and canonical.  An `ExactMatrix` keeps, per row, a dict
 from column index to nonzero entry, and never stores a zero or an integral
 `Fraction`, so two equal matrices have equal storage whatever they were
@@ -80,6 +86,42 @@ def qq(x) -> "int | QQ":
     if isinstance(x, bool) or not isinstance(x, (int, QQ)):
         raise TypeError(f"cannot interpret {x!r} as a rational")
     return _integral(x)
+
+
+def integer(x, what: str, error: type[Exception]) -> int:
+    """x as an int: an int, or a float or Fraction with no fractional part
+    (2.0 is 2).  A bool, a string or a fractional value raises `error`
+    naming `what`, where `int` would read True as 1 and truncate 2.5."""
+    if x.__class__ is int:
+        return x
+    if isinstance(x, float) and x.is_integer() or isinstance(x, QQ) and x.denominator == 1:
+        return int(x)
+    raise error(f"{what} must be an integer, got {x!r}")
+
+
+def integers(key, n: int, what: str, error: type[Exception]) -> tuple[int, ...]:
+    """The n integers of a key: a string "a,b,..." ("" is the empty key) or
+    a sequence of values that `integer` reads.  Anything else raises
+    `error` naming `what` and the key."""
+    try:
+        if isinstance(key, str):
+            parts = tuple(int(t) for t in key.split(",")) if key else ()
+        else:
+            parts = tuple(integer(t, what, ValueError) for t in key)
+    except (TypeError, ValueError):
+        parts = None
+    if parts is None or len(parts) != n:
+        raise error(f"{what} {key!r} must be {n} comma-separated integers")
+    return parts
+
+
+def sized(value, n: int, what: str, error: type[Exception]):
+    """value, which must be a list or tuple of n entries; anything else
+    raises `error` naming `what`, the length and what was given."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        got = len(value) if isinstance(value, (list, tuple)) else type(value).__name__
+        raise error(f"{what} must be a list of {n} entries, got {got}")
+    return value
 
 
 def quotient(a, b) -> "int | QQ":

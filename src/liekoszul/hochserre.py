@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .complexes import CochainComplex, FilteredComplex, _built, betti, cohomology
-from .exactla import ExactMatrix, Subspace, _axpy, _wrap, coordinates, induced_map, qq
+from .exactla import ExactMatrix, Subspace, _axpy, _wrap, coordinates, induced_map, qq, sized
 from .lierinehart import _assemble, _bracket_entries, _ce_terms, _jacobi
 from .specseq import compute_page, run
 
@@ -37,9 +37,9 @@ class LieAlgebraError(Exception):
 
 
 class MalformedLieAlgebra(LieAlgebraError):
-    """Input of the wrong shape (a bracket key or coefficient vector, the
-    ambient of an ideal, the count or shape of action matrices), as
-    opposed to data of the right shape that breaks an identity."""
+    """Input of the wrong shape (a bracket key, coefficient vector or
+    coefficient, the ambient of an ideal, the count or shape of action
+    matrices), as opposed to data of the right shape that breaks an identity."""
 
 
 def _derived(cls, **fields):
@@ -58,10 +58,10 @@ class LieAlgebra:
         self.dim = dim
         self.brackets: dict[tuple[int, int], dict[int, QQ]] = {}
         for key, i, j, coeffs in _bracket_entries(brackets, dim, MalformedLieAlgebra):
-            if not isinstance(coeffs, (list, tuple)) or len(coeffs) != dim:
-                raise MalformedLieAlgebra(f"bracket {key} coefficient vector is {coeffs!r}, "
-                                          f"expected {dim} coefficients in a list")
-            nonzero = {k: c for k, c in enumerate(map(qq, coeffs)) if c}
+            try:
+                nonzero = {k: c for k, c in enumerate(map(qq, coeffs)) if c}
+            except (TypeError, ValueError) as exc:
+                raise MalformedLieAlgebra(f"bracket {key}: {exc}") from None
             if nonzero:
                 self.brackets[(i, j)] = nonzero
         constants = {pair: {s: {(): c} for s, c in cs.items()}
@@ -110,10 +110,7 @@ class GModule:
     fail: a nonzero bracket, or two nonzero actions (elsewhere 0 = 0)."""
 
     def __init__(self, algebra: LieAlgebra, dim: int, actions: Sequence[ExactMatrix]):
-        if len(actions) != algebra.dim:
-            raise MalformedLieAlgebra(f"module.actions has {len(actions)} matrices for an algebra "
-                                      f"of dimension {algebra.dim}: need one per basis vector")
-        for a in actions:
+        for a in sized(actions, algebra.dim, "module.actions", MalformedLieAlgebra):
             if a.rows != dim or a.cols != dim:
                 raise MalformedLieAlgebra("action matrix has wrong shape")
         zero = ExactMatrix.zeros(dim, dim)

@@ -32,7 +32,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .complexes import CochainComplex
-from .exactla import ExactMatrix, _integral, _wrap, format_rational, qq
+from .exactla import ExactMatrix, _integral, _wrap, format_rational, integer, integers, qq, sized
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, QQ]
@@ -43,25 +43,22 @@ class PresentationError(Exception):
 
 
 class MalformedPresentation(PresentationError):
-    """Input of the wrong shape (counts, lengths, keys, monomials, variable
-    weights), as opposed to data of the right shape that breaks the
-    grading or an identity."""
+    """Input of the wrong shape (counts, lengths, keys, monomials,
+    coefficients, weights), as opposed to data of the right shape that
+    breaks the grading or an identity."""
 
 
 def _bracket_entries(brackets, n: int, error: type[Exception]):
     """(key, i, j, value) for each entry of a {"i,j": value} mapping, with
-    0 <= i < j < n; a key may also be given as a pair."""
+    0 <= i < j < n and value a list of n entries; a key may also be given
+    as a pair."""
     if not isinstance(brackets, Mapping):
         raise error(f"brackets must be an object keyed 'i,j', got {type(brackets).__name__}")
     for key, value in brackets.items():
-        parts = key.split(",") if isinstance(key, str) else key
-        try:
-            i, j = (int(t) for t in parts)
-        except (TypeError, ValueError):
-            raise error(f"bracket key {key!r} must be two integers 'i,j'") from None
+        i, j = integers(key, 2, "bracket key", error)
         if not (0 <= i < j < n):
             raise error(f"bracket key ({i},{j}) must satisfy 0 <= i < j < {n}")
-        yield key, i, j, value
+        yield key, i, j, sized(value, n, f"bracket {key}", error)
 
 
 # -- polynomial helpers ------------------------------------------------------
@@ -72,21 +69,14 @@ def poly(data, nvars: int) -> Poly:
         raise MalformedPresentation(
             f"polynomial {data!r} must be an object {{exponents: coefficient}}")
     out: Poly = {}
-    for mono, coeff in data.items():
+    for key, coeff in data.items():
+        mono = integers(key, nvars, "monomial key", MalformedPresentation)
+        if any(e < 0 for e in mono):
+            raise MalformedPresentation(f"monomial key {key!r} has a negative exponent")
         try:
-            if isinstance(mono, str):
-                # "" is the empty monomial, the only one over no variables
-                mono = tuple(int(t) for t in mono.split(",")) if mono else ()
-            exps = tuple(int(e) for e in mono)
-            if exps != tuple(mono):
-                raise ValueError    # int would truncate an exponent 1.5 to 1
-            mono = exps
-        except (TypeError, ValueError):
-            raise MalformedPresentation(
-                f"monomial key {mono!r} must be {nvars} integers 'e1,...,en'") from None
-        if len(mono) != nvars or any(e < 0 for e in mono):
-            raise MalformedPresentation(f"bad monomial {mono} for {nvars} variables")
-        c = qq(coeff)
+            c = qq(coeff)
+        except (TypeError, ValueError) as exc:
+            raise MalformedPresentation(f"monomial key {key!r}: {exc}") from None
         if c:
             out[mono] = out.get(mono, 0) + c
     return {m: c for m, c in out.items() if c}
@@ -162,7 +152,8 @@ class WeightedPolyRing:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(
+            integer(w, "variable weight", MalformedPresentation) for w in self.weights))
         if len(self.weights) != self.nvars:
             raise MalformedPresentation("weight count does not match variable count")
         if any(w < 1 for w in self.weights):
@@ -226,49 +217,28 @@ class LieRinehartPresentation:
     def __init__(self, ring: WeightedPolyRing, gen_weights: Sequence[int],
                  anchor: Sequence[Sequence], brackets: Mapping):
         self.ring = ring
-        self.gen_weights = tuple(int(g) for g in gen_weights)
-        m = len(self.gen_weights)
-        if len(anchor) != m:
-            raise MalformedPresentation(
-                f"anchor has {len(anchor)} rows, expected one per generator ({m})")
-        self.anchor: list[list[Poly]] = []
-        for i, row in enumerate(anchor):
-            if not isinstance(row, (list, tuple)):
-                raise MalformedPresentation(
-                    f"anchor row {i} is {row!r}, expected a list of {ring.nvars} polynomials")
-            if len(row) != ring.nvars:
-                raise MalformedPresentation(
-                    f"anchor row {i} has length {len(row)}, expected {ring.nvars}")
-            prow = []
-            for j, entry in enumerate(row):
-                a = poly(entry, ring.nvars)
-                wt = ring.weight_of(a)
-                expected = self.gen_weights[i] + ring.weights[j]
-                if wt is not None and wt != expected:
-                    raise PresentationError(
-                        f"anchor a[{i}][{j}] has weight {wt}, expected {expected}")
-                prow.append(a)
-            self.anchor.append(prow)
+        gw = self.gen_weights = tuple(integer(g, "generator weight", MalformedPresentation)
+                                      for g in gen_weights)
+        m, n = len(gw), ring.nvars
+
+        def entry(value, expected: int, name: str) -> Poly:
+            """The polynomial `value`, homogeneous of weight `expected` unless 0."""
+            a = poly(value, n)
+            wt = ring.weight_of(a)
+            if wt is not None and wt != expected:
+                raise PresentationError(f"{name} has weight {wt}, expected {expected}")
+            return a
+
+        self.anchor: list[list[Poly]] = [
+            [entry(a, gw[i] + ring.weights[j], f"anchor a[{i}][{j}]")
+             for j, a in enumerate(sized(row, n, f"anchor row {i}", MalformedPresentation))]
+            for i, row in enumerate(sized(anchor, m, "anchor", MalformedPresentation))]
         self.acting = tuple(k for k, row in enumerate(self.anchor) if any(row))
         # [e_i, e_j] for i < j as {k: c_ij^k}, nonzero components only.
         self.brackets: dict[tuple[int, int], dict[int, Poly]] = {}
-        for key, i, j, comps in _bracket_entries(brackets, m, MalformedPresentation):
-            if not isinstance(comps, (list, tuple)):
-                raise MalformedPresentation(
-                    f"bracket {key} is {comps!r}, expected a list of {m} polynomials")
-            if len(comps) != m:
-                raise MalformedPresentation(
-                    f"bracket {key} has {len(comps)} components, expected {m}")
-            cs = {}
-            for k, entry in enumerate(comps):
-                c = poly(entry, ring.nvars)
-                wt = ring.weight_of(c)
-                expected = self.gen_weights[i] + self.gen_weights[j] - self.gen_weights[k]
-                if wt is not None and wt != expected:
-                    raise PresentationError(
-                        f"bracket c[{i},{j}]^{k} has weight {wt}, expected {expected}")
-                if c:
-                    cs[k] = c
+        for _, i, j, comps in _bracket_entries(brackets, m, MalformedPresentation):
+            cs = {k: c for k, value in enumerate(comps)
+                  if (c := entry(value, gw[i] + gw[j] - gw[k], f"bracket c[{i},{j}]^{k}"))}
             if cs:
                 self.brackets[(i, j)] = cs
         self._slices: dict[tuple[int, int], FormSlice] = {}
@@ -346,10 +316,8 @@ class SectionV:
     def __init__(self, owner: LieRinehartPresentation, components: Sequence):
         self.owner = owner
         ring = owner.ring
-        comps = [poly(entry, ring.nvars) for entry in components]
-        if len(comps) != owner.rank:
-            raise MalformedPresentation(
-                f"section has {len(comps)} components, expected {owner.rank}")
+        comps = [poly(entry, ring.nvars)
+                 for entry in sized(components, owner.rank, "section", MalformedPresentation)]
         wt = None
         for i, c in enumerate(comps):
             wc = ring.weight_of(c)

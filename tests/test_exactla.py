@@ -4,7 +4,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from liekoszul import exactla
+from liekoszul import cechp1, complexes, exactla, lierinehart
 from liekoszul.exactla import (
     ExactMatrix,
     LinearAlgebraError,
@@ -15,9 +15,12 @@ from liekoszul.exactla import (
     image_basis,
     induced_map,
     coordinates,
+    integer,
+    integers,
     kernel_basis,
     qq,
     rank,
+    sized,
     solve,
     solve_batch,
 )
@@ -385,6 +388,77 @@ def test_qq_parses_strings_as_fraction_does():
         assert got == expected, s
         assert type(got) is (int if expected.denominator == 1 else QQ), s
     assert refused >= 15
+
+
+# -- the integer, key and list readers -----------------------------------------
+
+# Each library constructor that takes an integer, with the error class of its
+# layer and a reader of the integer it stored.  `int` reads 1.5, True and "1"
+# all as 1; each site refuses all three.
+ONE_VARIABLE = lierinehart.WeightedPolyRing(1, (1,))
+INTEGER_SITES = {
+    "laurent-exponent": (ValueError, lambda x: cechp1.SheafOnP1(1, [[{x: 1}]]),
+                         lambda s: next(iter(s.transition[0][0]))),
+    "degree": (ValueError, cechp1.AlgebroidOnP1, lambda a: a.degree),
+    "variable-weight": (lierinehart.MalformedPresentation,
+                        lambda x: lierinehart.WeightedPolyRing(1, (x,)), lambda r: r.weights[0]),
+    "generator-weight": (lierinehart.MalformedPresentation,
+                         lambda x: lierinehart.LieRinehartPresentation(ONE_VARIABLE, [x],
+                                                                       [[{}]], {}),
+                         lambda lr: lr.gen_weights[0]),
+    "bracket-key": (ValueError,
+                    lambda x: list(lierinehart._bracket_entries({(0, x): [0, 0, 0]}, 3,
+                                                                ValueError)),
+                    lambda entries: entries[0][2]),
+    "monomial-exponent": (lierinehart.MalformedPresentation,
+                          lambda x: lierinehart.poly({(x,): 1}, 1), lambda p: next(iter(p))[0]),
+    "dim": (complexes.ComplexError, lambda x: complexes.CochainComplex(0, 0, [x], []),
+            lambda c: c.dim(0)),
+    "double-dim": (complexes.ComplexError,
+                   lambda x: complexes.DoubleComplex(0, 0, 0, 0, {(0, 0): x}, {}, {}),
+                   lambda d: d.cell_dim(0, 0)),
+    "level": (complexes.ComplexError,
+              lambda x: complexes.FilteredComplex(complexes.CochainComplex(0, 0, [1], []),
+                                                  0, 2, {0: [x]}),
+              lambda f: f.levels[0][0]),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_site_refuses_what_int_would_truncate(site, bad):
+    error, build, stored = INTEGER_SITES[site]
+    with pytest.raises(error, match=re.escape(repr(bad))):
+        build(bad)
+    value = stored(build(2.0))
+    assert value == 2 and type(value) is int
+
+
+def test_integer_reads_integral_numbers_only():
+    assert [integer(x, "w", ValueError) for x in (3, -2.0, QQ(4, 2))] == [3, -2, 2]
+    for bad in (True, False, 2.5, "2", QQ(1, 2), None, float("inf"), float("nan")):
+        with pytest.raises(KeyError, match=re.escape(f"w must be an integer, got {bad!r}")):
+            integer(bad, "w", KeyError)
+
+
+def test_integers_read_a_key_of_n_integers():
+    assert integers("1,-2", 2, "key", ValueError) == (1, -2)
+    assert integers((3, 4.0), 2, "key", ValueError) == (3, 4)
+    assert integers("", 0, "key", ValueError) == ()
+    for short in ("1", (1,), ""):
+        with pytest.raises(ValueError, match=re.escape(f"key {short!r} must be 2 ")):
+            integers(short, 2, "key", ValueError)
+    for bad in ("1,a", "1,1.5", (1, 0.5), (1, True), ("1", "2"), 5, None):
+        with pytest.raises(ValueError, match=re.escape(f"key {bad!r} must be 2 comma-separated")):
+            integers(bad, 2, "key", ValueError)
+
+
+def test_sized_reads_a_list_of_n_entries():
+    assert sized([1, 2], 2, "v", ValueError) == [1, 2]
+    assert sized((1, 2), 2, "v", ValueError) == (1, 2)
+    for bad, got in (([1], 1), ((1, 2, 3), 3), (5, "int"), ("ab", "str"), ({0: 1, 1: 2}, "dict")):
+        with pytest.raises(ValueError, match=f"v must be a list of 2 entries, got {got}$"):
+            sized(bad, 2, "v", ValueError)
 
 
 # -- coordinates in a sparse basis --------------------------------------------

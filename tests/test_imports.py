@@ -185,29 +185,35 @@ LIBRARY_HELPERS = [
 ]
 
 
+def _scoped_calls(source: str, module: str):
+    """(qualified name of the enclosing function, enclosing class, call
+    node) for each call in the source, in document order."""
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, scope + [child.name], child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, scope + [child.name], owner)
+                continue
+            if isinstance(child, ast.Call):
+                yield ".".join([module, *scope]), owner, child
+            yield from visit(child, scope, owner)
+
+    return visit(ast.parse(source), [], None)
+
+
 def checked_constructions(source: str, module: str) -> list[str]:
     """The qualified name of the function around each call of a public
     constructor of the checked classes (`CochainComplex(`, `mod.ChainMap(`,
     ..., and `cls(` in a method of one of them), one entry per call."""
     sites = []
-
-    def visit(node, scope, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, scope + [child.name], child.name)
-                continue
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + [child.name], owner)
-                continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in CHECKED or (name == "cls" and isinstance(f, ast.Name)
-                                       and owner in CHECKED):
-                    sites.append(".".join([module, *scope]))
-            visit(child, scope, owner)
-
-    visit(ast.parse(source), [], None)
+    for site, owner, call in _scoped_calls(source, module):
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name in CHECKED or (name == "cls" and isinstance(f, ast.Name) and owner in CHECKED):
+            sites.append(site)
     return sorted(sites)
 
 
@@ -227,6 +233,34 @@ def test_scan_finds_a_checked_construction():
               "class Other:\n    @classmethod\n    def make(cls):\n        return cls()\n")
     assert checked_constructions(source, "m") == ["m.FilteredComplex.make", "m.builder",
                                                   "m.qualified"]
+
+
+# Where the package may call `int`, which reads True as 1 and truncates 2.5:
+# the readers beside `qq`, which refuse both, and the `--weights` bound, a
+# string.  Every other integer is read by `exactla.integer` or `integers`.
+INT_READERS = ["cli._bound", "exactla.integer", "exactla.integers", "exactla.qq"]
+
+
+def int_calls(source: str, module: str) -> list[str]:
+    """The qualified name of the function around each call `int(...)`, one
+    entry per call."""
+    return sorted(site for site, _, call in _scoped_calls(source, module)
+                  if isinstance(call.func, ast.Name) and call.func.id == "int")
+
+
+def test_only_the_readers_call_int():
+    sites = {site for path in sorted(PACKAGE.glob("*.py"))
+             for site in int_calls(path.read_text(), path.stem)}
+    assert sorted(sites) == INT_READERS
+
+
+def test_scan_finds_an_int_call():
+    source = ("N = int('3')\n\n"
+              "def read(x):\n    return [int(t) for t in x.split(',')], isinstance(x, int)\n\n"
+              "class K:\n    def __init__(self, w):\n        self.w = int(w)\n\n"
+              "    def size(self) -> int:\n        return len(map(int, self.w))\n\n"
+              "def outer():\n    def inner(y):\n        return int(y)\n    return inner\n")
+    assert int_calls(source, "m") == ["m", "m.K.__init__", "m.outer.inner", "m.read"]
 
 
 def checked_matrix_calls(source: str) -> list[str]:
