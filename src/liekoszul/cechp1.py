@@ -32,8 +32,9 @@ part, vector part) columns.  Its cocycle identity T(z) T(1/z) = I and its
 symbol row (0, -z^2), the tangent transition, hold for every degree d, so
 they are proved once by the tests rather than on every run, as are the
 closed forms of the dual bundle D*(d) and of det D*(d) = Omega^1.  "All
-zeros simple" is a discriminant test; a run locates the zeros once, in
-`corollary_check`.
+zeros simple" is a discriminant test, and under it the fixed points are
+read off the coefficients in closed form, over the algebraic closure: a
+pair of irrational zeros is listed and counted, not located.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 
 from .complexes import DoubleComplex, _built, _twisted, column_filtration, row_filtration
-from .exactla import ExactMatrix, _wrap, integer, qq, quotient, rank
+from .exactla import ExactMatrix, _wrap, format_rational, integer, qq, quotient, rank
 from .lierinehart import p_scale, p_sub
 from .specseq import Pairing, compute_page, run
 
@@ -55,10 +56,6 @@ class WindowError(Exception):
 
 
 class GluingError(Exception):
-    pass
-
-
-class IrrationalZeroError(Exception):
     pass
 
 
@@ -90,19 +87,6 @@ def lp_mul(a: Laurent, b: Laurent) -> Laurent:
             else:
                 out.pop(e, None)
     return out
-
-
-def lp_eval(a: Laurent, x: QQ) -> QQ:
-    x = qq(x)
-    total_ = 0
-    for e, c in a.items():
-        if e >= 0:
-            total_ += c * x ** e
-        else:
-            if x == 0:
-                raise ZeroDivisionError("negative exponent at zero")
-            total_ += quotient(c, x ** (-e))
-    return total_
 
 
 def lp_coeffs_poly(coeffs) -> Laurent:
@@ -445,34 +429,6 @@ def _rational_sqrt(x: QQ) -> QQ | None:
     return None
 
 
-def vector_field_zeros(section: EquivariantSection) -> list[tuple[object, int]]:
-    """Zeros of the vector part on the line plus the point at infinity,
-    as (location, multiplicity); location is a rational or "infinity"."""
-    a, b, c = section.vf_coeffs
-    if a == 0 and b == 0 and c == 0:
-        raise GluingError("vector part is identically zero; zero locus is not finite")
-    zeros: list[tuple[object, int]] = []
-    if c != 0:
-        disc = b * b - 4 * a * c
-        root = _rational_sqrt(disc) if disc >= 0 else None
-        if disc != 0 and root is None:
-            raise IrrationalZeroError(f"irrational zero: discriminant {disc}")
-        if disc == 0:
-            zeros.append((quotient(-b, 2 * c), 2))
-        else:
-            zeros.append((quotient(-b + root, 2 * c), 1))
-            zeros.append((quotient(-b - root, 2 * c), 1))
-        deg = 2
-    elif b != 0:
-        zeros.append((quotient(-a, b), 1))
-        deg = 1
-    else:
-        deg = 0
-    if deg < 2:
-        zeros.append(("infinity", 2 - deg))
-    return zeros
-
-
 def assumption_check(section: EquivariantSection) -> bool:
     """All zeros of the symbol vector field a + b z + c z^2 are simple: a
     nonzero discriminant if c != 0, else b != 0 (infinity is then a zero of
@@ -482,17 +438,31 @@ def assumption_check(section: EquivariantSection) -> bool:
 
 
 def fixed_point_set(section: EquivariantSection, untwisted: bool) -> list[object]:
-    """Points where the section vanishes: for the operator case both the
-    vector part and the scalar part; for the untwisted case the vector part."""
-    pts = []
-    for loc, _m in vector_field_zeros(section):
-        if loc == "infinity":
-            if untwisted or lp_eval(section.f1, 0) == 0:
-                pts.append(loc)
-        else:
-            if untwisted or lp_eval(section.f0, loc) == 0:
-                pts.append(loc)
-    return pts
+    """Points of P^1, over the algebraic closure, where the section vanishes:
+    the zeros of the vector part a + b z + c z^2 and, in the operator case,
+    those where the scalar part vanishes too.  A closed form that holds
+    where `assumption_check` does, so that the vector part has exactly two
+    zeros:
+    - c = 0: -a/b and "infinity", where the scalar parts are f0 = alpha and
+      f1(0) = alpha + d b;
+    - c != 0 with a rational square root of b^2 - 4ac: (-b +- root)/2c, an
+      int or a Fraction x, where f0 = alpha - d c x;
+    - c != 0 otherwise: a conjugate pair, written "(-b + sqrt(disc))/2c"
+      and "(-b - sqrt(disc))/2c".  f0 has degree <= 1 and rational
+      coefficients, so it vanishes at both iff alpha = d = 0, else at neither."""
+    a, b, c = section.vf_coeffs
+    alpha, d = section.alpha, section.algebroid.degree
+    disc = b * b - 4 * a * c
+    root = _rational_sqrt(disc)
+    if not c:
+        points = [(quotient(-a, b), alpha), ("infinity", alpha + d * b)]
+    elif root is not None:
+        points = [(x, alpha - d * c * x)
+                  for x in (quotient(-b + root, 2 * c), quotient(-b - root, 2 * c))]
+    else:
+        points = [(f"({format_rational(-b)} {sign} sqrt({format_rational(disc)}))"
+                   f"/{format_rational(2 * c)}", alpha or d) for sign in "+-"]
+    return [x for x, scalar in points if untwisted or not scalar]
 
 
 @dataclass(frozen=True)
@@ -508,8 +478,9 @@ class CorollaryReport:
 
 
 def corollary_check(model: CechKoszulModel) -> CorollaryReport:
-    """Fixed-point prediction against the equivariant cohomology of `model`;
-    the zeros are located here, once (IrrationalZeroError comes from here).
+    """Fixed-point prediction against the equivariant cohomology of `model`,
+    under the hypothesis of all zeros simple (GluingError otherwise), which
+    is also the one under which `fixed_point_set` holds.
 
     Each vanishing point contributes one dimension in degree 0 and, in the
     operator-bundle case, one more in degree -1 (the operators on the

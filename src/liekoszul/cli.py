@@ -3,8 +3,9 @@ print a text report and optionally write a machine-readable JSON report.
 
 One file holds one example.  Exit codes: 0 all verdicts pass, 1 a
 mathematical verdict failed (including gluing/validation failures),
-2 input or schema error.  The JSON report is deterministic (sorted keys,
-no timings); wall-clock timings go to stdout only.
+2 input or schema error, 3 an internal error (a bug).  The JSON report
+is deterministic (sorted keys, no timings); wall-clock timings go to
+stdout only.
 """
 
 from __future__ import annotations
@@ -295,6 +296,17 @@ def cmd_validate(payload: dict, args) -> tuple[dict, bool, list[str]]:
     raise SchemaError(f"validate does not apply to kind {kind!r}")
 
 
+def _require_valid(lr) -> None:
+    """Raise PresentationError (exit 1) on the first identity that `lr`
+    breaks, as `validate` reports it: a verdict failure, raised before any
+    complex is built on an object that is no Lie-Rinehart algebra (a form
+    complex would fail d.d = 0, and koszul would print verdicts about it)."""
+    failures = lierinehart.validate(lr).failures
+    if failures:
+        raise lierinehart.PresentationError(
+            f"{failures[0].identity} fails: {failures[0].witness}")
+
+
 def cmd_cohomology(payload: dict, args) -> tuple[dict, bool, list[str]]:
     kind = payload["kind"]
     lines = []
@@ -309,12 +321,7 @@ def cmd_cohomology(payload: dict, args) -> tuple[dict, bool, list[str]]:
         return {"betti": _degree_json(dims)}, True, lines
     if kind == "lie_rinehart":
         lr, _ = build_lie_rinehart(payload)
-        failures = lierinehart.validate(lr).failures
-        if failures:
-            # A broken identity is a verdict failure, as in `validate`, not
-            # the d.d != 0 of a form complex that is no complex.
-            raise lierinehart.PresentationError(
-                f"{failures[0].identity} fails: {failures[0].witness}")
+        _require_valid(lr)
         lo, hi = _weight_range(payload, args)
         table = {}
         for w in range(lo, hi + 1):
@@ -396,6 +403,7 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
     lo, hi = _weight_range(payload, args)
     asserted = "dim_y" in payload
     dim_y = _count(payload["dim_y"], "dim_y") if asserted else None
+    _require_valid(lr)
     formality = koszul.formality_check(lr, section, range(lo, hi + 1))
     tables = {s.w: s.source_betti for s in formality.slices}
     lines = []
@@ -509,15 +517,14 @@ COMMANDS = {
 }
 
 # Malformed input: exit 2.  Caught before MATH_ERRORS, which holds the base
-# classes of MalformedPresentation and MalformedLieAlgebra.
+# classes of MalformedPresentation and MalformedLieAlgebra.  Every input
+# reader raises one of these, so a bare KeyError, ValueError or TypeError is
+# a fault of the program (exit 3), not of the input.
 INPUT_ERRORS = (
     SchemaError,
     ComplexError,
     lierinehart.MalformedPresentation,
     hochserre.MalformedLieAlgebra,
-    KeyError,
-    ValueError,
-    TypeError,
 )
 
 # A mathematical verdict failed: exit 1.
@@ -527,7 +534,6 @@ MATH_ERRORS = (
     koszul.ZeroLocusError,
     cechp1.GluingError,
     cechp1.WindowError,
-    cechp1.IrrationalZeroError,
 )
 
 
@@ -559,7 +565,8 @@ def main(argv=None) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: invalid JSON or UTF-8; RecursionError: nesting too deep
         print(f"error: cannot read example file: {exc}", file=sys.stderr)
         return 2
     if not isinstance(payload, dict) or "kind" not in payload:
@@ -575,6 +582,9 @@ def main(argv=None) -> int:
     except MATH_ERRORS as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     name = payload.get("name", args.file)
     print(f"== {args.command} {name} ==")

@@ -27,7 +27,8 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .complexes import CochainComplex, FilteredComplex, _built, betti, cohomology
-from .exactla import ExactMatrix, Subspace, _axpy, _wrap, coordinates, induced_map, qq, sized
+from .exactla import (ExactMatrix, Subspace, _axpy, _wrap, coordinates, induced_map, integer, qq,
+                      sized)
 from .lierinehart import _assemble, _bracket_entries, _ce_terms, _jacobi
 from .specseq import compute_page, run
 
@@ -55,7 +56,7 @@ class LieAlgebra:
     check `validate` runs, which visits only the nonzero products."""
 
     def __init__(self, dim: int, brackets: Mapping):
-        self.dim = dim
+        dim = self.dim = integer(dim, "dim", MalformedLieAlgebra)
         self.brackets: dict[tuple[int, int], dict[int, QQ]] = {}
         for key, i, j, coeffs in _bracket_entries(brackets, dim, MalformedLieAlgebra):
             try:

@@ -152,6 +152,8 @@ class WeightedPolyRing:
     weights: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "nvars",
+                           integer(self.nvars, "variable count", MalformedPresentation))
         object.__setattr__(self, "weights", tuple(
             integer(w, "variable weight", MalformedPresentation) for w in self.weights))
         if len(self.weights) != self.nvars:

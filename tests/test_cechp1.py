@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as QQ
 from itertools import product
 
@@ -7,7 +9,6 @@ from liekoszul import cechp1, cli
 from liekoszul.cechp1 import (
     EquivariantSection,
     GluingError,
-    IrrationalZeroError,
     RowModel,
     WindowError,
     _delta_matrix,
@@ -24,9 +25,7 @@ from liekoszul.cechp1 import (
     line_bundle,
     lmat_det,
     lp_coeffs_poly,
-    lp_eval,
     second_page_degeneration,
-    vector_field_zeros,
     window_checked,
     zero_section,
 )
@@ -279,17 +278,18 @@ def test_untwisted_matches_handbuilt_model():
     assert hand_betti == engine == {0: 2}
 
 
-def test_vector_field_zeros_and_assumption():
+def test_fixed_points_and_assumption():
     a0 = atiyah_algebroid(0)
-    assert vector_field_zeros(EquivariantSection(a0, (0, 1, 0))) == [
-        (QQ(0), 1), ("infinity", 1)]
+    assert fixed_point_set(EquivariantSection(a0, (0, 1, 0)), untwisted=True) == [
+        QQ(0), "infinity"]
     assert assumption_check(EquivariantSection(a0, (0, 1, 0)))
     assert not assumption_check(EquivariantSection(a0, (0, 0, 1)))  # double zero
     assert assumption_check(EquivariantSection(a0, (-1, 0, 1)))     # +-1 simple
     assert not assumption_check(EquivariantSection(a0, (1, 0, 0)))  # double at inf
     assert not assumption_check(zero_section(a0))
-    with pytest.raises(IrrationalZeroError):
-        vector_field_zeros(EquivariantSection(a0, (-2, 0, 1)))  # roots sqrt(2)
+    # roots +-sqrt(2): a conjugate pair, listed and not located
+    assert fixed_point_set(EquivariantSection(a0, (-2, 0, 1)), untwisted=True) == [
+        "(0 + sqrt(8))/2", "(0 - sqrt(8))/2"]
 
 
 def _exact(x):
@@ -300,39 +300,44 @@ def _exact(x):
 def test_vector_field_zeros_are_exact_fractions():
     # Integer coefficients with non-integral zeros: int / int would be a float.
     a0 = atiyah_algebroid(0)
-    zeros = vector_field_zeros(EquivariantSection(a0, (1, 2, 0)))        # 2z + 1
-    assert zeros == [(QQ(-1, 2), 1), ("infinity", 1)]
-    assert type(zeros[0][0]) is QQ
-    zeros = vector_field_zeros(EquivariantSection(a0, (1, -3, 2)))       # (2z - 1)(z - 1)
-    assert zeros == [(1, 1), (QQ(1, 2), 1)]
-    assert all(_exact(loc) for loc, _ in zeros)
-    zeros = vector_field_zeros(EquivariantSection(a0, (1, 4, 4)))        # (2z + 1)^2
-    assert zeros == [(QQ(-1, 2), 2)] and type(zeros[0][0]) is QQ
+    zeros = fixed_point_set(EquivariantSection(a0, (1, 2, 0)), untwisted=True)   # 2z + 1
+    assert zeros == [QQ(-1, 2), "infinity"]
+    assert type(zeros[0]) is QQ
+    zeros = fixed_point_set(EquivariantSection(a0, (1, -3, 2)), untwisted=True)  # (2z - 1)(z - 1)
+    assert zeros == [1, QQ(1, 2)]
+    assert all(_exact(loc) for loc in zeros)
 
 
 def test_assumption_is_the_discriminant_test():
-    # every field a + b z + c z^2 with small coefficients: where the zeros
-    # are rational, "all simple" is every multiplicity 1; where they are
-    # irrational they are simple, and the discriminant test says so
+    # every field v = a + b z + c z^2 with small coefficients, against an
+    # oracle that shares nothing with the discriminant: for c != 0 a double
+    # zero is a common zero of v and v', and v' = b + 2 c z vanishes only at
+    # -b/2c; for c = 0, infinity is a zero of order 2 - deg v, so a double
+    # zero means b = 0.  Where the zeros are simple, each listed rational
+    # point is a zero of v.
     a0 = atiyah_algebroid(0)
     irrational = 0
     for coeffs in product(range(-3, 4), repeat=3):
+        a, b, c = coeffs
         v = EquivariantSection(a0, coeffs)
-        try:
-            zeros = vector_field_zeros(v)
-        except IrrationalZeroError:
-            irrational += 1
-            assert assumption_check(v), coeffs
+        if c:
+            x = QQ(-b, 2 * c)
+            double = a + b * x + c * x * x == 0 and b + 2 * c * x == 0
+        else:
+            double = b == 0
+        assert assumption_check(v) == (not double), coeffs
+        if double:
             continue
-        except GluingError:
-            assert coeffs == (0, 0, 0) and not assumption_check(v)
-            continue
-        assert assumption_check(v) == all(m == 1 for _, m in zeros), coeffs
+        points = fixed_point_set(v, untwisted=True)
+        assert len(set(points)) == 2, coeffs
+        for p in points:
+            if not isinstance(p, str):
+                assert a + b * p + c * p * p == 0, coeffs
+        irrational += all(isinstance(p, str) and "sqrt" in p for p in points)
     assert irrational
 
 
 def test_fixed_points_respect_scalar_part():
-    assert lp_eval({-1: 1, 0: 1}, 2) == QQ(3, 2) and type(lp_eval({-1: 1}, 2)) is QQ
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
     assert fixed_point_set(v, untwisted=False) == [QQ(0), "infinity"]
@@ -343,6 +348,37 @@ def test_fixed_points_respect_scalar_part():
     a2 = atiyah_algebroid(2)
     v2 = EquivariantSection(a2, (0, 1, 0))
     assert fixed_point_set(v2, untwisted=False) == [QQ(0)]
+
+
+def _irrational_zeros(coeffs):
+    """a + b z + c z^2 (integers, c != 0) has zeros outside QQ: b^2 - 4ac is
+    no integer square."""
+    a, b, c = coeffs
+    disc = b * b - 4 * a * c
+    return c != 0 and (disc < 0 or math.isqrt(disc) ** 2 != disc)
+
+
+def test_corollary_holds_on_a_seeded_scan_of_simple_zero_sections():
+    # 120 seeded sections with simple zeros, twisted and untwisted, with and
+    # without a scalar part: the closed-form count matches H on every one,
+    # irrational zeros included
+    rng = random.Random(25)
+    scanned = irrational = 0
+    while scanned < 120:
+        d = rng.choice((-2, -1, 0, 1, 3))
+        coeffs = tuple(rng.randint(-2, 2) for _ in range(3))
+        alpha = rng.choice((0, 1, -2))
+        scalar = rng.choice((None, [alpha], [alpha, -d * coeffs[2]]))
+        untwisted = rng.random() < 0.5
+        algebroid = atiyah_algebroid(d)
+        section = EquivariantSection(algebroid, coeffs, scalar)
+        if not assumption_check(section):
+            continue
+        rep = corollary_check(window_checked(algebroid, section, 2, untwisted))
+        assert rep.match, (d, coeffs, scalar, untwisted, rep)
+        scanned += 1
+        irrational += _irrational_zeros(coeffs)
+    assert irrational >= 40, irrational
 
 
 def test_corollary_untwisted_and_twisted():
@@ -569,15 +605,15 @@ def test_second_page_degeneration_examples():
 
 
 def test_a_p1_run_locates_the_zeros_at_most_once(monkeypatch, capsys):
-    real, calls = cechp1.vector_field_zeros, []
+    real, calls = cechp1.fixed_point_set, []
 
-    def counting(section):
+    def counting(section, untwisted):
         calls.append(section)
-        return real(section)
+        return real(section, untwisted)
 
-    monkeypatch.setattr(cechp1, "vector_field_zeros", counting)
+    monkeypatch.setattr(cechp1, "fixed_point_set", counting)
     paths = sorted(corpus.CASES.glob("p1-*.json"))
-    assert len(paths) == 5
+    assert len(paths) == 6
     counts = []
     for path in paths:
         calls.clear()
@@ -586,3 +622,6 @@ def test_a_p1_run_locates_the_zeros_at_most_once(monkeypatch, capsys):
     assert max(counts) == 1, counts
     # no dual bundle is inverted: the closed forms are all there is
     assert not hasattr(cechp1, "lmat_inverse") and not hasattr(cechp1, "lmat_transpose")
+    # and no zero is located: the fixed points are a closed form too
+    for name in ("vector_field_zeros", "lp_eval", "IrrationalZeroError"):
+        assert not hasattr(cechp1, name), name

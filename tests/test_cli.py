@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liekoszul import cechp1, complexes, exactla, koszul, lierinehart, specseq
 from liekoszul.cli import build_lie_rinehart, main
@@ -170,23 +171,42 @@ def test_raw_complex_with_nonzero_square_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# rho[e0, e1] = rho(e0) = x0 d/dx0, but [rho e0, rho e1] = [x0 d/dx0, x1 d/dx1] = 0
+ANCHOR_NOT_A_MORPHISM = {
+    "kind": "lie_rinehart", "name": "anchor-not-a-morphism",
+    "variable_weights": [1, 1], "generator_weights": [0, 0],
+    "anchor": [[{"1,0": "1"}, {}], [{}, {"0,1": "1"}]],
+    "brackets": {"0,1": [{"0,0": "1"}, {}]},
+}
+
+
 def test_cohomology_of_an_anchor_that_is_no_morphism_is_a_verdict_failure(tmp_path, capsys):
-    # rho[e0, e1] = rho(e0) = x0 d/dx0, but [rho e0, rho e1] = [x0 d/dx0, x1 d/dx1] = 0:
     # `cohomology` runs `validate` once and exits 1 on its first failure, as
     # `validate` does
     bad = tmp_path / "anchor.json"
-    bad.write_text(json.dumps({
-        "kind": "lie_rinehart", "name": "anchor-not-a-morphism",
-        "variable_weights": [1, 1], "generator_weights": [0, 0],
-        "anchor": [[{"1,0": "1"}, {}], [{}, {"0,1": "1"}]],
-        "brackets": {"0,1": [{"0,0": "1"}, {}]},
-    }))
+    bad.write_text(json.dumps(ANCHOR_NOT_A_MORPHISM))
     assert run_cli(["validate", bad]) == 1
     assert "FAILED anchor-morphism: rho([e0,e1]) component d/dx0: residue 1*x0" in (
         capsys.readouterr().out)
     err = _exit_with_one_line(capsys, ["cohomology", bad], 1, "verdict failure:")
     assert err == ("verdict failure: anchor-morphism fails: "
                    "rho([e0,e1]) component d/dx0: residue 1*x0\n")
+
+
+def test_koszul_of_an_anchor_that_is_no_morphism_is_a_verdict_failure(tmp_path, capsys):
+    # with a section (x0, x1) the Koszul slices exist and read formality:
+    # pass, but they describe no Lie-Rinehart algebra; `koszul` fails as
+    # `cohomology` does, after every input error
+    bad = tmp_path / "anchor.json"
+    bad.write_text(json.dumps({**ANCHOR_NOT_A_MORPHISM,
+                               "section": [{"1,0": "1"}, {"0,1": "1"}]}))
+    err = _exit_with_one_line(capsys, ["koszul", bad, "--weights", "0..2"], 1,
+                              "verdict failure:")
+    assert err == ("verdict failure: anchor-morphism fails: "
+                   "rho([e0,e1]) component d/dx0: residue 1*x0\n")
+    bad.write_text(json.dumps({**ANCHOR_NOT_A_MORPHISM,
+                               "section": [{"1,0": "1"}, {"0,1": "1"}], "dim_y": -1}))
+    _exit_with_one_line(capsys, ["koszul", bad], 2, "error:")
 
 
 @pytest.mark.parametrize("case", ["twostep-filtered.json", "square-double.json"])
@@ -447,14 +467,19 @@ def test_long_scalar_part_names_the_field(tmp_path, capsys):
     assert "'scalar_part'" in err
 
 
-@pytest.mark.parametrize("case,degree,field,disc", [
-    ("p1-euler-untwisted.json", 0, ["1", "0", "1"], -4),
-    ("p1-O2-euler.json", 1, ["-2", "0", "1"], 8),
+@pytest.mark.parametrize("case,degree,field,h", [
+    ("p1-euler-untwisted.json", 0, ["1", "0", "1"], {"0": 2}),
+    ("p1-O2-euler.json", 1, ["-2", "0", "1"], {}),
 ], ids=["untwisted-1+z^2", "twisted-O1--2+z^2"])
-def test_p1_irrational_zeros_are_a_verdict_failure(tmp_path, capsys, case, degree, field, disc):
+def test_p1_irrational_zeros_are_counted(tmp_path, capsys, case, degree, field, h):
+    # untwisted, the conjugate pair of zeros of 1 + z^2 is two fixed points;
+    # twisted on O(1), the scalar part -z vanishes at neither zero of
+    # z^2 - 2, so there is none and H = 0
     path = _mutated(tmp_path, case, lambda p: p.update(degree=degree, vector_field=field))
-    err = _exit_with_one_line(capsys, ["p1", path], 1, "verdict failure:")
-    assert err == f"verdict failure: irrational zero: discriminant {disc}\n"
+    report = _report(tmp_path, ["p1", path])
+    assert report["corollary_match"] is True
+    assert {k: v for k, v in report["equivariant_h"].items() if v} == h
+    assert len(report["fixed_points"]) == (2 if h else 0)
 
 
 def test_weight_range_of_wrong_length_names_the_field(tmp_path, capsys):
@@ -706,6 +731,14 @@ def test_value_of_wrong_shape_names_the_field(tmp_path, capsys, case, command, m
     assert field in err
 
 
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe{}", b"[" * 100000],
+                         ids=["json", "utf-8", "nesting"])
+def test_an_unreadable_file_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    _exit_with_one_line(capsys, ["p1", path], 2, "error: cannot read example file:")
+
+
 @pytest.mark.parametrize("case,mutate", NOT_OBJECTS.values(), ids=NOT_OBJECTS.keys())
 def test_value_that_is_not_an_object_is_an_input_error(tmp_path, capsys, case, mutate):
     path = _mutated(tmp_path, case, mutate)
@@ -787,6 +820,66 @@ def test_type_mutated_cases_exit_cleanly(tmp_path, capsys):
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2), (case.name, where, command)
                 assert err.count("\n") <= 1, (case.name, where, command, err)
+
+
+def _leaves(node, path=()):
+    """The path of each leaf (a value that is no object and no list) of a
+    JSON value, in document order."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from _leaves(value, (*path, key))
+
+
+CASE_LEAVES = [(case.name, where) for case in sorted(CASES.glob("*.json"))
+               for where in _leaves(json.loads(case.read_text()))]
+
+# Small JSON values of every type: integers stay in -3..3, so that a window,
+# weight or dimension that lands in range keeps the run cheap.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([0.5, 2.0, -1.5]),
+    st.sampled_from(["", "0", "-1", "1/2", "1/0", "x", "1,0", "nan"]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["0", "1,0", "0,1", "a"]), st.integers(-2, 2), max_size=2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(leaf=st.sampled_from(CASE_LEAVES), value=JSON_VALUES)
+def test_fuzzed_case_leaves_exit_cleanly(tmp_path, capsys, leaf, value):
+    # One leaf of one case replaced by a small JSON value, under the commands
+    # of the case's kind: each run exits 0, 1 or 2, and a message is one
+    # `error:` or `verdict failure:` line, never an internal error.
+    name, where = leaf
+    payload = json.loads((CASES / name).read_text())
+    parent = payload
+    for key in where[:-1]:
+        parent = parent[key]
+    kind = payload["kind"]
+    parent[where[-1]] = value
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(payload))
+    for command in KIND_COMMANDS[kind]:
+        code = run_cli([command, path])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (name, where, value, command, err)
+        assert err.count("\n") <= 1, (name, where, value, command, err)
+        assert not err or err.startswith(("error:", "verdict failure:")), err
+        assert code != 2 or err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), exactla.LinearAlgebraError("boom"),
+                                   specseq.SpectralSequenceError("boom")],
+                         ids=lambda e: type(e).__name__)
+def test_an_engine_fault_is_an_internal_error(monkeypatch, capsys, error):
+    # not an input error (exit 2) and not a traceback: one line and exit 3
+    def fault(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cechp1, "window_checked", fault)
+    err = _exit_with_one_line(capsys, ["p1", CASES / "p1-euler-O0.json"], 3, "internal error:")
+    assert err == f"internal error: {type(error).__name__}: boom\n"
 
 
 # Integer and boolean fields: a JSON true or false in an integer field, a

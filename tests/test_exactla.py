@@ -4,7 +4,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from liekoszul import cechp1, complexes, exactla, lierinehart
+from liekoszul import cechp1, complexes, exactla, hochserre, lierinehart
 from liekoszul.exactla import (
     ExactMatrix,
     LinearAlgebraError,
@@ -400,6 +400,10 @@ INTEGER_SITES = {
     "laurent-exponent": (ValueError, lambda x: cechp1.SheafOnP1(1, [[{x: 1}]]),
                          lambda s: next(iter(s.transition[0][0]))),
     "degree": (ValueError, cechp1.AlgebroidOnP1, lambda a: a.degree),
+    "variable-count": (lierinehart.MalformedPresentation,
+                       lambda x: lierinehart.WeightedPolyRing(x, (1, 1)), lambda r: r.nvars),
+    "lie-algebra-dim": (hochserre.MalformedLieAlgebra, lambda x: hochserre.LieAlgebra(x, {}),
+                        lambda g: g.dim),
     "variable-weight": (lierinehart.MalformedPresentation,
                         lambda x: lierinehart.WeightedPolyRing(1, (x,)), lambda r: r.weights[0]),
     "generator-weight": (lierinehart.MalformedPresentation,
