@@ -16,9 +16,9 @@ which raises WindowError on an image that leaves its cell, so no map is
 ever silently truncated.  Cohomology of such a model can still be wrong
 when the window is too small to see a stable answer, so a `p1` run builds
 its model at windows D and D+1 and compares them once, in
-`window_checked`: the row grid and the E_inf grid of the Cech-degree run
-must agree, or WindowError is raised.  Those two grids determine every
-reported dimension, so the verdict readers take the one checked model.
+`window_checked`: their Cech-degree E_inf grids must agree, or WindowError
+is raised.  That grid determines all but the first page, a closed form; a
+`p1` run builds two models, runs three pairings and ranks no Cech block.
 
 Every block of the Cech-Koszul double complex is one Laurent matrix per
 open set (`_laurent_block`): the Cech differential is -I on chart 0 and
@@ -31,7 +31,7 @@ chart-1-to-chart-0 matrix is [[1, d z], [0, -z^2]], acting on (scalar
 part, vector part) columns.  Its cocycle identity T(z) T(1/z) = I and its
 symbol row (0, -z^2), the tangent transition, hold for every degree d, so
 they are proved once by the tests rather than on every run, as are the
-closed forms of the dual bundle D*(d) and of det D*(d) = Omega^1.  "All
+closed forms of D*(d), of det D*(d) = Omega^1 and of the row grid.  "All
 zeros simple" is a discriminant test, and under it the fixed points are
 read off the coefficients in closed form, over the algebraic closure: a
 pair of irrational zeros is listed and counted, not located.
@@ -228,14 +228,11 @@ def _delta_matrix(row: RowModel) -> ExactMatrix:
                           {"0": (minus_one, 1, "01"), "1": (row.sheaf.transition, -1, "01")})
 
 
-def _delta_dims(delta: ExactMatrix) -> tuple[int, int]:
-    """(h0, h1) of a row's Cech differential: kernel and cokernel dimensions."""
+def _cech_dims(sheaf: SheafOnP1, radius: int) -> tuple[int, int]:
+    """(h0, h1) of the sheaf's row model: kernel and cokernel dims of delta."""
+    delta = _delta_matrix(build_row(sheaf, radius, sheaf.margin()))
     rk = rank(delta)
     return delta.cols - rk, delta.rows - rk
-
-
-def _cech_dims(sheaf: SheafOnP1, radius: int) -> tuple[int, int]:
-    return _delta_dims(_delta_matrix(build_row(sheaf, radius, sheaf.margin())))
 
 
 def _window_stable(what: str, window: int, first, second):
@@ -249,6 +246,7 @@ def _window_stable(what: str, window: int, first, second):
 
 def cech_cohomology(sheaf: SheafOnP1, window: int) -> tuple[int, int]:
     """(h0, h1) of the two-chart model, verified stable at window+1."""
+    window = integer(window, "window", ValueError)
     if window < 1:
         raise WindowError("window radius must be at least 1")
     return _window_stable("dims", window, _cech_dims(sheaf, window),
@@ -276,6 +274,15 @@ class AlgebroidOnP1:
         if p not in (0, 1, 2):
             raise ValueError("wedge power must be 0, 1 or 2")
         return self._duals[p]
+
+    def row_grid(self, untwisted: bool = False) -> dict[tuple[int, int], int]:
+        """h^q(X, Lambda^{-p} D*) on every cell (p, q), zeros kept.  A row sheaf
+        is a sum of O(a) (Grothendieck): a = 0 for O, -2 for Omega^1, -1, -1 for
+        D*(d) and 0, -2 for D*(0); h^q O(a) is Hartshorne III.5.1."""
+        splits = {-1: (-2,), 0: (0,)} if untwisted else {
+            -2: (-2,), -1: (-1, -1) if self.degree else (0, -2), 0: (0,)}
+        return {(p, q): sum(max(-a - 1, 0) if q else max(a + 1, 0) for a in split)
+                for p, split in splits.items() for q in (0, 1)}
 
 
 def atiyah_algebroid(d: int) -> AlgebroidOnP1:
@@ -325,7 +332,6 @@ class CechKoszulModel:
     window: int
     untwisted: bool
     double: DoubleComplex
-    rows: dict[tuple[int, int], int]   # (p, q) -> h^q(X, Lambda^{-p} D*), off the Cech blocks
     cech: Pairing    # of the Cech-degree filtration; its E_inf totals are H
 
 
@@ -350,26 +356,23 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     prove D^2 = 0 on the P^1 corpus and the gluing identities for every
     degree.  One window's model: `window_checked` decides whether the
     window is large enough."""
+    window = integer(window, "window", ValueError)
     if window < 1:
         raise WindowError("window radius must be at least 1")
-    if untwisted:
-        ps = [-1, 0]
-        sheaves = {-1: cotangent_sheaf(), 0: line_bundle(0)}
-    else:
-        ps = [-2, -1, 0]
-        sheaves = {p: algebroid.wedge_dual(-p) for p in ps}
+    # untwisted, the rows are Omega^1 = Lambda^2 D* and O = Lambda^0 D*
+    ps = [-1, 0] if untwisted else [-2, -1, 0]
+    sheaves = {p: algebroid.wedge_dual(-2 * p if untwisted else -p) for p in ps}
     margin = max(sheaves[p].margin() for p in ps)
     # Every component of a section (f0, v0, f1, w1) has degree <= 2 in its
     # chart coordinate, so i_V raises exponents by at most 2: each row's
     # radius is 2 more than the row it receives from.
     rows = {p: build_row(sheaves[p], window + 2 * (p - ps[0]), margin) for p in ps}
-    dims, h = {}, {}
+    dims = {}
     vertical = {}
     horizontal = {}
     for p in ps:
         delta = vertical[(p, 0)] = _delta_matrix(rows[p])
         dims[(p, 0)], dims[(p, 1)] = delta.cols, delta.rows
-        h[(p, 0)], h[(p, 1)] = _delta_dims(delta)
     for p in ps[:-1]:
         src, dst = rows[p], rows[p + 1]
         i_v = {side: (_contraction_matrix(section, side, p, untwisted), 1, side)
@@ -377,21 +380,21 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
         horizontal[(p, 0)] = _laurent_block(src.chart_entries(), dst.chart_entries(), i_v)
         horizontal[(p, 1)] = _laurent_block(src.window_entries(), dst.window_entries(), i_v)
     double = _built(DoubleComplex, ps[0], 0, 0, 1, dims, horizontal, _twisted(vertical))
-    return CechKoszulModel(algebroid, section, window, untwisted, double, h,
+    return CechKoszulModel(algebroid, section, window, untwisted, double,
                            run(row_filtration(double)))
 
 
 def window_checked(algebroid: AlgebroidOnP1, section: EquivariantSection,
                    window: int, untwisted: bool = False) -> CechKoszulModel:
     """The window check of a `p1` run: the model at window D, once it agrees
-    with the same model at window D+1 on its row grid and on the E_inf grid
-    of its Cech-degree run (WindowError otherwise).  Those two grids
-    determine every reported dimension: H is the antidiagonal totals of
-    E_inf, and E2 = E_inf by dimension (two Cech levels)."""
+    with the same model at window D+1 on the E_inf grid of its Cech-degree
+    run (WindowError otherwise).  That grid determines every reported
+    dimension but the first page, a closed form: H is the antidiagonal
+    totals of E_inf, and E2 = E_inf by dimension (two Cech levels)."""
+    window = integer(window, "window", ValueError)
     model = cech_koszul(algebroid, section, window, untwisted)
     nxt = cech_koszul(algebroid, section, window + 1, untwisted)
-    _window_stable("dims (rows, E_inf)", window, (model.rows, dict(model.cech.unpaired)),
-                   (nxt.rows, dict(nxt.cech.unpaired)))
+    _window_stable("dims (E_inf)", window, dict(model.cech.unpaired), dict(nxt.cech.unpaired))
     return model
 
 
@@ -403,18 +406,17 @@ def equivariant_H(model: CechKoszulModel) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class FirstPageReport:
-    window: int
     grid: dict[tuple[int, int], int]       # (p, q) -> h^q(X, Lambda^{-p} D*)
     d1_ranks: dict[tuple[int, int], int]
 
 
 def first_page(model: CechKoszulModel) -> FirstPageReport:
-    """Cech dims of each row sheaf, read off the model's own Cech blocks,
-    and the observed d_1 ranks of page 1 of the wedge-degree filtration (no
-    expectation asserted for them).  That page's E1 is the row grid; the
-    tests prove it on the P^1 corpus."""
+    """The row grid h^q(X, Lambda^{-p} D*) in closed form (`row_grid`), and
+    the observed d_1 ranks of page 1 of the wedge-degree filtration (no
+    expectation asserted for them).  The tests prove the closed form equal
+    to each row sheaf's Cech cohomology and to that page's E1."""
     page1 = compute_page(run(column_filtration(model.double)), 1)
-    return FirstPageReport(model.window, model.rows, page1.ranks)
+    return FirstPageReport(model.algebroid.row_grid(model.untwisted), page1.ranks)
 
 
 # -- fixed points, assumption, corollary --------------------------------------
@@ -497,7 +499,6 @@ def corollary_check(model: CechKoszulModel) -> CorollaryReport:
 
 @dataclass(frozen=True)
 class DegenerationReport:
-    window: int
     degeneration_page: int
     e2_dims: dict[tuple[int, int], int]
 
@@ -513,4 +514,4 @@ def second_page_degeneration(model: CechKoszulModel) -> DegenerationReport:
     dimension: `ok` cannot fail, and E2 is the unpaired vectors, read with
     no page built.  Only the window check of `window_checked` can fail."""
     res = model.cech
-    return DegenerationReport(model.window, res.degeneration_page, dict(res.unpaired))
+    return DegenerationReport(res.degeneration_page, dict(res.unpaired))

@@ -11,8 +11,9 @@ the same `_set` of each class and checks shapes only: their matrices are
 canonical rows wrapped by `exactla._wrap`, their filtrations keep the level
 tuples they build, and their invariants hold by construction once their
 input is valid; the tests prove them on the corpora
-(`tests/test_builders.py`).  Filtrations are stored as one level per
-vector of an adapted basis.
+(`tests/test_builders.py`).  A failed shape check there raises
+BuilderError, a bug, not the ComplexError of raw input.  Filtrations are
+stored as one level per vector of an adapted basis.
 """
 
 from __future__ import annotations
@@ -39,11 +40,18 @@ class ComplexError(Exception):
     pass
 
 
+class BuilderError(Exception):
+    """Builder output of the wrong shape: a fault of the program, not of its input."""
+
+
 def _built(cls, *args):
     """A builder's `cls` value, whose invariant holds by construction: the
     fields and shape checks of `cls._set`, with no product or scan."""
     obj = object.__new__(cls)
-    obj._set(*args)
+    try:
+        obj._set(*args)
+    except ComplexError as exc:
+        raise BuilderError(f"{cls.__name__} from a builder: {exc}") from exc
     return obj
 
 

@@ -38,9 +38,10 @@ class LieAlgebraError(Exception):
 
 
 class MalformedLieAlgebra(LieAlgebraError):
-    """Input of the wrong shape (a bracket key, coefficient vector or
-    coefficient, the ambient of an ideal, the count or shape of action
-    matrices), as opposed to data of the right shape that breaks an identity."""
+    """Input of the wrong shape (a dimension, a bracket key, coefficient
+    vector or coefficient, the ambient of an ideal, the count or shape of
+    action matrices), as opposed to data of the right shape that breaks an
+    identity."""
 
 
 def _derived(cls, **fields):
@@ -57,6 +58,8 @@ class LieAlgebra:
 
     def __init__(self, dim: int, brackets: Mapping):
         dim = self.dim = integer(dim, "dim", MalformedLieAlgebra)
+        if dim < 0:
+            raise MalformedLieAlgebra(f"dim must not be negative, got {dim!r}")
         self.brackets: dict[tuple[int, int], dict[int, QQ]] = {}
         for key, i, j, coeffs in _bracket_entries(brackets, dim, MalformedLieAlgebra):
             try:

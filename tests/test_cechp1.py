@@ -465,10 +465,21 @@ def test_first_page_is_the_cech_cohomology_of_each_row_sheaf():
             assert grid == expected, (name, window)
 
 
+def test_row_grid_is_the_cech_cohomology_of_each_row_sheaf():
+    # the closed form against the Cech blocks it replaced: h^q of each row
+    # sheaf's two-chart model, for every degree, window and twist in range
+    for d, window, untwisted in product(range(-6, 7), range(1, 5), (False, True)):
+        algebroid = atiyah_algebroid(d)
+        expected = {}
+        for p, sheaf in _row_sheaves(algebroid, untwisted).items():
+            expected[(p, 0)], expected[(p, 1)] = cech_cohomology(sheaf, window)
+        assert algebroid.row_grid(untwisted) == expected, (d, window, untwisted)
+
+
 def test_first_page_window_check_can_fail(monkeypatch):
-    # the window check refuses a window-D+1 model that differs from the
-    # window-D one: O(1) has other row cohomology than O(0), and the unit
-    # lift of z d/dz has the rows of the zero section but E_inf = 0
+    # the window check refuses a window-D+1 model whose Cech-degree E_inf
+    # grid differs from the window-D one: the zero section of O(1) has other
+    # cells than that of O(0), and the unit lift of z d/dz has E_inf = 0
     a0, a1 = atiyah_algebroid(0), atiyah_algebroid(1)
     real = cechp1.cech_koszul
     for swapped in ((a1, zero_section(a1)),
@@ -526,7 +537,8 @@ def _page1_grid(model):
     """The model's E1 grid from the engine: page 1 of the wedge-degree run,
     on the cells of the row grid and wherever it is nonzero."""
     page1 = compute_page(run(column_filtration(model.double)), 1)
-    return {pq: dim for pq, dim in page1.dims().items() if pq in model.rows or dim}
+    rows = model.algebroid.row_grid(model.untwisted)
+    return {pq: dim for pq, dim in page1.dims().items() if pq in rows or dim}
 
 
 def _p1_models(windows):
@@ -538,10 +550,11 @@ def _p1_models(windows):
 
 
 def test_row_grid_is_the_first_page_of_the_wedge_degree_run():
-    # the identity `first_page` once checked on every run: the row grid read
-    # off the Cech blocks is E1 of the wedge-degree filtration
+    # the identity `first_page` once checked on every run: the closed-form
+    # row grid is E1 of the wedge-degree filtration
     for name, model in _p1_models((1, 2, 3)):
-        assert model.rows == _page1_grid(model), name
+        assert model.algebroid.row_grid(model.untwisted) == _page1_grid(model), name
+    assert not hasattr(model, "rows")
 
 
 def test_cech_run_second_page_is_its_unpaired_grid():

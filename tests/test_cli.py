@@ -265,6 +265,17 @@ def _spied(monkeypatch, fn):
     return calls
 
 
+@pytest.mark.parametrize("case", sorted(p.name for p in CASES.glob("p1-*.json")))
+def test_a_p1_run_ranks_no_cech_block(monkeypatch, capsys, case):
+    # the row grid is a closed form: a p1 run eliminates nothing outside
+    # its three pairings, which run on `exactla._insert`
+    eliminated = _spied(monkeypatch, exactla._rref)
+    ranked = _spied(monkeypatch, exactla.rank)
+    assert run_cli(["p1", CASES / case]) == 0
+    capsys.readouterr()
+    assert (len(ranked), len(eliminated)) == (0, 0)
+
+
 @pytest.mark.parametrize("args", PAIRED_RUNS.values(), ids=PAIRED_RUNS.keys())
 def test_paired_differentials_are_eliminated_only_by_the_pairing(monkeypatch, capsys, args):
     # Every elimination goes through exactla._rref and every spectral sequence
@@ -880,6 +891,19 @@ def test_an_engine_fault_is_an_internal_error(monkeypatch, capsys, error):
     monkeypatch.setattr(cechp1, "window_checked", fault)
     err = _exit_with_one_line(capsys, ["p1", CASES / "p1-euler-O0.json"], 3, "internal error:")
     assert err == f"internal error: {type(error).__name__}: boom\n"
+
+
+@pytest.mark.parametrize("command, case, module, builder", [
+    ("p1", "p1-euler-O0.json", cechp1, "_delta_matrix"),
+    ("koszul", "euler-n2.json", koszul, "contraction"),
+], ids=["p1", "koszul"])
+def test_a_misshaped_builder_matrix_is_an_internal_error(monkeypatch, capsys, command, case,
+                                                         module, builder):
+    # builder output is wrapped unchecked but for its shapes: a shape fault
+    # there is the program's, so it exits 3, not 2 as a ComplexError of input
+    monkeypatch.setattr(module, builder, lambda *args: exactla.ExactMatrix.zeros(1, 1))
+    err = _exit_with_one_line(capsys, [command, CASES / case], 3, "internal error:")
+    assert err.startswith("internal error: BuilderError: ") and "shape" in err, err
 
 
 # Integer and boolean fields: a JSON true or false in an integer field, a

@@ -396,10 +396,17 @@ def test_qq_parses_strings_as_fraction_does():
 # layer and a reader of the integer it stored.  `int` reads 1.5, True and "1"
 # all as 1; each site refuses all three.
 ONE_VARIABLE = lierinehart.WeightedPolyRing(1, (1,))
+DEGREE_0 = cechp1.AlgebroidOnP1(0)
 INTEGER_SITES = {
     "laurent-exponent": (ValueError, lambda x: cechp1.SheafOnP1(1, [[{x: 1}]]),
                          lambda s: next(iter(s.transition[0][0]))),
     "degree": (ValueError, cechp1.AlgebroidOnP1, lambda a: a.degree),
+    "window": (ValueError,
+               lambda x: cechp1.window_checked(DEGREE_0, cechp1.zero_section(DEGREE_0), x),
+               lambda model: model.window),
+    # h^0 O(1) = 2 at every window: the stored read is the returned count
+    "row-window": (ValueError, lambda x: cechp1.cech_cohomology(cechp1.line_bundle(1), x),
+                   lambda dims: dims[0]),
     "variable-count": (lierinehart.MalformedPresentation,
                        lambda x: lierinehart.WeightedPolyRing(x, (1, 1)), lambda r: r.nvars),
     "lie-algebra-dim": (hochserre.MalformedLieAlgebra, lambda x: hochserre.LieAlgebra(x, {}),

@@ -8,6 +8,7 @@ from liekoszul.hochserre import (
     LieAlgebra,
     LieAlgebraError,
     LieIdeal,
+    MalformedLieAlgebra,
     _adapted,
     _h_blocks,
     _quotient_algebra,
@@ -34,6 +35,13 @@ def ideal(g, vectors):
 def test_jacobi_rejected():
     with pytest.raises(LieAlgebraError):
         LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
+
+
+def test_negative_dimension_rejected():
+    # a negative dim would build, and fail later in `GModule.trivial`
+    with pytest.raises(MalformedLieAlgebra, match="dim must not be negative, got -2"):
+        LieAlgebra(-2, {})
+    assert LieAlgebra(0, {}).dim == 0
 
 
 def test_non_ideal_rejected():
