@@ -18,7 +18,8 @@ when the window is too small to see a stable answer, so a `p1` run builds
 its model at windows D and D+1 and compares them once, in
 `window_checked`: their Cech-degree E_inf grids must agree, or WindowError
 is raised.  That grid determines all but the first page, a closed form; a
-`p1` run builds two models, runs three pairings and ranks no Cech block.
+`p1` run builds two models, ranks no Cech block and runs two pairings, or
+three at twisted degree 0, the one row grid where a d_1 can be nonzero.
 
 Every block of the Cech-Koszul double complex is one Laurent matrix per
 open set (`_laurent_block`): the Cech differential is -I on chart 0 and
@@ -116,7 +117,7 @@ class SheafOnP1:
     """Locally free sheaf given by its chart-1-to-chart-0 overlap matrix."""
 
     def __init__(self, rank: int, transition, name: str = ""):
-        self.rank = rank
+        self.rank = rank = integer(rank, "rank", ValueError)
         self.transition = lmat(transition)
         self.name = name
         if len(self.transition) != rank or any(len(r) != rank for r in self.transition):
@@ -271,6 +272,7 @@ class AlgebroidOnP1:
 
     def wedge_dual(self, p: int) -> SheafOnP1:
         """Lambda^p of the dual bundle (p in {0, 1, 2})."""
+        p = integer(p, "wedge power", ValueError)
         if p not in (0, 1, 2):
             raise ValueError("wedge power must be 0, 1 or 2")
         return self._duals[p]
@@ -355,7 +357,12 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     anticommute.  So the double complex is built unchecked, and the tests
     prove D^2 = 0 on the P^1 corpus and the gluing identities for every
     degree.  One window's model: `window_checked` decides whether the
-    window is large enough."""
+    window is large enough.  The section must be one of `algebroid`'s
+    (ValueError otherwise): the double complex and the row grid that
+    `first_page` reads are `algebroid`'s."""
+    if section.algebroid.degree != algebroid.degree:
+        raise ValueError(f"section degree {section.algebroid.degree} differs from "
+                         f"algebroid degree {algebroid.degree}")
     window = integer(window, "window", ValueError)
     if window < 1:
         raise WindowError("window radius must be at least 1")
@@ -414,9 +421,14 @@ def first_page(model: CechKoszulModel) -> FirstPageReport:
     """The row grid h^q(X, Lambda^{-p} D*) in closed form (`row_grid`), and
     the observed d_1 ranks of page 1 of the wedge-degree filtration (no
     expectation asserted for them).  The tests prove the closed form equal
-    to each row sheaf's Cech cohomology and to that page's E1."""
-    page1 = compute_page(run(column_filtration(model.double)), 1)
-    return FirstPageReport(model.algebroid.row_grid(model.untwisted), page1.ranks)
+    to each row sheaf's Cech cohomology and to that page's E1.  A page lists
+    the rank of d_1: (p, q) -> (p + 1, q) only where both cells are nonzero,
+    so the wedge-degree run is paired only when the grid has two such cells,
+    which happens at twisted degree 0 alone (D*(0) = O + O(-2))."""
+    grid = model.algebroid.row_grid(model.untwisted)
+    if not any(dim and grid.get((p + 1, q)) for (p, q), dim in grid.items()):
+        return FirstPageReport(grid, {})
+    return FirstPageReport(grid, compute_page(run(column_filtration(model.double)), 1).ranks)
 
 
 # -- fixed points, assumption, corollary --------------------------------------

@@ -525,6 +525,38 @@ def test_p1_builds_one_model_per_window(monkeypatch, capsys, case, rows):
     assert len(built) == 2 * rows  # one row model per row, at windows 1 and 2
 
 
+def test_first_page_d1_ranks_are_page_1_of_the_wedge_degree_run_on_a_seeded_scan():
+    # `first_page` pairs the wedge-degree run only where the row grid has a
+    # d1 source and target both nonzero (twisted degree 0); everywhere else
+    # page 1 of that run lists no rank.  At twisted degree 0 both d1 have
+    # rank 1 exactly when the scalar part alpha is nonzero.
+    rng = random.Random(27)
+    twisted_0 = {False: 0, True: 0}
+    for _ in range(240):
+        degree = 0 if rng.random() < 0.5 else rng.randint(-6, 6)
+        untwisted = rng.random() < 0.3
+        algebroid = atiyah_algebroid(degree)
+        alpha = rng.randint(-2, 2)
+        section = EquivariantSection(algebroid, [rng.randint(-2, 2) for _ in range(3)], [alpha])
+        model = cech_koszul(algebroid, section, rng.randint(1, 3), untwisted)
+        ranks = first_page(model).d1_ranks
+        assert ranks == compute_page(run(column_filtration(model.double)), 1).ranks
+        if degree == 0 and not untwisted:
+            assert ranks == dict.fromkeys([(-2, 1), (-1, 0)], int(alpha != 0))
+            twisted_0[alpha != 0] += 1
+        else:
+            assert ranks == {}
+    assert min(twisted_0.values()) >= 10, twisted_0
+
+
+def test_a_section_of_another_algebroid_is_refused():
+    # the model would read the row grid of `algebroid` while its contractions
+    # glue over the section's own degree
+    a0, a1 = atiyah_algebroid(0), atiyah_algebroid(1)
+    with pytest.raises(ValueError, match="section degree 1 differs from algebroid degree 0"):
+        window_checked(a0, EquivariantSection(a1, (0, 1, 0)), 2)
+
+
 def test_first_page_engine_consistency_and_d1():
     a0 = atiyah_algebroid(0)
     model = cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1)
@@ -626,7 +658,7 @@ def test_a_p1_run_locates_the_zeros_at_most_once(monkeypatch, capsys):
 
     monkeypatch.setattr(cechp1, "fixed_point_set", counting)
     paths = sorted(corpus.CASES.glob("p1-*.json"))
-    assert len(paths) == 6
+    assert len(paths) == 7
     counts = []
     for path in paths:
         calls.clear()

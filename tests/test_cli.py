@@ -268,12 +268,31 @@ def _spied(monkeypatch, fn):
 @pytest.mark.parametrize("case", sorted(p.name for p in CASES.glob("p1-*.json")))
 def test_a_p1_run_ranks_no_cech_block(monkeypatch, capsys, case):
     # the row grid is a closed form: a p1 run eliminates nothing outside
-    # its three pairings, which run on `exactla._insert`
+    # its pairings, which run on `exactla._insert`
     eliminated = _spied(monkeypatch, exactla._rref)
     ranked = _spied(monkeypatch, exactla.rank)
     assert run_cli(["p1", CASES / case]) == 0
     capsys.readouterr()
     assert (len(ranked), len(eliminated)) == (0, 0)
+
+
+# the twisted degree-0 cases: D*(0) = O + O(-2) gives the row grid its only
+# adjacent nonzero cells, the only place a page lists a d1 rank
+D1_CASES = ("p1-conjugate-O0", "p1-euler-O0", "p1-euler-scalar-O0")
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in CASES.glob("p1-*.json")))
+def test_a_p1_run_pairs_the_wedge_degree_filtration_only_at_twisted_degree_0(
+        monkeypatch, capsys, case):
+    # two Cech-degree runs (windows D and D+1), and the wedge-degree run
+    # only where the row grid lets a d1 be nonzero
+    payload = json.loads((CASES / case).read_text())
+    paired = _spied(monkeypatch, specseq.run)
+    assert run_cli(["p1", CASES / case]) == 0
+    capsys.readouterr()
+    twisted_0 = payload["degree"] == 0 and not payload.get("untwisted", False)
+    assert len(paired) == (3 if twisted_0 else 2)
+    assert twisted_0 == (Path(case).stem in D1_CASES)
 
 
 @pytest.mark.parametrize("args", PAIRED_RUNS.values(), ids=PAIRED_RUNS.keys())
@@ -315,16 +334,17 @@ PAGE_RUNS = _page_runs()
 
 @pytest.mark.parametrize("args", PAGE_RUNS.values(), ids=PAGE_RUNS.keys())
 def test_each_command_builds_only_the_pages_it_reads(monkeypatch, capsys, args):
-    # p1 reads page 1 of the wedge-degree run (its E2 = E_inf is the Cech-degree
-    # run's unpaired vectors); hs reads page 2; specseq prints pages
-    # 0..min(--max-page, width + 1).  E_inf is read off the pairing.
+    # p1 reads page 1 of the wedge-degree run, and only where a d1 can be
+    # nonzero (its E2 = E_inf is the Cech-degree run's unpaired vectors); hs
+    # reads page 2; specseq prints pages 0..min(--max-page, width + 1).
+    # E_inf is read off the pairing.
     runs = _spied(monkeypatch, specseq.run)
     pages = _spied(monkeypatch, specseq.compute_page)
     assert run_cli(args) in (0, 1)
     capsys.readouterr()
     built = sorted(r for (_, r), _ in pages)
     if args[0] == "p1":
-        assert built == [1]
+        assert built == ([1] if Path(args[1]).stem in D1_CASES else [])
     elif args[0] == "hs":
         assert built == [2]
     else:

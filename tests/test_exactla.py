@@ -407,6 +407,11 @@ INTEGER_SITES = {
     # h^0 O(1) = 2 at every window: the stored read is the returned count
     "row-window": (ValueError, lambda x: cechp1.cech_cohomology(cechp1.line_bundle(1), x),
                    lambda dims: dims[0]),
+    "sheaf-rank": (ValueError, lambda x: cechp1.SheafOnP1(x, [[1, 0], [0, 1]]),
+                   lambda sheaf: sheaf.rank),
+    # Lambda^2 D* read back as its position among the wedge duals
+    "wedge-power": (ValueError, DEGREE_0.wedge_dual,
+                    lambda sheaf: DEGREE_0._duals.index(sheaf)),
     "variable-count": (lierinehart.MalformedPresentation,
                        lambda x: lierinehart.WeightedPolyRing(x, (1, 1)), lambda r: r.nvars),
     "lie-algebra-dim": (hochserre.MalformedLieAlgebra, lambda x: hochserre.LieAlgebra(x, {}),
