@@ -1,7 +1,11 @@
 """Batch front end: read a structured example file, run computations,
 print a text report and optionally write a machine-readable JSON report.
 
-One file holds one example.  Exit codes: 0 all verdicts pass, 1 a
+Each command returns its report once, as a dict of the library's values
+and a verdict (True, False, or None where nothing could fail); the text
+report and the JSON report are both rendered from that dict.
+
+One file holds one example.  Exit codes: 0 no verdict failed, 1 a
 mathematical verdict failed (including gluing/validation failures),
 2 input or schema error, 3 an internal error (a bug).  The JSON report
 is deterministic (sorted keys, no timings); wall-clock timings go to
@@ -35,36 +39,44 @@ class SchemaError(Exception):
     pass
 
 
-def _grid_key(pq) -> str:
-    return f"{pq[0]},{pq[1]}"
+def _json(value):
+    """`value` for the JSON report: a (p, q) key becomes "p,q" and any other
+    key its str, in every table; key order is left to `sort_keys`."""
+    if isinstance(value, dict):
+        return {(f"{k[0]},{k[1]}" if type(k) is tuple else str(k)): _json(v)
+                for k, v in value.items()}
+    return value
 
 
-def _grid_json(grid: dict) -> dict:
-    return {_grid_key(k): v for k, v in sorted(grid.items())}
+def _spell(value) -> str:
+    """`value` in its JSON spelling.  Bools and ints are spelled directly:
+    a json.dumps per scalar is a measurable share of a small job."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    return json.dumps(_json(value))
 
 
-def _degree_json(dims: dict) -> dict:
-    """A degree -> dim table for the JSON report: string keys, in degree order."""
-    return {str(k): v for k, v in sorted(dims.items())}
-
-
-def _h_line(dims: dict) -> str:
-    """A degree -> dim table for the text report: "H^k=v ...", in degree order."""
-    return " ".join(f"H^{k}={v}" for k, v in sorted(dims.items()))
-
-
-def _format_grid(grid: dict, title: str) -> list[str]:
-    lines = [title]
-    if not grid:
-        lines.append("  (empty)")
-        return lines
-    ps = sorted({p for p, _ in grid})
-    qs = sorted({q for _, q in grid}, reverse=True)
-    header = "  q\\p " + " ".join(f"{p:>4}" for p in ps)
-    lines.append(header)
-    for q in qs:
-        lines.append(f"  {q:>3} " + " ".join(f"{grid.get((p, q), 0):>4}" for p in ps))
-    return lines
+def _text(key, value, indent: str = "") -> str:
+    """The text report's entry `key: value`: a (p, q) grid as a q\\p table,
+    a table of tables one indented entry per key, a flat table as
+    "k=v ..." in key order, and any other value in its JSON spelling."""
+    head = f"{indent}{key}:"
+    if not isinstance(value, dict) or not value:
+        return f"{head} {_spell(value)}"
+    indent += "  "
+    first_key, first = next(iter(value.items()))
+    if type(first_key) is tuple:
+        ps = sorted({p for p, _ in value})
+        rows = [head, f"{indent}q\\p " + " ".join(f"{p:>4}" for p in ps)]
+        rows.extend(f"{indent}{q:>3} " + " ".join(f"{value.get((p, q), 0):>4}" for p in ps)
+                    for q in sorted({q for _, q in value}, reverse=True))
+        return "\n".join(rows)
+    items = sorted(value.items())
+    if isinstance(first, dict):
+        return "\n".join([head, *(_text(k, v, indent) for k, v in items)])
+    return f"{head} " + " ".join(f"{k}={_spell(v)}" for k, v in items)
 
 
 def _need(payload: dict, key: str):
@@ -271,28 +283,16 @@ def build_raw_filtration(payload: dict, cplx: CochainComplex) -> FilteredComplex
 # -- command handlers -----------------------------------------------------------
 
 
-def cmd_validate(payload: dict, args) -> tuple[dict, bool, list[str]]:
+def cmd_validate(payload: dict, args) -> tuple[dict, bool]:
     kind = payload["kind"]
-    lines = []
     if kind == "lie_algebra":
         build_lie_algebra(payload)  # constructors check all identities
-        lines.append("all identities hold (antisymmetry, Jacobi, ideal, module)")
-        return {"verdict": "pass"}, True, lines
+        return {"verdict": "pass"}, True
     if kind == "lie_rinehart":
         lr, _ = build_lie_rinehart(payload)
         report = lierinehart.validate(lr)
-        if report.ok:
-            lines.append("all identities hold on all of L (checked on generators)")
-        else:
-            for f in report.failures:
-                lines.append(f"FAILED {f.identity}: {f.witness}")
-        return (
-            {"verdict": "pass" if report.ok else "fail",
-             "failures": [{"identity": f.identity, "witness": f.witness}
-                          for f in report.failures]},
-            report.ok,
-            lines,
-        )
+        failures = [{"identity": f.identity, "witness": f.witness} for f in report.failures]
+        return {"verdict": "pass" if report.ok else "fail", "failures": failures}, report.ok
     raise SchemaError(f"validate does not apply to kind {kind!r}")
 
 
@@ -307,28 +307,20 @@ def _require_valid(lr) -> None:
             f"{failures[0].identity} fails: {failures[0].witness}")
 
 
-def cmd_cohomology(payload: dict, args) -> tuple[dict, bool, list[str]]:
+def cmd_cohomology(payload: dict, args) -> tuple[dict, None]:
+    """Betti numbers, which no verdict checks."""
     kind = payload["kind"]
-    lines = []
     if kind == "raw_complex":
-        dims = betti(_read_raw(payload)[0])
-        lines.append("cohomology dims: " + _h_line(dims))
-        return {"betti": _degree_json(dims)}, True, lines
+        return {"betti": betti(_read_raw(payload)[0])}, None
     if kind == "lie_algebra":
         g, _, module = build_lie_algebra(payload)
-        dims = betti(hochserre.ce_complex(g, module))
-        lines.append("cohomology dims: " + _h_line(dims))
-        return {"betti": _degree_json(dims)}, True, lines
+        return {"betti": betti(hochserre.ce_complex(g, module))}, None
     if kind == "lie_rinehart":
         lr, _ = build_lie_rinehart(payload)
         _require_valid(lr)
         lo, hi = _weight_range(payload, args)
-        table = {}
-        for w in range(lo, hi + 1):
-            dims = betti(lierinehart.omega_slice_complex(lr, w))
-            table[str(w)] = _degree_json(dims)
-            lines.append(f"weight {w}: " + _h_line(dims))
-        return {"betti_per_weight": table}, True, lines
+        return {"betti_per_weight": {w: betti(lierinehart.omega_slice_complex(lr, w))
+                                     for w in range(lo, hi + 1)}}, None
     raise SchemaError(f"cohomology does not apply to kind {kind!r}")
 
 
@@ -357,44 +349,34 @@ def _weight_range(payload: dict, args) -> tuple[int, int]:
     return lo, hi
 
 
-# E_inf totals are the Betti numbers by the pairing, so the report states
-# convergence rather than checking it; the tests compare with `betti`.
-_CONVERGENT = "convergent: True (an identity of the pairing)"
-
-
-def cmd_specseq(payload: dict, args) -> tuple[dict, bool, list[str]]:
+def cmd_specseq(payload: dict, args) -> tuple[dict, None]:
+    """The pages of one pairing, which no verdict checks."""
     if payload["kind"] != "raw_complex":
         raise SchemaError("specseq applies to kind 'raw_complex'")
     if args.max_page is not None and args.max_page < 0:
         raise SchemaError(f"--max-page must be nonnegative, got {args.max_page}")
+    if args.filtration is not None and "double" not in payload:
+        raise SchemaError("--filtration applies only to a file with a 'double' block")
     cplx, double = _read_raw(payload)
     if double is None:
         filt = build_raw_filtration(payload, cplx)
     else:
-        filt = (column_filtration(double) if args.filtration == "column"
-                else row_filtration(double))
+        filt = (row_filtration if args.filtration == "row" else column_filtration)(double)
     result = ss_run(filt)
     last = filt.width + 1 if args.max_page is None else min(args.max_page, filt.width + 1)
-    lines = []
-    pages_out = {}
-    for r in range(last + 1):
-        grid = compute_page(result, r).nonzero_dims()
-        pages_out[str(r)] = _grid_json(grid)
-        lines.extend(_format_grid(grid, f"page r={r}:"))
     degeneration = result.degeneration_page
-    lines.append(f"stable page: {degeneration}; degeneration page: {degeneration}; "
-                 f"{_CONVERGENT}")
-    report = {
-        "pages": pages_out,
+    # E_inf totals are the Betti numbers by the pairing, so the report states
+    # convergence rather than checking it; the tests compare with `betti`.
+    return {
+        "pages": {r: compute_page(result, r).nonzero_dims() for r in range(last + 1)},
         "stable_page": degeneration,
         "degeneration_page": degeneration,
         "convergent": True,
-        "infinity_totals": _degree_json(result.infinity_totals()),
-    }
-    return report, True, lines
+        "infinity_totals": result.infinity_totals(),
+    }, None
 
 
-def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
+def cmd_koszul(payload: dict, args) -> tuple[dict, bool]:
     if payload["kind"] != "lie_rinehart":
         raise SchemaError("koszul applies to kind 'lie_rinehart'")
     lr, section = build_lie_rinehart(payload)
@@ -406,60 +388,43 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool, list[str]]:
     _require_valid(lr)
     formality = koszul.formality_check(lr, section, range(lo, hi + 1))
     tables = {s.w: s.source_betti for s in formality.slices}
-    lines = []
-    slice_dims = {}
-    for w, dims in tables.items():
-        slice_dims[str(w)] = _degree_json(dims)
-        lines.append(f"weight {w}: " + _h_line(dims))
     if not asserted:
         try:
             dim_y = 0 if koszul.is_zero_dimensional(section, hi + 2) else None
         except koszul.InconclusiveError:
             pass
-    dim_y_source = "asserted" if asserted else "certified" if dim_y == 0 else "unknown"
-    lines.append(f"formality: {'pass' if formality.ok else 'fail'}")
-    if not formality.ok:
-        lines.append(f"  first failing weight: {formality.first_failure.w}")
-    ok = formality.ok
-    report = {
-        "slice_cohomology": slice_dims,
-        "dim_y": dim_y,
-        "dim_y_source": dim_y_source,
+    values = {
+        "slice_cohomology": tables,
         "formality": formality.ok,
-        "formality_per_weight": {str(s.w): s.ok for s in formality.slices},
+        "formality_per_weight": {s.w: s.ok for s in formality.slices},
+        "dim_y": dim_y,
+        "dim_y_source": "asserted" if asserted else "certified" if dim_y == 0 else "unknown",
     }
-    if dim_y is not None:
-        vr = koszul.vanishing_check(tables, dim_y)
-        report["vanishing"] = vr.ok
-        report["vanishing_violations"] = [list(v) for v in vr.violations]
-        lines.append(f"vanishing below degree -dim Y (dim Y={dim_y}): "
-                     f"{'pass' if vr.ok else 'fail'}")
-        ok = ok and vr.ok
-    return report, ok, lines
+    if dim_y is None:
+        return values, formality.ok
+    vr = koszul.vanishing_check(tables, dim_y)
+    values["vanishing"] = vr.ok
+    values["vanishing_violations"] = vr.violations
+    return values, formality.ok and vr.ok
 
 
-def cmd_hs(payload: dict, args) -> tuple[dict, bool, list[str]]:
+def cmd_hs(payload: dict, args) -> tuple[dict, bool]:
     if payload["kind"] != "lie_algebra":
         raise SchemaError("hs applies to kind 'lie_algebra'")
     g, ideal, module = build_lie_algebra(payload)
     if ideal is None:
         raise SchemaError("hs needs an 'ideal' field")
     hs = hochserre.verify(g, ideal, module)
-    lines = _format_grid(hs.expected_e2, "expected E2 grid:")
-    lines.extend(_format_grid(hs.computed_e2, "computed E2 grid:"))
-    lines.append("limit totals:  " + _h_line(hs.infinity_totals))
-    lines.append(f"verdict: {'pass' if hs.ok else 'fail'}")
-    report = {
-        "expected_e2": _grid_json(hs.expected_e2),
-        "computed_e2": _grid_json(hs.computed_e2),
-        "infinity_totals": _degree_json(hs.infinity_totals),
-        "betti": _degree_json(hs.infinity_totals),
+    return {
+        "expected_e2": hs.expected_e2,
+        "computed_e2": hs.computed_e2,
+        "infinity_totals": hs.infinity_totals,
+        "betti": hs.infinity_totals,
         "verdict": hs.ok,
-    }
-    return report, hs.ok, lines
+    }, hs.ok
 
 
-def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
+def cmd_p1(payload: dict, args) -> tuple[dict, bool]:
     if payload["kind"] != "p1_bundle":
         raise SchemaError("p1 applies to kind 'p1_bundle'")
     algebroid, section, untwisted, window = build_p1(payload)
@@ -468,43 +433,27 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool, list[str]]:
     if window < 1:
         raise SchemaError(f"window must be at least 1, got {window}")
     model = cechp1.window_checked(algebroid, section, window, untwisted)
-    lines = [f"degree {algebroid.degree}, window {window}"
-             + (", untwisted" if untwisted else "")]
     fp = cechp1.first_page(model)
-    lines.extend(_format_grid({k: v for k, v in fp.grid.items() if v},
-                              "first page (wedge p, cech q):"))
-    d1 = {k: v for k, v in fp.d1_ranks.items() if v}
-    lines.append(f"observed d1 ranks: {_grid_json(d1) if d1 else 'all zero'}")
-    hdims = cechp1.equivariant_H(model)
-    lines.append("equivariant cohomology: " + _h_line(hdims))
-    assumption = cechp1.assumption_check(section)
-    lines.append(f"assumption (simple zeros): {assumption}")
-    match = True
-    report = {
+    values = {
         "degree": algebroid.degree,
-        "untwisted": untwisted,
         "window": window,
-        "first_page": _grid_json(fp.grid),
-        "d1_ranks": _grid_json(fp.d1_ranks),
-        "equivariant_h": _degree_json(hdims),
-        "assumption": assumption,
+        "untwisted": untwisted,
+        "first_page": fp.grid,
+        "d1_ranks": fp.d1_ranks,
+        "equivariant_h": cechp1.equivariant_H(model),
+        "assumption": cechp1.assumption_check(section),
     }
-    if assumption:
+    match = True
+    if values["assumption"]:
         cor = cechp1.corollary_check(model)
-        lines.append(f"fixed points: {[str(p) for p in cor.fixed_points]}")
-        lines.append("fixed-point prediction: " + _h_line(cor.predicted))
-        lines.append(f"corollary match: {cor.match}")
-        report["fixed_points"] = [str(p) for p in cor.fixed_points]
-        report["corollary_predicted"] = _degree_json(cor.predicted)
-        report["corollary_match"] = cor.match
-        match = cor.match
+        values["fixed_points"] = [str(p) for p in cor.fixed_points]
+        values["corollary_predicted"] = cor.predicted
+        values["corollary_match"] = match = cor.match
     degen = cechp1.second_page_degeneration(model)
-    lines.append(f"degeneration page (Cech degree): {degen.degeneration_page}; "
-                 f"E2 = Einf; both by dimension (two Cech levels); {_CONVERGENT}")
-    report["degeneration_page"] = degen.degeneration_page
-    report["degeneration_ok"] = degen.ok
-    report["e2"] = _grid_json(degen.e2_dims)
-    return report, match and degen.ok, lines
+    values["degeneration_page"] = degen.degeneration_page
+    values["degeneration_ok"] = degen.ok
+    values["e2"] = degen.e2_dims
+    return values, match and degen.ok
 
 
 COMMANDS = {
@@ -549,7 +498,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--json", dest="json_out", default=None,
                        help="write the machine-readable report to this path")
         if name == "specseq":
-            p.add_argument("--filtration", choices=["row", "column"], default="column")
+            p.add_argument("--filtration", choices=["row", "column"], default=None)
             p.add_argument("--max-page", type=int, default=None)
         if name == "koszul":
             p.add_argument("--weights", default=None, help="weight range a..b")
@@ -575,7 +524,10 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        report_body, ok, lines = COMMANDS[args.command](payload, args)
+        name = payload.get("name", args.file)
+        if not isinstance(name, str):
+            raise SchemaError(f"field 'name' must be a string, got {type(name).__name__}")
+        values, ok = COMMANDS[args.command](payload, args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -586,25 +538,23 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    name = payload.get("name", args.file)
-    print(f"== {args.command} {name} ==")
-    for line in lines:
-        print(line)
-    print(f"result: {'pass' if ok else 'FAIL'}")
-    print(f"elapsed: {time.monotonic() - started:.3f}s")
+    print("\n".join([f"== {args.command} {name} ==",
+                     *(_text(key, value) for key, value in values.items()),
+                     f"result: {'no verdict' if ok is None else 'pass' if ok else 'FAIL'}",
+                     f"elapsed: {time.monotonic() - started:.3f}s"]))
 
     if args.json_out:
         report = {
             "tool": "liekoszul",
             "command": args.command,
             "example": name,
-            "ok": ok,
-            "report": report_body,
+            "ok": ok is not False,
+            "report": _json(values),
         }
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return 0 if ok else 1
+    return 1 if ok is False else 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ def test_validate_lie_algebra(capsys):
     code = run_cli(["validate", CASES / "heisenberg-center.json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "all identities hold" in out
+    assert 'verdict: "pass"' in out
 
 
 def test_hs_heisenberg(capsys, tmp_path):
@@ -31,7 +31,7 @@ def test_hs_heisenberg(capsys, tmp_path):
     code = run_cli(["hs", CASES / "heisenberg-center.json", "--json", out_json])
     out = capsys.readouterr().out
     assert code == 0
-    assert "verdict: pass" in out
+    assert "verdict: true" in out
     data = json.loads(out_json.read_text())
     assert data["ok"] is True
     assert data["report"]["infinity_totals"] == {"0": 1, "1": 2, "2": 2, "3": 1}
@@ -53,22 +53,49 @@ def test_koszul_command(capsys):
     code = run_cli(["koszul", CASES / "euler-n2.json", "--weights", "0..3"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "formality: pass" in out
-    assert "vanishing below degree -dim Y (dim Y=0): pass" in out
+    assert "\nformality: true\n" in out
+    assert "\ndim_y: 0\n" in out and "\nvanishing: true\n" in out
 
 
 def test_specseq_command(capsys):
     code = run_cli(["specseq", CASES / "twostep-filtered.json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "convergent: True" in out
+    assert "\nconvergent: true\n" in out
 
 
 def test_cohomology_command(capsys):
     code = run_cli(["cohomology", CASES / "heisenberg-center.json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "H^0=1 H^1=2 H^2=2 H^3=1" in out
+    assert "\nbetti: 0=1 1=2 2=2 3=1\n" in out
+
+
+# The `result:` line reads `pass` only where some check could fail; a
+# command that checks nothing reads `no verdict`, exits 0 and keeps JSON ok.
+RESULT_LINES = {
+    "validate": (["validate", CASES / "heisenberg-center.json"], "pass"),
+    "cohomology": (["cohomology", CASES / "heisenberg-center.json"], "no verdict"),
+    "specseq": (["specseq", CASES / "square-double.json"], "no verdict"),
+    "koszul": (["koszul", CASES / "euler-n2.json", "--weights", "0..2"], "pass"),
+    "hs": (["hs", CASES / "heisenberg-center.json"], "pass"),
+    "p1": (["p1", CASES / "p1-euler-O0.json"], "pass"),
+}
+
+
+@pytest.mark.parametrize("args,result", RESULT_LINES.values(), ids=RESULT_LINES.keys())
+def test_result_line_reads_the_verdict(tmp_path, capsys, args, result):
+    out_json = tmp_path / "report.json"
+    assert run_cli([*args, "--json", out_json]) == 0
+    assert f"\nresult: {result}\n" in capsys.readouterr().out
+    assert json.loads(out_json.read_text())["ok"] is True
+
+
+def test_filtration_option_without_a_double_block_is_an_input_error(capsys):
+    for filtration in ("row", "column"):
+        err = _exit_with_one_line(capsys, ["specseq", CASES / "twostep-filtered.json",
+                                           "--filtration", filtration], 2, "error:")
+        assert "--filtration" in err and "'double'" in err
 
 
 def test_schema_error_exit_2(tmp_path, capsys):
@@ -148,7 +175,7 @@ def test_specseq_double_complex_file(capsys):
                     "--max-page", "2"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "convergent: True" in out
+    assert "\nconvergent: true\n" in out
     code = run_cli(["specseq", CASES / "square-double.json", "--filtration", "column"])
     assert code == 0
 
@@ -157,7 +184,7 @@ def test_cohomology_lie_rinehart(capsys):
     code = run_cli(["cohomology", CASES / "euler-n2.json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "weight 0: H^0=1" in out
+    assert "\nbetti_per_weight:\n  0: 0=1 1=0 2=0\n" in out
 
 
 def test_raw_complex_with_nonzero_square_exit_2(tmp_path, capsys):
@@ -186,8 +213,10 @@ def test_cohomology_of_an_anchor_that_is_no_morphism_is_a_verdict_failure(tmp_pa
     bad = tmp_path / "anchor.json"
     bad.write_text(json.dumps(ANCHOR_NOT_A_MORPHISM))
     assert run_cli(["validate", bad]) == 1
-    assert "FAILED anchor-morphism: rho([e0,e1]) component d/dx0: residue 1*x0" in (
-        capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert ('failures: [{"identity": "anchor-morphism", '
+            '"witness": "rho([e0,e1]) component d/dx0: residue 1*x0"}]') in out
+    assert "\nresult: FAIL\n" in out
     err = _exit_with_one_line(capsys, ["cohomology", bad], 1, "verdict failure:")
     assert err == ("verdict failure: anchor-morphism fails: "
                    "rho([e0,e1]) component d/dx0: residue 1*x0\n")
@@ -626,6 +655,10 @@ NOT_OBJECTS = {
 # A value of the wrong shape that would otherwise be iterated or counted:
 # exit 2 with one line naming the field.
 WRONG_SHAPES = {
+    "name-object": ("euler-n2.json", "koszul", lambda p: p.update(name={"x": 1}),
+                    "error: field 'name' must be a string, got dict\n"),
+    "name-number": ("heisenberg-center.json", "hs", lambda p: p.update(name=3),
+                    "error: field 'name' must be a string, got int\n"),
     "module-actions": ("aff1-module.json", "hs",
                        lambda p: p["module"].update(actions=1), "'module.actions'"),
     "lie-bracket-vector": ("heisenberg-center.json", "hs",

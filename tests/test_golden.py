@@ -8,6 +8,7 @@ no golden file.  To regenerate the reports from the repository root:
     rm -f tests/golden/*.json; for f in cases/*.json; do for c in validate cohomology specseq koszul hs p1; do PYTHONPATH=src python3 -m liekoszul.cli $c $f --json tests/golden/${c}__$(basename $f) >/dev/null 2>&1; done; done
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -40,6 +41,23 @@ def test_report_matches_golden(case, command, tmp_path, capsys):
     expected = golden.read_bytes() if golden.exists() else None
     assert code in (0, 1, 2)
     assert written == expected
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_text_report_states_each_report_value_once(golden, capsys):
+    # between the header and `result:`, the unindented lines name the keys
+    # of the JSON report, each once, and a scalar reads its JSON spelling
+    command, case = golden.name.split("__", 1)
+    main([command, str(ROOT / "cases" / case)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"== {command} ")
+    end = next(i for i, line in enumerate(lines) if line.startswith("result: "))
+    entries = [line for line in lines[1:end] if not line.startswith(" ")]
+    report = json.loads(golden.read_text())["report"]
+    assert sorted(line.split(":", 1)[0] for line in entries) == sorted(report)
+    for key, value in report.items():
+        if not isinstance(value, dict) or not value:
+            assert f"{key}: {json.dumps(value)}" in entries
 
 
 class DenseViewUsed(Exception):
