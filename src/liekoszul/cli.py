@@ -424,7 +424,7 @@ def cmd_hs(payload: dict, args) -> tuple[dict, bool]:
     }, hs.ok
 
 
-def cmd_p1(payload: dict, args) -> tuple[dict, bool]:
+def cmd_p1(payload: dict, args) -> tuple[dict, bool | None]:
     if payload["kind"] != "p1_bundle":
         raise SchemaError("p1 applies to kind 'p1_bundle'")
     algebroid, section, untwisted, window = build_p1(payload)
@@ -443,17 +443,17 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool]:
         "equivariant_h": cechp1.equivariant_H(model),
         "assumption": cechp1.assumption_check(section),
     }
-    match = True
+    match = None
     if values["assumption"]:
         cor = cechp1.corollary_check(model)
         values["fixed_points"] = [str(p) for p in cor.fixed_points]
         values["corollary_predicted"] = cor.predicted
         values["corollary_match"] = match = cor.match
-    degen = cechp1.second_page_degeneration(model)
-    values["degeneration_page"] = degen.degeneration_page
-    values["degeneration_ok"] = degen.ok
-    values["e2"] = degen.e2_dims
-    return values, match and degen.ok
+    cech = cechp1.second_page_degeneration(model)
+    values["degeneration_page"] = cech.degeneration_page
+    values["degeneration_ok"] = cech.degeneration_page <= 2   # by dimension, not a verdict
+    values["e2"] = dict(cech.unpaired)
+    return values, match
 
 
 COMMANDS = {

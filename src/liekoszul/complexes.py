@@ -61,7 +61,10 @@ class CochainComplex:
     __slots__ = ("lo", "hi", "_dims", "_diffs")
 
     def __init__(self, lo: int, hi: int, dims: Sequence[int], differentials: Sequence[ExactMatrix]):
-        self._set(lo, hi, [integer(d, "dim", ComplexError) for d in dims], differentials)
+        dims = [integer(d, "dim", ComplexError) for d in dims]
+        if any(d < 0 for d in dims):
+            raise ComplexError(f"dims must not be negative, got {dims}")
+        self._set(lo, hi, dims, differentials)
         diffs = self._diffs
         for i in range(len(diffs) - 1):
             if not (diffs[i + 1] @ diffs[i]).is_zero():
@@ -257,6 +260,8 @@ class DoubleComplex:
                     raise ComplexError(f"{name} key {(p, q)} outside the rectangle "
                                        f"p {p_lo}..{p_hi}, q {q_lo}..{q_hi}")
         dims = {pq: integer(x, f"dim at {pq}", ComplexError) for pq, x in dims.items()}
+        if any(x < 0 for x in dims.values()):
+            raise ComplexError(f"dims must not be negative, got {dims}")
         self._set(p_lo, p_hi, q_lo, q_hi, dims, horizontal, vertical)
         for p, q in self._dims:
             if not (self.dh(p + 1, q) @ self.dh(p, q)).is_zero():

@@ -114,6 +114,9 @@ class GModule:
     fail: a nonzero bracket, or two nonzero actions (elsewhere 0 = 0)."""
 
     def __init__(self, algebra: LieAlgebra, dim: int, actions: Sequence[ExactMatrix]):
+        dim = integer(dim, "module dim", MalformedLieAlgebra)
+        if dim < 0:
+            raise MalformedLieAlgebra(f"module dim must not be negative, got {dim!r}")
         for a in sized(actions, algebra.dim, "module.actions", MalformedLieAlgebra):
             if a.rows != dim or a.cols != dim:
                 raise MalformedLieAlgebra("action matrix has wrong shape")

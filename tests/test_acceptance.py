@@ -85,7 +85,7 @@ def test_criterion_3_second_page_degeneration():
         # E2 against the engine's page 2, and the E_inf totals of the pairing
         # against the rank path of `betti`
         ok = ok and rep.degeneration_page <= 2 \
-            and rep.e2_dims == compute_page(model.cech, 2).nonzero_dims() \
+            and dict(rep.unpaired) == compute_page(model.cech, 2).nonzero_dims() \
             and check_convergence(model.cech, betti(total(model.double)))
     for name, lr, section, _ in corpus.lie_rinehart_instances():
         for w in range(0, 4):

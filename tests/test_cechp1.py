@@ -58,7 +58,7 @@ def test_cech_dims_stable_across_windows():
 def test_window_guard_raises_on_truncated_image():
     # a window that cannot hold the chart-1 image must raise, never truncate
     sheaf = line_bundle(-2)
-    bad = RowModel(sheaf, 1, chart0_hi=1, chart1_hi=(1,), window=((-1, 1),))
+    bad = RowModel(sheaf, chart0_hi=1, chart1_hi=(1,), window=((-1, 1),))
     with pytest.raises(WindowError):
         _delta_matrix(bad)
 
@@ -494,6 +494,19 @@ def test_first_page_window_check_can_fail(monkeypatch):
             window_checked(a0, zero_section(a0), 2)
 
 
+def test_window_1_passes_the_window_check_on_a_seeded_scan():
+    # evidence that window 1 suffices, not a proof: on 500 seeded
+    # sections, twisted and untwisted, the window-1 and window-2 models agree
+    # on the Cech-degree E_inf grid (`window_checked` raises WindowError else)
+    rng = random.Random(29)
+    for _ in range(500):
+        d = rng.randint(-6, 6)
+        coeffs = [rng.randint(-2, 2) for _ in range(3)]
+        algebroid = atiyah_algebroid(d)
+        section = EquivariantSection(algebroid, coeffs, [rng.choice((0, 1, -2)), -d * coeffs[2]])
+        assert window_checked(algebroid, section, 1, rng.random() < 0.5).window == 1
+
+
 @pytest.mark.parametrize("case", sorted(p.stem for p in corpus.CASES.glob("p1-*.json")))
 def test_p1_run_checks_the_window_once(monkeypatch, capsys, case):
     calls = []
@@ -635,15 +648,15 @@ def test_second_page_degeneration_examples():
     a0 = atiyah_algebroid(0)
     v = EquivariantSection(a0, (0, 1, 0))
     rep = second_page_degeneration(cech_koszul(a0, v, 1))
-    assert rep.ok and rep.degeneration_page <= 2
+    assert rep.degeneration_page <= 2
     rep0 = second_page_degeneration(cech_koszul(a0, zero_section(a0), 1))
-    assert rep0.ok
+    assert rep0.degeneration_page <= 2
     repu = second_page_degeneration(cech_koszul(a0, v, 1, untwisted=True))
-    assert repu.ok
+    assert repu.degeneration_page <= 2
     # limit totals agree with the equivariant cohomology
     h = equivariant_H(cech_koszul(a0, v, 1))
     totals = {}
-    for (q, k_minus_q), dim in rep.e2_dims.items():
+    for (q, k_minus_q), dim in rep.unpaired.items():
         n = q + k_minus_q
         totals[n] = totals.get(n, 0) + dim
     assert totals == {k: v_ for k, v_ in h.items() if v_}

@@ -223,6 +223,17 @@ def test_cochain_complex_rejects_a_fractional_dim():
     assert CochainComplex(0, 0, [2.0], []).dim(0) == 2
 
 
+def test_checking_constructors_reject_a_negative_dim():
+    # a negative dim would build, and `betti` would report it as a Betti number
+    with pytest.raises(ComplexError, match=re.escape("dims must not be negative, got [-3]")):
+        CochainComplex(0, 0, [-3], [])
+    with pytest.raises(ComplexError,
+                       match=re.escape("dims must not be negative, got {(0, 0): -2}")):
+        DoubleComplex(0, 0, 0, 0, {(0, 0): -2}, {}, {})
+    assert CochainComplex(0, 0, [0], []).dim(0) == 0
+    assert DoubleComplex(0, 0, 0, 0, {(0, 0): 0}, {}, {}).cell_dim(0, 0) == 0
+
+
 def test_double_complex_rejects_keys_outside_its_rectangle():
     i2 = ExactMatrix.identity(2)
     for dims, horizontal, vertical, key in (

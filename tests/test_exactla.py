@@ -416,6 +416,9 @@ INTEGER_SITES = {
                        lambda x: lierinehart.WeightedPolyRing(x, (1, 1)), lambda r: r.nvars),
     "lie-algebra-dim": (hochserre.MalformedLieAlgebra, lambda x: hochserre.LieAlgebra(x, {}),
                         lambda g: g.dim),
+    "module-dim": (hochserre.MalformedLieAlgebra,
+                   lambda x: hochserre.GModule(hochserre.LieAlgebra(0, {}), x, []),
+                   lambda m: m.dim),
     "variable-weight": (lierinehart.MalformedPresentation,
                         lambda x: lierinehart.WeightedPolyRing(1, (x,)), lambda r: r.weights[0]),
     "generator-weight": (lierinehart.MalformedPresentation,

@@ -44,6 +44,13 @@ def test_negative_dimension_rejected():
     assert LieAlgebra(0, {}).dim == 0
 
 
+def test_module_negative_dimension_rejected():
+    # a negative module dim would build, and `ce_complex` would give Betti {0: -3}
+    with pytest.raises(MalformedLieAlgebra, match="module dim must not be negative, got -3"):
+        GModule(LieAlgebra(0, {}), -3, [])
+    assert GModule(LieAlgebra(0, {}), 0, []).dim == 0
+
+
 def test_non_ideal_rejected():
     with pytest.raises(LieAlgebraError):
         ideal(AFF1, [[1, 0]])  # [e0, e1] = e1 escapes span(e0)

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
-definition of the package is named outside itself, and every parameter of
-a package function is read in its body.
+definition of the package is named outside itself, every parameter of a
+package function is read in its body, and every dataclass field is read.
 
 `__init__.py` is left out of the import scan: its imports are the
 package's re-exports.
@@ -118,6 +118,46 @@ def test_scan_finds_a_dead_definition():
     others = {"t.py": "from m import used, K\nused()\n"}
     assert dead_definitions(package, others, ["K.traced"]) == ["m.py:4 recursive",
                                                               "m.py:8 method"]
+
+
+def dead_fields(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """Fields of the dataclasses of the `package` sources (path -> text) that
+    no source of `package` or `others` reads as an attribute (`x.field`) or
+    passes by keyword (`field=...`)."""
+    read = set()
+    for text in {**package, **others}.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                read.add(node.arg)
+    dead = []
+    for path, text in package.items():
+        for cls in ast.walk(ast.parse(text)):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in (getattr(f, "id", None), getattr(f, "attr", None))
+                    for d in cls.decorator_list for f in [getattr(d, "func", d)]):
+                dead += [f"{Path(path).name}:{item.lineno} {cls.name}.{item.target.id}"
+                         for item in cls.body if isinstance(item, ast.AnnAssign)
+                         and isinstance(item.target, ast.Name) and item.target.id not in read]
+    return dead
+
+
+def test_every_dataclass_field_is_read():
+    package = {str(p): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = {str(p): p.read_text() for d in ("tests", "perfbench")
+              for p in sorted((ROOT / d).glob("*.py"))}
+    assert dead_fields(package, others) == []
+
+
+def test_scan_finds_a_dead_field():
+    package = {"m.py": ("import dataclasses\nfrom dataclasses import dataclass\n\n"
+                        "@dataclass\nclass A:\n    shown: int\n    kept: int\n"
+                        "    written: int\n\n    def show(self):\n        return self.shown\n\n"
+                        "@dataclasses.dataclass(frozen=True)\nclass B:\n    unread: str\n\n"
+                        "class Plain:\n    note: str\n")}
+    others = {"t.py": "from m import A\na = A(1, 2, 3)\na.written = 4\nreplace(a, kept=5)\n"}
+    assert dead_fields(package, others) == ["m.py:8 A.written", "m.py:15 B.unread"]
 
 
 def _handlers(tree: ast.Module) -> set[str]:
