@@ -5,11 +5,11 @@ Each command returns its report once, as a dict of the library's values
 and a verdict (True, False, or None where nothing could fail); the text
 report and the JSON report are both rendered from that dict.
 
-One file holds one example.  Exit codes: 0 no verdict failed, 1 a
-mathematical verdict failed (including gluing/validation failures),
-2 input or schema error, 3 an internal error (a bug).  The JSON report
-is deterministic (sorted keys, no timings); wall-clock timings go to
-stdout only.
+One file holds one example.  The class of an exception sets the exit
+code: 1 a `VerdictError`, 2 an `InputError`, 3 any other (a bug); 0 when
+nothing was raised and no verdict failed.  The JSON report is
+deterministic (sorted keys, no timings); wall-clock timings go to stdout
+only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import time
 from . import cechp1, hochserre, koszul, lierinehart
 from .complexes import (
     CochainComplex,
-    ComplexError,
     DoubleComplex,
     FilteredComplex,
     betti,
@@ -31,11 +30,11 @@ from .complexes import (
     row_filtration,
     total,
 )
-from .exactla import ExactMatrix, Subspace, integer, integers, qq, sized
+from .exactla import ExactMatrix, InputError, Subspace, VerdictError, integer, integers, qq, sized
 from .specseq import compute_page, run as ss_run
 
 
-class SchemaError(Exception):
+class SchemaError(InputError):
     pass
 
 
@@ -389,10 +388,7 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool]:
     formality = koszul.formality_check(lr, section, range(lo, hi + 1))
     tables = {s.w: s.source_betti for s in formality.slices}
     if not asserted:
-        try:
-            dim_y = 0 if koszul.is_zero_dimensional(section, hi + 2) else None
-        except koszul.InconclusiveError:
-            pass
+        dim_y = 0 if koszul.is_zero_dimensional(section, hi + 2) else None
     values = {
         "slice_cohomology": tables,
         "formality": formality.ok,
@@ -434,6 +430,7 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool | None]:
         raise SchemaError(f"window must be at least 1, got {window}")
     model = cechp1.window_checked(algebroid, section, window, untwisted)
     fp = cechp1.first_page(model)
+    cor = cechp1.corollary_check(model)
     values = {
         "degree": algebroid.degree,
         "window": window,
@@ -441,11 +438,10 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool | None]:
         "first_page": fp.grid,
         "d1_ranks": fp.d1_ranks,
         "equivariant_h": cechp1.equivariant_H(model),
-        "assumption": cechp1.assumption_check(section),
+        "assumption": cor is not None,
     }
     match = None
-    if values["assumption"]:
-        cor = cechp1.corollary_check(model)
+    if cor is not None:
         values["fixed_points"] = [str(p) for p in cor.fixed_points]
         values["corollary_predicted"] = cor.predicted
         values["corollary_match"] = match = cor.match
@@ -464,27 +460,6 @@ COMMANDS = {
     "hs": cmd_hs,
     "p1": cmd_p1,
 }
-
-# Malformed input: exit 2.  Caught before MATH_ERRORS, which holds the base
-# classes of MalformedPresentation and MalformedLieAlgebra.  Every input
-# reader raises one of these, so a bare KeyError, ValueError or TypeError is
-# a fault of the program (exit 3), not of the input.
-INPUT_ERRORS = (
-    SchemaError,
-    ComplexError,
-    lierinehart.MalformedPresentation,
-    hochserre.MalformedLieAlgebra,
-)
-
-# A mathematical verdict failed: exit 1.
-MATH_ERRORS = (
-    lierinehart.PresentationError,
-    hochserre.LieAlgebraError,
-    koszul.ZeroLocusError,
-    cechp1.GluingError,
-    cechp1.WindowError,
-)
-
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
@@ -528,10 +503,10 @@ def main(argv=None) -> int:
         if not isinstance(name, str):
             raise SchemaError(f"field 'name' must be a string, got {type(name).__name__}")
         values, ok = COMMANDS[args.command](payload, args)
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MATH_ERRORS as exc:
+    except VerdictError as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

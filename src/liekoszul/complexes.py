@@ -22,6 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 from .exactla import (
     ExactMatrix,
+    InputError,
     Subquotient,
     Subspace,
     _insert,
@@ -36,7 +37,7 @@ from .exactla import (
 )
 
 
-class ComplexError(Exception):
+class ComplexError(InputError):
     pass
 
 

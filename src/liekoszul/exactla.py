@@ -10,7 +10,8 @@ Input is read here once per format, by `qq` (a rational) and three
 readers beside it: `integer` (an integer, never truncated), `integers`
 (the integers of a key "a,b,...") and `sized` (a list of n entries).
 Every layer reads through them with its own error class, which names
-the field.
+the field.  Beside them sit the bases that say whose fault an error is:
+`InputError` (input, exit 2) and `VerdictError` (a failed verdict, exit 1).
 
 Storage is sparse and canonical.  An `ExactMatrix` keeps, per row, a dict
 from column index to nonzero entry, and never stores a zero or an integral
@@ -63,6 +64,14 @@ class OutsideCyclesError(LinearAlgebraError):
 
 class NotFiltrationCompatibleError(LinearAlgebraError):
     """Raised when a map does not respect cycles/boundaries of subquotients."""
+
+
+class InputError(Exception):
+    """Input that cannot be read as the object it names: exit 2."""
+
+
+class VerdictError(Exception):
+    """A mathematical verdict failed on input that was read: exit 1."""
 
 
 def qq(x) -> "int | QQ":

@@ -27,17 +27,17 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .complexes import CochainComplex, FilteredComplex, _built, betti, cohomology
-from .exactla import (ExactMatrix, Subspace, _axpy, _wrap, coordinates, induced_map, integer, qq,
-                      sized)
+from .exactla import (ExactMatrix, InputError, Subspace, VerdictError, _axpy, _wrap, coordinates,
+                      induced_map, integer, qq, sized)
 from .lierinehart import _assemble, _bracket_entries, _ce_terms, _jacobi
 from .specseq import compute_page, run
 
 
-class LieAlgebraError(Exception):
+class LieAlgebraError(VerdictError):
     pass
 
 
-class MalformedLieAlgebra(LieAlgebraError):
+class MalformedLieAlgebra(LieAlgebraError, InputError):
     """Input of the wrong shape (a dimension, a bracket key, coefficient
     vector or coefficient, the ambient of an ideal, the count or shape of
     action matrices), as opposed to data of the right shape that breaks an

@@ -59,14 +59,6 @@ from .lierinehart import (
 )
 
 
-class ZeroLocusError(Exception):
-    pass
-
-
-class InconclusiveError(ZeroLocusError):
-    """Window too small to certify or refute zero-dimensionality."""
-
-
 @dataclass(frozen=True)
 class LieKoszulSlice:
     lr: LieRinehartPresentation
@@ -134,7 +126,7 @@ def zero_locus_model(v: SectionV) -> ZeroLocusModel:
     return v._zero_locus
 
 
-def is_zero_dimensional(v: SectionV, w_max: int) -> bool:
+def is_zero_dimensional(v: SectionV, w_max: int) -> bool | None:
     """Certify that the zero scheme of V is the origin, or that it is not.
 
     For a homogeneous ideal, a full window of zero quotient slices of
@@ -143,7 +135,7 @@ def is_zero_dimensional(v: SectionV, w_max: int) -> bool:
     variable x_j none of whose pure powers x_j^e (e >= 0) occurs in any
     component of V, so that every component vanishes on the x_j axis and
     the zero locus contains that line.  Without either proof the verdict is
-    not visible at this w_max and InconclusiveError is raised.
+    not visible at this w_max, and None is returned (undecided).
     """
     ring = v.owner.ring
     for j in range(ring.nvars):
@@ -152,16 +144,12 @@ def is_zero_dimensional(v: SectionV, w_max: int) -> bool:
             return False
     model = zero_locus_model(v)
     max_u = max(ring.weights, default=1)
-    if w_max < max_u - 1:
-        raise InconclusiveError(f"w_max={w_max} smaller than one weight window")
     dims = []
     for w in range(w_max + 1):
         dims.append(model.quotient_dim(w))
         if len(dims) >= max_u and not any(dims[-max_u:]):
             return True
-    raise InconclusiveError(
-        f"quotient dims {dims} do not vanish on a full window, and no axis "
-        f"lies in the zero locus")
+    return None
 
 
 @dataclass(frozen=True)

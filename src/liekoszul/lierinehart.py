@@ -32,17 +32,18 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .complexes import CochainComplex
-from .exactla import ExactMatrix, _integral, _wrap, format_rational, integer, integers, qq, sized
+from .exactla import (ExactMatrix, InputError, VerdictError, _integral, _wrap, format_rational,
+                      integer, integers, qq, sized)
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, QQ]
 
 
-class PresentationError(Exception):
+class PresentationError(VerdictError):
     pass
 
 
-class MalformedPresentation(PresentationError):
+class MalformedPresentation(PresentationError, InputError):
     """Input of the wrong shape (counts, lengths, keys, monomials,
     coefficients, weights), as opposed to data of the right shape that
     breaks the grading or an identity."""

@@ -64,6 +64,10 @@ through the Leibniz-extended bracket `elem_bracket`.  `jacobi_dense` is the
 Jacobi check `LieAlgebra` made before it stored sparse structure
 constants: every triple and component over a dense table.
 
+`zero_scheme_length` is the length of the zero scheme of a P^1 section
+by Euclid's algorithm (`poly_gcd_degree`), with no Cech model: the
+`p1` corollary widened to zeros that are not simple.
+
 The oracle shares no polynomial arithmetic with the package: `p_add`,
 `p_mul`, `p_scale` and `p_diff` are its own, the anchor acts by the product
 rule (`anchor_apply`), and `lr_bracket` and `la_bracket` are its own dense,
@@ -71,6 +75,7 @@ antisymmetric views of the sparse tables `brackets` of a presentation and
 of a Lie algebra.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as QQ
 from itertools import combinations
@@ -727,3 +732,36 @@ def jacobi_dense(dim, brackets):
             if total:
                 return f"Jacobi identity fails on (e{i}, e{j}, e{k}) in component e{s}"
     return None
+
+
+def _poly_mod(a, b):
+    """The remainder of a by b != 0, polynomials as {exponent: coefficient}."""
+    a = dict(a)
+    top, lead = max(b), b[max(b)]
+    while a and max(a) >= top:
+        shift = max(a) - top
+        c = QQ(a[max(a)]) / lead
+        for e, x in b.items():
+            s = a.get(e + shift, 0) - c * x
+            if s:
+                a[e + shift] = s
+            else:
+                a.pop(e + shift, None)
+    return a
+
+
+def poly_gcd_degree(a, b):
+    """deg gcd(a, b) of two polynomials over QQ, not both zero, by Euclid."""
+    while b:
+        a, b = b, _poly_mod(a, b)
+    return max(a)
+
+
+def zero_scheme_length(section, untwisted):
+    """Length of the zero scheme of V = f + v d/dz on P^1, a section that
+    does not vanish identically; untwisted, f is dropped.  Chart 0 holds
+    every point but infinity, with length deg gcd(f0, v0); infinity is the
+    origin of chart 1, with length min(ord_0 f1, ord_0 w1)."""
+    f0, f1 = ({}, {}) if untwisted else (section.f0, section.f1)
+    at_infinity = min(min(p, default=math.inf) for p in (f1, section.w1))
+    return poly_gcd_degree(f0, section.v0) + at_infinity

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from liekoszul import cechp1, complexes, exactla, koszul, lierinehart, specseq
+import liekoszul
+from liekoszul import cechp1, cli, complexes, exactla, koszul, lierinehart, specseq
 from liekoszul.cli import build_lie_rinehart, main
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -957,6 +960,56 @@ def test_a_misshaped_builder_matrix_is_an_internal_error(monkeypatch, capsys, co
     monkeypatch.setattr(module, builder, lambda *args: exactla.ExactMatrix.zeros(1, 1))
     err = _exit_with_one_line(capsys, [command, CASES / case], 3, "internal error:")
     assert err.startswith("internal error: BuilderError: ") and "shape" in err, err
+
+
+# The exit code of every exception class the package defines: 2 for input
+# that cannot be read, 1 for a verdict that failed, 3 for a fault of the
+# program.  A new class fails `test_every_exception_class_has_its_exit_code`
+# until it is entered here.
+EXIT_CODES = {
+    "exactla.InputError": 2,
+    "cli.SchemaError": 2,
+    "complexes.ComplexError": 2,
+    "lierinehart.MalformedPresentation": 2,
+    "hochserre.MalformedLieAlgebra": 2,
+    "exactla.VerdictError": 1,
+    "lierinehart.PresentationError": 1,
+    "hochserre.LieAlgebraError": 1,
+    "cechp1.GluingError": 1,
+    "cechp1.WindowError": 1,
+    "complexes.BuilderError": 3,
+    "exactla.LinearAlgebraError": 3,
+    "exactla.OutsideCyclesError": 3,
+    "exactla.NotFiltrationCompatibleError": 3,
+    "specseq.SpectralSequenceError": 3,
+}
+PREFIXES = {2: "error: boom", 1: "verdict failure: boom", 3: "internal error: "}
+
+
+def _package_exceptions():
+    """{"module.Class": class} for every exception class a liekoszul module defines."""
+    found = {}
+    for info in pkgutil.iter_modules(liekoszul.__path__):
+        module = importlib.import_module(f"liekoszul.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__):
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
+def test_every_exception_class_has_its_exit_code(monkeypatch, capsys):
+    classes = _package_exceptions()
+    assert sorted(classes) == sorted(EXIT_CODES)
+    for name, cls in classes.items():
+        def fail(payload, args):
+            raise cls("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "p1", fail)
+        code = EXIT_CODES[name]
+        err = _exit_with_one_line(capsys, ["p1", CASES / "p1-euler-O0.json"], code,
+                                  PREFIXES[code])
+        assert err.endswith("boom\n"), (name, err)
 
 
 # Integer and boolean fields: a JSON true or false in an integer field, a
