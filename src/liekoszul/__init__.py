@@ -74,7 +74,6 @@ from .cechp1 import (
     line_bundle,
     second_page_degeneration,
     window_checked,
-    zero_section,
 )
 
 __version__ = "0.1.0"

@@ -332,10 +332,6 @@ class EquivariantSection:
         self.f1 = lp_coeffs_poly([alpha + d * b, d * a])
 
 
-def zero_section(algebroid: AlgebroidOnP1) -> EquivariantSection:
-    return EquivariantSection(algebroid, (0, 0, 0))
-
-
 # -- the Cech-Koszul double complex -------------------------------------------
 
 @dataclass

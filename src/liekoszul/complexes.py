@@ -109,9 +109,6 @@ class CochainComplex:
             return self._diffs[k - self.lo]
         return ExactMatrix.zeros(self.dim(k + 1), self.dim(k))
 
-    def euler_characteristic(self) -> int:
-        return sum((-self.dim(k) if k % 2 else self.dim(k)) for k in self.degrees())
-
     def __repr__(self):
         dims = ", ".join(f"{k}:{self.dim(k)}" for k in self.degrees())
         return f"CochainComplex([{dims}])"
@@ -183,15 +180,6 @@ def _induced(f: ChainMap, hs: dict[int, Subquotient],
     empty = Subquotient(Subspace.zero_space(0), Subspace.zero_space(0))
     return {k: induced_map(f.component(k), hs.get(k, empty), ht.get(k, empty))
             for k in set(hs) | set(ht)}
-
-
-def compose(g: ChainMap, f: ChainMap) -> ChainMap:
-    if f.target is not g.source and f.target != g.source:
-        raise ComplexError("chain maps not composable")
-    lo = min(f.source.lo, g.target.lo)
-    hi = max(f.source.hi, g.target.hi)
-    return ChainMap(f.source, g.target,
-                    {k: g.component(k) @ f.component(k) for k in range(lo, hi + 1)})
 
 
 def is_quasi_isomorphism(f: ChainMap) -> bool:
@@ -310,13 +298,6 @@ class DoubleComplex:
         """Build from commuting squares: d_v on column p is twisted by (-1)^p."""
         return cls(p_lo, p_hi, q_lo, q_hi, dims, horizontal, _twisted(vertical))
 
-    @classmethod
-    def from_single_row(cls, c: CochainComplex, q: int = 0) -> "DoubleComplex":
-        """Embed a complex as the row q of a double complex (d_v = 0)."""
-        dims = {(k, q): c.dim(k) for k in c.degrees()}
-        horiz = {(k, q): c.d(k) for k in c.degrees()}
-        return cls(c.lo, c.hi, q, q, dims, horiz, {})
-
     def cell_dim(self, p: int, q: int) -> int:
         return self._dims.get((p, q), 0)
 
@@ -331,15 +312,6 @@ class DoubleComplex:
         if m is None:
             return ExactMatrix.zeros(self.cell_dim(p, q + 1), self.cell_dim(p, q))
         return m
-
-    def transpose(self) -> "DoubleComplex":
-        dims = {(q, p): d for (p, q), d in self._dims.items()}
-        horiz = {(q, p): m for (p, q), m in self._dv.items()}
-        vert = {(q, p): m for (p, q), m in self._dh.items()}
-        return DoubleComplex(self.q_lo, self.q_hi, self.p_lo, self.p_hi, dims, horiz, vert)
-
-    def euler_characteristic(self) -> int:
-        return sum((-d if (p + q) % 2 else d) for (p, q), d in self._dims.items())
 
     def __repr__(self):
         return (f"DoubleComplex(p in [{self.p_lo},{self.p_hi}], "

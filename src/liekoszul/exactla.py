@@ -32,12 +32,10 @@ sparse target rows in an independent sparse basis, from one RREF of
 [basis | targets], checked by the sparse product B X = T.
 
 Dense tuples of `Fraction`s (`Vector`) are test and `repr` edges only:
-`Subspace.basis` and `contains`, `Subquotient.representatives` and
-`class_coordinates(_batch)`, `ExactMatrix.entry`, `row`, `column`,
-`entries`, `apply` and `from_columns`, and `solve`, `solve_batch`,
-`as_vector` and `unit_vector`.  The package's drivers stay on sparse rows
-from input to verdict; the golden tests run every report with these views
-made to raise.
+`solve_batch` and `Subquotient.class_coordinates_batch`, which the
+benchmark's tracer (`perfbench/tracing.ENTRY_POINTS`) still names.  The
+package's drivers stay on sparse rows from input to verdict; the golden
+tests run every report with these views made to raise.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ Vector = tuple[QQ, ...]
 Row = dict[int, "int | QQ"]   # column index -> nonzero entry, an int if integral
 
 ZERO = QQ(0)
-ONE = QQ(1)
 
 
 class LinearAlgebraError(Exception):
@@ -144,14 +141,6 @@ def format_rational(x: QQ) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def as_vector(entries: Iterable) -> Vector:
-    return tuple(qq(e) for e in entries)
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def _integral(x):
@@ -247,63 +236,8 @@ class ExactMatrix:
         return _wrap(nrows, ncols, tuple(_sparse(r) for r in rows))
 
     @classmethod
-    def from_entries(cls, rows: int, cols: int,
-                     entries: Iterable[tuple[int, int, object]]) -> "ExactMatrix":
-        """Matrix from (i, j, value) triples; values at the same (i, j) add up."""
-        data: list[dict] = [{} for _ in range(rows)]
-        for i, j, x in entries:
-            if not 0 <= i < rows:
-                raise LinearAlgebraError(f"row index {i} outside a {rows}x{cols} matrix")
-            row = data[i]
-            row[j] = row.get(j, 0) + x
-        return cls(rows, cols, data)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return _wrap(rows, cols, tuple({} for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return _wrap(n, n, tuple({i: 1} for i in range(n)))
-
-    @classmethod
-    def from_columns(cls, rows: int, columns: Sequence[Sequence]) -> "ExactMatrix":
-        """Matrix whose j-th column is the dense vector columns[j] (a test edge)."""
-        for col in columns:
-            if len(col) != rows:
-                raise LinearAlgebraError("column length does not match row count")
-        return _wrap(rows, len(columns),
-                     tuple(_transpose([_sparse(c) for c in columns], rows)))
-
-    # -- dense views, for tests and repr --------------------------------------
-
-    def entry(self, i: int, j: int) -> QQ:
-        return QQ(self.row_maps[i].get(j, 0))
-
-    def row(self, i: int) -> Vector:
-        return _dense(self.row_maps[i], self.cols)
-
-    def column(self, j: int) -> Vector:
-        return tuple(QQ(r.get(j, 0)) for r in self.row_maps)
-
-    @property
-    def entries(self) -> Vector:
-        """All entries, row-major."""
-        return tuple(x for i in range(self.rows) for x in self.row(i))
-
-    def apply(self, v: Sequence) -> Vector:
-        """M v for a dense vector; the drivers use `images`."""
-        if len(v) != self.cols:
-            raise LinearAlgebraError("vector length does not match column count")
-        out = []
-        for row in self.row_maps:
-            acc = 0
-            for j, c in row.items():
-                x = v[j]
-                if x:
-                    acc += c * x
-            out.append(QQ(acc))
-        return tuple(out)
 
     # -- arithmetic on nonzeros ------------------------------------------------
 
@@ -378,7 +312,7 @@ class ExactMatrix:
 
     def __repr__(self):
         body = "; ".join(
-            " ".join(format_rational(e) for e in self.row(i)) for i in range(self.rows)
+            " ".join(format_rational(e) for e in _dense(r, self.cols)) for r in self.row_maps
         )
         return f"ExactMatrix({self.rows}x{self.cols}: [{body}])"
 
@@ -436,11 +370,10 @@ class Subspace:
     """Subspace of QQ^n with a canonical reduced-row-echelon basis.
 
     `sparse_basis` holds the RREF rows as sparse rows and `pivots` their
-    pivot columns; `basis` is the same basis as dense vectors, built on
-    first use.
+    pivot columns.
     """
 
-    __slots__ = ("ambient_dim", "sparse_basis", "pivots", "_basis")
+    __slots__ = ("ambient_dim", "sparse_basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: Sequence[Sequence]):
         rows = []
@@ -455,7 +388,6 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "sparse_basis", tuple(echelon))
         object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_basis", None)
 
     @classmethod
     def _span(cls, ambient_dim: int, rows: Sequence[Row]) -> "Subspace":
@@ -471,18 +403,6 @@ class Subspace:
     def zero_space(cls, n: int) -> "Subspace":
         return cls._span(n, [])
 
-    @classmethod
-    def full_space(cls, n: int) -> "Subspace":
-        return cls._span(n, [{i: 1} for i in range(n)])
-
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        b = self._basis
-        if b is None:
-            b = tuple(_dense(r, self.ambient_dim) for r in self.sparse_basis)
-            object.__setattr__(self, "_basis", b)
-        return b
-
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -496,16 +416,6 @@ class Subspace:
             if c:
                 _axpy(w, c, row)
         return w
-
-    def contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise LinearAlgebraError("vector has wrong ambient dimension")
-        return not self._residual(_sparse(v))
-
-    def add(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise LinearAlgebraError("ambient dimension mismatch")
-        return Subspace._span(self.ambient_dim, self.sparse_basis + other.sparse_basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -572,8 +482,8 @@ def image_basis(m: ExactMatrix) -> Subspace:
 
 def normal_forms(s: Subspace) -> list[Row]:
     """The class of each unit vector e_j in QQ^n / s, in coordinates of the
-    quotient basis: the e_i not in s + span(e_0..e_{i-1}), as picked by
-    `Subquotient(Subspace.full_space(n), s)`.  They are the non-pivots of the
+    quotient basis: the e_i not in s + span(e_0..e_{i-1}), as picked by a
+    `Subquotient` of QQ^n by s.  They are the non-pivots of the
     RREF of s with each row's pivot at its last nonzero column, and a pivot
     e_p is minus the rest of its row."""
     n = s.ambient_dim
@@ -617,15 +527,6 @@ def coordinates(basis: Sequence[Mapping[int, QQ]], n: int,
     return _wrap(k, len(targets), x)
 
 
-def solve(m: ExactMatrix, v: Sequence) -> Vector | None:
-    """One solution x of Mx = v, or None if inconsistent (a test edge).
-
-    When the columns of M are independent the solution is unique.
-    """
-    sols = solve_batch(m, [as_vector(v)])
-    return sols[0]
-
-
 def solve_batch(m: ExactMatrix, vectors: Sequence[Vector]) -> list[Vector | None]:
     """Solve Mx = v for several dense right-hand sides with one elimination
     (a test edge; the drivers use `coordinates`)."""
@@ -642,21 +543,12 @@ def solve_batch(m: ExactMatrix, vectors: Sequence[Vector]) -> list[Vector | None
                 r[n + j] = x
         aug.append(r)
     rows, pivots = _rref(aug)
-    out: list[Vector | None] = []
-    for j, v in enumerate(vectors):
-        x = [ZERO] * n
-        ok = True
-        for row, p in zip(rows, pivots):
-            if p >= n:
-                if p == n + j:
-                    ok = False
-                continue
-            x[p] = QQ(row.get(n + j, 0))
-        if not ok or m.apply(x) != tuple(v):
-            out.append(None)
-        else:
-            out.append(tuple(x))
-    return out
+    # A pivot in column n + j makes v_j inconsistent; otherwise x_j is read
+    # off the pivot rows and checked by the sparse product M x_j = v_j.
+    sols = [{p: row[n + j] for row, p in zip(rows, pivots) if p < n and n + j in row}
+            for j in range(len(vectors))]
+    return [_dense(x, n) if n + j not in pivots and image == _sparse(v) else None
+            for j, (v, x, image) in enumerate(zip(vectors, sols, m.images(sols)))]
 
 
 class Subquotient:
@@ -666,11 +558,10 @@ class Subquotient:
     of the cycle space and keep each vector that is independent of the
     boundaries plus the representatives already kept, dim(C + B) - dim B
     of them, so B lies in C iff that is dim C - dim B.  `_rep_rows` holds
-    them as sparse rows; `representatives` is the same list as dense
-    vectors, built on first use.
+    them as sparse rows.
     """
 
-    __slots__ = ("cycles", "boundaries", "_rep_rows", "_representatives")
+    __slots__ = ("cycles", "boundaries", "_rep_rows")
 
     def __init__(self, cycles: Subspace, boundaries: Subspace):
         if cycles.ambient_dim != boundaries.ambient_dim:
@@ -682,18 +573,9 @@ class Subquotient:
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "boundaries", boundaries)
         object.__setattr__(self, "_rep_rows", reps)
-        object.__setattr__(self, "_representatives", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subquotient is immutable")
-
-    @property
-    def representatives(self) -> tuple[Vector, ...]:
-        reps = self._representatives
-        if reps is None:
-            reps = tuple(_dense(r, self.ambient_dim) for r in self._rep_rows)
-            object.__setattr__(self, "_representatives", reps)
-        return reps
 
     @property
     def ambient_dim(self) -> int:
@@ -702,13 +584,6 @@ class Subquotient:
     @property
     def dim(self) -> int:
         return self.cycles.dim - self.boundaries.dim
-
-    def class_coordinates(self, v: Sequence) -> Vector:
-        """Coordinates of [v] in the representative basis.
-
-        Raises OutsideCyclesError when v is not a cycle.
-        """
-        return self.class_coordinates_batch([v])[0]
 
     def class_coordinates_batch(self, vectors: Sequence[Sequence]) -> list[Vector]:
         """Class coordinates of several dense vectors, from one `coordinates`

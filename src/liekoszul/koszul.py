@@ -165,13 +165,6 @@ class FormalityResult:
     ok: bool
     slices: tuple[FormalitySliceResult, ...]
 
-    @property
-    def first_failure(self) -> FormalitySliceResult | None:
-        for s in self.slices:
-            if not s.ok:
-                return s
-        return None
-
 
 def untouched_generators(v: SectionV) -> tuple[int, ...]:
     """Generator indices whose component of V vanishes identically."""

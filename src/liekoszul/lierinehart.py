@@ -128,8 +128,8 @@ def p_str(a: Poly, names: Sequence[str] | None = None) -> str:
             if e:
                 name = names[j] if names else f"x{j}"
                 factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors) if factors else "1"
-        terms.append(f"{format_rational(c)}*{body}")
+        coeff = format_rational(c)
+        terms.append(f"{coeff}*{'*'.join(factors)}" if factors else coeff)
     return " + ".join(terms)
 
 
@@ -194,11 +194,6 @@ class WeightedPolyRing:
         if len(ws) > 1:
             raise PresentationError(f"polynomial not homogeneous: weights {sorted(ws)}")
         return ws.pop()
-
-    def variable(self, j: int) -> Poly:
-        m = [0] * self.nvars
-        m[j] = 1
-        return {tuple(m): 1}
 
 
 @dataclass(frozen=True)

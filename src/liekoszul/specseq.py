@@ -99,12 +99,6 @@ class SpectralSequencePage:
     grid: dict[tuple[int, int], int]
     ranks: dict[tuple[int, int], int]
 
-    def entry_dim(self, p: int, q: int) -> int:
-        return self.grid.get((p, q), 0)
-
-    def dims(self) -> dict[tuple[int, int], int]:
-        return dict(self.grid)
-
     def nonzero_dims(self) -> dict[tuple[int, int], int]:
         return {pq: dim for pq, dim in self.grid.items() if dim}
 

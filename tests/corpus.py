@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from liekoszul.cli import build_lie_algebra, build_lie_rinehart
-from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid, zero_section
+from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid
 from liekoszul.complexes import betti
 from liekoszul.exactla import ExactMatrix, Subspace
 from liekoszul.hochserre import GModule, LieAlgebra, LieIdeal
@@ -106,10 +106,10 @@ def p1_instances():
         ("O0/euler", a0, EquivariantSection(a0, (0, 1, 0)), False),
         ("O0/euler-untwisted", a0, EquivariantSection(a0, (0, 1, 0)), True),
         ("O0/two-finite-fixed", a0, EquivariantSection(a0, (-1, 0, 1)), True),
-        ("O0/zero-section", a0, zero_section(a0), False),
+        ("O0/zero-section", a0, EquivariantSection(a0, (0, 0, 0)), False),
         ("O0/unit-lift", a0, EquivariantSection(a0, (0, 1, 0), scalar0=["1"]), False),
         ("O2/euler", a2, EquivariantSection(a2, (0, 1, 0)), False),
-        ("O-2/zero-section", am2, zero_section(am2), False),
+        ("O-2/zero-section", am2, EquivariantSection(am2, (0, 0, 0)), False),
     ]
 
 

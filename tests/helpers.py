@@ -9,6 +9,7 @@ from fractions import Fraction as QQ
 from itertools import combinations
 
 from liekoszul.cechp1 import lp, lp_mul
+from liekoszul.exactla import ExactMatrix, Subspace, _dense
 from liekoszul.lierinehart import p_add
 
 
@@ -43,8 +44,35 @@ def rank_by_minors(rows):
     return 0
 
 
+def dense(x):
+    """Sparse rows of `exactla` as dense tuples of Fractions: the rows of an
+    ExactMatrix, the basis of a Subspace, or the representatives of a
+    Subquotient."""
+    if isinstance(x, ExactMatrix):
+        return tuple(_dense(r, x.cols) for r in x.row_maps)
+    rows = x.sparse_basis if isinstance(x, Subspace) else x._rep_rows
+    return tuple(_dense(r, x.ambient_dim) for r in rows)
+
+
+def units(n):
+    """The unit vectors of QQ^n: the rows of the identity, the basis of the
+    full space."""
+    return [[QQ(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def apply(m, v):
+    """M v for a dense vector v, summed over the nonzeros of each row of M."""
+    return tuple(QQ(sum(a * v[j] for j, a in row.items())) for row in m.row_maps)
+
+
+def from_columns(n, columns):
+    """The n x len(columns) matrix whose column j is the dense vector columns[j]."""
+    return ExactMatrix(n, len(columns), [{j: c[i] for j, c in enumerate(columns)}
+                                         for i in range(n)])
+
+
 def matrix_rows(m):
-    return [list(m.row(i)) for i in range(m.rows)]
+    return [list(r) for r in dense(m)]
 
 
 def betti_by_minors(dims, diff_rows):

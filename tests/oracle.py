@@ -24,8 +24,11 @@ entry.
 `from_flag_dense` and `adapted_by_solves` are the changes of basis the
 package made before `exactla.coordinates`: `FilteredComplex.from_flag`
 with dense representatives and a dense `solve_batch` per degree, and
-`hochserre._adapted` with one dense `solve` per bracket pair, on dense
-brackets (`la_bracket_vec`).
+`hochserre._adapted` with one dense `solve_batch` per bracket pair, on
+dense brackets (`la_bracket_vec`).  The dense views and builders they read
+(`dense`, `apply`, `units`, `from_columns`) are in `tests/helpers.py`;
+`from_entries` builds the scanned matrices below from (i, j, value)
+triples.
 
 `ce_d_scan`, `ce_complex_scan` and `action_on_h_cochains_scan` are the
 builders the package used before it enumerated Chevalley-Eilenberg terms
@@ -94,13 +97,13 @@ from liekoszul.exactla import (
     Subquotient,
     Subspace,
     rank,
-    solve,
     solve_batch,
-    unit_vector,
 )
 from liekoszul.hochserre import GModule, LieAlgebra, LieAlgebraError
 from liekoszul.koszul import FormalityResult, FormalitySliceResult, reduction_map
 from liekoszul.lierinehart import Failure, ValidationReport, p_str
+
+from helpers import apply, dense, from_columns, units
 
 
 def p_add(a, b):
@@ -233,23 +236,25 @@ def dense_solve(rows, ncols, b):
     return tuple(x)
 
 
+def _contains(s, vectors):
+    """True if every dense vector lies in the Subspace s."""
+    return Subspace(s.ambient_dim, [*dense(s), *vectors]) == s
+
+
 def induced_map_dense(f, src, dst):
     """exactla.induced_map on dense vectors: the containment checks on
     dense images, then each class by a dense solve in the representatives
     of dst followed by its boundary basis."""
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise ValueError("matrix shape does not match subquotients")
-    for b in src.cycles.basis:
-        if not dst.cycles.contains(f.apply(b)):
-            raise NotFiltrationCompatibleError("not filtration-compatible: cycles escape")
-    for b in src.boundaries.basis:
-        if not dst.boundaries.contains(f.apply(b)):
-            raise NotFiltrationCompatibleError("not filtration-compatible: boundaries escape")
-    basis = ExactMatrix.from_columns(dst.ambient_dim,
-                                     dst.representatives + dst.boundaries.basis)
-    classes = solve_batch(basis, [f.apply(r) for r in src.representatives])
+    if not _contains(dst.cycles, [apply(f, b) for b in dense(src.cycles)]):
+        raise NotFiltrationCompatibleError("not filtration-compatible: cycles escape")
+    if not _contains(dst.boundaries, [apply(f, b) for b in dense(src.boundaries)]):
+        raise NotFiltrationCompatibleError("not filtration-compatible: boundaries escape")
+    basis = from_columns(dst.ambient_dim, dense(dst) + dense(dst.boundaries))
+    classes = solve_batch(basis, [apply(f, r) for r in dense(src)])
     assert None not in classes, "a cycle has no class"
-    return ExactMatrix.from_columns(dst.dim, [x[: dst.dim] for x in classes])
+    return from_columns(dst.dim, [x[: dst.dim] for x in classes])
 
 
 def from_flag_dense(cplx, p_lo, p_hi, spaces):
@@ -259,14 +264,14 @@ def from_flag_dense(cplx, p_lo, p_hi, spaces):
     for n in cplx.degrees():
         bases[n], levels[n] = [], []
         for p in range(p_hi, p_lo - 1, -1):
-            reps = Subquotient(spaces[(p, n)], spaces[(p + 1, n)]).representatives
+            reps = dense(Subquotient(spaces[(p, n)], spaces[(p + 1, n)]))
             bases[n].extend(reps)
             levels[n].extend([p] * len(reps))
     diffs = []
     for n in range(cplx.lo, cplx.hi):
-        change = ExactMatrix.from_columns(cplx.dim(n + 1), bases[n + 1])
-        images = [cplx.d(n).apply(b) for b in bases[n]]
-        diffs.append(ExactMatrix.from_columns(cplx.dim(n + 1), solve_batch(change, images)))
+        change = from_columns(cplx.dim(n + 1), bases[n + 1])
+        images = [apply(cplx.d(n), b) for b in bases[n]]
+        diffs.append(from_columns(cplx.dim(n + 1), solve_batch(change, images)))
     adapted = CochainComplex(cplx.lo, cplx.hi, [cplx.dim(n) for n in cplx.degrees()], diffs)
     return FilteredComplex(adapted, p_lo, p_hi, levels)
 
@@ -274,14 +279,14 @@ def from_flag_dense(cplx, p_lo, p_hi, spaces):
 def adapted_by_solves(g, h, m):
     """hochserre._adapted with one dense solve per bracket pair."""
     n = g.dim
-    cols = list(h.subspace.basis)
+    cols = list(dense(h.subspace))
     pivots = set(h.subspace.pivots)
-    cols.extend(unit_vector(n, i) for i in range(n) if i not in pivots)
-    pmat = ExactMatrix.from_columns(n, cols)
+    cols.extend(e for i, e in enumerate(units(n)) if i not in pivots)
+    pmat = from_columns(n, cols)
     new_brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
-            coords = solve(pmat, la_bracket_vec(g, cols[a], cols[b]))
+            coords = solve_batch(pmat, [la_bracket_vec(g, cols[a], cols[b])])[0]
             if coords is None:
                 raise LieAlgebraError("change of basis failed")
             if any(coords):
@@ -322,8 +327,8 @@ def flag_of(f):
     for n in cplx.degrees():
         dim = cplx.dim(n)
         for p in range(f.p_lo, f.p_hi + 2):
-            spaces[(p, n)] = Subspace(dim, [unit_vector(dim, i)
-                                            for i, lv in enumerate(f.levels[n]) if lv >= p])
+            spaces[(p, n)] = Subspace(dim, [e for e, lv in zip(units(dim), f.levels[n])
+                                            if lv >= p])
     return Flag(cplx, f.p_lo, f.p_hi, spaces)
 
 
@@ -342,8 +347,8 @@ def _z(f, p, n, r, cache):
 def _boundary_part(f, p, n, r, cache):
     incoming = _z(f, p - r + 1, n - 1, r - 1, cache)
     dn1 = f.complex.d(n - 1)
-    image = Subspace(f.complex.dim(n), [dn1.apply(b) for b in incoming.basis])
-    return _z(f, p + 1, n, r - 1, cache).add(image)
+    image = [apply(dn1, b) for b in dense(incoming)]
+    return Subspace(f.complex.dim(n), [*dense(_z(f, p + 1, n, r - 1, cache)), *image])
 
 
 @dataclass(frozen=True)
@@ -441,6 +446,15 @@ def flat_basis(lr, p, w):
             for m in lr.ring.monomials(w + sum(lr.gen_weights[i] for i in s))]
 
 
+def from_entries(rows, cols, entries):
+    """The rows x cols matrix of (i, j, value) triples; values at the same
+    (i, j) add up."""
+    data = [{} for _ in range(rows)]
+    for i, j, x in entries:
+        data[i][j] = data[i].get(j, 0) + x
+    return ExactMatrix(rows, cols, data)
+
+
 def ce_d_scan(lr, p, w):
     """lierinehart.ce_d by scanning every target subset per column."""
     src = flat_basis(lr, p, w)
@@ -468,7 +482,7 @@ def ce_d_scan(lr, p, w):
                             value = p_add(value, p_scale(sign, p_mul(cs[k], f)))
             for mono2, coeff in value.items():
                 entries.append((dst_index[(tsub, mono2)], col, coeff))
-    return ExactMatrix.from_entries(len(dst), len(src), entries)
+    return from_entries(len(dst), len(src), entries)
 
 
 def ce_complex_scan(g, m):
@@ -498,7 +512,7 @@ def ce_complex_scan(g, m):
                             if sign:
                                 entries.append((index[(tsub, v)], col,
                                                 sign * (-1) ** (i + j) * ck))
-        diffs.append(ExactMatrix.from_entries(len(dst), len(src), entries))
+        diffs.append(from_entries(len(dst), len(src), entries))
     return CochainComplex(0, n, [len(b) for b in bases], diffs)
 
 
@@ -524,7 +538,7 @@ def action_on_h_cochains_scan(g2, m2, k, x, q):
                     if c:
                         entries.append((index[(tsub, v)], col,
                                         -eval_sign(subset, tsub, i, s) * c))
-    return ExactMatrix.from_entries(len(basis), len(basis), entries)
+    return from_entries(len(basis), len(basis), entries)
 
 
 def qi_by_induced_maps(f):
@@ -547,10 +561,11 @@ def reduction_matrix_by_solve(model, fs, offsets, dim_target):
         if subset in offsets:
             wf = fs.w + sum(lr.gen_weights[i] for i in subset)
             monos = lr.ring.monomials(wf)
-            quot = Subquotient(Subspace.full_space(len(monos)), model.ideal_slice(wf))
-            coords = quot.class_coordinates(unit_vector(len(monos), monos.index(mono)))
+            basis = units(len(monos))
+            quot = Subquotient(Subspace(len(monos), basis), model.ideal_slice(wf))
+            coords = quot.class_coordinates_batch([basis[monos.index(mono)]])[0]
             entries.extend((offsets[subset] + i, col, c) for i, c in enumerate(coords))
-    return ExactMatrix.from_entries(dim_target, fs.dim, entries)
+    return from_entries(dim_target, fs.dim, entries)
 
 
 def formality_check_unnormalized(lr, v, weights):
@@ -576,7 +591,7 @@ def contraction_by_products(lr, v, p, w):
                 term = p_scale(-1, term)
             rest = subset[:pos] + subset[pos + 1:]
             entries.extend((dst_index[(rest, m)], col, c) for m, c in term.items())
-    return ExactMatrix.from_entries(len(dst), len(src), entries)
+    return from_entries(len(dst), len(src), entries)
 
 
 def ideal_rows_by_products(model, w):

@@ -20,7 +20,7 @@ from liekoszul.hochserre import (
 from liekoszul.specseq import compute_page, run
 
 import corpus
-from helpers import betti_by_minors, level_dim, matrix_rows
+from helpers import betti_by_minors, from_columns, level_dim, matrix_rows
 
 
 HEIS = LieAlgebra(3, {(0, 1): [0, 0, 1]})
@@ -147,7 +147,7 @@ def test_hs_whole_algebra_ideal():
     page0 = compute_page(run(f), 0)
     from math import comb
     for n in range(0, 4):
-        assert page0.entry_dim(0, n) == comb(3, n)
+        assert page0.grid[(0, n)] == comb(3, n)
     assert verify(HEIS, h, m).ok
 
 
@@ -194,8 +194,7 @@ def _adjoint(g):
     """The adjoint module: e_i acts by [e_i, -], column j holding [e_i, e_j]."""
     def ad(i):
         cols = [g.bracket({i: 1}, {j: 1}) for j in range(g.dim)]
-        return ExactMatrix.from_columns(g.dim, [[c.get(s, 0) for s in range(g.dim)]
-                                                for c in cols])
+        return from_columns(g.dim, [[c.get(s, 0) for s in range(g.dim)] for c in cols])
     return GModule(g, g.dim, [ad(i) for i in range(g.dim)])
 
 
@@ -250,7 +249,7 @@ def test_heisenberg_center_grid_and_limit():
     assert {k: v for k, v in totals.items() if v} == {0: 1, 1: 2, 2: 2, 3: 1}
     # the transgression d_2 is nonzero here: page 2 differs from the limit
     page2 = compute_page(run(hs_filtered(HEIS, h, m)), 2)
-    assert sum(page2.dims().values()) > sum(totals.values())
+    assert sum(page2.grid.values()) > sum(totals.values())
 
 
 def test_aff1_nilradical():

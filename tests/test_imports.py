@@ -209,19 +209,14 @@ def test_scan_finds_an_unused_parameter():
 CHECKED = {"CochainComplex", "DoubleComplex", "FilteredComplex", "ChainMap"}
 
 # Where the package may call a checking constructor: the readers of raw
-# input, and library helpers whose input a caller passes in.  The builders
-# construct through `_built`, and the tests prove their output.
+# input.  The builders construct through `_built`, and the tests prove
+# their output.
 RAW_INPUT_READERS = [
     "cli.build_raw_complex",
     "cli.build_raw_double",
     "complexes.DoubleComplex.from_commuting",
     "complexes.FilteredComplex.from_flag",
     "lierinehart.omega_slice_complex",
-]
-LIBRARY_HELPERS = [
-    "complexes.DoubleComplex.from_single_row",
-    "complexes.DoubleComplex.transpose",
-    "complexes.compose",
 ]
 
 
@@ -257,10 +252,10 @@ def checked_constructions(source: str, module: str) -> list[str]:
     return sorted(sites)
 
 
-def test_only_raw_input_and_library_helpers_construct_checked():
+def test_only_raw_input_readers_construct_checked():
     sites = [site for path in sorted(PACKAGE.glob("*.py"))
              for site in checked_constructions(path.read_text(), path.stem)]
-    assert sites == sorted(RAW_INPUT_READERS + LIBRARY_HELPERS)
+    assert sites == sorted(RAW_INPUT_READERS)
 
 
 def test_scan_finds_a_checked_construction():
@@ -304,16 +299,15 @@ def test_scan_finds_an_int_call():
 
 
 def checked_matrix_calls(source: str) -> list[str]:
-    """Each call of a checking `ExactMatrix` constructor, `ExactMatrix(...)`
-    (also `mod.ExactMatrix(...)`) or `.from_entries(...)`, as "name (line
-    n)".  `from_rows`, `zeros` and `identity` wrap their rows and are not
-    counted."""
+    """Each call of the checking `ExactMatrix` constructor, `ExactMatrix(...)`
+    (also `mod.ExactMatrix(...)`), as "ExactMatrix (line n)".  `from_rows`
+    and `zeros` wrap their rows and are not counted."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in ("ExactMatrix", "from_entries"):
+            if name == "ExactMatrix":
                 found.append(f"{name} (line {node.lineno})")
     return found
 
@@ -329,12 +323,10 @@ def test_only_exactla_calls_a_checking_matrix_constructor(path):
 def test_scan_finds_a_checking_matrix_constructor():
     source = ("from .exactla import ExactMatrix, _wrap\nfrom . import exactla\n\n"
               "def a():\n    return ExactMatrix(1, 1, [{0: 1}])\n\n"
-              "def b():\n    return exactla.ExactMatrix.from_entries(1, 1, [])\n\n"
               "def c():\n    return [ExactMatrix.from_rows([[1]]), ExactMatrix.zeros(1, 1),\n"
-              "            ExactMatrix.identity(2), _wrap(1, 1, ({},))]\n\n"
+              "            _wrap(1, 1, ({},))]\n\n"
               "def d(m: ExactMatrix) -> ExactMatrix:\n    return exactla.ExactMatrix(0, 0, [])\n")
-    assert checked_matrix_calls(source) == ["ExactMatrix (line 5)", "from_entries (line 8)",
-                                            "ExactMatrix (line 15)"]
+    assert checked_matrix_calls(source) == ["ExactMatrix (line 5)", "ExactMatrix (line 12)"]
 
 
 CACHE_DECORATORS = {"lru_cache", "cache"}

@@ -122,8 +122,6 @@ def test_integral_fraction_input_is_stored_as_int():
     assert from_fraction == from_int and hash(from_fraction) == hash(from_int)
     assert_canonical(from_int, "from_rows")
     assert type(from_fraction.row_maps[0][0]) is int
-    assert_canonical(ExactMatrix.from_entries(1, 1, [(0, 0, QQ(1, 2)), (0, 0, QQ(3, 2))]),
-                     "from_entries")
     assert_canonical(ExactMatrix(1, 2, [{0: QQ(6, 3), 1: QQ(1, 3)}]), "init")
     half = ExactMatrix.from_rows([[QQ(1, 2)]])
     assert_canonical(half @ ExactMatrix.from_rows([[2]]), "product")
