@@ -44,7 +44,6 @@ from .lierinehart import (
     validate,
 )
 from .koszul import (
-    LieKoszulSlice,
     ZeroLocusModel,
     formality_check,
     is_zero_dimensional,

@@ -421,24 +421,19 @@ def equivariant_H(model: CechKoszulModel) -> dict[int, int]:
     return model.cech.infinity_totals()
 
 
-@dataclass(frozen=True)
-class FirstPageReport:
-    grid: dict[tuple[int, int], int]       # (p, q) -> h^q(X, Lambda^{-p} D*)
-    d1_ranks: dict[tuple[int, int], int]
-
-
-def first_page(model: CechKoszulModel) -> FirstPageReport:
-    """The row grid h^q(X, Lambda^{-p} D*) in closed form (`row_grid`), and
-    the observed d_1 ranks of page 1 of the wedge-degree filtration (no
-    expectation asserted for them).  The tests prove the closed form equal
-    to each row sheaf's Cech cohomology and to that page's E1.  A page lists
-    the rank of d_1: (p, q) -> (p + 1, q) only where both cells are nonzero,
-    so the wedge-degree run is paired only when the grid has two such cells,
-    which happens at twisted degree 0 alone (D*(0) = O + O(-2))."""
+def first_page(model: CechKoszulModel) -> dict[tuple[int, int], int]:
+    """The observed d_1 ranks of page 1 of the wedge-degree filtration (no
+    expectation asserted for them).  That page's E1 is the row grid
+    h^q(X, Lambda^{-p} D*), the closed form `row_grid(model.untwisted)` of
+    the model's algebroid; the tests prove it equal to each row sheaf's
+    Cech cohomology and to that E1.  A page lists the rank of d_1:
+    (p, q) -> (p + 1, q) only where both cells are nonzero, so the
+    wedge-degree run is paired only when the grid has two such cells, which
+    happens at twisted degree 0 alone (D*(0) = O + O(-2))."""
     grid = model.algebroid.row_grid(model.untwisted)
     if not any(dim and grid.get((p + 1, q)) for (p, q), dim in grid.items()):
-        return FirstPageReport(grid, {})
-    return FirstPageReport(grid, compute_page(run(column_filtration(model.double)), 1).ranks)
+        return {}
+    return compute_page(run(column_filtration(model.double)), 1).ranks
 
 
 # -- fixed points, assumption, corollary --------------------------------------
@@ -493,18 +488,15 @@ def fixed_point_set(section: EquivariantSection, untwisted: bool) -> list[object
 class CorollaryReport:
     fixed_points: tuple
     predicted: dict[int, int]
-    computed: dict[int, int]
-
-    @property
-    def match(self) -> bool:
-        keys = set(self.predicted) | set(self.computed)
-        return all(self.predicted.get(k, 0) == self.computed.get(k, 0) for k in keys)
+    match: bool
 
 
 def corollary_check(model: CechKoszulModel) -> CorollaryReport | None:
     """Fixed-point prediction against the equivariant cohomology of `model`,
     under the hypothesis of all zeros simple, which is also the one under
-    which `fixed_point_set` holds; None where it fails (not covered).
+    which `fixed_point_set` holds; None where it fails (not covered).  The
+    report holds the points, the predicted nonzero dimensions, and whether
+    they are those of `equivariant_H(model)`, which the caller reads itself.
 
     Each vanishing point contributes one dimension in degree 0 and, in the
     operator-bundle case, one more in degree -1 (the operators on the
@@ -514,9 +506,8 @@ def corollary_check(model: CechKoszulModel) -> CorollaryReport | None:
     pts = fixed_point_set(model.section, model.untwisted)
     predicted = {0: len(pts)} if model.untwisted else {0: len(pts), -1: len(pts)}
     predicted = {k: v for k, v in predicted.items() if v}
-    computed = equivariant_H(model)
-    return CorollaryReport(tuple(pts), predicted,
-                           {k: v for k, v in computed.items() if v})
+    computed = {k: v for k, v in equivariant_H(model).items() if v}
+    return CorollaryReport(tuple(pts), predicted, predicted == computed)
 
 
 def second_page_degeneration(model: CechKoszulModel) -> Pairing:

@@ -286,12 +286,12 @@ def cmd_validate(payload: dict, args) -> tuple[dict, bool]:
     kind = payload["kind"]
     if kind == "lie_algebra":
         build_lie_algebra(payload)  # constructors check all identities
-        return {"verdict": "pass"}, True
+        return {"verdict": True}, True
     if kind == "lie_rinehart":
         lr, _ = build_lie_rinehart(payload)
         report = lierinehart.validate(lr)
         failures = [{"identity": f.identity, "witness": f.witness} for f in report.failures]
-        return {"verdict": "pass" if report.ok else "fail", "failures": failures}, report.ok
+        return {"verdict": report.ok, "failures": failures}, report.ok
     raise SchemaError(f"validate does not apply to kind {kind!r}")
 
 
@@ -429,14 +429,13 @@ def cmd_p1(payload: dict, args) -> tuple[dict, bool | None]:
     if window < 1:
         raise SchemaError(f"window must be at least 1, got {window}")
     model = cechp1.window_checked(algebroid, section, window, untwisted)
-    fp = cechp1.first_page(model)
     cor = cechp1.corollary_check(model)
     values = {
         "degree": algebroid.degree,
         "window": window,
         "untwisted": untwisted,
-        "first_page": fp.grid,
-        "d1_ranks": fp.d1_ranks,
+        "first_page": algebroid.row_grid(untwisted),
+        "d1_ranks": cechp1.first_page(model),
         "equivariant_h": cechp1.equivariant_H(model),
         "assumption": cor is not None,
     }

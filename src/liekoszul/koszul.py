@@ -49,7 +49,6 @@ from .complexes import (
     _built,
     _cone_is_acyclic,
     _cone_ranks,
-    betti,
 )
 from .exactla import ExactMatrix, Subspace, _transpose, _wrap, normal_forms
 from .lierinehart import (
@@ -59,26 +58,15 @@ from .lierinehart import (
 )
 
 
-@dataclass(frozen=True)
-class LieKoszulSlice:
-    lr: LieRinehartPresentation
-    section: SectionV
-    w: int
-    complex: CochainComplex
-
-    def term_weight(self, p: int) -> int:
-        return self.w + p * self.section.weight
-
-
-def lie_koszul(lr: LieRinehartPresentation, v: SectionV, w: int) -> LieKoszulSlice:
-    """Weight-w slice of (K^., i_V).  i_V^2 = 0 holds for every section, by
-    the antisymmetry of contraction on an exterior algebra, so the slice is
-    built unchecked; the tests prove it on the corpora and seeded sections."""
+def lie_koszul(lr: LieRinehartPresentation, v: SectionV, w: int) -> CochainComplex:
+    """Weight-w slice of (K^., i_V), in degrees -rank..0.  i_V^2 = 0 holds
+    for every section, by the antisymmetry of contraction on an exterior
+    algebra, so the slice is built unchecked; the tests prove it on the
+    corpora and seeded sections."""
     m = lr.rank
     dims = [lr.form_slice(-p, w + p * v.weight).dim for p in range(-m, 1)]
     diffs = [contraction(lr, v, -p, w + p * v.weight) for p in range(-m, 0)]
-    cplx = _built(CochainComplex, -m, 0, dims, diffs)
-    return LieKoszulSlice(lr, v, w, cplx)
+    return _built(CochainComplex, -m, 0, dims, diffs)
 
 
 class ZeroLocusModel:
@@ -157,7 +145,6 @@ class FormalitySliceResult:
     w: int
     ok: bool
     source_betti: dict[int, int]
-    target_betti: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -171,9 +158,9 @@ def untouched_generators(v: SectionV) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(v.components) if not c)
 
 
-def reduction_map(lr: LieRinehartPresentation, v: SectionV, w: int
-                  ) -> tuple[LieKoszulSlice, CochainComplex, ChainMap]:
-    """The slice complex, its restricted reduction target, and the map.
+def reduction_map(lr: LieRinehartPresentation, v: SectionV, w: int) -> ChainMap:
+    """The reduction map from the weight-w slice `lie_koszul(lr, v, w)`, its
+    `source`, to the restricted reduction target, its `target`.
 
     The target is the exterior algebra on the generators not involved in
     V, with coefficients in the quotient by the zero-locus ideal and zero
@@ -185,14 +172,14 @@ def reduction_map(lr: LieRinehartPresentation, v: SectionV, w: int
     it on the Lie-Rinehart corpus and on seeded sections.  The quotient
     comes from v's own `zero_locus_model`, which every weight shares.
     """
-    ks = lie_koszul(lr, v, w)
+    source = lie_koszul(lr, v, w)
     model = zero_locus_model(v)
     keep = set(untouched_generators(v))
     m = lr.rank
     dims = []
     maps: dict[int, ExactMatrix] = {}
     for p in range(-m, 1):
-        fs = lr.form_slice(-p, ks.term_weight(p))
+        fs = lr.form_slice(-p, w + p * v.weight)
         offsets = {}
         off = 0
         for s, (_, wf) in fs.blocks.items():
@@ -203,8 +190,7 @@ def reduction_map(lr: LieRinehartPresentation, v: SectionV, w: int
         maps[p] = _reduction_matrix(model, fs, offsets, off)
     target = _built(CochainComplex, -m, 0, dims,
                     [ExactMatrix.zeros(dims[i + 1], dims[i]) for i in range(m)])
-    chain = _built(ChainMap, ks.complex, target, maps)
-    return ks, target, chain
+    return _built(ChainMap, source, target, maps)
 
 
 def _reduction_matrix(model: ZeroLocusModel, fs, offsets: dict[tuple[int, ...], int],
@@ -258,18 +244,15 @@ def formality_check(lr: LieRinehartPresentation, v: SectionV,
     v = _primitive_section(lr, v)
     results = []
     for w in weights:
-        ks, target, chain = reduction_map(lr, v, w)
+        chain = reduction_map(lr, v, w)
         source_ranks, cone_ranks = _cone_ranks(chain)
         results.append(FormalitySliceResult(w, _cone_is_acyclic(chain, cone_ranks),
-                                            _betti(ks.complex, source_ranks),
-                                            betti(target)))
+                                            _betti(chain.source, source_ranks)))
     return FormalityResult(all(r.ok for r in results), tuple(results))
 
 
 @dataclass(frozen=True)
 class VanishingReport:
-    dim_y: int
-    dims: dict[tuple[int, int], int]           # (degree m, weight w) -> dim H^m
     violations: tuple[tuple[int, int, int], ...]  # (m, w, dim) with m < -dim_y
 
     @property
@@ -279,16 +262,7 @@ class VanishingReport:
 
 def vanishing_check(tables: Mapping[int, Mapping[int, int]], dim_y: int) -> VanishingReport:
     """Flags any nonzero H^m with m < -dim_y in the slice Betti tables
-    (weight -> degree -> dim), e.g. `FormalitySliceResult.source_betti`.
-
-    The full dimension table is reported so callers can assert the
-    sharper closed forms known for their examples.
-    """
-    dims: dict[tuple[int, int], int] = {}
-    violations = []
-    for w, table in tables.items():
-        for m, h in table.items():
-            dims[(m, w)] = h
-            if m < -dim_y and h:
-                violations.append((m, w, h))
-    return VanishingReport(dim_y, dims, tuple(violations))
+    (weight -> degree -> dim), e.g. `FormalitySliceResult.source_betti`;
+    the tables themselves are the caller's."""
+    return VanishingReport(tuple((m, w, h) for w, table in tables.items()
+                                 for m, h in table.items() if m < -dim_y and h))

@@ -203,8 +203,6 @@ class FormSlice:
     with a nonzero block, in lexicographic order, to (offset, wf): the basis
     vector eps_S (x) m sits at offset + the position of m in monomials(wf)."""
 
-    p: int
-    w: int
     blocks: dict[tuple[int, ...], tuple[int, int]]
     dim: int
 
@@ -277,7 +275,7 @@ class LieRinehartPresentation:
                 if size:
                     blocks[subset] = (dim, wf)
                     dim += size
-        fs = FormSlice(p, w, blocks, dim)
+        fs = FormSlice(blocks, dim)
         self._slices[key] = fs
         return fs
 

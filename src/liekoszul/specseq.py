@@ -95,7 +95,6 @@ class SpectralSequencePage:
     """Page E_r: `grid` holds dim E_r^{p,q} for every (p, q) of the grid and
     `ranks` the rank of d_r out of each (p, q) whose source and target are
     both nonzero."""
-    r: int
     grid: dict[tuple[int, int], int]
     ranks: dict[tuple[int, int], int]
 
@@ -118,7 +117,7 @@ def compute_page(reduction: Pairing, r: int) -> SpectralSequencePage:
     for (p, q), dim in dims.items():
         if dim and dims.get((p + r, q - r + 1)):
             ranks[(p, q)] = reduction.pairs.get((p, q, r), 0)
-    return SpectralSequencePage(r, dims, ranks)
+    return SpectralSequencePage(dims, ranks)
 
 
 def check_convergence(result: Pairing, betti: dict[int, int]) -> bool:

@@ -115,7 +115,7 @@ def p1_instances():
 
 def slice_betti(lr, section, weights):
     """Betti tables of the Koszul slices, weight -> degree -> dim."""
-    return {w: betti(lie_koszul(lr, section, w).complex) for w in weights}
+    return {w: betti(lie_koszul(lr, section, w)) for w in weights}
 
 
 def heisenberg(n):

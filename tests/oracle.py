@@ -553,28 +553,30 @@ def qi_by_induced_maps(f):
     return True
 
 
-def reduction_matrix_by_solve(model, fs, offsets, dim_target):
-    """koszul._reduction_matrix with one class-coordinate solve per monomial."""
+def reduction_matrix_by_solve(model, p, w, offsets, dim_target):
+    """koszul._reduction_matrix on the p-forms of weight w, with one
+    class-coordinate solve per monomial."""
     lr = model.lr
+    forms = flat_basis(lr, p, w)
     entries = []
-    for col, (subset, mono) in enumerate(flat_basis(lr, fs.p, fs.w)):
+    for col, (subset, mono) in enumerate(forms):
         if subset in offsets:
-            wf = fs.w + sum(lr.gen_weights[i] for i in subset)
+            wf = w + sum(lr.gen_weights[i] for i in subset)
             monos = lr.ring.monomials(wf)
             basis = units(len(monos))
             quot = Subquotient(Subspace(len(monos), basis), model.ideal_slice(wf))
             coords = quot.class_coordinates_batch([basis[monos.index(mono)]])[0]
             entries.extend((offsets[subset] + i, col, c) for i, c in enumerate(coords))
-    return from_entries(dim_target, fs.dim, entries)
+    return from_entries(dim_target, len(forms), entries)
 
 
 def formality_check_unnormalized(lr, v, weights):
     """koszul.formality_check on v as given, eliminating each d_C twice."""
     results = []
     for w in weights:
-        ks, target, chain = reduction_map(lr, v, w)
+        chain = reduction_map(lr, v, w)
         results.append(FormalitySliceResult(w, is_quasi_isomorphism(chain),
-                                            betti(ks.complex), betti(target)))
+                                            betti(chain.source)))
     return FormalityResult(all(r.ok for r in results), tuple(results))
 
 

@@ -178,7 +178,7 @@ def test_equivariant_h_zero_section_matches_first_page_sum():
         a = atiyah_algebroid(d)
         model = cech_koszul(a, EquivariantSection(a, (0, 0, 0)), 1)
         hdims = equivariant_H(model)
-        grid = first_page(model).grid
+        grid = a.row_grid()
         for k in hdims:
             assert hdims[k] == sum(v for (p, q), v in grid.items() if p + q == k)
 
@@ -422,21 +422,23 @@ def test_corollary_twisted_two_finite_fixed_points():
 
 def test_first_page_grids():
     a0 = atiyah_algebroid(0)
-    grid0 = first_page(cech_koszul(a0, EquivariantSection(a0, (0, 0, 0)), 1)).grid
-    assert {k: v for k, v in grid0.items() if v} == {
+    model0 = cech_koszul(a0, EquivariantSection(a0, (0, 0, 0)), 1)
+    assert {k: v for k, v in a0.row_grid().items() if v} == {
         (0, 0): 1, (-1, 0): 1, (-1, 1): 1, (-2, 1): 1}
+    assert first_page(model0) == dict.fromkeys([(-2, 1), (-1, 0)], 0)
     for d in (-2, 1, 3):
         a = atiyah_algebroid(d)
-        grid = first_page(cech_koszul(a, EquivariantSection(a, (0, 0, 0)), 1)).grid
-        assert {k: v for k, v in grid.items() if v} == {(0, 0): 1, (-2, 1): 1}
+        assert {k: v for k, v in a.row_grid().items() if v} == {(0, 0): 1, (-2, 1): 1}
+        assert first_page(cech_koszul(a, EquivariantSection(a, (0, 0, 0)), 1)) == {}
 
 
 def test_first_page_untwisted():
     a0 = atiyah_algebroid(0)
     model = cech_koszul(a0, EquivariantSection(a0, (0, 0, 0)), 1, untwisted=True)
-    rep = first_page(model)
-    assert {k: v for k, v in rep.grid.items() if v} == {(0, 0): 1, (-1, 1): 1}
-    assert rep.grid == _page1_grid(model)
+    grid = a0.row_grid(untwisted=True)
+    assert {k: v for k, v in grid.items() if v} == {(0, 0): 1, (-1, 1): 1}
+    assert grid == _page1_grid(model)
+    assert first_page(model) == {}
 
 
 def test_window_radius_must_be_positive():
@@ -451,16 +453,6 @@ def _row_sheaves(algebroid, untwisted):
     if untwisted:
         return {-1: cotangent_sheaf(), 0: line_bundle(0)}
     return {p: algebroid.wedge_dual(-p) for p in (-2, -1, 0)}
-
-
-def test_first_page_is_the_cech_cohomology_of_each_row_sheaf():
-    for name, algebroid, section, untwisted in corpus.p1_instances():
-        for window in range(1, 5):
-            grid = first_page(window_checked(algebroid, section, window, untwisted)).grid
-            expected = {}
-            for p, sheaf in _row_sheaves(algebroid, untwisted).items():
-                expected[(p, 0)], expected[(p, 1)] = cech_cohomology(sheaf, window)
-            assert grid == expected, (name, window)
 
 
 def test_row_grid_is_the_cech_cohomology_of_each_row_sheaf():
@@ -642,7 +634,7 @@ def test_first_page_d1_ranks_are_page_1_of_the_wedge_degree_run_on_a_seeded_scan
         alpha = rng.randint(-2, 2)
         section = EquivariantSection(algebroid, [rng.randint(-2, 2) for _ in range(3)], [alpha])
         model = cech_koszul(algebroid, section, rng.randint(1, 3), untwisted)
-        ranks = first_page(model).d1_ranks
+        ranks = first_page(model)
         assert ranks == compute_page(run(column_filtration(model.double)), 1).ranks
         if degree == 0 and not untwisted:
             assert ranks == dict.fromkeys([(-2, 1), (-1, 0)], int(alpha != 0))
@@ -663,9 +655,8 @@ def test_a_section_of_another_algebroid_is_refused():
 def test_first_page_engine_consistency_and_d1():
     a0 = atiyah_algebroid(0)
     model = cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1)
-    rep = first_page(model)
-    assert rep.grid == _page1_grid(model)
-    assert all(r == 0 for r in rep.d1_ranks.values())
+    assert a0.row_grid() == _page1_grid(model)
+    assert all(r == 0 for r in first_page(model).values())
 
 
 def _page1_grid(model):

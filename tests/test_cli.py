@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ def test_validate_lie_algebra(capsys):
     code = run_cli(["validate", CASES / "heisenberg-center.json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert 'verdict: "pass"' in out
+    assert "verdict: true" in out
 
 
 def test_hs_heisenberg(capsys, tmp_path):
@@ -1167,3 +1168,48 @@ def test_validate_checks_a_rescaled_presentation_as_given(tmp_path, capsys, monk
     lr, section = build_lie_rinehart(payload)
     assert [c.anchor for c in checked] == [lr.anchor]
     assert section.components == ({(1, 0): Fraction(2, 3)}, {(0, 1): Fraction(-7, 2)})
+
+
+# Input checks of the commands that no other test reaches: (case, change to
+# the file, command and options, exit code, message).
+UNREACHED_INPUT_CHECKS = {
+    "weights-not-a-range": ("euler-n2.json", None, ["koszul", "--weights", "3"], 2,
+                            "must be a range 'a..b'"),
+    "koszul-without-section": ("euler-n2.json", lambda p: p.pop("section"), ["koszul"], 2,
+                               "koszul needs a 'section' field"),
+    "hs-without-ideal": ("heisenberg-center.json", lambda p: p.pop("ideal"), ["hs"], 2,
+                         "hs needs an 'ideal' field"),
+    "presentation-bracket-key": ("euler-n2.json",
+                                 lambda p: p.update(brackets={"1,0": [{}, {}]}), ["validate"],
+                                 2, r"bracket key \(1,0\) must satisfy 0 <= i < j < 2"),
+    "lie-bracket-key": ("heisenberg-center.json",
+                        lambda p: p.update(brackets={"2,1": ["0", "0", "1"]}), ["hs"],
+                        2, r"bracket key \(2,1\) must satisfy 0 <= i < j < 3"),
+    "mixed-weight-section": ("euler-n2.json",
+                             lambda p: p.update(section=[{"1,0": 1}, {"0,2": 1}]), ["koszul"],
+                             1, "section components have mixed total weights"),
+}
+
+
+@pytest.mark.parametrize("case,mutate,args,code,message", UNREACHED_INPUT_CHECKS.values(),
+                         ids=UNREACHED_INPUT_CHECKS.keys())
+def test_an_unreached_input_check_sets_its_exit_code(tmp_path, capsys, case, mutate, args,
+                                                     code, message):
+    path = _mutated(tmp_path, case, mutate) if mutate else CASES / case
+    prefix = "error:" if code == 2 else "verdict failure:"
+    err = _exit_with_one_line(capsys, [args[0], path, *args[1:]], code, prefix)
+    assert re.search(message, err), err
+
+
+def test_koszul_without_a_certificate_reports_no_vanishing(tmp_path, capsys):
+    # x d/dx on the plane with no dim_y: the y axis lies in the zero locus,
+    # so dim Y is not certified and no vanishing verdict is checked
+    path = _mutated(tmp_path, "euler-n2.json",
+                    lambda p: p.update(section=[{"1,0": 1}, {}]) or p.pop("dim_y"))
+    out = tmp_path / "report.json"
+    assert run_cli(["koszul", path, "--json", out]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())["report"]
+    assert report["dim_y"] is None and report["dim_y_source"] == "unknown"
+    assert "vanishing" not in report and "vanishing_violations" not in report
+    assert report["formality"] is True

@@ -103,8 +103,7 @@ def test_reduction_matrices_and_cones_store_canonical_entries(monkeypatch):
     rational = SectionV(t3, [{(1, 0, 0): 2, (0, 0, 1): 1}, {(0, 1, 0): 3, (0, 0, 1): 2}, {}])
     for name, lr, v in corpus.formality_instances() + [("tangent-n3/rational", t3, rational)]:
         for w in range(5):
-            _, _, chain = koszul.reduction_map(lr, v, w)
-            is_quasi_isomorphism(chain)
+            is_quasi_isomorphism(koszul.reduction_map(lr, v, w))
     assert built and cone_rows
     for m in built:
         assert_canonical(m, repr(m))
