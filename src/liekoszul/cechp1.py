@@ -51,8 +51,8 @@ pair of irrational zeros is listed and counted, not located.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as QQ
+from typing import NamedTuple
 
 from .complexes import (BuilderError, DoubleComplex, _built, _twisted, column_filtration,
                         row_filtration)
@@ -164,8 +164,7 @@ def cotangent_sheaf() -> SheafOnP1:
 
 # -- finite Cech model of one sheaf ------------------------------------------
 
-@dataclass
-class RowModel:
+class RowModel(NamedTuple):
     """Finite section spaces of one sheaf: chart cells and overlap window.
     Basis vectors z^e e_c are keyed (open set, c, e), open set "0", "1" or "01"."""
 
@@ -334,8 +333,7 @@ class EquivariantSection:
 
 # -- the Cech-Koszul double complex -------------------------------------------
 
-@dataclass
-class CechKoszulModel:
+class CechKoszulModel(NamedTuple):
     algebroid: AlgebroidOnP1
     section: EquivariantSection
     window: int
@@ -484,8 +482,7 @@ def fixed_point_set(section: EquivariantSection, untwisted: bool) -> list[object
     return [x for x, scalar in points if untwisted or not scalar]
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(NamedTuple):
     fixed_points: tuple
     predicted: dict[int, int]
     match: bool

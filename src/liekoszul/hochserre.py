@@ -21,10 +21,9 @@ d-stable because [g, h] lies in h.  The tests prove all three on the corpora.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as QQ
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import CochainComplex, FilteredComplex, _built, betti, cohomology
 from .exactla import (ExactMatrix, InputError, Subspace, VerdictError, _axpy, _wrap, coordinates,
@@ -267,8 +266,7 @@ def _e2_grid(g2: LieAlgebra, cplx: CochainComplex, dim_m: int,
     return grid
 
 
-@dataclass(frozen=True)
-class HSReport:
+class HSReport(NamedTuple):
     expected_e2: dict[tuple[int, int], int]   # nonzero H^p(g/h, H^q(h, M))
     computed_e2: dict[tuple[int, int], int]   # nonzero page 2 of the ideal filtration
     infinity_totals: dict[int, int]           # the Betti numbers of H(g, M)

@@ -38,9 +38,8 @@ normal forms are built once per command, whatever the weights asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .complexes import (
     ChainMap,
@@ -140,15 +139,13 @@ def is_zero_dimensional(v: SectionV, w_max: int) -> bool | None:
     return None
 
 
-@dataclass(frozen=True)
-class FormalitySliceResult:
+class FormalitySliceResult(NamedTuple):
     w: int
     ok: bool
     source_betti: dict[int, int]
 
 
-@dataclass(frozen=True)
-class FormalityResult:
+class FormalityResult(NamedTuple):
     ok: bool
     slices: tuple[FormalitySliceResult, ...]
 
@@ -251,8 +248,7 @@ def formality_check(lr: LieRinehartPresentation, v: SectionV,
     return FormalityResult(all(r.ok for r in results), tuple(results))
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     violations: tuple[tuple[int, int, int], ...]  # (m, w, dim) with m < -dim_y
 
     @property

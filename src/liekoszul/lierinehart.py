@@ -25,11 +25,10 @@ d/dx_j has weight -u_j, so the Euler field has weight 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as QQ
 from itertools import combinations
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import CochainComplex
 from .exactla import (ExactMatrix, InputError, VerdictError, _integral, _wrap, format_rational,
@@ -145,18 +144,17 @@ def _exponents(weights: tuple[int, ...], w: int) -> list[Monomial]:
     return [pre + (r // last,) for pre, r in parts if not r % last]
 
 
-@dataclass(frozen=True)
 class WeightedPolyRing:
     """Polynomial ring with positive integer weights on the variables."""
 
+    __slots__ = ("nvars", "weights", "_monomials", "_indices")
     nvars: int
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "nvars",
-                           integer(self.nvars, "variable count", MalformedPresentation))
+    def __init__(self, nvars: int, weights: Sequence[int]):
+        object.__setattr__(self, "nvars", integer(nvars, "variable count", MalformedPresentation))
         object.__setattr__(self, "weights", tuple(
-            integer(w, "variable weight", MalformedPresentation) for w in self.weights))
+            integer(w, "variable weight", MalformedPresentation) for w in weights))
         if len(self.weights) != self.nvars:
             raise MalformedPresentation("weight count does not match variable count")
         if any(w < 1 for w in self.weights):
@@ -165,6 +163,9 @@ class WeightedPolyRing:
         # Per ring, so that nothing computed for one input is reused by another.
         object.__setattr__(self, "_monomials", {})
         object.__setattr__(self, "_indices", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeightedPolyRing is immutable")
 
     def monomials(self, w: int) -> tuple[Monomial, ...]:
         """The monomials of weight w, in lexicographic order."""
@@ -196,8 +197,7 @@ class WeightedPolyRing:
         return ws.pop()
 
 
-@dataclass(frozen=True)
-class FormSlice:
+class FormSlice(NamedTuple):
     """The p-forms of total weight w as a direct sum of blocks eps_S (x) R_wf,
     wf = w + sum of the generator weights in S.  `blocks` maps each subset S
     with a nonzero block, in lexicographic order, to (offset, wf): the basis
@@ -330,14 +330,12 @@ class SectionV:
         self._zero_locus = None   # its koszul.ZeroLocusModel, built on first use
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     identity: str
     witness: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     failures: tuple[Failure, ...]
 

@@ -21,7 +21,7 @@ engine.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import FilteredComplex
 from .exactla import _insert
@@ -31,8 +31,7 @@ class SpectralSequenceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(NamedTuple):
     """Unpaired vectors per cell (p, q), and pairs per (p, q, gap) of their
     lower-degree end; p is the level and p + q the degree."""
     p_range: tuple[int, int]
@@ -90,13 +89,21 @@ def run(f: FilteredComplex) -> Pairing:
     return Pairing((f.p_lo, f.p_hi), (cplx.lo, cplx.hi), unpaired, pairs)
 
 
-@dataclass(frozen=True)
 class SpectralSequencePage:
     """Page E_r: `grid` holds dim E_r^{p,q} for every (p, q) of the grid and
     `ranks` the rank of d_r out of each (p, q) whose source and target are
     both nonzero."""
+
+    __slots__ = ("grid", "ranks")
     grid: dict[tuple[int, int], int]
     ranks: dict[tuple[int, int], int]
+
+    def __init__(self, grid, ranks):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "ranks", ranks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SpectralSequencePage is immutable")
 
     def nonzero_dims(self) -> dict[tuple[int, int], int]:
         return {pq: dim for pq, dim in self.grid.items() if dim}

@@ -1,13 +1,14 @@
 """The library's guards that no command reaches: each raise on a bad
 argument, each arithmetic branch that only cancellation takes, the
-immutability of the value classes and `Subquotient` equality.  Every case
-names the message it expects, so deleting its check fails it."""
+immutability of the value classes, `Subquotient` equality and the text of
+each `__repr__` that only a debugging session shows.  Every case names the
+message it expects, so deleting its check fails it."""
 
 import pytest
 
 import corpus
 from liekoszul import koszul
-from liekoszul.cechp1 import AlgebroidOnP1, SheafOnP1, lmat, lmat_det, lp, lp_mul
+from liekoszul.cechp1 import AlgebroidOnP1, SheafOnP1, line_bundle, lmat, lmat_det, lp, lp_mul
 from liekoszul.complexes import (
     ChainMap,
     CochainComplex,
@@ -27,7 +28,7 @@ from liekoszul.exactla import (
 )
 from liekoszul.hochserre import GModule, LieAlgebra, LieIdeal, MalformedLieAlgebra
 from liekoszul.lierinehart import MalformedPresentation, WeightedPolyRing, p_mul, p_scale
-from liekoszul.specseq import SpectralSequenceError, compute_page, run
+from liekoszul.specseq import SpectralSequenceError, SpectralSequencePage, compute_page, run
 
 from oracle import induced_map_dense
 
@@ -137,6 +138,8 @@ VALUES = {
     "ExactMatrix": (ExactMatrix.zeros(1, 1), "rows"),
     "Subspace": (LINE, "pivots"),
     "Subquotient": (Subquotient(LINE, Subspace(1, [])), "cycles"),
+    "SpectralSequencePage": (SpectralSequencePage({(0, 0): 1}, {}), "grid"),
+    "WeightedPolyRing": (WeightedPolyRing(1, (1,)), "weights"),
 }
 
 
@@ -159,3 +162,23 @@ def test_subquotient_equality_and_hash_agree():
                   Subquotient(Subspace(2, [[1, 1]]), Subspace(2, [[1, 1]]))):
         assert a != other and len({a, other}) == 2
     assert a != PLANE
+
+
+REPRS = {
+    "SheafOnP1 named": (line_bundle(-2), "SheafOnP1(O(-2))"),
+    "SheafOnP1 unnamed": (SheafOnP1(2, [[1, 0], [0, {-1: 1}]]), "SheafOnP1(rank 2)"),
+    "CochainComplex": (CochainComplex(-1, 0, [2, 1], [ExactMatrix.from_rows([[1, 0]])]),
+                       "CochainComplex([-1:2, 0:1])"),
+    "DoubleComplex": (DoubleComplex(-2, 0, 0, 1, {(0, 0): 1}, {}, {}),
+                      "DoubleComplex(p in [-2,0], q in [0,1])"),
+    "FilteredComplex": (FilteredComplex(POINT, 0, 1, {0: (1,)}),
+                        "FilteredComplex(levels [0,1], CochainComplex([0:1]))"),
+    "Subspace": (Subspace(3, [[1, 0, 0], [2, 0, 0], [0, 1, 0]]), "Subspace(dim 2 of QQ^3)"),
+    "Subquotient": (Subquotient(PLANE, Subspace(2, [[1, 1]])),
+                    "Subquotient(dim 1 = 2/1 in QQ^2)"),
+}
+
+
+@pytest.mark.parametrize("value,text", REPRS.values(), ids=REPRS.keys())
+def test_repr_text_is_pinned(value, text):
+    assert repr(value) == text

@@ -1,13 +1,17 @@
 """Every name a package module imports is used in that module, every
 definition of the package is named outside itself, every parameter of a
-package function is read in its body, and every dataclass field is read
-by the package itself.
+package function is read in its body, and every field of a record class
+(a named tuple, or a slots class that annotates its fields) is read by the
+package itself.
 
 `__init__.py` is left out of the import scan: its imports are the
 package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,41 @@ def test_scan_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "from .exactla import _axpy, quotient\nquotient(1, 2)\n")
     assert unused_imports(source) == ["_axpy (line 2)"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a source imports, relative
+    imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # The records are named tuples and slots classes: a dataclass generates
+    # and compiles its methods on every import of the command line.
+    assert [p.name for p in sorted(PACKAGE.glob("*.py"))
+            if "dataclasses" in imported_modules(p.read_text())] == []
+
+
+def test_scan_finds_an_imported_module():
+    source = ("import os.path\nfrom dataclasses import field\nfrom . import exactla\n"
+              "def f():\n    import json\n")
+    assert imported_modules(source) == {"os", "dataclasses", "json"}
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # a fresh interpreter: what the command line pays for at start-up
+    code = ("import sys, liekoszul.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 def _definitions(tree: ast.Module):
@@ -121,10 +160,32 @@ def test_scan_finds_a_dead_definition():
                                                               "m.py:8 method"]
 
 
+def record_classes(source: str):
+    """The record classes of a module, each with its fields as (line, name)
+    pairs: a subclass of `NamedTuple` (also `typing.NamedTuple`), whose
+    fields are the names annotated in its body, and a class with
+    `__slots__` whose body annotates its fields' types, whose fields are its
+    slots.  A slots class that annotates nothing is a value class, not a
+    record."""
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        annotated = [(item.lineno, item.target.id) for item in cls.body
+                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        slots = [(item.lineno, name) for item in cls.body if isinstance(item, ast.Assign)
+                 and getattr(item.targets[0], "id", None) == "__slots__"
+                 for name in ast.literal_eval(item.value)]
+        if any("NamedTuple" in (getattr(b, "id", None), getattr(b, "attr", None))
+               for b in cls.bases):
+            yield cls.name, annotated
+        elif slots and annotated:
+            yield cls.name, slots
+
+
 def dead_fields(package: dict[str, str]) -> list[str]:
-    """Fields of the dataclasses of the `package` sources (path -> text) that
-    no source of `package` reads as an attribute (`x.field`) or passes by
-    keyword (`field=...`).  A field that only the tests read is dead: a
+    """Fields of the record classes of the `package` sources (path -> text)
+    that no source of `package` reads as an attribute (`x.field`) or passes
+    by keyword (`field=...`).  A field that only the tests read is dead: a
     caller of the package never sees it."""
     read = set()
     for text in package.values():
@@ -133,36 +194,37 @@ def dead_fields(package: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.keyword) and node.arg:
                 read.add(node.arg)
-    dead = []
-    for path, text in package.items():
-        for cls in ast.walk(ast.parse(text)):
-            if isinstance(cls, ast.ClassDef) and any(
-                    "dataclass" in (getattr(f, "id", None), getattr(f, "attr", None))
-                    for d in cls.decorator_list for f in [getattr(d, "func", d)]):
-                dead += [f"{Path(path).name}:{item.lineno} {cls.name}.{item.target.id}"
-                         for item in cls.body if isinstance(item, ast.AnnAssign)
-                         and isinstance(item.target, ast.Name) and item.target.id not in read]
-    return dead
+    return [f"{Path(path).name}:{line} {cls}.{name}" for path, text in package.items()
+            for cls, fields in record_classes(text) for line, name in fields if name not in read]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     package = {str(p): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    # the eleven named tuples, `SpectralSequencePage` and `WeightedPolyRing`:
+    # a scan that finds no record would pass vacuously
+    assert sum(1 for text in package.values() for _ in record_classes(text)) == 13
     assert dead_fields(package) == []
 
 
 def test_scan_finds_a_dead_field():
     # `tested` is read only by a test file such as "t.py" below, which the
     # scan does not read
-    package = {"m.py": ("import dataclasses\nfrom dataclasses import dataclass\n\n"
-                        "@dataclass\nclass A:\n    shown: int\n    kept: int\n"
+    package = {"m.py": ("import typing\nfrom typing import NamedTuple\n\n"
+                        "class A(NamedTuple):\n    shown: int\n    kept: int\n"
                         "    written: int\n    tested: int\n\n"
                         "    def show(self):\n        return self.shown\n\n"
-                        "@dataclasses.dataclass(frozen=True)\nclass B:\n    unread: str\n\n"
+                        "class B(typing.NamedTuple):\n    unread: str\n\n"
+                        "class S:\n    __slots__ = ('used', 'spare')\n    used: int\n\n"
+                        "class Value:\n    __slots__ = ('hidden',)\n\n"
                         "class Plain:\n    note: str\n"),
-               "n.py": "from m import A\na = A(1, 2, 3, 4)\na.written = 4\nreplace(a, kept=5)\n"}
+               "n.py": ("from m import A, S\na = A(1, 2, 3, 4)\na.written = 4\n"
+                        "a._replace(kept=5)\nS().used\n")}
     tests = "from m import A\nassert A(1, 2, 3, 4).tested == 4\n"
-    assert dead_fields(package) == ["m.py:8 A.written", "m.py:9 A.tested", "m.py:16 B.unread"]
-    assert dead_fields({**package, "t.py": tests}) == ["m.py:8 A.written", "m.py:16 B.unread"]
+    assert [cls for cls, _ in record_classes(package["m.py"])] == ["A", "B", "S"]
+    assert dead_fields(package) == ["m.py:7 A.written", "m.py:8 A.tested", "m.py:14 B.unread",
+                                    "m.py:17 S.spare"]
+    assert dead_fields({**package, "t.py": tests}) == ["m.py:7 A.written", "m.py:14 B.unread",
+                                                       "m.py:17 S.spare"]
 
 
 def _handlers(tree: ast.Module) -> set[str]:
