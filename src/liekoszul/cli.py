@@ -30,7 +30,8 @@ from .complexes import (
     row_filtration,
     total,
 )
-from .exactla import ExactMatrix, InputError, Subspace, VerdictError, integer, integers, qq, sized
+from .exactla import (ExactMatrix, InputError, Subspace, VerdictError, _sparse, integer, integers,
+                      qq, sized)
 from .specseq import compute_page, run as ss_run
 
 
@@ -143,12 +144,39 @@ def _matrix(data, rows: int, cols: int, field: str) -> ExactMatrix:
     return _rationals(field, ExactMatrix.from_rows, data)
 
 
-def _subspace(vectors, dim: int, field: str) -> Subspace:
-    """The span of the field `field`: a list of vectors of length `dim`."""
+def _rows(vectors, dim: int, field: str, parsed: dict) -> list:
+    """The sparse rows of the field `field`: a list of vectors of length
+    `dim`.  `parsed` maps the repr of each vector read so far to its row,
+    so a vector repeated in one file is read once and a bad entry is named
+    at its first key; a repr tells 1, 1.0 and true apart, which compare
+    equal, and needs no hashable entry."""
     if not isinstance(vectors, list) or any(not isinstance(v, list) or len(v) != dim
                                             for v in vectors):
         raise SchemaError(f"field {field!r} must be a list of vectors of length {dim}")
-    return _rationals(field, Subspace, dim, vectors)
+    rows = []
+    for v in vectors:
+        text = repr(v)
+        row = parsed.get(text)
+        if row is None:
+            row = parsed[text] = _rationals(field, _sparse, v)
+        rows.append(row)
+    return rows
+
+
+def _subspace(vectors, dim: int, field: str) -> Subspace:
+    """The span of the field `field`: a list of vectors of length `dim`."""
+    return Subspace._span(dim, _rows(vectors, dim, field, {}))
+
+
+def _cell(key, field: str, seen: dict) -> tuple[int, int]:
+    """The cell (a, b) that the key "a,b" of the object field `field`
+    names.  `seen` maps each cell named so far to its key, so a second key
+    for one cell, such as "0, 1" beside "0,1", raises naming both."""
+    cell = integers(key, 2, f"{field} key", SchemaError)
+    first = seen.setdefault(cell, key)
+    if first != key:
+        raise SchemaError(f"{field} keys {first!r} and {key!r} name the same cell {cell}")
+    return cell
 
 
 # -- builders per kind ---------------------------------------------------------
@@ -226,22 +254,22 @@ def build_raw_double(payload: dict) -> DoubleComplex:
         if hi < lo:
             raise SchemaError(f"empty rectangle: double.{axis}_hi {hi} < double.{axis}_lo {lo}")
 
-    def cell(key, field):
-        p, q = integers(key, 2, f"{field} key", SchemaError)
+    def cell(key, field, seen):
+        p, q = _cell(key, field, seen)
         if not (p_lo <= p <= p_hi and q_lo <= q <= q_hi):
             raise SchemaError(f"{field} key {key!r} is outside the rectangle "
                               f"p {p_lo}..{p_hi}, q {q_lo}..{q_hi}")
         return p, q
 
-    dims = {}
+    dims, seen = {}, {}
     for key, d in _object(block, "dims", "double.dims").items():
-        dims[cell(key, "double.dims")] = _count(d, "double.dims")
+        dims[cell(key, "double.dims", seen)] = _count(d, "double.dims")
 
     def read_maps(field, shape):
-        out = {}
+        out, seen = {}, {}
         maps = _object(block, field, f"double.{field}") if field in block else {}
         for key, mat in maps.items():
-            p, q = cell(key, f"double.{field}")
+            p, q = cell(key, f"double.{field}", seen)
             rows, cols = shape(p, q)
             out[(p, q)] = _matrix(mat, rows, cols, f"double.{field}[{key}]")
         return out
@@ -269,14 +297,14 @@ def build_raw_filtration(payload: dict, cplx: CochainComplex) -> FilteredComplex
     p_lo, p_hi = (_integer(_need(block, key), f"filtration.{key}") for key in ("p_lo", "p_hi"))
     if p_hi < p_lo:
         raise SchemaError(f"empty filtration range: filtration.p_hi {p_hi} < p_lo {p_lo}")
-    levels = {}
+    spaces, seen, parsed = {}, {}, {}
     for key, vectors in _object(block, "spaces", "filtration.spaces").items():
-        p, n = integers(key, 2, "filtration.spaces key", SchemaError)
+        p, n = _cell(key, "filtration.spaces", seen)
         if not (p_lo <= p <= p_hi + 1 and cplx.lo <= n <= cplx.hi):
             raise SchemaError(f"filtration.spaces key {key!r} is outside levels "
                               f"{p_lo}..{p_hi + 1} and degrees {cplx.lo}..{cplx.hi}")
-        levels[(p, n)] = _subspace(vectors, cplx.dim(n), f"filtration.spaces[{key}]")
-    return FilteredComplex.from_flag(cplx, p_lo, p_hi, levels)
+        spaces[(p, n)] = _rows(vectors, cplx.dim(n), f"filtration.spaces[{key}]", parsed)
+    return FilteredComplex.from_flag(cplx, p_lo, p_hi, spaces)
 
 
 # -- command handlers -----------------------------------------------------------

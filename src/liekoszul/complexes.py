@@ -23,12 +23,14 @@ from typing import Callable, Mapping, Sequence
 from .exactla import (
     ExactMatrix,
     InputError,
+    Row,
     Subquotient,
     Subspace,
+    _axpy,
     _insert,
     _rref,
+    _transpose,
     _wrap,
-    coordinates,
     image_basis,
     induced_map,
     integer,
@@ -376,8 +378,8 @@ class FilteredComplex:
     [p_lo, p_hi], so F_{p_lo} is the whole space and F_{p_hi + 1} is zero.
     d-stability is a condition on matrix entries: every nonzero d[i][j] out
     of degree n has levels[n + 1][i] >= levels[n][j].  A general flag of
-    subspaces is validated and converted to this form once, by `from_flag`,
-    whose adapted complex is a change of basis that `coordinates` checks.
+    subspaces, each given by spanning rows, is validated and converted to
+    this form once, by `from_flag`, from one running echelon per degree.
     """
 
     __slots__ = ("complex", "p_lo", "p_hi", "levels")
@@ -415,43 +417,74 @@ class FilteredComplex:
 
     @classmethod
     def from_flag(cls, cplx: CochainComplex, p_lo: int, p_hi: int,
-                  spaces: Mapping[tuple[int, int], Subspace]) -> "FilteredComplex":
-        """Filtration given by subspaces F_p C^n for p in [p_lo, p_hi + 1].
+                  spaces: Mapping[tuple[int, int], Sequence[Row]]) -> "FilteredComplex":
+        """Filtration given by spanning rows of F_p C^n for p in [p_lo, p_hi + 1]:
+        canonical sparse rows, not necessarily independent.
 
-        The complex is rewritten in an adapted basis from one echelon per
-        degree: walking p down from p_hi, the rows of F_p that add a pivot
-        to it (it spans F_{p+1}) get level p, and F_{p+1} lies in F_p iff it
-        then holds dim F_p rows.  Each adapted differential holds the
-        coordinates of d applied to the adapted basis of C^n in that of
-        C^{n+1}, from one checked `coordinates` solve per degree.
+        One running echelon (`_insert`) per degree gives the adapted basis:
+        walking p down from p_hi, the rows of F_p that add a pivot to it (it
+        spans F_{p+1}) are reduced there, and those reduced rows get level p.
+        A row of F_p that is also a row of F_{p+1} (the same object, as the
+        CLI's reader passes a vector repeated across levels) lies in the
+        echelon already and is skipped.  F_{p+1} lies in F_p if each of its
+        rows is a row of F_p; otherwise iff the echelon has rank F_p pivots,
+        counted by a rank-only echelon of F_p's rows.  The checks raise in
+        the order F_{p_lo} whole, F_{p_hi + 1} zero, F_{p+1} in F_p for p
+        descending.  An echelon row has a 1 at its pivot and nothing left
+        of it, so reducing d(b) forward against the echelon of C^{n+1}
+        leaves nothing, and its multipliers are the coordinates of d(b) in
+        the adapted basis.  d.d = 0 carries over; the checking constructor
+        proves d-stability on the adapted matrices.
         """
         if p_hi < p_lo:
             raise ComplexError("empty filtration range")
-        bases: dict[int, list] = {}
+        echelons: dict[int, dict[int, Row]] = {}
         levels: dict[int, list[int]] = {}
         for n in cplx.degrees():
-            flag = []
+            m, flag = cplx.dim(n), []
             for p in range(p_lo, p_hi + 2):
-                s = spaces.get((p, n))
-                if s is None:
+                rows = spaces.get((p, n))
+                if rows is None:
                     raise ComplexError(f"missing filtration subspace at level {p}, degree {n}")
-                if s.ambient_dim != cplx.dim(n):
+                if any(r and (min(r) < 0 or max(r) >= m) for r in rows):
                     raise ComplexError(f"filtration subspace at ({p},{n}) has wrong ambient")
-                flag.append(s)
-            if flag[0].dim != cplx.dim(n):
-                raise ComplexError(f"F_{p_lo} is not the whole space in degree {n}")
-            if flag[-1].dim != 0:
-                raise ComplexError(f"F_{p_hi + 1} is not zero in degree {n}")
-            bases[n], levels[n], echelon = [], [], {}
+                flag.append(rows)
+            echelon: dict[int, Row] = {}
+            levels[n], above, failed = [], set(), None
             for p in range(p_hi, p_lo - 1, -1):
-                space = flag[p - p_lo]
-                reps = [r for r in space.sparse_basis if _insert(echelon, dict(r)) is not None]
-                if len(echelon) != space.dim:
-                    raise ComplexError(f"filtration not decreasing at ({p},{n})")
-                bases[n].extend(reps)
-                levels[n].extend([p] * len(reps))
-        diffs = [coordinates(bases[n + 1], cplx.dim(n + 1), cplx.d(n).images(bases[n]))
-                 for n in range(cplx.lo, cplx.hi)]
+                rows = flag[p - p_lo]
+                here = {id(r) for r in rows}
+                before = len(echelon)
+                for r in rows:
+                    if id(r) not in above:
+                        _insert(echelon, dict(r))
+                levels[n].extend([p] * (len(echelon) - before))
+                # The echelon spans F_{p+1} until the first level that fails.
+                if failed is None and not above <= here and len(echelon) != _rank(rows):
+                    failed = p
+                above = here
+            # With every containment shown, the echelon spans F_{p_lo}.
+            if (len(echelon) if failed is None else _rank(flag[0])) != m:
+                raise ComplexError(f"F_{p_lo} is not the whole space in degree {n}")
+            if any(flag[-1]):
+                raise ComplexError(f"F_{p_hi + 1} is not zero in degree {n}")
+            if failed is not None:
+                raise ComplexError(f"filtration not decreasing at ({failed},{n})")
+            echelons[n] = echelon
+        diffs = []
+        for n in range(cplx.lo, cplx.hi):
+            target = echelons[n + 1]
+            index = {c: i for i, c in enumerate(target)}
+            columns = []
+            for w in cplx.d(n).images(echelons[n].values()):
+                column = {}
+                while w:
+                    c = min(w)
+                    x = column[index[c]] = w[c]
+                    _axpy(w, x, target[c])
+                columns.append(column)
+            diffs.append(_wrap(cplx.dim(n + 1), cplx.dim(n),
+                               tuple(_transpose(columns, cplx.dim(n + 1)))))
         # A change of basis of a complex: d.d = 0 carries over.
         adapted = _built(CochainComplex, cplx.lo, cplx.hi,
                          [cplx.dim(n) for n in cplx.degrees()], diffs)
@@ -463,6 +496,14 @@ class FilteredComplex:
 
     def __repr__(self):
         return f"FilteredComplex(levels [{self.p_lo},{self.p_hi}], {self.complex!r})"
+
+
+def _rank(rows: Sequence[Row]) -> int:
+    """The rank of canonical sparse rows, from a rank-only echelon."""
+    echelon: dict[int, Row] = {}
+    for r in rows:
+        _insert(echelon, dict(r))
+    return len(echelon)
 
 
 def _coordinate_filtration(d: DoubleComplex, index: Callable[[int, int], int],

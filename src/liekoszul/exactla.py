@@ -25,11 +25,13 @@ and with it every basis, is canonical whatever order the elimination
 works in; tests compare bases, not just dimensions.
 
 `_insert` is the one elimination kernel, shared by `_rref` (every kernel,
-image, rank and solve), `Subquotient`, `from_flag` and `specseq.run`.
+image, rank and solve), `Subquotient`, `complexes._cone_ranks`,
+`FilteredComplex.from_flag` (its running echelon per degree and the rank
+of each level) and `specseq.run`.
 
-Every change of basis is one call of `coordinates`: the coordinates of
-sparse target rows in an independent sparse basis, from one RREF of
-[basis | targets], checked by the sparse product B X = T.
+Every other change of basis is one call of `coordinates`: the
+coordinates of sparse target rows in an independent sparse basis, from
+one RREF of [basis | targets], checked by the sparse product B X = T.
 
 Dense tuples of `Fraction`s (`Vector`) are test and `repr` edges only:
 `solve_batch` and `Subquotient.class_coordinates_batch`, which the
@@ -149,9 +151,12 @@ def _integral(x):
 
 
 def _sparse(v: Sequence) -> Row:
-    """The nonzero entries of a dense vector, coerced by `qq`."""
+    """The nonzero entries of a dense vector, coerced by `qq`; the string
+    "0", most entries of a sparse input file, is skipped unread."""
     out = {}
     for j, e in enumerate(v):
+        if e == "0":
+            continue
         x = qq(e)
         if x:
             out[j] = x

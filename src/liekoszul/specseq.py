@@ -65,8 +65,12 @@ def run(f: FilteredComplex) -> Pairing:
     for n in cplx.degrees():
         src_levels, dst_levels = f.levels[n], f.levels.get(n + 1, ())
         # Target vectors of degree n + 1, last in the flag order first.
-        dst_order = sorted(range(len(dst_levels)), key=lambda i: (dst_levels[i], -i))
-        pos = {i: k for k, i in enumerate(dst_order)}
+        # Sorts are stable, also reversed, so ties stay in the order of
+        # the range: (level, -i) for targets and (-level, j) for sources.
+        dst_order = sorted(range(len(dst_levels) - 1, -1, -1), key=dst_levels.__getitem__)
+        pos = [0] * len(dst_order)
+        for k, i in enumerate(dst_order):
+            pos[i] = k
         d = cplx.d(n)
         columns: list[dict[int, object]] = [{} for _ in range(d.cols)]
         for i, row in enumerate(d.row_maps):
@@ -74,7 +78,7 @@ def run(f: FilteredComplex) -> Pairing:
                 columns[j][pos[i]] = a
         reduced: dict[int, dict[int, object]] = {}   # low -> reduced column
         lows: set[int] = set()
-        for j in sorted(range(len(src_levels)), key=lambda j: (-src_levels[j], j)):
+        for j in sorted(range(len(src_levels)), key=src_levels.__getitem__, reverse=True):
             if j in cleared:
                 continue
             p = src_levels[j]

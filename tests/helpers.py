@@ -54,6 +54,12 @@ def dense(x):
     return tuple(_dense(r, x.ambient_dim) for r in rows)
 
 
+def flag_rows(spaces):
+    """The spanning rows that `FilteredComplex.from_flag` reads, for a flag
+    given as `Subspace`s keyed by (p, n): the basis of each."""
+    return {key: s.sparse_basis for key, s in spaces.items()}
+
+
 def units(n):
     """The unit vectors of QQ^n: the rows of the identity, the basis of the
     full space."""

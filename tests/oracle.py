@@ -23,7 +23,9 @@ entry.
 
 `from_flag_dense` and `adapted_by_solves` are the changes of basis the
 package made before `exactla.coordinates`: `FilteredComplex.from_flag`
-with dense representatives and a dense `solve_batch` per degree, and
+with dense RREF representatives and a dense `solve_batch` per degree
+(the package now keeps echelon rows, so the two agree on levels and on
+everything the basis does not fix, not on the matrices), and
 `hochserre._adapted` with one dense `solve_batch` per bracket pair, on
 dense brackets (`la_bracket_vec`).  The dense views and builders they read
 (`dense`, `apply`, `units`, `from_columns`) are in `tests/helpers.py`;

@@ -46,6 +46,7 @@ from liekoszul.exactla import ExactMatrix, Subspace
 from liekoszul.koszul import reduction_map
 from liekoszul.lierinehart import SectionV, WeightedPolyRing, tangent_algebroid
 
+from helpers import flag_rows
 from test_specseq import random_flag
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -225,4 +226,5 @@ def test_coordinate_filtrations_of_a_raw_double_complex_pass_the_checks():
 def test_from_flag_adapted_complexes_pass_the_checks():
     rng = random.Random(20261019)
     for _ in range(200):
-        checked(FilteredComplex.from_flag(*random_flag(rng)).complex)
+        cplx, p_lo, p_hi, spaces = random_flag(rng)
+        checked(FilteredComplex.from_flag(cplx, p_lo, p_hi, flag_rows(spaces)).complex)

@@ -635,6 +635,93 @@ def test_bad_filtration_vector_entry_is_an_input_error(tmp_path, capsys, bad):
     assert repr(bad) in err
 
 
+# Each refusal of a general flag, read into spanning rows and converted by
+# one running echelon per degree: exit 2 with its one-line message.
+FLAG_REFUSALS = {
+    "missing-level": (lambda s: s.pop("2,0"),
+                      "error: missing filtration subspace at level 2, degree 0\n"),
+    "first-not-whole": (lambda s: s.update({"0,0": []}),
+                        "error: F_0 is not the whole space in degree 0\n"),
+    "last-not-zero": (lambda s: s.update({"3,1": [["1"]]}),
+                      "error: F_3 is not zero in degree 1\n"),
+    "not-decreasing": (lambda s: s.update({"2,0": [["1"]]}),
+                       "error: filtration not decreasing at (1,0)\n"),
+    "not-d-stable": (lambda s: s.update({"1,0": [["1"]], "2,0": [["1"]], "2,1": []}),
+                     "error: differential leaves level 2 at degree 0\n"),
+    "list-entry": (lambda s: s.update({"1,1": [[[1]]]}),
+                   "error: field 'filtration.spaces[1,1]': cannot interpret [1] as a rational\n"),
+    "object-entry": (lambda s: s.update({"1,1": [[{"a": 1}]]}),
+                     "error: field 'filtration.spaces[1,1]': cannot interpret {'a': 1} "
+                     "as a rational\n"),
+    # a vector repeated across levels is read once, at its first key
+    "repeated-bad-entry": (lambda s: s.update({"0,1": [["1/0"]], "1,1": [["1/0"]],
+                                               "2,1": [["1/0"]]}),
+                           "error: field 'filtration.spaces[0,1]': cannot interpret '1/0' "
+                           "as a rational\n"),
+    "repeated-list-entry": (lambda s: s.update({"0,1": [[[1]]], "1,1": [[[1]]], "2,1": [[[1]]]}),
+                            "error: field 'filtration.spaces[0,1]': cannot interpret [1] "
+                            "as a rational\n"),
+    # true and 1.0 equal 1 in Python, but they are other vectors than [1]
+    "true-after-one": (lambda s: s.update({"2,1": [[True]]}),
+                       "error: field 'filtration.spaces[2,1]': cannot interpret True "
+                       "as a rational\n"),
+    "float-after-one": (lambda s: s.update({"0,1": [[1]], "2,1": [[1.0]]}),
+                        "error: field 'filtration.spaces[2,1]': cannot interpret 1.0 "
+                        "as a rational\n"),
+}
+
+
+@pytest.mark.parametrize("mutate,message", FLAG_REFUSALS.values(), ids=list(FLAG_REFUSALS))
+def test_a_bad_flag_exits_2_with_its_message(tmp_path, capsys, mutate, message):
+    path = _mutated(tmp_path, "twostep-filtered.json",
+                    lambda p: mutate(p["filtration"]["spaces"]))
+    assert _exit_with_one_line(capsys, ["specseq", path], 2, "error:") == message
+
+
+def test_a_flag_may_be_spanned_by_dependent_and_repeated_vectors(tmp_path, capsys):
+    # F_0 C^0 spanned by 1 and 2, F_1 C^1 by 1 twice: the levels and the
+    # report stay those of the case.
+    def spread(spaces):
+        spaces.update({"0,0": [["1"], ["2"]], "1,1": [["1"], ["1"]]})
+
+    reports = []
+    for path in (CASES / "twostep-filtered.json",
+                 _mutated(tmp_path, "twostep-filtered.json",
+                          lambda p: spread(p["filtration"]["spaces"]))):
+        out = tmp_path / f"{len(reports)}.json"
+        assert run_cli(["specseq", path, "--json", out]) == 0
+        reports.append(json.loads(out.read_text())["report"])
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+# Two keys that name one cell, "0,1" and "0, 1": exit 2 naming both,
+# where the later one would silently replace the earlier one.
+SAME_CELL = {
+    "filtration.spaces": ("twostep-filtered.json",
+                          lambda p: p["filtration"]["spaces"].update({"0, 1": [["1"]]}),
+                          "'0,1' and '0, 1' name the same cell (0, 1)"),
+    "double.dims": ("square-double.json", lambda p: p["double"]["dims"].update({"1, 1": 1}),
+                    "'1,1' and '1, 1' name the same cell (1, 1)"),
+    "double.horizontal": ("square-double.json",
+                          lambda p: p["double"]["horizontal"].update({" 0,0": [["2"]]}),
+                          "'0,0' and ' 0,0' name the same cell (0, 0)"),
+    "double.vertical": ("square-double.json",
+                        lambda p: p["double"]["vertical"].update({"1,+0": [["1"]]}),
+                        "'1,0' and '1,+0' name the same cell (1, 0)"),
+}
+
+
+@pytest.mark.parametrize("field", SAME_CELL)
+def test_two_keys_for_one_cell_are_an_input_error(tmp_path, capsys, field):
+    case, mutate, both = SAME_CELL[field]
+    path = _mutated(tmp_path, case, mutate)
+    err = _exit_with_one_line(capsys, ["specseq", path, *(["--filtration", "row"]
+                                                          if "double" in field else [])],
+                              2, "error:")
+    assert err == f"error: {field} keys {both}\n"
+
+
 @pytest.mark.parametrize("bad", BAD_RATIONALS)
 def test_bad_lie_bracket_coefficient_is_an_input_error(tmp_path, capsys, bad):
     path = _mutated(tmp_path, "heisenberg-center.json",

@@ -1,9 +1,10 @@
+import random
 import re
 from fractions import Fraction as QQ
 
 import pytest
 
-from liekoszul import exactla
+from liekoszul import complexes, exactla
 from liekoszul.cechp1 import EquivariantSection, atiyah_algebroid, cech_koszul
 from liekoszul.complexes import (
     ChainMap,
@@ -20,7 +21,8 @@ from liekoszul.complexes import (
 )
 from liekoszul.exactla import ExactMatrix, Subspace
 
-from helpers import betti_by_minors, level_dim, matrix_rows, units
+from helpers import betti_by_minors, flag_rows, level_dim, matrix_rows, units
+from test_specseq import random_flag
 
 ONE = ExactMatrix.from_rows([[1]])   # the 1x1 identity
 
@@ -190,7 +192,7 @@ def test_filtered_complex_validation():
               (1, 0): full, (1, 1): zero,
               (2, 0): zero, (2, 1): zero}
     with pytest.raises(ComplexError):
-        FilteredComplex.from_flag(c, 0, 1, levels)
+        FilteredComplex.from_flag(c, 0, 1, flag_rows(levels))
 
 
 def test_filtered_complex_levels_must_not_drop_along_d():
@@ -252,10 +254,10 @@ def test_double_complex_rejects_keys_outside_its_rectangle():
 
 
 def _flag(spaces):
-    """Flag on a complex with C^1 = 0, levels 0..len(spaces) - 1 of C^0."""
-    zero1 = Subspace.zero_space(0)
-    return {**{(p, 0): s for p, s in enumerate(spaces)},
-            **{(p, 1): zero1 for p in range(len(spaces))}}
+    """Flag on a complex with C^1 = 0, levels 0..len(spaces) - 1 of C^0, as
+    the spanning rows `from_flag` reads."""
+    return {**{(p, 0): s.sparse_basis for p, s in enumerate(spaces)},
+            **{(p, 1): () for p in range(len(spaces))}}
 
 
 def test_filtered_complex_flag_must_decrease():
@@ -274,18 +276,62 @@ def test_filtered_complex_flag_must_decrease():
 
 
 def test_from_flag_builds_no_subquotient(monkeypatch):
-    real, built = exactla.Subquotient.__init__, []
+    # One running echelon per degree: no Subspace, Subquotient, `_rref` or
+    # `coordinates` solve, also where the adapted d is not zero.
+    c = CochainComplex(0, 1, [3, 2], [ExactMatrix.from_rows([[1, 2, 0], [0, 1, 1]])])
+    whole3, whole2 = Subspace(3, units(3)), Subspace(2, units(2))
+    spaces = flag_rows({(0, 0): whole3, (1, 0): Subspace(3, [[1, 1, 0], [0, 0, 1]]),
+                        (2, 0): Subspace(3, [[0, 0, 1]]), (3, 0): Subspace.zero_space(3),
+                        (0, 1): whole2, (1, 1): whole2, (2, 1): Subspace(2, [[0, 1]]),
+                        (3, 1): Subspace.zero_space(2)})
+    called = []
 
-    def counting(self, cycles, boundaries):
-        built.append(cycles.dim)
-        real(self, cycles, boundaries)
+    def spy(name):
+        def refuse(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"from_flag called {name}")
+        return refuse
 
-    monkeypatch.setattr(exactla.Subquotient, "__init__", counting)
-    c3 = CochainComplex(0, 1, [3, 0], [ExactMatrix.zeros(0, 3)])
-    plane, line = Subspace(3, [[1, 0, 0], [0, 1, 0]]), Subspace(3, [[1, 0, 0]])
-    f = FilteredComplex.from_flag(c3, 0, 2, _flag([Subspace(3, units(3)), plane, line,
-                                                   Subspace.zero_space(3)]))
-    assert f.levels[0] == (2, 1, 0) and built == []
+    for owner, name in ((exactla, "_rref"), (complexes, "_rref"), (exactla, "coordinates"),
+                        (exactla.Subspace, "__init__"), (exactla.Subspace, "_set"),
+                        (exactla.Subquotient, "__init__")):
+        monkeypatch.setattr(owner, name, spy(name))
+    f = FilteredComplex.from_flag(c, 0, 2, spaces)
+    assert called == []
+    assert f.levels == {0: (2, 1, 0), 1: (2, 1)}
+    assert not f.complex.d(0).is_zero()
+
+
+def test_from_flag_skips_the_rows_a_level_shares_with_the_level_above(monkeypatch):
+    # F_p given as the very row objects of F_{p+1} plus a complement, as the
+    # reader passes a repeated vector: no rank-only echelon runs, and the
+    # result equals that of copies of the same rows, which take the rank path.
+    ranks = []
+
+    def counting(rows):
+        ranks.append(len(rows))
+        return real(rows)
+
+    real = complexes._rank
+    monkeypatch.setattr(complexes, "_rank", counting)
+    rng = random.Random(20261020)
+    for _ in range(100):
+        cplx, p_lo, p_hi, spaces = random_flag(rng)
+        shared = {}
+        for n in cplx.degrees():
+            rows = shared[(p_hi + 1, n)] = []
+            for p in range(p_hi, p_lo - 1, -1):
+                rows = shared[(p, n)] = rows + list(spaces[(p, n)].sparse_basis)
+        copied = {key: [dict(r) for r in rows] for key, rows in shared.items()}
+        del ranks[:]
+        fast = FilteredComplex.from_flag(cplx, p_lo, p_hi, shared)
+        assert ranks == []
+        slow = FilteredComplex.from_flag(cplx, p_lo, p_hi, copied)
+        # a level whose upper neighbour has rows goes through `_rank`
+        assert bool(ranks) == any(shared[(p, n)] for p in range(p_lo + 1, p_hi + 1)
+                                  for n in cplx.degrees())
+        assert fast.levels == slow.levels
+        assert all(fast.complex.d(n) == slow.complex.d(n) for n in cplx.degrees())
 
 
 def test_filtered_complex_flag_must_start_at_whole_space():

@@ -32,6 +32,10 @@ ALLOWLIST = {
     "cechp1._cech_dims": "helper of `cech_cohomology`, which ENTRY_POINTS wraps",
     "cli._bound": "reads a `--weights a..b` bound; no case run passes `--weights`, "
                   "and `tests/test_cli.py` runs it",
+    "complexes._rank": "rank of a flag level in `FilteredComplex.from_flag`, needed only when "
+                       "a level's rows are not all rows of the level below; the case flags "
+                       "repeat their vectors, and `tests/test_complexes.py` and "
+                       "`tests/test_cli.py` run it",
     "complexes._induced": "helper of `ChainMap.induced_on_cohomology`, which "
                           "ENTRY_POINTS wraps",
     "exactla.Subspace.zero_space": "helper of `Subspace.intersect` and `_induced`, "

@@ -64,10 +64,11 @@ GUARDS = {
                          "empty filtration range"),
     "flag range": (lambda: FilteredComplex.from_flag(POINT, 1, 0, {}), ComplexError,
                    "empty filtration range"),
-    "flag missing subspace": (lambda: FilteredComplex.from_flag(POINT, 0, 0, {(0, 0): LINE}),
+    "flag missing subspace": (lambda: FilteredComplex.from_flag(
+                                  POINT, 0, 0, {(0, 0): LINE.sparse_basis}),
                               ComplexError, "missing filtration subspace at level 1, degree 0"),
     "flag subspace ambient": (lambda: FilteredComplex.from_flag(
-                                  POINT, 0, 0, {(0, 0): PLANE, (1, 0): Subspace(2, [])}),
+                                  POINT, 0, 0, {(0, 0): PLANE.sparse_basis, (1, 0): ()}),
                               ComplexError, r"filtration subspace at \(0,0\) has wrong ambient"),
     "matrix product shape": (lambda: ExactMatrix.zeros(1, 2) @ ExactMatrix.zeros(1, 1),
                              LinearAlgebraError, "shape mismatch in product"),

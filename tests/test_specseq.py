@@ -13,7 +13,7 @@ from liekoszul.complexes import (
 from liekoszul.exactla import ExactMatrix, Subspace
 from liekoszul.specseq import check_convergence, compute_page, run
 
-from helpers import dense, from_columns, units
+from helpers import dense, flag_rows, from_columns, units
 
 
 def pages(f):
@@ -58,7 +58,7 @@ def test_handbuilt_nonzero_d2():
     for p in range(0, 4):
         levels[(p, 0)] = full if p <= 0 else zero
         levels[(p, 1)] = full if p <= 2 else zero
-    f = FilteredComplex.from_flag(c, 0, 2, levels)
+    f = FilteredComplex.from_flag(c, 0, 2, flag_rows(levels))
     res = run(f)
     page2, page3 = compute_page(res, 2), compute_page(res, 3)
     assert page2.grid != page3.grid
@@ -80,7 +80,7 @@ def test_zero_differential_degenerates_immediately():
         levels[(0, n)] = full2
         levels[(1, n)] = half
         levels[(2, n)] = zero2
-    f = FilteredComplex.from_flag(c, 0, 1, levels)
+    f = FilteredComplex.from_flag(c, 0, 1, flag_rows(levels))
     res = run(f)
     assert res.degeneration_page <= 1
     assert res.infinity_totals() == {0: 2, 1: 2}
@@ -161,8 +161,9 @@ def _random_change_of_basis(rng, dims, levels_of):
 
 
 def _build_flag(core, mats):
-    """The complex of `core` moved by `mats`, with its flag of subspaces, as
-    the arguments of FilteredComplex.from_flag."""
+    """The complex of `core` moved by `mats`, with its flag of subspaces,
+    as (complex, p_lo, p_hi, {(p, n): Subspace}); `flag_rows` turns the
+    flag into the rows `FilteredComplex.from_flag` reads."""
     from liekoszul.exactla import solve_batch
     dims, levels_of, diffs, width = core
     degrees = len(dims)
@@ -187,7 +188,7 @@ def _build_flag(core, mats):
 
 
 def _build_filtered(core, mats):
-    return FilteredComplex.from_flag(*_build_flag(core, mats))
+    return _from_subspaces(*_build_flag(core, mats))
 
 
 def random_flag(rng, max_total_dim=12, max_width=4):
@@ -197,7 +198,11 @@ def random_flag(rng, max_total_dim=12, max_width=4):
 
 
 def random_filtered_complex(rng, max_total_dim=12, max_width=4):
-    return FilteredComplex.from_flag(*random_flag(rng, max_total_dim, max_width))
+    return _from_subspaces(*random_flag(rng, max_total_dim, max_width))
+
+
+def _from_subspaces(cplx, p_lo, p_hi, spaces):
+    return FilteredComplex.from_flag(cplx, p_lo, p_hi, flag_rows(spaces))
 
 
 def test_convergence_on_random_corpus():
