@@ -14,11 +14,11 @@ only.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import cechp1, hochserre, koszul, lierinehart
 from .complexes import (
@@ -39,15 +39,6 @@ class SchemaError(InputError):
     pass
 
 
-def _json(value):
-    """`value` for the JSON report: a (p, q) key becomes "p,q" and any other
-    key its str, in every table; key order is left to `sort_keys`."""
-    if isinstance(value, dict):
-        return {(f"{k[0]},{k[1]}" if type(k) is tuple else str(k)): _json(v)
-                for k, v in value.items()}
-    return value
-
-
 def _spell(value) -> str:
     """`value` in its JSON spelling.  Bools and ints are spelled directly:
     a json.dumps per scalar is a measurable share of a small job."""
@@ -55,7 +46,30 @@ def _spell(value) -> str:
         return str(value)
     if type(value) is bool:
         return "true" if value else "false"
-    return json.dumps(_json(value))
+    return json.dumps(value)
+
+
+def _dump(value, indent: str = "\n") -> str:
+    """`value` as `json.dumps(..., indent=2, sort_keys=True)` spells it once
+    a (p, q) key becomes "p,q" and any other key its str, in every table,
+    built in one pass: `json.dump` with an indent runs the pure-Python
+    encoder and writes once per token.  `indent` is the newline and the
+    indentation of `value`'s own line."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        table = {(f"{k[0]},{k[1]}" if type(k) is tuple else str(k)): v for k, v in value.items()}
+        return ("{" + ",".join(f"{inner}{_quote(k)}: {_dump(v, inner)}"
+                               for k, v in sorted(table.items())) + indent + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + ",".join(inner + _dump(v, inner) for v in value) + indent + "]"
+    if type(value) is str:
+        return _quote(value)
+    return _spell(value)
 
 
 def _text(key, value, indent: str = "") -> str:
@@ -382,6 +396,8 @@ def cmd_specseq(payload: dict, args) -> tuple[dict, None]:
         raise SchemaError("specseq applies to kind 'raw_complex'")
     if args.max_page is not None and args.max_page < 0:
         raise SchemaError(f"--max-page must be nonnegative, got {args.max_page}")
+    if args.filtration not in (None, "row", "column"):
+        raise SchemaError(f"--filtration must be row or column, got {args.filtration!r}")
     if args.filtration is not None and "double" not in payload:
         raise SchemaError("--filtration applies only to a file with a 'double' block")
     cplx, double = _read_raw(payload)
@@ -488,48 +504,86 @@ COMMANDS = {
     "p1": cmd_p1,
 }
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="liekoszul",
-        description="Exact homological computations from structured example files.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("file")
-        p.add_argument("--json", dest="json_out", default=None,
-                       help="write the machine-readable report to this path")
-        if name == "specseq":
-            p.add_argument("--filtration", choices=["row", "column"], default=None)
-            p.add_argument("--max-page", type=int, default=None)
-        if name == "koszul":
-            p.add_argument("--weights", default=None, help="weight range a..b")
-        if name == "p1":
-            p.add_argument("--window", type=int, default=None)
-    return parser
+
+# The options of each command: option -> (attribute of `args`, reader of
+# its value, the value in the usage).  Only `int` can refuse a value.
+_JSON = ("json_out", str, "PATH")
+OPTIONS = {
+    "validate": {"--json": _JSON},
+    "cohomology": {"--json": _JSON},
+    "specseq": {"--json": _JSON, "--filtration": ("filtration", str, "row|column"),
+                "--max-page": ("max_page", int, "N")},
+    "koszul": {"--json": _JSON, "--weights": ("weights", str, "a..b")},
+    "hs": {"--json": _JSON},
+    "p1": {"--json": _JSON, "--window": ("window", int, "N")},
+}
+
+
+def _command_line(argv: list) -> tuple[str, str, SimpleNamespace]:
+    """The command, the example file and the options of a command line:
+    `--opt value` or `--opt=value`, before or after the file, the last of a
+    repeated option winning.  An option is spelled out in full."""
+    if not argv or argv[0] not in COMMANDS:
+        got = repr(argv[0]) if argv else "none"
+        raise SchemaError(f"the command must be one of {', '.join(COMMANDS)}, got {got} "
+                          "(-h for usage)")
+    command, words, table = argv[0], iter(argv[1:]), OPTIONS[argv[0]]
+    args = SimpleNamespace(**{dest: None for dest, _, _ in table.values()})
+    files = []
+    for word in words:
+        if not word.startswith("-"):
+            files.append(word)
+            continue
+        option, eq, text = word.partition("=")
+        if option not in table:
+            raise SchemaError(f"{command} takes no option {option!r}; it takes {', '.join(table)}")
+        if not eq and (text := next(words, None)) is None:
+            raise SchemaError(f"option {option} needs a value")
+        dest, read, _ = table[option]
+        try:
+            setattr(args, dest, read(text))
+        except ValueError:
+            raise SchemaError(f"option {option} takes an integer, got {text!r}") from None
+    if len(files) != 1:
+        raise SchemaError(f"{command} takes one example file, got {len(files)}")
+    return command, files[0], args
+
+
+def _unique(pairs: list) -> dict:
+    """The object of the (key, value) pairs of a JSON object, which must not
+    write a key twice: `json` alone would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise SchemaError(f"key {next(k for k in keys if keys.count(k) > 1)!r} "
+                          "is written twice in one object")
+    return obj
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print("usage: liekoszul COMMAND FILE [OPTION VALUE | OPTION=VALUE ...]")
+        for command, table in OPTIONS.items():
+            print(f"  liekoszul {command} FILE" + "".join(
+                f" [{option} {meta}]" for option, (_, _, meta) in table.items()))
+        return 0
 
     started = time.monotonic()
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        # ValueError: invalid JSON or UTF-8; RecursionError: nesting too deep
-        print(f"error: cannot read example file: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(payload, dict) or "kind" not in payload:
-        print("error: example file must be an object with a 'kind' field",
-              file=sys.stderr)
-        return 2
-
-    try:
-        name = payload.get("name", args.file)
+        command, path, args = _command_line(argv)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh, object_pairs_hook=_unique)
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: invalid JSON or UTF-8; RecursionError: nesting too deep
+            raise SchemaError(f"cannot read example file: {exc}") from None
+        if not isinstance(payload, dict) or "kind" not in payload:
+            raise SchemaError("example file must be an object with a 'kind' field")
+        name = payload.get("name", path)
         if not isinstance(name, str):
             raise SchemaError(f"field 'name' must be a string, got {type(name).__name__}")
-        values, ok = COMMANDS[args.command](payload, args)
+        values, ok = COMMANDS[command](payload, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -540,7 +594,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    print("\n".join([f"== {args.command} {name} ==",
+    print("\n".join([f"== {command} {name} ==",
                      *(_text(key, value) for key, value in values.items()),
                      f"result: {'no verdict' if ok is None else 'pass' if ok else 'FAIL'}",
                      f"elapsed: {time.monotonic() - started:.3f}s"]))
@@ -548,14 +602,13 @@ def main(argv=None) -> int:
     if args.json_out:
         report = {
             "tool": "liekoszul",
-            "command": args.command,
+            "command": command,
             "example": name,
             "ok": ok is not False,
-            "report": _json(values),
+            "report": values,
         }
         with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_dump(report) + "\n")
     return 1 if ok is False else 0
 
 

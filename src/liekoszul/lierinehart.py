@@ -51,13 +51,18 @@ class MalformedPresentation(PresentationError, InputError):
 def _bracket_entries(brackets, n: int, error: type[Exception]):
     """(key, i, j, value) for each entry of a {"i,j": value} mapping, with
     0 <= i < j < n and value a list of n entries; a key may also be given
-    as a pair."""
+    as a pair.  A second key for one pair, such as "0, 1" beside "0,1",
+    raises naming both."""
     if not isinstance(brackets, Mapping):
         raise error(f"brackets must be an object keyed 'i,j', got {type(brackets).__name__}")
+    seen = {}
     for key, value in brackets.items():
         i, j = integers(key, 2, "bracket key", error)
         if not (0 <= i < j < n):
             raise error(f"bracket key ({i},{j}) must satisfy 0 <= i < j < {n}")
+        first = seen.setdefault((i, j), key)
+        if first != key:
+            raise error(f"bracket keys {first!r} and {key!r} name the same pair ({i},{j})")
         yield key, i, j, sized(value, n, f"bracket {key}", error)
 
 

@@ -73,6 +73,11 @@ constants: every triple and component over a dense table.
 by Euclid's algorithm (`poly_gcd_degree`), with no Cech model: the
 `p1` corollary widened to zeros that are not simple.
 
+`_json` is the key spelling the CLI applied before `json.dump` wrote a
+report, until `cli._dump` wrote the report in one pass: a (p, q) key
+becomes "p,q" and any other key its str, in every table (not inside a
+list), and key order is left to `sort_keys`.
+
 The oracle shares no polynomial arithmetic with the package: `p_add`,
 `p_mul`, `p_scale` and `p_diff` are its own, the anchor acts by the product
 rule (`anchor_apply`), and `lr_bracket` and `la_bracket` are its own dense,
@@ -784,3 +789,12 @@ def zero_scheme_length(section, untwisted):
     f0, f1 = ({}, {}) if untwisted else (section.f0, section.f1)
     at_infinity = min(min(p, default=math.inf) for p in (f1, section.w1))
     return poly_gcd_degree(f0, section.v0) + at_infinity
+
+
+def _json(value):
+    """`value` for the JSON report: a (p, q) key becomes "p,q" and any other
+    key its str, in every table; key order is left to `sort_keys`."""
+    if isinstance(value, dict):
+        return {(f"{k[0]},{k[1]}" if type(k) is tuple else str(k)): _json(v)
+                for k, v in value.items()}
+    return value

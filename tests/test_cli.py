@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import liekoszul
 from liekoszul import cechp1, cli, complexes, exactla, koszul, lierinehart, specseq
 from liekoszul.cli import build_lie_rinehart, main
+from oracle import _json
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -140,6 +141,94 @@ def test_json_report_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# Report-shaped values: tables keyed by str, int and (p, q), nested, over
+# lists, tuples and scalars.  A table inside a list is keyed by str, as
+# `validate`'s failures are: `_json` does not enter lists, and `json` would
+# spell (and sort) any other key there itself.
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(min_value=2**64), st.integers(max_value=-2**64),
+                    st.floats(), st.text(),
+                    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "\u00e9", "\U0001f600"]))
+PLAIN = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=3), inner, max_size=4)), max_leaves=12)
+KEYS = st.one_of(st.text(max_size=3), st.integers(-12, 12),
+                 st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+REPORTS = st.recursive(PLAIN, lambda inner: st.dictionaries(KEYS, inner, max_size=5),
+                       max_leaves=24)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(value=REPORTS)
+def test_report_writer_spells_what_json_dumps_spells(value):
+    assert cli._dump(value) == json.dumps(_json(value), indent=2, sort_keys=True)
+
+
+def test_command_line_forms_write_one_report(tmp_path, capsys):
+    # `--opt value` and `--opt=value`, options before the file, and the last
+    # of a repeated option
+    case = CASES / "euler-n2.json"
+    reports = [tmp_path / f"{i}.json" for i in range(3)]
+    for args in (["koszul", case, "--weights", "1..2", "--json", reports[0]],
+                 ["koszul", case, "--weights=1..2", f"--json={reports[1]}"],
+                 ["koszul", "--json", reports[2], "--weights", "0..0", "--weights=1..2",
+                  case]):
+        assert run_cli(args) == 0
+    capsys.readouterr()
+    assert reports[0].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
+    assert json.loads(reports[0].read_text())["report"]["formality_per_weight"] == {
+        "1": True, "2": True}
+
+
+@pytest.mark.parametrize("args", [["-h"], ["--help"], ["koszul", "-h"]])
+def test_help_prints_the_usage_of_every_command(capsys, args):
+    assert run_cli(args) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: liekoszul COMMAND FILE")
+    assert [line.split()[1] for line in out.splitlines()[1:]] == list(cli.COMMANDS)
+    assert "  liekoszul p1 FILE [--json PATH] [--window N]\n" in out
+
+
+# Command lines the reader refuses: (words after the program name, words of
+# the one error line).
+USAGE_ERRORS = {
+    "no-command": ([], "got none"),
+    "unknown-command": (["nope", CASES / "euler-n2.json"], "got 'nope'"),
+    "no-file": (["koszul"], "koszul takes one example file, got 0"),
+    "two-files": (["koszul", CASES / "euler-n2.json", CASES / "xline-n1.json"], "got 2"),
+    "unknown-option": (["koszul", CASES / "euler-n2.json", "--verbose"],
+                       "koszul takes no option '--verbose'"),
+    "other-commands-option": (["koszul", CASES / "euler-n2.json", "--window", "2"],
+                              "koszul takes no option '--window'"),
+    "abbreviated-option": (["p1", CASES / "p1-euler-O0.json", "--win", "2"],
+                           "p1 takes no option '--win'"),
+    "option-without-value": (["p1", CASES / "p1-euler-O0.json", "--window"],
+                             "option --window needs a value"),
+    "window-not-an-integer": (["p1", CASES / "p1-euler-O0.json", "--window", "x"],
+                              "option --window takes an integer, got 'x'"),
+    "max-page-not-an-integer": (["specseq", CASES / "square-double.json", "--max-page=1.5"],
+                                "option --max-page takes an integer, got '1.5'"),
+    "unknown-filtration": (["specseq", CASES / "square-double.json", "--filtration", "diag"],
+                           "--filtration must be row or column, got 'diag'"),
+}
+
+
+@pytest.mark.parametrize("args,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_a_usage_error_prints_one_line_and_exits_2(capsys, args, message):
+    assert message in _exit_with_one_line(capsys, args, 2, "error:")
+
+
+def test_a_key_written_twice_is_an_input_error(tmp_path, capsys):
+    # `json` alone keeps the second value, and hs would pass on it
+    text = (CASES / "heisenberg-center.json").read_text()
+    twice = text.replace('"0,1": ["0", "0", "1"]', '"0,1": ["0", "0", "1"], "0,1": ["0", "0", "2"]')
+    assert twice != text
+    path = tmp_path / "twice.json"
+    path.write_text(twice)
+    err = _exit_with_one_line(capsys, ["hs", path], 2, "error:")
+    assert err == "error: key '0,1' is written twice in one object\n"
+
+
 def test_parser_reuse_keeps_reports_and_exit_codes(tmp_path, capsys):
     # One process runs koszul with and without --weights, then p1; each
     # report must equal the one a fresh process writes.
@@ -156,10 +245,7 @@ def test_parser_reuse_keeps_reports_and_exit_codes(tmp_path, capsys):
         assert here.read_bytes() == fresh.read_bytes()
     for bad in (["koszul"], ["nope", CASES / "euler-n2.json"],
                 ["p1", CASES / "p1-euler-O0.json", "--window", "x"]):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(bad)
-        assert exc.value.code == 2
-    capsys.readouterr()
+        _exit_with_one_line(capsys, bad, 2, "error:")
     assert run_cli(["koszul", CASES / "euler-n2.json", "--weights", "1..1"]) == 0
 
 
@@ -1272,6 +1358,14 @@ UNREACHED_INPUT_CHECKS = {
     "lie-bracket-key": ("heisenberg-center.json",
                         lambda p: p.update(brackets={"2,1": ["0", "0", "1"]}), ["hs"],
                         2, r"bracket key \(2,1\) must satisfy 0 <= i < j < 3"),
+    "lie-bracket-pair-twice": ("heisenberg-center.json",
+                               lambda p: p["brackets"].update({"0, 1": ["0", "0", "2"]}),
+                               ["hs"], 2,
+                               r"bracket keys '0,1' and '0, 1' name the same pair \(0,1\)"),
+    "presentation-bracket-pair-twice": ("euler-n2.json",
+                                        lambda p: p["brackets"].update({"0, 1": [{}, {}]}),
+                                        ["validate"], 2,
+                                        r"bracket keys '0,1' and '0, 1' name the same pair"),
     "mixed-weight-section": ("euler-n2.json",
                              lambda p: p.update(section=[{"1,0": 1}, {"0,2": 1}]), ["koszul"],
                              1, "section components have mixed total weights"),

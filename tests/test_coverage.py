@@ -2,9 +2,9 @@
 here with the reason it stays.
 
 The gate traces the frames of `src/liekoszul` with `sys.settrace` while
-every `cases/*.json` file runs under every command of `cli.COMMANDS`, and
-compares the functions never entered with `ALLOWLIST`.  Dunders are exempt,
-and so are the names the benchmark's tracer wraps
+every `cases/*.json` file runs under every command of `cli.COMMANDS`, each
+run writing its `--json` report, and compares the functions never entered
+with `ALLOWLIST`.  Dunders are exempt, and so are the names the benchmark's tracer wraps
 (`perfbench/tracing.ENTRY_POINTS`, read by `test_imports._entry_points`),
 which stay until the benchmark drops them.  The check is equality, so a
 stale entry fails as well as a new dead function.
@@ -15,10 +15,10 @@ import contextlib
 import importlib.util
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import liekoszul
-from liekoszul import cli
 from liekoszul.cli import COMMANDS, main
 
 from test_imports import _entry_points
@@ -119,12 +119,12 @@ def never_entered(modules, run) -> list[str]:
 
 
 def _run_every_case():
-    # the argument parser is built once per process; build it again inside the run
-    cli._parser.cache_clear()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    # each run writes its `--json` report, so that the report writer runs
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
         for case in CASES:
             for command in COMMANDS:
-                main([command, str(case)])
+                main([command, str(case), "--json", str(Path(tmp) / "report.json")])
 
 
 def test_every_function_a_case_leaves_unrun_is_allowed():
