@@ -54,9 +54,9 @@ import math
 from fractions import Fraction as QQ
 from typing import NamedTuple
 
-from .complexes import (BuilderError, DoubleComplex, _built, _twisted, column_filtration,
-                        row_filtration)
-from .exactla import ExactMatrix, VerdictError, _wrap, format_rational, integer, qq, quotient, rank
+from .complexes import DoubleComplex, _twisted, column_filtration, row_filtration
+from .exactla import (BuilderError, ExactMatrix, VerdictError, _built, format_rational, integer,
+                      qq, quotient, rank)
 from .lierinehart import p_scale, p_sub
 from .specseq import Pairing, compute_page, run
 
@@ -227,7 +227,7 @@ def _laurent_block(src: list, dst: list, maps: dict) -> ExactMatrix:
             if i is None:
                 raise BuilderError(f"image {(out, r, e + j)} leaves the target cell")
             rows[i][col] = coeff
-    return _wrap(len(dst), len(src), tuple(rows))
+    return _built(ExactMatrix, len(dst), len(src), tuple(rows))
 
 
 def _delta_matrix(row: RowModel) -> ExactMatrix:

@@ -30,8 +30,8 @@ from .complexes import (
     row_filtration,
     total,
 )
-from .exactla import (ExactMatrix, InputError, Subspace, VerdictError, _sparse, integer, integers,
-                      qq, sized)
+from .exactla import (ExactMatrix, InputError, Subspace, VerdictError, _built, _sparse, integer,
+                      integers, qq, sized)
 from .specseq import compute_page, run as ss_run
 
 
@@ -179,7 +179,7 @@ def _rows(vectors, dim: int, field: str, parsed: dict) -> list:
 
 def _subspace(vectors, dim: int, field: str) -> Subspace:
     """The span of the field `field`: a list of vectors of length `dim`."""
-    return Subspace._span(dim, _rows(vectors, dim, field, {}))
+    return _built(Subspace, dim, _rows(vectors, dim, field, {}))
 
 
 def _cell(key, field: str, seen: dict) -> tuple[int, int]:
@@ -440,7 +440,9 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool]:
         "dim_y": dim_y,
         "dim_y_source": "asserted" if asserted else "certified" if dim_y == 0 else "unknown",
     }
-    if dim_y is None:
+    if dim_y is None or lr.rank > lr.ring.nvars:
+        # no vanishing theorem to check: `koszul.vanishing_check` needs dim Y
+        # and at most as many generators as variables
         return values, formality.ok
     vr = koszul.vanishing_check(tables, dim_y)
     values["vanishing"] = vr.ok
@@ -607,8 +609,12 @@ def main(argv=None) -> int:
             "ok": ok is not False,
             "report": values,
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(_dump(report) + "\n")
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(_dump(report) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write the JSON report: {exc}", file=sys.stderr)
+            return 2
     return 1 if ok is False else 0
 
 

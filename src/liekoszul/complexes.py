@@ -5,15 +5,15 @@ commuting squares, anticommutation, filtration range and d-stability,
 integral dims and levels, double-complex keys inside the rectangle), so
 raw input cannot become an invalid value.  A double complex is checked
 cell by cell: d_h^2, d_v^2 and d_h d_v + d_v d_h in rectangle order, so the
-first failing cell is named.  The package's builders construct through the
-private `_built(cls, *args)` instead, which sets the same fields through
-the same `_set` of each class and checks shapes only: their matrices are
-canonical rows wrapped by `exactla._wrap`, their filtrations keep the level
-tuples they build, and their invariants hold by construction once their
-input is valid; the tests prove them on the corpora
+first failing cell is named.  Each class is an immutable `exactla.Value`
+whose `_set` checks shapes and fills the fields: after the checks of
+`__init__`, or alone when a builder makes the value through
+`exactla._built`.  A builder's matrices are canonical rows, its
+filtrations keep the level tuples it built, and its invariants hold by
+construction once its input is valid; the tests prove them on the corpora
 (`tests/test_builders.py`).  A failed shape check there raises
-BuilderError, a bug, not the ComplexError of raw input.  Filtrations are
-stored as one level per vector of an adapted basis.
+`exactla.BuilderError`, a bug, not the ComplexError of raw input.
+Filtrations are stored as one level per vector of an adapted basis.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from .exactla import (
     Row,
     Subquotient,
     Subspace,
+    Value,
     _axpy,
+    _built,
     _insert,
     _rref,
     _transpose,
-    _wrap,
     image_basis,
     induced_map,
     integer,
@@ -43,22 +44,7 @@ class ComplexError(InputError):
     pass
 
 
-class BuilderError(Exception):
-    """Builder output of the wrong shape: a fault of the program, not of its input."""
-
-
-def _built(cls, *args):
-    """A builder's `cls` value, whose invariant holds by construction: the
-    fields and shape checks of `cls._set`, with no product or scan."""
-    obj = object.__new__(cls)
-    try:
-        obj._set(*args)
-    except ComplexError as exc:
-        raise BuilderError(f"{cls.__name__} from a builder: {exc}") from exc
-    return obj
-
-
-class CochainComplex:
+class CochainComplex(Value):
     """Complex C^lo -> ... -> C^hi with differentials d_k: C^k -> C^{k+1}."""
 
     __slots__ = ("lo", "hi", "_dims", "_diffs")
@@ -89,13 +75,7 @@ class CochainComplex:
                     f"differential at degree {lo + i} has shape {d.rows}x{d.cols}, "
                     f"expected {dims[i + 1]}x{dims[i]}"
                 )
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_dims", dims)
-        object.__setattr__(self, "_diffs", diffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CochainComplex is immutable")
+        Value._set(self, lo, hi, dims, diffs)
 
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
@@ -136,7 +116,7 @@ def _betti(c: CochainComplex, ranks: Mapping[int, int]) -> dict[int, int]:
     return {k: c.dim(k) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in c.degrees()}
 
 
-class ChainMap:
+class ChainMap(Value):
     """Degreewise map of complexes commuting with the differentials."""
 
     __slots__ = ("source", "target", "_maps")
@@ -158,12 +138,7 @@ class ChainMap:
             if m.rows != target.dim(k) or m.cols != source.dim(k):
                 raise ComplexError(f"component at degree {k} has wrong shape")
             comps[k] = m
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_maps", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainMap is immutable")
+        Value._set(self, source, target, comps)
 
     def component(self, k: int) -> ExactMatrix:
         m = self._maps.get(k)
@@ -227,7 +202,7 @@ def _cone_is_acyclic(f: ChainMap, ranks: Mapping[int, int]) -> bool:
                for k in range(min(c.lo - 1, t.lo), max(c.hi - 1, t.hi) + 1))
 
 
-class DoubleComplex:
+class DoubleComplex(Value):
     """Anticommuting bounded double complex.
 
     Cells K^{p,q} over a rectangle, with d_h: (p,q) -> (p+1,q) and
@@ -269,28 +244,19 @@ class DoubleComplex:
              vertical: Mapping[tuple[int, int], ExactMatrix]) -> None:
         if p_hi < p_lo or q_hi < q_lo:
             raise ComplexError("empty rectangle")
-        cells = [(p, q) for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)]
-        object.__setattr__(self, "p_lo", p_lo)
-        object.__setattr__(self, "p_hi", p_hi)
-        object.__setattr__(self, "q_lo", q_lo)
-        object.__setattr__(self, "q_hi", q_hi)
-        object.__setattr__(self, "_dims", {pq: dims.get(pq, 0) for pq in cells})
+        cells = {(p, q): dims.get((p, q), 0)
+                 for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)}
         dh, dv = {}, {}
-        for p, q in cells:
+        for (p, q), dim in cells.items():
             for given, kept, target, name in ((horizontal, dh, (p + 1, q), "horizontal"),
                                               (vertical, dv, (p, q + 1), "vertical")):
                 m = given.get((p, q))
                 if m is None:
                     continue
-                if m.rows != self.cell_dim(*target) or m.cols != self.cell_dim(p, q):
+                if m.rows != cells.get(target, 0) or m.cols != dim:
                     raise ComplexError(f"{name} map at {(p, q)} has wrong shape")
                 kept[(p, q)] = m
-        object.__setattr__(self, "_dh", dh)
-        object.__setattr__(self, "_dv", dv)
-        object.__setattr__(self, "_total", _assemble_total(self))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoubleComplex is immutable")
+        Value._set(self, p_lo, p_hi, q_lo, q_hi, cells, dh, dv, _assemble_total(cells, dh, dv))
 
     @classmethod
     def from_commuting(cls, p_lo: int, p_hi: int, q_lo: int, q_hi: int,
@@ -326,18 +292,16 @@ def _twisted(vertical: Mapping[tuple[int, int], ExactMatrix]) -> dict[tuple[int,
     return {(p, q): m if p % 2 == 0 else -m for (p, q), m in vertical.items()}
 
 
-def total_layout(d: DoubleComplex) -> dict[int, list[tuple[int, int, int]]]:
-    """Cells of each total degree as (p, q, offset), ordered by ascending p."""
+def total_layout(cells: Mapping[tuple[int, int], int]) -> dict[int, list[tuple[int, int, int]]]:
+    """Cells of each total degree as (p, q, offset), ordered by ascending p,
+    from the dimensions of all cells of a rectangle in `DoubleComplex`'s
+    order (p ascending, then q), so that the degrees ascend too."""
     layout: dict[int, list[tuple[int, int, int]]] = {}
-    for n in range(d.p_lo + d.q_lo, d.p_hi + d.q_hi + 1):
-        cells = []
-        off = 0
-        for p in range(d.p_lo, d.p_hi + 1):
-            q = n - p
-            if d.q_lo <= q <= d.q_hi:
-                cells.append((p, q, off))
-                off += d.cell_dim(p, q)
-        layout[n] = cells
+    ends: dict[int, int] = {}
+    for (p, q), dim in cells.items():
+        off = ends.get(p + q, 0)
+        layout.setdefault(p + q, []).append((p, q, off))
+        ends[p + q] = off + dim
     return layout
 
 
@@ -347,17 +311,18 @@ def total(d: DoubleComplex) -> CochainComplex:
     return d._total
 
 
-def _assemble_total(d: DoubleComplex) -> CochainComplex:
-    layout = total_layout(d)
-    lo = d.p_lo + d.q_lo
-    hi = d.p_hi + d.q_hi
-    dims = [sum(d.cell_dim(p, q) for p, q, _ in layout[n]) for n in range(lo, hi + 1)]
+def _assemble_total(cells: Mapping[tuple[int, int], int],
+                    dh: Mapping[tuple[int, int], ExactMatrix],
+                    dv: Mapping[tuple[int, int], ExactMatrix]) -> CochainComplex:
+    layout = total_layout(cells)
+    lo, hi = min(layout), max(layout)
+    dims = [sum(cells[(p, q)] for p, q, _ in layout[n]) for n in range(lo, hi + 1)]
     diffs = []
     for n in range(lo, hi):
         dst = {(p, q): off for p, q, off in layout[n + 1]}
         out: list[dict] = [{} for _ in range(dims[n + 1 - lo])]
         for p, q, off in layout[n]:
-            for maps, tgt in ((d._dh, (p + 1, q)), (d._dv, (p, q + 1))):
+            for maps, tgt in ((dh, (p + 1, q)), (dv, (p, q + 1))):
                 mat, toff = maps.get((p, q)), dst.get(tgt)
                 if mat is None or toff is None:
                     continue
@@ -365,11 +330,11 @@ def _assemble_total(d: DoubleComplex) -> CochainComplex:
                     target = out[toff + i]
                     for j, a in row.items():
                         target[off + j] = a
-        diffs.append(_wrap(dims[n + 1 - lo], dims[n - lo], tuple(out)))
+        diffs.append(_built(ExactMatrix, dims[n + 1 - lo], dims[n - lo], tuple(out)))
     return _built(CochainComplex, lo, hi, dims, diffs)
 
 
-class FilteredComplex:
+class FilteredComplex(Value):
     """Decreasing, d-stable, bounded filtration of a cochain complex, written
     in a basis adapted to it.
 
@@ -407,13 +372,7 @@ class FilteredComplex:
         for n in cplx.degrees():
             if len(levels[n]) != cplx.dim(n):
                 raise ComplexError(f"need one level per basis vector in degree {n}")
-        object.__setattr__(self, "complex", cplx)
-        object.__setattr__(self, "p_lo", p_lo)
-        object.__setattr__(self, "p_hi", p_hi)
-        object.__setattr__(self, "levels", levels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FilteredComplex is immutable")
+        Value._set(self, cplx, p_lo, p_hi, levels)
 
     @classmethod
     def from_flag(cls, cplx: CochainComplex, p_lo: int, p_hi: int,
@@ -483,8 +442,8 @@ class FilteredComplex:
                     x = column[index[c]] = w[c]
                     _axpy(w, x, target[c])
                 columns.append(column)
-            diffs.append(_wrap(cplx.dim(n + 1), cplx.dim(n),
-                               tuple(_transpose(columns, cplx.dim(n + 1)))))
+            diffs.append(_built(ExactMatrix, cplx.dim(n + 1), cplx.dim(n),
+                                tuple(_transpose(columns, cplx.dim(n + 1)))))
         # A change of basis of a complex: d.d = 0 carries over.
         adapted = _built(CochainComplex, cplx.lo, cplx.hi,
                          [cplx.dim(n) for n in cplx.degrees()], diffs)
@@ -513,7 +472,7 @@ def _coordinate_filtration(d: DoubleComplex, index: Callable[[int, int], int],
     by one and keeps q, d_v the other way round, so both coordinate
     filtrations are d-stable."""
     levels = {n: tuple(index(p, q) for p, q, _ in cells for _ in range(d.cell_dim(p, q)))
-              for n, cells in total_layout(d).items()}
+              for n, cells in total_layout(d._dims).items()}
     return _built(FilteredComplex, total(d), f_lo, f_hi, levels)
 
 

@@ -13,11 +13,15 @@ Every layer reads through them with its own error class, which names
 the field.  Beside them sit the bases that say whose fault an error is:
 `InputError` (input, exit 2) and `VerdictError` (a failed verdict, exit 1).
 
+Every value class of the package derives from `Value`, the one place
+that makes a value immutable, and a builder makes any of them through the
+one unchecked constructor `_built(cls, *args)`; the checking constructors
+(`__init__`) serve raw input and the tests.
+
 Storage is sparse and canonical.  An `ExactMatrix` keeps, per row, a dict
 from column index to nonzero entry, and never stores a zero or an integral
 `Fraction`, so two equal matrices have equal storage whatever they were
-built from.  Builders write canonical rows and wrap them (`_wrap`); the
-checking constructors serve raw input and the tests.
+built from; builders write canonical rows and pass them to `_built`.
 Products, sums, zero tests, equality and elimination touch nonzeros only.
 A `Subspace` keeps the rows of its reduced row echelon form (RREF) the
 same way.  The RREF of a row space is unique, so the elimination result,
@@ -29,9 +33,11 @@ image, rank and solve), `Subquotient`, `complexes._cone_ranks`,
 `FilteredComplex.from_flag` (its running echelon per degree and the rank
 of each level) and `specseq.run`.
 
-Every other change of basis is one call of `coordinates`: the
-coordinates of sparse target rows in an independent sparse basis, from
-one RREF of [basis | targets], checked by the sparse product B X = T.
+A change of basis into an independent sparse basis is one call of
+`coordinates`: one RREF of [basis | targets], checked by the sparse
+product B X = T.  The one exception is `FilteredComplex.from_flag`, whose
+targets are images of its own echelon rows: it reads their coordinates
+by forward reduction against that echelon.
 
 Dense tuples of `Fraction`s (`Vector`) are test and `repr` edges only:
 `solve_batch` and `Subquotient.class_coordinates_batch`, which the
@@ -43,6 +49,7 @@ tests run every report with these views made to raise.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 QQ = Fraction
@@ -192,16 +199,44 @@ def _axpy(w: Row, f: QQ, row: Mapping[int, QQ]) -> None:
         w[j] = y if y.__class__ is int or y.denominator != 1 else y.numerator
 
 
-def _wrap(rows: int, cols: int, row_maps: tuple) -> "ExactMatrix":
-    """An ExactMatrix over rows that are already canonical."""
-    m = object.__new__(ExactMatrix)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "row_maps", row_maps)
-    return m
+class Value:
+    """Base of the package's immutable value classes.  A value's fields are
+    its `__slots__`, filled once, in their order, by `_set` when it is made:
+    by its class's checking `__init__`, or by `_built` from a builder's
+    output.  A class whose fields are derived or shape-checked overrides
+    `_set` and ends it with this one; any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, *fields) -> None:
+        # mapped in C, with no bytecode per field: every matrix that a
+        # builder makes is filled here
+        any(map(object.__setattr__, repeat(self), self.__slots__, fields))
 
 
-class ExactMatrix:
+class BuilderError(Exception):
+    """Builder output of the wrong shape: a fault of the program, not of its input."""
+
+
+def _built(cls, *args):
+    """A builder's `cls` value, made by `cls._set` without the checks of
+    `cls.__init__`: its fields and shape checks, no product or scan.  Its
+    invariants hold by construction once the builder's input was checked,
+    and the tests prove them on the corpora (`tests/test_builders.py`).  A
+    shape check that fails here is the builder's fault: BuilderError, not
+    the InputError of raw input."""
+    obj = object.__new__(cls)
+    try:
+        obj._set(*args)
+    except InputError as exc:
+        raise BuilderError(f"{cls.__name__} from a builder: {exc}") from exc
+    return obj
+
+
+class ExactMatrix(Value):
     """Immutable rational matrix stored as sparse rows.
 
     `row_maps[i]` maps the column index of each nonzero entry of row i to
@@ -224,12 +259,7 @@ class ExactMatrix:
             data.append(out)
         if len(data) != rows:
             raise LinearAlgebraError(f"row count {len(data)} does not match shape {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "row_maps", tuple(data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
+        self._set(rows, cols, tuple(data))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ExactMatrix":
@@ -238,11 +268,11 @@ class ExactMatrix:
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise LinearAlgebraError("ragged rows")
-        return _wrap(nrows, ncols, tuple(_sparse(r) for r in rows))
+        return _built(cls, nrows, ncols, tuple(_sparse(r) for r in rows))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return _wrap(rows, cols, tuple({} for _ in range(rows)))
+        return _built(cls, rows, cols, tuple({} for _ in range(rows)))
 
     # -- arithmetic on nonzeros ------------------------------------------------
 
@@ -271,7 +301,7 @@ class ExactMatrix:
                     x = acc.get(j)
                     acc[j] = a * b if x is None else x + a * b
             out.append({j: _integral(x) for j, x in acc.items() if x})
-        return _wrap(self.rows, other.cols, tuple(out))
+        return _built(ExactMatrix, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -284,21 +314,22 @@ class ExactMatrix:
             s = dict(a)
             _axpy(s, -1, b)
             out.append(s)
-        return _wrap(self.rows, self.cols, tuple(out))
+        return _built(ExactMatrix, self.rows, self.cols, tuple(out))
 
     def __neg__(self) -> "ExactMatrix":
-        return _wrap(self.rows, self.cols,
-                     tuple({j: -x for j, x in r.items()} for r in self.row_maps))
+        return _built(ExactMatrix, self.rows, self.cols,
+                      tuple({j: -x for j, x in r.items()} for r in self.row_maps))
 
     def scaled(self, c) -> "ExactMatrix":
         c = qq(c)
         if not c:
             return ExactMatrix.zeros(self.rows, self.cols)
-        return _wrap(self.rows, self.cols,
-                     tuple({j: _integral(c * x) for j, x in r.items()} for r in self.row_maps))
+        return _built(ExactMatrix, self.rows, self.cols,
+                      tuple({j: _integral(c * x) for j, x in r.items()} for r in self.row_maps))
 
     def transpose(self) -> "ExactMatrix":
-        return _wrap(self.cols, self.rows, tuple(_transpose(self.row_maps, self.cols)))
+        return _built(ExactMatrix, self.cols, self.rows,
+                      tuple(_transpose(self.row_maps, self.cols)))
 
     def is_zero(self) -> bool:
         return not any(self.row_maps)
@@ -371,7 +402,7 @@ def _rref(rows: Sequence[Mapping[int, QQ]], reduced: bool = True
     return [echelon[p] for p in pivots], pivots
 
 
-class Subspace:
+class Subspace(Value):
     """Subspace of QQ^n with a canonical reduced-row-echelon basis.
 
     `sparse_basis` holds the RREF rows as sparse rows and `pivots` their
@@ -390,23 +421,11 @@ class Subspace:
 
     def _set(self, ambient_dim: int, rows: Sequence[Row]) -> None:
         echelon, pivots = _rref(rows) if rows else ([], [])
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "sparse_basis", tuple(echelon))
-        object.__setattr__(self, "pivots", tuple(pivots))
-
-    @classmethod
-    def _span(cls, ambient_dim: int, rows: Sequence[Row]) -> "Subspace":
-        """Span of canonical sparse rows (no zeros, ints where integral, in range)."""
-        s = object.__new__(cls)
-        s._set(ambient_dim, rows)
-        return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+        Value._set(self, ambient_dim, tuple(echelon), tuple(pivots))
 
     @classmethod
     def zero_space(cls, n: int) -> "Subspace":
-        return cls._span(n, [])
+        return _built(cls, n, [])
 
     @property
     def dim(self) -> int:
@@ -432,7 +451,7 @@ class Subspace:
         # a vector of the intersection, and every one arises this way.
         k = self.dim
         cols = self.sparse_basis + other.sparse_basis
-        ker = kernel_basis(_wrap(n, len(cols), tuple(_transpose(cols, n))))
+        ker = kernel_basis(_built(ExactMatrix, n, len(cols), tuple(_transpose(cols, n))))
         vectors = []
         for sol in ker.sparse_basis:
             vec: Row = {}
@@ -440,14 +459,14 @@ class Subspace:
                 if i < k:
                     _axpy(vec, -c, self.sparse_basis[i])
             vectors.append(vec)
-        return Subspace._span(n, vectors)
+        return _built(Subspace, n, vectors)
 
     def preimage_under(self, m: ExactMatrix) -> "Subspace":
         """The subspace {v : Mv in self} of the domain of M."""
         if m.rows != self.ambient_dim:
             raise LinearAlgebraError("matrix does not map into this ambient space")
         reduced_cols = [self._residual(c) for c in _transpose(m.row_maps, m.cols)]
-        residual = _wrap(m.rows, m.cols, tuple(_transpose(reduced_cols, m.rows)))
+        residual = _built(ExactMatrix, m.rows, m.cols, tuple(_transpose(reduced_cols, m.rows)))
         return kernel_basis(residual)
 
     def __eq__(self, other) -> bool:
@@ -477,12 +496,12 @@ def kernel_basis(m: ExactMatrix) -> Subspace:
             v = free.get(j)
             if v is not None:
                 v[p] = -a
-    return Subspace._span(m.cols, list(free.values()))
+    return _built(Subspace, m.cols, list(free.values()))
 
 
 def image_basis(m: ExactMatrix) -> Subspace:
     """Canonical echelon basis of the column span of M."""
-    return Subspace._span(m.rows, _transpose(m.row_maps, m.cols))
+    return _built(Subspace, m.rows, _transpose(m.row_maps, m.cols))
 
 
 def normal_forms(s: Subspace) -> list[Row]:
@@ -529,7 +548,7 @@ def coordinates(basis: Sequence[Mapping[int, QQ]], n: int,
             _axpy(residual[j], c, b)
     if any(residual):
         raise LinearAlgebraError("coordinate check B X = T failed")
-    return _wrap(k, len(targets), x)
+    return _built(ExactMatrix, k, len(targets), x)
 
 
 def solve_batch(m: ExactMatrix, vectors: Sequence[Vector]) -> list[Vector | None]:
@@ -556,7 +575,7 @@ def solve_batch(m: ExactMatrix, vectors: Sequence[Vector]) -> list[Vector | None
             for j, (v, x, image) in enumerate(zip(vectors, sols, m.images(sols)))]
 
 
-class Subquotient:
+class Subquotient(Value):
     """cycles/boundaries with a fixed complement basis for representatives.
 
     Representatives are chosen deterministically: walk the echelon basis
@@ -575,12 +594,7 @@ class Subquotient:
         reps = tuple(row for row in cycles.sparse_basis if _insert(echelon, dict(row)) is not None)
         if len(reps) != cycles.dim - boundaries.dim:
             raise LinearAlgebraError("boundaries are not contained in cycles")
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "_rep_rows", reps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subquotient is immutable")
+        self._set(cycles, boundaries, reps)
 
     @property
     def ambient_dim(self) -> int:
@@ -641,4 +655,4 @@ def induced_map(f: ExactMatrix, src: Subquotient, dst: Subquotient) -> ExactMatr
         raise NotFiltrationCompatibleError("not filtration-compatible: boundaries escape")
     x = coordinates(dst._rep_rows + dst.boundaries.sparse_basis, dst.ambient_dim,
                     images[c + b:])
-    return _wrap(dst.dim, src.dim, x.row_maps[: dst.dim])
+    return _built(ExactMatrix, dst.dim, src.dim, x.row_maps[: dst.dim])

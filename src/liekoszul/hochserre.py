@@ -12,11 +12,13 @@ the action of g on it (`_h_blocks`) are read off that one complex, and the
 Betti numbers of H(g, M) off its one pairing.  Results are compared as
 dimensions, which are complement-independent.  Jacobi and the module
 identity are proved once, on input: the adapted algebra and module, g/h and
-each H^q(h, M) inherit them (Hochschild-Serre 1953), so `_derived` builds
-them unchecked.  The complexes built here are unchecked too: d^2 = 0 of a
-Chevalley-Eilenberg complex follows from Jacobi and the module identity
-(Weibel 1994, 7.7), C(h, M) is a block of it, and the ideal filtration is
-d-stable because [g, h] lies in h.  The tests prove all three on the corpora.
+each H^q(h, M) inherit them (Hochschild-Serre 1953), so they are made by
+`exactla._built`, unchecked; `LieAlgebra`, `LieIdeal` and `GModule` are
+immutable `exactla.Value`s like the complexes.  The complexes built here
+are unchecked too: d^2 = 0 of a Chevalley-Eilenberg complex follows from
+Jacobi and the module identity (Weibel 1994, 7.7), C(h, M) is a block of
+it, and the ideal filtration is d-stable because [g, h] lies in h.  The
+tests prove all three on the corpora.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from fractions import Fraction as QQ
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
-from .complexes import CochainComplex, FilteredComplex, _built, betti, cohomology
-from .exactla import (ExactMatrix, InputError, Subspace, VerdictError, _axpy, _wrap, coordinates,
-                      induced_map, integer, qq, sized)
+from .complexes import CochainComplex, FilteredComplex, betti, cohomology
+from .exactla import (ExactMatrix, InputError, Subspace, Value, VerdictError, _axpy, _built,
+                      coordinates, induced_map, integer, qq, sized)
 from .lierinehart import _assemble, _bracket_entries, _ce_terms, _jacobi
 from .specseq import compute_page, run
 
@@ -43,32 +45,27 @@ class MalformedLieAlgebra(LieAlgebraError, InputError):
     identity."""
 
 
-def _derived(cls, **fields):
-    """An instance of `cls` over data derived from checked input, unchecked."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-class LieAlgebra:
+class LieAlgebra(Value):
     """Structure constants c_ij^k, stored as {(i, j): {k: c}} with i < j and
     nonzero c only; Jacobi is checked exactly by `lierinehart._jacobi`, the
     check `validate` runs, which visits only the nonzero products."""
 
+    __slots__ = ("dim", "brackets")
+
     def __init__(self, dim: int, brackets: Mapping):
-        dim = self.dim = integer(dim, "dim", MalformedLieAlgebra)
+        dim = integer(dim, "dim", MalformedLieAlgebra)
         if dim < 0:
             raise MalformedLieAlgebra(f"dim must not be negative, got {dim!r}")
-        self.brackets: dict[tuple[int, int], dict[int, QQ]] = {}
+        kept: dict[tuple[int, int], dict[int, QQ]] = {}
         for key, i, j, coeffs in _bracket_entries(brackets, dim, MalformedLieAlgebra):
             try:
                 nonzero = {k: c for k, c in enumerate(map(qq, coeffs)) if c}
             except (TypeError, ValueError) as exc:
                 raise MalformedLieAlgebra(f"bracket {key}: {exc}") from None
             if nonzero:
-                self.brackets[(i, j)] = nonzero
-        constants = {pair: {s: {(): c} for s, c in cs.items()}
-                     for pair, cs in self.brackets.items()}
+                kept[(i, j)] = nonzero
+        self._set(dim, kept)
+        constants = {pair: {s: {(): c} for s, c in cs.items()} for pair, cs in kept.items()}
         for (i, j, k), comps in _jacobi(constants, None, ()).items():
             raise LieAlgebraError(
                 f"Jacobi identity fails on (e{i}, e{j}, e{k}) in component e{min(comps)}")
@@ -89,8 +86,10 @@ class LieAlgebra:
         return out
 
 
-class LieIdeal:
+class LieIdeal(Value):
     """Subspace h with [g, h] contained in h (checked on basis vectors)."""
+
+    __slots__ = ("subspace",)
 
     def __init__(self, owner: LieAlgebra, subspace: Subspace):
         if subspace.ambient_dim != owner.dim:
@@ -100,17 +99,19 @@ class LieIdeal:
                 if subspace._residual(owner.bracket({i: 1}, b)):
                     raise LieAlgebraError(
                         f"not an ideal: [e{i}, h-basis vector] leaves the subspace")
-        self.subspace = subspace
+        self._set(subspace)
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
 
-class GModule:
+class GModule(Value):
     """Finite-dimensional module given by one action matrix per basis vector,
     with rho[e_i, e_j] = [rho e_i, rho e_j] checked on the pairs where it can
     fail: a nonzero bracket, or two nonzero actions (elsewhere 0 = 0)."""
+
+    __slots__ = ("dim", "actions")
 
     def __init__(self, algebra: LieAlgebra, dim: int, actions: Sequence[ExactMatrix]):
         dim = integer(dim, "module dim", MalformedLieAlgebra)
@@ -129,8 +130,7 @@ class GModule:
             if lhs != rhs:
                 raise LieAlgebraError(
                     f"action does not respect the bracket on (e{i}, e{j})")
-        self.dim = dim
-        self.actions = tuple(actions)
+        self._set(dim, tuple(actions))
 
     @classmethod
     def trivial(cls, algebra: LieAlgebra) -> "GModule":
@@ -181,10 +181,10 @@ def _adapted(g: LieAlgebra, h: LieIdeal, m: GModule):
     basis = list(h.subspace.sparse_basis) + [{i: 1} for i in range(n) if i not in pivots]
     pairs = list(combinations(range(n), 2))
     coords = coordinates(basis, n, [g.bracket(basis[a], basis[b]) for a, b in pairs])
-    g2 = _derived(LieAlgebra, dim=n, brackets={
+    g2 = _built(LieAlgebra, n, {
         pair: col for pair, col in zip(pairs, coords.transpose().row_maps) if col})
     zero = ExactMatrix.zeros(m.dim, m.dim)
-    m2 = _derived(GModule, dim=m.dim, actions=tuple(
+    m2 = _built(GModule, m.dim, tuple(
         sum((m.actions[i].scaled(c) for i, c in row.items()), zero) for row in basis))
     return g2, m2, h.dim
 
@@ -206,7 +206,7 @@ def _filtered(cplx: CochainComplex, dim_m: int, k: int) -> FilteredComplex:
 
 
 def _quotient_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
-    return _derived(LieAlgebra, dim=g2.dim - k, brackets={
+    return _built(LieAlgebra, g2.dim - k, {
         (a - k, b - k): {s - k: c for s, c in cs.items() if s >= k}
         for (a, b), cs in g2.brackets.items() if a >= k and max(cs) >= k})
 
@@ -214,8 +214,8 @@ def _quotient_algebra(g2: LieAlgebra, k: int) -> LieAlgebra:
 def _block(d: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> ExactMatrix:
     """The submatrix of d on the given rows and columns, in those orders."""
     pos = {c: j for j, c in enumerate(cols)}
-    return _wrap(len(rows), len(cols), tuple({pos[c]: x for c, x in d.row_maps[r].items()
-                                             if c in pos} for r in rows))
+    return _built(ExactMatrix, len(rows), len(cols),
+                  tuple({pos[c]: x for c, x in d.row_maps[r].items() if c in pos} for r in rows))
 
 
 def _h_blocks(g2: LieAlgebra, cplx: CochainComplex, dim_m: int, k: int):
@@ -259,8 +259,7 @@ def _e2_grid(g2: LieAlgebra, cplx: CochainComplex, dim_m: int,
     quot = _quotient_algebra(g2, k)
     grid: dict[tuple[int, int], int] = {}
     for q, hq in cohomology(hcomplex).items():
-        module = _derived(GModule, dim=hq.dim,
-                          actions=tuple(induced_map(a, hq, hq) for a in actions[q]))
+        module = _built(GModule, hq.dim, tuple(induced_map(a, hq, hq) for a in actions[q]))
         for p, dim in betti(ce_complex(quot, module)).items():
             grid[(p, q)] = dim
     return grid

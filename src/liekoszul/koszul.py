@@ -41,15 +41,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
-from .complexes import (
-    ChainMap,
-    CochainComplex,
-    _betti,
-    _built,
-    _cone_is_acyclic,
-    _cone_ranks,
-)
-from .exactla import ExactMatrix, Subspace, _transpose, _wrap, normal_forms
+from .complexes import ChainMap, CochainComplex, _betti, _cone_is_acyclic, _cone_ranks
+from .exactla import ExactMatrix, Subspace, _built, _transpose, normal_forms
 from .lierinehart import (
     LieRinehartPresentation,
     SectionV,
@@ -91,7 +84,7 @@ class ZeroLocusModel:
                 rows += [{} for _ in self.ring.monomials(w - gw)]
                 for r, col, x in self.lr.times_block(gen, w - gw):
                     rows[start + col][r] = x
-            self._slices[w] = Subspace._span(self.ring.slice_dim(w), rows)
+            self._slices[w] = _built(Subspace, self.ring.slice_dim(w), rows)
         return self._slices[w]
 
     def quotient_forms(self, w: int) -> list[dict]:
@@ -200,7 +193,7 @@ def _reduction_matrix(model: ZeroLocusModel, fs, offsets: dict[tuple[int, ...], 
         col0, wf = fs.blocks[s]
         for col, form in enumerate(model.quotient_forms(wf), start=col0):
             cols[col] = {base + i: c for i, c in form.items()}
-    return _wrap(dim_target, fs.dim, tuple(_transpose(cols, dim_target)))
+    return _built(ExactMatrix, dim_target, fs.dim, tuple(_transpose(cols, dim_target)))
 
 
 def _primitive(c: dict) -> dict:
@@ -259,6 +252,12 @@ class VanishingReport(NamedTuple):
 def vanishing_check(tables: Mapping[int, Mapping[int, int]], dim_y: int) -> VanishingReport:
     """Flags any nonzero H^m with m < -dim_y in the slice Betti tables
     (weight -> degree -> dim), e.g. `FormalitySliceResult.source_betti`;
-    the tables themselves are the caller's."""
+    the tables themselves are the caller's.
+
+    The slices are the Koszul complex K(c_1..c_m) of the m components of V
+    over k[x_1..x_n], whose H^{-k} can be nonzero for every k <= m - n +
+    dim Y (Eisenbud, Commutative Algebra, 1995, Ch. 17).  So a violation
+    contradicts a theorem only when m <= n; the caller checks no vanishing
+    otherwise."""
     return VanishingReport(tuple((m, w, h) for w, table in tables.items()
                                  for m, h in table.items() if m < -dim_y and h))

@@ -31,8 +31,8 @@ from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import CochainComplex
-from .exactla import (ExactMatrix, InputError, VerdictError, _integral, _wrap, format_rational,
-                      integer, integers, qq, sized)
+from .exactla import (ExactMatrix, InputError, Value, VerdictError, _built, _integral,
+                      format_rational, integer, integers, qq, sized)
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, QQ]
@@ -149,7 +149,7 @@ def _exponents(weights: tuple[int, ...], w: int) -> list[Monomial]:
     return [pre + (r // last,) for pre, r in parts if not r % last]
 
 
-class WeightedPolyRing:
+class WeightedPolyRing(Value):
     """Polynomial ring with positive integer weights on the variables."""
 
     __slots__ = ("nvars", "weights", "_monomials", "_indices")
@@ -157,20 +157,14 @@ class WeightedPolyRing:
     weights: tuple[int, ...]
 
     def __init__(self, nvars: int, weights: Sequence[int]):
-        object.__setattr__(self, "nvars", integer(nvars, "variable count", MalformedPresentation))
-        object.__setattr__(self, "weights", tuple(
-            integer(w, "variable weight", MalformedPresentation) for w in weights))
-        if len(self.weights) != self.nvars:
+        nvars = integer(nvars, "variable count", MalformedPresentation)
+        weights = tuple(integer(w, "variable weight", MalformedPresentation) for w in weights)
+        if len(weights) != nvars:
             raise MalformedPresentation("weight count does not match variable count")
-        if any(w < 1 for w in self.weights):
-            raise MalformedPresentation(
-                f"variable weights must be positive, got {list(self.weights)}")
-        # Per ring, so that nothing computed for one input is reused by another.
-        object.__setattr__(self, "_monomials", {})
-        object.__setattr__(self, "_indices", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedPolyRing is immutable")
+        if any(w < 1 for w in weights):
+            raise MalformedPresentation(f"variable weights must be positive, got {list(weights)}")
+        # Caches per ring, so that nothing computed for one input is reused by another.
+        self._set(nvars, weights, {}, {})
 
     def monomials(self, w: int) -> tuple[Monomial, ...]:
         """The monomials of weight w, in lexicographic order."""
@@ -482,7 +476,7 @@ def _assemble(rows: int, cols: int, placed) -> ExactMatrix:
             else:
                 for r, c, x in block:
                     data[r0 + r][c0 + c] = -x
-    return _wrap(rows, cols, tuple(data))
+    return _built(ExactMatrix, rows, cols, tuple(data))
 
 
 def ce_d(lr: LieRinehartPresentation, p: int, w: int) -> ExactMatrix:

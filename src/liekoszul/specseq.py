@@ -24,7 +24,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .complexes import FilteredComplex
-from .exactla import _insert
+from .exactla import Value, _insert
 
 
 class SpectralSequenceError(Exception):
@@ -93,7 +93,7 @@ def run(f: FilteredComplex) -> Pairing:
     return Pairing((f.p_lo, f.p_hi), (cplx.lo, cplx.hi), unpaired, pairs)
 
 
-class SpectralSequencePage:
+class SpectralSequencePage(Value):
     """Page E_r: `grid` holds dim E_r^{p,q} for every (p, q) of the grid and
     `ranks` the rank of d_r out of each (p, q) whose source and target are
     both nonzero."""
@@ -103,11 +103,7 @@ class SpectralSequencePage:
     ranks: dict[tuple[int, int], int]
 
     def __init__(self, grid, ranks):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "ranks", ranks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectralSequencePage is immutable")
+        self._set(grid, ranks)
 
     def nonzero_dims(self) -> dict[tuple[int, int], int]:
         return {pq: dim for pq, dim in self.grid.items() if dim}

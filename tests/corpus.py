@@ -160,7 +160,11 @@ def collision_line():
 
 
 def ce_algebroids():
-    """(name, presentation) for the Chevalley-Eilenberg oracle comparison."""
+    """(name, presentation) for the Chevalley-Eilenberg oracle comparison,
+    the `lie_rinehart` cases among them: `sl2-line` is sl2 by vector fields
+    on the line, (d/dx, x d/dx, x^2 d/dx), with [d/dx, x^2 d/dx] = 2x d/dx
+    written as 2x e_0, so that Jacobi holds only with the anchor acting on
+    the structure coefficient."""
     r1 = WeightedPolyRing(1, (1,))
     r2 = WeightedPolyRing(2, (1, 1))
     # aff(1) on the line: (x d/dx, d/dx) with [x d/dx, d/dx] = -d/dx
@@ -170,28 +174,20 @@ def ce_algebroids():
     euler_frame = LieRinehartPresentation(
         r2, [0, -1, -1], [[{(1, 0): 1}, {(0, 1): 1}], [{(0, 0): 1}, {}], [{}, {(0, 0): 1}]],
         {(0, 1): [{}, {(0, 0): -1}, {}], (0, 2): [{}, {}, {(0, 0): -1}]})
-    # sl2 by vector fields on the line: (d/dx, x d/dx, x^2 d/dx), with
-    # [d/dx, x^2 d/dx] = 2x d/dx written as 2x e_0, so that Jacobi holds only
-    # with the anchor acting on the structure coefficient
-    sl2_line = LieRinehartPresentation(
-        r1, [-1, 0, 1], [[{(0,): 1}], [{(1,): 1}], [{(2,): 1}]],
-        {(0, 1): [{(0,): 1}, {}, {}], (0, 2): [{(1,): 2}, {}, {}],
-         (1, 2): [{}, {}, {(0,): 1}]})
     out = [(f"tangent{list(weights)}", tangent_algebroid(WeightedPolyRing(len(weights), weights)))
            for weights in [(1,), (1, 1), (1, 1, 1), (1, 2)]]
     out += [("sl2-plane", sl2_on_plane()[0]), ("aff1-line", aff1),
-            ("euler-frame", euler_frame), ("sl2-line", sl2_line),
-            ("collision-line", collision_line())]
+            ("euler-frame", euler_frame), ("collision-line", collision_line())]
     out += [(name, build_lie_rinehart(payload)[0])
             for name, payload in case_payloads("lie_rinehart")]
     return out
 
 
 def ce_lie_algebras():
-    """(name, algebra, module) for the Chevalley-Eilenberg oracle comparison."""
+    """(name, algebra, module) for the Chevalley-Eilenberg oracle comparison,
+    the `lie_algebra` cases among them (`sl2-standard` is `sl2_standard()`)."""
     out = [(name, *build_lie_algebra(payload)[::2])
            for name, payload in case_payloads("lie_algebra")]
     out += [(f"heisenberg{2 * n + 1}", heisenberg(n), GModule.trivial(heisenberg(n)))
             for n in (1, 2, 3)]
-    out.append(("sl2-standard", *sl2_standard()))
     return out

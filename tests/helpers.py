@@ -67,8 +67,12 @@ def units(n):
 
 
 def apply(m, v):
-    """M v for a dense vector v, summed over the nonzeros of each row of M."""
-    return tuple(QQ(sum(a * v[j] for j, a in row.items())) for row in m.row_maps)
+    """M v for a dense vector v, as Fractions: each row of M is summed over
+    the nonzero entries of v, an integral one as an int, so that the
+    product does integer arithmetic wherever it can."""
+    nonzero = {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(v) if x}
+    return tuple(QQ(sum(a * nonzero[j] for j, a in row.items() if j in nonzero))
+                 for row in m.row_maps)
 
 
 def from_columns(n, columns):

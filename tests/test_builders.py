@@ -1,8 +1,8 @@
 """Builder output is proved here, not on every run.
 
-The package's builders construct through the private `complexes._built`,
-which runs a complex class's shape checks only, and wrap their matrices
-without a check (`tests/test_storage.py` proves those).  Each invariant
+The package's builders construct through the private `exactla._built`,
+which runs a class's shape checks only and, for a matrix, no check at all
+(`tests/test_storage.py` proves those).  Each invariant
 they leave out holds by construction once the builder's input is valid:
 
 - i_V^2 = 0 on a Koszul slice, by the antisymmetry of contraction on an
@@ -174,7 +174,7 @@ def test_ce_complexes_pass_the_checks(g, m):
 def test_hs_complexes_and_filtrations_pass_the_checks(monkeypatch, g, h, m):
     # every complex `verify` builds: the adapted complex, its ideal
     # filtration, C(h, M) and the complex of g/h with values in each
-    # H^q(h, M), whose module `_derived` builds unchecked
+    # H^q(h, M), whose module `_built` makes unchecked
     built = []
     for name in ("ce_complex", "_filtered", "_h_blocks"):
         def spy(*args, real=getattr(hochserre, name)):

@@ -29,8 +29,8 @@ from liekoszul.cechp1 import (
     window_checked,
 )
 from liekoszul.cli import build_p1
-from liekoszul.complexes import BuilderError, betti, column_filtration, total
-from liekoszul.exactla import ExactMatrix, Subspace, image_basis, rank
+from liekoszul.complexes import betti, column_filtration, total
+from liekoszul.exactla import BuilderError, ExactMatrix, Subspace, _built, image_basis, rank
 from liekoszul.specseq import check_convergence, compute_page, run
 
 import corpus
@@ -530,8 +530,8 @@ def test_each_row_includes_quasi_isomorphically_into_a_wider_row(monkeypatch):
         r_small, r_wide = rank(d_small), rank(d_wide)
         assert (d_small.cols - r_small, d_small.rows - r_small) \
             == (d_wide.cols - r_wide, d_wide.rows - r_wide), where
-        box = Subspace._span(d_wide.rows, [{overlap[key]: 1} for key in small_overlap])
-        assert image_basis(d_wide).intersect(box) == Subspace._span(d_wide.rows, embed), where
+        box = _built(Subspace, d_wide.rows, [{overlap[key]: 1} for key in small_overlap])
+        assert image_basis(d_wide).intersect(box) == _built(Subspace, d_wide.rows, embed), where
 
 
 def _p1_scan(rng, n):

@@ -1151,7 +1151,7 @@ EXIT_CODES = {
     "hochserre.LieAlgebraError": 1,
     "cechp1.GluingError": 1,
     "cechp1.WindowError": 1,
-    "complexes.BuilderError": 3,
+    "exactla.BuilderError": 3,
     "exactla.LinearAlgebraError": 3,
     "exactla.OutsideCyclesError": 3,
     "exactla.NotFiltrationCompatibleError": 3,
@@ -1394,3 +1394,34 @@ def test_koszul_without_a_certificate_reports_no_vanishing(tmp_path, capsys):
     assert report["dim_y"] is None and report["dim_y_source"] == "unknown"
     assert "vanishing" not in report and "vanishing_violations" not in report
     assert report["formality"] is True
+
+
+@pytest.mark.parametrize("dim_y", [None, 0, 1])
+def test_koszul_with_more_generators_than_variables_checks_no_vanishing(tmp_path, capsys,
+                                                                        dim_y):
+    # sl2 on the line, V = x e_1: K(0, x, 0) over k[x] has H^{-1} and H^{-2}
+    # though dim Y = 0 is certified, so no vanishing verdict is checked,
+    # whether dim Y is certified or asserted
+    path = _mutated(tmp_path, "sl2-line.json",
+                    lambda p: dim_y is None or p.update(dim_y=dim_y))
+    out = tmp_path / "report.json"
+    assert run_cli(["koszul", path, "--json", out]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())["report"]
+    assert report["dim_y"] == (0 if dim_y is None else dim_y)
+    assert report["slice_cohomology"]["2"] == {"-3": 0, "-2": 1, "-1": 1, "0": 0}
+    assert "vanishing" not in report and "vanishing_violations" not in report
+    assert report["formality"] is True
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("case, command", [("heisenberg-center.json", "validate"),
+                                           ("jacobi-fail.json", "validate"),
+                                           ("xaxis-plane.json", "koszul")])
+def test_an_unwritable_json_path_is_an_input_error(tmp_path, capsys, where, case, command):
+    # after the text report, one line on stderr and exit 2, whatever the verdict
+    target = tmp_path if where == "directory" else tmp_path / "no" / "such" / "report.json"
+    err = _exit_with_one_line(capsys, [command, CASES / case, "--json", target], 2,
+                              "error: cannot write the JSON report: ")
+    assert str(target) in err
+    assert not (tmp_path / "no").exists()

@@ -141,6 +141,9 @@ VALUES = {
     "Subquotient": (Subquotient(LINE, Subspace(1, [])), "cycles"),
     "SpectralSequencePage": (SpectralSequencePage({(0, 0): 1}, {}), "grid"),
     "WeightedPolyRing": (WeightedPolyRing(1, (1,)), "weights"),
+    "LieAlgebra": (LieAlgebra(1, {}), "brackets"),
+    "LieIdeal": (LieIdeal(LieAlgebra(1, {}), LINE), "subspace"),
+    "GModule": (GModule.trivial(LieAlgebra(1, {})), "actions"),
 }
 
 

@@ -239,7 +239,7 @@ def _handlers(tree: ast.Module) -> set[str]:
 def unused_parameters(source: str) -> list[str]:
     """Parameters of each function (`def`, not lambda) that no Name node of
     its body reads.  Exempt: `self` and `cls`; `name` and `value` of
-    `__setattr__`, the immutability guards; `payload` and `args` of the
+    `__setattr__`, the immutability guard; `payload` and `args` of the
     `COMMANDS` handlers, which share one signature."""
     tree = ast.parse(source)
     handlers = _handlers(tree)
@@ -289,9 +289,10 @@ RAW_INPUT_READERS = [
 ]
 
 
-def _scoped_calls(source: str, module: str):
-    """(qualified name of the enclosing function, enclosing class, call
-    node) for each call in the source, in document order."""
+def _scoped_calls(source: str, module: str, kind: type = ast.Call):
+    """(qualified name of the enclosing function, enclosing class, node) for
+    each call, or each node of type `kind`, in the source, in document
+    order."""
 
     def visit(node, scope, owner):
         for child in ast.iter_child_nodes(node):
@@ -301,7 +302,7 @@ def _scoped_calls(source: str, module: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, scope + [child.name], owner)
                 continue
-            if isinstance(child, ast.Call):
+            if isinstance(child, kind):
                 yield ".".join([module, *scope]), owner, child
             yield from visit(child, scope, owner)
 
@@ -384,18 +385,51 @@ def checked_matrix_calls(source: str) -> list[str]:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "exactla"],
                          ids=lambda p: p.name)
 def test_only_exactla_calls_a_checking_matrix_constructor(path):
-    # Builders write canonical rows and wrap them with `exactla._wrap`; the
-    # checking constructors serve raw input in `exactla` and the tests.
+    # Builders write canonical rows and make their matrices with
+    # `exactla._built`; the checking constructors serve raw input in
+    # `exactla` and the tests.
     assert checked_matrix_calls(path.read_text()) == []
 
 
 def test_scan_finds_a_checking_matrix_constructor():
-    source = ("from .exactla import ExactMatrix, _wrap\nfrom . import exactla\n\n"
+    source = ("from .exactla import ExactMatrix, _built\nfrom . import exactla\n\n"
               "def a():\n    return ExactMatrix(1, 1, [{0: 1}])\n\n"
               "def c():\n    return [ExactMatrix.from_rows([[1]]), ExactMatrix.zeros(1, 1),\n"
-              "            _wrap(1, 1, ({},))]\n\n"
+              "            _built(ExactMatrix, 1, 1, ({},))]\n\n"
               "def d(m: ExactMatrix) -> ExactMatrix:\n    return exactla.ExactMatrix(0, 0, [])\n")
     assert checked_matrix_calls(source) == ["ExactMatrix (line 5)", "ExactMatrix (line 12)"]
+
+
+# The one place that fills a value's slots, the base of the value classes,
+# and the one unchecked constructor.  Anywhere else, `object.__setattr__`
+# would get round the immutability of a value and `object.__new__` round
+# the checks of its class.
+RAW_OBJECT_USES = ["exactla.Value._set", "exactla._built"]
+
+
+def raw_object_uses(source: str, module: str) -> list[str]:
+    """The qualified name of the function around each use of
+    `object.__setattr__` or `object.__new__`, called or passed on, one
+    entry per use."""
+    return sorted(site for site, _, node in _scoped_calls(source, module, ast.Attribute)
+                  if node.attr in ("__setattr__", "__new__")
+                  and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def test_only_the_value_base_and_built_fill_or_make_a_value():
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in raw_object_uses(path.read_text(), path.stem)]
+    assert sites == RAW_OBJECT_USES
+
+
+def test_scan_finds_a_raw_object_use():
+    source = ("class K:\n    def __init__(self, x):\n"
+              "        object.__setattr__(self, 'x', x)\n\n"
+              "def make(cls, rows):\n    obj = object.__new__(cls)\n"
+              "    any(map(object.__setattr__, [obj], ['rows'], [rows]))\n    return obj\n\n"
+              "def fine(obj):\n    return obj.__new__, super().__setattr__, object.__init__\n\n"
+              "SET = object.__setattr__\n")
+    assert raw_object_uses(source, "m") == ["m", "m.K.__init__", "m.make", "m.make"]
 
 
 CACHE_DECORATORS = {"lru_cache", "cache"}
