@@ -34,7 +34,17 @@ by dimension: reported facts, while the corollary is a run's one verdict.
 Every block of the Cech-Koszul double complex is one Laurent matrix per
 open set (`_laurent_block`): the Cech differential is -I on chart 0 and
 the transition, with j -> -j, on chart 1, and the contraction i_V is a
-matrix in the section's scalar and vector parts on each open set.
+matrix in the section's scalar and vector parts on each open set.  The
+blocks are laid out by arithmetic, not by keyed basis lists: a row's
+C^0 holds, per component c, the chart-0 exponents [0, chart0_hi] and then
+the chart-1 exponents [0, chart1_hi[c]], and its C^1 the overlap window
+of each component, so each component of each open set is one range
+(offset, lo, hi) and z^e e_c is basis vector offset + e - lo
+(`_layout`).  An image's row is found the same way, after a range check
+that raises BuilderError for an image outside its cell.  The squares of
+i_V and delta commute; the Cech block of each odd column p is built
+times (-1)^p, the twist of `DoubleComplex.from_commuting`, so that they
+anticommute with no negated copy of a block.
 
 The first-order-operator bundle of the degree-d line bundle is derived
 by transforming f + v d/dz under the trivialization change: its
@@ -54,7 +64,7 @@ import math
 from fractions import Fraction as QQ
 from typing import NamedTuple
 
-from .complexes import DoubleComplex, _twisted, column_filtration, row_filtration
+from .complexes import DoubleComplex, column_filtration, row_filtration
 from .exactla import (BuilderError, ExactMatrix, VerdictError, _built, format_rational, integer,
                       qq, quotient, rank)
 from .lierinehart import p_scale, p_sub
@@ -136,18 +146,12 @@ class SheafOnP1:
         det = lmat_det(self.transition)
         if len(det) != 1:
             raise ValueError("transition determinant must be a unit monomial")
-
-    def col_min_exp(self, c: int) -> int:
-        exps = [e for r in range(self.rank) for e in self.transition[r][c]]
-        return min(exps)
-
-    def exps(self) -> list[int]:
-        return [e for row in self.transition for ent in row for e in ent]
-
-    def margin(self) -> int:
-        es = self.exps()
+        # A unit determinant leaves no column of the transition zero.
+        self.col_min_exps = tuple(min(e for row in self.transition for e in row[c])
+                                  for c in range(rank))
+        es = [e for row in self.transition for ent in row for e in ent]
         hi, lo = max(0, max(es)), min(0, min(es))
-        return max(0, max(es)) + (hi - lo) + 1
+        self.margin = hi + (hi - lo) + 1
 
     def __repr__(self):
         return f"SheafOnP1({self.name or 'rank %d' % self.rank})"
@@ -166,23 +170,14 @@ def cotangent_sheaf() -> SheafOnP1:
 
 class RowModel(NamedTuple):
     """Finite section spaces of one sheaf: chart cells and overlap window.
-    Basis vectors z^e e_c are keyed (open set, c, e), open set "0", "1" or "01"."""
+    C^0 holds z^e e_c for each component c with e in [0, chart0_hi] on
+    chart 0, then with e in [0, chart1_hi[c]] on chart 1; C^1 holds z^e e_c
+    with e in window[c] on the overlap (`_layout`)."""
 
     sheaf: SheafOnP1
     chart0_hi: int                       # chart-0 exponents [0, chart0_hi]
     chart1_hi: tuple[int, ...]           # per component, -1 means empty
     window: tuple[tuple[int, int], ...]  # per component inclusive (lo, hi)
-
-    def chart_entries(self) -> list[tuple[str, int, int]]:
-        out = [("0", c, e) for c in range(self.sheaf.rank)
-               for e in range(0, self.chart0_hi + 1)]
-        out.extend(("1", c, e) for c in range(self.sheaf.rank)
-                   for e in range(0, self.chart1_hi[c] + 1))
-        return out
-
-    def window_entries(self) -> list[tuple[str, int, int]]:
-        return [("01", c, e) for c in range(self.sheaf.rank)
-                for e in range(self.window[c][0], self.window[c][1] + 1)]
 
 
 def build_row(sheaf: SheafOnP1, radius: int, margin: int) -> RowModel:
@@ -192,7 +187,7 @@ def build_row(sheaf: SheafOnP1, radius: int, margin: int) -> RowModel:
     [-radius, radius], the chart-0 cell and every chart-1 image."""
     g = sheaf.transition
     chart0_hi = radius + margin
-    chart1_hi = [radius + sheaf.col_min_exp(c) + margin for c in range(sheaf.rank)]
+    chart1_hi = [radius + low + margin for low in sheaf.col_min_exps]
     window = []
     for c in range(sheaf.rank):
         lo = -radius
@@ -206,42 +201,78 @@ def build_row(sheaf: SheafOnP1, radius: int, margin: int) -> RowModel:
     return RowModel(sheaf, chart0_hi, tuple(chart1_hi), tuple(window))
 
 
-def _laurent_block(src: list, dst: list, maps: dict) -> ExactMatrix:
-    """Matrix of the map sending the basis vector z^j e_c at source key
-    (side, c, j) to sum_r m[r][c] z^(flip j) e_r in the open set `out`,
+# One space's layout and its dimension.  The layout holds, per open set, one
+# (offset, lo, hi) per component c: z^e e_c, lo <= e <= hi, is basis vector
+# offset + e - lo.
+Layout = tuple[dict[str, list[tuple[int, int, int]]], int]
+
+
+def _layout(row: RowModel) -> tuple[Layout, Layout]:
+    """The layouts of the row's C^0 (open sets "0" then "1") and C^1 ("01")."""
+    bounds = {"0": [(0, row.chart0_hi)] * row.sheaf.rank,
+              "1": [(0, hi) for hi in row.chart1_hi], "01": row.window}
+    spaces = []
+    for sides in (("0", "1"), ("01",)):
+        cells, offset = {}, 0
+        for side in sides:
+            cells[side] = []
+            for lo, hi in bounds[side]:
+                cells[side].append((offset, lo, hi))
+                offset += hi - lo + 1
+        spaces.append((cells, offset))
+    return spaces[0], spaces[1]
+
+
+def _laurent_block(src: Layout, dst: Layout, maps: dict) -> ExactMatrix:
+    """Matrix of the map sending the basis vector z^j e_c of open set `side`
+    in `src` to sum_r m[r][c] z^(flip j) e_r of open set `out` in `dst`,
     where (m, flip, out) = maps[side] and m is a Laurent matrix; an image
-    outside the target cell `dst` is a fault of the builder (BuilderError),
+    outside its target cell is a fault of the builder (BuilderError),
     never a truncation.  Images are distinct and coefficients canonical, so
     the rows are wrapped as built."""
-    index = {key: i for i, key in enumerate(dst)}
-    # per open set, the terms (r, e, coefficient) of each column c of its matrix
-    terms = {side: (flip, out, [[(r, e, x) for r, row in enumerate(m) for e, x in row[c].items()]
-                                for c in range(len(m[0]))])
-             for side, (m, flip, out) in maps.items()}
-    rows: list[dict] = [{} for _ in dst]
-    for col, (side, c, j) in enumerate(src):
-        flip, out, column = terms[side]
-        j *= flip
-        for r, e, coeff in column[c]:
-            i = index.get((out, r, e + j))
-            if i is None:
-                raise BuilderError(f"image {(out, r, e + j)} leaves the target cell")
-            rows[i][col] = coeff
-    return _built(ExactMatrix, len(dst), len(src), tuple(rows))
+    (src_cells, cols), (dst_cells, n) = src, dst
+    rows: list[dict] = [{} for _ in range(n)]
+    for side, cells in src_cells.items():
+        m, flip, out = maps[side]
+        target = dst_cells[out]
+        for c, (offset, lo, hi) in enumerate(cells):
+            if hi < lo:
+                continue
+            # the terms of column c of m, each with its target cell
+            terms = [(r, e, x, *target[r]) for r, row in enumerate(m) for e, x in row[c].items()]
+            size = hi - lo + 1
+            for _, e, x, t_offset, t_lo, t_hi in terms:
+                # the term's images run from that of z^lo to that of z^hi
+                first = e + flip * lo
+                if not (t_lo <= first <= t_hi and t_lo <= first + flip * (size - 1) <= t_hi):
+                    # name the first image, in column order, that leaves its cell
+                    raise BuilderError(next(
+                        f"image {(out, r, e + flip * j)} leaves the target cell"
+                        for j in range(lo, hi + 1) for r, e, _, _, t_lo, t_hi in terms
+                        if not t_lo <= e + flip * j <= t_hi))
+                first += t_offset - t_lo
+                for i, col in zip(range(first, first + flip * size, flip),
+                                  range(offset, offset + size)):
+                    rows[i][col] = x
+    return _built(ExactMatrix, n, cols, tuple(rows))
 
 
-def _delta_matrix(row: RowModel) -> ExactMatrix:
-    """Cech differential C^0 -> C^1: (s0, s1) -> iota1(s1) - iota0(s0), a chart-1
-    section in 1/z written in z (j -> -j) and moved to chart 0 by the transition."""
+def _delta_matrix(row: RowModel, sign: int = 1,
+                  layout: tuple[Layout, Layout] | None = None) -> ExactMatrix:
+    """Cech differential C^0 -> C^1, times `sign`: (s0, s1) -> iota1(s1) - iota0(s0),
+    a chart-1 section in 1/z written in z (j -> -j) and moved to chart 0 by the
+    transition.  `layout` is the row's `_layout`, when the caller has it."""
+    chart, overlap = layout or _layout(row)
     n = row.sheaf.rank
-    minus_one = tuple(tuple({0: -1} if r == c else {} for c in range(n)) for r in range(n))
-    return _laurent_block(row.chart_entries(), row.window_entries(),
-                          {"0": (minus_one, 1, "01"), "1": (row.sheaf.transition, -1, "01")})
+    minus = tuple(tuple({0: -sign} if r == c else {} for c in range(n)) for r in range(n))
+    g = tuple(tuple({e: sign * x for e, x in ent.items()} for ent in r)
+              for r in row.sheaf.transition)
+    return _laurent_block(chart, overlap, {"0": (minus, 1, "01"), "1": (g, -1, "01")})
 
 
 def _cech_dims(sheaf: SheafOnP1, radius: int) -> tuple[int, int]:
     """(h0, h1) of the sheaf's row model: kernel and cokernel dims of delta."""
-    delta = _delta_matrix(build_row(sheaf, radius, sheaf.margin()))
+    delta = _delta_matrix(build_row(sheaf, radius, sheaf.margin))
     rk = rank(delta)
     return delta.cols - rk, delta.rows - rk
 
@@ -358,12 +389,13 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     and second index the Cech degree q (differential delta), anticommuting.
     Its D^2 = 0 holds by construction: i_V^2 = 0 on each open set, and i_V
     commutes with delta because the section and the transitions glue; the
-    (-1)^p twist of `DoubleComplex.from_commuting` makes the squares
-    anticommute.  So the double complex is built unchecked, and the tests
-    prove D^2 = 0 on the P^1 corpus and the gluing identities for every
-    degree.  One window's model, for a window of at least 1, and a
-    section of `algebroid`'s (ValueError otherwise): the double complex and
-    the row grid that `first_page` reads are `algebroid`'s."""
+    Cech blocks are built with the (-1)^p twist of
+    `DoubleComplex.from_commuting`, which makes the squares anticommute.
+    So the double complex is built unchecked, and the tests prove D^2 = 0
+    on the P^1 corpus and the gluing identities for every degree.  One
+    window's model, for a window of at least 1, and a section of
+    `algebroid`'s (ValueError otherwise): the double complex and the row
+    grid that `first_page` reads are `algebroid`'s."""
     if section.algebroid.degree != algebroid.degree:
         raise ValueError(f"section degree {section.algebroid.degree} differs from "
                          f"algebroid degree {algebroid.degree}")
@@ -373,7 +405,7 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     # untwisted, the rows are Omega^1 = Lambda^2 D* and O = Lambda^0 D*
     ps = [-1, 0] if untwisted else [-2, -1, 0]
     sheaves = {p: algebroid.wedge_dual(-2 * p if untwisted else -p) for p in ps}
-    margin = max(sheaves[p].margin() for p in ps)
+    margin = max(sheaves[p].margin for p in ps)
     # Every component of a section (f0, v0, f1, w1) has degree <= 2 in its
     # chart coordinate, so i_V raises exponents by at most 2: each row's
     # radius is 2 more than the row it receives from.
@@ -381,16 +413,17 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     dims = {}
     vertical = {}
     horizontal = {}
+    layouts = {p: _layout(rows[p]) for p in ps}
     for p in ps:
-        delta = vertical[(p, 0)] = _delta_matrix(rows[p])
+        # the (-1)^p twist of `DoubleComplex.from_commuting`, built in
+        delta = vertical[(p, 0)] = _delta_matrix(rows[p], -1 if p % 2 else 1, layouts[p])
         dims[(p, 0)], dims[(p, 1)] = delta.cols, delta.rows
     for p in ps[:-1]:
-        src, dst = rows[p], rows[p + 1]
         i_v = {side: (_contraction_matrix(section, side, p, untwisted), 1, side)
                for side in ("0", "1", "01")}
-        horizontal[(p, 0)] = _laurent_block(src.chart_entries(), dst.chart_entries(), i_v)
-        horizontal[(p, 1)] = _laurent_block(src.window_entries(), dst.window_entries(), i_v)
-    double = _built(DoubleComplex, ps[0], 0, 0, 1, dims, horizontal, _twisted(vertical))
+        for q in (0, 1):
+            horizontal[(p, q)] = _laurent_block(layouts[p][q], layouts[p + 1][q], i_v)
+    double = _built(DoubleComplex, ps[0], 0, 0, 1, dims, horizontal, vertical)
     return CechKoszulModel(algebroid, section, window, untwisted, double,
                            run(row_filtration(double)))
 

@@ -5,7 +5,8 @@ commuting squares, anticommutation, filtration range and d-stability,
 integral dims and levels, double-complex keys inside the rectangle), so
 raw input cannot become an invalid value.  A double complex is checked
 cell by cell: d_h^2, d_v^2 and d_h d_v + d_v d_h in rectangle order, so the
-first failing cell is named.  Each class is an immutable `exactla.Value`
+first failing cell is named; an absent map is zero, so only products of
+stored maps are formed.  Each class is an immutable `exactla.Value`
 whose `_set` checks shapes and fills the fields: after the checks of
 `__init__`, or alone when a builder makes the value through
 `exactla._built`.  A builder's matrices are canonical rows, its
@@ -209,9 +210,10 @@ class DoubleComplex(Value):
     d_v: (p,q) -> (p,q+1) satisfying d_h^2 = d_v^2 = d_h d_v + d_v d_h = 0.
     Builders starting from commuting data must bake signs in; see
     `from_commuting`, which twists the vertical maps on column p by (-1)^p.
-    Only the given maps are stored (`dh`, `dv` are zero elsewhere).  The
-    total complex is assembled once, with the fields; its d.d = 0 is the
-    three cell identities (Weibel 1994, 1.2), which the constructor checks.
+    Only the given maps are stored, in `_dh` and `_dv`; every other map is
+    zero.  The total complex is assembled once, with the fields; its d.d = 0
+    is the three cell identities (Weibel 1994, 1.2), which the constructor
+    checks, multiplying only maps that are stored.
     """
 
     __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi", "_dims", "_dh", "_dv", "_total")
@@ -229,13 +231,13 @@ class DoubleComplex(Value):
         if any(x < 0 for x in dims.values()):
             raise ComplexError(f"dims must not be negative, got {dims}")
         self._set(p_lo, p_hi, q_lo, q_hi, dims, horizontal, vertical)
+        dh, dv = self._dh.get, self._dv.get
         for p, q in self._dims:
-            if not (self.dh(p + 1, q) @ self.dh(p, q)).is_zero():
+            if not _vanishes((dh((p + 1, q)), dh((p, q)))):
                 raise ComplexError(f"d_h.d_h != 0 at {(p, q)}")
-            if not (self.dv(p, q + 1) @ self.dv(p, q)).is_zero():
+            if not _vanishes((dv((p, q + 1)), dv((p, q)))):
                 raise ComplexError(f"d_v.d_v != 0 at {(p, q)}")
-            anti = self.dv(p + 1, q) @ self.dh(p, q) + self.dh(p, q + 1) @ self.dv(p, q)
-            if not anti.is_zero():
+            if not _vanishes((dv((p + 1, q)), dh((p, q))), (dh((p, q + 1)), dv((p, q)))):
                 raise ComplexError(f"d_h and d_v do not anticommute at {(p, q)}")
 
     def _set(self, p_lo: int, p_hi: int, q_lo: int, q_hi: int,
@@ -269,21 +271,19 @@ class DoubleComplex(Value):
     def cell_dim(self, p: int, q: int) -> int:
         return self._dims.get((p, q), 0)
 
-    def dh(self, p: int, q: int) -> ExactMatrix:
-        m = self._dh.get((p, q))
-        if m is None:
-            return ExactMatrix.zeros(self.cell_dim(p + 1, q), self.cell_dim(p, q))
-        return m
-
-    def dv(self, p: int, q: int) -> ExactMatrix:
-        m = self._dv.get((p, q))
-        if m is None:
-            return ExactMatrix.zeros(self.cell_dim(p, q + 1), self.cell_dim(p, q))
-        return m
-
     def __repr__(self):
         return (f"DoubleComplex(p in [{self.p_lo},{self.p_hi}], "
                 f"q in [{self.q_lo},{self.q_hi}])")
+
+
+def _vanishes(*terms: tuple[ExactMatrix | None, ExactMatrix | None]) -> bool:
+    """The sum of the products a @ b over the terms (a, b) is zero.  None is
+    an absent map, which is zero, so a term with it is never multiplied."""
+    total = None
+    for a, b in terms:
+        if a is not None and b is not None:
+            total = a @ b if total is None else total + a @ b
+    return total is None or total.is_zero()
 
 
 def _twisted(vertical: Mapping[tuple[int, int], ExactMatrix]) -> dict[tuple[int, int], ExactMatrix]:
@@ -326,8 +326,12 @@ def _assemble_total(cells: Mapping[tuple[int, int], int],
                 mat, toff = maps.get((p, q)), dst.get(tgt)
                 if mat is None or toff is None:
                     continue
-                for i, row in enumerate(mat.row_maps):
-                    target = out[toff + i]
+                if not off:
+                    for i, row in enumerate(mat.row_maps, toff):
+                        out[i].update(row)
+                    continue
+                for i, row in enumerate(mat.row_maps, toff):
+                    target = out[i]
                     for j, a in row.items():
                         target[off + j] = a
         diffs.append(_built(ExactMatrix, dims[n + 1 - lo], dims[n - lo], tuple(out)))
@@ -471,8 +475,12 @@ def _coordinate_filtration(d: DoubleComplex, index: Callable[[int, int], int],
     level index(p, q); the coordinate basis is adapted to it.  d_h raises p
     by one and keeps q, d_v the other way round, so both coordinate
     filtrations are d-stable."""
-    levels = {n: tuple(index(p, q) for p, q, _ in cells for _ in range(d.cell_dim(p, q)))
-              for n, cells in total_layout(d._dims).items()}
+    levels = {}
+    for n, cells in total_layout(d._dims).items():
+        lv: list[int] = []
+        for p, q, _ in cells:
+            lv += [index(p, q)] * d.cell_dim(p, q)
+        levels[n] = tuple(lv)
     return _built(FilteredComplex, total(d), f_lo, f_hi, levels)
 
 

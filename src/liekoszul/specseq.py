@@ -71,11 +71,11 @@ def run(f: FilteredComplex) -> Pairing:
         pos = [0] * len(dst_order)
         for k, i in enumerate(dst_order):
             pos[i] = k
-        d = cplx.d(n)
-        columns: list[dict[int, object]] = [{} for _ in range(d.cols)]
-        for i, row in enumerate(d.row_maps):
+        # d out of the top degree has no rows: no zero matrix is built for it
+        columns: list[dict[int, object]] = [{} for _ in src_levels]
+        for k, row in zip(pos, cplx.d(n).row_maps if n < cplx.hi else ()):
             for j, a in row.items():
-                columns[j][pos[i]] = a
+                columns[j][k] = a
         reduced: dict[int, dict[int, object]] = {}   # low -> reduced column
         lows: set[int] = set()
         for j in sorted(range(len(src_levels)), key=src_levels.__getitem__, reverse=True):

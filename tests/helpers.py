@@ -54,6 +54,18 @@ def dense(x):
     return tuple(_dense(r, x.ambient_dim) for r in rows)
 
 
+def dh(d, p, q):
+    """d_h out of cell (p, q) of a double complex: its stored map, or zero."""
+    m = d._dh.get((p, q))
+    return ExactMatrix.zeros(d.cell_dim(p + 1, q), d.cell_dim(p, q)) if m is None else m
+
+
+def dv(d, p, q):
+    """d_v out of cell (p, q) of a double complex: its stored map, or zero."""
+    m = d._dv.get((p, q))
+    return ExactMatrix.zeros(d.cell_dim(p, q + 1), d.cell_dim(p, q)) if m is None else m
+
+
 def flag_rows(spaces):
     """The spanning rows that `FilteredComplex.from_flag` reads, for a flag
     given as `Subspace`s keyed by (p, n): the basis of each."""

@@ -73,6 +73,14 @@ constants: every triple and component over a dense table.
 by Euclid's algorithm (`poly_gcd_degree`), with no Cech model: the
 `p1` corollary widened to zeros that are not simple.
 
+`chart_entries`, `window_entries` and `laurent_block_keyed` are the
+P^1 model's bases and blocks as the package built them before it laid them
+out by index arithmetic (`cechp1._layout`): a list of (open set, c, e)
+keys per space, and a dict from key to row in each block.
+`cech_koszul_keyed` builds every block of `cechp1.cech_koszul` that way,
+with the (-1)^p twist applied afterwards by negating a copy of each
+odd-column Cech block, as `complexes._twisted` does.
+
 `_json` is the key spelling the CLI applied before `json.dump` wrote a
 report, until `cli._dump` wrote the report in one pass: a (p, q) key
 becomes "p,q" and any other key its str, in every table (not inside a
@@ -90,6 +98,7 @@ from dataclasses import dataclass
 from fractions import Fraction as QQ
 from itertools import combinations
 
+from liekoszul.cechp1 import _contraction_matrix, build_row
 from liekoszul.complexes import (
     CochainComplex,
     FilteredComplex,
@@ -99,10 +108,12 @@ from liekoszul.complexes import (
     is_quasi_isomorphism,
 )
 from liekoszul.exactla import (
+    BuilderError,
     ExactMatrix,
     NotFiltrationCompatibleError,
     Subquotient,
     Subspace,
+    _built,
     rank,
     solve_batch,
 )
@@ -789,6 +800,65 @@ def zero_scheme_length(section, untwisted):
     f0, f1 = ({}, {}) if untwisted else (section.f0, section.f1)
     at_infinity = min(min(p, default=math.inf) for p in (f1, section.w1))
     return poly_gcd_degree(f0, section.v0) + at_infinity
+
+
+def chart_entries(row):
+    """Keys (open set, c, e) of the basis z^e e_c of the row's C^0: chart 0,
+    then chart 1, each by component and exponent."""
+    rank = row.sheaf.rank
+    return ([("0", c, e) for c in range(rank) for e in range(row.chart0_hi + 1)]
+            + [("1", c, e) for c in range(rank) for e in range(row.chart1_hi[c] + 1)])
+
+
+def window_entries(row):
+    """Keys ("01", c, e) of the basis z^e e_c of the row's C^1, the overlap window."""
+    return [("01", c, e) for c, (lo, hi) in enumerate(row.window) for e in range(lo, hi + 1)]
+
+
+def laurent_block_keyed(src, dst, maps):
+    """The block sending the basis vector at key (side, c, j) of `src` to
+    sum_r m[r][c] z^(flip j) e_r at keys (out, r, .) of `dst`, where
+    (m, flip, out) = maps[side]; BuilderError on an image with no key."""
+    index = {key: i for i, key in enumerate(dst)}
+    rows = [{} for _ in dst]
+    for col, (side, c, j) in enumerate(src):
+        m, flip, out = maps[side]
+        j *= flip
+        for r, row in enumerate(m):
+            for e, coeff in row[c].items():
+                i = index.get((out, r, e + j))
+                if i is None:
+                    raise BuilderError(f"image {(out, r, e + j)} leaves the target cell")
+                rows[i][col] = coeff
+    return _built(ExactMatrix, len(dst), len(src), tuple(rows))
+
+
+def delta_keyed(row):
+    """The untwisted Cech differential of the row: -I on chart 0, and the
+    transition with j -> -j on chart 1."""
+    n = row.sheaf.rank
+    minus_one = tuple(tuple({0: -1} if r == c else {} for c in range(n)) for r in range(n))
+    return laurent_block_keyed(chart_entries(row), window_entries(row),
+                               {"0": (minus_one, 1, "01"), "1": (row.sheaf.transition, -1, "01")})
+
+
+def cech_koszul_keyed(algebroid, section, window, untwisted):
+    """(horizontal, vertical) blocks of `cech_koszul`'s double complex, over
+    keyed bases, with the Cech blocks of odd columns negated afterwards."""
+    ps = [-1, 0] if untwisted else [-2, -1, 0]
+    sheaves = {p: algebroid.wedge_dual(-2 * p if untwisted else -p) for p in ps}
+    margin = max(sheaves[p].margin for p in ps)
+    rows = {p: build_row(sheaves[p], window + 2 * (p - ps[0]), margin) for p in ps}
+    vertical = {(p, 0): -delta_keyed(rows[p]) if p % 2 else delta_keyed(rows[p]) for p in ps}
+    horizontal = {}
+    for p in ps[:-1]:
+        i_v = {side: (_contraction_matrix(section, side, p, untwisted), 1, side)
+               for side in ("0", "1", "01")}
+        horizontal[(p, 0)] = laurent_block_keyed(chart_entries(rows[p]),
+                                                 chart_entries(rows[p + 1]), i_v)
+        horizontal[(p, 1)] = laurent_block_keyed(window_entries(rows[p]),
+                                                 window_entries(rows[p + 1]), i_v)
+    return horizontal, vertical
 
 
 def _json(value):

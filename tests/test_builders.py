@@ -46,7 +46,7 @@ from liekoszul.exactla import ExactMatrix, Subspace
 from liekoszul.koszul import reduction_map
 from liekoszul.lierinehart import SectionV, WeightedPolyRing, tangent_algebroid
 
-from helpers import flag_rows
+from helpers import dh, dv, flag_rows
 from test_specseq import random_flag
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -66,7 +66,7 @@ def checked(x):
         cells = [(p, q) for p in range(x.p_lo, x.p_hi + 1) for q in range(x.q_lo, x.q_hi + 1)]
         return DoubleComplex(x.p_lo, x.p_hi, x.q_lo, x.q_hi,
                              {c: x.cell_dim(*c) for c in cells},
-                             {c: x.dh(*c) for c in cells}, {c: x.dv(*c) for c in cells})
+                             {c: dh(x, *c) for c in cells}, {c: dv(x, *c) for c in cells})
     if isinstance(x, FilteredComplex):
         out = FilteredComplex(checked(x.complex), x.p_lo, x.p_hi, x.levels)
         assert out.levels == x.levels

@@ -34,8 +34,9 @@ from liekoszul.exactla import BuilderError, ExactMatrix, Subspace, _built, image
 from liekoszul.specseq import check_convergence, compute_page, run
 
 import corpus
-from oracle import zero_scheme_length
+from oracle import chart_entries, delta_keyed, window_entries, zero_scheme_length
 from helpers import (
+    dh,
     level_dim,
     line_bundle_dims_by_counting,
     lmat_flip,
@@ -56,21 +57,26 @@ def test_cech_dims_stable_across_windows():
 
 
 def test_window_guard_raises_on_truncated_image():
-    # a window that cannot hold the chart-1 image must raise, never truncate;
-    # `build_row` never makes one, so it is a fault of the builder
-    sheaf = line_bundle(-2)
-    bad = RowModel(sheaf, chart0_hi=1, chart1_hi=(1,), window=((-1, 1),))
-    with pytest.raises(BuilderError, match="leaves the target cell"):
-        _delta_matrix(bad)
+    # a window that cannot hold a chart-1 image (below it) or a chart-0 image
+    # (above it) must raise, never truncate; `build_row` never makes one, so
+    # it is a fault of the builder.  The range check names the image that
+    # the keyed build finds no row for.
+    for bad, image in ((RowModel(line_bundle(-2), 1, (1,), ((-1, 1),)), "('01', 0, -2)"),
+                       (RowModel(line_bundle(0), 1, (0,), ((0, 0),)), "('01', 0, 1)")):
+        with pytest.raises(BuilderError, match="leaves the target cell") as laid_out:
+            _delta_matrix(bad)
+        with pytest.raises(BuilderError) as keyed:
+            delta_keyed(bad)
+        assert str(laid_out.value) == str(keyed.value) == f"image {image} leaves the target cell"
 
 
 def test_delta_vanishes_on_glued_sections():
     # on O(d), s0 = z^a and s1 = (1/z)^(d-a) glue: iota1(s1) = z^d z^(a-d) = z^a,
     # so delta = iota1(s1) - iota0(s0) sends (s0, s1) to zero
     for d in range(4):
-        row = build_row(line_bundle(d), 2, line_bundle(d).margin())
+        row = build_row(line_bundle(d), 2, line_bundle(d).margin)
         delta = _delta_matrix(row)
-        index = {key: i for i, key in enumerate(row.chart_entries())}
+        index = {key: i for i, key in enumerate(chart_entries(row))}
         for a in range(d + 1):
             v = {index[("0", 0, a)]: 1, index[("1", 0, d - a)]: 1}
             assert not any(delta.images([v])), (d, a)
@@ -160,7 +166,7 @@ def test_cech_koszul_zero_section_has_zero_contractions():
     model = cech_koszul(a0, EquivariantSection(a0, (0, 0, 0)), 1)
     for p in (-2, -1):
         for q in (0, 1):
-            assert model.double.dh(p, q).is_zero()
+            assert dh(model.double, p, q).is_zero()
 
 
 def test_cech_koszul_double_complex_valid():
@@ -170,7 +176,7 @@ def test_cech_koszul_double_complex_valid():
     a0 = atiyah_algebroid(0)
     model = cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1)
     assert model.double.p_lo == -2 and model.double.q_hi == 1
-    assert not model.double.dh(-1, 0).is_zero()
+    assert not dh(model.double, -1, 0).is_zero()
 
 
 def test_equivariant_h_zero_section_matches_first_page_sum():
@@ -518,15 +524,15 @@ def test_each_row_includes_quasi_isomorphically_into_a_wider_row(monkeypatch):
     for sheaf, radius, margin in rows:
         small, wide = real(sheaf, radius, margin), real(sheaf, radius + 7, margin)
         where = (sheaf, radius, margin)
-        chart = {key: j for j, key in enumerate(wide.chart_entries())}
-        overlap = {key: i for i, key in enumerate(wide.window_entries())}
-        small_overlap = small.window_entries()
+        chart = {key: j for j, key in enumerate(chart_entries(wide))}
+        overlap = {key: i for i, key in enumerate(window_entries(wide))}
+        small_overlap = window_entries(small)
         d_small, d_wide = _delta_matrix(small), _delta_matrix(wide)
         wide_columns = exactla._transpose(d_wide.row_maps, d_wide.cols)
         embed = [{overlap[small_overlap[i]]: x for i, x in col.items()}
                  for col in exactla._transpose(d_small.row_maps, d_small.cols)]
         # a chain map: delta of the wide row restricts to delta of the small one
-        assert [wide_columns[chart[key]] for key in small.chart_entries()] == embed, where
+        assert [wide_columns[chart[key]] for key in chart_entries(small)] == embed, where
         r_small, r_wide = rank(d_small), rank(d_wide)
         assert (d_small.cols - r_small, d_small.rows - r_small) \
             == (d_wide.cols - r_wide, d_wide.rows - r_wide), where

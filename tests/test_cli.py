@@ -414,6 +414,64 @@ def test_a_p1_run_pairs_the_wedge_degree_filtration_only_at_twisted_degree_0(
     assert twisted_0 == (Path(case).stem in D1_CASES)
 
 
+def test_a_p1_run_negates_no_copy_of_a_cech_block(monkeypatch, capsys):
+    # the (-1)^p twist of the odd columns is built into their Cech blocks,
+    # so neither `_twisted` nor a negation copies a block afterwards
+    twisted = _spied(monkeypatch, complexes._twisted)
+    negated, neg = [], exactla.ExactMatrix.__neg__
+    monkeypatch.setattr(exactla.ExactMatrix, "__neg__", lambda m: negated.append(m) or neg(m))
+    assert run_cli(["p1", CASES / "p1-euler-O0.json"]) == 0
+    capsys.readouterr()
+    assert (len(twisted), len(negated)) == (0, 0)
+
+
+def test_a_double_complex_multiplies_only_its_stored_maps(monkeypatch, capsys):
+    # an absent map is zero: the checks build no zero matrix for it and make
+    # no product with it.  Of the square's products, only the two terms of
+    # the anticommutator at (0, 0) have both factors stored.
+    built, products = [], []
+    zeros, matmul = exactla.ExactMatrix.zeros.__func__, exactla.ExactMatrix.__matmul__
+    monkeypatch.setattr(exactla.ExactMatrix, "zeros",
+                        classmethod(lambda cls, *shape: built.append(shape) or zeros(cls, *shape)))
+    monkeypatch.setattr(exactla.ExactMatrix, "__matmul__",
+                        lambda a, b: products.append((a, b)) or matmul(a, b))
+    assert run_cli(["specseq", CASES / "square-double.json", "--filtration", "row"]) == 0
+    capsys.readouterr()
+    assert (len(built), len(products)) == (0, 2)
+
+
+@pytest.mark.parametrize("window", [4097, 10 ** 6])
+@pytest.mark.parametrize("source", ["file", "option"])
+def test_a_p1_window_over_the_cap_is_refused_before_any_model(monkeypatch, tmp_path, capsys,
+                                                              source, window):
+    # a model that is built fails the run at once, so a missing cap never
+    # allocates a window of 10^6
+    built = []
+    monkeypatch.setattr(cechp1, "cech_koszul", lambda *args: built.append(args) or 1 / 0)
+    if source == "file":
+        args = ["p1", _mutated(tmp_path, "p1-euler-O0.json", lambda p: p.update(window=window))]
+    else:
+        args = ["p1", CASES / "p1-euler-O0.json", "--window", str(window)]
+    err = _exit_with_one_line(capsys, args, 2, "error:")
+    assert err == f"error: window must be at most 4096, got {window}\n"
+    assert cli.P1_WINDOW_CAP == 4096 and built == []
+
+
+def test_a_p1_window_at_the_cap_runs(monkeypatch, capsys):
+    # the cap itself is accepted; the model is built at window 1 here, to
+    # keep the test fast
+    windows, real = [], cechp1.window_checked
+
+    def at_window_1(algebroid, section, window, untwisted):
+        windows.append(window)
+        return real(algebroid, section, 1, untwisted)
+
+    monkeypatch.setattr(cechp1, "window_checked", at_window_1)
+    assert run_cli(["p1", CASES / "p1-euler-O0.json", "--window", "4096"]) == 0
+    assert "window: 4096\n" in capsys.readouterr().out
+    assert windows == [4096]
+
+
 @pytest.mark.parametrize("args", PAIRED_RUNS.values(), ids=PAIRED_RUNS.keys())
 def test_paired_differentials_are_eliminated_only_by_the_pairing(monkeypatch, capsys, args):
     # Every elimination goes through exactla._rref and every spectral sequence

@@ -50,6 +50,8 @@ ALLOWLIST = {
 REMOVED = [
     "cechp1.zero_section",
     "complexes.CochainComplex.euler_characteristic",
+    "complexes.DoubleComplex.dh",
+    "complexes.DoubleComplex.dv",
     "complexes.DoubleComplex.euler_characteristic",
     "complexes.DoubleComplex.from_single_row",
     "complexes.DoubleComplex.transpose",

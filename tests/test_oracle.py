@@ -13,15 +13,19 @@ The mapping-cone quasi-isomorphism test against the induced maps on
 cohomology, and the reduction matrix read off normal forms against one
 class-coordinate solve per monomial.  The contraction matrix and the
 ideal-slice rows against the same entries built as polynomial products.
+Every block of the P^1 model, laid out by index arithmetic, against the
+same block built over keyed bases and twisted by negation.
 
 The Lie-Rinehart check on generators against the sweep over decorated
 elements, with the two Leibniz identities that make the generator check a
 proof tested on presentations where neither side vanishes; the sparse
 Jacobi check of `LieAlgebra` against the dense one."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +41,7 @@ from liekoszul.complexes import (
     is_quasi_isomorphism,
     row_filtration,
 )
-from liekoszul.cli import build_lie_algebra
+from liekoszul.cli import build_lie_algebra, build_p1
 from liekoszul.exactla import (
     ExactMatrix,
     NotFiltrationCompatibleError,
@@ -74,6 +78,7 @@ from oracle import (
     adapted_by_solves,
     ce_complex_scan,
     ce_d_scan,
+    cech_koszul_keyed,
     contraction_by_products,
     elem_anchor_apply,
     elem_bracket,
@@ -169,6 +174,24 @@ def test_p1_filtrations_match_oracle(algebroid, section, untwisted, window):
     double = cech_koszul(algebroid, section, window, untwisted).double
     for f in (column_filtration(double), row_filtration(double)):
         assert_matches_oracle(f, flag_of(f))
+
+
+def _p1_models():
+    """(algebroid, section, untwisted) of every cases/p1-* file and of the P^1
+    corpus."""
+    cases = Path(__file__).resolve().parent.parent / "cases"
+    out = [pytest.param(*build_p1(json.loads(path.read_text()))[:3], id=path.stem)
+           for path in sorted(cases.glob("p1-*.json"))]
+    return out + [pytest.param(*x[1:], id=x[0]) for x in corpus.p1_instances()]
+
+
+@pytest.mark.parametrize("algebroid,section,untwisted", _p1_models())
+def test_p1_blocks_match_the_keyed_build(algebroid, section, untwisted):
+    for window in (1, 2, 3):
+        double = cech_koszul(algebroid, section, window, untwisted).double
+        horizontal, vertical = cech_koszul_keyed(algebroid, section, window, untwisted)
+        assert double._dh == horizontal, window
+        assert double._dv == vertical, window
 
 
 @pytest.mark.parametrize("lr", [pytest.param(lr, id=name)

@@ -11,6 +11,7 @@ from fractions import Fraction as QQ
 import pytest
 
 import corpus
+from helpers import dh, dv
 from liekoszul import complexes, koszul
 from liekoszul.cechp1 import cech_koszul
 from liekoszul.complexes import is_quasi_isomorphism, total
@@ -76,8 +77,8 @@ def test_cech_koszul_cells_and_total_store_canonical_entries(window):
         double = cech_koszul(algebroid, section, window, untwisted).double
         for p in range(double.p_lo, double.p_hi + 1):
             for q in range(double.q_lo, double.q_hi + 1):
-                assert_canonical(double.dh(p, q), (name, "dh", p, q))
-                assert_canonical(double.dv(p, q), (name, "dv", p, q))
+                assert_canonical(dh(double, p, q), (name, "dh", p, q))
+                assert_canonical(dv(double, p, q), (name, "dv", p, q))
         for d in _differentials(total(double)):
             assert_canonical(d, (name, "total"))
 
