@@ -12,9 +12,11 @@ overlap window is extended to the exponent range of the transition's
 images.  In the Cech-Koszul model each wedge row's radius is 2 more than
 the row before it, so the contraction, which raises exponents by at most
 2, lands inside its target.  Why every window D >= 1 is exact:
-1. The model is a sub-double-complex of the infinite two-chart
-   Cech-Koszul complex: every block is written by `_laurent_block`, which
-   raises BuilderError on an image that leaves its cell.
+1. The model's total complex is a subcomplex of that of the infinite
+   two-chart Cech-Koszul complex, cell by cell: every block is written by
+   `_laurent_block` into the rows of its target cell and the columns of
+   its source cell, and it raises BuilderError on an image that leaves
+   its cell.
 2. Each row includes into its full row quasi-isomorphically, so by the
    comparison theorem for the bounded wedge-degree filtration (Weibel
    1994, Thm 5.2.12) H and the wedge-degree pages from E1 on are exact.
@@ -31,20 +33,28 @@ three at twisted degree 0, the one row grid where a d_1 can be nonzero.
 The Cech-degree run has two levels, so its page <= 2 and E2 = E_inf hold
 by dimension: reported facts, while the corollary is a run's one verdict.
 
-Every block of the Cech-Koszul double complex is one Laurent matrix per
-open set (`_laurent_block`): the Cech differential is -I on chart 0 and
-the transition, with j -> -j, on chart 1, and the contraction i_V is a
-matrix in the section's scalar and vector parts on each open set.  The
-blocks are laid out by arithmetic, not by keyed basis lists: a row's
-C^0 holds, per component c, the chart-0 exponents [0, chart0_hi] and then
-the chart-1 exponents [0, chart1_hi[c]], and its C^1 the overlap window
-of each component, so each component of each open set is one range
-(offset, lo, hi) and z^e e_c is basis vector offset + e - lo
-(`_layout`).  An image's row is found the same way, after a range check
-that raises BuilderError for an image outside its cell.  The squares of
-i_V and delta commute; the Cech block of each odd column p is built
-times (-1)^p, the twist of `DoubleComplex.from_commuting`, so that they
-anticommute with no negated copy of a block.
+The model is its total complex, written once: no block is a matrix of
+its own and no `DoubleComplex` is made.  The cell (p, q) is wedge row p's
+C^q, and `complexes.total_layout` over the cell dimensions places each
+cell at an offset in its total degree p + q.  Every block of the
+Cech-Koszul double complex is one Laurent matrix per open set: the Cech
+differential is -I on chart 0 and the transition, with j -> -j, on chart
+1, and the contraction i_V is a matrix in the section's scalar and vector
+parts on each open set.  `_laurent_block` writes each Laurent term's
+strided run of entries straight into the rows of d out of the source's
+total degree, at the target cell's offset plus its basis index and the
+source cell's offset plus its own.  Within a cell, bases are laid out by
+arithmetic, not by keyed basis lists: a row's C^0 holds, per component
+c, the chart-0 exponents [0, chart0_hi] and then the chart-1 exponents
+[0, chart1_hi[c]], and its C^1 the overlap window of each component, so
+each component of each open set is one range (offset, lo, hi) and
+z^e e_c is basis vector offset + e - lo (`_layout`).  An image's row is
+found the same way, after a range check that raises BuilderError for an
+image outside its cell.  The squares of i_V and delta commute; the Cech
+block of each odd column p is written times (-1)^p, the twist of
+`DoubleComplex.from_commuting`, so that they anticommute with no negated
+copy of a block.  The Cech-degree and wedge-degree filtrations read
+their levels off the same cell layout (`complexes._coordinate_filtration`).
 
 The first-order-operator bundle of the degree-d line bundle is derived
 by transforming f + v d/dz under the trivialization change: its
@@ -64,7 +74,7 @@ import math
 from fractions import Fraction as QQ
 from typing import NamedTuple
 
-from .complexes import DoubleComplex, column_filtration, row_filtration
+from .complexes import CochainComplex, _coordinate_filtration, total_layout
 from .exactla import (BuilderError, ExactMatrix, VerdictError, _built, format_rational, integer,
                       qq, quotient, rank)
 from .lierinehart import p_scale, p_sub
@@ -223,16 +233,17 @@ def _layout(row: RowModel) -> tuple[Layout, Layout]:
     return spaces[0], spaces[1]
 
 
-def _laurent_block(src: Layout, dst: Layout, maps: dict) -> ExactMatrix:
-    """Matrix of the map sending the basis vector z^j e_c of open set `side`
-    in `src` to sum_r m[r][c] z^(flip j) e_r of open set `out` in `dst`,
-    where (m, flip, out) = maps[side] and m is a Laurent matrix; an image
-    outside its target cell is a fault of the builder (BuilderError),
-    never a truncation.  Images are distinct and coefficients canonical, so
-    the rows are wrapped as built."""
-    (src_cells, cols), (dst_cells, n) = src, dst
-    rows: list[dict] = [{} for _ in range(n)]
-    for side, cells in src_cells.items():
+def _laurent_block(src: Layout, dst: Layout, maps: dict, rows: list[dict],
+                   row_off: int = 0, col_off: int = 0) -> None:
+    """Write into `rows` the map sending the basis vector z^j e_c of open set
+    `side` in `src` to sum_r m[r][c] z^(flip j) e_r of open set `out` in
+    `dst`, where (m, flip, out) = maps[side] and m is a Laurent matrix:
+    basis vector i of `dst` is row row_off + i and basis vector j of `src`
+    is column col_off + j.  An image outside its target cell is a fault of
+    the builder (BuilderError), never a truncation.  Images are distinct
+    and coefficients canonical, so the rows can be wrapped as written."""
+    dst_cells = dst[0]
+    for side, cells in src[0].items():
         m, flip, out = maps[side]
         target = dst_cells[out]
         for c, (offset, lo, hi) in enumerate(cells):
@@ -241,6 +252,7 @@ def _laurent_block(src: Layout, dst: Layout, maps: dict) -> ExactMatrix:
             # the terms of column c of m, each with its target cell
             terms = [(r, e, x, *target[r]) for r, row in enumerate(m) for e, x in row[c].items()]
             size = hi - lo + 1
+            offset += col_off
             for _, e, x, t_offset, t_lo, t_hi in terms:
                 # the term's images run from that of z^lo to that of z^hi
                 first = e + flip * lo
@@ -250,31 +262,36 @@ def _laurent_block(src: Layout, dst: Layout, maps: dict) -> ExactMatrix:
                         f"image {(out, r, e + flip * j)} leaves the target cell"
                         for j in range(lo, hi + 1) for r, e, _, _, t_lo, t_hi in terms
                         if not t_lo <= e + flip * j <= t_hi))
-                first += t_offset - t_lo
+                first += t_offset - t_lo + row_off
                 for i, col in zip(range(first, first + flip * size, flip),
                                   range(offset, offset + size)):
                     rows[i][col] = x
-    return _built(ExactMatrix, n, cols, tuple(rows))
 
 
-def _delta_matrix(row: RowModel, sign: int = 1,
-                  layout: tuple[Layout, Layout] | None = None) -> ExactMatrix:
-    """Cech differential C^0 -> C^1, times `sign`: (s0, s1) -> iota1(s1) - iota0(s0),
-    a chart-1 section in 1/z written in z (j -> -j) and moved to chart 0 by the
+def _delta_matrix(row: RowModel, rows: list[dict], sign: int = 1,
+                  layout: tuple[Layout, Layout] | None = None,
+                  row_off: int = 0, col_off: int = 0) -> None:
+    """Write into `rows`, as `_laurent_block` does, the Cech differential
+    C^0 -> C^1 times `sign`: (s0, s1) -> iota1(s1) - iota0(s0), a chart-1
+    section in 1/z written in z (j -> -j) and moved to chart 0 by the
     transition.  `layout` is the row's `_layout`, when the caller has it."""
     chart, overlap = layout or _layout(row)
     n = row.sheaf.rank
     minus = tuple(tuple({0: -sign} if r == c else {} for c in range(n)) for r in range(n))
     g = tuple(tuple({e: sign * x for e, x in ent.items()} for ent in r)
               for r in row.sheaf.transition)
-    return _laurent_block(chart, overlap, {"0": (minus, 1, "01"), "1": (g, -1, "01")})
+    _laurent_block(chart, overlap, {"0": (minus, 1, "01"), "1": (g, -1, "01")},
+                   rows, row_off, col_off)
 
 
 def _cech_dims(sheaf: SheafOnP1, radius: int) -> tuple[int, int]:
     """(h0, h1) of the sheaf's row model: kernel and cokernel dims of delta."""
-    delta = _delta_matrix(build_row(sheaf, radius, sheaf.margin))
-    rk = rank(delta)
-    return delta.cols - rk, delta.rows - rk
+    row = build_row(sheaf, radius, sheaf.margin)
+    chart, overlap = layout = _layout(row)
+    rows: list[dict] = [{} for _ in range(overlap[1])]
+    _delta_matrix(row, rows, layout=layout)
+    rk = rank(_built(ExactMatrix, len(rows), chart[1], tuple(rows)))
+    return chart[1] - rk, overlap[1] - rk
 
 
 def _window_stable(what: str, window: int, first, second):
@@ -369,7 +386,8 @@ class CechKoszulModel(NamedTuple):
     section: EquivariantSection
     window: int
     untwisted: bool
-    double: DoubleComplex
+    total: CochainComplex    # the total complex of the double complex
+    cells: dict[tuple[int, int], int]   # dim of each cell, in `total_layout`'s order
     cech: Pairing    # of the Cech-degree filtration; its E_inf totals are H
 
 
@@ -385,17 +403,19 @@ def _contraction_matrix(v: EquivariantSection, side: str, p: int, untwisted: boo
 
 def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
                 window: int, untwisted: bool = False) -> CechKoszulModel:
-    """Double complex with first index the wedge degree p (differential i_V)
-    and second index the Cech degree q (differential delta), anticommuting.
-    Its D^2 = 0 holds by construction: i_V^2 = 0 on each open set, and i_V
-    commutes with delta because the section and the transitions glue; the
-    Cech blocks are built with the (-1)^p twist of
-    `DoubleComplex.from_commuting`, which makes the squares anticommute.
-    So the double complex is built unchecked, and the tests prove D^2 = 0
-    on the P^1 corpus and the gluing identities for every degree.  One
-    window's model, for a window of at least 1, and a section of
-    `algebroid`'s (ValueError otherwise): the double complex and the row
-    grid that `first_page` reads are `algebroid`'s."""
+    """The total complex of the double complex with first index the wedge
+    degree p (differential i_V) and second index the Cech degree q
+    (differential delta), anticommuting, with its cell dimensions and the
+    pairing of its Cech-degree filtration.  Its D^2 = 0 holds by
+    construction: i_V^2 = 0 on each open set, and i_V commutes with delta
+    because the section and the transitions glue; the Cech blocks are
+    written with the (-1)^p twist of `DoubleComplex.from_commuting`, which
+    makes the squares anticommute.  So the total complex is built
+    unchecked, and the tests prove D^2 = 0 on the P^1 corpus, cutting the
+    blocks out again (`tests/helpers.double`), and the gluing identities
+    for every degree.  One window's model, for a window of at least 1, and
+    a section of `algebroid`'s (ValueError otherwise): the complex and the
+    row grid that `first_page` reads are `algebroid`'s."""
     if section.algebroid.degree != algebroid.degree:
         raise ValueError(f"section degree {section.algebroid.degree} differs from "
                          f"algebroid degree {algebroid.degree}")
@@ -410,22 +430,29 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     # chart coordinate, so i_V raises exponents by at most 2: each row's
     # radius is 2 more than the row it receives from.
     rows = {p: build_row(sheaves[p], window + 2 * (p - ps[0]), margin) for p in ps}
-    dims = {}
-    vertical = {}
-    horizontal = {}
     layouts = {p: _layout(rows[p]) for p in ps}
+    cells = {(p, q): layouts[p][q][1] for p in ps for q in (0, 1)}
+    layout = total_layout(cells)
+    lo, hi = min(layout), max(layout)
+    at = {(p, q): off for n in layout for p, q, off in layout[n]}
+    dims = [sum(cells[(p, q)] for p, q, _ in layout[n]) for n in range(lo, hi + 1)]
+    # the rows of d out of each total degree n, written block by block: a
+    # block out of cell (p, q) has its columns at that cell's offset in
+    # degree n = p + q and its rows at its target's offset in degree n + 1
+    out = {n: [{} for _ in range(dims[n + 1 - lo])] for n in range(lo, hi)}
     for p in ps:
         # the (-1)^p twist of `DoubleComplex.from_commuting`, built in
-        delta = vertical[(p, 0)] = _delta_matrix(rows[p], -1 if p % 2 else 1, layouts[p])
-        dims[(p, 0)], dims[(p, 1)] = delta.cols, delta.rows
+        _delta_matrix(rows[p], out[p], -1 if p % 2 else 1, layouts[p], at[(p, 1)], at[(p, 0)])
     for p in ps[:-1]:
         i_v = {side: (_contraction_matrix(section, side, p, untwisted), 1, side)
                for side in ("0", "1", "01")}
         for q in (0, 1):
-            horizontal[(p, q)] = _laurent_block(layouts[p][q], layouts[p + 1][q], i_v)
-    double = _built(DoubleComplex, ps[0], 0, 0, 1, dims, horizontal, vertical)
-    return CechKoszulModel(algebroid, section, window, untwisted, double,
-                           run(row_filtration(double)))
+            _laurent_block(layouts[p][q], layouts[p + 1][q], i_v, out[p + q],
+                           at[(p + 1, q)], at[(p, q)])
+    diffs = [_built(ExactMatrix, len(out[n]), dims[n - lo], tuple(out[n])) for n in range(lo, hi)]
+    cplx = _built(CochainComplex, lo, hi, dims, diffs)
+    return CechKoszulModel(algebroid, section, window, untwisted, cplx, cells,
+                           run(_coordinate_filtration(cells, cplx, lambda p, q: q, 0, 1)))
 
 
 def window_checked(algebroid: AlgebroidOnP1, section: EquivariantSection,
@@ -464,7 +491,9 @@ def first_page(model: CechKoszulModel) -> dict[tuple[int, int], int]:
     grid = model.algebroid.row_grid(model.untwisted)
     if not any(dim and grid.get((p + 1, q)) for (p, q), dim in grid.items()):
         return {}
-    return compute_page(run(column_filtration(model.double)), 1).ranks
+    p_lo = min(model.cells)[0]
+    return compute_page(run(_coordinate_filtration(model.cells, model.total,
+                                                   lambda p, q: p, p_lo, 0)), 1).ranks
 
 
 # -- fixed points, assumption, corollary --------------------------------------

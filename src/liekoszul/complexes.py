@@ -15,6 +15,13 @@ construction once its input is valid; the tests prove them on the corpora
 (`tests/test_builders.py`).  A failed shape check there raises
 `exactla.BuilderError`, a bug, not the ComplexError of raw input.
 Filtrations are stored as one level per vector of an adapted basis.
+
+A `DoubleComplex` is made only from raw input, by its checking
+constructor (the CLI's `double` block); the P^1 model writes its blocks
+straight into a total complex instead (`cechp1.cech_koszul`).  Both lay
+out their cells with `total_layout`, and both take their coordinate
+filtrations, by the first or the second index, from one
+`_coordinate_filtration` over the cell dimensions.
 """
 
 from __future__ import annotations
@@ -213,7 +220,8 @@ class DoubleComplex(Value):
     Only the given maps are stored, in `_dh` and `_dv`; every other map is
     zero.  The total complex is assembled once, with the fields; its d.d = 0
     is the three cell identities (Weibel 1994, 1.2), which the constructor
-    checks, multiplying only maps that are stored.
+    checks, multiplying only maps that are stored.  Made from raw input
+    only: no builder makes one.
     """
 
     __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi", "_dims", "_dh", "_dv", "_total")
@@ -267,9 +275,6 @@ class DoubleComplex(Value):
                        vertical: Mapping[tuple[int, int], ExactMatrix]) -> "DoubleComplex":
         """Build from commuting squares: d_v on column p is twisted by (-1)^p."""
         return cls(p_lo, p_hi, q_lo, q_hi, dims, horizontal, _twisted(vertical))
-
-    def cell_dim(self, p: int, q: int) -> int:
-        return self._dims.get((p, q), 0)
 
     def __repr__(self):
         return (f"DoubleComplex(p in [{self.p_lo},{self.p_hi}], "
@@ -469,26 +474,31 @@ def _rank(rows: Sequence[Row]) -> int:
     return len(echelon)
 
 
-def _coordinate_filtration(d: DoubleComplex, index: Callable[[int, int], int],
+def _coordinate_filtration(cells: Mapping[tuple[int, int], int], cplx: CochainComplex,
+                           index: Callable[[int, int], int],
                            f_lo: int, f_hi: int) -> FilteredComplex:
-    """Filtration of the total complex giving each vector of cell (p, q) the
-    level index(p, q); the coordinate basis is adapted to it.  d_h raises p
-    by one and keeps q, d_v the other way round, so both coordinate
-    filtrations are d-stable."""
+    """Filtration of the total complex `cplx` of a double complex with the
+    cell dimensions `cells` (every cell of its rectangle, in `total_layout`'s
+    order), giving each vector of cell (p, q) the level index(p, q); the
+    coordinate basis is adapted to it.  d_h raises p by one and keeps q, d_v
+    the other way round, so both coordinate filtrations are d-stable.  The
+    filtrations of a raw `DoubleComplex` and those of the P^1 model, which
+    `cechp1.cech_koszul` writes straight into its total complex, come from
+    here."""
     levels = {}
-    for n, cells in total_layout(d._dims).items():
+    for n, layout in total_layout(cells).items():
         lv: list[int] = []
-        for p, q, _ in cells:
-            lv += [index(p, q)] * d.cell_dim(p, q)
+        for p, q, _ in layout:
+            lv += [index(p, q)] * cells[(p, q)]
         levels[n] = tuple(lv)
-    return _built(FilteredComplex, total(d), f_lo, f_hi, levels)
+    return _built(FilteredComplex, cplx, f_lo, f_hi, levels)
 
 
 def column_filtration(d: DoubleComplex) -> FilteredComplex:
     """Filtration by the first index: F_P = sum of cells with p >= P."""
-    return _coordinate_filtration(d, lambda p, q: p, d.p_lo, d.p_hi)
+    return _coordinate_filtration(d._dims, total(d), lambda p, q: p, d.p_lo, d.p_hi)
 
 
 def row_filtration(d: DoubleComplex) -> FilteredComplex:
     """Filtration by the second index: F_Q = sum of cells with q >= Q."""
-    return _coordinate_filtration(d, lambda p, q: q, d.q_lo, d.q_hi)
+    return _coordinate_filtration(d._dims, total(d), lambda p, q: q, d.q_lo, d.q_hi)

@@ -282,5 +282,5 @@ def verify(g: LieAlgebra, h: LieIdeal, m: GModule) -> HSReport:
     cplx = ce_complex(g2, m2)
     reduction = run(_filtered(cplx, m2.dim, k))
     expected = {pq: d for pq, d in _e2_grid(g2, cplx, m2.dim, k).items() if d}
-    computed = compute_page(reduction, 2).nonzero_dims()
+    computed = compute_page(reduction, 2).grid
     return HSReport(expected, computed, reduction.infinity_totals(), computed == expected)

@@ -34,7 +34,6 @@ class SpectralSequenceError(Exception):
 class Pairing(NamedTuple):
     """Unpaired vectors per cell (p, q), and pairs per (p, q, gap) of their
     lower-degree end; p is the level and p + q the degree."""
-    p_range: tuple[int, int]
     n_range: tuple[int, int]
     unpaired: Counter
     pairs: Counter
@@ -90,11 +89,11 @@ def run(f: FilteredComplex) -> Pairing:
             lows.add(i)
             pairs[(p, n - p, dst_levels[i] - p)] += 1
         cleared = lows
-    return Pairing((f.p_lo, f.p_hi), (cplx.lo, cplx.hi), unpaired, pairs)
+    return Pairing((cplx.lo, cplx.hi), unpaired, pairs)
 
 
 class SpectralSequencePage(Value):
-    """Page E_r: `grid` holds dim E_r^{p,q} for every (p, q) of the grid and
+    """Page E_r: `grid` holds dim E_r^{p,q} for every nonzero cell (p, q) and
     `ranks` the rank of d_r out of each (p, q) whose source and target are
     both nonzero."""
 
@@ -105,26 +104,21 @@ class SpectralSequencePage(Value):
     def __init__(self, grid, ranks):
         self._set(grid, ranks)
 
-    def nonzero_dims(self) -> dict[tuple[int, int], int]:
-        return {pq: dim for pq, dim in self.grid.items() if dim}
-
 
 def compute_page(reduction: Pairing, r: int) -> SpectralSequencePage:
+    """Page r from the cells that hold a vector, the unpaired ones and the
+    two ends of each pair: its cost is that of the pairing's cells, not
+    that of the level x degree rectangle around them."""
     if r < 0:
         raise SpectralSequenceError("page index must be nonnegative")
-    (p_lo, p_hi), (n_lo, n_hi) = reduction.p_range, reduction.n_range
-    dims = {(p, n - p): 0 for p in range(p_lo, p_hi + 1) for n in range(n_lo, n_hi + 1)}
-    for pq, count in reduction.unpaired.items():
-        dims[pq] += count
+    dims = Counter(reduction.unpaired)
     for (p, q, gap), count in reduction.pairs.items():
         if gap >= r:
             dims[(p, q)] += count
             dims[(p + gap, q - gap + 1)] += count
-    ranks = {}
-    for (p, q), dim in dims.items():
-        if dim and dims.get((p + r, q - r + 1)):
-            ranks[(p, q)] = reduction.pairs.get((p, q, r), 0)
-    return SpectralSequencePage(dims, ranks)
+    ranks = {(p, q): reduction.pairs.get((p, q, r), 0)
+             for p, q in dims if (p + r, q - r + 1) in dims}
+    return SpectralSequencePage(dict(dims), ranks)
 
 
 def check_convergence(result: Pairing, betti: dict[int, int]) -> bool:

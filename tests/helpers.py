@@ -8,8 +8,9 @@ enumeration.  Slow, but exact and independent of the code under test.
 from fractions import Fraction as QQ
 from itertools import combinations
 
-from liekoszul.cechp1 import lp, lp_mul
-from liekoszul.exactla import ExactMatrix, Subspace, _dense
+from liekoszul.cechp1 import _delta_matrix, _layout, lp, lp_mul
+from liekoszul.complexes import DoubleComplex, total, total_layout
+from liekoszul.exactla import ExactMatrix, Subspace, _built, _dense
 from liekoszul.lierinehart import p_add
 
 
@@ -54,16 +55,21 @@ def dense(x):
     return tuple(_dense(r, x.ambient_dim) for r in rows)
 
 
+def cell_dim(d, p, q):
+    """dim K^{p,q} of a double complex: zero outside its rectangle."""
+    return d._dims.get((p, q), 0)
+
+
 def dh(d, p, q):
     """d_h out of cell (p, q) of a double complex: its stored map, or zero."""
     m = d._dh.get((p, q))
-    return ExactMatrix.zeros(d.cell_dim(p + 1, q), d.cell_dim(p, q)) if m is None else m
+    return ExactMatrix.zeros(cell_dim(d, p + 1, q), cell_dim(d, p, q)) if m is None else m
 
 
 def dv(d, p, q):
     """d_v out of cell (p, q) of a double complex: its stored map, or zero."""
     m = d._dv.get((p, q))
-    return ExactMatrix.zeros(d.cell_dim(p, q + 1), d.cell_dim(p, q)) if m is None else m
+    return ExactMatrix.zeros(cell_dim(d, p, q + 1), cell_dim(d, p, q)) if m is None else m
 
 
 def flag_rows(spaces):
@@ -165,3 +171,40 @@ def lmat_flip(a):
 
 def lmat_identity(n):
     return tuple(tuple(lp(1 if i == j else 0) for j in range(n)) for i in range(n))
+
+
+def double(model):
+    """The double complex of a P^1 model, whose builder writes straight into
+    the total complex: each cell block cut out of `model.total` by the cell
+    layout, with no entry of the total outside a d_h or d_v block, through
+    the checking `DoubleComplex` constructor, whose total is the model's."""
+    cells = model.cells
+    layout = total_layout(cells)
+    ps, qs = {p for p, _ in cells}, {q for _, q in cells}
+    horizontal, vertical = {}, {}
+    for n in range(model.total.lo, model.total.hi):
+        rows = model.total.d(n).row_maps
+        targets = {(p, q): off for p, q, off in layout[n + 1]}
+        cut = 0
+        for p, q, off in layout[n]:
+            for maps, tgt in ((horizontal, (p + 1, q)), (vertical, (p, q + 1))):
+                if tgt not in targets:
+                    continue
+                block = [{j - off: x for j, x in row.items() if off <= j < off + cells[(p, q)]}
+                         for row in rows[targets[tgt]:targets[tgt] + cells[tgt]]]
+                cut += sum(map(len, block))
+                maps[(p, q)] = ExactMatrix(cells[tgt], cells[(p, q)], block)
+        assert cut == sum(map(len, rows)), f"entries outside the blocks out of degree {n}"
+    out = DoubleComplex(min(ps), max(ps), min(qs), max(qs), cells, horizontal, vertical)
+    assert all(total(out).d(n).row_maps == model.total.d(n).row_maps
+               for n in range(model.total.lo, model.total.hi))
+    return out
+
+
+def delta(row):
+    """The untwisted Cech differential of a row model, as the matrix that
+    `cechp1._cech_dims` wraps from the rows `_delta_matrix` writes."""
+    chart, overlap = layout = _layout(row)
+    rows = [{} for _ in range(overlap[1])]
+    _delta_matrix(row, rows, layout=layout)
+    return _built(ExactMatrix, overlap[1], chart[1], tuple(rows))

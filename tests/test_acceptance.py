@@ -16,7 +16,7 @@ from liekoszul.cechp1 import (
     window_checked,
 )
 from liekoszul.cli import build_p1
-from liekoszul.complexes import DoubleComplex, betti, row_filtration, total
+from liekoszul.complexes import DoubleComplex, betti, row_filtration
 from liekoszul.hochserre import ce_complex, hs_filtered, verify
 from liekoszul.koszul import formality_check, lie_koszul, vanishing_check
 from liekoszul.lierinehart import (
@@ -82,8 +82,8 @@ def test_criterion_3_second_page_degeneration():
         rep = second_page_degeneration(model)
         # E2 against the engine's page 2, and the E_inf totals of the pairing
         # against the rank path of `betti`
-        ok = ok and dict(rep.unpaired) == compute_page(model.cech, 2).nonzero_dims() \
-            and check_convergence(model.cech, betti(total(model.double)))
+        ok = ok and dict(rep.unpaired) == compute_page(model.cech, 2).grid \
+            and check_convergence(model.cech, betti(model.total))
     # an affine slice as one row: the E_inf totals of its pairing against
     # `betti`, a separate elimination
     for name, lr, section, _ in corpus.lie_rinehart_instances():
@@ -178,13 +178,13 @@ def test_criterion_8_structural_identities():
     for _, payload in corpus.case_payloads("p1_bundle"):
         algebroid, section, untwisted, _ = build_p1(payload)
         for window in (1, 2, 3):
-            t = total(cech_koszul(algebroid, section, window, untwisted).double)
+            t = cech_koszul(algebroid, section, window, untwisted).total
             for n in range(t.lo, t.hi - 1):
                 ok = ok and (t.d(n + 1) @ t.d(n)).is_zero()
     # window stabilization: every model's dims are reproduced at window + 1
     for name, algebroid, section, untwisted in corpus.p1_instances():
-        one = betti(total(cech_koszul(algebroid, section, 1, untwisted).double))
-        two = betti(total(cech_koszul(algebroid, section, 2, untwisted).double))
+        one = betti(cech_koszul(algebroid, section, 1, untwisted).total)
+        two = betti(cech_koszul(algebroid, section, 2, untwisted).total)
         ok = ok and one == two
     report("8 structural identities: d^2, i_V^2, Cartan, cocycles, D^2 on P^1, windows",
            ok, started, "30 s")

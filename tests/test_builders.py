@@ -46,7 +46,7 @@ from liekoszul.exactla import ExactMatrix, Subspace
 from liekoszul.koszul import reduction_map
 from liekoszul.lierinehart import SectionV, WeightedPolyRing, tangent_algebroid
 
-from helpers import dh, dv, flag_rows
+from helpers import cell_dim, dh, double, dv, flag_rows
 from test_specseq import random_flag
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -65,7 +65,7 @@ def checked(x):
     if isinstance(x, DoubleComplex):
         cells = [(p, q) for p in range(x.p_lo, x.p_hi + 1) for q in range(x.q_lo, x.q_hi + 1)]
         return DoubleComplex(x.p_lo, x.p_hi, x.q_lo, x.q_hi,
-                             {c: x.cell_dim(*c) for c in cells},
+                             {c: cell_dim(x, *c) for c in cells},
                              {c: dh(x, *c) for c in cells}, {c: dv(x, *c) for c in cells})
     if isinstance(x, FilteredComplex):
         out = FilteredComplex(checked(x.complex), x.p_lo, x.p_hi, x.levels)
@@ -206,10 +206,11 @@ def _p1_models():
 
 @pytest.mark.parametrize("args", _p1_models())
 def test_p1_models_and_their_filtrations_pass_the_checks(args):
-    double = cechp1.cech_koszul(*args).double
-    checked(double)
-    checked(column_filtration(double))
-    checked(row_filtration(double))
+    model = cechp1.cech_koszul(*args)
+    cells = double(model)   # the checking constructor, on the model's blocks
+    checked(model.total)
+    checked(column_filtration(cells))
+    checked(row_filtration(cells))
 
 
 def test_coordinate_filtrations_of_a_raw_double_complex_pass_the_checks():

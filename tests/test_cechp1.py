@@ -11,7 +11,6 @@ from liekoszul.cechp1 import (
     GluingError,
     RowModel,
     WindowError,
-    _delta_matrix,
     assumption_check,
     atiyah_algebroid,
     build_row,
@@ -36,7 +35,9 @@ from liekoszul.specseq import check_convergence, compute_page, run
 import corpus
 from oracle import chart_entries, delta_keyed, window_entries, zero_scheme_length
 from helpers import (
+    delta,
     dh,
+    double,
     level_dim,
     line_bundle_dims_by_counting,
     lmat_flip,
@@ -64,7 +65,7 @@ def test_window_guard_raises_on_truncated_image():
     for bad, image in ((RowModel(line_bundle(-2), 1, (1,), ((-1, 1),)), "('01', 0, -2)"),
                        (RowModel(line_bundle(0), 1, (0,), ((0, 0),)), "('01', 0, 1)")):
         with pytest.raises(BuilderError, match="leaves the target cell") as laid_out:
-            _delta_matrix(bad)
+            delta(bad)
         with pytest.raises(BuilderError) as keyed:
             delta_keyed(bad)
         assert str(laid_out.value) == str(keyed.value) == f"image {image} leaves the target cell"
@@ -75,11 +76,11 @@ def test_delta_vanishes_on_glued_sections():
     # so delta = iota1(s1) - iota0(s0) sends (s0, s1) to zero
     for d in range(4):
         row = build_row(line_bundle(d), 2, line_bundle(d).margin)
-        delta = _delta_matrix(row)
+        m = delta(row)
         index = {key: i for i, key in enumerate(chart_entries(row))}
         for a in range(d + 1):
             v = {index[("0", 0, a)]: 1, index[("1", 0, d - a)]: 1}
-            assert not any(delta.images([v])), (d, a)
+            assert not any(m.images([v])), (d, a)
 
 
 def test_random_rank_two_euler_characteristics():
@@ -166,7 +167,7 @@ def test_cech_koszul_zero_section_has_zero_contractions():
     model = cech_koszul(a0, EquivariantSection(a0, (0, 0, 0)), 1)
     for p in (-2, -1):
         for q in (0, 1):
-            assert dh(model.double, p, q).is_zero()
+            assert dh(double(model), p, q).is_zero()
 
 
 def test_cech_koszul_double_complex_valid():
@@ -175,8 +176,8 @@ def test_cech_koszul_double_complex_valid():
     # and acceptance criterion 8 prove them on every P^1 model
     a0 = atiyah_algebroid(0)
     model = cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1)
-    assert model.double.p_lo == -2 and model.double.q_hi == 1
-    assert not dh(model.double, -1, 0).is_zero()
+    assert min(model.cells) == (-2, 0) and max(model.cells) == (0, 1)
+    assert not dh(double(model), -1, 0).is_zero()
 
 
 def test_equivariant_h_zero_section_matches_first_page_sum():
@@ -527,7 +528,7 @@ def test_each_row_includes_quasi_isomorphically_into_a_wider_row(monkeypatch):
         chart = {key: j for j, key in enumerate(chart_entries(wide))}
         overlap = {key: i for i, key in enumerate(window_entries(wide))}
         small_overlap = window_entries(small)
-        d_small, d_wide = _delta_matrix(small), _delta_matrix(wide)
+        d_small, d_wide = delta(small), delta(wide)
         wide_columns = exactla._transpose(d_wide.row_maps, d_wide.cols)
         embed = [{overlap[small_overlap[i]]: x for i, x in col.items()}
                  for col in exactla._transpose(d_small.row_maps, d_small.cols)]
@@ -641,7 +642,7 @@ def test_first_page_d1_ranks_are_page_1_of_the_wedge_degree_run_on_a_seeded_scan
         section = EquivariantSection(algebroid, [rng.randint(-2, 2) for _ in range(3)], [alpha])
         model = cech_koszul(algebroid, section, rng.randint(1, 3), untwisted)
         ranks = first_page(model)
-        assert ranks == compute_page(run(column_filtration(model.double)), 1).ranks
+        assert ranks == compute_page(run(column_filtration(double(model))), 1).ranks
         if degree == 0 and not untwisted:
             assert ranks == dict.fromkeys([(-2, 1), (-1, 0)], int(alpha != 0))
             twisted_0[alpha != 0] += 1
@@ -668,9 +669,9 @@ def test_first_page_engine_consistency_and_d1():
 def _page1_grid(model):
     """The model's E1 grid from the engine: page 1 of the wedge-degree run,
     on the cells of the row grid and wherever it is nonzero."""
-    page1 = compute_page(run(column_filtration(model.double)), 1)
+    page1 = compute_page(run(column_filtration(double(model))), 1)
     rows = model.algebroid.row_grid(model.untwisted)
-    return {pq: dim for pq, dim in page1.grid.items() if pq in rows or dim}
+    return {**dict.fromkeys(rows, 0), **page1.grid}
 
 
 def _p1_models(windows):
@@ -693,19 +694,19 @@ def test_cech_run_second_page_is_its_unpaired_grid():
     # E2 = E_inf of the Cech-degree run, which `second_page_degeneration`
     # reads off the unpaired vectors with no page built
     for name, model in _p1_models((1, 2, 3)):
-        assert compute_page(model.cech, 2).nonzero_dims() == dict(model.cech.unpaired), name
+        assert compute_page(model.cech, 2).grid == dict(model.cech.unpaired), name
 
 
 def test_wedge_filtration_graded_pieces_are_cells():
     # quotients F_p / F_{p+1} in total degree p+q have the (p, q) cell dims
     a0 = atiyah_algebroid(0)
     model = cech_koszul(a0, EquivariantSection(a0, (0, 1, 0)), 1)
-    filt = column_filtration(model.double)
+    filt = column_filtration(double(model))
     for p in range(-2, 1):
         for q in (0, 1):
             n = p + q
             got = level_dim(filt, p, n) - level_dim(filt, p + 1, n)
-            assert got == model.double.cell_dim(p, q)
+            assert got == model.cells[(p, q)]
 
 
 @pytest.mark.parametrize("window", [1, 2])
@@ -714,14 +715,14 @@ def test_wedge_filtration_graded_pieces_are_cells():
 def test_cech_run_totals_are_the_betti_numbers(algebroid, section, untwisted, window):
     # the E_inf totals the model stores against the rank path of `betti`
     model = cech_koszul(algebroid, section, window, untwisted)
-    assert model.cech.infinity_totals() == betti(total(model.double))
+    assert model.cech.infinity_totals() == betti(model.total)
 
 
 def test_wedge_filtration_converges_for_zero_section():
     for d in (-2, 0, 2):
         a = atiyah_algebroid(d)
         model = cech_koszul(a, EquivariantSection(a, (0, 0, 0)), 1)
-        filt = column_filtration(model.double)
+        filt = column_filtration(double(model))
         res = run(filt)
         assert check_convergence(res, betti(filt.complex))
         # and the limit totals are the zero-section cohomology of the remark

@@ -472,6 +472,42 @@ def test_a_p1_window_at_the_cap_runs(monkeypatch, capsys):
     assert windows == [4096]
 
 
+def test_a_p1_run_makes_no_double_complex(monkeypatch, capsys):
+    # the model is written straight into its total complex: no DoubleComplex,
+    # checked or built, and no copy of cell blocks into a total
+    made, assembled = [], []
+    set_fields, assemble = complexes.DoubleComplex._set, complexes._assemble_total
+    monkeypatch.setattr(complexes.DoubleComplex, "_set",
+                        lambda self, *args: made.append(args) or set_fields(self, *args))
+    monkeypatch.setattr(complexes, "_assemble_total",
+                        lambda *args: assembled.append(args) or assemble(*args))
+    assert run_cli(["p1", CASES / "p1-euler-O0.json"]) == 0
+    capsys.readouterr()
+    assert (made, assembled) == ([], [])
+
+
+@pytest.mark.parametrize("q_hi", [8192, 10 ** 6, 10 ** 30])
+def test_a_raw_double_over_the_cell_cap_is_refused_before_any_build(monkeypatch, tmp_path,
+                                                                    capsys, q_hi):
+    # cohomology and specseq walk every cell of the rectangle, listed or not:
+    # without the cap, 2 x 10^6 cells take minutes and 10^30 runs out of memory
+    built = []
+    monkeypatch.setattr(complexes.DoubleComplex, "__init__",
+                        lambda *args: built.append(args) or 1 / 0)
+    path = _mutated(tmp_path, "square-double.json", lambda p: p["double"].update(q_hi=q_hi))
+    for command in ("cohomology", "specseq"):
+        err = _exit_with_one_line(capsys, [command, path], 2, "error:")
+        assert err == (f"error: double rectangle must have at most 16384 cells, "
+                       f"got {2 * (q_hi + 1)}\n")
+    assert cli.RAW_DOUBLE_CELL_CAP == 16384 and built == []
+
+
+def test_a_raw_double_at_the_cell_cap_runs(tmp_path):
+    path = _mutated(tmp_path, "square-double.json", lambda p: p["double"].update(q_hi=8191))
+    betti = _report(tmp_path, ["cohomology", path])["betti"]
+    assert len(betti) == 8193 and not any(betti.values())
+
+
 @pytest.mark.parametrize("args", PAIRED_RUNS.values(), ids=PAIRED_RUNS.keys())
 def test_paired_differentials_are_eliminated_only_by_the_pairing(monkeypatch, capsys, args):
     # Every elimination goes through exactla._rref and every spectral sequence
@@ -525,9 +561,8 @@ def test_each_command_builds_only_the_pages_it_reads(monkeypatch, capsys, args):
     elif args[0] == "hs":
         assert built == [2]
     else:
-        (_, reduction), = runs
-        p_lo, p_hi = reduction.p_range
-        last = p_hi - p_lo + 2
+        ((filt,), _), = runs
+        last = filt.width + 1
         if "--max-page" in args:
             last = min(last, int(args[args.index("--max-page") + 1]))
         assert built == list(range(last + 1))
@@ -1181,15 +1216,21 @@ def test_an_engine_fault_is_an_internal_error(monkeypatch, capsys, error):
     assert err == f"internal error: {type(error).__name__}: boom\n"
 
 
-@pytest.mark.parametrize("command, case, module, builder", [
-    ("p1", "p1-euler-O0.json", cechp1, "_delta_matrix"),
-    ("koszul", "euler-n2.json", koszul, "contraction"),
+def _one_row_too_many(row, rows, *args):
+    # a Cech block writer that adds a row to the total-degree rows it is given
+    rows.append({})
+
+
+@pytest.mark.parametrize("command, case, module, builder, fault", [
+    ("p1", "p1-euler-O0.json", cechp1, "_delta_matrix", _one_row_too_many),
+    ("koszul", "euler-n2.json", koszul, "contraction",
+     lambda *args: exactla.ExactMatrix.zeros(1, 1)),
 ], ids=["p1", "koszul"])
 def test_a_misshaped_builder_matrix_is_an_internal_error(monkeypatch, capsys, command, case,
-                                                         module, builder):
+                                                         module, builder, fault):
     # builder output is wrapped unchecked but for its shapes: a shape fault
     # there is the program's, so it exits 3, not 2 as a ComplexError of input
-    monkeypatch.setattr(module, builder, lambda *args: exactla.ExactMatrix.zeros(1, 1))
+    monkeypatch.setattr(module, builder, fault)
     err = _exit_with_one_line(capsys, [command, CASES / case], 3, "internal error:")
     assert err.startswith("internal error: BuilderError: ") and "shape" in err, err
 

@@ -21,7 +21,8 @@ from liekoszul.complexes import (
 )
 from liekoszul.exactla import ExactMatrix, Subspace
 
-from helpers import betti_by_minors, dh, dv, flag_rows, level_dim, matrix_rows, units
+from helpers import (betti_by_minors, cell_dim, dh, double, dv, flag_rows, level_dim,
+                     matrix_rows, units)
 from test_specseq import random_flag
 
 ONE = ExactMatrix.from_rows([[1]])   # the 1x1 identity
@@ -141,14 +142,14 @@ def test_rejects_non_anticommuting():
 def test_euler_characteristic_of_total():
     d = square_double()
     t = total(d)
-    cells = sum((-1) ** (p + q) * d.cell_dim(p, q) for p in (0, 1) for q in (0, 1))
+    cells = sum((-1) ** (p + q) * cell_dim(d, p, q) for p in (0, 1) for q in (0, 1))
     assert cells == sum((-v if n % 2 else v) for n, v in betti(t).items())
 
 
 def test_transpose_preserves_total_cohomology_dims():
     d = square_double()
     cells = [(p, q) for p in (0, 1) for q in (0, 1)]
-    tt = total(DoubleComplex(0, 1, 0, 1, {(q, p): d.cell_dim(p, q) for p, q in cells},
+    tt = total(DoubleComplex(0, 1, 0, 1, {(q, p): cell_dim(d, p, q) for p, q in cells},
                              {(q, p): dv(d, p, q) for p, q in cells},
                              {(q, p): dh(d, p, q) for p, q in cells}))
     t = total(d)
@@ -171,7 +172,7 @@ def test_filtration_quotient_dims_match_cells():
     for p in (0, 1):
         for n in (0, 1, 2):
             q = n - p
-            expected = d.cell_dim(p, q)
+            expected = cell_dim(d, p, q)
             got = level_dim(col, p, n) - level_dim(col, p + 1, n)
             assert got == expected
 
@@ -237,7 +238,7 @@ def test_checking_constructors_reject_a_negative_dim():
                        match=re.escape("dims must not be negative, got {(0, 0): -2}")):
         DoubleComplex(0, 0, 0, 0, {(0, 0): -2}, {}, {})
     assert CochainComplex(0, 0, [0], []).dim(0) == 0
-    assert DoubleComplex(0, 0, 0, 0, {(0, 0): 0}, {}, {}).cell_dim(0, 0) == 0
+    assert cell_dim(DoubleComplex(0, 0, 0, 0, {(0, 0): 0}, {}, {}), 0, 0) == 0
 
 
 def test_double_complex_rejects_keys_outside_its_rectangle():
@@ -412,11 +413,11 @@ def test_valid_double_complex_is_checked_cell_by_cell(monkeypatch):
     # every map is given here, zero or not, so a product is skipped only where
     # a factor would leave the rectangle: two per neighbour inside it
     a = atiyah_algebroid(0)
-    model = cech_koszul(a, EquivariantSection(a, (0, 1, 0)), 2).double
+    model = double(cech_koszul(a, EquivariantSection(a, (0, 1, 0)), 2))
     cells = [(p, q) for p in range(model.p_lo, model.p_hi + 1)
              for q in range(model.q_lo, model.q_hi + 1)]
     args = (model.p_lo, model.p_hi, model.q_lo, model.q_hi,
-            {c: model.cell_dim(*c) for c in cells},
+            {c: cell_dim(model, *c) for c in cells},
             {c: dh(model, *c) for c in cells}, {c: dv(model, *c) for c in cells})
     calls = []
     matmul = ExactMatrix.__matmul__

@@ -50,6 +50,7 @@ ALLOWLIST = {
 REMOVED = [
     "cechp1.zero_section",
     "complexes.CochainComplex.euler_characteristic",
+    "complexes.DoubleComplex.cell_dim",
     "complexes.DoubleComplex.dh",
     "complexes.DoubleComplex.dv",
     "complexes.DoubleComplex.euler_characteristic",
@@ -76,6 +77,7 @@ REMOVED = [
     "koszul.FormalityResult.first_failure",
     "lierinehart.WeightedPolyRing.variable",
     "specseq.SpectralSequencePage.dims",
+    "specseq.SpectralSequencePage.nonzero_dims",
     "specseq.SpectralSequencePage.entry_dim",
 ]
 

@@ -24,7 +24,7 @@ from liekoszul.exactla import (
     solve_batch,
 )
 
-from helpers import apply, dense, from_columns, matrix_rows, rank_by_minors, units
+from helpers import apply, cell_dim, dense, from_columns, matrix_rows, rank_by_minors, units
 from oracle import dense_kernel, dense_rref, dense_solve
 
 
@@ -422,7 +422,7 @@ INTEGER_SITES = {
             lambda c: c.dim(0)),
     "double-dim": (complexes.ComplexError,
                    lambda x: complexes.DoubleComplex(0, 0, 0, 0, {(0, 0): x}, {}, {}),
-                   lambda d: d.cell_dim(0, 0)),
+                   lambda d: cell_dim(d, 0, 0)),
     "level": (complexes.ComplexError,
               lambda x: complexes.FilteredComplex(complexes.CochainComplex(0, 0, [1], []),
                                                   0, 2, {0: [x]}),

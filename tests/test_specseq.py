@@ -46,7 +46,7 @@ def test_column_filtration_page_one_is_column_cohomology():
     d = DoubleComplex.from_commuting(0, 1, 0, 1, dims, {}, vert)
     f = column_filtration(d)
     p1 = compute_page(run(f), 1)
-    assert [p1.grid[pq] for pq in ((0, 0), (0, 1), (1, 0), (1, 1))] == [0, 0, 1, 1]
+    assert p1.grid == {(1, 0): 1, (1, 1): 1}
 
 
 def test_handbuilt_nonzero_d2():
@@ -64,7 +64,7 @@ def test_handbuilt_nonzero_d2():
     assert page2.grid != page3.grid
     assert any(page2.ranks.values())
     assert page2.ranks[(0, 0)] == 1
-    assert page3.nonzero_dims() == {}
+    assert page3.grid == {}
     assert res.degeneration_page == 3
     assert check_convergence(res, betti(f.complex))
 
@@ -242,6 +242,21 @@ def test_functoriality_of_pages_under_filtered_iso():
         assert run(plain).infinity_totals() == run(twisted).infinity_totals()
 
 
+def test_a_page_holds_only_its_nonzero_cells():
+    # a 2 x 2001 rectangle holding square-double's four cells: each of the
+    # row filtration's 2003 pages lists at most those cells, not the grid
+    dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    one = ExactMatrix.from_rows([[1]])
+    d = DoubleComplex.from_commuting(0, 1, 0, 2000, dims, {(0, 0): one, (0, 1): one},
+                                     {(0, 0): one, (1, 0): one})
+    f = row_filtration(d)
+    res = run(f)
+    for r in range(f.width + 2):
+        page = compute_page(res, r)
+        assert set(page.grid) <= set(dims) and set(page.ranks) <= set(dims), r
+    assert compute_page(res, 0).grid == dims and compute_page(res, 2).grid == {}
+
+
 def test_infinity_is_read_off_the_unpaired_vectors():
     # E_inf is page width+1, and its totals list every degree, zeros included
     rng = random.Random(7)
@@ -249,7 +264,7 @@ def test_infinity_is_read_off_the_unpaired_vectors():
         f = random_filtered_complex(rng)
         res = run(f)
         last = compute_page(res, f.width + 1)
-        assert dict(res.unpaired) == last.nonzero_dims()
+        assert dict(res.unpaired) == last.grid
         totals = res.infinity_totals()
         assert list(totals) == list(f.complex.degrees())
         for n in f.complex.degrees():

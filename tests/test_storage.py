@@ -11,10 +11,10 @@ from fractions import Fraction as QQ
 import pytest
 
 import corpus
-from helpers import dh, dv
+from helpers import dh, double, dv
 from liekoszul import complexes, koszul
 from liekoszul.cechp1 import cech_koszul
-from liekoszul.complexes import is_quasi_isomorphism, total
+from liekoszul.complexes import is_quasi_isomorphism
 from liekoszul.exactla import ExactMatrix, Subspace, image_basis, kernel_basis, qq
 from liekoszul.hochserre import _adapted, _h_blocks, ce_complex
 from liekoszul.lierinehart import (
@@ -74,12 +74,13 @@ def test_lie_algebra_builders_store_canonical_entries():
 @pytest.mark.parametrize("window", [1, 2])
 def test_cech_koszul_cells_and_total_store_canonical_entries(window):
     for name, algebroid, section, untwisted in corpus.p1_instances():
-        double = cech_koszul(algebroid, section, window, untwisted).double
-        for p in range(double.p_lo, double.p_hi + 1):
-            for q in range(double.q_lo, double.q_hi + 1):
-                assert_canonical(dh(double, p, q), (name, "dh", p, q))
-                assert_canonical(dv(double, p, q), (name, "dv", p, q))
-        for d in _differentials(total(double)):
+        model = cech_koszul(algebroid, section, window, untwisted)
+        cells = double(model)
+        for p in range(cells.p_lo, cells.p_hi + 1):
+            for q in range(cells.q_lo, cells.q_hi + 1):
+                assert_canonical(dh(cells, p, q), (name, "dh", p, q))
+                assert_canonical(dv(cells, p, q), (name, "dv", p, q))
+        for d in _differentials(model.total):
             assert_canonical(d, (name, "total"))
 
 
