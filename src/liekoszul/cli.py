@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from math import comb
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
@@ -370,7 +371,7 @@ def cmd_cohomology(payload: dict, args) -> tuple[dict, None]:
     if kind == "lie_rinehart":
         lr, _ = build_lie_rinehart(payload)
         _require_valid(lr)
-        lo, hi = _weight_range(payload, args)
+        lo, hi = _weight_range(payload, args, lr)
         return {"betti_per_weight": {w: betti(lierinehart.omega_slice_complex(lr, w))
                                      for w in range(lo, hi + 1)}}, None
     raise SchemaError(f"cohomology does not apply to kind {kind!r}")
@@ -384,20 +385,89 @@ def _bound(text: str, rng: str) -> int:
         raise SchemaError(f"--weights bound {text!r} in {rng!r} is not an integer") from None
 
 
-def _weight_range(payload: dict, args) -> tuple[int, int]:
+# The most work a weight range of `koszul` or `cohomology` may ask for, in
+# the units of `_weight_work`, about 0.2 us each at the densest inputs
+# measured.  A range at the cap ran in at most 1.6 s and 63 MB (one job on
+# 2 vCPUs, Python 3.11) over 1 to 8 variables, with monomial, binomial and
+# dense sections of degree 1 to 3, with and without dim_y, and on every
+# lie_rinehart case file; the default weights 0..3 of the tangent
+# algebroid of 8 variables read 604,624.  `koszul` on euler-n2 with
+# weights 0..10^6 was still running after 10 s.
+WEIGHT_RANGE_CAP = 5 * 10**6
+# What one weight costs before its slices, in those units.
+WEIGHT_COST = 500
+
+
+def _monomial_bound(n: int, x: int) -> int:
+    """A bound on the monomials of weight x in n variables of weights >= 1:
+    C(x + n - 1, n - 1), the count at unit weights (the first n - 1
+    exponents fix the last), so no monomial is listed; it grows with x."""
+    return 0 if x < 0 else comb(x + n - 1, n - 1) if n else 1
+
+
+def _slice_bounds(lr, w: int, step: int) -> list[int]:
+    """A bound on the basis of the weight-w slice of each degree p: the sum,
+    over the p-subsets S of generators, of `_monomial_bound` at weight
+    w + sum_{i in S} (weight(e_i) - step), that of the block eps_S (`step`
+    is weight(V) for the Koszul complex, 0 for the form complex)."""
+    shifts = {(0, 0): 1}    # (|S|, sum_{i in S} (weight(e_i) - step)) -> subsets S
+    for g in lr.gen_weights:
+        for (p, s), c in list(shifts.items()):
+            shifts[p + 1, s + g - step] = shifts.get((p + 1, s + g - step), 0) + c
+    bounds = [0] * (lr.rank + 1)
+    for (p, s), c in shifts.items():
+        bounds[p] += c * _monomial_bound(lr.ring.nvars, w + s)
+    return bounds
+
+
+def _weight_work(lr, section, lo: int, hi: int, walk: bool) -> int:
+    """The work bound of the weights lo..hi of the Koszul complex of
+    `section`, or of the form complex where it is None.  Each weight costs
+    WEIGHT_COST plus t^2 times the square of each degree's `_slice_bounds`
+    at the top weight hi, the largest: a differential eliminates one
+    degree's block, and t, the most terms of one anchor entry, bracket
+    coefficient or component of V and at least 1, since the slices are
+    built even where no term acts, measures how its rows fill in.  `walk`
+    adds the ideal slices of weights 0..hi + 2 that
+    `koszul.is_zero_dimensional` may eliminate, each WEIGHT_COST plus t^2
+    times the square of the ring slice's bound, summed until the bound
+    passes the cap."""
+    polys = [a for row in lr.anchor for a in row]
+    polys += [c for cs in lr.brackets.values() for c in cs.values()]
+    polys += section.components if section is not None else []
+    t2 = max([1, *map(len, polys)]) ** 2
+    step = section.weight if section is not None else 0
+    work = (hi - lo + 1) * (WEIGHT_COST + t2 * sum(d * d for d in _slice_bounds(lr, hi, step)))
+    w = 0
+    while walk and w <= hi + 2 and work <= WEIGHT_RANGE_CAP:
+        work += WEIGHT_COST + t2 * _monomial_bound(lr.ring.nvars, w) ** 2
+        w += 1
+    return work
+
+
+def _weight_range(payload: dict, args, lr, section=None) -> tuple[int, int]:
+    """The weights of a `koszul` run on `section`, or a `cohomology` run on
+    `lr` where it is None, from `--weights` or the file, 0..3 by default;
+    a range whose work bound (`_weight_work`, with the walk of
+    `koszul.is_zero_dimensional` where the file asserts no dim_y) is over
+    WEIGHT_RANGE_CAP is refused."""
     rng = getattr(args, "weights", None)
     if rng is not None:
         parts = rng.split("..")
         if len(parts) != 2:
             raise SchemaError(f"--weights must be a range 'a..b', got {rng!r}")
         lo, hi, field = _bound(parts[0], rng), _bound(parts[1], rng), "--weights"
-    elif "weights" not in payload:
-        return 0, 3
-    else:
+    elif "weights" in payload:
         lo, hi = _sized(payload, "weights", 2)
         lo, hi, field = _integer(lo, "weights"), _integer(hi, "weights"), "'weights'"
+    else:
+        lo, hi, field = 0, 3, "the default"
     if lo > hi:
         raise SchemaError(f"{field} range {lo}..{hi} is empty")
+    work = _weight_work(lr, section, lo, hi, section is not None and "dim_y" not in payload)
+    if work > WEIGHT_RANGE_CAP:
+        raise SchemaError(f"{field} range {lo}..{hi} is too large: its work bound is "
+                          f"{work}, over {WEIGHT_RANGE_CAP}")
     return lo, hi
 
 
@@ -436,7 +506,7 @@ def cmd_koszul(payload: dict, args) -> tuple[dict, bool]:
     lr, section = build_lie_rinehart(payload)
     if section is None:
         raise SchemaError("koszul needs a 'section' field")
-    lo, hi = _weight_range(payload, args)
+    lo, hi = _weight_range(payload, args, lr, section)
     asserted = "dim_y" in payload
     dim_y = _count(payload["dim_y"], "dim_y") if asserted else None
     _require_valid(lr)

@@ -29,7 +29,9 @@ and with it every basis, is canonical whatever order the elimination
 works in; tests compare bases, not just dimensions.
 
 `_insert` is the one elimination kernel, shared by `_rref` (every kernel,
-image, rank and solve), `Subquotient`, `complexes._cone_ranks`,
+image, rank and solve, and `normal_forms(rows, n)`, which reads the normal
+forms of QQ^n modulo the span of any spanning rows, and the quotient
+dimension, off one RREF of those rows), `Subquotient`, `complexes._cone_ranks`,
 `FilteredComplex.from_flag` (its running echelon per degree and the rank
 of each level) and `specseq.run`.
 
@@ -504,20 +506,22 @@ def image_basis(m: ExactMatrix) -> Subspace:
     return _built(Subspace, m.rows, _transpose(m.row_maps, m.cols))
 
 
-def normal_forms(s: Subspace) -> list[Row]:
-    """The class of each unit vector e_j in QQ^n / s, in coordinates of the
-    quotient basis: the e_i not in s + span(e_0..e_{i-1}), as picked by a
-    `Subquotient` of QQ^n by s.  They are the non-pivots of the
-    RREF of s with each row's pivot at its last nonzero column, and a pivot
-    e_p is minus the rest of its row."""
-    n = s.ambient_dim
-    rows, pivots = _rref([{n - 1 - j: a for j, a in r.items()} for r in s.sparse_basis])
+def normal_forms(rows: Sequence[Mapping[int, QQ]], n: int) -> tuple[list[Row], int]:
+    """The class of each unit vector e_j in QQ^n / span(rows), in
+    coordinates of the quotient basis, and the dimension of the quotient.
+    The quotient basis is the e_i not in span(rows) + span(e_0..e_{i-1}),
+    as picked by a `Subquotient` of QQ^n by the span.  They are the
+    non-pivots of the RREF of the rows with each row's pivot at its last
+    nonzero column, and a pivot e_p is minus the rest of its row: one
+    `_rref` of the rows with their columns reversed.  The RREF of a row
+    space is unique, so the forms are those of any spanning set."""
+    echelon, pivots = _rref([{n - 1 - j: a for j, a in r.items()} for r in rows])
     pivset = {n - 1 - p for p in pivots}
     index = {j: i for i, j in enumerate(j for j in range(n) if j not in pivset)}
     forms: list[Row] = [{index[j]: 1} if j in index else {} for j in range(n)]
-    for row, p in zip(rows, pivots):
+    for row, p in zip(echelon, pivots):
         forms[n - 1 - p] = {index[n - 1 - c]: -a for c, a in row.items() if c != p}
-    return forms
+    return forms, len(index)
 
 
 def rank(m: ExactMatrix) -> int:

@@ -27,13 +27,14 @@ quasi-isomorphism test eliminate it as the top block of each cone
 differential, and the source Betti numbers are read off those pivots.
 `lie_koszul`, `reduction_map` and `SectionV` keep the coefficients as given.
 
-Normal forms come from one RREF of each ideal slice I_w with each row's
-pivot at its last nonzero monomial (Lazard, EUROCAL 1983): the quotient
-basis is the monomials e_i not in I_w + span(e_0..e_{i-1}), the non-pivots,
-and a pivot monomial reduces to minus the rest of its row.  Each section
-keeps its one model (`zero_locus_model`), built from the primitive
-components and shared with its primitive form, so every slice and its
-normal forms are built once per command, whatever the weights asked for.
+Normal forms come from one RREF of the spanning rows of each ideal slice
+I_w, with each row's pivot at its last nonzero monomial (Lazard, EUROCAL
+1983): the quotient basis is the monomials e_i not in I_w +
+span(e_0..e_{i-1}), the non-pivots, and a pivot monomial reduces to minus
+the rest of its row (`exactla.normal_forms`).  Each section keeps its one
+model (`zero_locus_model`), which computes the primitive components once
+and is shared with the primitive form built from them, so every slice is
+eliminated once per command, whatever the weights asked for.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
 from .complexes import ChainMap, CochainComplex, _betti, _cone_is_acyclic, _cone_ranks
-from .exactla import ExactMatrix, Subspace, _built, _transpose, normal_forms
+from .exactla import ExactMatrix, _built, _transpose, normal_forms
 from .lierinehart import (
     LieRinehartPresentation,
     SectionV,
@@ -63,38 +64,45 @@ def lie_koszul(lr: LieRinehartPresentation, v: SectionV, w: int) -> CochainCompl
 
 class ZeroLocusModel:
     """Quotient slices of the ring by the ideal of the components of V,
-    generated by their primitive integral multiples (the same ideal)."""
+    generated by their primitive integral multiples (the same ideal).
+    `primitive` holds `_primitive` of every component, computed once, and
+    each weight's normal forms and quotient dimension come from one
+    elimination of its ideal slice."""
 
     def __init__(self, lr: LieRinehartPresentation, v: SectionV):
         self.lr = lr
         self.ring = lr.ring
-        self.generators = [c for c in map(_primitive, v.components) if c]
+        self.primitive = tuple(map(_primitive, v.components))
+        self.generators = [c for c in self.primitive if c]
         self.gen_weights = [self.ring.weight_of(c) for c in self.generators]
-        self._slices: dict[int, Subspace] = {}
-        self._forms: dict[int, list[dict]] = {}
+        self._quotients: dict[int, tuple[list[dict], int]] = {}
 
-    def ideal_slice(self, w: int) -> Subspace:
-        """I_w, spanned by each generator times each monomial of the
-        complementary weight: the columns of the presentation's
-        multiplication blocks, which `contraction` shares."""
-        if w not in self._slices:
-            rows: list[dict] = []
-            for gen, gw in zip(self.generators, self.gen_weights):
-                start = len(rows)
-                rows += [{} for _ in self.ring.monomials(w - gw)]
-                for r, col, x in self.lr.times_block(gen, w - gw):
-                    rows[start + col][r] = x
-            self._slices[w] = _built(Subspace, self.ring.slice_dim(w), rows)
-        return self._slices[w]
+    def ideal_slice(self, w: int) -> list[dict]:
+        """Spanning rows of I_w: each generator times each monomial of the
+        complementary weight, in that order, read off the columns of the
+        presentation's multiplication blocks, which `contraction` shares."""
+        rows: list[dict] = []
+        for gen, gw in zip(self.generators, self.gen_weights):
+            start = len(rows)
+            rows += [{} for _ in self.ring.monomials(w - gw)]
+            for r, col, x in self.lr.times_block(gen, w - gw):
+                rows[start + col][r] = x
+        return rows
+
+    def _quotient(self, w: int) -> tuple[list[dict], int]:
+        """`normal_forms` of I_w, from one elimination of `ideal_slice(w)`."""
+        quotient = self._quotients.get(w)
+        if quotient is None:
+            quotient = self._quotients[w] = normal_forms(self.ideal_slice(w),
+                                                         self.ring.slice_dim(w))
+        return quotient
 
     def quotient_forms(self, w: int) -> list[dict]:
-        """`normal_forms` of I_w: the class of each weight-w monomial in (R/I)_w."""
-        if w not in self._forms:
-            self._forms[w] = normal_forms(self.ideal_slice(w))
-        return self._forms[w]
+        """The class of each weight-w monomial in (R/I)_w."""
+        return self._quotient(w)[0]
 
     def quotient_dim(self, w: int) -> int:
-        return self.ring.slice_dim(w) - self.ideal_slice(w).dim
+        return self._quotient(w)[1]
 
 
 def zero_locus_model(v: SectionV) -> ZeroLocusModel:
@@ -207,15 +215,15 @@ def _primitive(c: dict) -> dict:
 
 
 def _primitive_section(lr: LieRinehartPresentation, v: SectionV) -> SectionV:
-    """V with each nonzero component c_i replaced by `_primitive(c_i)`.  The
-    ideal (c_i) is unchanged, so the new section shares v's zero-locus
-    model, which is built from those components.  A section that is
+    """V with each nonzero component c_i replaced by `_primitive(c_i)`, read
+    from v's zero-locus model, which computed them.  The ideal (c_i) is
+    unchanged, so the new section shares that model.  A section that is
     already primitive (every lambda_i = 1) is returned as it is."""
-    comps = [_primitive(c) for c in v.components]
-    if all(new == c for new, c in zip(comps, v.components)):
+    model = zero_locus_model(v)
+    if model.primitive == v.components:
         return v
-    primitive = SectionV(lr, comps)
-    primitive._zero_locus = zero_locus_model(v)
+    primitive = SectionV(lr, model.primitive)
+    primitive._zero_locus = model
     return primitive
 
 

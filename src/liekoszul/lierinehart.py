@@ -26,9 +26,10 @@ d/dx_j has weight -u_j, so the Euler field has weight 0).
 from __future__ import annotations
 
 from fractions import Fraction as QQ
+from collections.abc import Mapping
 from itertools import combinations
-from operator import add
-from typing import Mapping, NamedTuple, Sequence
+from operator import add, mul
+from typing import NamedTuple, Sequence
 
 from .complexes import CochainComplex
 from .exactla import (ExactMatrix, InputError, Value, VerdictError, _built, _integral,
@@ -76,7 +77,7 @@ def poly(data, nvars: int) -> Poly:
     out: Poly = {}
     for key, coeff in data.items():
         mono = integers(key, nvars, "monomial key", MalformedPresentation)
-        if any(e < 0 for e in mono):
+        if mono and min(mono) < 0:
             raise MalformedPresentation(f"monomial key {key!r} has a negative exponent")
         try:
             c = qq(coeff)
@@ -184,7 +185,7 @@ class WeightedPolyRing(Value):
         return len(self.monomials(w))
 
     def monomial_weight(self, m: Monomial) -> int:
-        return sum(e * u for e, u in zip(m, self.weights))
+        return sum(map(mul, m, self.weights))
 
     def weight_of(self, a: Poly) -> int | None:
         """Weight of a homogeneous polynomial (None for 0); raises if mixed."""
@@ -280,15 +281,24 @@ class LieRinehartPresentation:
 
     def anchor_block(self, k: int, wf: int) -> list[tuple[int, int, object]]:
         """rho(e_k): R_wf -> R_{wf + weight(e_k)} as (row, col, value), built
-        once per presentation."""
+        once per presentation straight from the anchor's terms: c x^a d/dx_j
+        sends a monomial m with m_j > 0 to m_j c x^(m - e_j + a), one shift
+        of m per term, and the terms that meet in one row are summed."""
         key = ("anchor", k, wf)
         block = self._blocks.get(key)
         if block is None:
             index = self.ring.monomial_index(wf + self.gen_weights[k])
-            block = self._blocks[key] = [
-                (index[m], col, _integral(x))
-                for col, mono in enumerate(self.ring.monomials(wf))
-                for m, x in self.anchor_apply(k, {mono: 1}).items()]
+            terms = [(j, ma[:j] + (ma[j] - 1,) + ma[j + 1:], c)
+                     for j, a in enumerate(self.anchor[k]) for ma, c in a.items()]
+            block = self._blocks[key] = []
+            for col, mono in enumerate(self.ring.monomials(wf)):
+                acc: dict[int, object] = {}
+                for j, shift, c in terms:
+                    e = mono[j]
+                    if e:
+                        r = index[tuple(map(add, shift, mono))]
+                        acc[r] = acc.get(r, 0) + e * c
+                block += [(r, col, _integral(x)) for r, x in acc.items() if x]
         return block
 
     def times_block(self, c: Poly, wf: int) -> list[tuple[int, int, object]]:

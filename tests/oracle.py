@@ -51,6 +51,15 @@ induced maps on class representatives, and a dimension and rank check.
 `reduction_matrix_by_solve` is the reduction matrix of `koszul` built the
 old way, one class-coordinate solve per monomial in the subquotient
 R_w / I_w; it pins the quotient basis that `exactla.normal_forms` reads off.
+`normal_forms_two_step` is how the package read normal forms before one
+elimination gave them: an RREF of the ideal slice into a `Subspace`
+(`ideal_subspace`), then a second RREF of that basis with its columns
+reversed.
+
+`anchor_block_by_product_rule` is `LieRinehartPresentation.anchor_block`
+as the package built it before it shifted monomials by the anchor's
+terms: the derivation applied to each monomial of the source slice, by
+the oracle's own product rule (`anchor_apply`).
 
 `formality_check_unnormalized` is `koszul.formality_check` as it was
 before it rescaled the section to its primitive integral form: the slices
@@ -114,6 +123,7 @@ from liekoszul.exactla import (
     Subquotient,
     Subspace,
     _built,
+    _rref,
     rank,
     solve_batch,
 )
@@ -582,7 +592,7 @@ def reduction_matrix_by_solve(model, p, w, offsets, dim_target):
             wf = w + sum(lr.gen_weights[i] for i in subset)
             monos = lr.ring.monomials(wf)
             basis = units(len(monos))
-            quot = Subquotient(Subspace(len(monos), basis), model.ideal_slice(wf))
+            quot = Subquotient(Subspace(len(monos), basis), ideal_subspace(model, wf))
             coords = quot.class_coordinates_batch([basis[monos.index(mono)]])[0]
             entries.extend((offsets[subset] + i, col, c) for i, c in enumerate(coords))
     return from_entries(dim_target, len(forms), entries)
@@ -612,6 +622,37 @@ def contraction_by_products(lr, v, p, w):
             rest = subset[:pos] + subset[pos + 1:]
             entries.extend((dst_index[(rest, m)], col, c) for m, c in term.items())
     return from_entries(len(dst), len(src), entries)
+
+
+def ideal_subspace(model, w):
+    """I_w of a koszul.ZeroLocusModel as a Subspace: the RREF of the rows of
+    `model.ideal_slice(w)`."""
+    return _built(Subspace, model.ring.slice_dim(w), model.ideal_slice(w))
+
+
+def normal_forms_two_step(s):
+    """exactla.normal_forms of the rows of a Subspace s, from a second RREF of
+    s's own RREF basis with its columns reversed, and the quotient
+    dimension n - dim s."""
+    n = s.ambient_dim
+    rows, pivots = _rref([{n - 1 - j: a for j, a in r.items()} for r in s.sparse_basis])
+    pivset = {n - 1 - p for p in pivots}
+    index = {j: i for i, j in enumerate(j for j in range(n) if j not in pivset)}
+    forms = [{index[j]: 1} if j in index else {} for j in range(n)]
+    for row, p in zip(rows, pivots):
+        forms[n - 1 - p] = {index[n - 1 - c]: -a for c, a in row.items() if c != p}
+    return forms, n - s.dim
+
+
+def anchor_block_by_product_rule(lr, k, wf):
+    """lierinehart's anchor block of e_k on R_wf, as (row, col, value) in
+    column order, from rho(e_k) applied to each monomial by the product rule."""
+    target = lr.ring.monomials(wf + lr.gen_weights[k])
+    block = []
+    for col, mono in enumerate(lr.ring.monomials(wf)):
+        image = anchor_apply(lr, k, {mono: 1})
+        block += [(target.index(m), col, c) for m, c in image.items()]
+    return block
 
 
 def ideal_rows_by_products(model, w):

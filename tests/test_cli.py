@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import liekoszul
 from liekoszul import cechp1, cli, complexes, exactla, koszul, lierinehart, specseq
 from liekoszul.cli import build_lie_rinehart, main
+import corpus
 from oracle import _json
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -506,6 +507,112 @@ def test_a_raw_double_at_the_cell_cap_runs(tmp_path):
     path = _mutated(tmp_path, "square-double.json", lambda p: p["double"].update(q_hi=8191))
     betti = _report(tmp_path, ["cohomology", path])["betti"]
     assert len(betti) == 8193 and not any(betti.values())
+
+
+@pytest.mark.parametrize("source,command", [("option", "koszul"), ("file", "koszul"),
+                                            ("file", "cohomology")])
+def test_a_weight_range_over_the_cap_is_refused_before_any_slice(monkeypatch, tmp_path,
+                                                                 capsys, source, command):
+    # a slice that is built fails the run at once, so a missing cap never
+    # starts the range 0..10^6, which would take hours
+    built = []
+    monkeypatch.setattr(lierinehart.LieRinehartPresentation, "form_slice",
+                        lambda *args: built.append(args) or 1 / 0)
+    monkeypatch.setattr(koszul.ZeroLocusModel, "ideal_slice",
+                        lambda *args: built.append(args) or 1 / 0)
+    lr, v = build_lie_rinehart(json.loads((CASES / "euler-n2.json").read_text()))
+    work = cli._weight_work(lr, v if command == "koszul" else None, 0, 10 ** 6, False)
+    if source == "file":
+        args, field = [command, _mutated(tmp_path, "euler-n2.json",
+                                         lambda p: p.update(weights=[0, 10 ** 6]))], "'weights'"
+    else:
+        args, field = [command, CASES / "euler-n2.json", "--weights", "0..1000000"], "--weights"
+    err = _exit_with_one_line(capsys, args, 2, "error:")
+    assert err == (f"error: {field} range 0..1000000 is too large: its work bound is "
+                   f"{work}, over 5000000\n")
+    assert cli.WEIGHT_RANGE_CAP == 5 * 10 ** 6 < work and built == []
+
+
+# x^2 - y^2 twice: the zero locus is the lines x = y and x = -y, and both
+# pure powers occur, so a koszul run without dim_y walks every quotient
+# slice up to the top weight + 2
+LINES = [{"2,0": "1", "0,2": "-1"}, {"0,2": "1", "2,0": "-1"}]
+
+
+@pytest.mark.parametrize("command,section,lo,hi", [
+    ("koszul", None, 912, 912), ("koszul", None, 0, 93), ("cohomology", None, 0, 93),
+    ("koszul", LINES, 145, 145), ("koszul", LINES, 0, 58)],
+    ids=["koszul-912", "koszul-0..93", "cohomology-0..93", "lines-145", "lines-0..58"])
+def test_a_weight_range_at_the_cap_runs(tmp_path, capsys, command, section, lo, hi):
+    # the largest single weight and the longest range from 0 that euler-n2
+    # may ask for run, and with a section whose zero locus is positive
+    # dimensional, which walks up to hi + 2; one more weight is refused
+    def mutate(lo, hi):
+        def apply(p):
+            p.update(weights=[lo, hi])
+            if section is not None:
+                p.update(section=section)
+                p.pop("dim_y")
+        return _mutated(tmp_path, "euler-n2.json", apply)
+
+    lr, v = build_lie_rinehart(json.loads(mutate(lo, hi).read_text()))
+    walk = section is not None
+    assert cli._weight_work(lr, v if command == "koszul" else None, lo, hi, walk) <= (
+        cli.WEIGHT_RANGE_CAP)
+    out = tmp_path / "report.json"
+    assert run_cli([command, mutate(lo, hi), "--json", out]) == (0 if section is None else 1)
+    report = json.loads(out.read_text())["report"]
+    assert len(report["slice_cohomology" if command == "koszul" else "betti_per_weight"]) == (
+        hi - lo + 1)
+    if section is not None:
+        assert report["dim_y"] is None and report["dim_y_source"] == "unknown"
+    assert "is too large" in _exit_with_one_line(capsys, [command, mutate(lo, hi + 1)], 2,
+                                                 "error:")
+
+
+def test_a_range_with_no_term_still_counts_its_slices(tmp_path, capsys):
+    # the zero anchor and the zero section act on nothing, but the slices
+    # are still built, so the bound grows with them (t is at least 1):
+    # weight 3000, with 3001 + 6002 + 3001 basis vectors, is over the cap
+    path = _mutated(tmp_path, "euler-n2.json", lambda p: p.update(
+        anchor=[[{}, {}], [{}, {}]], section=[{}, {}], weights=[3000, 3000]))
+    assert "is too large" in _exit_with_one_line(capsys, ["koszul", path], 2, "error:")
+
+
+def _tangent(n):
+    # d/dx_1..d/dx_n over k[x_1..x_n], V the Euler field: every slice of the
+    # default weights 0..3 is as large as its degree allows
+    zero = ",".join("0" * n)
+    return {"kind": "lie_rinehart", "name": f"tangent-n{n}", "variable_weights": [1] * n,
+            "generator_weights": [-1] * n,
+            "anchor": [[{zero: "1"} if i == j else {} for j in range(n)] for i in range(n)],
+            "brackets": {},
+            "section": [{",".join("1" if k == j else "0" for k in range(n)): "1"}
+                        for j in range(n)]}
+
+
+@pytest.mark.parametrize("command", ["cohomology", "koszul"])
+def test_the_default_weights_run_on_eight_variables(tmp_path, command):
+    # the form slices of weight 3 have 120 + 288 + 224 + 56 basis vectors,
+    # and koszul without dim_y also walks the quotient slices up to weight 5
+    path = tmp_path / "tangent-n8.json"
+    path.write_text(json.dumps(_tangent(8)))
+    table = _report(tmp_path, [command, path])
+    assert list(table["slice_cohomology" if command == "koszul" else "betti_per_weight"]) == [
+        "0", "1", "2", "3"]
+
+
+def test_the_slice_bounds_bound_every_slice():
+    # each degree's bound is at least the basis of its slice, and equals it
+    # over unit-weight variables
+    for name, payload in corpus.case_payloads("lie_rinehart"):
+        lr, v = build_lie_rinehart(payload)
+        steps = [0] + ([v.weight] if v is not None else [])
+        for step, w in [(step, w) for step in steps for w in range(-3, 12)]:
+            dims = [lr.form_slice(p, w - p * step).dim for p in range(lr.rank + 1)]
+            bounds = cli._slice_bounds(lr, w, step)
+            assert all(map(int.__le__, dims, bounds)), (name, step, w)
+            assert dims == bounds or set(lr.ring.weights) != {1}, (name, step, w)
 
 
 @pytest.mark.parametrize("args", PAIRED_RUNS.values(), ids=PAIRED_RUNS.keys())
@@ -1394,27 +1501,41 @@ def test_koszul_report_does_not_see_a_rescaled_section(tmp_path, capsys, monkeyp
 
 def test_a_koszul_run_builds_one_zero_locus_model(tmp_path, capsys, monkeypatch):
     # the rescaled section and its primitive form share one model, so the
-    # run builds the slices of the integral section, once each
-    models, slices = [], []
+    # run builds and eliminates the slices of the integral section once
+    # each, and makes each primitive component once
+    models, slices, eliminations, primitives = [], [], [], []
     real_init, real_slice = koszul.ZeroLocusModel.__init__, koszul.ZeroLocusModel.ideal_slice
+    real_forms, real_primitive = koszul.normal_forms, koszul._primitive
 
     def init(self, lr, v):
         models.append(v)
         real_init(self, lr, v)
 
     def ideal_slice(self, w):
-        if w not in self._slices:
-            slices.append(w)
+        slices.append(w)
         return real_slice(self, w)
+
+    def normal_forms(rows, n):
+        eliminations.append(n)
+        return real_forms(rows, n)
+
+    def primitive(c):
+        primitives.append(c)
+        return real_primitive(c)
 
     monkeypatch.setattr(koszul.ZeroLocusModel, "__init__", init)
     monkeypatch.setattr(koszul.ZeroLocusModel, "ideal_slice", ideal_slice)
+    monkeypatch.setattr(koszul, "normal_forms", normal_forms)
+    monkeypatch.setattr(koszul, "_primitive", primitive)
     for section in ([{"1,0": "1"}, {"0,1": "1"}], [{"1,0": "2/3"}, {"0,1": "-7/2"}]):
         path = _mutated(tmp_path, "euler-n2.json",
                         lambda p: p.update(section=section) or p.pop("dim_y"))
-        models.clear(), slices.clear()
+        for spied in (models, slices, eliminations, primitives):
+            spied.clear()
         assert run_cli(["koszul", path, "--weights", "0..4"]) == 0
         assert len(models) == 1 and sorted(slices) == [0, 1, 2, 3, 4], section
+        assert eliminations == [w + 1 for w in slices], section
+        assert len(primitives) == 2, section
     capsys.readouterr()
 
 

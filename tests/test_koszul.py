@@ -32,7 +32,7 @@ from liekoszul.lierinehart import (
 from liekoszul.specseq import run
 
 from corpus import slice_betti
-from oracle import ideal_rows_by_products
+from oracle import ideal_rows_by_products, ideal_subspace
 
 
 RING2 = WeightedPolyRing(2, (1, 1))
@@ -232,8 +232,11 @@ def test_zero_dimensional_stops_at_the_first_full_window(monkeypatch):
         return real(self, w)
 
     monkeypatch.setattr(ZeroLocusModel, "ideal_slice", counting)
-    assert is_zero_dimensional(EULER2, 50) is True
-    assert built and max(built) == 1  # (x, y) vanishes from weight 1 on
+    # a section of its own, so that no earlier test has built its model
+    v = SectionV(TANGENT2, EULER2.components)
+    assert is_zero_dimensional(v, 50) is True
+    assert built == [0, 1]  # (x, y) vanishes from weight 1 on, each slice built once
+    assert is_zero_dimensional(v, 50) is True and built == [0, 1]
 
 
 def test_a_section_builds_one_model_and_one_set_of_normal_forms_per_weight(monkeypatch):
@@ -241,22 +244,50 @@ def test_a_section_builds_one_model_and_one_set_of_normal_forms_per_weight(monke
     real_slice, real_forms = ZeroLocusModel.ideal_slice, koszul.normal_forms
 
     def ideal_slice(self, w):
-        if w not in self._slices:
-            slices.append(w)
+        slices.append(w)
         return real_slice(self, w)
 
+    def normal_forms(rows, n):
+        eliminations.append(n)
+        return real_forms(rows, n)
+
     monkeypatch.setattr(ZeroLocusModel, "ideal_slice", ideal_slice)
-    monkeypatch.setattr(koszul, "normal_forms",
-                        lambda s: eliminations.append(s) or real_forms(s))
+    monkeypatch.setattr(koszul, "normal_forms", normal_forms)
     t3 = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
     v = SectionV(t3, [{(1, 0, 0): 1}, {}, {}])    # x d/dx
     assert v._zero_locus is None
     assert formality_check(t3, v, range(8)).ok
     model = v._zero_locus
-    # one model for the 8 weights: weight w reads the slices w, w-1, w-2
-    assert sorted(slices) == list(range(8)) and len(eliminations) == 8
+    # one model for the 8 weights: weight w reads the slices w, w-1, w-2,
+    # and each is built and eliminated once
+    assert sorted(slices) == list(range(8))
+    assert eliminations == [t3.ring.slice_dim(w) for w in slices]
     assert reduction_map(t3, v, 3) and v._zero_locus is model and len(slices) == 8
     assert SectionV(t3, v.components)._zero_locus is None
+
+
+def test_a_weight_is_eliminated_once(monkeypatch):
+    # normal forms and quotient dimension of a slice come from one `_rref`
+    # of its spanning rows, columns reversed; the slice is not reduced first
+    calls = []
+    real = exactla._rref
+
+    def counting(rows, reduced=True):
+        calls.append(rows)
+        return real(rows, reduced)
+
+    lr, v = build_lie_rinehart(dict(corpus.case_payloads("lie_rinehart"))["binomial-n2"])
+    model = ZeroLocusModel(lr, v)
+    monkeypatch.setattr(exactla, "_rref", counting)
+    for w in range(6):
+        calls.clear()
+        n = lr.ring.slice_dim(w)
+        assert model.quotient_dim(w) == (w == 0)   # (x + y, x - y) = (x, y)
+        rows = model.ideal_slice(w)
+        assert len(calls) == 1
+        assert calls[0] == [{n - 1 - j: a for j, a in r.items()} for r in rows], w
+        model.quotient_forms(w)
+        assert len(calls) == 1, w
 
 
 def test_primitive_section_is_coprime_integral_with_the_same_ideal():
@@ -272,12 +303,14 @@ def test_primitive_section_is_coprime_integral_with_the_same_ideal():
     # the model of either section is built from the primitive components,
     # and its slices span the ideal of the components as given
     a, b = ZeroLocusModel(t3, given), ZeroLocusModel(t3, v)
+    assert a.primitive == b.primitive == v.components
     assert a.generators == b.generators == [c for c in v.components if c]
     as_given = SimpleNamespace(ring=t3.ring, generators=[c for c in given.components if c],
                                gen_weights=a.gen_weights)
     for w in range(5):
         rows = ideal_rows_by_products(as_given, w)
-        assert a.ideal_slice(w) == b.ideal_slice(w) == Subspace(t3.ring.slice_dim(w), rows)
+        assert ideal_subspace(a, w) == ideal_subspace(b, w) == Subspace(t3.ring.slice_dim(w),
+                                                                        rows)
     assert _primitive_section(t3, given)._zero_locus is zero_locus_model(given)
 
 

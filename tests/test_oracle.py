@@ -43,12 +43,13 @@ from liekoszul.complexes import (
     row_filtration,
     total,
 )
-from liekoszul.cli import build_lie_algebra, build_p1
+from liekoszul.cli import build_lie_algebra, build_lie_rinehart, build_p1
 from liekoszul.exactla import (
     ExactMatrix,
     NotFiltrationCompatibleError,
     Subquotient,
     Subspace,
+    _dense,
     induced_map,
     normal_forms,
     rank,
@@ -78,6 +79,7 @@ from oracle import (
     Flag,
     action_on_h_cochains_scan,
     adapted_by_solves,
+    anchor_block_by_product_rule,
     ce_complex_scan,
     ce_d_scan,
     cech_koszul_keyed,
@@ -89,10 +91,12 @@ from oracle import (
     from_entries,
     from_flag_dense,
     ideal_rows_by_products,
+    ideal_subspace,
     induced_map_dense,
     jacobi_dense,
     la_bracket,
     lr_bracket,
+    normal_forms_two_step,
     oracle_run,
     p_add,
     p_mul,
@@ -234,28 +238,57 @@ def test_ce_d_matches_scanning_builder(lr):
 
 
 def test_ce_d_applies_the_anchor_once_per_generator_and_monomial(monkeypatch):
-    # The anchor blocks live on the presentation, so the bound holds over
-    # every (p, w) of it, not only within one call; a second presentation
-    # shares none of them and applies the anchor as often again.
-    real, calls = LieRinehartPresentation.anchor_apply, []
+    # The anchor blocks live on the presentation, so each (k, wf) is built
+    # once over every (p, w) of it, not only within one call, straight from
+    # the anchor's terms: no `anchor_apply`.  A second presentation shares
+    # none of them and builds as many again.
+    real = LieRinehartPresentation.anchor_block
+    builds, applied = [], []
 
-    def counting(self, k, f):
-        calls.append((k, *f))
-        return real(self, k, f)
+    def counting(self, k, wf):
+        if ("anchor", k, wf) not in self._blocks:
+            builds.append((k, wf))
+        return real(self, k, wf)
 
     per_presentation = []
     for _ in range(2):
         lr = tangent_algebroid(WeightedPolyRing(3, (1, 1, 1)))
         assert not lr._blocks
-        calls.clear()
-        monkeypatch.setattr(LieRinehartPresentation, "anchor_apply", counting)
+        builds.clear()
+        monkeypatch.setattr(LieRinehartPresentation, "anchor_block", counting)
+        monkeypatch.setattr(LieRinehartPresentation, "anchor_apply",
+                            lambda self, k, f: applied.append(k))
         built = {(p, w): ce_d(lr, p, w) for p in range(lr.rank) for w in range(-3, 4)}
         monkeypatch.undo()
-        assert calls and len(calls) == len(set(calls))
+        assert builds and len(builds) == len(set(builds)) and not applied
         for (p, w), d in built.items():
             assert d == ce_d_scan(lr, p, w), f"p={p}, w={w}"
-        per_presentation.append(len(calls))
+        per_presentation.append(len(builds))
     assert per_presentation[0] == per_presentation[1]
+
+
+def _anchor_blocks_agree(lr, weights):
+    for k in range(lr.rank):
+        for wf in weights:
+            block = lr.anchor_block(k, wf)
+            expected = anchor_block_by_product_rule(lr, k, wf)
+            assert sorted(block) == sorted(expected), (k, wf)
+            assert all(x and (type(x) is int or x.denominator != 1) for _, _, x in block)
+            assert len({(r, c) for r, c, _ in block}) == len(block)
+
+
+@pytest.mark.parametrize("lr", [pytest.param(lr, id=name)
+                                for name, lr in corpus.ce_algebroids()])
+def test_anchor_blocks_match_the_product_rule(lr):
+    _anchor_blocks_agree(lr, range(-2, 7))
+
+
+def test_anchor_blocks_match_the_product_rule_on_seeded_anchors():
+    # random anchors over k[x, y]: several terms per entry, rational
+    # coefficients, and terms of different entries that meet in one row
+    rng = random.Random(39)
+    for _ in range(30):
+        _anchor_blocks_agree(_random_presentation(rng), range(-1, 6))
 
 
 @pytest.mark.parametrize("g,m", [pytest.param(g, m, id=name)
@@ -427,15 +460,16 @@ def test_contraction_and_ideal_rows_match_products(lr, v):
             for p in range(1, lr.rank + 1):
                 assert (contraction(lr, section, p, w)
                         == contraction_by_products(lr, section, p, w)), f"p={p}, w={w}"
-            ideal = model.ideal_slice(w)
-            assert ideal == Subspace(ideal.ambient_dim, ideal_rows_by_products(model, w)), w
+            n = lr.ring.slice_dim(w)
+            rows = [list(_dense(r, n)) for r in model.ideal_slice(w)]
+            assert rows == ideal_rows_by_products(model, w), w
 
 
 @pytest.mark.parametrize("lr,v", FORMALITY)
 def test_normal_forms_differ_from_their_monomial_by_the_ideal(lr, v):
     model = koszul.ZeroLocusModel(lr, v)
     for w in range(7):
-        ideal = model.ideal_slice(w)
+        ideal = ideal_subspace(model, w)
         n = ideal.ambient_dim
         e = units(n)
 
@@ -446,11 +480,43 @@ def test_normal_forms_differ_from_their_monomial_by_the_ideal(lr, v):
         # e_i is a quotient basis vector iff e_i is not in I + span(e_0..e_{i-1}).
         kept = [i for i in range(n) if span(e[: i + 1]) > span(e[:i])]
         assert len(kept) == model.quotient_dim(w)
-        for j, form in enumerate(normal_forms(ideal)):
+        for j, form in enumerate(model.quotient_forms(w)):
             diff = [-x for x in e[j]]
             for i, c in form.items():
                 diff[kept[i]] += c
             assert span([diff]) == ideal.dim, f"w={w}, e_{j}"
+
+
+def _seeded_sections(rng, count):
+    """Sections of the tangent algebroid over k[x, y] or k[x, y, z] whose
+    components are random forms of one degree, most of them not monomial."""
+    out = []
+    for i in range(count):
+        lr = tangent_algebroid(WeightedPolyRing(2 + i % 2, (1,) * (2 + i % 2)))
+        monos = lr.ring.monomials(rng.choice((1, 2, 3)))
+        comps = [_random_poly(rng, monos) if rng.random() < 0.8 else {}
+                 for _ in range(lr.rank)]
+        out.append((lr, SectionV(lr, comps)))
+    return out
+
+
+def test_one_elimination_gives_the_normal_forms_of_the_two_step():
+    # the forms and quotient dimension from one elimination of the spanning
+    # rows equal those read off the Subspace of the slice by a second RREF
+    cases = {name: (lr, v) for name, lr, v in corpus.formality_instances()}
+    cases["binomial-n2"] = build_lie_rinehart(
+        dict(corpus.case_payloads("lie_rinehart"))["binomial-n2"])
+    assert "euler-n2/shared-factor" in cases
+    seeded = _seeded_sections(random.Random(20261022), 20)
+    non_monomial = 0
+    for lr, v in [*cases.values(), *seeded]:
+        model = koszul.ZeroLocusModel(lr, v)
+        for w in range(9):
+            expected = normal_forms_two_step(ideal_subspace(model, w))
+            assert (model.quotient_forms(w), model.quotient_dim(w)) == expected, w
+            assert normal_forms(model.ideal_slice(w), lr.ring.slice_dim(w)) == expected, w
+            non_monomial += any(len(f) > 1 for f in expected[0])
+    assert non_monomial >= 20
 
 
 def _random_matrix(rng, rows, cols, density):
