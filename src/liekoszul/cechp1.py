@@ -33,10 +33,11 @@ three at twisted degree 0, the one row grid where a d_1 can be nonzero.
 The Cech-degree run has two levels, so its page <= 2 and E2 = E_inf hold
 by dimension: reported facts, while the corollary is a run's one verdict.
 
-The model is its total complex, written once: no block is a matrix of
-its own and no `DoubleComplex` is made.  The cell (p, q) is wedge row p's
-C^q, and `complexes.total_layout` over the cell dimensions places each
-cell at an offset in its total degree p + q.  Every block of the
+The model is a `complexes.DoubleComplex`, made by `_built` around the
+total complex that `complexes.total_complex` lays out and this module's
+blocks fill: no block is a matrix of its own, and no block is checked
+or copied into a total.  The cell (p, q) is wedge row p's C^q, placed
+at an offset in its total degree p + q.  Every block of the
 Cech-Koszul double complex is one Laurent matrix per open set: the Cech
 differential is -I on chart 0 and the transition, with j -> -j, on chart
 1, and the contraction i_V is a matrix in the section's scalar and vector
@@ -53,8 +54,8 @@ found the same way, after a range check that raises BuilderError for an
 image outside its cell.  The squares of i_V and delta commute; the Cech
 block of each odd column p is written times (-1)^p, the twist of
 `DoubleComplex.from_commuting`, so that they anticommute with no negated
-copy of a block.  The Cech-degree and wedge-degree filtrations read
-their levels off the same cell layout (`complexes._coordinate_filtration`).
+copy of a block.  The Cech-degree and wedge-degree filtrations are the
+double complex's `row_filtration` and `column_filtration`.
 
 The first-order-operator bundle of the degree-d line bundle is derived
 by transforming f + v d/dz under the trivialization change: its
@@ -74,7 +75,7 @@ import math
 from fractions import Fraction as QQ
 from typing import NamedTuple
 
-from .complexes import CochainComplex, _coordinate_filtration, total_layout
+from .complexes import DoubleComplex, column_filtration, row_filtration, total_complex
 from .exactla import (BuilderError, ExactMatrix, VerdictError, _built, format_rational, integer,
                       qq, quotient, rank)
 from .lierinehart import p_scale, p_sub
@@ -386,8 +387,7 @@ class CechKoszulModel(NamedTuple):
     section: EquivariantSection
     window: int
     untwisted: bool
-    total: CochainComplex    # the total complex of the double complex
-    cells: dict[tuple[int, int], int]   # dim of each cell, in `total_layout`'s order
+    double: DoubleComplex    # cells (p, q): wedge row p's C^q
     cech: Pairing    # of the Cech-degree filtration; its E_inf totals are H
 
 
@@ -403,19 +403,21 @@ def _contraction_matrix(v: EquivariantSection, side: str, p: int, untwisted: boo
 
 def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
                 window: int, untwisted: bool = False) -> CechKoszulModel:
-    """The total complex of the double complex with first index the wedge
-    degree p (differential i_V) and second index the Cech degree q
-    (differential delta), anticommuting, with its cell dimensions and the
-    pairing of its Cech-degree filtration.  Its D^2 = 0 holds by
-    construction: i_V^2 = 0 on each open set, and i_V commutes with delta
-    because the section and the transitions glue; the Cech blocks are
-    written with the (-1)^p twist of `DoubleComplex.from_commuting`, which
-    makes the squares anticommute.  So the total complex is built
-    unchecked, and the tests prove D^2 = 0 on the P^1 corpus, cutting the
-    blocks out again (`tests/helpers.double`), and the gluing identities
-    for every degree.  One window's model, for a window of at least 1, and
-    a section of `algebroid`'s (ValueError otherwise): the complex and the
-    row grid that `first_page` reads are `algebroid`'s."""
+    """The double complex with first index the wedge degree p (differential
+    i_V) and second index the Cech degree q (differential delta),
+    anticommuting, and the pairing of its Cech-degree filtration.  Its
+    D^2 = 0 holds by construction: i_V^2 = 0 on each open set, and i_V
+    commutes with delta because the section and the transitions glue; the
+    Cech blocks are written with the (-1)^p twist of
+    `DoubleComplex.from_commuting`, which makes the squares anticommute.
+    So the blocks are written straight into the total complex by
+    `total_complex` and the value is made by `_built`, unchecked; the
+    tests prove D^2 = 0 on the P^1 corpus, cutting the blocks out of the
+    total again into a checked `DoubleComplex` (`tests/helpers.double`),
+    and the gluing identities for every degree.  One window's model, for a
+    window of at least 1, and a section of `algebroid`'s (ValueError
+    otherwise): the complex and the row grid that `first_page` reads are
+    `algebroid`'s."""
     if section.algebroid.degree != algebroid.degree:
         raise ValueError(f"section degree {section.algebroid.degree} differs from "
                          f"algebroid degree {algebroid.degree}")
@@ -432,27 +434,22 @@ def cech_koszul(algebroid: AlgebroidOnP1, section: EquivariantSection,
     rows = {p: build_row(sheaves[p], window + 2 * (p - ps[0]), margin) for p in ps}
     layouts = {p: _layout(rows[p]) for p in ps}
     cells = {(p, q): layouts[p][q][1] for p in ps for q in (0, 1)}
-    layout = total_layout(cells)
-    lo, hi = min(layout), max(layout)
-    at = {(p, q): off for n in layout for p, q, off in layout[n]}
-    dims = [sum(cells[(p, q)] for p, q, _ in layout[n]) for n in range(lo, hi + 1)]
-    # the rows of d out of each total degree n, written block by block: a
-    # block out of cell (p, q) has its columns at that cell's offset in
-    # degree n = p + q and its rows at its target's offset in degree n + 1
-    out = {n: [{} for _ in range(dims[n + 1 - lo])] for n in range(lo, hi)}
-    for p in ps:
-        # the (-1)^p twist of `DoubleComplex.from_commuting`, built in
-        _delta_matrix(rows[p], out[p], -1 if p % 2 else 1, layouts[p], at[(p, 1)], at[(p, 0)])
-    for p in ps[:-1]:
-        i_v = {side: (_contraction_matrix(section, side, p, untwisted), 1, side)
-               for side in ("0", "1", "01")}
-        for q in (0, 1):
-            _laurent_block(layouts[p][q], layouts[p + 1][q], i_v, out[p + q],
-                           at[(p + 1, q)], at[(p, q)])
-    diffs = [_built(ExactMatrix, len(out[n]), dims[n - lo], tuple(out[n])) for n in range(lo, hi)]
-    cplx = _built(CochainComplex, lo, hi, dims, diffs)
-    return CechKoszulModel(algebroid, section, window, untwisted, cplx, cells,
-                           run(_coordinate_filtration(cells, cplx, lambda p, q: q, 0, 1)))
+
+    def write(out: dict[int, list[dict]], at: dict[tuple[int, int], int]) -> None:
+        for p in ps:
+            # the (-1)^p twist of `DoubleComplex.from_commuting`, built in
+            _delta_matrix(rows[p], out[p], -1 if p % 2 else 1, layouts[p],
+                          at[(p, 1)], at[(p, 0)])
+        for p in ps[:-1]:
+            i_v = {side: (_contraction_matrix(section, side, p, untwisted), 1, side)
+                   for side in ("0", "1", "01")}
+            for q in (0, 1):
+                _laurent_block(layouts[p][q], layouts[p + 1][q], i_v, out[p + q],
+                               at[(p + 1, q)], at[(p, q)])
+
+    double = _built(DoubleComplex, ps[0], ps[-1], 0, 1, cells, total_complex(cells, write))
+    return CechKoszulModel(algebroid, section, window, untwisted, double,
+                           run(row_filtration(double)))
 
 
 def window_checked(algebroid: AlgebroidOnP1, section: EquivariantSection,
@@ -480,8 +477,9 @@ def equivariant_H(model: CechKoszulModel) -> dict[int, int]:
 
 
 def first_page(model: CechKoszulModel) -> dict[tuple[int, int], int]:
-    """The observed d_1 ranks of page 1 of the wedge-degree filtration (no
-    expectation asserted for them).  That page's E1 is the row grid
+    """The observed d_1 ranks of page 1 of the wedge-degree filtration, the
+    `column_filtration` of `model.double` (no expectation asserted for
+    them).  That page's E1 is the row grid
     h^q(X, Lambda^{-p} D*), the closed form `row_grid(model.untwisted)` of
     the model's algebroid; the tests prove it equal to each row sheaf's
     Cech cohomology and to that E1.  A page lists the rank of d_1:
@@ -491,9 +489,7 @@ def first_page(model: CechKoszulModel) -> dict[tuple[int, int], int]:
     grid = model.algebroid.row_grid(model.untwisted)
     if not any(dim and grid.get((p + 1, q)) for (p, q), dim in grid.items()):
         return {}
-    p_lo = min(model.cells)[0]
-    return compute_page(run(_coordinate_filtration(model.cells, model.total,
-                                                   lambda p, q: p, p_lo, 0)), 1).ranks
+    return compute_page(run(column_filtration(model.double)), 1).ranks
 
 
 # -- fixed points, assumption, corollary --------------------------------------

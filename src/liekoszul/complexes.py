@@ -6,22 +6,24 @@ integral dims and levels, double-complex keys inside the rectangle), so
 raw input cannot become an invalid value.  A double complex is checked
 cell by cell: d_h^2, d_v^2 and d_h d_v + d_v d_h in rectangle order, so the
 first failing cell is named; an absent map is zero, so only products of
-stored maps are formed.  Each class is an immutable `exactla.Value`
+given maps are formed.  Each class is an immutable `exactla.Value`
 whose `_set` checks shapes and fills the fields: after the checks of
 `__init__`, or alone when a builder makes the value through
-`exactla._built`.  A builder's matrices are canonical rows, its
+`exactla._built`; a `DoubleComplex` keeps the base `_set`, and its
+constructor checks the shapes of raw input.  A builder's matrices are canonical rows, its
 filtrations keep the level tuples it built, and its invariants hold by
 construction once its input is valid; the tests prove them on the corpora
 (`tests/test_builders.py`).  A failed shape check there raises
 `exactla.BuilderError`, a bug, not the ComplexError of raw input.
 Filtrations are stored as one level per vector of an adapted basis.
 
-A `DoubleComplex` is made only from raw input, by its checking
-constructor (the CLI's `double` block); the P^1 model writes its blocks
-straight into a total complex instead (`cechp1.cech_koszul`).  Both lay
-out their cells with `total_layout`, and both take their coordinate
-filtrations, by the first or the second index, from one
-`_coordinate_filtration` over the cell dimensions.
+A `DoubleComplex` is one value for raw input and the P^1 model alike:
+its rectangle, its cell dimensions and its total complex.  Every total
+complex is laid out by `total_layout` and written by `total_complex`:
+the checking constructor writes the maps of raw input through it, and
+`cechp1.cech_koszul` its Laurent blocks, with no block matrix, and makes
+the value by `_built`.  Both coordinate filtrations, by the first or the
+second index, read their levels off the same cell layout.
 """
 
 from __future__ import annotations
@@ -217,14 +219,15 @@ class DoubleComplex(Value):
     d_v: (p,q) -> (p,q+1) satisfying d_h^2 = d_v^2 = d_h d_v + d_v d_h = 0.
     Builders starting from commuting data must bake signs in; see
     `from_commuting`, which twists the vertical maps on column p by (-1)^p.
-    Only the given maps are stored, in `_dh` and `_dv`; every other map is
-    zero.  The total complex is assembled once, with the fields; its d.d = 0
-    is the three cell identities (Weibel 1994, 1.2), which the constructor
-    checks, multiplying only maps that are stored.  Made from raw input
-    only: no builder makes one.
+    The value is its rectangle, the dimension of every cell of it and its
+    total complex, written once by `total_complex`; a map not given is
+    zero.  d.d = 0 of the total is the three cell identities (Weibel 1994,
+    1.2), which the constructor checks on raw input, multiplying only maps
+    that are given.  A builder (`cechp1.cech_koszul`) writes its blocks
+    into the total itself and makes the value by `exactla._built`.
     """
 
-    __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi", "_dims", "_dh", "_dv", "_total")
+    __slots__ = ("p_lo", "p_hi", "q_lo", "q_hi", "_dims", "_total")
 
     def __init__(self, p_lo: int, p_hi: int, q_lo: int, q_hi: int,
                  dims: Mapping[tuple[int, int], int],
@@ -238,9 +241,18 @@ class DoubleComplex(Value):
         dims = {pq: integer(x, f"dim at {pq}", ComplexError) for pq, x in dims.items()}
         if any(x < 0 for x in dims.values()):
             raise ComplexError(f"dims must not be negative, got {dims}")
-        self._set(p_lo, p_hi, q_lo, q_hi, dims, horizontal, vertical)
-        dh, dv = self._dh.get, self._dv.get
-        for p, q in self._dims:
+        if p_hi < p_lo or q_hi < q_lo:
+            raise ComplexError("empty rectangle")
+        cells = {(p, q): dims.get((p, q), 0)
+                 for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)}
+        for (p, q), dim in cells.items():
+            for given, target, name in ((horizontal, (p + 1, q), "horizontal"),
+                                        (vertical, (p, q + 1), "vertical")):
+                m = given.get((p, q))
+                if m is not None and (m.rows != cells.get(target, 0) or m.cols != dim):
+                    raise ComplexError(f"{name} map at {(p, q)} has wrong shape")
+        dh, dv = horizontal.get, vertical.get
+        for p, q in cells:
             if not _vanishes((dh((p + 1, q)), dh((p, q)))):
                 raise ComplexError(f"d_h.d_h != 0 at {(p, q)}")
             if not _vanishes((dv((p, q + 1)), dv((p, q)))):
@@ -248,25 +260,18 @@ class DoubleComplex(Value):
             if not _vanishes((dv((p + 1, q)), dh((p, q))), (dh((p, q + 1)), dv((p, q)))):
                 raise ComplexError(f"d_h and d_v do not anticommute at {(p, q)}")
 
-    def _set(self, p_lo: int, p_hi: int, q_lo: int, q_hi: int,
-             dims: Mapping[tuple[int, int], int],
-             horizontal: Mapping[tuple[int, int], ExactMatrix],
-             vertical: Mapping[tuple[int, int], ExactMatrix]) -> None:
-        if p_hi < p_lo or q_hi < q_lo:
-            raise ComplexError("empty rectangle")
-        cells = {(p, q): dims.get((p, q), 0)
-                 for p in range(p_lo, p_hi + 1) for q in range(q_lo, q_hi + 1)}
-        dh, dv = {}, {}
-        for (p, q), dim in cells.items():
-            for given, kept, target, name in ((horizontal, dh, (p + 1, q), "horizontal"),
-                                              (vertical, dv, (p, q + 1), "vertical")):
-                m = given.get((p, q))
-                if m is None:
-                    continue
-                if m.rows != cells.get(target, 0) or m.cols != dim:
-                    raise ComplexError(f"{name} map at {(p, q)} has wrong shape")
-                kept[(p, q)] = m
-        Value._set(self, p_lo, p_hi, q_lo, q_hi, cells, dh, dv, _assemble_total(cells, dh, dv))
+        def write(rows: dict[int, list[dict]], at: Mapping[tuple[int, int], int]) -> None:
+            # d_h before d_v: a row's d_h block lies left of its d_v block
+            for given, dp, dq in ((horizontal, 1, 0), (vertical, 0, 1)):
+                for (p, q), m in given.items():
+                    target = at.get((p + dp, q + dq))
+                    if target is None:
+                        continue
+                    off, out = at[(p, q)], rows[p + q]
+                    for i, row in enumerate(m.row_maps, target):
+                        out[i].update({off + j: a for j, a in row.items()})
+
+        self._set(p_lo, p_hi, q_lo, q_hi, cells, total_complex(cells, write))
 
     @classmethod
     def from_commuting(cls, p_lo: int, p_hi: int, q_lo: int, q_hi: int,
@@ -312,34 +317,28 @@ def total_layout(cells: Mapping[tuple[int, int], int]) -> dict[int, list[tuple[i
 
 def total(d: DoubleComplex) -> CochainComplex:
     """Total complex T^n = direct sum of K^{p,q} with p+q = n, d = d_h + d_v,
-    assembled once, with the double complex."""
+    written once, with the double complex."""
     return d._total
 
 
-def _assemble_total(cells: Mapping[tuple[int, int], int],
-                    dh: Mapping[tuple[int, int], ExactMatrix],
-                    dv: Mapping[tuple[int, int], ExactMatrix]) -> CochainComplex:
+def total_complex(cells: Mapping[tuple[int, int], int],
+                  write: Callable[[dict, dict], None]) -> CochainComplex:
+    """The total complex of a double complex with the cell dimensions
+    `cells` (every cell of its rectangle, in `total_layout`'s order), laid
+    out by `total_layout`.  `write(rows, at)` fills `rows[n]`, the sparse
+    rows of d out of total degree n, with each block's entries: a block out
+    of cell (p, q) has its columns from `at[(p, q)]` in degree p + q and its
+    rows from its target's offset in degree p + q + 1.  The rows are
+    wrapped as written, so the writer's entries must be canonical; a
+    writer that adds or drops a row fails the shape check of `_built`."""
     layout = total_layout(cells)
     lo, hi = min(layout), max(layout)
+    at = {(p, q): off for n in layout for p, q, off in layout[n]}
     dims = [sum(cells[(p, q)] for p, q, _ in layout[n]) for n in range(lo, hi + 1)]
-    diffs = []
-    for n in range(lo, hi):
-        dst = {(p, q): off for p, q, off in layout[n + 1]}
-        out: list[dict] = [{} for _ in range(dims[n + 1 - lo])]
-        for p, q, off in layout[n]:
-            for maps, tgt in ((dh, (p + 1, q)), (dv, (p, q + 1))):
-                mat, toff = maps.get((p, q)), dst.get(tgt)
-                if mat is None or toff is None:
-                    continue
-                if not off:
-                    for i, row in enumerate(mat.row_maps, toff):
-                        out[i].update(row)
-                    continue
-                for i, row in enumerate(mat.row_maps, toff):
-                    target = out[i]
-                    for j, a in row.items():
-                        target[off + j] = a
-        diffs.append(_built(ExactMatrix, dims[n + 1 - lo], dims[n - lo], tuple(out)))
+    rows = {n: [{} for _ in range(dims[n + 1 - lo])] for n in range(lo, hi)}
+    write(rows, at)
+    diffs = [_built(ExactMatrix, len(rows[n]), dims[n - lo], tuple(rows[n]))
+             for n in range(lo, hi)]
     return _built(CochainComplex, lo, hi, dims, diffs)
 
 
@@ -474,31 +473,26 @@ def _rank(rows: Sequence[Row]) -> int:
     return len(echelon)
 
 
-def _coordinate_filtration(cells: Mapping[tuple[int, int], int], cplx: CochainComplex,
-                           index: Callable[[int, int], int],
+def _coordinate_filtration(d: DoubleComplex, index: Callable[[int, int], int],
                            f_lo: int, f_hi: int) -> FilteredComplex:
-    """Filtration of the total complex `cplx` of a double complex with the
-    cell dimensions `cells` (every cell of its rectangle, in `total_layout`'s
-    order), giving each vector of cell (p, q) the level index(p, q); the
-    coordinate basis is adapted to it.  d_h raises p by one and keeps q, d_v
-    the other way round, so both coordinate filtrations are d-stable.  The
-    filtrations of a raw `DoubleComplex` and those of the P^1 model, which
-    `cechp1.cech_koszul` writes straight into its total complex, come from
-    here."""
+    """Filtration of the total complex of `d` giving each vector of cell
+    (p, q) the level index(p, q); the coordinate basis is adapted to it.
+    d_h raises p by one and keeps q, d_v the other way round, so both
+    coordinate filtrations are d-stable."""
     levels = {}
-    for n, layout in total_layout(cells).items():
+    for n, layout in total_layout(d._dims).items():
         lv: list[int] = []
         for p, q, _ in layout:
-            lv += [index(p, q)] * cells[(p, q)]
+            lv += [index(p, q)] * d._dims[(p, q)]
         levels[n] = tuple(lv)
-    return _built(FilteredComplex, cplx, f_lo, f_hi, levels)
+    return _built(FilteredComplex, d._total, f_lo, f_hi, levels)
 
 
 def column_filtration(d: DoubleComplex) -> FilteredComplex:
     """Filtration by the first index: F_P = sum of cells with p >= P."""
-    return _coordinate_filtration(d._dims, total(d), lambda p, q: p, d.p_lo, d.p_hi)
+    return _coordinate_filtration(d, lambda p, q: p, d.p_lo, d.p_hi)
 
 
 def row_filtration(d: DoubleComplex) -> FilteredComplex:
     """Filtration by the second index: F_Q = sum of cells with q >= Q."""
-    return _coordinate_filtration(d._dims, total(d), lambda p, q: q, d.q_lo, d.q_hi)
+    return _coordinate_filtration(d, lambda p, q: q, d.q_lo, d.q_hi)

@@ -122,8 +122,10 @@ def is_zero_dimensional(v: SectionV, w_max: int) -> bool | None:
     finding one below w_max proves True.  False needs a proof as well: a
     variable x_j none of whose pure powers x_j^e (e >= 0) occurs in any
     component of V, so that every component vanishes on the x_j axis and
-    the zero locus contains that line.  Without either proof the verdict is
-    not visible at this w_max, and None is returned (undecided).
+    the zero locus contains that line; or a zero weight-0 quotient slice,
+    which makes R/I = 0, so that V vanishes nowhere and its zero scheme is
+    empty.  Without a proof the verdict is not visible at this w_max, and
+    None is returned (undecided).
     """
     ring = v.owner.ring
     for j in range(ring.nvars):
@@ -132,8 +134,10 @@ def is_zero_dimensional(v: SectionV, w_max: int) -> bool | None:
             return False
     model = zero_locus_model(v)
     max_u = max(ring.weights, default=1)
-    dims = []
-    for w in range(w_max + 1):
+    dims = [model.quotient_dim(0)]
+    if not dims[0]:
+        return False
+    for w in range(1, w_max + 1):
         dims.append(model.quotient_dim(w))
         if len(dims) >= max_u and not any(dims[-max_u:]):
             return True

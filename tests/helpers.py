@@ -60,15 +60,41 @@ def cell_dim(d, p, q):
     return d._dims.get((p, q), 0)
 
 
+def blocks(d):
+    """The d_h and d_v blocks of a double complex, keyed by source cell:
+    each cut out of `total(d)` by `total_layout`, one for every cell whose
+    target lies in the rectangle, with no entry of the total outside a
+    block."""
+    t, cells = total(d), d._dims
+    layout = total_layout(cells)
+    horizontal, vertical = {}, {}
+    for n in range(t.lo, t.hi):
+        rows = t.d(n).row_maps
+        targets = {(p, q): off for p, q, off in layout[n + 1]}
+        cut = 0
+        for p, q, off in layout[n]:
+            for maps, tgt in ((horizontal, (p + 1, q)), (vertical, (p, q + 1))):
+                if tgt not in targets:
+                    continue
+                block = [{j - off: x for j, x in row.items() if off <= j < off + cells[(p, q)]}
+                         for row in rows[targets[tgt]:targets[tgt] + cells[tgt]]]
+                cut += sum(map(len, block))
+                maps[(p, q)] = ExactMatrix(cells[tgt], cells[(p, q)], block)
+        assert cut == sum(map(len, rows)), f"entries outside the blocks out of degree {n}"
+    return horizontal, vertical
+
+
 def dh(d, p, q):
-    """d_h out of cell (p, q) of a double complex: its stored map, or zero."""
-    m = d._dh.get((p, q))
+    """d_h out of cell (p, q) of a double complex, cut out of its total: zero
+    where the target leaves the rectangle."""
+    m = blocks(d)[0].get((p, q))
     return ExactMatrix.zeros(cell_dim(d, p + 1, q), cell_dim(d, p, q)) if m is None else m
 
 
 def dv(d, p, q):
-    """d_v out of cell (p, q) of a double complex: its stored map, or zero."""
-    m = d._dv.get((p, q))
+    """d_v out of cell (p, q) of a double complex, cut out of its total: zero
+    where the target leaves the rectangle."""
+    m = blocks(d)[1].get((p, q))
     return ExactMatrix.zeros(cell_dim(d, p, q + 1), cell_dim(d, p, q)) if m is None else m
 
 
@@ -175,29 +201,13 @@ def lmat_identity(n):
 
 def double(model):
     """The double complex of a P^1 model, whose builder writes straight into
-    the total complex: each cell block cut out of `model.total` by the cell
-    layout, with no entry of the total outside a d_h or d_v block, through
-    the checking `DoubleComplex` constructor, whose total is the model's."""
-    cells = model.cells
-    layout = total_layout(cells)
-    ps, qs = {p for p, _ in cells}, {q for _, q in cells}
-    horizontal, vertical = {}, {}
-    for n in range(model.total.lo, model.total.hi):
-        rows = model.total.d(n).row_maps
-        targets = {(p, q): off for p, q, off in layout[n + 1]}
-        cut = 0
-        for p, q, off in layout[n]:
-            for maps, tgt in ((horizontal, (p + 1, q)), (vertical, (p, q + 1))):
-                if tgt not in targets:
-                    continue
-                block = [{j - off: x for j, x in row.items() if off <= j < off + cells[(p, q)]}
-                         for row in rows[targets[tgt]:targets[tgt] + cells[tgt]]]
-                cut += sum(map(len, block))
-                maps[(p, q)] = ExactMatrix(cells[tgt], cells[(p, q)], block)
-        assert cut == sum(map(len, rows)), f"entries outside the blocks out of degree {n}"
-    out = DoubleComplex(min(ps), max(ps), min(qs), max(qs), cells, horizontal, vertical)
-    assert all(total(out).d(n).row_maps == model.total.d(n).row_maps
-               for n in range(model.total.lo, model.total.hi))
+    the total complex with no check: its blocks, cut out of the total
+    (`blocks`), through the checking `DoubleComplex` constructor, whose
+    total is the model's."""
+    d = model.double
+    out = DoubleComplex(d.p_lo, d.p_hi, d.q_lo, d.q_hi, d._dims, *blocks(d))
+    assert all(total(out).d(n).row_maps == total(d).d(n).row_maps
+               for n in range(total(d).lo, total(d).hi))
     return out
 
 

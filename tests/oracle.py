@@ -90,6 +90,11 @@ keys per space, and a dict from key to row in each block.
 with the (-1)^p twist applied afterwards by negating a copy of each
 odd-column Cech block, as `complexes._twisted` does.
 
+`total_dense` assembles the total complex of a double complex as dense
+matrices from dense blocks, with each cell's offset in its total degree
+summed by its own walk over p, not by `complexes.total_layout`: the
+check of the one writer `complexes.total_complex` and of its layout.
+
 `_json` is the key spelling the CLI applied before `json.dump` wrote a
 report, until `cli._dump` wrote the report in one pass: a (p, q) key
 becomes "p,q" and any other key its str, in every table (not inside a
@@ -900,6 +905,38 @@ def cech_koszul_keyed(algebroid, section, window, untwisted):
         horizontal[(p, 1)] = laurent_block_keyed(window_entries(rows[p]),
                                                  window_entries(rows[p + 1]), i_v)
     return horizontal, vertical
+
+
+
+def total_dense(dims, horizontal, vertical):
+    """{n: (dim T^n, dense rows of d out of T^n)} for the double complex with
+    the cell dimensions `dims` (every cell of its rectangle) and the dense
+    blocks `horizontal` (d_h, to (p + 1, q)) and `vertical` (d_v, to
+    (p, q + 1)), keyed by source cell; a block whose target leaves the
+    rectangle has no rows.  The cells of degree n sit in ascending p, each
+    at the sum of the dimensions before it."""
+    ps = range(min(p for p, _ in dims), max(p for p, _ in dims) + 1)
+    qs = range(min(q for _, q in dims), max(q for _, q in dims) + 1)
+    degrees = range(ps[0] + qs[0], ps[-1] + qs[-1] + 1)
+    offset, size = {}, {n: 0 for n in degrees}
+    for n in degrees:
+        for p in ps:
+            if n - p in qs:
+                offset[(p, n - p)] = size[n]
+                size[n] += dims[(p, n - p)]
+    out = {}
+    for n in degrees:
+        rows = [[QQ(0)] * size[n] for _ in range(size.get(n + 1, 0))]
+        for p in ps:
+            q = n - p
+            for blocks, target in ((horizontal, (p + 1, q)), (vertical, (p, q + 1))):
+                if (p, q) not in blocks or target not in offset:
+                    continue
+                for i, row in enumerate(blocks[(p, q)]):
+                    for j, x in enumerate(row):
+                        rows[offset[target] + i][offset[(p, q)] + j] = QQ(x)
+        out[n] = (size[n], rows)
+    return out
 
 
 def _json(value):

@@ -473,18 +473,18 @@ def test_a_p1_window_at_the_cap_runs(monkeypatch, capsys):
     assert windows == [4096]
 
 
-def test_a_p1_run_makes_no_double_complex(monkeypatch, capsys):
-    # the model is written straight into its total complex: no DoubleComplex,
-    # checked or built, and no copy of cell blocks into a total
-    made, assembled = [], []
-    set_fields, assemble = complexes.DoubleComplex._set, complexes._assemble_total
-    monkeypatch.setattr(complexes.DoubleComplex, "_set",
-                        lambda self, *args: made.append(args) or set_fields(self, *args))
-    monkeypatch.setattr(complexes, "_assemble_total",
-                        lambda *args: assembled.append(args) or assemble(*args))
+def test_a_p1_run_checks_no_double_complex(monkeypatch, capsys):
+    # the model is written straight into its total complex, once per window
+    # (D and D+1): its DoubleComplex is made by `_built`, with no call of the
+    # checking constructor, so no block is checked or copied into a total
+    made = []
+    init = complexes.DoubleComplex.__init__
+    monkeypatch.setattr(complexes.DoubleComplex, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    written = _spied(monkeypatch, complexes.total_complex)
     assert run_cli(["p1", CASES / "p1-euler-O0.json"]) == 0
     capsys.readouterr()
-    assert (made, assembled) == ([], [])
+    assert (made, len(written)) == ([], 2)
 
 
 @pytest.mark.parametrize("q_hi", [8192, 10 ** 6, 10 ** 30])
@@ -1614,6 +1614,27 @@ def test_koszul_without_a_certificate_reports_no_vanishing(tmp_path, capsys):
     assert report["dim_y"] is None and report["dim_y_source"] == "unknown"
     assert "vanishing" not in report and "vanishing_violations" not in report
     assert report["formality"] is True
+
+
+# sections that vanish nowhere: d/dx on the plane, and V = 1 on the ring with
+# no variables; R/I = 0, so their zero scheme is empty, not the origin
+NOWHERE_ZERO = {
+    "dx-plane": lambda p: p.update(section=[{"0,0": "1"}, {}]) or p.pop("dim_y"),
+    "unit-point": lambda p: p.update(variable_weights=[], generator_weights=[-1],
+                                     anchor=[[]], brackets={}, section=[{"": "1"}],
+                                     weights=[0, 3]) or p.pop("dim_y"),
+}
+
+
+@pytest.mark.parametrize("mutate", NOWHERE_ZERO.values(), ids=NOWHERE_ZERO.keys())
+def test_koszul_certifies_no_zero_dimensional_locus_for_a_nowhere_vanishing_section(
+        tmp_path, capsys, mutate):
+    out = tmp_path / "report.json"
+    assert run_cli(["koszul", _mutated(tmp_path, "euler-n2.json", mutate), "--json", out]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())["report"]
+    assert report["dim_y"] is None and report["dim_y_source"] == "unknown"
+    assert "vanishing" not in report and "vanishing_violations" not in report
 
 
 @pytest.mark.parametrize("dim_y", [None, 0, 1])

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 definition of the package is named outside itself, every parameter of a
-package function is read in its body, and every field of a record class
+package function is read in its body, every field of a record class
 (a named tuple, or a slots class that annotates its fields) is read by the
-package itself.
+package itself, and so is every field of a value class (`exactla.Value`),
+outside the `__init__` and `_set` that fill it.
 
 `__init__.py` is left out of the import scan: its imports are the
 package's re-exports.
@@ -162,6 +163,13 @@ def test_scan_finds_a_dead_definition():
                                                               "m.py:8 method"]
 
 
+def _slots(cls: ast.ClassDef) -> list[tuple[int, str]]:
+    """The names in a class body's `__slots__`, each with its line."""
+    return [(item.lineno, name) for item in cls.body if isinstance(item, ast.Assign)
+            and getattr(item.targets[0], "id", None) == "__slots__"
+            for name in ast.literal_eval(item.value)]
+
+
 def record_classes(source: str):
     """The record classes of a module, each with its fields as (line, name)
     pairs: a subclass of `NamedTuple` (also `typing.NamedTuple`), whose
@@ -174,9 +182,7 @@ def record_classes(source: str):
             continue
         annotated = [(item.lineno, item.target.id) for item in cls.body
                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
-        slots = [(item.lineno, name) for item in cls.body if isinstance(item, ast.Assign)
-                 and getattr(item.targets[0], "id", None) == "__slots__"
-                 for name in ast.literal_eval(item.value)]
+        slots = _slots(cls)
         if any("NamedTuple" in (getattr(b, "id", None), getattr(b, "attr", None))
                for b in cls.bases):
             yield cls.name, annotated
@@ -227,6 +233,66 @@ def test_scan_finds_a_dead_field():
                                     "m.py:17 S.spare"]
     assert dead_fields({**package, "t.py": tests}) == ["m.py:7 A.written", "m.py:14 B.unread",
                                                        "m.py:17 S.spare"]
+
+
+def value_classes(tree: ast.Module):
+    """The `Value` subclasses of a module (`Value` or `exactla.Value` among
+    the bases), each as (name, slots, ids of the nodes of its own
+    `__init__` and `_set`)."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                "Value" in (getattr(b, "id", None), getattr(b, "attr", None)) for b in cls.bases):
+            yield cls.name, _slots(cls), {
+                id(node) for f in cls.body if isinstance(f, ast.FunctionDef)
+                and f.name in ("__init__", "_set") for node in ast.walk(f)}
+
+
+def dead_value_fields(package: dict[str, str]) -> list[str]:
+    """Slots of the `Value` subclasses of the `package` sources (path ->
+    text) that no source of `package` reads as an attribute (`x.field`)
+    outside the class's own `__init__` and `_set`.  Those two fill the
+    fields and check them, so a field read only there is dead, whether or
+    not the class annotates its fields."""
+    trees = {path: ast.parse(text) for path, text in package.items()}
+    reads = [(id(node), node.attr) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    dead = []
+    for path, tree in trees.items():
+        for name, slots, filling in value_classes(tree):
+            read = {attr for key, attr in reads if key not in filling}
+            dead += [f"{Path(path).name}:{line} {name}.{slot}" for line, slot in slots
+                     if slot not in read]
+    return dead
+
+
+def test_every_value_field_is_read_outside_its_filling():
+    package = {str(p): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    # a scan that finds no value class would pass vacuously
+    assert sum(1 for text in package.values() for _ in value_classes(ast.parse(text))) == 12
+    assert dead_value_fields(package) == []
+
+
+def test_scan_finds_a_dead_value_field():
+    # `checked` is read only by the constructor that fills it, `copied` only
+    # by `_set`, and `tested` only by a test file such as "t.py" below; `kept`
+    # by a method, and `shared` by another class's constructor
+    package = {"m.py": ("from .exactla import Value\nfrom . import exactla\n\n"
+                        "class V(Value):\n"
+                        "    __slots__ = ('kept', 'checked', 'copied', 'tested', 'shared')\n\n"
+                        "    def __init__(self, a):\n        self._set(a, a, a, a, a)\n"
+                        "        assert self.checked\n\n"
+                        "    def _set(self, *fields):\n        Value._set(self, *fields)\n"
+                        "        assert self.copied\n\n"
+                        "    def show(self):\n        return self.kept\n\n"
+                        "class W(exactla.Value):\n    __slots__ = ('unread',)\n\n"
+                        "    def __init__(self, v):\n        self.unread = v.shared\n\n"
+                        "class Plain:\n    __slots__ = ('spare',)\n")}
+    tests = "from m import V\nassert V(1).tested == 1\n"
+    assert dead_value_fields(package) == ["m.py:5 V.checked", "m.py:5 V.copied",
+                                          "m.py:5 V.tested", "m.py:19 W.unread"]
+    assert dead_value_fields({**package, "t.py": tests}) == ["m.py:5 V.checked",
+                                                             "m.py:5 V.copied",
+                                                             "m.py:19 W.unread"]
 
 
 def _handlers(tree: ast.Module) -> set[str]:

@@ -102,7 +102,9 @@ def test_is_zero_dimensional():
     assert is_zero_dimensional(EULER2, 4) is True
     assert is_zero_dimensional(SectionV(TANGENT2, [{(1, 0): 1}, {}]), 5) is False
     lr, unit = unit_setup()
-    assert is_zero_dimensional(unit, 2) is True
+    # V = 1 vanishes nowhere: R/I = 0 already at weight 0, an empty zero
+    # scheme, which is not the origin
+    assert is_zero_dimensional(unit, 2) is False
     # weighted variables: full window of zeros required before certifying
     ring = WeightedPolyRing(2, (1, 2))
     t = tangent_algebroid(ring)

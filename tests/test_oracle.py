@@ -74,7 +74,7 @@ from liekoszul.lierinehart import (
     validate,
 )
 from liekoszul.specseq import compute_page, run
-from helpers import apply, dense, double, flag_rows, units
+from helpers import apply, blocks, dense, double, flag_rows, units
 from oracle import (
     Flag,
     action_on_h_cochains_scan,
@@ -103,6 +103,7 @@ from oracle import (
     p_sub,
     qi_by_induced_maps,
     reduction_matrix_by_solve,
+    total_dense,
     validate_by_sweep,
 )
 from test_specseq import random_flag
@@ -196,9 +197,8 @@ def _p1_models():
 def test_p1_blocks_match_the_keyed_build(algebroid, section, untwisted):
     for window in (1, 2, 3):
         cells = double(cech_koszul(algebroid, section, window, untwisted))
-        horizontal, vertical = cech_koszul_keyed(algebroid, section, window, untwisted)
-        assert cells._dh == horizontal, window
-        assert cells._dv == vertical, window
+        keyed = cech_koszul_keyed(algebroid, section, window, untwisted)
+        assert blocks(cells) == keyed, window
 
 
 def test_p1_total_matches_the_keyed_build_on_a_seeded_scan():
@@ -220,13 +220,104 @@ def test_p1_total_matches_the_keyed_build_on_a_seeded_scan():
             dims[(p, 0)], dims[(p, 1)] = m.cols, m.rows
         keyed = total(DoubleComplex(ps[0], ps[-1], 0, 1, dims, horizontal, vertical))
         where = (degree, coeffs, untwisted, window)
-        assert model.cells == {(p, q): dims[(p, q)] for p in ps for q in (0, 1)}, where
-        assert (model.total.lo, model.total.hi) == (keyed.lo, keyed.hi), where
+        written = total(model.double)
+        assert model.double._dims == {(p, q): dims[(p, q)] for p in ps for q in (0, 1)}, where
+        assert (written.lo, written.hi) == (keyed.lo, keyed.hi), where
         for n in keyed.degrees():
-            assert model.total.dim(n) == keyed.dim(n), where
-            assert model.total.d(n).row_maps == keyed.d(n).row_maps, where
+            assert written.dim(n) == keyed.dim(n), where
+            assert written.d(n).row_maps == keyed.d(n).row_maps, where
         seen.add((degree, untwisted, window))
     assert len(seen) >= 35, len(seen)
+
+
+def _random_complex(rng, lo, hi):
+    """Dims and dense differentials of a random complex on degrees lo..hi:
+    the coordinates of each A^k are split into those d_{k-1} may hit, which
+    d_k kills, and the rest, which d_k sends among those hit in A^{k+1}, so
+    d.d = 0."""
+    dims = {k: rng.randint(0, 2) for k in range(lo, hi + 1)}
+    hit = {k: set(rng.sample(range(n), rng.randint(0, n))) for k, n in dims.items()}
+    return dims, {k: [[rng.randint(-2, 2) if i in hit[k + 1] and j not in hit[k] else 0
+                       for j in range(dims[k])] for i in range(dims[k + 1])]
+                  for k in range(lo, hi)}
+
+
+def _random_double(rng):
+    """A random double complex K^{p,q} = A^p (x) B^q on a rectangle of up to
+    4 x 4 cells, as (rectangle, dims, horizontal, vertical): dense blocks,
+    d_h = d_A (x) 1 and d_v = 1 (x) d_B, which commute.  Sometimes d_h out
+    of the last column is given too, with no rows."""
+    p_lo, q_lo = rng.randint(-2, 1), rng.randint(-2, 1)
+    p_hi, q_hi = p_lo + rng.randint(0, 3), q_lo + rng.randint(0, 3)
+    a_dims, d_a = _random_complex(rng, p_lo, p_hi)
+    b_dims, d_b = _random_complex(rng, q_lo, q_hi)
+    dims = {(p, q): a_dims[p] * b_dims[q] for p in a_dims for q in b_dims}
+    horizontal, vertical = {}, {}
+    for (p, q), n in dims.items():
+        nb = b_dims[q]
+        if p < p_hi:
+            horizontal[(p, q)] = [[d_a[p][i // nb][j // nb] if i % nb == j % nb else 0
+                                   for j in range(n)] for i in range(dims[(p + 1, q)])]
+        elif rng.random() < 0.5:
+            horizontal[(p, q)] = []
+        if q < q_hi:
+            vertical[(p, q)] = [[d_b[q][i % b_dims[q + 1]][j % nb]
+                                 if i // b_dims[q + 1] == j // nb else 0
+                                 for j in range(n)] for i in range(dims[(p, q + 1)])]
+    return (p_lo, p_hi, q_lo, q_hi), dims, horizontal, vertical
+
+
+def _matrices(blocks, dims, step):
+    """Dense blocks as ExactMatrix values: the block out of cell (p, q) has
+    dims[(p, q)] columns and, into the cell `step` away, its target's rows."""
+    return {(p, q): ExactMatrix(dims.get((p + step[0], q + step[1]), 0), dims[(p, q)],
+                                [{j: x for j, x in enumerate(row) if x} for row in rows])
+            for (p, q), rows in blocks.items()}
+
+
+def assert_total_is_dense(d, expected, where):
+    t = total(d)
+    assert list(t.degrees()) == sorted(expected), where
+    for n, (size, rows) in expected.items():
+        assert t.dim(n) == size, where
+        assert dense(t.d(n)) == tuple(map(tuple, rows)), where
+
+
+def test_raw_totals_match_a_dense_assembly_on_seeded_doubles():
+    # the anticommuting input and the commuting one that `from_commuting`
+    # twists both give the total the oracle assembles from the twisted blocks
+    rng = random.Random(40)
+    empty_cells = edge_maps = rowless = 0
+    for trial in range(300):
+        rect, dims, horizontal, vertical = _random_double(rng)
+        twisted = {(p, q): [[-x for x in row] for row in rows] if p % 2 else rows
+                   for (p, q), rows in vertical.items()}
+        expected = total_dense(dims, horizontal, twisted)
+        h = _matrices(horizontal, dims, (1, 0))
+        assert_total_is_dense(DoubleComplex(*rect, dims, h, _matrices(twisted, dims, (0, 1))),
+                              expected, trial)
+        assert_total_is_dense(DoubleComplex.from_commuting(*rect, dims, h,
+                                                           _matrices(vertical, dims, (0, 1))),
+                              expected, trial)
+        empty_cells += 0 in dims.values() and any(dims.values())
+        edge_maps += any(any(map(any, rows)) for (p, q), rows in horizontal.items()
+                         if p + 1 == rect[1]) or any(any(map(any, rows)) for (p, q), rows
+                                                     in vertical.items() if q + 1 == rect[3])
+        rowless += any(p == rect[1] for p, _ in horizontal)
+    assert min(empty_cells, edge_maps, rowless) >= 40, (empty_cells, edge_maps, rowless)
+
+
+@pytest.mark.parametrize("algebroid,section,untwisted", _p1_models())
+def test_p1_total_matches_a_dense_assembly_of_the_keyed_blocks(algebroid, section, untwisted):
+    for window in (1, 2):
+        horizontal, vertical = cech_koszul_keyed(algebroid, section, window, untwisted)
+        dims = {}
+        for (p, _), m in vertical.items():
+            dims[(p, 0)], dims[(p, 1)] = m.cols, m.rows
+        expected = total_dense(dims, {c: dense(m) for c, m in horizontal.items()},
+                               {c: dense(m) for c, m in vertical.items()})
+        assert_total_is_dense(cech_koszul(algebroid, section, window, untwisted).double,
+                              expected, window)
 
 
 @pytest.mark.parametrize("lr", [pytest.param(lr, id=name)
